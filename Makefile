@@ -15,11 +15,14 @@ GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.4
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (it imports internal/cluster, internal/obs and
+# internal/cachestore), so root `go test ./...` does not enter it.
 test:
 	$(GO) test ./...
+	$(GO) vet -C bench . && $(GO) test -C bench .
 
 race:
-	$(GO) test -race ./internal/serve/... ./internal/egraph/... ./internal/rewrite/... .
+	$(GO) test -race ./internal/serve/... ./internal/breaker/... ./internal/egraph/... ./internal/rewrite/... .
 
 # lint runs every check that works offline: gofmt, go vet, the
 # project's own invariant analyzers (tensatlint), and the static

@@ -13,7 +13,7 @@
 //	GET    /v1/rulesets         — named rule sets with content hashes
 //	GET    /v1/costmodels       — named device cost models with hashes
 //	GET    /v1/version          — build/runtime identification
-//	GET    /v1/stats            — cache/latency/job/profile counters
+//	GET    /v1/stats            — the /metrics registry as JSON, plus latency quantiles
 //	GET    /v1/healthz          — liveness probe
 //	GET    /v1/readyz           — readiness probe (503 while draining)
 //	GET    /metrics             — Prometheus text exposition
@@ -32,8 +32,8 @@
 //
 // Resilience: each peer sits behind a circuit breaker
 // (-peer-breaker-failures / -peer-breaker-cooldown) with jittered
-// retry for idempotent fetches (-peer-retries); store I/O failures
-// flip the disk tier into degraded mode while memory keeps serving;
+// retry for idempotent fetches (-peer-retries); the disk store sits
+// behind the same breaker (first I/O error opens it, memory keeps serving);
 // SIGTERM drains gracefully — /readyz turns 503, running jobs finish
 // under -drain-timeout. -fault-spec arms deterministic fault
 // injection for chaos testing (development only, never production).

@@ -1,150 +1,14 @@
 package cluster
 
-import (
-	"sync"
-	"time"
-)
+import "tensat/internal/breaker"
 
-// BreakerState is a per-peer circuit breaker's position. The numeric
-// values are the `tensat_peer_breaker_state{peer}` gauge encoding:
-// 0 closed (healthy), 1 open (peer shunned), 2 half-open (one probe in
-// flight deciding between the two).
-type BreakerState int32
+// BreakerState is a per-peer circuit breaker's position (see
+// internal/breaker, which the disk store's guard shares). The numeric
+// values are the `tensat_peer_breaker_state{peer}` gauge encoding.
+type BreakerState = breaker.State
 
 const (
-	// BreakerClosed is the healthy state: requests flow normally.
-	BreakerClosed BreakerState = 0
-	// BreakerOpen means the peer accumulated Threshold consecutive
-	// failures; requests are refused locally until Cooldown elapses.
-	BreakerOpen BreakerState = 1
-	// BreakerHalfOpen admits exactly one probe request after Cooldown;
-	// its outcome re-closes or re-opens the breaker.
-	BreakerHalfOpen BreakerState = 2
+	BreakerClosed   = breaker.Closed
+	BreakerOpen     = breaker.Open
+	BreakerHalfOpen = breaker.HalfOpen
 )
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "unknown"
-	}
-}
-
-// breaker is one peer's circuit breaker. It trips open after
-// threshold consecutive failures, refuses requests for cooldown, then
-// admits a single half-open probe whose outcome decides between
-// re-closing and re-opening. All methods are safe for concurrent use.
-type breaker struct {
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive failures while closed
-	openedAt  time.Time // when the breaker last tripped
-	probing   bool      // a half-open probe is in flight
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-	onChange  func(BreakerState) // called outside mu on every transition
-}
-
-func newBreaker(threshold int, cooldown time.Duration, onChange func(BreakerState)) *breaker {
-	return &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
-		now:       time.Now,
-		onChange:  onChange,
-	}
-}
-
-// tryAcquire reports whether a request to this peer may proceed now.
-// In the open state it flips to half-open once cooldown has elapsed
-// and admits the caller as the probe; in half-open only the single
-// probe slot is granted. Every granted acquire MUST be paired with a
-// success or failure call.
-func (b *breaker) tryAcquire() bool {
-	b.mu.Lock()
-	var changed BreakerState = -1
-	ok := false
-	switch b.state {
-	case BreakerClosed:
-		ok = true
-	case BreakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
-			b.state = BreakerHalfOpen
-			b.probing = true
-			changed = BreakerHalfOpen
-			ok = true
-		}
-	case BreakerHalfOpen:
-		if !b.probing {
-			b.probing = true
-			ok = true
-		}
-	}
-	b.mu.Unlock()
-	if changed >= 0 && b.onChange != nil {
-		b.onChange(changed)
-	}
-	return ok
-}
-
-// success records a request that the peer answered (any response at
-// all — even a cache miss — proves liveness). It re-closes a
-// half-open breaker and clears the failure streak.
-func (b *breaker) success() {
-	b.mu.Lock()
-	var changed BreakerState = -1
-	b.failures = 0
-	b.probing = false
-	if b.state != BreakerClosed {
-		b.state = BreakerClosed
-		changed = BreakerClosed
-	}
-	b.mu.Unlock()
-	if changed >= 0 && b.onChange != nil {
-		b.onChange(changed)
-	}
-}
-
-// failure records a transport-level failure. A half-open probe failure
-// re-opens immediately; in the closed state the breaker trips once the
-// consecutive-failure streak reaches the threshold.
-func (b *breaker) failure() {
-	b.mu.Lock()
-	var changed BreakerState = -1
-	b.probing = false
-	switch b.state {
-	case BreakerHalfOpen:
-		b.state = BreakerOpen
-		b.openedAt = b.now()
-		changed = BreakerOpen
-	case BreakerClosed:
-		b.failures++
-		if b.failures >= b.threshold {
-			b.state = BreakerOpen
-			b.openedAt = b.now()
-			changed = BreakerOpen
-		}
-	case BreakerOpen:
-		// A failure from a request admitted just before the trip:
-		// refresh the cooldown clock.
-		b.openedAt = b.now()
-	}
-	b.mu.Unlock()
-	if changed >= 0 && b.onChange != nil {
-		b.onChange(changed)
-	}
-}
-
-// current returns the state for readiness reporting. An open breaker
-// whose cooldown has elapsed still reads as open until a request
-// actually probes it.
-func (b *breaker) current() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"tensat/internal/breaker"
 	"tensat/internal/fault"
 )
 
@@ -150,7 +151,7 @@ type Client struct {
 	secret     string
 	secretHash [sha256.Size]byte
 
-	breakers      map[string]*breaker
+	breakers      map[string]*breaker.Breaker
 	retryAttempts int
 	retryBase     time.Duration
 
@@ -238,7 +239,7 @@ func New(cfg Config) (*Client, error) {
 		secretHash:    sha256.Sum256([]byte(cfg.Secret)),
 		retryAttempts: retries,
 		retryBase:     retryBase,
-		breakers:      make(map[string]*breaker),
+		breakers:      make(map[string]*breaker.Breaker),
 		pushCh:        make(chan pushItem, queueLen),
 		http: &http.Client{
 			Timeout:   timeout,
@@ -250,8 +251,8 @@ func New(cfg Config) (*Client, error) {
 			continue
 		}
 		peer := n
-		c.breakers[peer] = newBreaker(threshold, cooldown, func(st BreakerState) {
-			c.notifyBreaker(peer, st)
+		c.breakers[peer] = breaker.New(threshold, cooldown, func(_, to BreakerState) {
+			c.notifyBreaker(peer, to)
 		})
 	}
 	c.pushWG.Add(workers)
@@ -336,7 +337,7 @@ func (c *Client) MayOwn(key string) bool {
 func (c *Client) BreakerStates() map[string]BreakerState {
 	out := make(map[string]BreakerState, len(c.breakers))
 	for peer, b := range c.breakers {
-		out[peer] = b.current()
+		out[peer] = b.State()
 	}
 	return out
 }
@@ -346,14 +347,14 @@ func (c *Client) BreakerStates() map[string]BreakerState {
 // request. local=true means the walk reached this node first — serve
 // its local tiers. A nil breaker with ok=true never happens: every
 // granted remote route has acquired its peer's breaker and the caller
-// must settle it with success or failure.
-func (c *Client) route(key string) (node string, local bool, br *breaker, ok bool) {
+// must settle it with Success or Failure.
+func (c *Client) route(key string) (node string, local bool, br *breaker.Breaker, ok bool) {
 	for _, n := range c.ring.Successors(key, FalloverDepth) {
 		if n == c.self {
 			return "", true, nil, false
 		}
 		b := c.breakers[n]
-		if b != nil && b.tryAcquire() {
+		if b != nil && b.TryAcquire() {
 			return n, false, b, true
 		}
 	}
@@ -404,17 +405,13 @@ func (c *Client) Fetch(ctx context.Context, key string) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		payload, retriable, err := c.doFetch(ctx, node, key)
-		if err == nil {
-			br.success()
-			return payload, nil
+		if err == nil || !retriable {
+			// The peer answered (a record, a miss, a loop, a rejection): it
+			// is alive, whatever it said.
+			br.Success()
+			return payload, err
 		}
-		if !retriable {
-			// The peer answered (miss, loop, rejection): it is alive,
-			// whatever it said.
-			br.success()
-			return nil, err
-		}
-		br.failure()
+		br.Failure()
 		lastErr = err
 		if attempt >= c.retryAttempts {
 			return nil, lastErr
@@ -422,7 +419,7 @@ func (c *Client) Fetch(ctx context.Context, key string) ([]byte, error) {
 		if err := c.backoff(ctx, attempt); err != nil {
 			return nil, lastErr
 		}
-		if !br.tryAcquire() {
+		if !br.TryAcquire() {
 			// Breaker tripped during the backoff: stop hammering.
 			return nil, lastErr
 		}
@@ -485,11 +482,7 @@ func (c *Client) Push(ctx context.Context, key string, payload []byte) error {
 		return ErrPeerDown
 	}
 	err := c.doPush(ctx, node, key, payload)
-	if err != nil {
-		br.failure()
-	} else {
-		br.success()
-	}
+	br.Settle(err)
 	return err
 }
 
@@ -536,9 +529,6 @@ func (c *Client) EnqueuePush(key string, payload []byte) bool {
 	}
 }
 
-// PushQueueLen reports how many pushes are waiting in the queue.
-func (c *Client) PushQueueLen() int { return len(c.pushCh) }
-
 // pushWorker drains the push queue, retrying transient failures with
 // backoff. The queue channel closing (Close) ends the worker once the
 // backlog is drained.
@@ -549,34 +539,21 @@ func (c *Client) pushWorker() {
 	}
 }
 
+// pushOne pushes one queued record, retrying transport failures with
+// backoff; a locally owned key or an open breaker ends it at once.
 func (c *Client) pushOne(item pushItem) {
-	var lastErr error
+	ctx := context.Background()
+	var err error
 	for attempt := 0; ; attempt++ {
-		node, local, br, ok := c.route(item.key)
-		if local {
-			lastErr = nil
+		err = c.Push(ctx, item.key, item.payload)
+		if err == nil || errors.Is(err, ErrPeerDown) || attempt >= c.retryAttempts {
 			break
 		}
-		if !ok {
-			lastErr = ErrPeerDown
-			break
-		}
-		err := c.doPush(context.Background(), node, item.key, item.payload)
-		if err == nil {
-			br.success()
-			lastErr = nil
-			break
-		}
-		br.failure()
-		lastErr = err
-		if attempt >= c.retryAttempts {
-			break
-		}
-		if err := c.backoff(context.Background(), attempt); err != nil {
+		if c.backoff(ctx, attempt) != nil {
 			break
 		}
 	}
 	if f := c.observer().PushDone; f != nil {
-		f(lastErr)
+		f(err)
 	}
 }

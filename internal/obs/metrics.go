@@ -125,6 +125,29 @@ func (h *Histogram) snapshot() ([]uint64, float64, uint64) {
 	return cum, h.sum, h.count
 }
 
+// Quantile estimates the q-quantile (0 <= q <= 1) of the observations
+// the way Prometheus' histogram_quantile does: find the first non-empty
+// bucket the rank q*count falls in and interpolate linearly between its
+// bounds (the first bucket's lower bound is 0). Observations beyond the
+// last finite bound report that bound. It returns 0 before the first
+// observation.
+func (h *Histogram) Quantile(q float64) float64 {
+	cum, _, count := h.snapshot()
+	if count == 0 {
+		return 0
+	}
+	rank := q * float64(count)
+	i := sort.Search(len(cum), func(i int) bool { return cum[i] > 0 && float64(cum[i]) >= rank })
+	if i >= len(h.bounds) {
+		return h.bounds[len(h.bounds)-1]
+	}
+	lower, below := 0.0, uint64(0)
+	if i > 0 {
+		lower, below = h.bounds[i-1], cum[i-1]
+	}
+	return lower + (h.bounds[i]-lower)*(rank-float64(below))/float64(cum[i]-below)
+}
+
 // LatencyBuckets spans the pipeline's phase durations, from
 // sub-millisecond rebuilds on test graphs to hour-long ILP solves.
 var LatencyBuckets = []float64{
@@ -194,6 +217,22 @@ type CounterVec struct{ v *vec[*Counter] }
 // With returns the counter for the given label values (created on
 // first use). The number of values must match the declared label keys.
 func (cv *CounterVec) With(values ...string) *Counter { return cv.v.with(values...) }
+
+// Values snapshots every child's count, keyed by its label values
+// joined with sep (declaration order) — the JSON view of the family.
+// It returns nil while the family has no children.
+func (cv *CounterVec) Values(sep string) map[string]uint64 {
+	cv.v.mu.Lock()
+	defer cv.v.mu.Unlock()
+	if len(cv.v.children) == 0 {
+		return nil
+	}
+	out := make(map[string]uint64, len(cv.v.children))
+	for key, c := range cv.v.children {
+		out[strings.ReplaceAll(key, "\x00", sep)] = c.child.Value()
+	}
+	return out
+}
 
 // GaugeVec is a gauge family partitioned by label values.
 type GaugeVec struct{ v *vec[*Gauge] }

@@ -145,3 +145,58 @@ func TestConcurrentScrape(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestHistogramQuantile checks the bucket interpolation on known
+// observations: linear inside the bucket the rank falls in, 0 as the
+// first bucket's lower bound, the last finite bound for the +Inf
+// bucket, monotone in q, and 0 before the first observation.
+func TestHistogramQuantile(t *testing.T) {
+	h := NewRegistry().Histogram("q_seconds", "h", []float64{1, 2, 4})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", got)
+	}
+	// Cumulative counts: le=1 → 2, le=2 → 6, le=4 → 10.
+	for _, v := range []float64{0.5, 1, 1.5, 1.5, 2, 2, 3, 3, 4, 4} {
+		h.Observe(v)
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0, 0},
+		{0.1, 0.5},  // rank 1 of the 2 in (0, 1]
+		{0.2, 1},    // rank 2: top of the first bucket
+		{0.5, 1.75}, // rank 5: 3 of the 4 in (1, 2]
+		{0.6, 2},
+		{0.9, 3.5}, // rank 9: 3 of the 4 in (2, 4]
+		{1, 4},
+	} {
+		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	h.Observe(100) // +Inf bucket
+	if got := h.Quantile(1); got != 4 {
+		t.Errorf("Quantile(1) with an overflow observation = %v, want the last bound 4", got)
+	}
+	prev := 0.0
+	for q := 0.0; q <= 1; q += 0.01 {
+		got := h.Quantile(q)
+		if got < prev {
+			t.Fatalf("Quantile not monotone: q=%v gives %v after %v", q, got, prev)
+		}
+		prev = got
+	}
+}
+
+// TestCounterVecValues: the JSON view of a labeled family is keyed by
+// the label values in declaration order, and nil while empty.
+func TestCounterVecValues(t *testing.T) {
+	cv := NewRegistry().CounterVec("v_total", "h", "a", "b")
+	if got := cv.Values("/"); got != nil {
+		t.Fatalf("empty family Values = %v, want nil", got)
+	}
+	cv.With("x", "y").Add(3)
+	cv.With("x", "z").Inc()
+	got := cv.Values("/")
+	if len(got) != 2 || got["x/y"] != 3 || got["x/z"] != 1 {
+		t.Fatalf("Values = %v, want map[x/y:3 x/z:1]", got)
+	}
+}

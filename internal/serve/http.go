@@ -183,23 +183,22 @@ type CostModelsReply struct {
 
 // StatsReply is the body answering GET /v1/stats.
 type StatsReply struct {
-	Hits         uint64  `json:"hits"`
-	Misses       uint64  `json:"misses"`
-	Deduped      uint64  `json:"deduped"`
-	Completed    uint64  `json:"completed"`
-	Errors       uint64  `json:"errors"`
-	Canceled     uint64  `json:"canceled"`
-	InFlight     int     `json:"in_flight"`
-	CacheEntries int     `json:"cache_entries"`
-	CacheBytes   int64   `json:"cache_bytes"`
-	QueueWaiting int     `json:"queue_waiting"`
-	Workers      int     `json:"workers"`
-	P50MS        float64 `json:"p50_ms"`
-	P95MS        float64 `json:"p95_ms"`
-	P99MS        float64 `json:"p99_ms"`
-	// LatencyWindow is how many recent cold latencies the percentiles
-	// are computed over (the ring capacity).
-	LatencyWindow int `json:"latency_window"`
+	Hits         uint64 `json:"hits"`
+	Misses       uint64 `json:"misses"`
+	Deduped      uint64 `json:"deduped"`
+	Completed    uint64 `json:"completed"`
+	Errors       uint64 `json:"errors"`
+	Canceled     uint64 `json:"canceled"`
+	InFlight     int    `json:"in_flight"`
+	CacheEntries int    `json:"cache_entries"`
+	CacheBytes   int64  `json:"cache_bytes"`
+	QueueWaiting int    `json:"queue_waiting"`
+	Workers      int    `json:"workers"`
+	// P50MS/P95MS/P99MS are bucket-interpolated quantiles of the
+	// tensat_run_seconds histogram (cold-run latency).
+	P50MS float64 `json:"p50_ms"`
+	P95MS float64 `json:"p95_ms"`
+	P99MS float64 `json:"p99_ms"`
 	// Asynchronous job counters (the /v1/jobs surface).
 	JobsSubmitted uint64 `json:"jobs_submitted"`
 	JobsRunning   int    `json:"jobs_running"`
@@ -486,19 +485,21 @@ func peerPreamble(s *Service, w http.ResponseWriter, r *http.Request) bool {
 }
 
 // handlePeerGet answers GET /v1/peer/cache/{key} strictly from this
-// node's local tiers (store, then memory) — it never consults other
-// peers, which is what makes routing loops structurally impossible.
+// node's local tiers (the store's bytes, else the LRU's result
+// re-encoded) — it never consults other peers, which is what makes
+// routing loops structurally impossible.
 func handlePeerGet(s *Service, w http.ResponseWriter, r *http.Request) {
 	if !peerPreamble(s, w, r) {
 		return
 	}
 	key := r.PathValue("key")
 	var payload []byte
-	if st := s.store; st != nil {
-		// The guard's degraded mode reads as a miss here; the memory
-		// check below may still answer.
-		if p, ok, err := st.get(key); err == nil && ok {
+	for _, t := range s.local {
+		// A degraded store reads as a miss here; the memory check below
+		// may still answer.
+		if p, err := t.get(r.Context(), key); err == nil {
 			payload = p
+			break
 		}
 	}
 	if payload == nil {
@@ -517,11 +518,12 @@ func handlePeerGet(s *Service, w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(payload)
 }
 
-// handlePeerPut accepts a pushed record for a key this node owns. The
-// payload is decoded before acceptance, and the record's embedded key
-// components must re-derive the key it was pushed under — a peer
-// cannot poison the store with bytes this node could not serve back,
-// nor park a valid record under the wrong key.
+// handlePeerPut accepts a pushed record for a key this node owns and
+// publishes it to the local tiers. The payload is decoded before
+// acceptance, and the record's embedded key components must re-derive
+// the key it was pushed under — a peer cannot poison the store with
+// bytes this node could not serve back, nor park a valid record under
+// the wrong key.
 func handlePeerPut(s *Service, w http.ResponseWriter, r *http.Request) {
 	if !peerPreamble(s, w, r) {
 		return
@@ -545,28 +547,17 @@ func handlePeerPut(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "bad_payload", "record exceeds frame limit", 0)
 		return
 	}
-	res, tensors, parts, err := cachestore.Decode(payload)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_payload", "undecodable record: "+err.Error(), 0)
-		return
-	}
-	if keyFromParts(parts) != key {
+	entry, err := decodeRecord(key, payload)
+	switch {
+	case errors.Is(err, errKeyMismatch):
 		writeError(w, http.StatusBadRequest, "key_mismatch",
 			"record's embedded identity does not derive the pushed key", 0)
 		return
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad_payload", "undecodable record: "+err.Error(), 0)
+		return
 	}
-	s.cache.add(key, &cachedResult{res: res, tensors: tensors, parts: parts}, int64(len(payload)))
-	if st := s.store; st != nil {
-		switch err := st.put(key, payload); {
-		case errors.Is(err, errStoreDegraded):
-			// Kept in memory only; the pusher's record is safe with them.
-		case err != nil:
-			s.stats.storeError()
-			s.log.Warn("storing pushed record failed", "key", key, "error", err)
-		default:
-			s.stats.storePut()
-		}
-	}
+	s.publish(key, entry, payload, s.local)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -577,16 +568,22 @@ func deprecated(w http.ResponseWriter, successor string) {
 	w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
 }
 
+// peerBreakers spells each peer's circuit-breaker state ("closed",
+// "open", "half-open") for /v1/stats and /readyz; nil outside a cluster.
+func peerBreakers(s *Service) map[string]string {
+	if s.cfg.Cluster == nil {
+		return nil
+	}
+	states := s.cfg.Cluster.BreakerStates()
+	words := make(map[string]string, len(states))
+	for peer, st := range states {
+		words[peer] = st.String()
+	}
+	return words
+}
+
 func handleStats(s *Service, w http.ResponseWriter) {
 	st := s.Stats()
-	var breakers map[string]string
-	if cl := s.cfg.Cluster; cl != nil {
-		states := cl.BreakerStates()
-		breakers = make(map[string]string, len(states))
-		for peer, bst := range states {
-			breakers[peer] = bst.String()
-		}
-	}
 	writeJSON(w, http.StatusOK, StatsReply{
 		Hits:          st.Hits,
 		Misses:        st.Misses,
@@ -600,7 +597,6 @@ func handleStats(s *Service, w http.ResponseWriter) {
 		P50MS:         float64(st.P50) / float64(time.Millisecond),
 		P95MS:         float64(st.P95) / float64(time.Millisecond),
 		P99MS:         float64(st.P99) / float64(time.Millisecond),
-		LatencyWindow: st.LatencyWindow,
 		JobsSubmitted: st.Jobs.Submitted,
 		JobsRunning:   st.Jobs.Running,
 		JobsDone:      st.Jobs.Done,
@@ -636,7 +632,7 @@ func handleStats(s *Service, w http.ResponseWriter) {
 		StoreDegraded:   st.StoreDegraded,
 		PeerRetries:     st.PeerRetries,
 		PeerPushDropped: st.PeerPushDropped,
-		PeerBreakers:    breakers,
+		PeerBreakers:    peerBreakers(s),
 		Panics:          st.Panics,
 		Draining:        st.Draining,
 
@@ -671,18 +667,8 @@ type ReadyzReply struct {
 // orchestrators probe it without credentials, and it leaks nothing a
 // tenant could abuse.
 func handleReadyz(s *Service, w http.ResponseWriter) {
-	reply := ReadyzReply{Draining: s.Draining()}
+	reply := ReadyzReply{Draining: s.Draining(), StoreDegraded: s.storeDegraded(), PeerBreakers: peerBreakers(s)}
 	reply.Ready = !reply.Draining
-	if s.store != nil {
-		reply.StoreDegraded = s.store.isDegraded()
-	}
-	if cl := s.cfg.Cluster; cl != nil {
-		states := cl.BreakerStates()
-		reply.PeerBreakers = make(map[string]string, len(states))
-		for peer, st := range states {
-			reply.PeerBreakers[peer] = st.String()
-		}
-	}
 	status := http.StatusOK
 	if !reply.Ready {
 		status = http.StatusServiceUnavailable
@@ -812,14 +798,25 @@ func versionReply() VersionReply {
 	return v
 }
 
+// maxRequestBody bounds a submission body. The largest model-zoo graph
+// is 4 KB on the wire; anything near this limit is a mistake or an
+// attack, and is refused before it is buffered.
+const maxRequestBody = 16 << 20
+
 // decodeRequest parses an OptimizeRequest strictly (unknown fields are
-// errors) and decodes the wire graph. On failure it answers 400 and
-// returns ok=false.
+// errors) and decodes the wire graph. On failure it answers 400 (413
+// for a body over maxRequestBody) and returns ok=false.
 func decodeRequest(w http.ResponseWriter, r *http.Request) (OptimizeRequest, *tensat.Graph, bool) {
 	var req OptimizeRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), 0)
+			return req, nil, false
+		}
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad request body: " + err.Error()})
 		return req, nil, false
 	}

@@ -107,11 +107,9 @@ type Job struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 	log     progressLog
-	// tenant is the admitting tenant's name ("" when untenanted);
-	// degraded records the admission decision — which quota slot the
-	// job holds and must release on finish.
-	tenant   string
-	degraded bool
+	// adm is the admission decision: the quota slot the job holds from
+	// submission until it finishes.
+	adm admission
 
 	mu     sync.Mutex
 	status JobStatus
@@ -170,16 +168,20 @@ func (j *Job) ProgressSince(from int) ([]tensat.Progress, int, <-chan struct{}) 
 	return j.log.since(from)
 }
 
-// finish publishes the terminal state exactly once.
-func (j *Job) finish(resp *Response, err error) JobStatus {
-	status := JobDone
+// terminalStatus classifies a job outcome.
+func terminalStatus(err error) JobStatus {
 	switch {
 	case err == nil:
+		return JobDone
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		status = JobCanceled
+		return JobCanceled
 	default:
-		status = JobFailed
+		return JobFailed
 	}
+}
+
+// finish publishes the terminal state exactly once.
+func (j *Job) finish(status JobStatus, resp *Response, err error) {
 	// Guarantee a terminal entry in the log: runs pumped from a flight
 	// already carry one for done/failed, but canceled followers and
 	// cache hits do not.
@@ -209,7 +211,6 @@ func (j *Job) finish(resp *Response, err error) JobStatus {
 	j.mu.Unlock()
 	close(j.done)
 	j.cancel() // release the job context's resources
-	return status
 }
 
 // finished reports the completion time (zero while running).
@@ -219,7 +220,8 @@ func (j *Job) finishedAt() time.Time {
 	return j.doneAt
 }
 
-// JobCounters snapshots the store's lifetime job counters.
+// JobCounters snapshots the job-lifecycle instruments
+// (tensat_jobs_*).
 type JobCounters struct {
 	Submitted uint64
 	Running   int
@@ -237,8 +239,6 @@ type jobStore struct {
 	jobs map[string]*Job
 	ttl  time.Duration
 	cap  int
-
-	submitted, done, canceled, failed uint64
 }
 
 func newJobStore(capacity int, ttl time.Duration) *jobStore {
@@ -268,7 +268,6 @@ func (st *jobStore) add(j *Job) error {
 		delete(st.jobs, oldest.id)
 	}
 	st.jobs[j.id] = j
-	st.submitted++
 	return nil
 }
 
@@ -299,20 +298,6 @@ func (st *jobStore) list() []*Job {
 	return out
 }
 
-// recordFinish bumps the terminal counters.
-func (st *jobStore) recordFinish(status JobStatus) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch status {
-	case JobCanceled:
-		st.canceled++
-	case JobFailed:
-		st.failed++
-	default:
-		st.done++
-	}
-}
-
 func (st *jobStore) purgeLocked(now time.Time) {
 	for id, j := range st.jobs {
 		if at := j.finishedAt(); !at.IsZero() && now.Sub(at) > st.ttl {
@@ -321,27 +306,13 @@ func (st *jobStore) purgeLocked(now time.Time) {
 	}
 }
 
-func (st *jobStore) counters() JobCounters {
+// purge drops expired jobs now. The store has no background sweeper;
+// expiry is enforced on every touch point instead, and the stats read
+// is one of them.
+func (st *jobStore) purge() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// The store has no background sweeper; expiry is enforced on every
-	// touch point instead. Purging here too means a server whose only
-	// traffic is monitoring (/stats) still releases finished jobs —
-	// their result graphs and progress logs — once JobTTL elapses.
 	st.purgeLocked(time.Now())
-	running := 0
-	for _, j := range st.jobs {
-		if j.finishedAt().IsZero() {
-			running++
-		}
-	}
-	return JobCounters{
-		Submitted: st.submitted,
-		Running:   running,
-		Done:      st.done,
-		Canceled:  st.canceled,
-		Failed:    st.failed,
-	}
 }
 
 // newJobID returns a 16-hex-char random job id.
@@ -376,8 +347,8 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 	if err != nil {
 		return nil, err
 	}
-	s.stats.profile(q.prof)
-	prio, degraded, err := s.admit(tn)
+	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModel).Inc()
+	adm, err := s.admit(tn)
 	if err != nil {
 		return nil, err
 	}
@@ -386,9 +357,7 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 	// begun — a job can never start after Drain has decided what it is
 	// waiting for.
 	if !s.drain.track() {
-		if tn != nil && s.cfg.Tenants != nil {
-			s.cfg.Tenants.Release(tn.Name, degraded)
-		}
+		s.release(adm)
 		return nil, ErrDraining
 	}
 
@@ -406,18 +375,14 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		status:  JobRunning,
-	}
-	if tn != nil && s.cfg.Tenants != nil {
-		job.tenant, job.degraded = tn.Name, degraded
+		adm:     adm,
 	}
 	job.log.init()
 	job.log.publish(tensat.Progress{Phase: tensat.PhaseQueued})
 	if err := s.jobs.add(job); err != nil {
 		cancel()
 		s.drain.done()
-		if job.tenant != "" {
-			s.cfg.Tenants.Release(job.tenant, job.degraded)
-		}
+		s.release(adm)
 		return nil, err
 	}
 	s.metrics.jobsSubmitted.Inc()
@@ -427,13 +392,13 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 		"profile", q.prof.label(),
 		"fingerprint", q.fp,
 	}
-	if job.tenant != "" {
-		attrs = append(attrs, "tenant", job.tenant, "degraded", job.degraded)
+	if adm.tenant != "" {
+		attrs = append(attrs, "tenant", adm.tenant, "degraded", adm.degraded)
 	}
 	s.log.Info("job submitted", attrs...)
 	go func() {
 		defer s.drain.done()
-		s.runJob(ctx, job, q, g, prio, degraded)
+		s.runJob(ctx, job, q, g)
 	}()
 	return job, nil
 }
@@ -447,25 +412,20 @@ func (s *Service) Job(id string) (*Job, bool) { return s.jobs.get(id) }
 // and disappearing from this listing.
 func (s *Service) Jobs() []*Job { return s.jobs.list() }
 
-// JobCounters snapshots the job store counters.
-func (s *Service) JobCounters() JobCounters { return s.jobs.counters() }
-
-// finishJob records the terminal state in the job, the store, the
-// Prometheus job-lifecycle counters, and the structured log, and
-// releases the tenant quota slot the job has held since submission.
+// finishJob records the terminal state in the job-lifecycle
+// instruments, releases the tenant quota slot the job has held since
+// submission, and only then publishes the state on the job — whoever
+// observes the job as finished reads counters that include it and can
+// resubmit into the freed slot.
 func (s *Service) finishJob(job *Job, resp *Response, err error) {
-	status := job.finish(resp, err)
-	s.jobs.recordFinish(status)
-	if job.tenant != "" && s.cfg.Tenants != nil {
-		s.cfg.Tenants.Release(job.tenant, job.degraded)
-	}
-	s.metrics.jobsRunning.Dec()
+	status := terminalStatus(err)
 	attrs := []any{
 		"job", job.id,
 		"status", string(status),
 		"profile", job.prof.label(),
 		"duration", time.Since(job.created),
 	}
+	s.metrics.jobsRunning.Dec()
 	switch status {
 	case JobCanceled:
 		s.metrics.jobsCanceled.Inc()
@@ -478,22 +438,23 @@ func (s *Service) finishJob(job *Job, resp *Response, err error) {
 			attrs = append(attrs, "cached", resp.Cached, "deduped", resp.Deduped)
 		}
 	}
+	s.release(job.adm)
+	job.finish(status, resp, err)
 	s.log.Info("job finished", attrs...)
 }
 
-// runJob drives one asynchronous job through the same cache tiers →
-// singleflight → worker-pool path as the synchronous Optimize,
-// pumping the shared flight's progress stream into the job's own log
-// so every deduplicated sibling (and the SSE watchers of each) sees
-// identical live snapshots.
-func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Graph, prio int, degraded bool) {
+// runJob drives one asynchronous job through the same request tail as
+// the synchronous Optimize, pumping the shared flight's progress stream
+// into the job's own log so every deduplicated sibling (and the SSE
+// watchers of each) sees identical live snapshots.
+func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Graph) {
 	// Panic isolation for the job runner itself (the worker-pool run has
 	// its own recover): the job must always reach a terminal state —
 	// watchers block on job.Done() — and the daemon must survive.
 	defer func() {
 		if r := recover(); r != nil {
 			perr := &tensat.PanicError{Value: r, Stack: debug.Stack()}
-			s.stats.panicked("job")
+			s.metrics.panics.With("job").Inc()
 			s.log.Error("panic in job runner", "job", job.id,
 				"panic", fmt.Sprint(r), "stack", string(perr.Stack))
 			select {
@@ -504,70 +465,6 @@ func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Gra
 			}
 		}
 	}()
-	if entry, tier, ok := s.lookup(ctx, q.key); ok {
-		res, err := entry.inVocabulary(q.names)
-		if err != nil {
-			s.finishJob(job, nil, err)
-			return
-		}
-		s.finishJob(job, &Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier}, nil)
-		return
-	}
-	s.stats.miss()
-
-	runKey, runOpts := q.key, q.opts
-	if degraded {
-		runKey += shedKeySuffix
-		runOpts.Extractor = tensat.ExtractGreedy
-		s.stats.shed()
-		s.log.Info("load shedding job", "job", job.id, "tenant", job.tenant)
-	}
-	c, leader := s.flight.join(runKey)
-	if leader {
-		c.tensors = q.names // published to followers by close(c.done)
-		go s.run(runKey, q.keyParts(), c, g, runOpts, prio, degraded)
-	} else {
-		s.stats.dedup()
-	}
-
-	idx := 0
-	var notify <-chan struct{}
-	pump := func() {
-		var entries []tensat.Progress
-		entries, idx, notify = c.progress.since(idx)
-		for _, p := range entries {
-			job.log.publish(p)
-		}
-	}
-	pump()
-	for {
-		select {
-		case <-c.done:
-			pump() // drain entries published before the close
-			if c.err != nil {
-				s.finishJob(job, nil, c.err)
-				return
-			}
-			// A sibling's graph may spell the tensors differently than
-			// the leader's; answer in this job's vocabulary.
-			res, err := (&cachedResult{res: c.res, tensors: c.tensors}).inVocabulary(q.names)
-			if err != nil {
-				s.finishJob(job, nil, err)
-				return
-			}
-			s.finishJob(job, &Response{Result: res, Fingerprint: q.fp, Deduped: !leader, Degraded: degraded}, nil)
-			return
-		case <-ctx.Done():
-			// Canceled (or timed out): drop our interest. The shared run
-			// keeps going while any other request still wants it; if we
-			// were the last, the flight cancels the work, the worker slot
-			// frees up, and run() never caches the partial result.
-			s.flight.leave(runKey, c)
-			s.stats.cancel()
-			s.finishJob(job, nil, ctx.Err())
-			return
-		case <-notify:
-			pump()
-		}
-	}
+	resp, err := s.answer(ctx, g, q, job.adm, job.log.publish)
+	s.finishJob(job, resp, err)
 }

@@ -1,19 +1,20 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"runtime"
-	"runtime/debug"
 	"time"
 
 	"tensat"
 	"tensat/internal/obs"
 )
 
-// metrics is the service's Prometheus-exposed instrument bundle,
-// registered on one obs.Registry that Service.Metrics exposes and
-// NewHandler serves as GET /metrics. The collector bumps the counters
-// alongside its JSON-stats counterparts (one set of call sites, two
-// exposition formats), so the two surfaces can never drift.
+// metrics is the service's only counter store: one instrument per
+// fact, registered on the obs.Registry that Service.Metrics exposes
+// and NewHandler serves as GET /metrics. Call sites bump the
+// instrument directly; Service.Stats (GET /v1/stats) is a read of the
+// same instruments, so the two surfaces cannot disagree.
 type metrics struct {
 	reg *obs.Registry
 
@@ -51,15 +52,8 @@ type metrics struct {
 	ilpIncumbents      *obs.Counter
 	ilpSolves          *obs.CounterVec // by solver, outcome
 
-	storeHits   *obs.Counter
-	storeMisses *obs.Counter
-	storeErrors *obs.Counter
-	storePuts   *obs.Counter
-
-	peerHits   *obs.Counter
-	peerMisses *obs.Counter
-	peerErrors *obs.Counter
-	peerPuts   *obs.Counter
+	store tierMetrics
+	peer  tierMetrics
 
 	peerRetries     *obs.Counter
 	peerPushDropped *obs.Counter
@@ -69,6 +63,12 @@ type metrics struct {
 	shed           *obs.Counter
 	tenantRequests *obs.CounterVec // by tenant
 	tenantRejected *obs.CounterVec // by tenant
+}
+
+// tierMetrics are the four instruments of one byte-level cache tier
+// (tensat_<tier>_{hits,misses,errors,puts}_total).
+type tierMetrics struct {
+	hits, misses, errors, puts *obs.Counter
 }
 
 func newMetrics(s *Service) *metrics {
@@ -112,15 +112,18 @@ func newMetrics(s *Service) *metrics {
 		ilpIncumbents:      r.Counter("tensat_ilp_incumbents_total", "ILP incumbent improvements across completed solves."),
 		ilpSolves:          r.CounterVec("tensat_ilp_solves_total", "Completed ILP solves by backend and outcome (optimal vs. feasible).", "solver", "outcome"),
 
-		storeHits:   r.Counter("tensat_store_hits_total", "LRU misses answered from the persistent result store."),
-		storeMisses: r.Counter("tensat_store_misses_total", "Persistent-store lookups that found no record."),
-		storeErrors: r.Counter("tensat_store_errors_total", "Persistent-store reads/writes that failed or found unreadable records."),
-		storePuts:   r.Counter("tensat_store_puts_total", "Results written through to the persistent store."),
-
-		peerHits:   r.Counter("tensat_peer_hits_total", "Results served by the owning peer's cache."),
-		peerMisses: r.Counter("tensat_peer_misses_total", "Clean peer-cache misses (owner had no record)."),
-		peerErrors: r.Counter("tensat_peer_errors_total", "Peer requests that failed (timeout, transport, unreadable record) — always degraded to local compute."),
-		peerPuts:   r.Counter("tensat_peer_puts_total", "Cold results pushed to their owning peer."),
+		store: tierMetrics{
+			hits:   r.Counter("tensat_store_hits_total", "LRU misses answered from the persistent result store."),
+			misses: r.Counter("tensat_store_misses_total", "Persistent-store lookups that found no record."),
+			errors: r.Counter("tensat_store_errors_total", "Persistent-store reads/writes that failed or found unreadable records."),
+			puts:   r.Counter("tensat_store_puts_total", "Results written through to the persistent store."),
+		},
+		peer: tierMetrics{
+			hits:   r.Counter("tensat_peer_hits_total", "Results served by the owning peer's cache."),
+			misses: r.Counter("tensat_peer_misses_total", "Clean peer-cache misses (owner had no record)."),
+			errors: r.Counter("tensat_peer_errors_total", "Peer requests that failed (timeout, transport, unreadable record) — always degraded to local compute."),
+			puts:   r.Counter("tensat_peer_puts_total", "Cold results pushed to their owning peer."),
+		},
 
 		peerRetries:     r.Counter("tensat_peer_retries_total", "Peer fetch retry attempts (transient failures absorbed by backoff)."),
 		peerPushDropped: r.Counter("tensat_peer_push_dropped_total", "Async peer pushes dropped because the bounded push queue was full."),
@@ -150,13 +153,13 @@ func newMetrics(s *Service) *metrics {
 		return float64(s.cfg.Store.Bytes())
 	})
 	r.GaugeFunc("tensat_store_degraded", "1 while the persistent store is in degraded mode (I/O failures; memory tier keeps serving).", func() float64 {
-		if s.store != nil && s.store.isDegraded() {
+		if s.storeDegraded() {
 			return 1
 		}
 		return 0
 	})
 	r.GaugeFunc("tensat_draining", "1 while the daemon is draining for graceful shutdown.", func() float64 {
-		if s.drain != nil && s.drain.active() {
+		if s.drain.active() {
 			return 1
 		}
 		return 0
@@ -171,24 +174,48 @@ func newMetrics(s *Service) *metrics {
 	// tensat_build_info follows the Prometheus convention for version
 	// identification: constant 1 with the identity in the labels.
 	info := r.CounterVec("tensat_build_info", "Build identity (constant 1).", "go_version", "revision")
-	revision := "unknown"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, kv := range bi.Settings {
-			if kv.Key == "vcs.revision" {
-				revision = kv.Value
-			}
-		}
-	}
-	info.With(runtime.Version(), revision).Inc()
+	info.With(runtime.Version(), versionReply().Revision).Inc()
 	return m
 }
 
-// observeRun folds one successful cold run into the phase histograms
-// and e-graph gauges. The extractor phase label follows the effective
-// option, so greedy and ILP latencies land in distinct series.
+// endWork closes one worker-pool run: the slot gauge drops, and the
+// outcome lands in exactly one of completed (+ the latency histogram),
+// run errors, or neither.
+func (m *metrics) endWork(d time.Duration, err error) {
+	m.inFlight.Dec()
+	switch {
+	case err == nil:
+		m.completed.Inc()
+		m.runSeconds.Observe(d.Seconds())
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// A run abandoned by its waiters (or out of request budget) is
+		// client churn, not a server failure; the per-request canceled
+		// counter already recorded each abandoning caller.
+	default:
+		m.runErrors.Inc()
+	}
+}
+
+// observeRun folds one successful cold run into the search and ILP
+// counters, the phase histograms and the e-graph gauges. The extractor
+// phase label follows the effective option, so greedy and ILP latencies
+// land in distinct series.
 func (m *metrics) observeRun(res *tensat.Result, opts tensat.Options) {
-	if m == nil || res == nil {
-		return
+	m.searchScanned.Add(uint64(res.Search.Scanned))
+	m.searchPruned.Add(uint64(res.Search.Pruned))
+	m.searchDirty.Add(uint64(res.Search.Dirty))
+	m.searchClean.Add(uint64(res.Search.Clean))
+	m.searchMatches.Add(uint64(res.Search.Matches))
+	if st := res.ILP; st.Solver != "" {
+		outcome := "feasible"
+		if res.ILPOptimal {
+			outcome = "optimal"
+		}
+		m.ilpPresolveFixed.Add(uint64(st.PresolveFixed))
+		m.ilpPresolveDropped.Add(uint64(st.PresolveDropped))
+		m.ilpPresolveRemoved.Add(uint64(st.PresolveRemoved))
+		m.ilpIncumbents.Add(uint64(st.Incumbents))
+		m.ilpSolves.With(st.Solver, outcome).Inc()
 	}
 	sec := func(d time.Duration) float64 { return d.Seconds() }
 	m.phaseSeconds.With("explore").Observe(sec(res.ExploreTime))

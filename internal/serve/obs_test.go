@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -620,39 +622,54 @@ func TestSSEKeepAlive(t *testing.T) {
 	}
 }
 
-// TestStatsPercentiles feeds a known latency sequence through the
-// collector and checks the P50/P95/P99 ranks and the window size.
+// TestStatsPercentiles feeds a known latency sequence through the run
+// histogram and checks that Stats and the wire report its
+// bucket-interpolated quantiles: zero before the first run, monotone
+// afterwards, and equal to obs.Histogram.Quantile on the instrument
+// GET /metrics exposes as tensat_run_seconds.
 func TestStatsPercentiles(t *testing.T) {
-	var c collector
-	for i := 1; i <= 100; i++ {
-		c.startWork()
-		c.endWork(time.Duration(i)*time.Millisecond, nil)
-	}
-	st := c.snapshot()
-	if st.LatencyWindow != latencyWindow {
-		t.Fatalf("latency window = %d, want %d", st.LatencyWindow, latencyWindow)
-	}
-	// With samples 1..100ms sorted, rank n/2 is 51ms, (n*95)/100 is
-	// 96ms, (n*99)/100 is 100ms.
-	if st.P50 != 51*time.Millisecond {
-		t.Errorf("P50 = %v, want 51ms", st.P50)
-	}
-	if st.P95 != 96*time.Millisecond {
-		t.Errorf("P95 = %v, want 96ms", st.P95)
-	}
-	if st.P99 != 100*time.Millisecond {
-		t.Errorf("P99 = %v, want 100ms", st.P99)
-	}
-	// The wire shape carries both fields too.
 	s := New(Config{Workers: 1})
-	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
-		return stubResult(t), nil
+	if st := s.Stats(); st.P50 != 0 || st.P95 != 0 || st.P99 != 0 {
+		t.Fatalf("percentiles before the first run = %v/%v/%v, want 0", st.P50, st.P95, st.P99)
 	}
+	for i := 1; i <= 100; i++ {
+		s.metrics.inFlight.Inc()
+		s.metrics.endWork(time.Duration(i)*time.Millisecond, nil)
+	}
+	// A failed or abandoned run observes no latency.
+	s.metrics.inFlight.Inc()
+	s.metrics.endWork(time.Hour, errors.New("boom"))
+	s.metrics.inFlight.Inc()
+	s.metrics.endWork(time.Hour, context.Canceled)
+
+	st := s.Stats()
+	// Samples 1..100ms over LatencyBuckets: 25 fall at or below 25ms and
+	// 50 at or below 50ms, so rank 50 is the top of the (25ms, 50ms]
+	// bucket; ranks 95 and 99 interpolate inside (50ms, 100ms], which
+	// holds the other 50.
+	for _, c := range []struct {
+		name string
+		got  time.Duration
+		want time.Duration
+	}{
+		{"P50", st.P50, 50 * time.Millisecond},
+		{"P95", st.P95, 95 * time.Millisecond},
+		{"P99", st.P99, 99 * time.Millisecond},
+	} {
+		if d := c.got - c.want; d < -time.Microsecond || d > time.Microsecond {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if st.P50 > st.P95 || st.P95 > st.P99 {
+		t.Errorf("percentiles not monotone: %v/%v/%v", st.P50, st.P95, st.P99)
+	}
+	if st.Completed != 100 || st.Errors != 1 || st.InFlight != 0 {
+		t.Errorf("completed/errors/in-flight = %d/%d/%d, want 100/1/0", st.Completed, st.Errors, st.InFlight)
+	}
+
+	// The wire carries the same quantiles in milliseconds.
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	var reply StatsReply
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -662,10 +679,10 @@ func TestStatsPercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if reply.LatencyWindow != latencyWindow {
-		t.Fatalf("wire latency window = %d, want %d", reply.LatencyWindow, latencyWindow)
+	if want := s.metrics.runSeconds.Quantile(0.5) * 1e3; math.Abs(reply.P50MS-want) > 1e-3 {
+		t.Fatalf("wire p50_ms = %v, want %v", reply.P50MS, want)
 	}
-	if reply.P99MS < reply.P50MS || reply.P50MS <= 0 {
-		t.Fatalf("wire percentiles: p50=%v p99=%v", reply.P50MS, reply.P99MS)
+	if reply.P50MS <= 0 || reply.P95MS < reply.P50MS || reply.P99MS < reply.P95MS {
+		t.Fatalf("wire percentiles: p50=%v p95=%v p99=%v", reply.P50MS, reply.P95MS, reply.P99MS)
 	}
 }

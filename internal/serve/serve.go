@@ -6,8 +6,13 @@
 // deduplicated onto one optimization run (reference-counted
 // singleflight), and runs execute on a bounded worker pool with
 // per-request context propagation down into exploration and
-// extraction. Stats exposes hit/miss/dedup counters, in-flight load,
-// job counters, and p50/p95 cold latencies.
+// extraction. Every counter lives once, in the obs registry behind
+// GET /metrics (metrics.go); Stats is a read of those instruments.
+//
+// Finished results are held in tiers: the in-memory LRU, then the byte
+// tiers behind one small interface (tier.go) — the persistent store
+// and the owning fleet peer — which lookup and the write-through walk
+// in one loop.
 //
 // Two request surfaces share that machinery. Optimize is synchronous:
 // it blocks the caller until the run (or its cached/deduplicated
@@ -108,13 +113,18 @@ type Service struct {
 	cache   *lruCache
 	flight  *flightGroup
 	jobs    *jobStore
-	stats   collector
 	metrics *metrics
 	log     *slog.Logger
 
-	// store guards cfg.Store with degraded-mode hysteresis (nil when no
-	// store is configured); drain coordinates graceful shutdown.
-	store *storeGuard
+	// tiers are the byte-level cache tiers behind the LRU, in lookup
+	// order; local is the prefix of them that lives on this node (the
+	// peer surface reads and writes only those). disk is cfg.Store's
+	// tier, nil when no store is configured.
+	tiers []tier
+	local []tier
+	disk  *storeTier
+
+	// drain coordinates graceful shutdown.
 	drain *drainState
 
 	// opt is the shared optimizer: the rule set and cost model are
@@ -176,19 +186,15 @@ func New(cfg Config) *Service {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s.drain = newDrainState()
-	if cfg.Store != nil {
-		s.store = newStoreGuard(cfg.Store, cfg.StoreReprobe, func(degraded bool) {
-			if degraded {
-				s.log.Error("result store degraded — serving from memory, reprobing",
-					"reprobe", s.store.reprobe)
-			} else {
-				s.log.Info("result store recovered")
-			}
-		})
-	}
 	s.metrics = newMetrics(s)
-	s.stats.m = s.metrics
+	if cfg.Store != nil {
+		s.disk = newStoreTier(cfg.Store, cfg.StoreReprobe, s.metrics.store, s.log)
+		s.tiers = append(s.tiers, s.disk)
+	}
+	s.local = s.tiers
 	if cl := cfg.Cluster; cl != nil {
+		peers := &peerTier{cl: cl, m: s.metrics.peer, log: s.log, dropped: s.metrics.peerPushDropped}
+		s.tiers = append(s.tiers, peers)
 		// Pre-touch every peer's breaker gauge so dashboards see the
 		// closed (0) state before the first transition.
 		self := cl.Self()
@@ -202,17 +208,8 @@ func New(cfg Config) *Service {
 				s.metrics.peerBreaker.With(peer).Set(float64(state))
 				s.log.Warn("peer breaker transition", "peer", peer, "state", state.String())
 			},
-			PushDone: func(err error) {
-				if err != nil {
-					s.stats.peerError()
-					s.log.Warn("peer push failed", "error", err)
-				} else {
-					s.stats.peerPut()
-				}
-			},
-			FetchRetry: func(peer string) {
-				s.stats.peerRetry()
-			},
+			PushDone:   peers.pushDone,
+			FetchRetry: func(string) { s.metrics.peerRetries.Inc() },
 		})
 	}
 	s.optimize = func(ctx context.Context, g *tensat.Graph, opts tensat.Options) (*tensat.Result, error) {
@@ -492,14 +489,6 @@ func (cr *cachedResult) inVocabulary(names []string) (*tensat.Result, error) {
 	return &out, nil
 }
 
-// Cache tier names, reported in Response.Tier and the HTTP
-// "cache_tier" field: where a cached answer came from.
-const (
-	TierMemory = "memory"
-	TierDisk   = "disk"
-	TierPeer   = "peer"
-)
-
 // shedKeySuffix separates a degraded (greedy-only) run's singleflight
 // key from the full-quality key: a shed run must neither join nor be
 // joined by a full-quality flight, and its key never reaches the cache
@@ -581,155 +570,47 @@ func (s *Service) prepare(g *tensat.Graph, ro RequestOptions) (request, error) {
 	return q, nil
 }
 
-// admit runs tenant admission control. It returns the run priority and
-// whether the request must execute degraded; on Reject it returns a
-// *RateLimitError. A nil error means one quota slot is held and must
-// be released (Release(tn.Name, degraded)) when the request finishes.
-func (s *Service) admit(tn *tenant.Tenant) (prio int, degraded bool, err error) {
+// admission is the outcome of tenant admission control for one
+// request: the worker-queue priority, whether the request must execute
+// degraded, and — when tenant is non-empty — the quota slot it holds
+// until release.
+type admission struct {
+	tenant   string
+	prio     int
+	degraded bool
+}
+
+// admit runs tenant admission control; on Reject it returns a
+// *RateLimitError. The returned admission must be passed to release
+// when the request finishes. tn == nil bypasses admission entirely.
+func (s *Service) admit(tn *tenant.Tenant) (admission, error) {
 	if tn == nil || s.cfg.Tenants == nil {
-		return 0, false, nil
+		return admission{}, nil
 	}
-	s.stats.tenantRequest(tn.Name)
+	s.metrics.tenantRequests.With(tn.Name).Inc()
 	d, retry := s.cfg.Tenants.Acquire(tn.Name)
 	switch d {
 	case tenant.Admit:
-		return tn.Priority, false, nil
+		return admission{tenant: tn.Name, prio: tn.Priority}, nil
 	case tenant.Degrade:
 		if tn.Priority >= s.cfg.NoShedPriority {
 			// High-priority work is never silently weakened; surface the
 			// saturation instead.
 			s.cfg.Tenants.Release(tn.Name, true)
-			s.stats.tenantReject(tn.Name)
-			return 0, false, &RateLimitError{Tenant: tn.Name, RetryAfter: time.Second}
+			s.metrics.tenantRejected.With(tn.Name).Inc()
+			return admission{}, &RateLimitError{Tenant: tn.Name, RetryAfter: time.Second}
 		}
-		return tn.Priority, true, nil
+		return admission{tenant: tn.Name, prio: tn.Priority, degraded: true}, nil
 	default:
-		s.stats.tenantReject(tn.Name)
-		return 0, false, &RateLimitError{Tenant: tn.Name, RetryAfter: retry}
+		s.metrics.tenantRejected.With(tn.Name).Inc()
+		return admission{}, &RateLimitError{Tenant: tn.Name, RetryAfter: retry}
 	}
 }
 
-// lookup consults the cache tiers in cost order: the in-memory LRU,
-// the persistent store (promoting hits to memory), then — when the
-// key's consistent-hash owner is another fleet member — that peer.
-// Store and peer failures are misses, never request errors.
-func (s *Service) lookup(ctx context.Context, key string) (*cachedResult, string, bool) {
-	if entry, ok := s.cache.get(key); ok {
-		s.stats.hit()
-		return entry, TierMemory, true
-	}
-	if st := s.store; st != nil {
-		payload, ok, err := st.get(key)
-		switch {
-		case errors.Is(err, errStoreDegraded):
-			// The store is in degraded mode and this request was not the
-			// probe: a quiet miss, not an error — the gauge and the mode
-			// transition log already tell the story once.
-		case err != nil:
-			s.stats.storeError()
-			s.log.Warn("result store read failed", "key", key, "error", err)
-		case ok:
-			res, tensors, parts, derr := cachestore.Decode(payload)
-			switch {
-			case derr != nil:
-				// A stale-schema or corrupt record is a miss — the run
-				// recomputes and overwrites it — never a request failure.
-				s.stats.storeError()
-				s.log.Warn("result store record unreadable", "key", key, "error", derr)
-			case keyFromParts(parts) != key:
-				// A record whose embedded identity doesn't derive its key
-				// answers some other request; treat it as corrupt.
-				s.stats.storeError()
-				s.log.Warn("result store record key mismatch", "key", key)
-			default:
-				entry := &cachedResult{res: res, tensors: tensors, parts: parts}
-				s.cache.add(key, entry, int64(len(payload)))
-				s.stats.storeHit()
-				return entry, TierDisk, true
-			}
-		default:
-			s.stats.storeMiss()
-		}
-	}
-	if cl := s.cfg.Cluster; cl != nil {
-		if owner, local := cl.Owner(key); !local {
-			payload, err := cl.Fetch(ctx, key)
-			switch {
-			case err == nil:
-				res, tensors, parts, derr := cachestore.Decode(payload)
-				if derr == nil && keyFromParts(parts) == key {
-					entry := &cachedResult{res: res, tensors: tensors, parts: parts}
-					s.cache.add(key, entry, int64(len(payload)))
-					s.stats.peerHit()
-					return entry, TierPeer, true
-				}
-				// Unreadable or mis-keyed peer records (version skew, a
-				// misconfigured ring) are peer faults, never hits.
-				s.stats.peerError()
-				s.log.Warn("peer record unreadable or mis-keyed", "key", key, "peer", owner, "error", derr)
-			case errors.Is(err, cluster.ErrNotFound):
-				s.stats.peerMiss()
-			case errors.Is(err, cluster.ErrPeerDown):
-				// Every candidate owner's breaker is open: the client
-				// degraded to local compute without a network round trip.
-				// The breaker gauge carries the signal; logging per
-				// request would just be noise while the peer is down.
-				s.log.Debug("peer tier skipped — no live owner", "key", key)
-			case errors.Is(err, context.Canceled):
-				// The requester went away; not a peer fault.
-			default:
-				s.stats.peerError()
-				s.log.Warn("peer fetch failed", "key", key, "peer", owner, "error", err)
-			}
-		}
-	}
-	return nil, "", false
-}
-
-// cacheResult publishes a completed full-quality run to every tier:
-// the in-memory LRU, the persistent store (synchronously — the result
-// must survive a crash that immediately follows the reply), and, when
-// another node owns the key, a best-effort asynchronous push to that
-// peer so the fleet's warm set converges on the owner.
-func (s *Service) cacheResult(key string, entry *cachedResult) {
-	var payload []byte
-	if s.cfg.Store != nil || s.cfg.Cluster != nil || s.cfg.CacheMaxBytes > 0 {
-		var err error
-		payload, err = cachestore.Encode(entry.res, entry.tensors, entry.parts)
-		if err != nil {
-			s.log.Warn("encoding result for persistence", "key", key, "error", err)
-			payload = nil
-		}
-	}
-	s.cache.add(key, entry, int64(len(payload)))
-	if payload == nil {
-		return
-	}
-	if st := s.store; st != nil {
-		switch err := st.put(key, payload); {
-		case errors.Is(err, errStoreDegraded):
-			// Degraded mode: the write is skipped, not failed. The result
-			// still lives in memory and the next probe may recover the
-			// store; a recomputation after restart is the accepted cost.
-		case err != nil:
-			s.stats.storeError()
-			s.log.Warn("result store write failed", "key", key, "error", err)
-		default:
-			s.stats.storePut()
-		}
-	}
-	if cl := s.cfg.Cluster; cl != nil {
-		if _, local := cl.Owner(key); !local {
-			// Bounded async push: the queue's workers retry with backoff
-			// and report outcomes through the observer (peer_puts /
-			// peer_errors). A full queue drops the push — the owner just
-			// stays cold for this key — rather than accumulating
-			// goroutines during a peer outage.
-			if !cl.EnqueuePush(key, payload) {
-				s.stats.peerPushDrop()
-				s.log.Warn("peer push dropped — queue full or closed", "key", key)
-			}
-		}
+// release returns the quota slot adm holds, if any.
+func (s *Service) release(adm admission) {
+	if adm.tenant != "" {
+		s.cfg.Tenants.Release(adm.tenant, adm.degraded)
 	}
 }
 
@@ -756,15 +637,24 @@ func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOpt
 	if err != nil {
 		return nil, err
 	}
-	s.stats.profile(q.prof)
-	prio, degraded, err := s.admit(tn)
+	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModel).Inc()
+	adm, err := s.admit(tn)
 	if err != nil {
 		return nil, err
 	}
-	if tn != nil && s.cfg.Tenants != nil {
-		defer s.cfg.Tenants.Release(tn.Name, degraded)
-	}
+	defer s.release(adm)
+	return s.answer(ctx, g, q, adm, nil)
+}
 
+// answer is the request tail both surfaces share: cache tiers, then a
+// singleflight join or a fresh run on the worker pool, then the wait.
+// progress, when non-nil, receives the shared run's live snapshots in
+// order (a job pumps them into its own log). When ctx ends first the
+// caller's interest is dropped: the shared run keeps going while any
+// other request still wants it; if this was the last, the flight
+// cancels the work, the worker slot frees up, and run never caches the
+// partial result.
+func (s *Service) answer(ctx context.Context, g *tensat.Graph, q request, adm admission, progress func(tensat.Progress)) (*Response, error) {
 	// A cached full-quality answer rescues even an over-quota request:
 	// shedding only applies to work, and a cache hit is free.
 	if entry, tier, ok := s.lookup(ctx, q.key); ok {
@@ -774,38 +664,58 @@ func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOpt
 		}
 		return &Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier}, nil
 	}
-	s.stats.miss()
+	s.metrics.cacheMisses.Inc()
 
 	runKey, runOpts := q.key, q.opts
-	if degraded {
+	if adm.degraded {
 		runKey += shedKeySuffix
 		runOpts.Extractor = tensat.ExtractGreedy
-		s.stats.shed()
-		s.log.Info("load shedding request", "tenant", tn.Name, "fingerprint", q.fp)
+		s.metrics.shed.Inc()
+		s.log.Info("load shedding request", "tenant", adm.tenant, "fingerprint", q.fp)
 	}
 	c, leader := s.flight.join(runKey)
 	if leader {
 		c.tensors = q.names // published to followers by close(c.done)
-		go s.run(runKey, q.keyParts(), c, g, runOpts, prio, degraded)
+		go s.run(runKey, q.keyParts(), c, g, runOpts, adm.prio, adm.degraded)
 	} else {
-		s.stats.dedup()
+		s.metrics.cacheDedup.Inc()
 	}
-	select {
-	case <-c.done:
-		if c.err != nil {
-			return nil, c.err
+
+	// Without a sink, notify stays nil and its select arm never fires.
+	idx := 0
+	var notify <-chan struct{}
+	pump := func() {
+		if progress == nil {
+			return
 		}
-		// A follower's graph may spell the tensors differently than the
-		// leader's; answer in the follower's vocabulary.
-		res, err := (&cachedResult{res: c.res, tensors: c.tensors}).inVocabulary(q.names)
-		if err != nil {
-			return nil, err
+		var entries []tensat.Progress
+		entries, idx, notify = c.progress.since(idx)
+		for _, p := range entries {
+			progress(p)
 		}
-		return &Response{Result: res, Fingerprint: q.fp, Deduped: !leader, Degraded: degraded}, nil
-	case <-ctx.Done():
-		s.flight.leave(runKey, c)
-		s.stats.cancel()
-		return nil, ctx.Err()
+	}
+	pump()
+	for {
+		select {
+		case <-c.done:
+			pump() // drain entries published before the close
+			if c.err != nil {
+				return nil, c.err
+			}
+			// A follower's graph may spell the tensors differently than the
+			// leader's; answer in the follower's vocabulary.
+			res, err := (&cachedResult{res: c.res, tensors: c.tensors}).inVocabulary(q.names)
+			if err != nil {
+				return nil, err
+			}
+			return &Response{Result: res, Fingerprint: q.fp, Deduped: !leader, Degraded: adm.degraded}, nil
+		case <-ctx.Done():
+			s.flight.leave(runKey, c)
+			s.metrics.canceled.Inc()
+			return nil, ctx.Err()
+		case <-notify:
+			pump()
+		}
 	}
 }
 
@@ -822,7 +732,7 @@ func (s *Service) run(key string, parts cachestore.KeyParts, c *flightCall, g *t
 	defer func() {
 		if r := recover(); r != nil && !finished {
 			perr := &tensat.PanicError{Value: r, Stack: debug.Stack()}
-			s.stats.panicked("worker")
+			s.metrics.panics.With("worker").Inc()
 			s.log.Error("panic in optimization worker", "key", key,
 				"panic", fmt.Sprint(r), "stack", string(perr.Stack))
 			s.flight.finish(key, c, nil, perr)
@@ -846,24 +756,20 @@ func (s *Service) run(key string, parts cachestore.KeyParts, c *flightCall, g *t
 	}
 	defer s.queue.release()
 
-	s.stats.startWork()
+	s.metrics.inFlight.Inc()
 	start := time.Now()
 	res, err := s.optimize(c.ctx, g, opts)
-	s.stats.endWork(time.Since(start), err)
+	s.metrics.endWork(time.Since(start), err)
 	var perr *tensat.PanicError
 	if errors.As(err, &perr) {
 		// The pipeline panicked inside the optimizer; Submit's recover
 		// converted it to an error, so the flight finishes normally and
 		// every waiter gets internal_error instead of a dead daemon.
-		s.stats.panicked("optimizer")
+		s.metrics.panics.With("optimizer").Inc()
 		s.log.Error("optimization pipeline panicked", "key", key,
 			"panic", fmt.Sprint(perr.Value), "stack", string(perr.Stack))
 	}
 	if err == nil && res != nil {
-		s.stats.searchWork(res.Search)
-		if res.ILP.Solver != "" {
-			s.stats.ilpWork(res.ILP, res.ILPOptimal)
-		}
 		s.metrics.observeRun(res, opts)
 	}
 	// A canceled run is not a complete result: OptimizeContext normally
@@ -880,24 +786,6 @@ func (s *Service) run(key string, parts cachestore.KeyParts, c *flightCall, g *t
 	}
 	finished = true
 	s.flight.finish(key, c, res, err)
-}
-
-// Stats snapshots the service counters.
-func (s *Service) Stats() Stats {
-	st := s.stats.snapshot()
-	st.CacheEntries = s.cache.len()
-	st.CacheBytes = s.cache.bytesUsed()
-	st.QueueWaiting = s.queue.waiting()
-	if s.cfg.Store != nil {
-		st.StoreEntries = s.cfg.Store.Len()
-		st.StoreBytes = s.cfg.Store.Bytes()
-	}
-	if s.store != nil {
-		st.StoreDegraded = s.store.isDegraded()
-	}
-	st.Draining = s.drain.active()
-	st.Jobs = s.jobs.counters()
-	return st
 }
 
 // Workers reports the configured worker-pool bound.

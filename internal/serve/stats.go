@@ -1,16 +1,9 @@
 package serve
 
-import (
-	"context"
-	"errors"
-	"sort"
-	"sync"
-	"time"
+import "time"
 
-	"tensat"
-)
-
-// Stats is a point-in-time snapshot of service counters.
+// Stats is a point-in-time read of the service's instruments (the
+// registry behind GET /metrics) in struct form.
 type Stats struct {
 	// Hits counts requests answered from the result cache; Misses
 	// counts requests that had to consult the flight group (of which
@@ -73,13 +66,10 @@ type Stats struct {
 	// ILP aggregates the ILP-extraction counters (presolve reduction,
 	// incumbents, solve outcomes by backend) over the same runs.
 	ILP ILPCounters
-	// P50, P95 and P99 are percentiles over the most recent cold
-	// (uncached) optimization latencies; zero until the first run
-	// completes. LatencyWindow is how many recent latencies the
-	// percentiles are computed over (the ring capacity, not the current
-	// population).
+	// P50, P95 and P99 are bucket-interpolated quantiles of the cold
+	// (uncached) optimization latency histogram tensat_run_seconds over
+	// the service's lifetime; zero until the first run completes.
 	P50, P95, P99 time.Duration
-	LatencyWindow int
 }
 
 // TierCounters are the hit/miss/error/put counters of one secondary
@@ -89,6 +79,15 @@ type TierCounters struct {
 	Misses uint64
 	Errors uint64
 	Puts   uint64
+}
+
+func (t tierMetrics) snapshot() TierCounters {
+	return TierCounters{
+		Hits:   t.hits.Value(),
+		Misses: t.misses.Value(),
+		Errors: t.errors.Value(),
+		Puts:   t.puts.Value(),
+	}
 }
 
 // SearchCounters sums tensat.SearchStats over completed runs: classes
@@ -116,379 +115,77 @@ type ILPCounters struct {
 	Solves          map[string]uint64
 }
 
-// latencyWindow is how many recent cold latencies feed the percentiles.
-const latencyWindow = 512
+// Stats reads the service's instruments into a Stats snapshot.
+func (s *Service) Stats() Stats {
+	m := s.metrics
+	quantile := func(q float64) time.Duration {
+		return time.Duration(m.runSeconds.Quantile(q) * float64(time.Second))
+	}
+	st := Stats{
+		Hits:      m.cacheHits.Value(),
+		Misses:    m.cacheMisses.Value(),
+		Deduped:   m.cacheDedup.Value(),
+		Completed: m.completed.Value(),
+		Errors:    m.runErrors.Value(),
+		Canceled:  m.canceled.Value(),
 
-// collector accumulates counters and a sliding latency window. When m
-// is set (every Service sets it at construction), each bump also feeds
-// the equivalent Prometheus instrument, so the JSON stats and the
-// /metrics exposition share one set of call sites and cannot drift.
-type collector struct {
-	m *metrics
+		InFlight:     int(m.inFlight.Value()),
+		CacheEntries: s.cache.len(),
+		CacheBytes:   s.cache.bytesUsed(),
+		QueueWaiting: s.queue.waiting(),
 
-	mu              sync.Mutex
-	hits            uint64
-	misses          uint64
-	deduped         uint64
-	completed       uint64
-	errors          uint64
-	canceled        uint64
-	inFlight        int
-	profiles        map[string]uint64
-	search          SearchCounters
-	ilp             ILPCounters
-	store           TierCounters
-	peer            TierCounters
-	peerRetries     uint64
-	peerPushDropped uint64
-	panics          map[string]uint64
-	shedTotal       uint64
-	tenantReq       map[string]uint64
-	tenantRej       map[string]uint64
-	ring            [latencyWindow]time.Duration
-	ringN           int // total latencies ever recorded
+		Store:           m.store.snapshot(),
+		Peer:            m.peer.snapshot(),
+		PeerRetries:     m.peerRetries.Value(),
+		PeerPushDropped: m.peerPushDropped.Value(),
+
+		Shed:           m.shed.Value(),
+		TenantRequests: m.tenantRequests.Values("/"),
+		TenantRejected: m.tenantRejected.Values("/"),
+		Panics:         m.panics.Values("/"),
+		StoreDegraded:  s.storeDegraded(),
+		Draining:       s.drain.active(),
+		Jobs:           s.JobCounters(),
+		Profiles:       m.requests.Values("/"),
+
+		Search: SearchCounters{
+			ClassesScanned: m.searchScanned.Value(),
+			ClassesPruned:  m.searchPruned.Value(),
+			DirtySearched:  m.searchDirty.Value(),
+			CleanReused:    m.searchClean.Value(),
+			Matches:        m.searchMatches.Value(),
+		},
+		ILP: ILPCounters{
+			PresolveFixed:   m.ilpPresolveFixed.Value(),
+			PresolveDropped: m.ilpPresolveDropped.Value(),
+			PresolveRemoved: m.ilpPresolveRemoved.Value(),
+			Incumbents:      m.ilpIncumbents.Value(),
+			Solves:          m.ilpSolves.Values("/"),
+		},
+
+		P50: quantile(0.50),
+		P95: quantile(0.95),
+		P99: quantile(0.99),
+	}
+	if s.cfg.Store != nil {
+		st.StoreEntries = s.cfg.Store.Len()
+		st.StoreBytes = s.cfg.Store.Bytes()
+	}
+	return st
 }
 
-func (c *collector) hit() {
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.cacheHits.Inc()
+// JobCounters reads the job-lifecycle instruments. It also purges
+// expired jobs: the job store has no background sweeper, so a server
+// whose only traffic is monitoring still releases finished jobs — their
+// result graphs and progress logs — once JobTTL elapses.
+func (s *Service) JobCounters() JobCounters {
+	s.jobs.purge()
+	m := s.metrics
+	return JobCounters{
+		Submitted: m.jobsSubmitted.Value(),
+		Running:   int(m.jobsRunning.Value()),
+		Done:      m.jobsDone.Value(),
+		Canceled:  m.jobsCanceled.Value(),
+		Failed:    m.jobsFailed.Value(),
 	}
-}
-
-func (c *collector) miss() {
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.cacheMisses.Inc()
-	}
-}
-
-func (c *collector) dedup() {
-	c.mu.Lock()
-	c.deduped++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.cacheDedup.Inc()
-	}
-}
-
-func (c *collector) storeHit() {
-	c.mu.Lock()
-	c.store.Hits++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storeHits.Inc()
-	}
-}
-
-func (c *collector) storeMiss() {
-	c.mu.Lock()
-	c.store.Misses++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storeMisses.Inc()
-	}
-}
-
-func (c *collector) storeError() {
-	c.mu.Lock()
-	c.store.Errors++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storeErrors.Inc()
-	}
-}
-
-func (c *collector) storePut() {
-	c.mu.Lock()
-	c.store.Puts++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.storePuts.Inc()
-	}
-}
-
-func (c *collector) peerHit() {
-	c.mu.Lock()
-	c.peer.Hits++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerHits.Inc()
-	}
-}
-
-func (c *collector) peerMiss() {
-	c.mu.Lock()
-	c.peer.Misses++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerMisses.Inc()
-	}
-}
-
-func (c *collector) peerError() {
-	c.mu.Lock()
-	c.peer.Errors++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerErrors.Inc()
-	}
-}
-
-func (c *collector) peerPut() {
-	c.mu.Lock()
-	c.peer.Puts++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerPuts.Inc()
-	}
-}
-
-// peerRetry counts one fetch retry attempt against a peer.
-func (c *collector) peerRetry() {
-	c.mu.Lock()
-	c.peerRetries++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerRetries.Inc()
-	}
-}
-
-// peerPushDrop counts one async push dropped on a full queue.
-func (c *collector) peerPushDrop() {
-	c.mu.Lock()
-	c.peerPushDropped++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.peerPushDropped.Inc()
-	}
-}
-
-// panicked counts one recovered panic at the named site. Every call
-// means a request failed with internal_error but the daemon survived.
-func (c *collector) panicked(site string) {
-	c.mu.Lock()
-	if c.panics == nil {
-		c.panics = make(map[string]uint64)
-	}
-	c.panics[site]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.panics.With(site).Inc()
-	}
-}
-
-// shed counts one request degraded to greedy-only extraction under
-// quota pressure (the per-tenant detail lives in the logs).
-func (c *collector) shed() {
-	c.mu.Lock()
-	c.shedTotal++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.shed.Inc()
-	}
-}
-
-func (c *collector) tenantRequest(name string) {
-	c.mu.Lock()
-	if c.tenantReq == nil {
-		c.tenantReq = make(map[string]uint64)
-	}
-	c.tenantReq[name]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.tenantRequests.With(name).Inc()
-	}
-}
-
-func (c *collector) tenantReject(name string) {
-	c.mu.Lock()
-	if c.tenantRej == nil {
-		c.tenantRej = make(map[string]uint64)
-	}
-	c.tenantRej[name]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.tenantRejected.With(name).Inc()
-	}
-}
-
-func (c *collector) cancel() {
-	c.mu.Lock()
-	c.canceled++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.canceled.Inc()
-	}
-}
-
-func (c *collector) startWork() {
-	c.mu.Lock()
-	c.inFlight++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.inFlight.Inc()
-	}
-}
-
-// profile counts one request against its resolved profile.
-func (c *collector) profile(p profile) {
-	c.mu.Lock()
-	if c.profiles == nil {
-		c.profiles = make(map[string]uint64)
-	}
-	c.profiles[p.label()]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.requests.With(p.RuleSet, p.CostModel).Inc()
-	}
-}
-
-// searchWork folds one completed run's search-phase stats into the
-// service-wide counters.
-func (c *collector) searchWork(s tensat.SearchStats) {
-	c.mu.Lock()
-	c.search.ClassesScanned += uint64(s.Scanned)
-	c.search.ClassesPruned += uint64(s.Pruned)
-	c.search.DirtySearched += uint64(s.Dirty)
-	c.search.CleanReused += uint64(s.Clean)
-	c.search.Matches += uint64(s.Matches)
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.searchScanned.Add(uint64(s.Scanned))
-		c.m.searchPruned.Add(uint64(s.Pruned))
-		c.m.searchDirty.Add(uint64(s.Dirty))
-		c.m.searchClean.Add(uint64(s.Clean))
-		c.m.searchMatches.Add(uint64(s.Matches))
-	}
-}
-
-// ilpWork folds one completed ILP-extraction run into the service-wide
-// counters: presolve reduction, incumbents, and the solve outcome under
-// its backend label. Like searchWork, it is the single call site behind
-// both the JSON stats and the tensat_ilp_* Prometheus families.
-func (c *collector) ilpWork(st tensat.ILPStats, optimal bool) {
-	outcome := "feasible"
-	if optimal {
-		outcome = "optimal"
-	}
-	c.mu.Lock()
-	c.ilp.PresolveFixed += uint64(st.PresolveFixed)
-	c.ilp.PresolveDropped += uint64(st.PresolveDropped)
-	c.ilp.PresolveRemoved += uint64(st.PresolveRemoved)
-	c.ilp.Incumbents += uint64(st.Incumbents)
-	if c.ilp.Solves == nil {
-		c.ilp.Solves = make(map[string]uint64)
-	}
-	c.ilp.Solves[st.Solver+"/"+outcome]++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.ilpPresolveFixed.Add(uint64(st.PresolveFixed))
-		c.m.ilpPresolveDropped.Add(uint64(st.PresolveDropped))
-		c.m.ilpPresolveRemoved.Add(uint64(st.PresolveRemoved))
-		c.m.ilpIncumbents.Add(uint64(st.Incumbents))
-		c.m.ilpSolves.With(st.Solver, outcome).Inc()
-	}
-}
-
-func (c *collector) endWork(d time.Duration, err error) {
-	c.mu.Lock()
-	c.inFlight--
-	completed := false
-	switch {
-	case err == nil:
-		c.completed++
-		completed = true
-		c.ring[c.ringN%latencyWindow] = d
-		c.ringN++
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// A run abandoned by its waiters (or out of request budget) is
-		// client churn, not a server failure; the per-request Canceled
-		// counter already recorded each abandoning caller.
-	default:
-		c.errors++
-	}
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.inFlight.Dec()
-		switch {
-		case completed:
-			c.m.completed.Inc()
-			c.m.runSeconds.Observe(d.Seconds())
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		default:
-			c.m.runErrors.Inc()
-		}
-	}
-}
-
-// snapshot computes the current Stats (percentiles over the window).
-func (c *collector) snapshot() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Deduped:   c.deduped,
-		Completed: c.completed,
-		Errors:    c.errors,
-		Canceled:  c.canceled,
-		InFlight:  c.inFlight,
-		Search:    c.search,
-		ILP:       c.ilp,
-		Store:     c.store,
-		Peer:      c.peer,
-		Shed:      c.shedTotal,
-
-		PeerRetries:     c.peerRetries,
-		PeerPushDropped: c.peerPushDropped,
-	}
-	if len(c.panics) > 0 {
-		s.Panics = make(map[string]uint64, len(c.panics))
-		for k, v := range c.panics {
-			s.Panics[k] = v
-		}
-	}
-	if len(c.tenantReq) > 0 {
-		s.TenantRequests = make(map[string]uint64, len(c.tenantReq))
-		for k, v := range c.tenantReq {
-			s.TenantRequests[k] = v
-		}
-	}
-	if len(c.tenantRej) > 0 {
-		s.TenantRejected = make(map[string]uint64, len(c.tenantRej))
-		for k, v := range c.tenantRej {
-			s.TenantRejected[k] = v
-		}
-	}
-	if len(c.ilp.Solves) > 0 {
-		s.ILP.Solves = make(map[string]uint64, len(c.ilp.Solves))
-		for k, v := range c.ilp.Solves {
-			s.ILP.Solves[k] = v
-		}
-	}
-	if len(c.profiles) > 0 {
-		s.Profiles = make(map[string]uint64, len(c.profiles))
-		for k, v := range c.profiles {
-			s.Profiles[k] = v
-		}
-	}
-	s.LatencyWindow = latencyWindow
-	n := c.ringN
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	if n > 0 {
-		window := make([]time.Duration, n)
-		copy(window, c.ring[:n])
-		sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-		s.P50 = window[n/2]
-		s.P95 = window[(n*95)/100]
-		s.P99 = window[(n*99)/100]
-	}
-	return s
 }
