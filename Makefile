@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK = honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test race lint lint-full vet-rules fmt-check tensatlint
+.PHONY: build test race soak lint lint-full vet-rules fmt-check tensatlint
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/serve/... ./internal/breaker/... ./internal/egraph/... ./internal/rewrite/... .
+
+# soak drives real tensatd binaries over loopback sockets: what only a
+# process can show (profile files at boot, kill -9, SIGTERM drain).
+soak:
+	scripts/ci/profiles-e2e.sh
+	scripts/ci/chaos-soak.sh
 
 # lint runs every check that works offline: gofmt, go vet, the
 # project's own invariant analyzers (tensatlint), and the static

@@ -5,544 +5,17 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the whole evaluation. Absolute numbers come from the
-// simulated device (see internal/cost); EXPERIMENTS.md records how the
-// shapes compare with the paper. Set TENSAT_BENCH_FULL=1 to use the
-// paper-scale configuration instead of the CPU-friendly default.
+// simulated device (see internal/cost). Set TENSAT_BENCH_FULL=1 to use
+// the paper-scale configuration instead of the CPU-friendly default.
+// Per-layer and end-to-end performance measurement lives in bench/.
 package tensat_test
 
 import (
-	"context"
-	"encoding/json"
 	"os"
-	"runtime"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
-	"tensat/internal/cost"
-	"tensat/internal/egraph"
 	"tensat/internal/exp"
-	"tensat/internal/extract"
-	"tensat/internal/ilp"
-	"tensat/internal/ilp/presolve"
-	"tensat/internal/obs"
-	"tensat/internal/pattern"
-	"tensat/internal/rewrite"
-	"tensat/internal/rules"
 )
-
-// searchBenchWorkers is the parallel worker count of the search-phase
-// benchmark pair below (the acceptance point of the Workers knob).
-const searchBenchWorkers = 4
-
-// searchBench accumulates the search-phase numbers: the explore-level
-// sequential-vs-parallel split (Workers knob) and the matcher-level
-// interpreter-vs-compiled split (the PR-5 engine swap). When the
-// benchmarks have run, TestMain writes the summary to
-// BENCH_search.json so CI can track both speedups over time.
-// GOMAXPROCS is recorded because the parallel speedup is only
-// meaningful with that many hardware threads to fan out over.
-var searchBench = struct {
-	Benchmark            string  `json:"benchmark"`
-	Workers              int     `json:"workers"`
-	GOMAXPROCS           int     `json:"gomaxprocs"`
-	SequentialSearchNsOp float64 `json:"sequential_search_ns_per_op"`
-	ParallelSearchNsOp   float64 `json:"parallel_search_ns_per_op"`
-	Speedup              float64 `json:"speedup"`
-	InterpreterNsOp      float64 `json:"interpreter_ns_per_op"`
-	CompiledNsOp         float64 `json:"compiled_ns_per_op"`
-	MatcherSpeedup       float64 `json:"matcher_speedup"`
-}{Benchmark: "explore-search-seq-vs-parallel", Workers: searchBenchWorkers}
-
-// obsBench accumulates the telemetry overhead pair: the NasRNN
-// exploration with tracing and phase histograms off vs. on. TestMain
-// writes the summary to BENCH_obs.json so CI can gate instrumentation
-// drag (the acceptance budget is < 2% explore-time overhead).
-var obsBench = struct {
-	Benchmark       string  `json:"benchmark"`
-	PlainNsOp       float64 `json:"plain_ns_per_op"`
-	TelemetryNsOp   float64 `json:"telemetry_ns_per_op"`
-	OverheadPercent float64 `json:"overhead_percent"`
-}{Benchmark: "nasrnn-explore-telemetry-overhead"}
-
-// ilpBenchWorkers is the parallel worker count of the ILP benchmark
-// pair (the acceptance point of the solver parallelization).
-const ilpBenchWorkers = 4
-
-// ilpBench accumulates the ILP extraction numbers: the anytime profile
-// (time to first incumbent, time to the optimality proof) sequential vs
-// parallel on a proof-hard instance, the optimality gap a budgeted
-// solve returns at its deadline, and how much presolve shrinks a real
-// explored e-graph model. TestMain writes the summary to BENCH_ilp.json
-// so CI can track solver performance over time and gate the parallel
-// solver against regressions.
-var ilpBench = struct {
-	Benchmark  string `json:"benchmark"`
-	Workers    int    `json:"workers"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Anytime profile on the proof-hard instance, milliseconds.
-	SeqFirstIncumbentMS float64 `json:"seq_first_incumbent_ms"`
-	SeqOptimalMS        float64 `json:"seq_time_to_optimal_ms"`
-	ParFirstIncumbentMS float64 `json:"par_first_incumbent_ms"`
-	ParOptimalMS        float64 `json:"par_time_to_optimal_ms"`
-	// Speedup is sequential over parallel time-to-optimal; the CI gate
-	// keys on it (meaningful only with GOMAXPROCS >= workers).
-	Speedup float64 `json:"speedup"`
-	// SeqCost and ParCost are the returned objectives; the solvers must
-	// agree exactly.
-	SeqCost float64 `json:"seq_cost"`
-	ParCost float64 `json:"par_cost"`
-	// GapAtBudgetPercent is (incumbent-optimal)/optimal at an
-	// artificially tight budget on a deceptive sharing instance.
-	GapAtBudgetPercent float64 `json:"gap_at_budget_percent"`
-	// PresolveRatio is the fraction of candidate nodes presolve removes
-	// from the real NasRNN explored-e-graph model; PresolveNsOp is the
-	// presolve pass runtime on that model.
-	PresolveRatio float64 `json:"presolve_reduction_ratio"`
-	PresolveNsOp  float64 `json:"presolve_ns_per_op"`
-}{Benchmark: "ilp-extraction-seq-vs-parallel", Workers: ilpBenchWorkers}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	dirty := false
-	if searchBench.SequentialSearchNsOp > 0 && searchBench.ParallelSearchNsOp > 0 {
-		searchBench.Speedup = searchBench.SequentialSearchNsOp / searchBench.ParallelSearchNsOp
-		dirty = true
-	}
-	if searchBench.InterpreterNsOp > 0 && searchBench.CompiledNsOp > 0 {
-		searchBench.MatcherSpeedup = searchBench.InterpreterNsOp / searchBench.CompiledNsOp
-		dirty = true
-	}
-	if dirty {
-		searchBench.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		if data, err := json.MarshalIndent(searchBench, "", "  "); err == nil {
-			_ = os.WriteFile("BENCH_search.json", append(data, '\n'), 0o644)
-		}
-	}
-	if obsBench.PlainNsOp > 0 && obsBench.TelemetryNsOp > 0 {
-		// OverheadPercent was already estimated from paired ratios
-		// inside the benchmark; just persist the summary.
-		if data, err := json.MarshalIndent(obsBench, "", "  "); err == nil {
-			_ = os.WriteFile("BENCH_obs.json", append(data, '\n'), 0o644)
-		}
-	}
-	if ilpBench.SeqOptimalMS > 0 && ilpBench.ParOptimalMS > 0 {
-		ilpBench.Speedup = ilpBench.SeqOptimalMS / ilpBench.ParOptimalMS
-		ilpBench.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		if data, err := json.MarshalIndent(ilpBench, "", "  "); err == nil {
-			_ = os.WriteFile("BENCH_ilp.json", append(data, '\n'), 0o644)
-		}
-	}
-	os.Exit(code)
-}
-
-// BenchmarkExploreTelemetry measures the NasRNN exploration with all
-// telemetry off and again with a live span recorder plus per-phase
-// histogram observes — exactly what the daemon adds per job. The two
-// arms run interleaved inside one loop so machine drift (frequency
-// scaling, noisy neighbors) hits both equally; separate benchmark
-// functions would let minutes of drift masquerade as overhead.
-func BenchmarkExploreTelemetry(b *testing.B) {
-	g := nasrnnGraph(b)
-	phases := obs.NewRegistry().HistogramVec("bench_phase_seconds",
-		"Per-phase latency.", obs.LatencyBuckets, "phase")
-	exploreOnce := func(telemetry bool) time.Duration {
-		r := rewrite.NewRunner(rules.Default())
-		r.Limits = rewrite.Limits{MaxNodes: 8000, MaxIters: 6, KMulti: 1, Timeout: time.Hour}
-		r.Workers = 1
-		if telemetry {
-			r.Trace = obs.NewTrace("optimize")
-		}
-		start := time.Now()
-		ex, err := r.Run(g)
-		d := time.Since(start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ex.Stats.Matches == 0 {
-			b.Fatal("explore benchmark found no matches; workload broken")
-		}
-		if telemetry {
-			phases.With("explore").Observe(ex.Stats.ExploreTime.Seconds())
-			phases.With("search").Observe(ex.Stats.SearchTime.Seconds())
-			phases.With("apply").Observe(ex.Stats.ApplyTime.Seconds())
-			phases.With("rebuild").Observe(ex.Stats.RebuildTime.Seconds())
-			if r.Trace.Close() == nil {
-				b.Fatal("telemetry run recorded no trace")
-			}
-		}
-		return d
-	}
-	exploreOnce(true) // warm caches outside the measurement
-	// Run the arms in back-to-back pairs, alternating which goes first
-	// (cancels ordering bias from GC debt left by the previous run),
-	// and estimate overhead as the median of per-pair ratios: machine
-	// noise (frequency scaling, neighbors, GC outliers) is correlated
-	// within a pair and cancels in the ratio, where independent means
-	// would swing several percent run to run.
-	plain := make([]float64, 0, b.N)
-	telemetry := make([]float64, 0, b.N)
-	ratios := make([]float64, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var p, tl time.Duration
-		if i%2 == 0 {
-			p = exploreOnce(false)
-			tl = exploreOnce(true)
-		} else {
-			tl = exploreOnce(true)
-			p = exploreOnce(false)
-		}
-		plain = append(plain, float64(p))
-		telemetry = append(telemetry, float64(tl))
-		ratios = append(ratios, float64(tl)/float64(p))
-	}
-	b.StopTimer()
-	median := func(xs []float64) float64 {
-		sort.Float64s(xs)
-		return xs[len(xs)/2]
-	}
-	obsBench.PlainNsOp = median(plain)
-	obsBench.TelemetryNsOp = median(telemetry)
-	obsBench.OverheadPercent = (median(ratios) - 1) * 100
-	b.ReportMetric(obsBench.PlainNsOp/1e6, "plain-ms/op")
-	b.ReportMetric(obsBench.TelemetryNsOp/1e6, "telemetry-ms/op")
-	b.ReportMetric(obsBench.OverheadPercent, "overhead-%")
-}
-
-// exploreSearchNs runs a saturating NasRNN exploration with the full
-// rule set and returns the average time spent in the e-matching search
-// phase per exploration (the part the Workers knob parallelizes).
-func exploreSearchNs(b *testing.B, workers int) float64 {
-	g := nasrnnGraph(b)
-	var search time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rewrite.NewRunner(rules.Default())
-		r.Limits = rewrite.Limits{MaxNodes: 8000, MaxIters: 6, KMulti: 1, Timeout: time.Hour}
-		r.Workers = workers
-		ex, err := r.Run(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ex.Stats.Matches == 0 {
-			b.Fatal("search benchmark found no matches; workload broken")
-		}
-		search += ex.Stats.SearchTime
-	}
-	b.StopTimer()
-	ns := float64(search.Nanoseconds()) / float64(b.N)
-	b.ReportMetric(ns/1e6, "search-ms/op")
-	return ns
-}
-
-// BenchmarkSearchSequential measures the search phase with Workers=1
-// (the pre-parallelization behavior).
-func BenchmarkSearchSequential(b *testing.B) {
-	searchBench.SequentialSearchNsOp = exploreSearchNs(b, 1)
-}
-
-// BenchmarkSearchParallel measures the same workload with the search
-// fanned out over a frozen e-graph view on 4 workers.
-func BenchmarkSearchParallel(b *testing.B) {
-	searchBench.ParallelSearchNsOp = exploreSearchNs(b, searchBenchWorkers)
-}
-
-// ilpEscapeRing builds the proof-hard anytime ILP instance: the root
-// needs class 1, which offers a cost-100 escape leaf next to an m-class
-// ring of "+1 hop"/"+2 hop" nodes that is infeasible under cycle
-// constraints but only refutable by exhaustive search. The warm start
-// (root + leaf, cost 101) is already optimal; the measured quantity is
-// the optimality proof — the branch-and-bound refuting the entire ring.
-// That makes it the adversarial case for time-to-optimal: no luck, no
-// early exit, pure search throughput.
-func ilpEscapeRing(m int) *ilp.Problem {
-	p := &ilp.Problem{Root: 0, CycleConstraints: true}
-	p.Costs = append(p.Costs, 1)
-	p.ClassOf = append(p.ClassOf, 0)
-	p.Children = append(p.Children, []int{1})
-	p.Classes = append(p.Classes, []int{0})
-	for i := 0; i < m; i++ {
-		hop1 := 1 + (i+1)%m
-		hop2 := 1 + (i+2)%m
-		a := len(p.Costs)
-		p.Costs = append(p.Costs, 1, 1)
-		p.ClassOf = append(p.ClassOf, 1+i, 1+i)
-		p.Children = append(p.Children, []int{hop1}, []int{hop2})
-		p.Classes = append(p.Classes, []int{a, a + 1})
-	}
-	leaf := len(p.Costs)
-	p.Costs = append(p.Costs, 100)
-	p.ClassOf = append(p.ClassOf, 1)
-	p.Children = append(p.Children, nil)
-	p.Classes[1] = append(p.Classes[1], leaf)
-	return p
-}
-
-// ilpBenchRing sizes the proof-hard ring so one optimality proof takes
-// on the order of tens of milliseconds on a laptop core — long enough
-// to parallelize, short enough for the bench suite.
-const ilpBenchRing = 17
-
-// ilpSolveBench measures the anytime profile of one solver
-// configuration on the proof-hard instance: median time to the first
-// incumbent and median time to the optimality proof.
-func ilpSolveBench(b *testing.B, workers int) (firstMS, optimalMS, cost float64) {
-	b.Helper()
-	firsts := make([]float64, 0, b.N)
-	optimals := make([]float64, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := ilpEscapeRing(ilpBenchRing)
-		var sol *ilp.Solution
-		var err error
-		if workers == 1 {
-			sol, err = ilp.Solve(p)
-		} else {
-			sol, err = ilp.SolveParallel(p, workers)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !sol.Optimal {
-			b.Fatalf("bench instance not solved to optimality: %+v", sol)
-		}
-		cost = sol.Cost
-		firsts = append(firsts, float64(sol.FirstIncumbent.Nanoseconds())/1e6)
-		optimals = append(optimals, float64(sol.Time.Nanoseconds())/1e6)
-	}
-	b.StopTimer()
-	median := func(xs []float64) float64 {
-		sort.Float64s(xs)
-		return xs[len(xs)/2]
-	}
-	firstMS, optimalMS = median(firsts), median(optimals)
-	b.ReportMetric(firstMS, "first-incumbent-ms")
-	b.ReportMetric(optimalMS, "time-to-optimal-ms")
-	return firstMS, optimalMS, cost
-}
-
-// BenchmarkILPSequential measures the single-threaded branch-and-bound
-// on the proof-hard instance.
-func BenchmarkILPSequential(b *testing.B) {
-	ilpBench.SeqFirstIncumbentMS, ilpBench.SeqOptimalMS, ilpBench.SeqCost = ilpSolveBench(b, 1)
-}
-
-// BenchmarkILPParallel measures the same proof fanned over the worker
-// pool with a shared incumbent bound.
-func BenchmarkILPParallel(b *testing.B) {
-	ilpBench.ParFirstIncumbentMS, ilpBench.ParOptimalMS, ilpBench.ParCost = ilpSolveBench(b, ilpBenchWorkers)
-}
-
-// ilpDualHub builds the anytime-trajectory instance: the root needs
-// classes D_1..D_k, each choosing between a leaf (cost 3) and a node
-// u_i (cost 2) that needs BOTH shared hub classes S1 and S2 (cost 4
-// each). The greedy warm start prices u_i as a tree (2+4+4 > 3) and
-// picks every leaf (1+3k); the DAG optimum pays both hubs once
-// (1+2k+8). Unlike a single hub, the pair defeats the seeding local
-// search's hub moves — amortizing one hub at a time never shows a
-// gain, because every switch still pays the other hub per-switch — so
-// closing the gap takes genuine branch-and-bound, one incumbent at a
-// time. CycleConstraints (the graph is acyclic, so they bind nothing)
-// disable the solver's forced-choice shortcut that would otherwise
-// collapse the plateau.
-func ilpDualHub(k int) *ilp.Problem {
-	p := &ilp.Problem{Root: 0, CycleConstraints: true}
-	rootKids := make([]int, k)
-	for i := range rootKids {
-		rootKids[i] = i + 1
-	}
-	p.Costs = append(p.Costs, 1)
-	p.ClassOf = append(p.ClassOf, 0)
-	p.Children = append(p.Children, rootKids)
-	p.Classes = append(p.Classes, []int{0})
-	s1, s2 := k+1, k+2
-	for i := 1; i <= k; i++ {
-		u := len(p.Costs)
-		p.Costs = append(p.Costs, 2, 3)
-		p.ClassOf = append(p.ClassOf, i, i)
-		p.Children = append(p.Children, []int{s1, s2}, nil)
-		p.Classes = append(p.Classes, []int{u, u + 1})
-	}
-	for j := 0; j < 2; j++ {
-		s := len(p.Costs)
-		p.Costs = append(p.Costs, 4)
-		p.ClassOf = append(p.ClassOf, k+1+j)
-		p.Children = append(p.Children, nil)
-		p.Classes = append(p.Classes, []int{s})
-	}
-	return p
-}
-
-// BenchmarkILPGapAtBudget measures the anytime answer quality when the
-// solver is cut off early: the relative cost excess of the incumbent
-// returned under a deterministic exploration budget (a stall limit in
-// node expansions, so the measurement is machine-independent) against
-// the unbudgeted optimum on the dual-hub instance. The budget is sized
-// below the search's first incumbent improvement, so the budgeted
-// answer is the deceived warm start and the gap is the full price of
-// stopping early; a smarter seeding pass or faster search ordering
-// shows up here as the gap shrinking toward zero.
-func BenchmarkILPGapAtBudget(b *testing.B) {
-	const k = 24
-	ref, err := ilp.Solve(ilpDualHub(k))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !ref.Optimal || ref.Cost != float64(1+2*k+8) {
-		b.Fatalf("reference solve did not reach the known optimum: %+v", ref)
-	}
-	var gapSum float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := ilpDualHub(k)
-		p.StallLimit = 50
-		sol, err := ilp.Solve(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gapSum += (sol.Cost - ref.Cost) / ref.Cost * 100
-	}
-	b.StopTimer()
-	ilpBench.GapAtBudgetPercent = gapSum / float64(b.N)
-	b.ReportMetric(ilpBench.GapAtBudgetPercent, "gap-at-budget-%")
-}
-
-// ilpModelBench lazily builds a real extraction ILP: the NasRNN e-graph
-// explored to benchmark size, formulated by extract.BuildProblem.
-var ilpModelBench struct {
-	once sync.Once
-	err  error
-	p    *ilp.Problem
-}
-
-func ilpModelFixture(b *testing.B) *ilp.Problem {
-	b.Helper()
-	ilpModelBench.once.Do(func() {
-		g := nasrnnGraph(b)
-		r := rewrite.NewRunner(rules.Default())
-		r.Limits = rewrite.Limits{MaxNodes: 8000, MaxIters: 6, KMulti: 1, Timeout: time.Hour}
-		r.Workers = 1
-		ex, err := r.Run(g)
-		if err != nil {
-			ilpModelBench.err = err
-			return
-		}
-		ilpModelBench.p, _, ilpModelBench.err = extract.BuildProblem(ex, cost.NewT4(), extract.ILPOptions{})
-	})
-	if ilpModelBench.err != nil {
-		b.Fatal(ilpModelBench.err)
-	}
-	return ilpModelBench.p
-}
-
-// BenchmarkILPPresolve measures the presolve pass on the real NasRNN
-// extraction model and records how much of the model it removes.
-func BenchmarkILPPresolve(b *testing.B) {
-	p := ilpModelFixture(b)
-	var red presolve.Reduction
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, red, err = presolve.Run(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if red.NodesDropped == 0 && red.VarsFixed == 0 {
-		b.Fatal("presolve removed nothing from the real model; fixture broken")
-	}
-	ilpBench.PresolveRatio = red.Ratio()
-	ilpBench.PresolveNsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(ilpBench.PresolveRatio*100, "reduction-%")
-}
-
-// matcherBench lazily builds the matcher benchmark fixture: a nasrnn
-// e-graph explored to the search benchmark's size, frozen, plus the
-// rule set's canonical patterns (deduplicated exactly as the runner
-// does) with their compiled programs.
-var matcherBench struct {
-	once  sync.Once
-	err   error
-	view  *egraph.View
-	pats  []*pattern.Pat
-	progs []*pattern.Program
-}
-
-func matcherFixture(b *testing.B) (*egraph.View, []*pattern.Pat, []*pattern.Program) {
-	b.Helper()
-	// Failures are stored, not b.Fatal-ed, inside the once: a Fatal
-	// would mark the once done and leave the sibling benchmark to
-	// nil-deref instead of reporting the real fixture error.
-	matcherBench.once.Do(func() {
-		g := nasrnnGraph(b)
-		r := rewrite.NewRunner(rules.Default())
-		r.Limits = rewrite.Limits{MaxNodes: 8000, MaxIters: 6, KMulti: 1, Timeout: time.Hour}
-		r.Workers = 1
-		ex, err := r.Run(g)
-		if err != nil {
-			matcherBench.err = err
-			return
-		}
-		matcherBench.view = ex.G.Freeze()
-		// The exact canonical pattern set the production search phase
-		// runs, shared dedup logic included — so the interpreter and
-		// compiled benchmarks measure the real workload.
-		matcherBench.pats, matcherBench.progs = rewrite.CompileRules(rules.Default()).CanonicalPatterns()
-	})
-	if matcherBench.err != nil {
-		b.Fatal(matcherBench.err)
-	}
-	return matcherBench.view, matcherBench.pats, matcherBench.progs
-}
-
-// BenchmarkMatcherInterpreter measures one full sequential search of
-// every canonical pattern over the explored nasrnn e-graph using the
-// old tree-walking interpreter (pattern.ReferenceSearchClasses): the
-// pre-PR-5 engine, full class scan per pattern.
-func BenchmarkMatcherInterpreter(b *testing.B) {
-	view, pats, _ := matcherFixture(b)
-	classes := view.Classes()
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total = 0
-		for _, p := range pats {
-			total += len(pattern.ReferenceSearchClasses(view, p, classes))
-		}
-	}
-	b.StopTimer()
-	if total == 0 {
-		b.Fatal("interpreter found no matches; workload broken")
-	}
-	searchBench.InterpreterNsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-}
-
-// BenchmarkMatcherCompiled measures the same full search with the
-// compiled engine: pattern programs (compiled once, outside the
-// timer) scanning only each pattern's op-index candidate classes.
-func BenchmarkMatcherCompiled(b *testing.B) {
-	view, _, progs := matcherFixture(b)
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total = 0
-		for _, prog := range progs {
-			classes := view.Classes()
-			if op, ok := prog.RootOp(); ok {
-				classes = view.ByOp(op)
-			}
-			total += len(prog.AppendMatches(nil, view, classes))
-		}
-	}
-	b.StopTimer()
-	if total == 0 {
-		b.Fatal("compiled engine found no matches; workload broken")
-	}
-	searchBench.CompiledNsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-}
 
 // benchConfig sizes experiments so the full suite finishes in minutes.
 func benchConfig() exp.Config {

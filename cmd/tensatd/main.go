@@ -17,8 +17,6 @@
 //	GET    /v1/healthz          — liveness probe
 //	GET    /v1/readyz           — readiness probe (503 while draining)
 //	GET    /metrics             — Prometheus text exposition
-//	POST   /optimize            — deprecated synchronous shim
-//	GET    /stats, /healthz     — deprecated pre-/v1 spellings
 //	GET/PUT /v1/peer/cache/{key} — internal node-to-node cache surface
 //
 // Fleet operation: -store-dir persists results on disk so a restarted

@@ -3,7 +3,7 @@
 // TENSAT pipeline (root package) and the TASO baseline. Absolute
 // numbers differ from the paper (the substrate is a simulated device,
 // not a T4), but each experiment preserves the published comparison's
-// shape; EXPERIMENTS.md records paper-vs-measured for each.
+// shape.
 package exp
 
 import (

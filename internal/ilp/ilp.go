@@ -79,7 +79,7 @@ type Problem struct {
 	// (Optimal=false, Stalled=true) — the practical analogue of a MIP
 	// gap tolerance. Zero means no stall limit. Exhaustive search on
 	// heavily merged e-graphs needs LP-strength bounds (what SCIP has
-	// and this branch-and-bound does not); see DESIGN.md.
+	// and this branch-and-bound does not).
 	StallLimit int64
 	// WarmStarts provides initial selections (node per class, -1 for
 	// unselected classes). Each valid one (complete and acyclic from

@@ -90,9 +90,9 @@ func TestPipelinePanicIsIsolated(t *testing.T) {
 
 // TestHTTPPanicAnswersInternalError: a panic escaping the injected
 // optimize function (i.e. from serving code, not the pipeline) is
-// recovered at the worker site, mapped to a 500 with the stable
-// "internal_error" code, and the daemon keeps serving: the next
-// request over the same connection pool succeeds.
+// recovered at the worker site, the failed job's result is a 500 with
+// the stable "internal_error" code, and the daemon keeps serving: the
+// next request over the same connection pool succeeds.
 func TestHTTPPanicAnswersInternalError(t *testing.T) {
 	s := New(Config{Workers: 2})
 	res := stubResult(t)
@@ -109,17 +109,9 @@ func TestHTTPPanicAnswersInternalError(t *testing.T) {
 
 	post := func() (*http.Response, errorReply) {
 		t.Helper()
-		body, err := json.Marshal(OptimizeRequest{Graph: graphText(t, testGraph(t, 1))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
+		resp, raw := runJobHTTP(t, ts.URL, OptimizeRequest{Graph: graphText(t, testGraph(t, 1))}, nil)
 		var er errorReply
-		_ = json.NewDecoder(resp.Body).Decode(&er)
+		_ = json.Unmarshal(raw, &er)
 		return resp, er
 	}
 

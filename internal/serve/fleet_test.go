@@ -748,7 +748,7 @@ func TestHTTPTenantAuth(t *testing.T) {
 		}
 	}
 	// Probes and scrapers stay keyless.
-	for _, path := range []string{"/v1/healthz", "/healthz", "/metrics", "/v1/version", "/v1/rulesets", "/v1/costmodels"} {
+	for _, path := range []string{"/v1/healthz", "/metrics", "/v1/version", "/v1/rulesets", "/v1/costmodels"} {
 		if status, body := get(path, nil); status != http.StatusOK {
 			t.Fatalf("exempt %s: status %d (%s), want 200", path, status, body)
 		}
@@ -784,28 +784,10 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 
-	post := func(seed int) *http.Response {
+	post := func(seed int) (*http.Response, []byte) {
 		t.Helper()
-		g := testGraph(t, seed)
-		text, err := g.MarshalText()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := json.Marshal(OptimizeRequest{Graph: string(text)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/optimize", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Authorization", "Bearer batch-key-1")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return runJobHTTP(t, ts.URL, OptimizeRequest{Graph: graphText(t, testGraph(t, seed))},
+			http.Header{"Authorization": {"Bearer batch-key-1"}})
 	}
 
 	type reply struct {
@@ -814,11 +796,10 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	}
 	replies := make(chan reply, 2)
 	submit := func(seed int) {
-		resp := post(seed)
-		defer resp.Body.Close()
+		resp, raw := post(seed)
 		var or OptimizeReply
 		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
+			if err := json.Unmarshal(raw, &or); err != nil {
 				t.Error(err)
 			}
 		}
@@ -831,8 +812,7 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 
 	// Both the tenant's slot and its shed headroom are now held: the
 	// next request is the explicit rejection.
-	resp := post(3)
-	defer resp.Body.Close()
+	resp, raw := post(3)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
@@ -840,7 +820,7 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want a positive delay in seconds", ra)
 	}
 	var er errorReply
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Code != "rate_limited" {
+	if err := json.Unmarshal(raw, &er); err != nil || er.Code != "rate_limited" {
 		t.Fatalf("429 body code = %q (%v), want rate_limited", er.Code, err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"tensat"
+	"tensat/internal/tenant"
 	"tensat/internal/tensor"
 )
 
@@ -31,33 +33,63 @@ func newTestServer(t *testing.T) (*Service, *httptest.Server) {
 	return s, ts
 }
 
-func postOptimize(t *testing.T, url string, req OptimizeRequest) (int, OptimizeReply, string) {
+// runJobHTTP is the synchronous view of the /v1 job surface that the
+// suites assert on: submit, read the event stream to its end (the
+// job's terminal event), fetch the result. A refused submission is
+// returned as is. hdr goes out on all three requests.
+func runJobHTTP(t testing.TB, url string, req OptimizeRequest, hdr http.Header) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/optimize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	do := func(method, path string, body []byte) (*http.Response, []byte) {
+		t.Helper()
+		r, err := http.NewRequest(method, url+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range hdr {
+			r.Header[k] = v
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, raw
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+	resp, raw := do(http.MethodPost, "/v1/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		return resp, raw
 	}
+	var job JobReply
+	if err := json.Unmarshal(raw, &job); err != nil {
+		t.Fatalf("bad job reply %q: %v", raw, err)
+	}
+	do(http.MethodGet, job.EventsURL, nil)
+	return do(http.MethodGet, job.ResultURL, nil)
+}
+
+func postOptimize(t *testing.T, url string, req OptimizeRequest) (int, OptimizeReply, string) {
+	t.Helper()
+	resp, raw := runJobHTTP(t, url, req, nil)
 	var reply OptimizeReply
 	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(buf.Bytes(), &reply); err != nil {
-			t.Fatalf("bad reply %q: %v", buf.String(), err)
+		if err := json.Unmarshal(raw, &reply); err != nil {
+			t.Fatalf("bad reply %q: %v", raw, err)
 		}
 	}
-	return resp.StatusCode, reply, buf.String()
+	return resp.StatusCode, reply, string(raw)
 }
 
 // TestHTTPOptimizeEndToEnd drives the full daemon surface: a cold
 // optimize, then an identical request (spelled differently) that must
-// be a cache hit, then /stats reflecting both.
+// be a cache hit, then /v1/stats reflecting both.
 func TestHTTPOptimizeEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -110,7 +142,7 @@ func TestHTTPOptimizeEndToEnd(t *testing.T) {
 		t.Fatalf("cold reply lost its own names:\n%s", cold.Graph)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +194,7 @@ func TestHTTPConcurrentDistinctRequests(t *testing.T) {
 
 func s0(t *testing.T, ts *httptest.Server) StatsReply {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +228,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Errorf("shape mismatch: status %d, want 400 (%s)", status, raw)
 	}
 	// Malformed JSON body.
-	resp, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader("{"))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,19 +237,23 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatalf("malformed JSON: status %d", resp.StatusCode)
 	}
 	// Wrong method.
-	resp, err = http.Get(ts.URL + "/optimize")
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("GET /optimize accepted")
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("DELETE /v1/jobs: status %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestHTTPHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +263,9 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
-// TestHTTPRequestTimeout verifies timeout_ms maps to 504 when the
-// optimization cannot finish in time.
+// TestHTTPRequestTimeout verifies timeout_ms bounds the job: when the
+// optimization cannot finish in time the job ends canceled and its
+// result answers 409.
 func TestHTTPRequestTimeout(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
@@ -237,11 +274,76 @@ func TestHTTPRequestTimeout(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
-	status, _, raw := postOptimize(t, ts.URL, OptimizeRequest{
+	status, job, raw := postJob(t, ts.URL, OptimizeRequest{
 		Graph:     `(output (relu (input "x@8 8")))`,
 		TimeoutMS: 50,
 	})
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d (%s), want 504", status, raw)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", status, raw)
+	}
+	events := readSSE(t, ts.URL, job.ID)
+	var done JobReply
+	if last := events[len(events)-1]; last.event != "done" || json.Unmarshal([]byte(last.data), &done) != nil {
+		t.Fatalf("SSE final event = %+v, want a done event", last)
+	}
+	if done.Status != string(JobCanceled) || !strings.Contains(done.Error, "deadline") {
+		t.Fatalf("timed-out job = %+v, want canceled with a deadline error", done)
+	}
+	resp, err := http.Get(ts.URL + job.ResultURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("timed-out result status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestRemovedRoutes pins the retirement of the pre-/v1 surface: the
+// synchronous submit and the un-prefixed operational paths are 404s,
+// and under tenant auth the un-prefixed health path is no longer
+// exempt.
+func TestRemovedRoutes(t *testing.T) {
+	status := func(ts *httptest.Server, method, name, key string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+"/"+name, strings.NewReader(`{"graph": "(output (relu (input \"x@8 8\")))"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != "" {
+			req.Header.Set("X-API-Key", key)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	removed := []struct{ method, name string }{
+		{http.MethodPost, "optimize"},
+		{http.MethodGet, "stats"},
+		{http.MethodGet, "healthz"},
+	}
+	_, open := newTestServer(t)
+	for _, r := range removed {
+		if got := status(open, r.method, r.name, ""); got != http.StatusNotFound {
+			t.Errorf("%s /%s: status %d, want 404", r.method, r.name, got)
+		}
+	}
+
+	reg, err := tenant.Parse([]byte(shedTenants))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed := httptest.NewServer(NewHandler(New(Config{Workers: 1, Tenants: reg})))
+	defer keyed.Close()
+	if got := status(keyed, http.MethodGet, "healthz", ""); got != http.StatusUnauthorized {
+		t.Errorf("keyless /healthz under tenant auth: status %d, want 401", got)
+	}
+	for _, r := range removed {
+		if got := status(keyed, r.method, r.name, "batch-key-1"); got != http.StatusNotFound {
+			t.Errorf("keyed %s /%s: status %d, want 404", r.method, r.name, got)
+		}
 	}
 }

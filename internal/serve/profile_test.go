@@ -15,31 +15,6 @@ import (
 	"tensat/internal/tensor"
 )
 
-// submitJobHTTP posts one job request and decodes the reply.
-func submitJobHTTP(t *testing.T, url string, req OptimizeRequest) (int, JobReply, string) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	var reply JobReply
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.Unmarshal(buf.Bytes(), &reply); err != nil {
-			t.Fatalf("bad job reply %q: %v", buf.String(), err)
-		}
-	}
-	return resp.StatusCode, reply, buf.String()
-}
-
 // waitJobResult polls a job's result endpoint until it answers 200.
 func waitJobResult(t *testing.T, url, id string) OptimizeReply {
 	t.Helper()
@@ -90,7 +65,7 @@ func TestCrossProfileCacheIsolation(t *testing.T) {
 		}
 	}
 
-	status, t4job, raw := submitJobHTTP(t, ts.URL, req("t4"))
+	status, t4job, raw := postJob(t, ts.URL, req("t4"))
 	if status != http.StatusAccepted {
 		t.Fatalf("t4 submit status %d: %s", status, raw)
 	}
@@ -99,7 +74,7 @@ func TestCrossProfileCacheIsolation(t *testing.T) {
 	}
 	t4res := waitJobResult(t, ts.URL, t4job.ID)
 
-	status, a100job, raw := submitJobHTTP(t, ts.URL, req("a100"))
+	status, a100job, raw := postJob(t, ts.URL, req("a100"))
 	if status != http.StatusAccepted {
 		t.Fatalf("a100 submit status %d: %s", status, raw)
 	}
@@ -119,7 +94,7 @@ func TestCrossProfileCacheIsolation(t *testing.T) {
 	}
 
 	// Within a profile the cache works as before.
-	status, again, raw := submitJobHTTP(t, ts.URL, req("a100"))
+	status, again, raw := postJob(t, ts.URL, req("a100"))
 	if status != http.StatusAccepted {
 		t.Fatalf("a100 resubmit status %d: %s", status, raw)
 	}
@@ -135,7 +110,7 @@ func TestCrossProfileCacheIsolation(t *testing.T) {
 	// device-only variants, never answered from their entries.
 	rsReq := req("a100")
 	rsReq.Options.RuleSet = tensat.SingleRuleSetName
-	status, rsJob, raw := submitJobHTTP(t, ts.URL, rsReq)
+	status, rsJob, raw := postJob(t, ts.URL, rsReq)
 	if status != http.StatusAccepted {
 		t.Fatalf("taso-single submit status %d: %s", status, raw)
 	}
@@ -176,8 +151,8 @@ func TestCrossProfileCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestUnknownProfileNamesAre400s checks both surfaces reject unknown
-// profile names with a client error listing what exists.
+// TestUnknownProfileNamesAre400s checks unknown profile names are
+// rejected with a client error listing what exists.
 func TestUnknownProfileNamesAre400s(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, c := range []struct {
@@ -188,7 +163,7 @@ func TestUnknownProfileNamesAre400s(t *testing.T) {
 		{RequestOptions{CostModel: "warp-drive"}, "t4"},
 	} {
 		opts := c.opts
-		status, _, raw := submitJobHTTP(t, ts.URL, OptimizeRequest{Graph: figure2Wire, Options: opts})
+		status, _, raw := postJob(t, ts.URL, OptimizeRequest{Graph: figure2Wire, Options: opts})
 		if status != http.StatusBadRequest {
 			t.Fatalf("job submit with %+v: status %d, want 400: %s", opts, status, raw)
 		}
@@ -197,7 +172,7 @@ func TestUnknownProfileNamesAre400s(t *testing.T) {
 		}
 		status, _, raw = postOptimize(t, ts.URL, OptimizeRequest{Graph: figure2Wire, Options: opts})
 		if status != http.StatusBadRequest {
-			t.Fatalf("sync optimize with %+v: status %d, want 400: %s", opts, status, raw)
+			t.Fatalf("submit-and-wait with %+v: status %d, want 400: %s", opts, status, raw)
 		}
 	}
 }
@@ -206,7 +181,7 @@ func TestUnknownProfileNamesAre400s(t *testing.T) {
 // silent coercion.
 func TestNegativeWorkersRejected(t *testing.T) {
 	_, ts := newTestServer(t)
-	status, _, raw := submitJobHTTP(t, ts.URL, OptimizeRequest{
+	status, _, raw := postJob(t, ts.URL, OptimizeRequest{
 		Graph:   figure2Wire,
 		Options: RequestOptions{Workers: -2},
 	})
@@ -344,40 +319,17 @@ func TestJobListing(t *testing.T) {
 	}
 }
 
-// TestOperationalPathShims: /v1/stats and /v1/healthz are canonical;
-// the bare spellings still answer but carry the same Deprecation/Link
-// headers the /optimize shim uses.
-func TestOperationalPathShims(t *testing.T) {
+// TestOperationalPaths: /v1/stats and /v1/healthz answer.
+func TestOperationalPaths(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, c := range []struct{ path, successor string }{
-		{"/stats", "/v1/stats"},
-		{"/healthz", "/v1/healthz"},
-	} {
-		resp, err := http.Get(ts.URL + c.path)
+	for _, path := range []string{"/v1/stats", "/v1/healthz"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", c.path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: missing Deprecation header", c.path)
-		}
-		if want := "<" + c.successor + `>; rel="successor-version"`; resp.Header.Get("Link") != want {
-			t.Errorf("GET %s: Link = %q, want %q", c.path, resp.Header.Get("Link"), want)
-		}
-
-		resp, err = http.Get(ts.URL + c.successor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", c.successor, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s: canonical path carries a Deprecation header", c.successor)
+			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
 	}
 	var st StatsReply

@@ -237,7 +237,7 @@ func isZeroOptions(o tensat.Options) bool {
 
 // RequestOptions are the per-request optimization knobs. The zero
 // value inherits every setting from the service's Config.Base. Field
-// names double as the HTTP JSON schema of POST /optimize.
+// names double as the JSON schema of "options" in POST /v1/jobs.
 //
 // Every exported field must be folded into the effective
 // tensat.Options by apply — that is how request knobs reach the cache

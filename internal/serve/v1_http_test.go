@@ -113,7 +113,7 @@ func distinctProgress(snaps []ProgressReply) int {
 // a gated optimization, so every observation is deterministic: submit
 // (202), polling sees two distinct progress snapshots, SSE replays
 // them, the result endpoint answers 409 until done and 200 after, and
-// /stats reflects the job counters.
+// /v1/stats reflects the job counters.
 func TestV1JobLifecycleHTTP(t *testing.T) {
 	s := New(Config{Workers: 2})
 	step := make(chan struct{})
@@ -223,7 +223,7 @@ func TestV1JobLifecycleHTTP(t *testing.T) {
 	}
 
 	var st StatsReply
-	r2, err := http.Get(ts.URL + "/stats")
+	r2, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +296,8 @@ func TestV1JobCancelHTTP(t *testing.T) {
 // TestV1JobEndToEndRealPipeline runs the figure-2 graph through the
 // full asynchronous stack — no stubs — and verifies the acceptance
 // contract: live snapshots observed while the job runs (polled and
-// streamed), and a result byte-identical to the synchronous
-// POST /optimize answer for the same graph on a fresh service.
+// streamed), and a result byte-identical to the answer for the same
+// graph on a fresh service.
 func TestV1JobEndToEndRealPipeline(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -362,32 +362,32 @@ func TestV1JobEndToEndRealPipeline(t *testing.T) {
 		t.Fatalf("no improvement: %v -> %v", async.OrigCost, async.OptCost)
 	}
 
-	// The deprecated synchronous endpoint on a FRESH service (cold
-	// run, no shared cache) must produce the identical answer.
+	// A FRESH service (cold run, no shared cache) must produce the
+	// identical answer.
 	_, ts2 := newTestServer(t)
-	code, sync, raw := postOptimize(t, ts2.URL, OptimizeRequest{Graph: figure2Wire})
+	code, fresh, raw := postOptimize(t, ts2.URL, OptimizeRequest{Graph: figure2Wire})
 	if code != http.StatusOK {
-		t.Fatalf("sync status %d: %s", code, raw)
+		t.Fatalf("fresh-service status %d: %s", code, raw)
 	}
-	if async.Graph != sync.Graph {
-		t.Fatalf("async result differs from sync result:\n%s\nvs\n%s", async.Graph, sync.Graph)
+	if async.Graph != fresh.Graph {
+		t.Fatalf("result differs across services:\n%s\nvs\n%s", async.Graph, fresh.Graph)
 	}
-	if async.OptCost != sync.OptCost || async.Fingerprint != sync.Fingerprint {
-		t.Fatalf("async (%v, %s) != sync (%v, %s)",
-			async.OptCost, async.Fingerprint, sync.OptCost, sync.Fingerprint)
+	if async.OptCost != fresh.OptCost || async.Fingerprint != fresh.Fingerprint {
+		t.Fatalf("first service (%v, %s) != fresh service (%v, %s)",
+			async.OptCost, async.Fingerprint, fresh.OptCost, fresh.Fingerprint)
 	}
 
-	// And on the SAME service the sync shim hits the cache the job
-	// populated — the two surfaces share one result store.
+	// And on the SAME service a second job hits the cache the first
+	// populated.
 	code, warm, raw := postOptimize(t, ts.URL, OptimizeRequest{Graph: figure2Wire})
 	if code != http.StatusOK {
-		t.Fatalf("warm sync status %d: %s", code, raw)
+		t.Fatalf("warm status %d: %s", code, raw)
 	}
 	if !warm.Cached {
-		t.Fatal("sync request after the job missed the shared cache")
+		t.Fatal("second job missed the cache")
 	}
 	if warm.Graph != async.Graph {
-		t.Fatal("cached sync graph differs from the job's graph")
+		t.Fatal("cached graph differs from the first job's graph")
 	}
 
 	// The real run's search-phase counters surfaced in /v1/stats: the
@@ -411,27 +411,25 @@ func TestV1JobEndToEndRealPipeline(t *testing.T) {
 }
 
 // TestV1UnknownFieldsRejected: a typo in the request body errors
-// instead of silently running with defaults, on both surfaces.
+// instead of silently running with defaults.
 func TestV1UnknownFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := `{"graph": "(output (relu (input \"x@8 8\")))", "options": {"worker": 4}}`
-	for _, path := range []string{"/optimize", "/v1/jobs"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw := new(bytes.Buffer)
-		raw.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", path, resp.StatusCode, raw.String())
-		}
-		if !strings.Contains(raw.String(), "worker") {
-			t.Errorf("%s: error does not name the bad field: %s", path, raw.String())
-		}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := new(bytes.Buffer)
+	raw.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400 (%s)", resp.StatusCode, raw.String())
+	}
+	if !strings.Contains(raw.String(), "worker") {
+		t.Errorf("error does not name the bad field: %s", raw.String())
 	}
 	// Top-level typos too.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"graf": "(output (relu (input \"x@8 8\")))"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -476,24 +474,6 @@ func TestV1Version(t *testing.T) {
 	// (test binaries are built without VCS stamping) — never empty.
 	if v.Revision == "" {
 		t.Fatalf("version reply has empty revision: %+v", v)
-	}
-}
-
-// TestOptimizeDeprecationHeaders: the legacy endpoint advertises its
-// successor.
-func TestOptimizeDeprecationHeaders(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/optimize", "application/json",
-		strings.NewReader(`{"graph": "(output (relu (input \"x@8 8\")))", "options": {"extractor": "greedy"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("missing Deprecation header on /optimize")
-	}
-	if !strings.Contains(resp.Header.Get("Link"), "/v1/jobs") {
-		t.Fatalf("Link header %q does not point at /v1/jobs", resp.Header.Get("Link"))
 	}
 }
 

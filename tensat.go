@@ -79,8 +79,6 @@
 //	GET    /v1/version          — build/runtime identification
 //	GET    /v1/stats            — cache, latency, job and profile counters
 //	GET    /v1/healthz          — liveness
-//	POST   /optimize            — deprecated synchronous shim
-//	GET    /stats, /healthz     — deprecated pre-/v1 spellings
 //
 // Graphs travel in the textual wire format of Graph.MarshalText
 // (S-expressions with let-bindings for shared subgraphs; see
