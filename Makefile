@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK = honnef.co/go/tools/cmd/staticcheck@2025.1
 GOVULNCHECK = golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: build test race soak lint lint-full vet-rules fmt-check tensatlint
+.PHONY: build test race soak lint lint-full vet-rules fmt-check tensatlint loc
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ test:
 
 race:
 	$(GO) test -race ./internal/serve/... ./internal/breaker/... ./internal/egraph/... ./internal/rewrite/... .
+
+# loc prints non-test Go lines outside bench/, per package and in
+# total: the figure CHANGES.md reports for every PR.
+loc:
+	scripts/loc.sh
 
 # soak drives real tensatd binaries over loopback sockets: what only a
 # process can show (profile files at boot, kill -9, SIGTERM drain).

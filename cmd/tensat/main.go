@@ -72,7 +72,7 @@ func main() {
 		iters     = flag.Int("iters", 15, "exploration iteration limit (k_max)")
 		ilpTime   = flag.Duration("ilptimeout", 2*time.Minute, "ILP solver timeout")
 		ilpSolver = flag.String("ilp-solver", "", "ILP backend: builtin (parallel branch-and-bound), builtin-seq, cbc or highs (external binaries on PATH)")
-		ilpMPS    = flag.String("ilp-mps", "", "explore, then write the extraction ILP as a free-format MPS file and exit without solving")
+		ilpMPS    = flag.String("ilp-mps", "", "explore, then write the extraction ILP (as built, before presolve) as a free-format MPS file and exit without solving")
 		workers   = flag.Int("workers", 0, "parallel e-matching goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		progress  = flag.Bool("progress", false, "print live progress lines (iterations, e-graph growth, ILP incumbents) to stderr")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto or chrome://tracing)")
@@ -221,8 +221,9 @@ func main() {
 
 // exportMPS runs the exploration phase only, formulates the extraction
 // ILP over the resulting e-graph, and writes it as a free-format MPS
-// file any MIP solver can read — the model that -extractor ilp would
-// have solved, made portable for offline experiments.
+// file any MIP solver can read. This is the model as built:
+// -extractor ilp presolves it before a backend sees it, so what the
+// backends solve is a reduction of this file with the same optimum.
 func exportMPS(ctx context.Context, g *tensat.Graph, opt tensat.Options, registry *tensat.Registry, path string) error {
 	rs := tensat.DefaultRules()
 	if opt.RuleSet != "" {

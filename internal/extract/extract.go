@@ -190,18 +190,11 @@ type ILPOptions struct {
 	TopoMode ilp.TopoMode
 	// Timeout bounds the solver (paper: 1 hour).
 	Timeout time.Duration
-	// StallLimit stops branch-and-bound after this many expansions
-	// without improvement (0 uses DefaultStallLimit; negative disables).
-	StallLimit int64
 	// Solver selects the ILP backend by name: "" or "builtin" for the
-	// parallel in-process branch-and-bound, "builtin-seq" for the
-	// sequential one, "cbc"/"highs" for an external MPS solver on PATH.
+	// in-process branch-and-bound with ilp.DefaultWorkers goroutines,
+	// "builtin-seq" for the same search with one (it returns the same
+	// graph), "cbc"/"highs" for an external MPS solver on PATH.
 	Solver string
-	// Workers bounds the parallel builtin solver's goroutines
-	// (0 = automatic; ignored by other backends).
-	Workers int
-	// NoPresolve skips the model-reduction pass (diagnostics only).
-	NoPresolve bool
 	// OnIncumbent, when non-nil, receives every improvement of the
 	// solver's incumbent — the cost of the best extraction found so
 	// far — from the solving goroutine. Long ILP runs use it to report
@@ -213,7 +206,7 @@ type ILPOptions struct {
 	Trace *obs.Trace
 }
 
-// DefaultStallLimit is the default incumbent-stall cutoff. It plays
+// DefaultStallLimit is the incumbent-stall cutoff of every solve. It plays
 // the role of a MIP gap tolerance: on heavily merged e-graphs the
 // branch-and-bound's combinatorial bound cannot close the gap the way
 // SCIP's LP relaxation does, so extraction returns the best incumbent
@@ -264,19 +257,13 @@ func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp
 		ix.classIdx[c.ID] = len(ix.ClassIDs)
 		ix.ClassIDs = append(ix.ClassIDs, c.ID)
 	})
-	stall := opts.StallLimit
-	if stall == 0 {
-		stall = DefaultStallLimit
-	} else if stall < 0 {
-		stall = 0
-	}
 	p := &ilp.Problem{
 		Root:             ix.classIdx[g.Find(ex.Root)],
 		Classes:          make([][]int, len(ix.ClassIDs)),
 		CycleConstraints: opts.CycleConstraints,
 		TopoMode:         opts.TopoMode,
 		Timeout:          opts.Timeout,
-		StallLimit:       stall,
+		StallLimit:       DefaultStallLimit,
 	}
 	for ci, id := range ix.ClassIDs {
 		cls := g.Class(id)
@@ -367,27 +354,23 @@ func ILPContext(ctx context.Context, ex *rewrite.Explored, model cost.Model, opt
 	tr.Attr("variables", int64(len(p.Costs)))
 	tr.End() // model
 
-	var red *presolve.Reduction
-	if !opts.NoPresolve {
-		tr.Begin("presolve")
-		q, r, perr := presolve.Run(ctx, p)
-		if perr != nil {
-			tr.End()
-			return nil, fmt.Errorf("extract: ilp: presolve: %w", perr)
-		}
-		tr.Attr("vars_fixed", int64(r.VarsFixed))
-		tr.Attr("nodes_dropped", int64(r.NodesDropped))
-		tr.Attr("constraints_removed", int64(r.ConstraintsRemoved))
-		tr.End() // presolve
-		p, red = q, &r
+	tr.Begin("presolve")
+	reduced, red, err := presolve.Run(ctx, p)
+	if err != nil {
+		tr.End()
+		return nil, fmt.Errorf("extract: ilp: presolve: %w", err)
 	}
+	tr.Attr("vars_fixed", int64(red.VarsFixed))
+	tr.Attr("nodes_dropped", int64(red.NodesDropped))
+	tr.Attr("constraints_removed", int64(red.ConstraintsRemoved))
+	tr.End() // presolve
 
-	solver, err := backend.Select(opts.Solver, opts.Workers)
+	solver, err := backend.Select(opts.Solver)
 	if err != nil {
 		return nil, fmt.Errorf("extract: ilp: %w", err)
 	}
 	tr.Begin("solve")
-	sol, err := solver.Solve(ctx, p)
+	sol, err := solver.Solve(ctx, reduced)
 	if err != nil {
 		tr.End()
 		return nil, fmt.Errorf("extract: ilp: %w", err)
@@ -401,6 +384,12 @@ func ILPContext(ctx context.Context, ex *rewrite.Explored, model cost.Model, opt
 		tr.Attr("optimal", 0)
 	}
 	tr.End() // solve
+	// Whichever backend answered, the model as built — before presolve
+	// narrowed it — judges the selection: a node the cycle filter
+	// forbade, or one from another class, never reaches buildGraph.
+	if _, _, err := p.Check(sol.NodeOf); err != nil {
+		return nil, fmt.Errorf("extract: ilp: %s solution rejected: %w", solver.Name(), err)
+	}
 	sel := func(id egraph.ClassID) (egraph.Node, bool) {
 		vi, ok := sol.NodeOf[ix.classIdx[g.Find(id)]]
 		if !ok {
@@ -418,7 +407,7 @@ func ILPContext(ctx context.Context, ex *rewrite.Explored, model cost.Model, opt
 		Time:      time.Since(start),
 		ILP:       sol,
 		Solver:    solver.Name(),
-		Reduction: red,
+		Reduction: &red,
 	}, nil
 }
 

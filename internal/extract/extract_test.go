@@ -1,11 +1,17 @@
 package extract
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"tensat/internal/cost"
 	"tensat/internal/ilp"
+	"tensat/internal/ilp/lpfile"
 	"tensat/internal/rewrite"
 	"tensat/internal/tensor"
 )
@@ -168,5 +174,64 @@ func TestExtractedGraphPreservesOutputs(t *testing.T) {
 		if !out.Meta.Shape.Equal(g.Outputs[i].Meta.Shape) {
 			t.Fatalf("output %d shape changed: %v -> %v", i, g.Outputs[i].Meta.Shape, out.Meta.Shape)
 		}
+	}
+}
+
+// TestILPRefusesForbiddenNodeFromBackend plays a cbc (the shell-script
+// fake of the backend package's TestExternalFakeCBC) whose answer is
+// the true optimum of the Figure 2 model, accepts it, then forbids one
+// of the nodes it names and replays the same file: the model must now
+// refuse the selection instead of building a graph from it.
+func TestILPRefusesForbiddenNodeFromBackend(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("shell script fake")
+	}
+	ex, _, model := figure2Setup(t, rewrite.FilterEfficient)
+	p, ix, err := BuildProblem(ex, model, ILPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := ilp.Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answer strings.Builder
+	fmt.Fprintf(&answer, "Optimal - objective value %.8f\n", sol.Cost)
+	dearest := -1
+	for c, i := range sol.NodeOf {
+		fmt.Fprintf(&answer, "%7d %s 1 %g\n", i, lpfile.VarName(c, i), p.Costs[i])
+		if dearest < 0 || p.Costs[i] > p.Costs[dearest] {
+			dearest = i
+		}
+	}
+	dir := t.TempDir()
+	script := "#!/bin/sh\n# args: model.mps -seconds N solve -solution <out>\n" +
+		"while [ \"$1\" != \"-solution\" ]; do shift || exit 2; done\ncat > \"$2\" <<'EOF'\n" + answer.String() + "EOF\n"
+	if err := os.WriteFile(filepath.Join(dir, "cbc"), []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("PATH", dir+string(os.PathListSeparator)+os.Getenv("PATH"))
+
+	res, err := ILP(ex, model, ILPOptions{Solver: "cbc", Timeout: time.Minute})
+	if err != nil {
+		t.Fatalf("sound answer refused: %v", err)
+	}
+	if res.Solver != "cbc" || res.ILP.Cost != sol.Cost {
+		t.Fatalf("solver %q cost %v, want cbc at %v", res.Solver, res.ILP.Cost, sol.Cost)
+	}
+
+	// Filter the dearest node the answer names (the merged matmul), the
+	// way the cycle filter would have.
+	c := p.ClassOf[dearest]
+	for k, i := range p.Classes[c] {
+		if i == dearest {
+			ex.Filtered[ex.G.Class(ix.ClassIDs[c]).Stamps[k]] = true
+		}
+	}
+	// Presolve also drops every node that needs the now-empty class, so
+	// the first forbidden node the check meets need not be this one.
+	_, err = ILP(ex, model, ILPOptions{Solver: "cbc", Timeout: time.Minute})
+	if err == nil || !strings.Contains(err.Error(), "solution rejected") || !strings.Contains(err.Error(), "forbidden node") {
+		t.Fatalf("err = %v, want the selection refused for a forbidden node", err)
 	}
 }

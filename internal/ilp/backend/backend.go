@@ -1,14 +1,14 @@
 // Package backend makes the extraction ILP solver pluggable. The
 // paper runs SCIP through OR-tools; this repo's builtin solver is a
 // specialized branch-and-bound. Both worlds are reachable through one
-// interface: the builtin (sequential or parallel) engine, and an
+// interface: the builtin engine at any worker count, and an
 // external-subprocess adapter that shells out to any MPS-speaking MIP
 // solver on PATH — CBC and HiGHS are wired up — writing the model with
-// lpfile, parsing the solution file back, and validating the selection
-// against the model before trusting it. External solvers are entirely
-// optional: nothing links against them (zero new Go dependencies), and
-// when the binary is absent the adapter reports ErrUnavailable so
-// callers can fall back or fail loudly, their choice.
+// lpfile, parsing the solution file back, and having the model judge
+// the selection (ilp.Problem.Check) before trusting it. External
+// solvers are entirely optional: nothing links against them (zero new
+// Go dependencies), and when the binary is absent the adapter reports
+// ErrUnavailable so callers can fall back or fail loudly, their choice.
 package backend
 
 import (
@@ -51,15 +51,14 @@ var ErrUnknown = errors.New("backend: unknown solver name")
 
 // Builtin runs the in-process branch-and-bound.
 type Builtin struct {
-	// Sequential forces the single-threaded search; otherwise the
-	// parallel solver runs with Workers goroutines (0 = default).
-	Sequential bool
-	Workers    int
+	// Workers is how many goroutines search (0 = ilp.DefaultWorkers).
+	Workers int
 }
 
-// Name implements Solver.
+// Name implements Solver: asking for exactly one worker is what the
+// name "builtin-seq" means.
 func (b Builtin) Name() string {
-	if b.Sequential {
+	if b.Workers == 1 {
 		return "builtin-seq"
 	}
 	return "builtin"
@@ -70,9 +69,6 @@ func (b Builtin) Available() bool { return true }
 
 // Solve implements Solver.
 func (b Builtin) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, error) {
-	if b.Sequential {
-		return ilp.SolveContext(ctx, p)
-	}
 	return ilp.SolveParallelContext(ctx, p, b.Workers)
 }
 
@@ -111,8 +107,8 @@ func timeoutSeconds(ctx context.Context, p *ilp.Problem) float64 {
 }
 
 // Solve implements Solver: write MPS to a scratch directory, run the
-// solver with a time budget, parse the solution file, validate the
-// selection against the model, and map it back onto node indices.
+// solver with a time budget, parse the solution file, and have the
+// model check the selection and restrict it to the root closure.
 func (e External) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, error) {
 	start := time.Now()
 	path, err := exec.LookPath(e.Binary)
@@ -183,12 +179,12 @@ func (e External) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, err
 				e.Binary, sel.Status, truncate(out))
 		}
 	}
-	cost, err := lpfile.SelectionCost(p, sel.NodeOf)
+	cost, closure, err := p.Check(sel.NodeOf)
 	if err != nil {
 		return nil, fmt.Errorf("backend: %s solution rejected: %w", e.Binary, err)
 	}
 	return &ilp.Solution{
-		NodeOf:     closure(p, sel.NodeOf),
+		NodeOf:     closure,
 		Cost:       cost,
 		Optimal:    sel.Status == "optimal",
 		TimedOut:   sel.Status == "stopped",
@@ -196,29 +192,6 @@ func (e External) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, err
 		Incumbents: 1,
 		Workers:    1,
 	}, nil
-}
-
-// closure restricts a selection to the classes the root derivation
-// actually uses, matching the builtin solver's NodeOf contract (MIP
-// solvers may set don't-care variables in unreferenced classes).
-func closure(p *ilp.Problem, nodeOf map[int]int) map[int]int {
-	out := make(map[int]int)
-	var visit func(c int)
-	visit = func(c int) {
-		if _, done := out[c]; done {
-			return
-		}
-		i, ok := nodeOf[c]
-		if !ok {
-			return
-		}
-		out[c] = i
-		for _, h := range p.Children[i] {
-			visit(h)
-		}
-	}
-	visit(p.Root)
-	return out
 }
 
 func truncate(out []byte) []byte {
@@ -249,14 +222,13 @@ func Valid(name string) bool {
 }
 
 // Select resolves a solver name to a backend. The empty name means the
-// default: the parallel builtin solver. workers applies only to the
-// builtin backends.
-func Select(name string, workers int) (Solver, error) {
+// default: the builtin solver with ilp.DefaultWorkers goroutines.
+func Select(name string) (Solver, error) {
 	switch name {
 	case "", "builtin":
-		return Builtin{Workers: workers}, nil
+		return Builtin{}, nil
 	case "builtin-seq":
-		return Builtin{Sequential: true}, nil
+		return Builtin{Workers: 1}, nil
 	case "cbc", "highs":
 		return External{Binary: name}, nil
 	default:

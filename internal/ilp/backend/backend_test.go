@@ -62,7 +62,7 @@ func modelZoo() map[string]*ilp.Problem {
 
 func TestSelect(t *testing.T) {
 	for _, name := range append(Names(), "") {
-		s, err := Select(name, 0)
+		s, err := Select(name)
 		if err != nil {
 			t.Fatalf("Select(%q): %v", name, err)
 		}
@@ -70,7 +70,7 @@ func TestSelect(t *testing.T) {
 			t.Fatalf("Select(%q).Name() = %q", name, s.Name())
 		}
 	}
-	if _, err := Select("scip", 0); !errors.Is(err, ErrUnknown) {
+	if _, err := Select("scip"); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("unknown solver accepted: %v", err)
 	}
 	if Valid("scip") || !Valid("") || !Valid("cbc") || !Valid("builtin-seq") {
@@ -83,7 +83,7 @@ func TestBuiltinSolvesZoo(t *testing.T) {
 	// over walking the whole 10-link chain (cost 10).
 	want := map[string]float64{"diamond": 121, "cyclic-real": 11, "cyclic-int": 11, "chain": 4}
 	for name, p := range modelZoo() {
-		seq, err := (Builtin{Sequential: true}).Solve(context.Background(), p)
+		seq, err := (Builtin{Workers: 1}).Solve(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -173,7 +173,7 @@ func TestExternalDifferentialZoo(t *testing.T) {
 				t.Skipf("%s not on PATH", binary)
 			}
 			for name, p := range modelZoo() {
-				want, err := (Builtin{Sequential: true}).Solve(context.Background(), p)
+				want, err := (Builtin{Workers: 1}).Solve(context.Background(), p)
 				if err != nil {
 					t.Fatalf("%s: builtin: %v", name, err)
 				}

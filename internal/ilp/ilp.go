@@ -21,12 +21,20 @@
 // labels when TopoInt — which is exactly what makes the constrained
 // program much slower to solve, reproducing Table 5.
 //
-// Two solving modes share that machinery: SolveContext runs the
-// classic sequential search, and SolveParallelContext (parallel.go)
-// fans disjoint branch subtrees over a bounded worker pool with a
-// shared atomic incumbent bound. Model reduction before any solve
-// lives in the presolve subpackage, standard-format export in lpfile,
-// and external-solver adapters in backend.
+// There is one search driver (parallel.go): workers claim replayable
+// prefixes of branch decisions and search the subtrees below them
+// against a shared incumbent. A sequential solve is that driver with
+// one worker claiming the empty prefix, so every worker count accepts
+// incumbents by the same rule and returns the same selection.
+//
+// The Problem is also the only judge of a selection (selection.go):
+// Allowed says which nodes are in the model, TreeCosts bounds a class,
+// and Check decides whether a selection is complete, acyclic and
+// admissible and what it costs — for the solver's own seeding and
+// local search, for presolve, and for answers that come back from an
+// external solver alike. Model reduction before any solve lives in the
+// presolve subpackage, standard-format export in lpfile, and the
+// solver backends in backend.
 package ilp
 
 import (
@@ -91,9 +99,8 @@ type Problem struct {
 	// improves: once after warm-start seeding and again on every
 	// improvement branch-and-bound finds. It receives the incumbent
 	// cost and the expansions done so far, and must return quickly (it
-	// runs on the search's hot path). Sequential solves call it from
-	// the solving goroutine; the parallel solver serializes calls under
-	// its incumbent lock, with strictly decreasing costs either way.
+	// runs on the search's hot path). Calls are serialized under the
+	// solver's incumbent lock and see strictly decreasing costs.
 	OnIncumbent func(cost float64, explored int64)
 }
 
@@ -121,8 +128,8 @@ type Solution struct {
 	Canceled bool
 	// Stalled is true when StallLimit ended the search.
 	Stalled bool
-	// Explored counts branch-and-bound node expansions (summed over
-	// workers for parallel solves).
+	// Explored counts branch-and-bound node expansions, summed over
+	// workers.
 	Explored int64
 	Time     time.Duration
 	// SeedCost is the greedy warm-start cost; ImproveCommits counts
@@ -135,7 +142,7 @@ type Solution struct {
 	// first one landed.
 	Incumbents     int
 	FirstIncumbent time.Duration
-	// Workers is how many goroutines searched (1 for sequential).
+	// Workers is how many goroutines searched.
 	Workers int
 }
 
@@ -184,46 +191,29 @@ type solver struct {
 	done        <-chan struct{} // caller cancellation; nil means none
 	canceled    bool
 
-	allowed  [][]int   // per class: allowed (unforbidden) nodes, cheap first
+	allowed  [][]int   // per class: Allowed nodes, cheap first
 	minCost  []float64 // per class: cheapest allowed node cost
-	greedy   []float64 // per class: tree-cost heuristic for branch ordering
+	greedy   []float64 // per class: tree cost, for branch ordering and completions
 	freePick []int     // per class: node with a zero-cost acyclic derivation, or -1
 
-	chosen         []int // per class: chosen node or -1
-	need           []int // per class: how many chosen nodes require it
-	acc            float64
+	chosen      []int // per class: chosen node or -1
+	need        []int // per class: how many chosen nodes require it
+	acc         float64
+	explored    int64
+	lastImprove int64
+	timedOut    bool
+	stalled     bool
+
+	// The master solver (prepare, seed, collectUnits) keeps the seed
+	// incumbent in best/bestPick; it never searches. A worker searches
+	// units against shared, and best is its cached copy of the shared
+	// bound.
 	best           float64
 	bestPick       []int
-	explored       int64
-	lastImprove    int64
-	timedOut       bool
-	stalled        bool
 	improveCommits int
-
-	start          time.Time
-	incumbents     int
-	firstIncumbent time.Duration
-
-	// shared, when non-nil, makes this solver one worker of a parallel
-	// solve: incumbents are offered to (and the pruning bound refreshed
-	// from) the shared state instead of the local best/bestPick pair.
-	shared  *parallelShared
-	unitIdx int
-
-	// levels for TopoInt acyclicity maintenance
-	level []int
-
-	// sc holds the local search's epoch-stamped scratch buffers.
-	sc *improveScratch
-}
-
-// recordIncumbent notes one incumbent improvement for the Solution's
-// Incumbents / FirstIncumbent diagnostics.
-func (s *solver) recordIncumbent() {
-	s.incumbents++
-	if s.incumbents == 1 {
-		s.firstIncumbent = time.Since(s.start)
-	}
+	ev             *evaluator
+	shared         *parallelShared
+	unitIdx        int
 }
 
 // Solve runs branch-and-bound and returns the best selection.
@@ -231,10 +221,9 @@ func Solve(p *Problem) (*Solution, error) {
 	return SolveContext(context.Background(), p)
 }
 
-// prepare validates the problem and builds a solver with every
-// precomputed read-only table (allowed nodes, class minima, greedy
-// ordering costs, free picks) plus empty search state. Shared by the
-// sequential and parallel entry points.
+// prepare validates the problem and builds the master solver: every
+// precomputed read-only table (allowed nodes, class minima, tree
+// costs, free picks) plus empty search state.
 func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -242,7 +231,7 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &solver{p: p, done: ctx.Done(), start: start}
+	s := &solver{p: p, done: ctx.Done(), ev: newEvaluator(p)}
 	if p.Timeout > 0 {
 		s.deadline = start.Add(p.Timeout)
 		s.hasDeadline = true
@@ -252,16 +241,9 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 	s.minCost = make([]float64, m)
 	for c, members := range p.Classes {
 		for _, i := range members {
-			if p.Forbidden != nil && p.Forbidden[i] {
-				continue
+			if p.Allowed(i) {
+				s.allowed[c] = append(s.allowed[c], i)
 			}
-			// Infinite-cost nodes (ill-typed under the cost model) can
-			// never appear in a finite solution; admitting them would
-			// also poison the bound arithmetic (Inf - Inf = NaN).
-			if math.IsInf(p.Costs[i], 1) {
-				continue
-			}
-			s.allowed[c] = append(s.allowed[c], i)
 		}
 		sort.Slice(s.allowed[c], func(a, b int) bool {
 			return p.Costs[s.allowed[c][a]] < p.Costs[s.allowed[c][b]]
@@ -271,51 +253,42 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 			s.minCost[c] = p.Costs[s.allowed[c][0]]
 		}
 	}
-	s.pruneDominated()
 	s.computeFree()
-	s.computeGreedy()
+	s.greedy = p.TreeCosts(nil)
 	s.chosen = make([]int, m)
 	for i := range s.chosen {
 		s.chosen[i] = -1
 	}
 	s.need = make([]int, m)
 	s.best = math.Inf(1)
-	if p.CycleConstraints && p.TopoMode == TopoInt {
-		s.level = make([]int, m)
-	}
 	return s, nil
 }
 
 // seed installs the best of the internal greedy and the caller warm
 // starts (each refined by the sharing-aware local search) as the
-// initial incumbent, and returns the best unrefined warm-start cost.
-// It does NOT invoke OnIncumbent — the entry points do, after wiring
-// their incumbent plumbing.
+// master's incumbent, trimmed to its root closure, and returns the
+// best unrefined warm-start cost. A warm start only has to be complete
+// and acyclic: it may name a node presolve has since dropped, which is
+// still a sound choice in the model as built, and rejecting it would
+// throw away the caller's floor on the answer.
 func (s *solver) seed() (seedCost float64) {
-	p := s.p
-	s.seedIncumbent()
-	starts := [][]int{}
-	if s.bestPick != nil {
-		starts = append(starts, s.bestPick)
+	var starts [][]int
+	if g := s.greedyStart(); g != nil {
+		starts = append(starts, g)
 	}
-	m := len(p.Classes)
-	for _, ws := range p.WarmStarts {
-		if len(ws) == m {
-			starts = append(starts, append([]int(nil), ws...))
+	for _, ws := range s.p.WarmStarts {
+		if len(ws) == len(s.p.Classes) {
+			starts = append(starts, ws)
 		}
 	}
 	seedCost = math.Inf(1)
-	s.best, s.bestPick = math.Inf(1), nil
 	for _, st := range starts {
-		cost, ok := s.selectionCost(st)
+		cost, ok := s.ev.cost(st)
 		if !ok {
 			continue
 		}
-		if cost < seedCost {
-			seedCost = cost
-		}
-		imp, impCost := s.improveFrom(st)
-		if impCost < s.best {
+		seedCost = min(seedCost, cost)
+		if imp, impCost := s.improveFrom(st); impCost < s.best {
 			s.best, s.bestPick = impCost, imp
 		}
 	}
@@ -327,163 +300,30 @@ func (s *solver) seed() (seedCost float64) {
 // with Canceled set, exactly like a timeout; with no incumbent it
 // returns ctx.Err() so callers see the cancellation directly.
 func SolveContext(ctx context.Context, p *Problem) (*Solution, error) {
-	start := time.Now()
-	s, err := prepare(ctx, p, start)
-	if err != nil {
-		return nil, err
-	}
-	seedCost := s.seed()
-	if s.bestPick != nil {
-		s.recordIncumbent()
-		if p.OnIncumbent != nil {
-			p.OnIncumbent(s.best, 0)
-		}
-	}
-
-	s.need[p.Root] = 1
-	s.branch([]int{p.Root}, s.minCost[p.Root])
-
-	sol := &Solution{
-		Optimal:        !s.timedOut && !s.stalled,
-		TimedOut:       s.timedOut,
-		Canceled:       s.canceled,
-		Stalled:        s.stalled,
-		Explored:       s.explored,
-		Time:           time.Since(start),
-		SeedCost:       seedCost,
-		ImproveCommits: s.improveCommits,
-		Incumbents:     s.incumbents,
-		FirstIncumbent: s.firstIncumbent,
-		Workers:        1,
-	}
-	if s.bestPick == nil {
-		switch {
-		case s.canceled:
-			return nil, ctx.Err()
-		case s.timedOut || s.stalled:
-			return nil, ErrTimeout
-		default:
-			return nil, ErrInfeasible
-		}
-	}
-	sol.Cost = s.best
-	sol.NodeOf = make(map[int]int)
-	for c, n := range s.bestPick {
-		if n >= 0 {
-			sol.NodeOf[c] = n
-		}
-	}
-	return sol, nil
+	return SolveParallelContext(ctx, p, 1)
 }
 
-// pruneDominated removes, within each class, any node that is
-// dominated by a cheaper (or equal-cost) node whose children classes
-// are a subset of its own: picking the dominated node can always be
-// replaced by the dominating one without increasing cost or adding
-// requirements. This preserves at least one optimal solution. Cycle
-// constraints do not change that: the dominating node's edges are a
-// subset, so it can never introduce a cycle the dominated one avoids.
-func (s *solver) pruneDominated() {
-	for c, members := range s.allowed {
-		if len(members) < 2 {
-			continue
-		}
-		childSet := make([]map[int]bool, len(members))
-		for k, i := range members {
-			set := make(map[int]bool, len(s.p.Children[i]))
-			for _, h := range s.p.Children[i] {
-				set[h] = true
-			}
-			childSet[k] = set
-		}
-		keep := members[:0]
-		for k, i := range members {
-			dominated := false
-			for k2, j := range members {
-				if k == k2 || s.p.Costs[j] > s.p.Costs[i] {
-					continue
-				}
-				if s.p.Costs[j] == s.p.Costs[i] && k2 > k {
-					continue // tie-break by position to avoid mutual elimination
-				}
-				subset := true
-				for h := range childSet[k2] {
-					if !childSet[k][h] {
-						subset = false
-						break
-					}
-				}
-				if subset {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				keep = append(keep, i)
-			}
-		}
-		s.allowed[c] = keep
-	}
-}
-
-// seedIncumbent installs the greedy extraction as the initial
-// incumbent, guaranteeing the ILP result is never worse than greedy
-// even when the search stalls or times out, and sharpening pruning
-// from the first branch.
-func (s *solver) seedIncumbent() {
+// greedyStart returns the greedy extraction — per class the node of
+// least tree cost — trimmed to its root closure, or nil when that
+// selection is incomplete or cyclic. Seeding with it guarantees the
+// ILP result is never worse than greedy even when the search stalls or
+// times out, and sharpens pruning from the first branch.
+func (s *solver) greedyStart() []int {
 	pick := make([]int, len(s.p.Classes))
 	for c := range pick {
 		pick[c] = -1
 		best := math.Inf(1)
 		for _, i := range s.allowed[c] {
-			t := s.p.Costs[i]
-			for _, h := range s.p.Children[i] {
-				t += s.greedy[h]
-			}
-			if t < best {
-				best = t
-				pick[c] = i
+			if t := s.nodeHeuristic(i); t < best {
+				best, pick[c] = t, i
 			}
 		}
 	}
-	// Collect the root closure and its DAG cost, rejecting cycles.
-	state := make(map[int]uint8)
-	total := 0.0
-	ok := true
-	var visit func(c int)
-	visit = func(c int) {
-		if !ok || state[c] == 2 {
-			return
-		}
-		if state[c] == 1 {
-			ok = false // cyclic greedy selection: no warm start
-			return
-		}
-		state[c] = 1
-		i := pick[c]
-		if i < 0 || math.IsInf(s.p.Costs[i], 1) {
-			ok = false
-			return
-		}
-		total += s.p.Costs[i]
-		for _, h := range s.p.Children[i] {
-			visit(h)
-		}
-		state[c] = 2
+	if _, ok := s.ev.cost(pick); !ok {
+		return nil
 	}
-	visit(s.p.Root)
-	if !ok {
-		return
-	}
-	s.best = total
-	s.bestPick = make([]int, len(pick))
-	for c := range pick {
-		if state[c] == 2 {
-			s.bestPick[c] = pick[c]
-		} else {
-			s.bestPick[c] = -1
-		}
-	}
+	s.ev.trim(pick)
+	return pick
 }
 
 // computeFree finds, per class, a node with an entirely zero-cost
@@ -525,40 +365,6 @@ func (s *solver) computeFree() {
 			}
 		}
 	}
-}
-
-// computeGreedy runs the greedy tree-cost fixpoint used only to order
-// branches (first descent then lands on the greedy extraction).
-func (s *solver) computeGreedy() {
-	m := len(s.p.Classes)
-	s.greedy = make([]float64, m)
-	for c := range s.greedy {
-		s.greedy[c] = math.Inf(1)
-	}
-	for changed := true; changed; {
-		changed = false
-		for c := 0; c < m; c++ {
-			for _, i := range s.allowed[c] {
-				t := s.p.Costs[i]
-				for _, h := range s.p.Children[i] {
-					t += s.greedy[h]
-				}
-				if t < s.greedy[c] {
-					s.greedy[c] = t
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// hasIncumbent reports whether any feasible solution is known — the
-// local one for sequential solves, the shared one for parallel workers.
-func (s *solver) hasIncumbent() bool {
-	if s.shared != nil {
-		return !math.IsInf(s.shared.best(), 1)
-	}
-	return s.bestPick != nil
 }
 
 // pickClass selects the next undecided class from pending following
@@ -609,21 +415,16 @@ func (s *solver) branch(pending []int, bound float64) {
 			return
 		default:
 		}
-		// Parallel workers refresh the pruning bound from the shared
-		// incumbent at the same cadence as the clock checks, so a
-		// sibling's improvement tightens this subtree within 512
-		// expansions without an atomic load on every branch.
-		if s.shared != nil {
-			if b := s.shared.best(); b < s.best {
-				s.best = b
-			}
-		}
+		// Refresh the pruning bound at the same cadence as the clock
+		// checks, so a sibling's improvement tightens this subtree within
+		// 512 expansions without an atomic load on every branch.
+		s.refreshBound()
 	}
 	// The stall limit applies even before a first incumbent exists
 	// (with a grace factor), so a search that cannot find any feasible
 	// solution still terminates.
 	if s.p.StallLimit > 0 && s.explored-s.lastImprove > s.p.StallLimit {
-		if s.hasIncumbent() || s.explored-s.lastImprove > 8*s.p.StallLimit {
+		if !math.IsInf(s.shared.best(), 1) || s.explored-s.lastImprove > 8*s.p.StallLimit {
 			s.stalled = true
 			return
 		}
@@ -667,29 +468,23 @@ func (s *solver) branch(pending []int, bound float64) {
 	}
 }
 
-// foundSolution records the current complete assignment as an
-// incumbent if it improves (or, under the parallel tie-break, matches)
-// the best known one.
+// foundSolution offers the current complete assignment to the shared
+// incumbent, which takes it if it improves on (or, from an earlier
+// unit, ties) the best known one.
 func (s *solver) foundSolution() {
-	if s.shared != nil {
-		if s.acc < s.best {
-			if s.shared.offer(s.acc, s.chosen, s.unitIdx) {
-				s.lastImprove = s.explored
-			}
-			if b := s.shared.best(); b < s.best {
-				s.best = b
-			}
-		}
+	if s.acc >= s.best {
 		return
 	}
-	if s.acc < s.best {
-		s.best = s.acc
-		s.bestPick = append([]int(nil), s.chosen...)
+	if s.shared.offer(s.acc, s.chosen, s.unitIdx, s.shared.explored.Load()+s.explored) {
 		s.lastImprove = s.explored
-		s.recordIncumbent()
-		if s.p.OnIncumbent != nil {
-			s.p.OnIncumbent(s.best, s.explored)
-		}
+	}
+	s.refreshBound()
+}
+
+// refreshBound lowers the worker's pruning bound to the shared one.
+func (s *solver) refreshBound() {
+	if b := s.shared.best(); b < s.best {
+		s.best = b
 	}
 }
 
@@ -736,7 +531,7 @@ func (s *solver) nodeHeuristic(i int) float64 {
 
 // step is one branch decision: node chosen for class. A sequence of
 // steps from the root is a replayable partial assignment — the unit of
-// work the parallel solver distributes.
+// work the driver distributes.
 type step struct{ class, node int }
 
 // applyStep mutates the search state for one decision — chosen, acc,

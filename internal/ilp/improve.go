@@ -15,29 +15,8 @@ func debugf(format string, args ...any) {
 	}
 }
 
-// improveScratch holds epoch-stamped per-class buffers so the local
-// search allocates nothing proportional to the class count per trial.
-type improveScratch struct {
-	epoch int32
-	mark  []int32 // closure/marginal membership, valid when == epoch
-	state []int32 // DFS colors: epoch => on stack, epoch+1 => done
-	pick  []int   // current working selection
-	adds  []addEntry
-}
-
 type addEntry struct {
 	class, node int
-}
-
-func (sc *improveScratch) next() {
-	sc.epoch += 2
-	if sc.epoch > 1<<30 {
-		for i := range sc.mark {
-			sc.mark[i] = 0
-			sc.state[i] = 0
-		}
-		sc.epoch = 2
-	}
 }
 
 // improveFrom strengthens a warm start with a sharing-aware local
@@ -55,22 +34,24 @@ func (sc *improveScratch) next() {
 //     switch every selected class that gains from reusing it; commit
 //     when the joint savings exceed the hub's marginal cost.
 //
-// Every commit is re-validated (closure complete, acyclic, cost
-// recomputed), so this only seeds branch-and-bound with a better
-// incumbent; exactness is unaffected.
+// Every commit is re-validated by the evaluator (closure complete,
+// acyclic, cost recomputed), so this only seeds branch-and-bound with
+// a better incumbent; exactness is unaffected. The result is a copy of
+// start, trimmed to its root closure.
 func (s *solver) improveFrom(start []int) ([]int, float64) {
 	m := len(s.p.Classes)
-	if s.sc == nil {
-		s.sc = &improveScratch{mark: make([]int32, m), state: make([]int32, m)}
-	}
 	pick := append([]int(nil), start...)
 
 	for pass := 0; pass < 512; pass++ {
-		required := s.closure(pick)
-		if required == nil {
+		curCost, ok := s.ev.cost(pick)
+		if !ok {
 			return pick, math.Inf(1) // broken start; caller discards
 		}
-		if s.singleSwitchSweep(pick, required) {
+		required := make([]bool, m)
+		for c := range required {
+			required[c] = s.ev.inClosure(c)
+		}
+		if s.singleSwitchSweep(pick, required, curCost) {
 			continue
 		}
 		// Classes worth switching for hub moves: selected, paying a
@@ -214,7 +195,6 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				continue
 			}
 			// Commit tentatively, with an undo log.
-			curCost := s.incumbentCost(pick)
 			var undo []addEntry
 			set := func(c, n int) {
 				undo = append(undo, addEntry{c, pick[c]})
@@ -232,7 +212,7 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				}
 			}
 			s.fillFreeFrom(pick, undo)
-			if cost, okc := s.selectionCost(pick); okc && cost < curCost-boundAdjust {
+			if cost, okc := s.ev.cost(pick); okc && cost < curCost-boundAdjust {
 				improved = true
 				s.improveCommits++
 			} else {
@@ -247,14 +227,19 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 		}
 	}
 
-	return pick, s.incumbentCost(pick)
+	cost, ok := s.ev.cost(pick)
+	if !ok {
+		return pick, math.Inf(1)
+	}
+	s.ev.trim(pick)
+	return pick, cost
 }
 
 // singleSwitchSweep tries replacing one selected class's pick with
 // each alternative (greedily completing new requirements) and commits
-// the first full-validation improvement. Returns whether it improved.
-func (s *solver) singleSwitchSweep(pick []int, required []bool) bool {
-	cur := s.incumbentCost(pick)
+// the first full-validation improvement on cur, pick's cost. Returns
+// whether it improved.
+func (s *solver) singleSwitchSweep(pick []int, required []bool, cur float64) bool {
 	for c := range s.p.Classes {
 		if !required[c] || len(s.allowed[c]) < 2 {
 			continue
@@ -299,7 +284,7 @@ func (s *solver) singleSwitchSweep(pick []int, required []bool) bool {
 				continue
 			}
 			s.fillFreeFrom(pick, undo)
-			if cost, ok := s.selectionCost(pick); ok && cost < cur-boundAdjust {
+			if cost, ok := s.ev.cost(pick); ok && cost < cur-boundAdjust {
 				s.improveCommits++
 				debugf("single-switch: class %d -> node %d, %.2f -> %.2f", c, i, cur, cost)
 				return true
@@ -320,87 +305,6 @@ func countTrue(b []bool) int {
 	return n
 }
 
-// closure returns the set of classes reachable from the root through
-// the current picks, or nil if the selection is incomplete or cyclic.
-func (s *solver) closure(pick []int) []bool {
-	seen := make([]bool, len(s.p.Classes))
-	state := make([]uint8, len(s.p.Classes))
-	ok := true
-	var visit func(c int)
-	visit = func(c int) {
-		if !ok || state[c] == 2 {
-			return
-		}
-		if state[c] == 1 {
-			ok = false
-			return
-		}
-		state[c] = 1
-		if pick[c] < 0 {
-			ok = false
-			return
-		}
-		seen[c] = true
-		for _, h := range s.p.Children[pick[c]] {
-			visit(h)
-		}
-		state[c] = 2
-	}
-	visit(s.p.Root)
-	if !ok {
-		return nil
-	}
-	return seen
-}
-
-// incumbentCost is the closure cost of a selection assumed valid.
-func (s *solver) incumbentCost(pick []int) float64 {
-	cost, ok := s.selectionCost(pick)
-	if !ok {
-		return math.Inf(1)
-	}
-	return cost
-}
-
-// selectionCost validates a selection (complete and acyclic from the
-// root) and returns its DAG cost, allocating only scratch epochs.
-func (s *solver) selectionCost(pick []int) (float64, bool) {
-	if s.sc == nil {
-		m := len(s.p.Classes)
-		s.sc = &improveScratch{mark: make([]int32, m), state: make([]int32, m)}
-	}
-	sc := s.sc
-	sc.next()
-	onStack, done := sc.epoch, sc.epoch+1
-	total := 0.0
-	ok := true
-	var visit func(c int)
-	visit = func(c int) {
-		if !ok || sc.state[c] == done {
-			return
-		}
-		if sc.state[c] == onStack {
-			ok = false
-			return
-		}
-		sc.state[c] = onStack
-		if pick[c] < 0 {
-			ok = false
-			return
-		}
-		total += s.p.Costs[pick[c]]
-		for _, h := range s.p.Children[pick[c]] {
-			visit(h)
-		}
-		sc.state[c] = done
-	}
-	visit(s.p.Root)
-	if !ok {
-		return 0, false
-	}
-	return total, true
-}
-
 // marginalClosure computes the cheapest completion of class c on top
 // of the base set: the extra classes that must be selected and their
 // total cost. Free classes complete through freePick at zero cost.
@@ -411,11 +315,7 @@ func (s *solver) marginalClosure(c int, base []bool) (float64, []addEntry, bool)
 // marginalClosureSeen is marginalClosure with extra already-completed
 // entries (from sibling completions) treated as zero-cost base.
 func (s *solver) marginalClosureSeen(c int, base []bool, already []addEntry) (float64, []addEntry, bool) {
-	if s.sc == nil {
-		m := len(s.p.Classes)
-		s.sc = &improveScratch{mark: make([]int32, m), state: make([]int32, m)}
-	}
-	sc := s.sc
+	sc := s.ev
 	sc.next()
 	inSet, onStack := sc.epoch, sc.epoch+1
 	for _, a := range already {

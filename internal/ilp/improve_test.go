@@ -1,9 +1,10 @@
 package ilp
 
 import (
+	"context"
 	"math"
-	"sort"
 	"testing"
+	"time"
 )
 
 // figure2Problem models the merged-matmul economics:
@@ -26,48 +27,29 @@ func figure2Problem() *Problem {
 	}
 }
 
-func newSolverForTest(p *Problem) *solver {
-	s := &solver{p: p}
-	m := len(p.Classes)
-	s.allowed = make([][]int, m)
-	s.minCost = make([]float64, m)
-	for c, members := range p.Classes {
-		s.allowed[c] = append(s.allowed[c], members...)
-		sort.Slice(s.allowed[c], func(a, b int) bool {
-			return p.Costs[s.allowed[c][a]] < p.Costs[s.allowed[c][b]]
-		})
-		s.minCost[c] = math.Inf(1)
-		if len(s.allowed[c]) > 0 {
-			s.minCost[c] = p.Costs[s.allowed[c][0]]
-		}
+func newSolverForTest(t *testing.T, p *Problem) *solver {
+	t.Helper()
+	s, err := prepare(context.Background(), p, time.Now())
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.pruneDominated()
-	s.computeFree()
-	s.computeGreedy()
-	s.chosen = make([]int, m)
-	for i := range s.chosen {
-		s.chosen[i] = -1
-	}
-	s.need = make([]int, m)
-	s.best = math.Inf(1)
 	return s
 }
 
 func TestSeedIncumbentIsGreedy(t *testing.T) {
-	s := newSolverForTest(figure2Problem())
-	s.seedIncumbent()
-	if s.bestPick == nil {
+	s := newSolverForTest(t, figure2Problem())
+	pick := s.greedyStart()
+	if pick == nil {
 		t.Fatal("no incumbent")
 	}
-	if s.best != 16.8 {
-		t.Fatalf("greedy seed cost %v, want 16.8", s.best)
+	if cost, ok := s.ev.cost(pick); !ok || cost != 16.8 {
+		t.Fatalf("greedy seed cost %v (valid %v), want 16.8", cost, ok)
 	}
 }
 
 func TestImproveIncumbentFindsJointSwitch(t *testing.T) {
-	s := newSolverForTest(figure2Problem())
-	s.seedIncumbent()
-	_, cost := s.improveFrom(s.bestPick)
+	s := newSolverForTest(t, figure2Problem())
+	_, cost := s.improveFrom(s.greedyStart())
 	if math.Abs(cost-8.8) > 1e-9 {
 		t.Fatalf("improved cost %v, want 8.8 (joint switch to shared merged matmul)", cost)
 	}

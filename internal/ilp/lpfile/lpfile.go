@@ -45,13 +45,6 @@ func childRow(i, m int) string { return fmt.Sprintf("CH_N%d_C%d", i, m) }
 // cycleRow is the name of the topological-order row for edge (i, m).
 func cycleRow(i, m int) string { return fmt.Sprintf("CY_N%d_C%d", i, m) }
 
-// forbidden reports whether node i is excluded from the model (listed
-// in the filter mask or priced infinite by the cost model); its
-// variable is exported fixed to zero.
-func forbidden(p *ilp.Problem, i int) bool {
-	return (p.Forbidden != nil && p.Forbidden[i]) || math.IsInf(p.Costs[i], 1)
-}
-
 // dedupChildren returns node i's distinct child classes in first-seen
 // order.
 func dedupChildren(p *ilp.Problem, i int) []int {
@@ -208,7 +201,7 @@ func WriteMPS(w io.Writer, p *ilp.Problem) error {
 	fmt.Fprintln(bw, "BOUNDS")
 	for c, members := range p.Classes {
 		for _, i := range members {
-			if forbidden(p, i) {
+			if !p.Allowed(i) {
 				fmt.Fprintf(bw, " FX BND             %-14s  0\n", VarName(c, i))
 			} else {
 				fmt.Fprintf(bw, " BV BND             %s\n", VarName(c, i))
@@ -283,7 +276,7 @@ func WriteLP(w io.Writer, p *ilp.Problem) error {
 	fmt.Fprintln(bw, "Bounds")
 	for c, members := range p.Classes {
 		for _, i := range members {
-			if forbidden(p, i) {
+			if !p.Allowed(i) {
 				fmt.Fprintf(bw, " %s = 0\n", VarName(c, i))
 			}
 		}
@@ -499,7 +492,8 @@ func appendUnique(s []int, v int) []int {
 // Selection is a solution file mapped back onto the model.
 type Selection struct {
 	// NodeOf is the chosen node per class, decoded from the variables
-	// at value one.
+	// at value one. Nothing here is checked against a model: the names
+	// are the file's, so ilp.Problem.Check must judge it before use.
 	NodeOf map[int]int
 	// Objective is the solver-reported objective, when present.
 	Objective    float64
@@ -567,48 +561,4 @@ func ParseSolution(r io.Reader) (*Selection, error) {
 		return nil, err
 	}
 	return sel, nil
-}
-
-// SelectionCost evaluates a decoded selection against the problem: the
-// DAG cost of the root closure. It errors if the selection is missing
-// a required class or (under cycle constraints) cyclic — the checks a
-// solution from an external process must pass before being trusted.
-func SelectionCost(p *ilp.Problem, nodeOf map[int]int) (float64, error) {
-	state := make(map[int]uint8)
-	total := 0.0
-	var visit func(c int) error
-	visit = func(c int) error {
-		switch state[c] {
-		case 2:
-			return nil
-		case 1:
-			if p.CycleConstraints {
-				return fmt.Errorf("lpfile: selection is cyclic at class %d", c)
-			}
-			return nil
-		}
-		state[c] = 1
-		i, ok := nodeOf[c]
-		if !ok {
-			return fmt.Errorf("lpfile: selection missing required class %d", c)
-		}
-		if p.ClassOf[i] != c {
-			return fmt.Errorf("lpfile: node %d does not belong to class %d", i, c)
-		}
-		if forbidden(p, i) {
-			return fmt.Errorf("lpfile: selection uses forbidden node %d", i)
-		}
-		total += p.Costs[i]
-		for _, h := range p.Children[i] {
-			if err := visit(h); err != nil {
-				return err
-			}
-		}
-		state[c] = 2
-		return nil
-	}
-	if err := visit(p.Root); err != nil {
-		return 0, err
-	}
-	return total, nil
 }

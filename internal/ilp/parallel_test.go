@@ -168,13 +168,13 @@ func TestParallelDeterministicCost(t *testing.T) {
 func TestOfferTieBreak(t *testing.T) {
 	sh := &parallelShared{start: time.Now(), bestUnit: -1}
 	sh.bestBits.Store(math.Float64bits(math.Inf(1)))
-	if !sh.offer(10, []int{1, 2}, 5) {
+	if !sh.offer(10, []int{1, 2}, 5, 0) {
 		t.Fatal("first solution rejected")
 	}
-	if sh.offer(10, []int{3, 4}, 7) {
+	if sh.offer(10, []int{3, 4}, 7, 0) {
 		t.Fatal("equal cost from a later unit accepted")
 	}
-	if !sh.offer(10, []int{5, 6}, 2) {
+	if !sh.offer(10, []int{5, 6}, 2, 0) {
 		t.Fatal("equal cost from an earlier unit rejected")
 	}
 	if sh.bestUnit != 2 || sh.bestPick[0] != 5 {
@@ -183,7 +183,7 @@ func TestOfferTieBreak(t *testing.T) {
 	if sh.incumbents != 1 {
 		t.Fatalf("ties counted as incumbents: %d", sh.incumbents)
 	}
-	if !sh.offer(9, []int{7, 8}, 9) || sh.incumbents != 2 {
+	if !sh.offer(9, []int{7, 8}, 9, 0) || sh.incumbents != 2 {
 		t.Fatal("strict improvement mishandled")
 	}
 }

@@ -13,8 +13,8 @@
 //     surviving candidates can never satisfy its implication row;
 //   - iterated domination: within a class, a node whose cost is no
 //     lower and whose children are a superset of a sibling's is never
-//     needed (the one-shot rule the solver had, run to fixpoint so each
-//     deletion can enable the next);
+//     needed (run to fixpoint so each deletion can enable the next; the
+//     solver has no domination rule of its own);
 //   - cost domination: without cycle constraints, sibling j beats i
 //     outright when cost_j plus a tree-cost upper bound on j's extra
 //     children is below cost_i — dependency-aware reasoning the
@@ -33,7 +33,6 @@ package presolve
 
 import (
 	"context"
-	"math"
 
 	"tensat/internal/ilp"
 )
@@ -86,7 +85,7 @@ func Run(ctx context.Context, p *ilp.Problem) (*ilp.Problem, Reduction, error) {
 
 	alive := make([]bool, n)
 	for i := 0; i < n; i++ {
-		alive[i] = (p.Forbidden == nil || !p.Forbidden[i]) && !isInf(p.Costs[i])
+		alive[i] = p.Allowed(i)
 		if alive[i] {
 			red.NodesBefore++
 		}
@@ -108,7 +107,6 @@ func Run(ctx context.Context, p *ilp.Problem) (*ilp.Problem, Reduction, error) {
 	}
 
 	reachable := make([]bool, m)
-	upper := make([]float64, m)
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, red, err
@@ -168,7 +166,7 @@ func Run(ctx context.Context, p *ilp.Problem) (*ilp.Problem, Reduction, error) {
 		// Tree-cost upper bounds for the dependency-aware domination:
 		// upper[c] bounds the cost of adding class c's closure to any
 		// solution (fixpoint over surviving nodes).
-		treeUpper(p, alive, upper)
+		upper := p.TreeCosts(alive)
 
 		// Iterated domination inside each reachable class.
 		for c := 0; c < m; c++ {
@@ -239,32 +237,6 @@ func Run(ctx context.Context, p *ilp.Problem) (*ilp.Problem, Reduction, error) {
 		}
 	}
 	return q, red, nil
-}
-
-// treeUpper computes, per class, the minimum tree cost over surviving
-// nodes — an upper bound on the DAG cost of adding that class's
-// closure to any partial solution. Infinite when the class has no
-// finite acyclic derivation.
-func treeUpper(p *ilp.Problem, alive []bool, upper []float64) {
-	for c := range upper {
-		upper[c] = inf
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, cost := range p.Costs {
-			if !alive[i] {
-				continue
-			}
-			t := cost
-			for _, h := range p.Children[i] {
-				t += upper[h]
-			}
-			if c := p.ClassOf[i]; t < upper[c] {
-				upper[c] = t
-				changed = true
-			}
-		}
-	}
 }
 
 // dominate applies both domination rules within class c and reports
@@ -422,7 +394,3 @@ func scc(n int, adj [][]int) []int {
 	}
 	return comp
 }
-
-var inf = math.Inf(1)
-
-func isInf(f float64) bool { return math.IsInf(f, 1) }

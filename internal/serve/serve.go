@@ -173,11 +173,7 @@ func New(cfg Config) *Service {
 		cache:  newLRUCache(cfg.CacheSize, cfg.CacheMaxBytes),
 		flight: newFlightGroup(),
 		jobs:   newJobStore(cfg.MaxJobs, cfg.JobTTL),
-		opt: tensat.NewOptimizer(
-			tensat.WithRules(cfg.Base.Rules),
-			tensat.WithCostModel(cfg.Base.CostModel),
-			tensat.WithRegistry(cfg.Registry),
-		),
+		opt:    tensat.NewOptimizer(tensat.WithRegistry(cfg.Registry)),
 	}
 	s.log = cfg.Logger
 	if s.log == nil {

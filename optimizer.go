@@ -67,10 +67,8 @@ type Progress struct {
 // type; services or tools optimizing more than one graph should hold
 // one Optimizer so the rule patterns are not re-parsed per call.
 type Optimizer struct {
-	userRules []*Rule
-	model     CostModel
-	base      Options
-	registry  *Registry
+	model    CostModel
+	registry *Registry
 
 	rulesOnce sync.Once
 	rules     []*Rule
@@ -79,25 +77,6 @@ type Optimizer struct {
 
 // OptimizerOption configures NewOptimizer.
 type OptimizerOption func(*Optimizer)
-
-// WithRules sets the rewrite rule set shared by all jobs (nil keeps
-// the default TASO-style set, compiled lazily on first use).
-func WithRules(rs []*Rule) OptimizerOption {
-	return func(o *Optimizer) { o.userRules = rs }
-}
-
-// WithCostModel sets the cost model shared by all jobs (nil keeps the
-// simulated T4 default).
-func WithCostModel(m CostModel) OptimizerOption {
-	return func(o *Optimizer) { o.model = m }
-}
-
-// WithBaseOptions sets the option template jobs inherit: any zero
-// field of the Options passed to Submit falls back to this template
-// before the paper defaults apply.
-func WithBaseOptions(base Options) OptimizerOption {
-	return func(o *Optimizer) { o.base = base }
-}
 
 // WithRegistry sets the profile registry that resolves Options.RuleSet
 // and Options.CostModelName (nil keeps DefaultRegistry). Registry
@@ -110,12 +89,9 @@ func WithRegistry(r *Registry) OptimizerOption {
 
 // NewOptimizer builds a reusable Optimizer.
 func NewOptimizer(opts ...OptimizerOption) *Optimizer {
-	o := &Optimizer{}
+	o := &Optimizer{model: cost.NewT4()}
 	for _, apply := range opts {
 		apply(o)
-	}
-	if o.model == nil {
-		o.model = cost.NewT4()
 	}
 	return o
 }
@@ -134,17 +110,12 @@ func (o *Optimizer) reg() *Registry {
 }
 
 // ruleSet resolves the optimizer-default rule set exactly once (the
-// registry's taso-default entry, or the WithRules override), used by
-// jobs that name no profile and bring no rules of their own. Named
-// rule sets (Options.RuleSet) bypass this and hit the registry, where
-// each set was compiled at registration.
+// registry's taso-default entry), used by jobs that name no profile
+// and bring no rules of their own. Named rule sets (Options.RuleSet)
+// bypass this and hit the registry, where each set was compiled at
+// registration.
 func (o *Optimizer) ruleSet() ([]*Rule, *rewrite.CompiledRules) {
 	o.rulesOnce.Do(func() {
-		if o.userRules != nil {
-			o.rules = o.userRules
-			o.compiled = rewrite.CompileRules(o.rules)
-			return
-		}
 		if rs, ok := o.reg().RuleSet(DefaultRuleSetName); ok {
 			o.rules = rs
 			o.compiled, _ = o.reg().compiledRuleSet(DefaultRuleSetName)
@@ -156,46 +127,9 @@ func (o *Optimizer) ruleSet() ([]*Rule, *rewrite.CompiledRules) {
 	return o.rules, o.compiled
 }
 
-// resolve fills the zero fields of opt from the optimizer's base
-// template, then from the paper defaults, mirroring what the original
-// Optimize entry point did. The rule set and cost model each inherit
-// as one unit — object plus profile name — so a base template's
-// named profile cannot leak under a job's explicit object (or vice
-// versa).
+// resolve fills the zero limits of opt from the paper defaults,
+// mirroring what the original Optimize entry point did.
 func (o *Optimizer) resolve(opt Options) Options {
-	b := o.base
-	if opt.Rules == nil && opt.RuleSet == "" {
-		opt.Rules = b.Rules
-		opt.RuleSet = b.RuleSet
-	}
-	if opt.CostModel == nil && opt.CostModelName == "" {
-		opt.CostModel = b.CostModel
-		opt.CostModelName = b.CostModelName
-	}
-	if opt.NodeLimit == 0 {
-		opt.NodeLimit = b.NodeLimit
-	}
-	if opt.IterLimit == 0 {
-		opt.IterLimit = b.IterLimit
-	}
-	if opt.KMulti == 0 {
-		opt.KMulti = b.KMulti
-	}
-	if opt.ExploreTimeout == 0 {
-		opt.ExploreTimeout = b.ExploreTimeout
-	}
-	if opt.Workers == 0 {
-		opt.Workers = b.Workers
-	}
-	if opt.ILPTimeout == 0 {
-		opt.ILPTimeout = b.ILPTimeout
-	}
-	if opt.ILPSolver == "" {
-		opt.ILPSolver = b.ILPSolver
-	}
-	if !opt.Trace {
-		opt.Trace = b.Trace
-	}
 	def := DefaultOptions()
 	if opt.NodeLimit == 0 {
 		opt.NodeLimit = def.NodeLimit
@@ -308,8 +242,7 @@ func (j *Job) finish(res *Result, err error, sink func(Progress)) {
 // Submit starts an asynchronous optimization of g and returns its Job
 // handle immediately. The job runs until completion, cancellation of
 // ctx, or Job.Cancel. opts follows the same zero-means-default rules
-// as Optimize, with the optimizer's WithBaseOptions template applied
-// first; opts.Rules and opts.CostModel override the optimizer's
+// as Optimize; opts.Rules and opts.CostModel override the optimizer's
 // compiled set for this job only.
 func (o *Optimizer) Submit(ctx context.Context, g *Graph, opts Options) (*Job, error) {
 	if g == nil {

@@ -209,8 +209,7 @@ func TestOptimizerResolvesNamedProfiles(t *testing.T) {
 }
 
 // TestOptionsObjectBeatsName: an explicit Rules/CostModel object on
-// the same Options wins over a profile name, and base-template
-// profiles inherit as a unit.
+// the same Options wins over a profile name.
 func TestOptionsObjectBeatsName(t *testing.T) {
 	g := buildProfileTestGraph(t)
 	counted := &countingModel{base: DefaultCostModel()}

@@ -389,7 +389,7 @@ func Optimize(g *Graph, opt Options) (*Result, error) {
 // Like Optimize, it is a synchronous shim: it submits one job to a
 // fresh Optimizer and waits for the result.
 func OptimizeContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
-	job, err := NewOptimizer(WithRules(opt.Rules), WithCostModel(opt.CostModel)).Submit(ctx, g, opt)
+	job, err := NewOptimizer().Submit(ctx, g, opt)
 	if err != nil {
 		return nil, err
 	}
