@@ -1,12 +1,16 @@
 // Package canonid implements the tensatlint analyzer enforcing e-graph
-// ID canonicalization discipline: an expression used to index a map
-// whose key type is a ClassID must be canonical — produced by
-// find/canonicalization (Find, Canonicalize, Lookup), read from an
-// already-canonical source (a Class.ID field, the keys of another
-// ClassID-keyed map), or explicitly annotated //lint:canonical with a
-// justification. IDs returned by Add and Union go stale after later
-// unions; indexing a class map with a stale ID silently misses the
-// class (map reads) or resurrects a dead one (map writes) — the
+// ID canonicalization discipline: an expression used to index a class
+// table must be canonical — produced by find/canonicalization (Find,
+// Lookup), read from an already-canonical source (a Class.ID field, the
+// keys of a ClassID-keyed map), or explicitly annotated
+// //lint:canonical with a justification. A class table is a map whose
+// key type is a ClassID, or a slice or array struct field whose
+// declaration carries a //lint:classtable comment: the dense tables
+// hold a class only at canonical ids, while tables that are indexed by
+// raw ids on purpose (the union-find's parent array, a frozen find
+// table) stay unmarked. IDs returned by Add and Union go stale after
+// later unions; indexing a class table with a stale ID silently misses
+// the class (reads) or resurrects a dead one (writes) — the
 // hardest-to-reproduce bug class in an e-graph.
 package canonid
 
@@ -21,23 +25,22 @@ import (
 // Analyzer is the canonical-ID invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "canonid",
-	Doc: "check that ClassID-keyed maps are only indexed with canonicalized IDs " +
-		"(via Find/Canonicalize, a Class.ID, a ClassID-keyed map key, or //lint:canonical)",
+	Doc: "check that ClassID-keyed maps and //lint:classtable slices are only indexed with canonicalized IDs " +
+		"(via Find, a Class.ID, a ClassID-keyed map key, or //lint:canonical)",
 	Run: run,
 }
 
 // canonicalizers are the function/method names whose ClassID results
-// are canonical by contract. Find/find/Canonicalize/Lookup resolve to
+// are canonical by contract. Find/find/Lookup resolve to
 // representatives; makeSet returns a freshly created root (its own
 // representative by construction) and union returns the new root of
 // the merged set.
 var canonicalizers = map[string]bool{
-	"Find":         true,
-	"find":         true,
-	"Canonicalize": true,
-	"Lookup":       true,
-	"makeSet":      true,
-	"union":        true,
+	"Find":    true,
+	"find":    true,
+	"Lookup":  true,
+	"makeSet": true,
+	"union":   true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -71,12 +74,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		m, ok := pass.Pkg.Info.Types[idx.X]
-		if !ok {
-			return true
-		}
-		mt, ok := m.Type.Underlying().(*types.Map)
-		if !ok || !isClassID(mt.Key()) {
+		if !isClassTable(pass, idx.X) {
 			return true
 		}
 		if _, ok := pass.Pkg.LineDirective(idx.Pos(), "canonical"); ok {
@@ -86,9 +84,41 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		pass.Reportf(idx.Index.Pos(),
-			"ClassID map indexed with a value not canonicalized through Find: stale IDs (from Add/Union before a Rebuild) silently miss or split e-classes; pass it through Find, or annotate the line //lint:canonical <why>")
+			"class table indexed with a value not canonicalized through Find: stale IDs (from Add/Union before a Rebuild) silently miss or split e-classes; pass it through Find, or annotate the line //lint:canonical <why>")
 		return true
 	})
+}
+
+// isClassTable reports whether x, the operand of an index expression,
+// is a class table: a map keyed by ClassID, or a slice or array field
+// selected from a struct whose declaration is marked //lint:classtable.
+func isClassTable(pass *analysis.Pass, x ast.Expr) bool {
+	tv, ok := pass.Pkg.Info.Types[x]
+	if !ok {
+		return false
+	}
+	switch t := tv.Type.Underlying().(type) {
+	case *types.Map:
+		return isClassID(t.Key())
+	case *types.Slice, *types.Array:
+		sel, ok := x.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		field, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Var)
+		if !ok || !field.IsField() || field.Pkg() == nil {
+			return false
+		}
+		decl := pass.Pkg
+		if field.Pkg() != pass.Pkg.Types {
+			if decl, ok = pass.Prog.Package(field.Pkg().Path()); !ok {
+				return false
+			}
+		}
+		_, marked := decl.LineDirective(field.Pos(), "classtable")
+		return marked
+	}
+	return false
 }
 
 // isClassID reports whether t is a named type called ClassID.

@@ -13,7 +13,9 @@ package egraph
 // classes being unioned (and again whenever a node's recomputed data
 // must be folded into its class during rebuilding).
 type Analysis interface {
-	// Make computes the analysis data for a single (canonical) node.
+	// Make computes the analysis data for a single (canonical) node. It
+	// may read g (Class, Find) but must not change it, and n.Children
+	// is the e-graph's own storage: valid for the call, not to be kept.
 	Make(g *EGraph, n Node) any
 	// Merge joins two data values. It returns the joined value and
 	// whether it differs from a (the receiving class's current data);

@@ -7,25 +7,23 @@ package egraph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// parentRef records that node Node (as it was when added, canonical at
-// that time) lives in class Class and references some child class.
-type parentRef struct {
-	node  Node
-	class ClassID
-}
-
 // Class is an e-class: a set of equivalent e-nodes plus analysis data.
+// Nodes and Stamps are parallel. After a Rebuild the entries are the
+// class's live nodes (see EGraph), each once; an entry's Children is the
+// live node's own array, which Rebuild canonicalizes in place, so a
+// Class read after a Rebuild never shows a stale child id.
 type Class struct {
 	ID     ClassID
 	Nodes  []Node
 	Stamps []int64 // per-node global insertion stamps, parallel to Nodes
 	Data   any     // analysis data
 
-	parents []parentRef
+	// parents lists the e-nodes with a child in this class, by node id
+	// (see EGraph.nodes), in the order Add and Union put them there.
+	parents []ClassID
 	// touched is the e-graph mutation version at which this class last
 	// changed shape: when it was created, or when a union merged nodes
 	// into it. View.DirtySince uses it (with an upward closure through
@@ -35,31 +33,70 @@ type Class struct {
 }
 
 // EGraph is a mutable e-graph. The zero value is not usable; call New.
+//
+// Every table is a slice indexed by id. Adding a new e-node issues one
+// ClassID, so nodes and the classes they create share an id space:
+// node i is the one whose insertion created class i, its stamp is i+1,
+// and Find(i) is the class it lives in now.
+//
+// A node is live from Add until a repair finds it congruent to another
+// live node; then it is dead for good (flagDead), since congruent nodes
+// stay congruent. The live nodes are the memo's entries, and every one
+// is in the parent list of each of its children's classes, so the
+// repair of a merged class reaches every live node whose children
+// changed. A dead node is out of the memo, leaves its class in the
+// dedupe that ends the Rebuild, and is skipped where a parent list
+// still names it.
 type EGraph struct {
-	uf              unionFind
-	memo            map[string]ClassID
-	classes         map[ClassID]*Class
+	uf unionFind
+	// nodes is the node table. Op, Int, Str and the Children slice header
+	// never change after Add; a Node value copied into a Class is a handle
+	// on the same children array. repair rewrites that array in place to
+	// canonical ids, after the node is unlinked from the memo and before
+	// it is linked again.
+	nodes []Node
+	// memo is the hash-cons table: chained buckets over node ids (stored
+	// +1, so zero means none), one live node per distinct content. It is
+	// a table over ids and not a map on a comparable key because a node
+	// may have any number of children.
+	memoHeads []int32
+	memoNext  []int32 // indexed by node id
+	memoLen   int
+	// classes is the class table: nil at ids merged into another class.
+	//
+	//lint:classtable
+	classes    []*Class
+	classCount int
+
 	analysis        Analysis
 	pending         []ClassID // classes whose parents need congruence repair
 	analysisPending []ClassID
+	duplicated      []ClassID // classes holding a node found congruent to another since the last Rebuild
+
+	// Scratch kept between calls so the hot paths allocate nothing.
+	children []ClassID // canonical children of the node in hand
+	arena    []ClassID // chunk new nodes' children are carved from
+	flags    []uint8   // per id: flagRepaired, flagEmitted
+	reps     []ClassID
 
 	nodeCount int    // live e-node count (deduplicated)
-	stamp     int64  // global insertion counter
 	version   uint64 // mutation counter; Views freeze against it
 
 	opNames []string
 }
+
+const (
+	flagRepaired uint8 = 1 << iota // class already repaired in this Rebuild round
+	flagEmitted                    // node already emitted by the repair or dedupe walk in progress
+	flagDead                       // node found congruent to a live one: out of the memo for good
+)
 
 // New creates an empty e-graph. analysis may be nil.
 func New(analysis Analysis) *EGraph {
 	if analysis == nil {
 		analysis = nopAnalysis{}
 	}
-	return &EGraph{
-		memo:     make(map[string]ClassID),
-		classes:  make(map[ClassID]*Class),
-		analysis: analysis,
-	}
+	return &EGraph{analysis: analysis, memoHeads: make([]int32, 64)}
 }
 
 // SetOpNames registers a name table indexed by Op, used only for dumps.
@@ -76,18 +113,66 @@ func (g *EGraph) OpName(op Op) string {
 // Find returns the canonical representative of id.
 func (g *EGraph) Find(id ClassID) ClassID { return g.uf.find(id) }
 
-// Canonicalize returns a copy of n with canonical children.
-func (g *EGraph) Canonicalize(n Node) Node {
-	c := n.clone()
-	for i, ch := range c.Children {
-		c.Children[i] = g.uf.find(ch)
+// canonical returns a copy of n with canonical children in the scratch
+// buffer: valid until the next call, and never stored. n's own children
+// are only read, so a caller's stack buffer stays on its stack.
+func (g *EGraph) canonical(n *Node) Node {
+	g.children = g.children[:0]
+	for _, c := range n.Children {
+		g.children = append(g.children, g.uf.find(c))
 	}
-	return c
+	return Node{Op: n.Op, Int: n.Int, Str: n.Str, Children: g.children}
+}
+
+// memoFind returns the linked node whose content equals n's.
+func (g *EGraph) memoFind(n *Node) (ClassID, bool) {
+	for l := g.memoHeads[n.hash()&uint64(len(g.memoHeads)-1)]; l != 0; l = g.memoNext[l-1] {
+		if g.nodes[l-1].Equal(*n) {
+			return ClassID(l - 1), true
+		}
+	}
+	return 0, false
+}
+
+// memoLink links node id under its current content, doubling the
+// bucket array when chains average more than one node.
+func (g *EGraph) memoLink(id ClassID) {
+	if g.memoLen >= len(g.memoHeads) {
+		old := g.memoHeads
+		g.memoHeads = make([]int32, 2*len(old))
+		for _, l := range old {
+			for l != 0 {
+				next := g.memoNext[l-1]
+				g.memoPush(ClassID(l - 1))
+				l = next
+			}
+		}
+	}
+	g.memoPush(id)
+	g.memoLen++
+}
+
+func (g *EGraph) memoPush(id ClassID) {
+	b := g.nodes[id].hash() & uint64(len(g.memoHeads)-1)
+	g.memoNext[id] = g.memoHeads[b]
+	g.memoHeads[b] = int32(id) + 1
+}
+
+// memoUnlink takes live node id out of the memo. The node's content
+// must be what it was linked under.
+func (g *EGraph) memoUnlink(id ClassID) {
+	l := &g.memoHeads[g.nodes[id].hash()&uint64(len(g.memoHeads)-1)]
+	for *l != int32(id)+1 {
+		l = &g.memoNext[*l-1]
+	}
+	*l = g.memoNext[id]
+	g.memoLen--
 }
 
 // Lookup reports the class containing node n, if n is present.
 func (g *EGraph) Lookup(n Node) (ClassID, bool) {
-	id, ok := g.memo[g.Canonicalize(n).key()]
+	cn := g.canonical(&n)
+	id, ok := g.memoFind(&cn)
 	if !ok {
 		return 0, false
 	}
@@ -95,43 +180,40 @@ func (g *EGraph) Lookup(n Node) (ClassID, bool) {
 }
 
 // Add inserts node n (hash-consed) and returns its e-class. Adding an
-// existing node is cheap and returns the existing class.
+// existing node allocates nothing and returns the existing class. A new
+// node keeps its own copy of n's payload string and children, so
+// nothing of n outlives the call and a caller may build n's Children in
+// a stack buffer.
 func (g *EGraph) Add(n Node) ClassID {
-	cn := g.Canonicalize(n)
-	key := cn.key()
-	if id, ok := g.memo[key]; ok {
+	query := g.canonical(&n)
+	if id, ok := g.memoFind(&query); ok {
 		return g.uf.find(id)
 	}
-	id := g.uf.makeSet()
-	g.stamp++
-	g.version++
-	cls := &Class{ID: id, Nodes: []Node{cn}, Stamps: []int64{g.stamp}, touched: g.version}
-	cls.Data = g.analysis.Make(g, cn)
-	g.classes[id] = cls
-	for _, ch := range cn.Children {
-		chc := g.classes[g.uf.find(ch)]
-		chc.parents = append(chc.parents, parentRef{node: cn, class: id})
+	cn := Node{Op: n.Op, Int: n.Int, Str: strings.Clone(n.Str)}
+	if k := len(query.Children); k > 0 {
+		if cap(g.arena)-len(g.arena) < k {
+			g.arena = make([]ClassID, 0, 1024+k)
+		}
+		g.arena = append(g.arena, query.Children...)
+		cn.Children = g.arena[len(g.arena)-k : len(g.arena) : len(g.arena)]
 	}
-	g.memo[key] = id
+	id := g.uf.makeSet()
+	g.version++
+	g.nodes = append(g.nodes, cn)
+	g.memoNext = append(g.memoNext, 0)
+	g.flags = append(g.flags, 0)
+	cls := &Class{ID: id, Nodes: []Node{cn}, Stamps: []int64{g.Stamp()}, touched: g.version}
+	cls.Data = g.analysis.Make(g, cn)
+	g.classes = append(g.classes, cls)
+	g.classCount++
+	for _, ch := range cn.Children {
+		//lint:canonical cn's children were canonicalized just above and nothing has been unioned since
+		chc := g.classes[ch]
+		chc.parents = append(chc.parents, id)
+	}
+	g.memoLink(id)
 	g.nodeCount++
 	return id
-}
-
-// AddExpr inserts a whole expression tree bottom-up. children of each
-// Expr node must already be ClassIDs; this helper exists for tests.
-type Expr struct {
-	Node     Node
-	Children []*Expr
-}
-
-// AddExprTree recursively adds the expression and returns its root class.
-func (g *EGraph) AddExprTree(e *Expr) ClassID {
-	n := e.Node.clone()
-	n.Children = n.Children[:0]
-	for _, c := range e.Children {
-		n.Children = append(n.Children, g.AddExprTree(c))
-	}
-	return g.Add(n)
 }
 
 // Union merges the e-classes of a and b, returning the canonical id of
@@ -155,7 +237,8 @@ func (g *EGraph) Union(a, b ClassID) (ClassID, bool) {
 	keep.touched = g.version
 	merged, changed := g.analysis.Merge(keep.Data, lose.Data)
 	keep.Data = merged
-	delete(g.classes, other)
+	g.classes[other] = nil
+	g.classCount--
 	g.pending = append(g.pending, root)
 	if changed {
 		g.analysisPending = append(g.analysisPending, root)
@@ -173,75 +256,89 @@ func (g *EGraph) Rebuild() {
 	for len(g.pending) > 0 || len(g.analysisPending) > 0 {
 		todo := g.pending
 		g.pending = nil
-		seen := make(map[ClassID]bool, len(todo))
-		for _, id := range todo {
-			id = g.uf.find(id)
-			if !seen[id] {
-				seen[id] = true
-				g.repair(id)
-			}
-		}
-		atodo := g.analysisPending
+		g.eachOnce(todo, g.repair)
+		todo = g.analysisPending
 		g.analysisPending = nil
-		aseen := make(map[ClassID]bool, len(atodo))
-		for _, id := range atodo {
-			id = g.uf.find(id)
-			if !aseen[id] {
-				aseen[id] = true
-				g.repairAnalysis(id)
-			}
-		}
+		g.eachOnce(todo, g.repairAnalysis)
 	}
-	g.dedupeAll()
+	// Only a class that holds a node repair found congruent to another
+	// can hold a duplicate: no other node's children changed.
+	g.eachOnce(g.duplicated, g.dedupe)
+	g.duplicated = g.duplicated[:0]
 }
 
-// repair re-canonicalizes the parents of a merged class, unioning any
-// parent nodes that have become congruent. Rebuild passes id through
-// uf.find before every call.
+// eachOnce calls f on the current representative of every id of todo,
+// in order and once per representative. It reuses todo's storage, so
+// f must not append to the slice todo was taken from.
+func (g *EGraph) eachOnce(todo []ClassID, f func(ClassID)) {
+	done := todo[:0]
+	for _, id := range todo {
+		id = g.uf.find(id)
+		if g.flags[id]&flagRepaired == 0 {
+			g.flags[id] |= flagRepaired
+			done = append(done, id)
+			f(id)
+		}
+	}
+	for _, id := range done {
+		g.flags[id] &^= flagRepaired
+	}
+}
+
+// repair re-canonicalizes the live parent nodes of a merged class in
+// place. One that has become congruent to another live node dies, and
+// their classes are unioned. The class's parent list is left holding
+// live nodes only, without repeats, in first-occurrence order.
+// Rebuild passes id through uf.find before every call.
 //
 //lint:canonical id
 func (g *EGraph) repair(id ClassID) {
-	cls, ok := g.classes[id]
-	if !ok {
-		return
-	}
+	cls := g.classes[id]
 	parents := cls.parents
 	cls.parents = nil
-	fresh := make(map[string]parentRef, len(parents))
+	kept := parents[:0]
 	for _, p := range parents {
-		cn := g.Canonicalize(p.node)
-		key := cn.key()
-		pclass := g.uf.find(p.class)
-		if prev, ok := g.memo[key]; ok && g.uf.find(prev) != pclass {
-			merged, _ := g.Union(prev, pclass)
-			pclass = merged
+		if g.flags[p]&flagDead != 0 {
+			continue // the class lists its live twin as well
 		}
-		g.memo[key] = pclass
-		if prev, dup := fresh[key]; dup {
-			if g.uf.find(prev.class) != pclass {
-				merged, _ := g.Union(prev.class, pclass)
-				pclass = merged
-			}
+		n := &g.nodes[p]
+		g.memoUnlink(p)
+		for i, ch := range n.Children {
+			n.Children[i] = g.uf.find(ch)
 		}
-		fresh[key] = parentRef{node: cn, class: pclass}
+		rep, congruent := g.memoFind(n)
+		if congruent {
+			g.flags[p] |= flagDead
+			g.Union(rep, p)
+			g.duplicated = append(g.duplicated, rep)
+		} else {
+			rep = p
+			g.memoLink(p)
+		}
+		if g.flags[rep]&flagEmitted == 0 {
+			g.flags[rep] |= flagEmitted
+			kept = append(kept, rep)
+		}
 	}
-	cls = g.classes[g.uf.find(id)]
-	for _, p := range fresh {
-		cls.parents = append(cls.parents, p)
+	for _, p := range kept {
+		g.flags[p] &^= flagEmitted
+	}
+	// A union above may have merged this class into another, or another
+	// (and its parents) into this one: the repaired list goes after.
+	if cls = g.classes[g.uf.find(id)]; len(cls.parents) == 0 {
+		cls.parents = kept
+	} else {
+		cls.parents = append(cls.parents, kept...)
 	}
 }
 
 // repairAnalysis propagates analysis data changes upward: every parent's
 // data is remade and merged into its class.
 func (g *EGraph) repairAnalysis(id ClassID) {
-	cls, ok := g.classes[g.uf.find(id)]
-	if !ok {
-		return
-	}
-	for _, p := range cls.parents {
-		pid := g.uf.find(p.class)
+	for _, p := range g.classes[g.uf.find(id)].parents {
+		pid := g.uf.find(p)
 		pcls := g.classes[pid]
-		data := g.analysis.Make(g, g.Canonicalize(p.node))
+		data := g.analysis.Make(g, g.canonical(&g.nodes[p]))
 		merged, changed := g.analysis.Merge(pcls.Data, data)
 		pcls.Data = merged
 		if changed {
@@ -250,68 +347,68 @@ func (g *EGraph) repairAnalysis(id ClassID) {
 	}
 }
 
-// dedupeAll removes duplicate nodes inside every class (duplicates
-// appear when child merges make two nodes of a class congruent).
-func (g *EGraph) dedupeAll() {
-	total := 0
-	for _, cls := range g.classes {
-		seen := make(map[string]int, len(cls.Nodes))
-		out := cls.Nodes[:0]
-		stamps := cls.Stamps[:0]
-		for i, n := range cls.Nodes {
-			cn := g.Canonicalize(n)
-			key := cn.key()
-			if j, dup := seen[key]; dup {
-				// Keep the earliest stamp so "last added" queries used by
-				// cycle resolution stay stable across rebuilds.
-				if cls.Stamps[i] < stamps[j] {
-					stamps[j] = cls.Stamps[i]
-				}
-				continue
-			}
-			seen[key] = len(out)
-			out = append(out, cn)
-			stamps = append(stamps, cls.Stamps[i])
+// dedupe removes duplicate nodes from a class (they appear when child
+// merges make two of its nodes congruent), keeping the first of each
+// in place with the earliest stamp of the group, so "last added"
+// queries used by cycle resolution stay stable across rebuilds. Every
+// kept entry becomes the memo's linked node, whose children repair
+// keeps canonical. Rebuild passes id through uf.find.
+//
+//lint:canonical id
+func (g *EGraph) dedupe(id ClassID) {
+	cls := g.classes[id]
+	nodes, stamps := cls.Nodes[:0], cls.Stamps[:0]
+	g.reps = g.reps[:0]
+	for i := range cls.Nodes {
+		cn := g.canonical(&cls.Nodes[i])
+		rep, ok := g.memoFind(&cn)
+		if !ok {
+			panic(fmt.Sprintf("egraph: node %s of class %d is not in the memo after repair", g.NodeString(cn), id))
 		}
-		cls.Nodes = out
-		cls.Stamps = stamps
-		total += len(out)
+		stamp := cls.Stamps[i]
+		if g.flags[rep]&flagEmitted != 0 {
+			for j, r := range g.reps {
+				if r == rep && stamp < stamps[j] {
+					stamps[j] = stamp
+				}
+			}
+			continue
+		}
+		g.flags[rep] |= flagEmitted
+		g.reps = append(g.reps, rep)
+		nodes = append(nodes, g.nodes[rep])
+		stamps = append(stamps, stamp)
 	}
-	g.nodeCount = total
+	for _, rep := range g.reps {
+		g.flags[rep] &^= flagEmitted
+	}
+	g.nodeCount -= len(cls.Nodes) - len(nodes)
+	cls.Nodes, cls.Stamps = nodes, stamps
 }
 
 // Class returns the e-class for id (canonicalized). It panics if the
 // id was never issued by this e-graph.
-func (g *EGraph) Class(id ClassID) *Class {
-	cls, ok := g.classes[g.uf.find(id)]
-	if !ok {
-		panic(fmt.Sprintf("egraph: unknown class %d", id))
-	}
-	return cls
-}
+func (g *EGraph) Class(id ClassID) *Class { return g.classes[g.uf.find(id)] }
 
-// Classes calls f for every canonical class. Mutating the e-graph
-// during iteration is not allowed.
+// Classes calls f for every canonical class in ascending id order.
+// Mutating the e-graph during iteration is not allowed.
 func (g *EGraph) Classes(f func(*Class)) {
-	ids := make([]ClassID, 0, len(g.classes))
-	for id := range g.classes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		//lint:canonical ids holds the keys of g.classes collected just above; class-table keys are canonical by construction
-		f(g.classes[id])
+	for _, cls := range g.classes {
+		if cls != nil {
+			f(cls)
+		}
 	}
 }
 
 // ClassCount returns the number of e-classes.
-func (g *EGraph) ClassCount() int { return len(g.classes) }
+func (g *EGraph) ClassCount() int { return g.classCount }
 
 // NodeCount returns the number of distinct e-nodes.
 func (g *EGraph) NodeCount() int { return g.nodeCount }
 
-// Stamp returns the current value of the global insertion counter.
-func (g *EGraph) Stamp() int64 { return g.stamp }
+// Stamp returns the current value of the global insertion counter: the
+// stamp of the most recently inserted node.
+func (g *EGraph) Stamp() int64 { return int64(len(g.nodes)) }
 
 // NodeString renders a node with registered op names.
 func (g *EGraph) NodeString(n Node) string {

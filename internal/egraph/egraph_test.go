@@ -157,6 +157,23 @@ func TestPaperExample(t *testing.T) {
 	}
 }
 
+// Expr is an expression tree for AddExprTree: the node's own Children
+// are ignored and taken from the sub-expressions.
+type Expr struct {
+	Node     Node
+	Children []*Expr
+}
+
+// AddExprTree recursively adds the expression and returns its root class.
+func (g *EGraph) AddExprTree(e *Expr) ClassID {
+	n := e.Node
+	n.Children = nil
+	for _, c := range e.Children {
+		n.Children = append(n.Children, g.AddExprTree(c))
+	}
+	return g.Add(n)
+}
+
 func TestAddExprTree(t *testing.T) {
 	g := New(nil)
 	e := &Expr{Node: NewNode(opMul), Children: []*Expr{
@@ -253,23 +270,26 @@ func TestStampsMonotone(t *testing.T) {
 }
 
 func TestNodeKeyInjective(t *testing.T) {
-	// Property: distinct (op,int,str,children) tuples yield distinct keys.
+	// Property: the memo tells two nodes apart exactly when their
+	// (op,int,str,children) tuples differ.
 	f := func(op1, op2 uint16, i1, i2 int64, s1, s2 string, c1, c2 []int32) bool {
 		mk := func(op uint16, i int64, s string, cs []int32) Node {
 			n := Node{Op: Op(op), Int: i, Str: s}
 			for _, c := range cs {
-				if c < 0 {
-					c = -c
-				}
-				n.Children = append(n.Children, ClassID(c))
+				n.Children = append(n.Children, ClassID(uint32(c)%8))
 			}
 			return n
 		}
-		a, b := mk(op1, i1, s1, c1), mk(op2, i2, s2, c2)
-		if a.Equal(b) {
-			return a.key() == b.key()
+		g := New(nil)
+		for i := 0; i < 8; i++ {
+			g.Add(IntNode(opNum, int64(i)))
 		}
-		return a.key() != b.key()
+		a, b := mk(op1, i1, s1, c1), mk(op2, i2, s2, c2)
+		ida, idb := g.Add(a), g.Add(b)
+		if a.Equal(b) {
+			return ida == idb && a.hash() == b.hash()
+		}
+		return ida != idb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -303,60 +323,6 @@ func TestUnionFindIdempotentProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitset(t *testing.T) {
-	b := NewBitset(10)
-	if b.Has(3) {
-		t.Fatal("fresh bitset has bit set")
-	}
-	b.Set(3)
-	b.Set(200) // forces growth
-	if !b.Has(3) || !b.Has(200) || b.Has(4) {
-		t.Fatal("Set/Has broken")
-	}
-	if b.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", b.Count())
-	}
-	c := NewBitset(4)
-	c.Set(1)
-	c.Or(b)
-	if !c.Has(1) || !c.Has(200) {
-		t.Fatal("Or broken")
-	}
-	d := c.Clone()
-	d.Set(5)
-	if c.Has(5) {
-		t.Fatal("Clone aliases storage")
-	}
-}
-
-func TestBitsetOrProperty(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		a, b := NewBitset(1), NewBitset(1)
-		for _, x := range xs {
-			a.Set(ClassID(x % 4096))
-		}
-		for _, y := range ys {
-			b.Set(ClassID(y % 4096))
-		}
-		u := a.Clone()
-		u.Or(b)
-		for _, x := range xs {
-			if !u.Has(ClassID(x % 4096)) {
-				return false
-			}
-		}
-		for _, y := range ys {
-			if !u.Has(ClassID(y % 4096)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

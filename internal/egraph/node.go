@@ -1,7 +1,6 @@
 package egraph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -41,32 +40,21 @@ func NewNode(op Op, children ...ClassID) Node {
 	return Node{Op: op, Children: children}
 }
 
-// clone returns a deep copy of n (children slice included).
-func (n Node) clone() Node {
-	c := n
-	c.Children = append([]ClassID(nil), n.Children...)
-	return c
-}
-
-// key returns the hash-consing key of a *canonical* node. The encoding
-// is injective: op, payloads and children are length-delimited.
-func (n Node) key() string {
-	var b strings.Builder
-	var buf [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(buf[:], uint64(n.Op))
-	b.Write(buf[:w])
-	w = binary.PutVarint(buf[:], n.Int)
-	b.Write(buf[:w])
-	w = binary.PutUvarint(buf[:], uint64(len(n.Str)))
-	b.Write(buf[:w])
-	b.WriteString(n.Str)
-	w = binary.PutUvarint(buf[:], uint64(len(n.Children)))
-	b.Write(buf[:w])
-	for _, c := range n.Children {
-		w = binary.PutUvarint(buf[:], uint64(c))
-		b.Write(buf[:w])
+// hash mixes a node's operator, payloads and children into the value
+// the hash-cons memo buckets by. Equal nodes hash equally; the memo
+// settles collisions with Equal.
+func (n *Node) hash() uint64 {
+	const prime = 0x100000001b3
+	h := (uint64(n.Op)+0x9e3779b97f4a7c15)*prime ^ uint64(n.Int)
+	for i := 0; i < len(n.Str); i++ {
+		h = (h ^ uint64(n.Str[i])) * prime
 	}
-	return b.String()
+	for _, c := range n.Children {
+		h = (h ^ uint64(c)) * prime
+	}
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	return h ^ h>>32
 }
 
 // Equal reports structural equality of two nodes (assuming both are

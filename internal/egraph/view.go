@@ -1,7 +1,5 @@
 package egraph
 
-import "sort"
-
 // View is a frozen, read-only canonical snapshot of an e-graph, built
 // by Freeze. It exists so the search phase of equality saturation can
 // run on many goroutines at once: EGraph.Find performs path compression
@@ -11,12 +9,15 @@ import "sort"
 // performs no writes, so any number of goroutines may call its methods
 // concurrently.
 //
-// Beyond the canonical tables, a view carries two search accelerators:
-// an operator index (ByOp: root Op -> the sorted classes containing a
-// node with that op, so a pattern rooted at matmul only visits
-// matmul-bearing classes) and the dirty-class query DirtySince, which
-// reports the classes whose match sets may have changed since an
-// earlier freeze (the basis of incremental re-search).
+// Every table of a view is a slice indexed by id, like the e-graph's
+// own. Freeze copies the union-find with every path resolved (one word
+// per id ever issued), shares the e-graph's class table, and walks the
+// classes once for the search accelerators: an operator
+// index (ByOp: root Op -> the classes containing a node with that op
+// in ascending id order, so a pattern rooted at matmul only visits
+// matmul-bearing classes) and, on demand, the dirty-class query
+// DirtySince, which reports the classes whose match sets may have
+// changed since an earlier freeze (the basis of incremental re-search).
 //
 // Contract: the view reflects the e-graph at the moment of the Freeze
 // call and is invalidated by any subsequent mutation (Add, Union,
@@ -31,10 +32,14 @@ import "sort"
 type View struct {
 	g       *EGraph
 	version uint64
-	find    []ClassID          // id -> canonical representative
-	byID    map[ClassID]*Class // canonical id -> class
-	classes []*Class           // canonical classes, sorted by ID
-	byOp    map[Op][]*Class    // op -> classes with a node of that op, sorted by ID
+	find    []ClassID // id -> canonical representative
+	// table is the e-graph's class table as of the freeze: nil at ids
+	// that are not canonical.
+	//
+	//lint:classtable
+	table   []*Class
+	classes []*Class   // canonical classes in ascending id order
+	byOp    [][]*Class // op -> classes with a node of that op, ascending id order
 }
 
 // Freeze captures a read-only canonical view of g. The e-graph must be
@@ -49,26 +54,28 @@ func (g *EGraph) Freeze() *View {
 		g:       g,
 		version: g.version,
 		find:    make([]ClassID, g.uf.size()),
-		byID:    make(map[ClassID]*Class, len(g.classes)),
-		classes: make([]*Class, 0, len(g.classes)),
-		byOp:    make(map[Op][]*Class),
+		table:   g.classes,
+		classes: make([]*Class, 0, g.classCount),
 	}
 	for i := range v.find {
 		v.find[i] = g.uf.find(ClassID(i))
 	}
-	for id, cls := range g.classes {
-		v.byID[id] = cls
-		v.classes = append(v.classes, cls)
-	}
-	sort.Slice(v.classes, func(i, j int) bool { return v.classes[i].ID < v.classes[j].ID })
-	// The op index inherits ascending-ID order from the class walk, so a
+	// The op index inherits ascending-id order from the class walk, so a
 	// per-op candidate scan visits classes in exactly the order a full
 	// scan would — pruning never reorders matches. The last-element check
 	// dedupes a class holding several nodes of one op.
-	for _, cls := range v.classes {
-		for _, n := range cls.Nodes {
-			if l := v.byOp[n.Op]; len(l) == 0 || l[len(l)-1] != cls {
-				v.byOp[n.Op] = append(v.byOp[n.Op], cls)
+	for _, cls := range g.classes {
+		if cls == nil {
+			continue
+		}
+		v.classes = append(v.classes, cls)
+		for i := range cls.Nodes {
+			op := int(cls.Nodes[i].Op)
+			for op >= len(v.byOp) {
+				v.byOp = append(v.byOp, nil)
+			}
+			if l := v.byOp[op]; len(l) == 0 || l[len(l)-1] != cls {
+				v.byOp[op] = append(l, cls)
 			}
 		}
 	}
@@ -81,13 +88,7 @@ func (v *View) Find(id ClassID) ClassID { return v.find[id] }
 
 // Class returns the e-class for id (canonicalized through the frozen
 // table). It panics if the id was never issued by the source e-graph.
-func (v *View) Class(id ClassID) *Class {
-	cls, ok := v.byID[v.find[id]]
-	if !ok {
-		panic("egraph: unknown class in frozen view")
-	}
-	return cls
-}
+func (v *View) Class(id ClassID) *Class { return v.table[v.find[id]] }
 
 // Classes returns every canonical class in ascending ID order — the
 // same order EGraph.Classes iterates in. Callers may slice the result
@@ -100,7 +101,12 @@ func (v *View) Classes() []*Class { return v.classes }
 // matches a full Classes scan would, in the same order, because a class
 // without the root op can root no match. Callers must not modify the
 // returned slice.
-func (v *View) ByOp(op Op) []*Class { return v.byOp[op] }
+func (v *View) ByOp(op Op) []*Class {
+	if int(op) >= len(v.byOp) {
+		return nil
+	}
+	return v.byOp[op]
+}
 
 // ClassCount returns the number of e-classes in the snapshot.
 func (v *View) ClassCount() int { return len(v.classes) }
@@ -113,7 +119,8 @@ func (v *View) Version() uint64 { return v.version }
 // DirtySince reports the canonical classes whose match sets may have
 // changed since the freeze at version since: every class created or
 // merged into after that version, closed upward through parent edges.
-// The upward closure is what makes incremental re-search sound — a
+// The result is indexed by ClassID, one entry per id the e-graph had
+// issued at the freeze. The upward closure is what makes incremental re-search sound — a
 // pattern rooted at an untouched class C can still gain or lose
 // matches when a descendant class (reached through C's nodes) gains
 // nodes, and every such C is an ancestor of a touched class.
@@ -122,8 +129,8 @@ func (v *View) Version() uint64 { return v.version }
 // reachable region unchanged, so matches rooted at it are exactly what
 // they were at version since (with all bound class ids still
 // canonical). The view must be fresh (not Stale).
-func (v *View) DirtySince(since uint64) map[ClassID]bool {
-	dirty := make(map[ClassID]bool)
+func (v *View) DirtySince(since uint64) []bool {
+	dirty := make([]bool, len(v.find))
 	var queue []*Class
 	for _, cls := range v.classes {
 		if cls.touched > since {
@@ -132,13 +139,13 @@ func (v *View) DirtySince(since uint64) map[ClassID]bool {
 		}
 	}
 	for len(queue) > 0 {
-		cls := queue[0]
-		queue = queue[1:]
+		cls := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
 		for _, p := range cls.parents {
-			pid := v.find[p.class]
+			pid := v.find[p]
 			if !dirty[pid] {
 				dirty[pid] = true
-				queue = append(queue, v.byID[pid])
+				queue = append(queue, v.table[pid])
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package pattern
 
 import (
-	"sync"
+	"fmt"
+	"slices"
 
 	"tensat/internal/egraph"
+	"tensat/internal/tensor"
 )
 
 // This file implements the compiled e-matching engine. A Pat is
@@ -14,9 +16,11 @@ import (
 // operator and payloads, writing the canonical children classes into
 // fresh registers; a compare instruction enforces non-linear variables
 // (a variable occurring twice must bind the same e-class). Variables
-// are register slots, so a match's substitution is a flat []ClassID
-// instead of a string-keyed map, and the per-binding map clone of the
-// old tree-walking interpreter disappears from the hot loop entirely.
+// are register slots, so a match's substitution is a flat run of
+// ClassIDs instead of a string-keyed map, and a match list (Matches) is
+// two pointer-free arrays the garbage collector never scans. The other
+// half of a rule is compiled the same way: a Target reads the bindings
+// by slot to shape-check and instantiate the rule's right-hand side.
 //
 // The enumeration order is exactly the interpreter's: for every class
 // in the given scan order, nodes in class order, child choices nested
@@ -48,28 +52,20 @@ type inst struct {
 
 // Program is a compiled pattern. Compile once, match many times; a
 // Program is immutable after compilation and safe for concurrent use
-// from any number of goroutines (each match run draws a private
-// register machine from an internal pool).
+// from any number of goroutines (each match run has its own register
+// file, on its stack).
 type Program struct {
-	src     *Pat
 	insts   []inst
 	nregs   int
 	varRegs []int    // register holding each variable, first-occurrence order
 	vars    []string // variable names, parallel to varRegs
 	rootOp  egraph.Op
 	rootVar bool // the pattern is a bare variable: matches every class
-
-	pool sync.Pool // *machine
-}
-
-// machine is the mutable register file of one match run.
-type machine struct {
-	regs []egraph.ClassID
 }
 
 // Compile translates p into its instruction program.
 func Compile(p *Pat) *Program {
-	pr := &Program{src: p}
+	pr := &Program{}
 	varReg := make(map[string]int)
 	next := 1 // register 0 is the root class
 	var walk func(q *Pat, reg int)
@@ -109,11 +105,8 @@ func Compile(p *Pat) *Program {
 	return pr
 }
 
-// Pat returns the pattern the program was compiled from.
-func (pr *Program) Pat() *Pat { return pr.src }
-
 // Vars returns the pattern's variables in first-occurrence order — the
-// slot order of Compact.Bind. Callers must not modify the slice.
+// slot order of a match's bindings. Callers must not modify the slice.
 func (pr *Program) Vars() []string { return pr.vars }
 
 // RootOp returns the operator at the pattern root and true, or ok=false
@@ -122,89 +115,204 @@ func (pr *Program) RootOp() (op egraph.Op, ok bool) {
 	return pr.rootOp, !pr.rootVar
 }
 
-// Compact is one match produced by a compiled program: the root
-// e-class plus the variable bindings as a flat array in Vars order.
-// Bind aliases a shared arena; treat it as read-only.
-type Compact struct {
-	Class egraph.ClassID
-	Bind  []egraph.ClassID
+// Matches is a match list as a struct of arrays: Roots[i] is the root
+// e-class of match i and Bind(i) its variable bindings in Vars order,
+// all in one flat array. Neither array holds a pointer, and a list is
+// reused by truncating it, so a steady-state search allocates nothing.
+// One list holds the matches of one program.
+type Matches struct {
+	Roots []egraph.ClassID
+	binds []egraph.ClassID
+	vars  int // bindings per match
 }
 
-// Subst expands a compact match into the map form of the classic API.
-func (pr *Program) Subst(m Compact) Subst {
+// Len returns the number of matches.
+func (ms *Matches) Len() int { return len(ms.Roots) }
+
+// Bind returns match i's bindings; treat it as read-only.
+func (ms *Matches) Bind(i int) []egraph.ClassID {
+	return ms.binds[i*ms.vars : (i+1)*ms.vars : (i+1)*ms.vars]
+}
+
+// Reset empties the list, keeping its storage.
+func (ms *Matches) Reset() { ms.Roots, ms.binds = ms.Roots[:0], ms.binds[:0] }
+
+// AppendRange appends matches lo..hi of src, a list of the same program.
+func (ms *Matches) AppendRange(src *Matches, lo, hi int) {
+	if lo == hi {
+		return // a list nothing was scanned into yet has no stride to take
+	}
+	ms.vars = src.vars
+	ms.grow(hi - lo)
+	ms.Roots = append(ms.Roots, src.Roots[lo:hi]...)
+	ms.binds = append(ms.binds, src.binds[lo*src.vars:hi*src.vars]...)
+}
+
+// grow makes room for n more matches, at least doubling the storage. A
+// run's lists grow with its e-graph, iteration after iteration, and
+// append's own 1.25x steps would reallocate them five times over.
+func (ms *Matches) grow(n int) {
+	if need := len(ms.Roots) + n; need > cap(ms.Roots) {
+		c := max(need, 2*cap(ms.Roots), 256)
+		ms.Roots = append(make([]egraph.ClassID, 0, c), ms.Roots...)
+		ms.binds = append(make([]egraph.ClassID, 0, c*ms.vars), ms.binds...)
+	}
+}
+
+// Subst expands one match's bindings into the map form of the classic API.
+func (pr *Program) Subst(bind []egraph.ClassID) Subst {
 	s := make(Subst, len(pr.vars))
 	for i, v := range pr.vars {
-		s[v] = m.Bind[i]
+		s[v] = bind[i]
 	}
 	return s
 }
 
-func (pr *Program) newMachine() *machine {
-	if m, ok := pr.pool.Get().(*machine); ok {
-		return m
-	}
-	return &machine{regs: make([]egraph.ClassID, pr.nregs)}
-}
-
-// bindArenaMin sizes the chunks the binding arena grows by, amortizing
-// one allocation over many matches.
-const bindArenaMin = 512
+// stackRegs is how many registers a match run keeps on its stack; the
+// largest built-in pattern (two seven-argument pools under a concat)
+// needs 18. A larger program allocates its register file per run.
+const stackRegs = 32
 
 // AppendMatches scans classes in order, appending every match rooted
 // at each class to dst. The scan order and per-class enumeration order
 // reproduce the reference interpreter exactly, so sharded scans
-// concatenated in shard order equal one whole scan. The register
-// machine is pooled and match bindings are carved from a shared arena,
-// so a scan performs O(matches/chunk) allocations rather than
-// O(bindings).
-func (pr *Program) AppendMatches(dst []Compact, src Source, classes []*egraph.Class) []Compact {
-	m := pr.newMachine()
-	defer pr.pool.Put(m)
-	nv := len(pr.varRegs)
-	var arena []egraph.ClassID
-	var root egraph.ClassID
+// concatenated in shard order equal one whole scan. dst grows like any
+// slice, so a scan into a list with room allocates nothing.
+func (pr *Program) AppendMatches(dst *Matches, v *egraph.View, classes []*egraph.Class) {
+	var stack [stackRegs]egraph.ClassID
+	regs := stack[:]
+	if pr.nregs > len(stack) {
+		regs = make([]egraph.ClassID, pr.nregs)
+	}
+	dst.vars = len(pr.varRegs)
 	var exec func(pc int)
 	exec = func(pc int) {
 		for pc < len(pr.insts) {
 			in := &pr.insts[pc]
 			if in.kind == instCompare {
-				if m.regs[in.a] != m.regs[in.b] {
+				if regs[in.a] != regs[in.b] {
 					return
 				}
 				pc++
 				continue
 			}
-			cls := src.Class(m.regs[in.a])
+			cls := v.Class(regs[in.a])
 			for ni := range cls.Nodes {
 				n := &cls.Nodes[ni]
 				if n.Op != in.op || n.Int != in.i64 || n.Str != in.str || len(n.Children) != in.arity {
 					continue
 				}
 				for k, ch := range n.Children {
-					m.regs[in.out+k] = src.Find(ch)
+					regs[in.out+k] = v.Find(ch)
 				}
 				exec(pc + 1)
 			}
 			return
 		}
 		// All instructions satisfied: record the match.
-		if cap(arena)-len(arena) < nv {
-			size := bindArenaMin
-			if size < nv {
-				size = nv
-			}
-			arena = make([]egraph.ClassID, 0, size)
+		if len(dst.Roots) == cap(dst.Roots) {
+			dst.grow(1)
 		}
-		start := len(arena)
+		dst.Roots = append(dst.Roots, regs[0])
 		for _, r := range pr.varRegs {
-			arena = append(arena, m.regs[r])
+			dst.binds = append(dst.binds, regs[r])
 		}
-		dst = append(dst, Compact{Class: root, Bind: arena[start:len(arena):len(arena)]})
 	}
 	for _, cls := range classes {
-		root = src.Find(cls.ID)
-		m.regs[0] = root
+		regs[0] = v.Find(cls.ID)
 		exec(0)
 	}
-	return dst
+}
+
+// Target is a rule's right-hand side compiled against the rule's
+// variable slots: where the pattern names a variable, the target holds
+// an index into the binding array a match supplies, so applying a
+// rewrite builds no substitution map.
+type Target struct {
+	slot     int // variable: its slot; operator: -1
+	op       tensor.Op
+	i64      int64
+	str      string
+	children []Target
+	slots    []int // at the root: the distinct variable slots, in first-occurrence order
+}
+
+// CompileTarget compiles p against vars, the slot order of the bindings
+// it will be given. It panics on a variable of p that vars lacks.
+func CompileTarget(p *Pat, vars []string) *Target {
+	var slots []int
+	var walk func(q *Pat) Target
+	walk = func(q *Pat) Target {
+		if q.IsVar() {
+			slot := slices.Index(vars, q.Var)
+			if slot < 0 {
+				panic("pattern: CompileTarget: no slot for variable " + q.Var)
+			}
+			if !slices.Contains(slots, slot) {
+				slots = append(slots, slot)
+			}
+			return Target{slot: slot}
+		}
+		t := Target{slot: -1, op: q.Op, i64: q.Int, str: q.Str, children: make([]Target, len(q.Children))}
+		for i, c := range q.Children {
+			t.children[i] = walk(c)
+		}
+		return t
+	}
+	root := walk(p)
+	root.slots = slots
+	return &root
+}
+
+// Slots returns the slots of the target's variables, each once, in
+// first-occurrence order. Callers must not modify the slice.
+func (t *Target) Slots() []int { return t.slots }
+
+// targetArity is the child count up to which Instantiate and InferMeta
+// gather a node's children in a stack array (the tensor operators take
+// at most seven).
+const targetArity = 8
+
+// Instantiate adds the target, with bind[slot] for each variable, to the
+// e-graph and returns the root class. Where every node already exists
+// it allocates nothing.
+func (t *Target) Instantiate(g *egraph.EGraph, bind []egraph.ClassID) egraph.ClassID {
+	if t.slot >= 0 {
+		return g.Find(bind[t.slot])
+	}
+	var buf [targetArity]egraph.ClassID
+	children := buf[:0]
+	if len(t.children) > len(buf) {
+		children = make([]egraph.ClassID, 0, len(t.children))
+	}
+	for i := range t.children {
+		children = append(children, t.children[i].Instantiate(g, bind))
+	}
+	return g.Add(egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: children})
+}
+
+// InferMeta symbolically evaluates the target's shapes given the meta of
+// each variable slot. The rewrite engine uses it to shape-check a target
+// before applying a rewrite (§4): if any operator in the target is
+// ill-typed for the matched tensors, the rewrite is skipped.
+func (t *Target) InferMeta(metas []*tensor.Meta) (*tensor.Meta, error) {
+	if t.slot >= 0 {
+		if metas[t.slot] == nil {
+			return nil, fmt.Errorf("pattern: no meta for variable slot %d", t.slot)
+		}
+		return metas[t.slot], nil
+	}
+	var buf [targetArity]*tensor.Meta
+	args := buf[:0]
+	if len(t.children) > len(buf) {
+		args = make([]*tensor.Meta, 0, len(t.children))
+	}
+	for i := range t.children {
+		m, err := t.children[i].InferMeta(metas)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, m)
+	}
+	return tensor.Infer(t.op, t.i64, t.str, args)
 }

@@ -111,25 +111,25 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 			// Sharded compiled scans concatenated in shard order must
 			// equal the whole scan.
 			prog := Compile(p)
-			var sharded []Compact
+			var sharded, whole Matches
 			for lo := 0; lo < len(classes); {
 				hi := lo + 1 + rng.Intn(7)
 				if hi > len(classes) {
 					hi = len(classes)
 				}
-				sharded = prog.AppendMatches(sharded, v, classes[lo:hi])
+				prog.AppendMatches(&sharded, v, classes[lo:hi])
 				lo = hi
 			}
-			whole := prog.AppendMatches(nil, v, classes)
-			if len(sharded) != len(whole) {
-				t.Fatalf("%s: sharded scan found %d, whole %d", label, len(sharded), len(whole))
+			prog.AppendMatches(&whole, v, classes)
+			if sharded.Len() != whole.Len() {
+				t.Fatalf("%s: sharded scan found %d, whole %d", label, sharded.Len(), whole.Len())
 			}
-			for i := range whole {
-				if whole[i].Class != sharded[i].Class {
+			for i := range whole.Roots {
+				if whole.Roots[i] != sharded.Roots[i] {
 					t.Fatalf("%s: sharded match %d differs", label, i)
 				}
-				for k := range whole[i].Bind {
-					if whole[i].Bind[k] != sharded[i].Bind[k] {
+				for k, id := range whole.Bind(i) {
+					if id != sharded.Bind(i)[k] {
 						t.Fatalf("%s: sharded binding %d/%d differs", label, i, k)
 					}
 				}
@@ -144,9 +144,9 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesMutableEGraph checks the mutable-EGraph entry
-// points (Search/SearchClass) agree with the reference interpreter —
-// the library-user path that never touches View shares the engine.
+// TestCompiledMatchesMutableEGraph checks that the compiled engine over
+// a frozen view (Search/SearchClass in helpers_test.go) agrees with the
+// reference interpreter walking the mutable e-graph itself.
 func TestCompiledMatchesMutableEGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomEGraph(rng, 48)
@@ -161,5 +161,38 @@ func TestCompiledMatchesMutableEGraph(t *testing.T) {
 			cwant := ReferenceSearchClasses(g, p, []*egraph.Class{cls})
 			assertSameMatches(t, label+" (class)", cwant, SearchClass(g, p, cls.ID))
 		}
+	}
+}
+
+// TestAppendMatchesAllocatesNothing: a scan into a list that already has
+// room — every search after an exploration's first few — allocates
+// nothing, matches included.
+func TestAppendMatchesAllocatesNothing(t *testing.T) {
+	v := randomEGraph(rand.New(rand.NewSource(3)), 200).Freeze()
+	prog := Compile(MustParse("(ewadd ?a (relu ?b))"))
+	var ms Matches
+	prog.AppendMatches(&ms, v, v.Classes())
+	if ms.Len() == 0 {
+		t.Fatal("pattern matched nothing: the test needs matches to record")
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		ms.Reset()
+		prog.AppendMatches(&ms, v, v.Classes())
+	}); n != 0 {
+		t.Fatalf("AppendMatches into a sized list: %v allocations per run, want 0", n)
+	}
+}
+
+// TestAppendRangeOfUnscannedList: merging in the empty range of a list
+// no scan ever wrote to must not take that list's zero stride.
+func TestAppendRangeOfUnscannedList(t *testing.T) {
+	v := randomEGraph(rand.New(rand.NewSource(3)), 200).Freeze()
+	prog := Compile(MustParse("(ewadd ?a (relu ?b))"))
+	var scanned, merged, unscanned Matches
+	prog.AppendMatches(&scanned, v, v.Classes())
+	merged.AppendRange(&scanned, 0, scanned.Len())
+	merged.AppendRange(&unscanned, 0, 0)
+	if merged.Len() == 0 || len(merged.Bind(0)) != 2 {
+		t.Fatalf("%d merged matches, %d bindings in the first, want some and 2", merged.Len(), len(merged.Bind(0)))
 	}
 }

@@ -238,30 +238,11 @@ type Match struct {
 	Subst Subst
 }
 
-// Source is the read-only e-graph access the matcher needs. Both
-// *egraph.EGraph and *egraph.View implement it; matching against a
-// frozen View is safe from many goroutines at once (EGraph.Find path
-// compression makes the mutable e-graph single-threaded even for
-// logically read-only queries).
-type Source interface {
-	Find(egraph.ClassID) egraph.ClassID
-	Class(egraph.ClassID) *egraph.Class
-}
-
-// Search finds all matches of p anywhere in g. Bindings are
-// canonicalized class ids. The e-graph must be clean (rebuilt).
-// Like every entry point below it runs the compiled engine
-// (compile.go); callers matching the same pattern repeatedly should
-// Compile once and use Program.AppendMatches directly.
-func Search(g *egraph.EGraph, p *Pat) []Match {
-	var classes []*egraph.Class
-	g.Classes(func(cls *egraph.Class) { classes = append(classes, cls) })
-	return SearchClasses(g, p, classes)
-}
-
-// SearchView finds all matches of p in a frozen e-graph view. The scan
-// order (ascending class ID) and the resulting match order are
-// identical to Search on the source e-graph.
+// SearchView finds all matches of p in a frozen e-graph view, scanning
+// classes in ascending ID order. Bindings are canonicalized class ids.
+// Like SearchClasses it runs the compiled engine (compile.go); callers
+// matching the same pattern repeatedly should Compile once and use
+// Program.AppendMatches directly.
 func SearchView(v *egraph.View, p *Pat) []Match {
 	return SearchClasses(v, p, v.Classes())
 }
@@ -270,41 +251,16 @@ func SearchView(v *egraph.View, p *Pat) []Match {
 // order. Shards of View.Classes can be searched concurrently — one
 // SearchClasses call per goroutine — and concatenated in shard order
 // to reproduce the sequential result exactly.
-func SearchClasses(src Source, p *Pat, classes []*egraph.Class) []Match {
+func SearchClasses(v *egraph.View, p *Pat, classes []*egraph.Class) []Match {
 	prog := Compile(p)
-	cms := prog.AppendMatches(nil, src, classes)
-	if len(cms) == 0 {
+	var ms Matches
+	prog.AppendMatches(&ms, v, classes)
+	if ms.Len() == 0 {
 		return nil
 	}
-	out := make([]Match, len(cms))
-	for i, cm := range cms {
-		out[i] = Match{Class: cm.Class, Subst: prog.Subst(cm)}
+	out := make([]Match, ms.Len())
+	for i := range out {
+		out[i] = Match{Class: ms.Roots[i], Subst: prog.Subst(ms.Bind(i))}
 	}
 	return out
-}
-
-// SearchClass finds matches of p rooted at a specific e-class.
-func SearchClass(g *egraph.EGraph, p *Pat, class egraph.ClassID) []Match {
-	return SearchClasses(g, p, []*egraph.Class{g.Class(class)})
-}
-
-// Instantiate adds the pattern (with variables substituted) to the
-// e-graph and returns the root class. Variables must all be bound.
-func Instantiate(g *egraph.EGraph, p *Pat, subst Subst) (egraph.ClassID, error) {
-	if p.IsVar() {
-		id, ok := subst[p.Var]
-		if !ok {
-			return 0, fmt.Errorf("pattern: unbound variable %s", p.Var)
-		}
-		return g.Find(id), nil
-	}
-	n := egraph.Node{Op: egraph.Op(p.Op), Int: p.Int, Str: p.Str}
-	for _, c := range p.Children {
-		id, err := Instantiate(g, c, subst)
-		if err != nil {
-			return 0, err
-		}
-		n.Children = append(n.Children, id)
-	}
-	return g.Add(n), nil
 }

@@ -4,11 +4,18 @@ import "tensat/internal/egraph"
 
 // This file preserves the original tree-walking match interpreter as a
 // reference implementation. It is NOT used by any production code path
-// — Search, SearchView, SearchClasses and SearchClass all run the
-// compiled engine (compile.go) — and exists solely as the oracle for
+// — SearchView and SearchClasses run the compiled engine (compile.go) —
+// and exists solely as the oracle for
 // the differential tests and the interpreter-vs-compiled benchmark
 // that demonstrate the compiled engine produces identical match lists,
 // faster. Do not call it from non-test code.
+
+// Source is the read-only e-graph access the reference interpreter
+// needs. Both *egraph.EGraph and *egraph.View implement it.
+type Source interface {
+	Find(egraph.ClassID) egraph.ClassID
+	Class(egraph.ClassID) *egraph.Class
+}
 
 // ReferenceSearchClasses finds matches of p rooted at each class of
 // classes, in order, using the reference interpreter. The match list

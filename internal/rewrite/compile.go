@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"slices"
+
 	"tensat/internal/egraph"
 	"tensat/internal/pattern"
 )
@@ -8,16 +10,19 @@ import (
 // CompiledRules is the reusable compiled form of a rule set: the
 // canonicalized source-pattern set of Algorithm 1 (lines 1-8), with
 // each canonical pattern compiled once into a pattern.Program (the
-// flat-instruction e-matching VM). Compile a rule set once — at rule
-// registration — and share it across any number of concurrent runs:
-// a CompiledRules is immutable and safe for concurrent use; all
-// per-run search state lives in the Runner's exploration.
+// flat-instruction e-matching VM), and each rule's targets compiled
+// against the rule's variable slots (pattern.Target), so that applying
+// a match reads bindings by index and builds no substitution map.
+// Compile a rule set once — at rule registration — and share it across
+// any number of concurrent runs: a CompiledRules is immutable and safe
+// for concurrent use; all per-run search state lives in the Runner's
+// exploration.
 type CompiledRules struct {
 	// Rules is the rule set this was compiled from, in order.
 	Rules []*Rule
 
-	pats []*compiledPat
-	refs map[*Rule][]sourceRef
+	pats  []*compiledPat
+	rules []compiledRule // parallel to Rules
 }
 
 // compiledPat is one canonical source pattern, searched once per
@@ -27,11 +32,25 @@ type compiledPat struct {
 	prog *pattern.Program
 }
 
+// compiledRule is one rule over binding slots. vars numbers the rule's
+// variables: those its sources bind first (in first-occurrence order),
+// then any a target names that no source binds — such a slot is never
+// filled, so the target fails its shape check and the rule never fires.
+type compiledRule struct {
+	vars    []string
+	bound   int // vars[:bound] are bound by the sources
+	sources []sourceRef
+	targets []*pattern.Target
+}
+
 // sourceRef ties a rule's i-th source to its canonical pattern (by
-// index into pats) and the rename map used to decanonicalize matches.
+// index into pats) and gives the rule slot of each of that pattern's
+// variables (DECANONICAL of Algorithm 1). shared[k] marks a variable an
+// earlier source of the rule binds too: the COMPATIBLE check.
 type sourceRef struct {
-	pat  int
-	back map[string]string // canonical var -> original var
+	pat    int
+	slots  []int
+	shared []bool
 }
 
 // CompileRules canonicalizes and compiles a rule set. Patterns that
@@ -40,9 +59,17 @@ type sourceRef struct {
 //
 //lint:ctxflow-exempt one pass over the rule list at load time, bounded by rule-set size
 func CompileRules(rules []*Rule) *CompiledRules {
-	cr := &CompiledRules{Rules: rules, refs: make(map[*Rule][]sourceRef, len(rules))}
+	cr := &CompiledRules{Rules: rules, rules: make([]compiledRule, len(rules))}
 	index := make(map[string]int)
-	for _, rule := range rules {
+	for ri, rule := range rules {
+		c := &cr.rules[ri]
+		slotOf := func(name string) (slot int, seen bool) {
+			if slot = slices.Index(c.vars, name); slot >= 0 {
+				return slot, true
+			}
+			c.vars = append(c.vars, name)
+			return len(c.vars) - 1, false
+		}
 		for _, src := range rule.Sources {
 			cp, back := src.Canonical()
 			key := cp.String()
@@ -52,15 +79,24 @@ func CompileRules(rules []*Rule) *CompiledRules {
 				index[key] = i
 				cr.pats = append(cr.pats, &compiledPat{pat: cp, prog: pattern.Compile(cp)})
 			}
-			cr.refs[rule] = append(cr.refs[rule], sourceRef{pat: i, back: back})
+			ref := sourceRef{pat: i}
+			for _, v := range cr.pats[i].prog.Vars() {
+				slot, seen := slotOf(back[v])
+				ref.slots = append(ref.slots, slot)
+				ref.shared = append(ref.shared, seen)
+			}
+			c.sources = append(c.sources, ref)
+		}
+		c.bound = len(c.vars)
+		for _, tgt := range rule.Targets {
+			for _, v := range tgt.Vars() {
+				slotOf(v)
+			}
+			c.targets = append(c.targets, pattern.CompileTarget(tgt, c.vars))
 		}
 	}
 	return cr
 }
-
-// Patterns reports how many canonical patterns the rule set compiled
-// to (informational; distinct rules often share canonical sources).
-func (cr *CompiledRules) Patterns() int { return len(cr.pats) }
 
 // CanonicalPatterns returns the canonical source patterns and their
 // compiled programs as parallel slices in first-seen order — the exact
@@ -91,62 +127,72 @@ func (cr *CompiledRules) compiledFor(rules []*Rule) bool {
 	return true
 }
 
-// substFor decanonicalizes one compact match into the map substitution
-// rule application consumes: canonical slot i holds variable
-// prog.Vars()[i], renamed through back (DECANONICAL of Algorithm 1).
-func substFor(prog *pattern.Program, back map[string]string, m pattern.Compact) pattern.Subst {
-	vars := prog.Vars()
-	s := make(pattern.Subst, len(vars))
-	for i, v := range vars {
-		if orig, ok := back[v]; ok {
-			v = orig
-		}
-		s[v] = m.Bind[i]
-	}
-	return s
-}
-
-// searchState carries the incremental e-matching memo across the
-// iterations of one exploration run: the complete per-pattern match
-// lists of the previous iteration's frozen view, and the view version
-// they were computed at. On the next iteration only classes dirty
-// since that version are re-searched; clean classes answer from the
-// memo (see View.DirtySince for why that is sound).
+// searchState carries the match lists of one exploration run from
+// iteration to iteration. matches holds, per canonical pattern, the
+// complete match list of the latest frozen view, and version the view
+// version it was computed at: on the next iteration only classes dirty
+// since that version are re-searched and clean classes answer from the
+// list (see View.DirtySince for why that is sound). The other fields
+// are the lists a search fills, kept so that an iteration whose lists
+// fit the previous one's storage allocates nothing for its matches.
 type searchState struct {
-	matches [][]pattern.Compact // per compiledPat: latest complete match list
-	version uint64              // view version the lists were computed at
-	valid   bool                // false until one full search completes
+	matches []pattern.Matches // per compiledPat: latest complete match list
+	version uint64            // view version the lists were computed at
+	valid   bool              // false until one full search completes
+
+	spare []pattern.Matches   // per compiledPat: the previous list, storage for the next
+	scans [][]*egraph.Class   // per compiledPat: the dirty candidates to scan
+	found [][]pattern.Matches // per search worker, per compiledPat: what the worker's scans found
 }
 
-// mergeMatches builds a pattern's current match list by walking the
-// candidate classes in ascending ID order, taking fresh results for
-// dirty classes and memoized results for clean ones. Both inputs are
-// ascending by root class, so the output is byte-identical to a full
-// rescan of the candidate list.
-func mergeMatches(cands []*egraph.Class, dirty map[egraph.ClassID]bool,
-	memo, fresh []pattern.Compact) []pattern.Compact {
+func newSearchState(cr *CompiledRules) *searchState {
+	n := len(cr.pats)
+	return &searchState{
+		matches: make([]pattern.Matches, n),
+		spare:   make([]pattern.Matches, n),
+		scans:   make([][]*egraph.Class, n),
+	}
+}
 
-	out := make([]pattern.Compact, 0, len(memo)+len(fresh))
-	mi, fi := 0, 0
+// matchRun is matches lo..hi of a list: what one scan appended to it.
+type matchRun struct {
+	list   *pattern.Matches
+	lo, hi int
+}
+
+// mergeMatches builds a pattern's current match list in out by walking
+// the candidate classes in ascending ID order, taking fresh results for
+// dirty classes and memoized results for clean ones. fresh is the scan
+// of exactly the dirty candidates, in this order, cut into runs; memo is
+// ascending by root class. So the output is identical to a full rescan
+// of the candidate list.
+func mergeMatches(out *pattern.Matches, cands []*egraph.Class, dirty []bool,
+	memo *pattern.Matches, fresh []matchRun) {
+
+	mi := 0
 	for _, cls := range cands {
 		id := cls.ID
-		if dirty[id] {
-			for fi < len(fresh) && fresh[fi].Class < id {
-				fi++
-			}
-			for fi < len(fresh) && fresh[fi].Class == id {
-				out = append(out, fresh[fi])
-				fi++
-			}
-		} else {
-			for mi < len(memo) && memo[mi].Class < id {
+		if !dirty[id] {
+			for mi < memo.Len() && memo.Roots[mi] < id {
 				mi++
 			}
-			for mi < len(memo) && memo[mi].Class == id {
-				out = append(out, memo[mi])
+			lo := mi
+			for mi < memo.Len() && memo.Roots[mi] == id {
 				mi++
 			}
+			out.AppendRange(memo, lo, mi)
+			continue
+		}
+		for len(fresh) > 0 && fresh[0].lo == fresh[0].hi {
+			fresh = fresh[1:]
+		}
+		if len(fresh) > 0 {
+			run := &fresh[0]
+			lo := run.lo
+			for run.lo < run.hi && run.list.Roots[run.lo] == id {
+				run.lo++
+			}
+			out.AppendRange(run.list, lo, run.lo)
 		}
 	}
-	return out
 }

@@ -1,11 +1,27 @@
 package rewrite
 
 import (
+	"slices"
 	"sort"
 
 	"tensat/internal/egraph"
 	"tensat/internal/pattern"
 )
+
+// This file is Algorithm 2 (§5.2): the descendants map the pre-filter
+// consults, the DFS that collects cycles, and the post-processing loop
+// that filters the last-added node of each. All three walk the class
+// graph through a cycleFilter, which numbers the canonical classes
+// 0..C-1 (ascending id) for the walk in hand and keeps every per-class
+// fact in a slice indexed by that number. Class ids are issued per
+// e-node, so there are about 2.5 of them per live class: indexing by
+// dense number is what keeps a descendant row C bits wide.
+//
+// The descendants map is one slab of C rows of ⌈C/64⌉ words — C²/64
+// words, 12 MB at 10,000 classes — so it is allocated once per
+// exploration run, grown when C grows, and released with the run: it
+// is too large to rebuild every iteration and too large to park in a
+// process-wide pool between runs.
 
 // FilterSet marks e-nodes as removed from the e-graph for extraction
 // purposes (the "filter list" of Algorithm 2), keyed by the node's
@@ -18,69 +34,100 @@ type FilterSet map[int64]bool
 // Has reports whether the node with this stamp is filtered.
 func (f FilterSet) Has(stamp int64) bool { return f[stamp] }
 
-// descendants maps every canonical e-class to the set of e-classes
-// reachable strictly below it (through unfiltered nodes).
-type descendants map[egraph.ClassID]*egraph.Bitset
+// cycleFilter is the scratch of Algorithm 2, reused from walk to walk.
+// The zero value is ready to use.
+type cycleFilter struct {
+	number []int32 // ClassID -> 1 + dense number of a canonical class, 0 otherwise
+	state  []uint8 // per dense number: 0 unvisited, 1 on the DFS stack, 2 done
+	pos    []int32 // per dense number: DFS depth, while on the stack
+	words  int     // words per descendants row
+	slab   []uint64
+}
 
-// computeDescendants makes one pass over the e-graph and records the
-// descendant e-class set for each e-class (the GETDESCENDANTS step of
-// Algorithm 2). The e-graph must be acyclic modulo filtered nodes; if
-// a residual cycle is encountered the edge closing it is ignored (the
+// renumber numbers g's canonical classes and clears the DFS state.
+func (f *cycleFilter) renumber(g *egraph.EGraph) int {
+	classes := g.ClassCount()
+	f.number = append(f.number[:0], make([]int32, g.Stamp())...)
+	f.state = append(f.state[:0], make([]uint8, classes)...)
+	f.pos = append(f.pos[:0], make([]int32, classes)...)
+	next := int32(0)
+	g.Classes(func(cls *egraph.Class) {
+		next++
+		f.number[cls.ID] = next
+	})
+	return classes
+}
+
+// computeDescendants makes one pass over the e-graph and records, for
+// each e-class, the set of e-classes reachable strictly below it
+// through unfiltered nodes (the GETDESCENDANTS step of Algorithm 2).
+// The e-graph must be acyclic modulo filtered nodes; if a residual
+// cycle is encountered the edge closing it is ignored (the
 // post-processing pass will resolve it).
-func computeDescendants(g *egraph.EGraph, filtered FilterSet) descendants {
-	desc := make(descendants, g.ClassCount())
-	state := make(map[egraph.ClassID]uint8, g.ClassCount()) // 1 = on stack, 2 = done
-	n := g.ClassCount()
-	var dfs func(id egraph.ClassID)
-	dfs = func(id egraph.ClassID) {
-		id = g.Find(id)
-		if state[id] != 0 {
-			return
-		}
-		state[id] = 1
-		b := egraph.NewBitset(n)
-		cls := g.Class(id)
-		for i, node := range cls.Nodes {
+func (f *cycleFilter) computeDescendants(g *egraph.EGraph, filtered FilterSet) {
+	classes := f.renumber(g)
+	f.words = (classes + 63) / 64
+	// Rows are cleared as the walk reaches them, so what the slab held
+	// before does not matter.
+	f.slab = slices.Grow(f.slab[:0], classes*f.words)[:classes*f.words]
+	var dfs func(cls *egraph.Class, k int32)
+	dfs = func(cls *egraph.Class, k int32) {
+		f.state[k] = 1
+		row := f.slab[int(k)*f.words : (int(k)+1)*f.words]
+		clear(row)
+		for i := range cls.Nodes {
 			if filtered.Has(cls.Stamps[i]) {
 				continue
 			}
-			for _, ch := range node.Children {
-				ch = g.Find(ch)
-				if state[ch] == 1 {
-					// Residual cycle; skip this edge, post-processing fixes it.
+			for _, ch := range cls.Nodes[i].Children {
+				c := f.number[g.Find(ch)] - 1
+				// A child on the stack closes a residual cycle: skip the
+				// edge, post-processing fixes it. A child already in the row
+				// brought its own descendants with it: rows are final once
+				// their class is done, and only done rows are folded in.
+				if f.state[c] == 1 || row[c>>6]&(1<<(uint(c)&63)) != 0 {
 					continue
 				}
-				dfs(ch)
-				b.Set(ch)
-				b.Or(desc[ch])
+				if f.state[c] == 0 {
+					dfs(g.Class(ch), c)
+				}
+				row[c>>6] |= 1 << (uint(c) & 63)
+				for w, bits := range f.slab[int(c)*f.words : (int(c)+1)*f.words] {
+					row[w] |= bits
+				}
 			}
 		}
-		desc[id] = b
-		state[id] = 2
+		f.state[k] = 2
 	}
-	g.Classes(func(cls *egraph.Class) { dfs(cls.ID) })
-	return desc
+	g.Classes(func(cls *egraph.Class) {
+		if k := f.number[cls.ID] - 1; f.state[k] == 0 {
+			dfs(cls, k)
+		}
+	})
+}
+
+// reaches reports whether class to was strictly below class from when
+// the descendants were computed. A class created since has no row and
+// is in no row.
+func (f *cycleFilter) reaches(from, to egraph.ClassID) bool {
+	if int(from) >= len(f.number) || int(to) >= len(f.number) {
+		return false
+	}
+	a, b := f.number[from]-1, f.number[to]-1
+	return a >= 0 && b >= 0 && f.slab[int(a)*f.words+int(b>>6)]&(1<<(uint(b)&63)) != 0
 }
 
 // willCreateCycle is the pre-filtering check of Algorithm 2 (line 6):
 // applying the rewrite would add nodes under class `matched` whose
-// leaves are the classes bound in subst; a cycle appears iff some
-// bound class can already reach `matched` (or is `matched` itself).
-// The check is sound but not complete: desc is a snapshot from the
-// start of the iteration.
-func willCreateCycle(g *egraph.EGraph, desc descendants, target *pattern.Pat,
-	subst pattern.Subst, matched egraph.ClassID) bool {
+// leaves are the classes bound to the target's variables; a cycle
+// appears iff some bound class can already reach `matched` (or is
+// `matched` itself). The check is sound but not complete: the
+// descendants are a snapshot from the start of the iteration.
+func (f *cycleFilter) willCreateCycle(g *egraph.EGraph, target *pattern.Target,
+	bind []egraph.ClassID, matched egraph.ClassID) bool {
 	cm := g.Find(matched)
-	for _, v := range target.Vars() {
-		b, ok := subst[v]
-		if !ok {
-			continue
-		}
-		b = g.Find(b)
-		if b == cm {
-			return true
-		}
-		if d := desc[b]; d != nil && d.Has(cm) {
+	for _, slot := range target.Slots() {
+		if b := g.Find(bind[slot]); b == cm || f.reaches(b, cm) {
 			return true
 		}
 	}
@@ -97,44 +144,41 @@ type cycleEdge struct {
 // findCycles performs the DFSGETCYCLES pass of Algorithm 2: a DFS over
 // the class graph (through unfiltered nodes) collecting one cycle per
 // back edge encountered.
-func findCycles(g *egraph.EGraph, filtered FilterSet) [][]cycleEdge {
-	state := make(map[egraph.ClassID]uint8, g.ClassCount())
-	pos := make(map[egraph.ClassID]int, g.ClassCount())
+func (f *cycleFilter) findCycles(g *egraph.EGraph, filtered FilterSet) [][]cycleEdge {
+	f.renumber(g)
 	var stackEdges []cycleEdge // stackEdges[k] enters the class at depth k+1
 	var cycles [][]cycleEdge
 
-	var dfs func(id egraph.ClassID, depth int)
-	dfs = func(id egraph.ClassID, depth int) {
-		id = g.Find(id)
-		state[id] = 1
-		pos[id] = depth
-		cls := g.Class(id)
-		for i, node := range cls.Nodes {
-			if filtered.Has(cls.Stamps[i]) {
+	var dfs func(cls *egraph.Class, k int32, depth int)
+	dfs = func(cls *egraph.Class, k int32, depth int) {
+		f.state[k] = 1
+		f.pos[k] = int32(depth)
+		for i := range cls.Nodes {
+			stamp := cls.Stamps[i]
+			if filtered.Has(stamp) {
 				continue
 			}
-			stamp := cls.Stamps[i]
-			for _, ch := range node.Children {
-				ch = g.Find(ch)
-				switch state[ch] {
+			for _, ch := range cls.Nodes[i].Children {
+				c := f.number[g.Find(ch)] - 1
+				switch f.state[c] {
 				case 1: // back edge: cycle through stack from ch to id, plus this edge
-					start := pos[ch]
+					start := int(f.pos[c])
 					cyc := make([]cycleEdge, 0, depth-start+1)
 					cyc = append(cyc, stackEdges[start:depth]...)
-					cyc = append(cyc, cycleEdge{class: id, stamp: stamp})
+					cyc = append(cyc, cycleEdge{class: cls.ID, stamp: stamp})
 					cycles = append(cycles, cyc)
 				case 0:
-					stackEdges = append(stackEdges, cycleEdge{class: id, stamp: stamp})
-					dfs(ch, depth+1)
+					stackEdges = append(stackEdges, cycleEdge{class: cls.ID, stamp: stamp})
+					dfs(g.Class(ch), c, depth+1)
 					stackEdges = stackEdges[:depth]
 				}
 			}
 		}
-		state[id] = 2
+		f.state[k] = 2
 	}
 	g.Classes(func(cls *egraph.Class) {
-		if state[g.Find(cls.ID)] == 0 {
-			dfs(g.Find(cls.ID), 0)
+		if k := f.number[cls.ID] - 1; f.state[k] == 0 {
+			dfs(cls, k, 0)
 		}
 	})
 	return cycles
@@ -165,7 +209,7 @@ func resolveCycles(filtered FilterSet, cycles [][]cycleEdge) int {
 	return count
 }
 
-// FilterCycles runs the post-processing loop of Algorithm 2 (lines
+// filterCycles runs the post-processing loop of Algorithm 2 (lines
 // 10-18) until the e-graph is acyclic modulo the filter set. It
 // returns the number of nodes newly filtered.
 //
@@ -174,10 +218,10 @@ func resolveCycles(filtered FilterSet, cycles [][]cycleEdge) int {
 // rounds and stops early when it fires — the graph may then still be
 // cyclic, and the caller must run a final uncancelable pass (done ==
 // nil) before relying on acyclicity.
-func FilterCycles(g *egraph.EGraph, filtered FilterSet, done <-chan struct{}) int {
+func (f *cycleFilter) filterCycles(g *egraph.EGraph, filtered FilterSet, done <-chan struct{}) int {
 	total := 0
 	for !stopped(done) {
-		cycles := findCycles(g, filtered)
+		cycles := f.findCycles(g, filtered)
 		if len(cycles) == 0 {
 			break
 		}
@@ -192,5 +236,5 @@ func FilterCycles(g *egraph.EGraph, filtered FilterSet, done <-chan struct{}) in
 // unfiltered nodes (the invariant the ILP extractor without cycle
 // constraints relies on).
 func IsAcyclic(g *egraph.EGraph, filtered FilterSet) bool {
-	return len(findCycles(g, filtered)) == 0
+	return len(new(cycleFilter).findCycles(g, filtered)) == 0
 }

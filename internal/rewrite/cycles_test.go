@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"math/rand"
 	"testing"
 
 	"tensat/internal/egraph"
@@ -110,8 +111,8 @@ func TestDescendantsSkipFilteredNodes(t *testing.T) {
 	FilterCycles(g, filtered, nil)
 	desc := computeDescendants(g, filtered)
 	// After filtering, at most one of A-reaches-B / B-reaches-A remains.
-	ab := desc[g.Find(a)] != nil && desc[g.Find(a)].Has(g.Find(b))
-	ba := desc[g.Find(b)] != nil && desc[g.Find(b)].Has(g.Find(a))
+	ab := desc.reaches(g.Find(a), g.Find(b))
+	ba := desc.reaches(g.Find(b), g.Find(a))
 	if ab && ba {
 		t.Fatal("descendants still mutually reachable after filtering")
 	}
@@ -142,6 +143,34 @@ func TestWillCreateCycleSelfReference(t *testing.T) {
 	}
 }
 
+// The four functions below spell the cycleFilter methods the way these
+// tests call them: standalone, on scratch of their own, with the
+// rewrite's bindings as a substitution by variable name.
+
+func FilterCycles(g *egraph.EGraph, filtered FilterSet, done <-chan struct{}) int {
+	return new(cycleFilter).filterCycles(g, filtered, done)
+}
+
+func computeDescendants(g *egraph.EGraph, filtered FilterSet) *cycleFilter {
+	f := new(cycleFilter)
+	f.computeDescendants(g, filtered)
+	return f
+}
+
+func findCycles(g *egraph.EGraph, filtered FilterSet) [][]cycleEdge {
+	return new(cycleFilter).findCycles(g, filtered)
+}
+
+func willCreateCycle(g *egraph.EGraph, desc *cycleFilter, target *pattern.Pat,
+	subst pattern.Subst, matched egraph.ClassID) bool {
+	vars := target.Vars()
+	bind := make([]egraph.ClassID, len(vars))
+	for i, v := range vars {
+		bind[i] = subst[v]
+	}
+	return desc.willCreateCycle(g, pattern.CompileTarget(target, vars), bind, matched)
+}
+
 func mustPat(t *testing.T, src string) *pattern.Pat {
 	t.Helper()
 	p, err := pattern.Parse(src)
@@ -153,4 +182,26 @@ func mustPat(t *testing.T, src string) *pattern.Pat {
 
 func substOf(v string, id egraph.ClassID) pattern.Subst {
 	return pattern.Subst{v: id}
+}
+
+// BenchmarkDescendants times the GETDESCENDANTS pass on a 4000-class
+// DAG whose classes hold two nodes each, on one reused cycleFilter —
+// the way an exploration run calls it once per iteration.
+func BenchmarkDescendants(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := egraph.New(nil)
+	ids := []egraph.ClassID{g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x@4 4"))}
+	for len(ids) < 4000 {
+		below := func() egraph.ClassID { return ids[rng.Intn(len(ids))] }
+		id := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), below(), below()))
+		g.Union(id, g.Add(egraph.NewNode(egraph.Op(tensor.OpEwmul), below(), below())))
+		ids = append(ids, id)
+	}
+	g.Rebuild()
+	var f cycleFilter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.computeDescendants(g, FilterSet{})
+	}
 }

@@ -1,0 +1,143 @@
+package rewrite_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"tensat/internal/models"
+	"tensat/internal/rewrite"
+	"tensat/internal/rules"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/explore_golden.json from this build's results")
+
+// exploreRow is one benchmark row: a zoo model explored at the limits
+// bench/zoo.go gives it.
+type exploreRow struct {
+	name  string
+	model string
+	rules []*rewrite.Rule
+	nodes int
+}
+
+// exploreRows lists the six zoo_explore rows and the eight zoo_ilp rows
+// of the benchmark (IterLimit 15, KMulti 1).
+func exploreRows() []exploreRow {
+	def, single := rules.Default(), rules.Single()
+	rows := []exploreRow{
+		{"NasRNN/taso-default", "NasRNN", def, 20000},
+		{"BERT/taso-default", "BERT", def, 20000},
+		{"NasNet-A/taso-default", "NasNet-A", def, 20000},
+		{"Inception-v3/taso-default", "Inception-v3", def, 20000},
+		{"NasRNN/taso-single", "NasRNN", single, 20000},
+		{"BERT/taso-single", "BERT", single, 20000},
+	}
+	limit := map[string]int{"NasRNN": 2000, "BERT": 5000, "NasNet-A": 10000}
+	for _, m := range append(models.Benchmarks(), models.Extras()...) {
+		n := 20000
+		if l, ok := limit[m.Name]; ok {
+			n = l
+		}
+		rows = append(rows, exploreRow{m.Name + "/ilp", m.Name, def, n})
+	}
+	return rows
+}
+
+// exploreGolden is what the golden file pins per row: every integer
+// field of rewrite.Stats by name, the e-graph's text and the size of
+// the cycle filter list.
+type exploreGolden struct {
+	Stats    map[string]int `json:"stats"`
+	DumpSHA  string         `json:"dump_sha256"`
+	Filtered int            `json:"filtered"`
+}
+
+func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
+	t.Helper()
+	m, err := models.ByName(row.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rewrite.NewRunner(row.rules)
+	r.Limits = rewrite.Limits{MaxNodes: row.nodes, MaxIters: 15, KMulti: 1}
+	r.Workers = workers
+	ex, err := r.Run(m.Build(models.ScaleTest))
+	if err != nil {
+		t.Fatalf("%s: %v", row.name, err)
+	}
+	out := exploreGolden{Stats: make(map[string]int), Filtered: len(ex.Filtered)}
+	sv := reflect.ValueOf(ex.Stats)
+	for i := 0; i < sv.NumField(); i++ {
+		if sv.Field(i).Kind() == reflect.Int {
+			out.Stats[sv.Type().Field(i).Name] = int(sv.Field(i).Int())
+		}
+	}
+	sum := sha256.Sum256([]byte(ex.G.Dump()))
+	out.DumpSHA = hex.EncodeToString(sum[:])
+	return out
+}
+
+// TestExploreGolden pins the exploration phase on every benchmark row —
+// the counters of rewrite.Stats, the SHA-256 of the e-graph's Dump and
+// the filter-list size — to the file recorded at the commit before the
+// e-graph, the matcher's match lists and the cycle filter moved onto
+// dense tables, at 1, 2 and 4 search workers: a change of containers
+// must build the same e-graph.
+func TestExploreGolden(t *testing.T) {
+	const path = "testdata/explore_golden.json"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // Workers is clamped to GOMAXPROCS
+	if *updateGolden {
+		got := make(map[string]exploreGolden)
+		for _, row := range exploreRows() {
+			got[row.name] = exploreOnce(t, row, 1)
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]exploreGolden
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	rows := exploreRows()
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, golden file has %d", len(rows), len(want))
+	}
+	for _, row := range rows {
+		for _, workers := range []int{1, 2, 4} {
+			if got := exploreOnce(t, row, workers); !reflect.DeepEqual(got, want[row.name]) {
+				t.Errorf("%s at %d workers:\n got  %+v\n want %+v", row.name, workers, got, want[row.name])
+			}
+		}
+	}
+}
+
+// TestExploreDeterministicInProcess repeats one exploration ten times in
+// one process. Go re-randomises map iteration on every range, so an
+// order that leaks from a map into the e-graph shows up as two
+// different Dumps here even when separate processes happen to agree.
+func TestExploreDeterministicInProcess(t *testing.T) {
+	row := exploreRows()[0]
+	row.nodes = 5000
+	want := exploreOnce(t, row, 2)
+	for i := 1; i < 10; i++ {
+		if got := exploreOnce(t, row, 2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d differs from run 0:\n got  %+v\n want %+v", i, got, want)
+		}
+	}
+}

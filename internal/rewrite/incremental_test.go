@@ -69,7 +69,7 @@ func TestIncrementalSearchEqualsFullRescan(t *testing.T) {
 		}
 
 		r := &Runner{Workers: 1 + int(seed%4)} // cover sequential and parallel paths
-		st := &searchState{matches: make([][]pattern.Compact, len(cr.pats))}
+		st := newSearchState(cr)
 		for round := 0; round < 6; round++ {
 			view := g.Freeze()
 			var ex Explored
@@ -79,21 +79,21 @@ func TestIncrementalSearchEqualsFullRescan(t *testing.T) {
 			}
 
 			// Oracle: a fresh full search of the same view.
-			full := &searchState{matches: make([][]pattern.Compact, len(cr.pats))}
+			full := newSearchState(cr)
 			r.searchAll(view, cr, full, &Explored{}, nil)
 			for p := range cr.pats {
-				if len(st.matches[p]) != len(full.matches[p]) {
+				if st.matches[p].Len() != full.matches[p].Len() {
 					t.Fatalf("seed %d round %d pattern %d: incremental found %d matches, full rescan %d",
-						seed, round, p, len(st.matches[p]), len(full.matches[p]))
+						seed, round, p, st.matches[p].Len(), full.matches[p].Len())
 				}
-				for i := range full.matches[p] {
-					a, b := st.matches[p][i], full.matches[p][i]
-					if a.Class != b.Class {
+				for i := range full.matches[p].Roots {
+					a, b := &st.matches[p], &full.matches[p]
+					if a.Roots[i] != b.Roots[i] {
 						t.Fatalf("seed %d round %d pattern %d match %d: class e%d vs e%d",
-							seed, round, p, i, a.Class, b.Class)
+							seed, round, p, i, a.Roots[i], b.Roots[i])
 					}
-					for k := range b.Bind {
-						if a.Bind[k] != b.Bind[k] {
+					for k, id := range b.Bind(i) {
+						if a.Bind(i)[k] != id {
 							t.Fatalf("seed %d round %d pattern %d match %d: binding %d differs",
 								seed, round, p, i, k)
 						}
@@ -121,11 +121,11 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 	mul := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwmul), c, a)) // no match yet: c is a leaf
 
 	r := &Runner{Workers: 1}
-	st := &searchState{matches: make([][]pattern.Compact, len(cr.pats))}
+	st := newSearchState(cr)
 	var ex1 Explored
 	r.searchAll(g.Freeze(), cr, st, &ex1, nil)
-	if len(st.matches[0]) != 0 {
-		t.Fatalf("premature match: %d", len(st.matches[0]))
+	if n := st.matches[0].Len(); n != 0 {
+		t.Fatalf("premature match: %d", n)
 	}
 
 	// c ~ add(a,b): now (ewmul (ewadd ?x ?y) ?z) matches at mul, whose
@@ -137,14 +137,17 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 	if ex2.Stats.SearchDirty == 0 {
 		t.Fatal("incremental path not engaged: mul's class was not re-searched")
 	}
-	if len(st.matches[0]) != 1 {
-		t.Fatalf("incremental search found %d matches, want 1", len(st.matches[0]))
+	if n := st.matches[0].Len(); n != 1 {
+		t.Fatalf("incremental search found %d matches, want 1", n)
 	}
-	m := st.matches[0][0]
-	if g.Find(m.Class) != g.Find(mul) {
-		t.Fatalf("match rooted at e%d, want e%d", m.Class, g.Find(mul))
+	if root := st.matches[0].Roots[0]; g.Find(root) != g.Find(mul) {
+		t.Fatalf("match rooted at e%d, want e%d", root, g.Find(mul))
 	}
-	s := substFor(cr.pats[0].prog, cr.refs[rules[0]][0].back, m)
+	// Decanonicalize through the compiled rule: slot -> variable name.
+	s := pattern.Subst{}
+	for k, id := range st.matches[0].Bind(0) {
+		s[cr.rules[0].vars[cr.rules[0].sources[0].slots[k]]] = id
+	}
 	if g.Find(s["?x"]) != g.Find(a) || g.Find(s["?y"]) != g.Find(b) || g.Find(s["?z"]) != g.Find(a) {
 		t.Fatalf("unexpected bindings %v", s)
 	}

@@ -142,9 +142,10 @@ type Runner struct {
 	// the e-graph.
 	Progress func(iteration, enodes, eclasses int)
 	// Trace, when non-nil, receives phase spans: an "explore" span
-	// containing one "iteration" span per iteration, each with
-	// "search", "apply" and "rebuild" children annotated with e-node /
-	// e-class deltas. A nil Trace records nothing and costs a nil
+	// containing one "iteration" span per iteration — each with
+	// "descendants", "search", "apply" and "rebuild" children annotated
+	// with e-node / e-class deltas — and a closing "filter" span for the
+	// final cycle pass. A nil Trace records nothing and costs a nil
 	// check per phase boundary.
 	Trace *obs.Trace
 }
@@ -207,7 +208,8 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 	if !cr.compiledFor(r.Rules) {
 		cr = CompileRules(r.Rules)
 	}
-	st := &searchState{matches: make([][]pattern.Compact, len(cr.pats))}
+	st := newSearchState(cr)
+	cycles := new(cycleFilter) // this run's Algorithm 2 scratch, descendants slab included
 
 	if r.Progress != nil {
 		r.Progress(0, g.NodeCount(), g.ClassCount())
@@ -231,7 +233,7 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 			break
 		}
 		useMulti := iter < lim.KMulti
-		changed, interrupted := r.iterate(ex, cr, st, useMulti, lim, deadline, done)
+		changed, interrupted := r.iterate(ex, cr, st, cycles, useMulti, lim, deadline, done)
 		ex.Stats.Iterations++
 		if r.Progress != nil {
 			r.Progress(ex.Stats.Iterations, g.NodeCount(), g.ClassCount())
@@ -251,7 +253,9 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 	// pass is deliberately uncancelable (nil done): extraction relies
 	// on acyclicity even when exploration was cut short.
 	if r.Filter != FilterNone {
-		ex.Stats.FilteredNodes += FilterCycles(g, ex.Filtered, nil)
+		r.Trace.Begin("filter")
+		ex.Stats.FilteredNodes += cycles.filterCycles(g, ex.Filtered, nil)
+		r.Trace.End()
 	}
 	ex.Stats.ENodes = g.NodeCount()
 	ex.Stats.EClasses = g.ClassCount()
@@ -280,7 +284,7 @@ func stopped(done <-chan struct{}) bool {
 // interrupted (cancellation, deadline, or node limit) before every
 // match was considered — an interrupted no-change iteration is not
 // saturation.
-func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
+func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycles *cycleFilter,
 	useMulti bool, lim Limits, deadline time.Time,
 	done <-chan struct{}) (changed, interrupted bool) {
 
@@ -297,9 +301,10 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 	r.Trace.Attr("iteration", int64(ex.Stats.Iterations))
 
 	// One descendants snapshot per iteration for the efficient filter.
-	var desc descendants
 	if r.Filter == FilterEfficient {
-		desc = computeDescendants(g, ex.Filtered)
+		r.Trace.Begin("descendants")
+		cycles.computeDescendants(g, ex.Filtered)
+		r.Trace.End()
 	}
 
 	// SEARCH(G, e_c): all matches for all canonical patterns, matched
@@ -312,7 +317,12 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 	r.Trace.Attr("matches", int64(ex.Stats.SearchMatches-searchMatchesBefore))
 	r.Trace.End()
 
-	apply := func(rule *Rule, matched []egraph.ClassID, subst pattern.Subst) {
+	// apply considers one match of a rule: matched[i] is the class its
+	// i-th source matched at and bind the rule's variables by slot. The
+	// rule loop below sizes matched, bind and metas for each rule.
+	var matched, bind []egraph.ClassID
+	var metas []*tensor.Meta // per slot; nil at a slot no source binds
+	apply := func(rule *Rule, c *compiledRule) {
 		// Chaos hook: a fault armed at rewrite.apply models a buggy rule.
 		// Apply has no error channel, so an injected error panics too —
 		// the job-level recovery barrier is exactly what it exercises.
@@ -320,45 +330,41 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 			panic(err)
 		}
 		// Shape checking (§4) over every target pattern.
-		varMeta := func(v string) (*tensor.Meta, bool) {
-			id, ok := subst[v]
-			if !ok {
-				return nil, false
-			}
-			m := ClassMeta(g, id)
-			return m, m != nil
+		for slot, id := range bind[:c.bound] {
+			metas[slot] = ClassMeta(g, id)
 		}
-		for _, tgt := range rule.Targets {
-			if _, err := pattern.InferMeta(tgt, varMeta); err != nil {
+		for _, tgt := range c.targets {
+			if _, err := tgt.InferMeta(metas); err != nil {
 				ex.Stats.SkippedShape++
 				return
 			}
 		}
-		if rule.Cond != nil && !rule.Cond(g, subst) {
-			ex.Stats.SkippedShape++
-			return
+		if rule.Cond != nil {
+			subst := make(pattern.Subst, c.bound)
+			for slot, id := range bind[:c.bound] {
+				subst[c.vars[slot]] = id
+			}
+			if !rule.Cond(g, subst) {
+				ex.Stats.SkippedShape++
+				return
+			}
 		}
 		// Cycle pre-filtering.
 		if r.Filter != FilterNone {
-			d := desc
 			if r.Filter == FilterVanilla {
 				// Vanilla: a full pass over the e-graph per substitution.
-				d = computeDescendants(g, ex.Filtered)
+				cycles.computeDescendants(g, ex.Filtered)
 			}
-			for i, tgt := range rule.Targets {
-				if willCreateCycle(g, d, tgt, subst, matched[i]) {
+			for i, tgt := range c.targets {
+				if cycles.willCreateCycle(g, tgt, bind, matched[i]) {
 					ex.Stats.SkippedCycle++
 					return
 				}
 			}
 		}
 		// APPLY: instantiate each target and union with its matched output.
-		for i, tgt := range rule.Targets {
-			id, err := pattern.Instantiate(g, tgt, subst)
-			if err != nil {
-				return // unbound variable: cannot happen for validated rules
-			}
-			if _, ch := g.Union(id, matched[i]); ch {
+		for i, tgt := range c.targets {
+			if _, ch := g.Union(tgt.Instantiate(g, bind), matched[i]); ch {
 				unioned = true
 			}
 		}
@@ -367,7 +373,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 
 	r.Trace.Begin("apply")
 	applyStart := time.Now()
-	for _, rule := range r.Rules {
+	for ri, rule := range r.Rules {
 		if rule.IsMulti() && !useMulti {
 			continue
 		}
@@ -383,11 +389,14 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 			interrupted = true
 			break
 		}
-		rrefs := cr.refs[rule]
+		c := &cr.rules[ri]
+		matched = append(matched[:0], make([]egraph.ClassID, len(c.sources))...)
+		bind = append(bind[:0], make([]egraph.ClassID, len(c.vars))...)
+		metas = append(metas[:0], make([]*tensor.Meta, len(c.vars))...)
 		if !rule.IsMulti() {
-			ref := rrefs[0]
-			prog := cr.pats[ref.pat].prog
-			for mi, m := range st.matches[ref.pat] {
+			ref := c.sources[0]
+			ms := &st.matches[ref.pat]
+			for mi := 0; mi < ms.Len(); mi++ {
 				// Large match lists must notice a dead request between
 				// rule boundaries, same cadence as applyMulti.
 				if mi%256 == 255 && (time.Now().After(deadline) || stopped(done)) {
@@ -400,7 +409,11 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 					break
 				}
 				ex.Stats.Matches++
-				apply(rule, []egraph.ClassID{m.Class}, substFor(prog, ref.back, m))
+				matched[0] = ms.Roots[mi]
+				for k, id := range ms.Bind(mi) {
+					bind[ref.slots[k]] = id
+				}
+				apply(rule, c)
 				if g.NodeCount() >= lim.MaxNodes {
 					interrupted = true
 					break
@@ -411,7 +424,8 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 		// Multi-pattern: cartesian product of decanonicalized matches,
 		// keeping only combinations compatible on shared variables
 		// (Algorithm 1, lines 11-21).
-		if r.applyMulti(ex, rule, cr, st, rrefs, apply, lim, deadline, done) {
+		visit := func() { apply(rule, c) }
+		if r.applyMulti(ex, c, st, matched, bind, visit, lim, deadline, done) {
 			interrupted = true
 		}
 	}
@@ -425,7 +439,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState,
 	g.Rebuild()
 
 	if r.Filter != FilterNone {
-		ex.Stats.FilteredNodes += FilterCycles(g, ex.Filtered, done)
+		ex.Stats.FilteredNodes += cycles.filterCycles(g, ex.Filtered, done)
 	}
 	ex.Stats.RebuildTime += time.Since(rebuildStart)
 	r.Trace.End()
@@ -510,7 +524,7 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 	// Per-pattern work: the candidate list from the op index, narrowed
 	// to the dirty subset when the previous iteration's memo is valid.
 	incremental := st.valid
-	var dirty map[egraph.ClassID]bool
+	var dirty []bool
 	if incremental {
 		dirty = view.DirtySince(st.version)
 	}
@@ -527,22 +541,35 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 		if !incremental {
 			scans[i] = cands[i]
 		} else {
+			scan := st.scans[i][:0]
 			for _, cls := range cands[i] {
 				if dirty[cls.ID] {
-					scans[i] = append(scans[i], cls)
+					scan = append(scan, cls)
 				}
 			}
+			scans[i], st.scans[i] = scan, scan
 			planDirty += len(scans[i])
 			planClean += len(cands[i]) - len(scans[i])
 		}
 		planScanned += len(scans[i])
 	}
 
-	// Scan the work lists into fresh, per-pattern in scan order.
-	fresh := make([][]pattern.Compact, len(cr.pats))
+	// Scan the work lists. Each worker appends what it finds to its own
+	// list for the pattern; fresh[p] names, in scan order, the runs of
+	// those lists that together hold pattern p's scan results.
+	for len(st.found) < workers {
+		st.found = append(st.found, make([]pattern.Matches, len(cr.pats)))
+	}
+	for _, found := range st.found[:workers] {
+		for i := range found {
+			found[i].Reset()
+		}
+	}
+	fresh := make([][]matchRun, len(cr.pats))
 	if workers == 1 {
 		for i, cp := range cr.pats {
 			scan := scans[i]
+			found := &st.found[0][i]
 			// Scan in bounded chunks, re-checking cancellation between
 			// them; chunk results concatenate in scan order, so the
 			// match list is identical to one whole-list scan.
@@ -551,16 +578,17 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 				if hi > len(scan) {
 					hi = len(scan)
 				}
-				fresh[i] = cp.prog.AppendMatches(fresh[i], view, scan[lo:hi])
+				cp.prog.AppendMatches(found, view, scan[lo:hi])
 			}
+			fresh[i] = []matchRun{{found, 0, found.Len()}}
 		}
 	} else {
 		// Shard long work lists so a single hot pattern also spreads
 		// across workers; short lists (below searchParallelThreshold)
 		// stay whole and only ride the pool for cross-pattern overlap.
+		// A shard's matches are one run of its worker's list.
 		type task struct{ p, s int }
 		bounds := make([][]int, len(cr.pats)) // per pattern: shard start offsets
-		results := make([][][]pattern.Compact, len(cr.pats))
 		for i := range cr.pats {
 			n := len(scans[i])
 			size := n
@@ -577,7 +605,7 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 			for lo := 0; lo < n; lo += size {
 				bounds[i] = append(bounds[i], lo)
 			}
-			results[i] = make([][]pattern.Compact, len(bounds[i]))
+			fresh[i] = make([]matchRun, len(bounds[i]))
 		}
 		tasks := make(chan task)
 		var wg sync.WaitGroup
@@ -603,8 +631,9 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(w int) {
 				defer wg.Done()
+				found := st.found[w]
 				for t := range tasks {
 					if stopped(done) || hasPanicked() {
 						continue // drain cheaply once canceled or doomed
@@ -621,10 +650,12 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 						if t.s+1 < len(bounds[t.p]) {
 							hi = bounds[t.p][t.s+1]
 						}
-						results[t.p][t.s] = cr.pats[t.p].prog.AppendMatches(nil, view, scan[lo:hi])
+						from := found[t.p].Len()
+						cr.pats[t.p].prog.AppendMatches(&found[t.p], view, scan[lo:hi])
+						fresh[t.p][t.s] = matchRun{&found[t.p], from, found[t.p].Len()}
 					}()
 				}
-			}()
+			}(w)
 		}
 		for p := range cr.pats {
 			for s := range bounds[p] {
@@ -636,17 +667,6 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 		if panicked != nil {
 			panic(panicked)
 		}
-		for i := range cr.pats {
-			n := 0
-			for _, ms := range results[i] {
-				n += len(ms)
-			}
-			all := make([]pattern.Compact, 0, n)
-			for _, ms := range results[i] {
-				all = append(all, ms...)
-			}
-			fresh[i] = all
-		}
 	}
 
 	if stopped(done) {
@@ -656,7 +676,7 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 		// canceled scan did not actually visit those classes.
 		st.valid = false
 		for i := range st.matches {
-			st.matches[i] = nil
+			st.matches[i].Reset()
 		}
 		return
 	}
@@ -666,33 +686,40 @@ func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState
 	ex.Stats.SearchScanned += planScanned
 
 	for i := range cr.pats {
+		// Build the new list beside the old one, which the merge reads.
+		next := &st.spare[i]
+		next.Reset()
 		if incremental {
-			st.matches[i] = mergeMatches(cands[i], dirty, st.matches[i], fresh[i])
+			mergeMatches(next, cands[i], dirty, &st.matches[i], fresh[i])
 		} else {
-			st.matches[i] = fresh[i]
+			for _, run := range fresh[i] {
+				next.AppendRange(run.list, run.lo, run.hi)
+			}
 		}
-		ex.Stats.SearchMatches += len(st.matches[i])
+		st.matches[i], st.spare[i] = st.spare[i], st.matches[i]
+		ex.Stats.SearchMatches += st.matches[i].Len()
 	}
 	st.version = view.Version()
 	st.valid = true
 }
 
 // applyMulti enumerates compatible match combinations for a
-// multi-pattern rule via backtracking over the per-source match lists.
+// multi-pattern rule via backtracking over the per-source match lists:
+// source i's match goes into matched[i] and its bindings into the
+// rule's slots of bind, and visit is called on each full combination.
 // It reports whether enumeration was aborted early (node limit,
 // deadline, or cancellation): the abort flag unwinds the entire
 // recursion, so no sibling branch of the cartesian product keeps
 // enumerating after the budget is gone. An abort caused by the done
 // channel sets Stats.Canceled.
-func (r *Runner) applyMulti(ex *Explored, rule *Rule, cr *CompiledRules, st *searchState,
-	rrefs []sourceRef, apply func(*Rule, []egraph.ClassID, pattern.Subst),
+func (r *Runner) applyMulti(ex *Explored, c *compiledRule, st *searchState,
+	matched, bind []egraph.ClassID, visit func(),
 	lim Limits, deadline time.Time, done <-chan struct{}) (aborted bool) {
 
 	g := ex.G
-	matched := make([]egraph.ClassID, len(rrefs))
 	visited := 0
-	var rec func(i int, subst pattern.Subst)
-	rec = func(i int, subst pattern.Subst) {
+	var rec func(i int)
+	rec = func(i int) {
 		if aborted {
 			return
 		}
@@ -709,38 +736,30 @@ func (r *Runner) applyMulti(ex *Explored, rule *Rule, cr *CompiledRules, st *sea
 			aborted = true
 			return
 		}
-		if i == len(rrefs) {
+		if i == len(c.sources) {
 			ex.Stats.Matches++
-			apply(rule, append([]egraph.ClassID(nil), matched...), subst)
+			visit()
 			return
 		}
-		ref := rrefs[i]
-		prog := cr.pats[ref.pat].prog
-		for _, m := range st.matches[ref.pat] {
+		ref := c.sources[i]
+		ms := &st.matches[ref.pat]
+	match:
+		for mi := 0; mi < ms.Len(); mi++ {
 			if aborted {
 				return
 			}
-			ms := substFor(prog, ref.back, m)
 			// COMPATIBLE: shared variables must map to the same e-class.
-			merged := subst.Clone()
-			ok := true
-			for v, id := range ms {
-				if prev, bound := merged[v]; bound {
-					if g.Find(prev) != g.Find(id) {
-						ok = false
-						break
-					}
-					continue
+			for k, id := range ms.Bind(mi) {
+				if slot := ref.slots[k]; !ref.shared[k] {
+					bind[slot] = id
+				} else if g.Find(bind[slot]) != g.Find(id) {
+					continue match
 				}
-				merged[v] = id
 			}
-			if !ok {
-				continue
-			}
-			matched[i] = m.Class
-			rec(i+1, merged)
+			matched[i] = ms.Roots[mi]
+			rec(i + 1)
 		}
 	}
-	rec(0, pattern.Subst{})
+	rec(0)
 	return aborted
 }
