@@ -19,7 +19,7 @@ import (
 	"tensat/internal/rules"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/zoo_golden.json from this build's results")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/zoo_*golden.json files of the tests that run from this build's results")
 
 var zoo struct {
 	once     sync.Once
@@ -71,6 +71,31 @@ func zooILP(t *testing.T, name string, ex *rewrite.Explored, solver string) (*Re
 	return res, string(text)
 }
 
+// goldenFile returns what path records for the caller to compare with
+// got — or, under -update-golden, rewrites path from got and reports
+// false.
+func goldenFile[T any](t *testing.T, path string, got T) (want T, compare bool) {
+	t.Helper()
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return want, false
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want, true
+}
+
 type goldenRow struct {
 	Cost   float64 `json:"cost"`
 	SHA256 string  `json:"sha256"`
@@ -89,23 +114,9 @@ func TestZooGolden(t *testing.T) {
 		sum := sha256.Sum256([]byte(text))
 		got[name] = goldenRow{Cost: res.Cost, SHA256: hex.EncodeToString(sum[:])}
 	}
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	want, ok := goldenFile(t, path, got)
+	if !ok {
 		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]goldenRow
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d zoo models, golden file has %d", len(got), len(want))
@@ -133,6 +144,57 @@ func TestBackendsAgreeOnZoo(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s: builtin at %d workers and builtin-seq return different graphs", name, workers)
+			}
+		}
+	}
+}
+
+// treeRow is what one solve's search tree looks like from outside:
+// how many expansions it took, how it ended, and what it started from
+// and arrived at.
+type treeRow struct {
+	Explored       int64   `json:"explored"`
+	Optimal        bool    `json:"optimal"`
+	Stalled        bool    `json:"stalled"`
+	Incumbents     int     `json:"incumbents"`
+	SeedCost       float64 `json:"seed_cost"`
+	Cost           float64 `json:"cost"`
+	ImproveCommits int     `json:"improve_commits"`
+}
+
+// TestZooTreeGolden pins the branch-and-bound tree itself on every zoo
+// model, with one worker and with two: a change to the search core's
+// data layout must choose the same class at every expansion, try the
+// same candidates in the same order and prune and stall at the same
+// points, so every count below repeats exactly. The file was recorded
+// at the commit before the core went flat.
+func TestZooTreeGolden(t *testing.T) {
+	const path = "testdata/zoo_tree_golden.json"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	got := make(map[string]map[string]treeRow)
+	for name, ex := range zooExplore(t) {
+		got[name] = make(map[string]treeRow)
+		for _, cfg := range []struct {
+			key, solver string
+			procs       int
+		}{{"builtin-seq", "builtin-seq", 1}, {"builtin@2", "builtin", 2}} {
+			runtime.GOMAXPROCS(cfg.procs)
+			res, _ := zooILP(t, name, ex, cfg.solver)
+			s := res.ILP
+			got[name][cfg.key] = treeRow{s.Explored, s.Optimal, s.Stalled, s.Incumbents, s.SeedCost, s.Cost, s.ImproveCommits}
+		}
+	}
+	want, ok := goldenFile(t, path, got)
+	if !ok {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d zoo models, golden file has %d", len(got), len(want))
+	}
+	for name, rows := range want {
+		for key, w := range rows {
+			if g := got[name][key]; g != w {
+				t.Errorf("%s %s:\n got %+v\nwant %+v", name, key, g, w)
 			}
 		}
 	}

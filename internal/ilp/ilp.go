@@ -27,6 +27,17 @@
 // one worker claiming the empty prefix, so every worker count accepts
 // incumbents by the same rule and returns the same selection.
 //
+// A worker owns everything an expansion writes: per class the chosen
+// node and the count of chosen nodes requiring it, per search depth a
+// frame holding the pending list handed to the depth below and the
+// candidates of the class branched on. One node per depth is live at a
+// time, so every node at a depth reuses its frame, which grows to the
+// widest one and then never allocates: an expansion is a bound
+// compare, a scan and a copy of the pending classes and one counter
+// update per child, with no heap traffic, and the scan skips what it
+// has already found without a forced choice. The frames live and die
+// with the solve.
+//
 // The Problem is also the only judge of a selection (selection.go):
 // Allowed says which nodes are in the model, TreeCosts bounds a class,
 // and Check decides whether a selection is complete, acyclic and
@@ -42,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -184,17 +196,43 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// tables are the read-only facts prepare derives from the problem once;
+// the master and every worker share one copy.
+type tables struct {
+	allowed  [][]int   // per class: Allowed nodes, cheap first
+	atMin    []int     // per class: how many of them, a prefix, cost the class minimum
+	minCost  []float64 // per class: cheapest allowed node cost
+	greedy   []float64 // per class: tree cost, for branch ordering and completions
+	freePick []int     // per class: node with a zero-cost acyclic derivation, or -1
+	// watch[c] is a 64-bit Bloom set of the children of c's at-minimum
+	// nodes: c gains a forced choice only when one becomes required.
+	watch []uint64
+}
+
+// frame is the memory one search depth reuses for every node it
+// visits. pending is what the depth above hands down: the hi classes
+// it kept, then those the decision under trial newly requires; of the
+// kept ones, pending[lo:hi] had no forced choice when the depth above
+// scanned them. cands orders the class the depth above branches on.
+type frame struct {
+	pending []int
+	lo, hi  int
+	cands   []cand
+}
+
+// cand is a branching candidate with its ordering key.
+type cand struct {
+	key  float64
+	node int
+}
+
 type solver struct {
 	p           *Problem
 	deadline    time.Time
 	hasDeadline bool
 	done        <-chan struct{} // caller cancellation; nil means none
 	canceled    bool
-
-	allowed  [][]int   // per class: Allowed nodes, cheap first
-	minCost  []float64 // per class: cheapest allowed node cost
-	greedy   []float64 // per class: tree cost, for branch ordering and completions
-	freePick []int     // per class: node with a zero-cost acyclic derivation, or -1
+	*tables
 
 	chosen      []int // per class: chosen node or -1
 	need        []int // per class: how many chosen nodes require it
@@ -204,6 +242,12 @@ type solver struct {
 	timedOut    bool
 	stalled     bool
 
+	frames []frame // frames[d] belongs to search depth d
+	// Scratch of the acyclicity checks, next to ev.state's seen stamps:
+	// TopoInt's longest-path labels and worklist.
+	level []int32
+	queue []int
+
 	// The master solver (prepare, seed, collectUnits) keeps the seed
 	// incumbent in best/bestPick; it never searches. A worker searches
 	// units against shared, and best is its cached copy of the shared
@@ -211,7 +255,7 @@ type solver struct {
 	best           float64
 	bestPick       []int
 	improveCommits int
-	ev             *evaluator
+	ev             *evaluator // a worker has its own, and only under CycleConstraints
 	shared         *parallelShared
 	unitIdx        int
 }
@@ -223,7 +267,7 @@ func Solve(p *Problem) (*Solution, error) {
 
 // prepare validates the problem and builds the master solver: every
 // precomputed read-only table (allowed nodes, class minima, tree
-// costs, free picks) plus empty search state.
+// costs, free picks, watch sets) plus search state at rest.
 func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -231,13 +275,15 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &solver{p: p, done: ctx.Done(), ev: newEvaluator(p)}
+	s := &solver{p: p, done: ctx.Done(), ev: newEvaluator(p), tables: &tables{}}
 	if p.Timeout > 0 {
 		s.deadline = start.Add(p.Timeout)
 		s.hasDeadline = true
 	}
 	m := len(p.Classes)
 	s.allowed = make([][]int, m)
+	s.atMin = make([]int, m)
+	s.watch = make([]uint64, m)
 	s.minCost = make([]float64, m)
 	for c, members := range p.Classes {
 		for _, i := range members {
@@ -252,16 +298,38 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 		if len(s.allowed[c]) > 0 {
 			s.minCost[c] = p.Costs[s.allowed[c][0]]
 		}
+		for _, i := range s.allowed[c] {
+			if p.Costs[i] > s.minCost[c]+boundAdjust {
+				break
+			}
+			s.atMin[c]++
+			for _, h := range p.Children[i] {
+				s.watch[c] |= 1 << (h % 64)
+			}
+		}
 	}
 	s.computeFree()
 	s.greedy = p.TreeCosts(nil)
+	s.atRest()
+	s.best = math.Inf(1)
+	return s, nil
+}
+
+// atRest gives s the search state of an empty assignment.
+func (s *solver) atRest() {
+	m := len(s.p.Classes)
 	s.chosen = make([]int, m)
 	for i := range s.chosen {
 		s.chosen[i] = -1
 	}
 	s.need = make([]int, m)
-	s.best = math.Inf(1)
-	return s, nil
+	s.frames = make([]frame, 1)
+	if s.p.CycleConstraints && s.ev == nil {
+		s.ev = newEvaluator(s.p)
+	}
+	if s.p.CycleConstraints && s.p.TopoMode == TopoInt {
+		s.level = make([]int32, m)
+	}
 }
 
 // seed installs the best of the internal greedy and the caller warm
@@ -367,24 +435,30 @@ func (s *solver) computeFree() {
 	}
 }
 
-// pickClass selects the next undecided class from pending following
-// the branching policy: a class with a free pick or a forced choice is
-// returned with its node (assign it directly, no branching); otherwise
-// the undecided class with the fewest candidates (fail-first) is
-// returned with node -1. idx is -1 when every pending class is
-// decided (feasible leaf).
-func (s *solver) pickClass(pending []int) (idx, node int) {
+// pickClass selects the next class to decide from pending — exactly
+// the required, undecided classes — following the branching policy: a
+// class with a free pick or a forced choice is returned with its node
+// (assign it directly, no branching); otherwise the class with the
+// fewest candidates (fail-first) is returned with node -1. idx is -1
+// when nothing is pending (feasible leaf).
+//
+// pending[lo:hi] had no forced choice one decision ago. A decision
+// only adds requirements, and those it added are pending[hi:], so of
+// the known classes only one that watches an arrival is tested again.
+func (s *solver) pickClass(pending []int, lo, hi int) (idx, node int) {
 	idx, node = -1, -1
-	fewest := int(^uint(0) >> 1)
+	fewest := math.MaxInt
+	forcing := !s.p.CycleConstraints
+	var arrived uint64 // Bloom set of pending[hi:], complete before the scan reaches hi
 	for i := len(pending) - 1; i >= 0; i-- {
 		c := pending[i]
-		if s.chosen[c] >= 0 {
-			continue
+		if i >= hi {
+			arrived |= 1 << (c % 64)
 		}
 		if f := s.freePick[c]; f >= 0 {
 			return i, f
 		}
-		if !s.p.CycleConstraints {
+		if forcing && (i < lo || i >= hi || s.watch[c]&arrived != 0) {
 			if f := s.forcedChoice(c); f >= 0 {
 				return i, f
 			}
@@ -396,9 +470,32 @@ func (s *solver) pickClass(pending []int) (idx, node int) {
 	return idx, -1
 }
 
+// forcedChoice returns a node of class c that dominates all
+// alternatives given the current partial assignment: its cost equals
+// the class minimum and every child class is already required (will be
+// paid regardless). Returns -1 if no such node exists. A decided class
+// is a required one — it was pending when it was decided, and what
+// required it is undone after it — so need alone answers.
+func (s *solver) forcedChoice(c int) int {
+next:
+	for _, i := range s.allowed[c][:s.atMin[c]] {
+		for _, h := range s.p.Children[i] {
+			if s.need[h] == 0 {
+				continue next
+			}
+		}
+		return i
+	}
+	return -1
+}
+
 // branch decides the next undecided required class. pending holds the
-// required-but-undecided classes; bound is acc + sum of their minCosts.
-func (s *solver) branch(pending []int, bound float64) {
+// required-but-undecided classes and lives in frames[depth]; bound is
+// the sum of their minCosts. The list and the candidates of the
+// subtree below go into frames[depth+1], which no deeper call touches
+// while this one uses it, so a grown frame makes an expansion
+// allocation-free.
+func (s *solver) branch(depth int, pending []int, bound float64) {
 	s.explored++
 	if s.timedOut || s.stalled {
 		return
@@ -441,31 +538,69 @@ func (s *solver) branch(pending []int, bound float64) {
 	// Otherwise branch on the class with the fewest candidates
 	// (fail-first). Forced choices are disabled under cycle
 	// constraints, where an alternative might be the only acyclic one.
-	idx, forced := s.pickClass(pending)
+	idx, forced := s.pickClass(pending, s.frames[depth].lo, s.frames[depth].hi)
 	if idx < 0 {
 		// All required classes decided: feasible solution.
 		s.foundSolution()
 		return
 	}
 	c := pending[idx]
-	rest := removeAt(pending, idx)
+	s.dropInto(depth+1, pending, idx, forced >= 0)
+	bound -= s.minCost[c]
 	if forced >= 0 {
-		s.assign(c, forced, rest, bound-s.minCost[c])
+		s.assign(depth+1, step{c, forced}, bound)
 		return
 	}
-
-	// Order candidates by the greedy heuristic.
-	cands := append([]int(nil), s.allowed[c]...)
-	sort.Slice(cands, func(a, b int) bool {
-		return s.nodeHeuristic(cands[a]) < s.nodeHeuristic(cands[b])
-	})
-
-	for _, i := range cands {
-		s.assign(c, i, rest, bound-s.minCost[c])
+	for _, cd := range s.candidates(depth+1, c) {
+		s.assign(depth+1, step{c, cd.node}, bound)
 		if s.timedOut {
 			return
 		}
 	}
+}
+
+// dropInto hands pending without index idx, order kept, down to
+// frames[depth]. early says pickClass returned at idx without scanning
+// below it; what it did scan held no forced choice.
+func (s *solver) dropInto(depth int, pending []int, idx int, early bool) {
+	if depth == len(s.frames) {
+		s.frames = append(s.frames, frame{})
+	}
+	f := &s.frames[depth]
+	f.pending = append(append(f.pending[:0], pending[:idx]...), pending[idx+1:]...)
+	f.lo, f.hi = 0, len(f.pending)
+	if early {
+		f.lo = idx
+	}
+}
+
+// keyed returns class c's allowed nodes, each with its greedy-heuristic
+// key computed once, in frames[depth]'s buffer.
+func (s *solver) keyed(depth, c int) []cand {
+	cands := s.frames[depth].cands[:0]
+	for _, i := range s.allowed[c] {
+		cands = append(cands, cand{s.nodeHeuristic(i), i})
+	}
+	s.frames[depth].cands = cands
+	return cands
+}
+
+// candidates returns class c's allowed nodes in branching order, by
+// the greedy heuristic. The sort is not stable but it is
+// deterministic, and the order it gives equal keys is part of the
+// search trees testdata/zoo_tree_golden.json records.
+func (s *solver) candidates(depth, c int) []cand {
+	cands := s.keyed(depth, c)
+	slices.SortFunc(cands, func(a, b cand) int { // no key is NaN, and cmp.Compare's tests for it cost BERT's search 8 %
+		if a.key < b.key {
+			return -1
+		}
+		if a.key > b.key {
+			return 1
+		}
+		return 0
+	})
+	return cands
 }
 
 // foundSolution offers the current complete assignment to the shared
@@ -488,36 +623,6 @@ func (s *solver) refreshBound() {
 	}
 }
 
-// removeAt returns pending without index i (fresh slice).
-func removeAt(pending []int, i int) []int {
-	rest := make([]int, 0, len(pending)-1)
-	rest = append(rest, pending[:i]...)
-	return append(rest, pending[i+1:]...)
-}
-
-// forcedChoice returns a node of class c that dominates all
-// alternatives given the current partial assignment: its cost equals
-// the class minimum and every child class is already required (will be
-// paid regardless) or decided. Returns -1 if no such node exists.
-func (s *solver) forcedChoice(c int) int {
-	for _, i := range s.allowed[c] {
-		if s.p.Costs[i] > s.minCost[c]+boundAdjust {
-			continue
-		}
-		ok := true
-		for _, h := range s.p.Children[i] {
-			if s.chosen[h] < 0 && s.need[h] == 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i
-		}
-	}
-	return -1
-}
-
 // nodeHeuristic estimates the tree cost of picking node i.
 func (s *solver) nodeHeuristic(i int) float64 {
 	t := s.p.Costs[i]
@@ -535,9 +640,10 @@ func (s *solver) nodeHeuristic(i int) float64 {
 type step struct{ class, node int }
 
 // applyStep mutates the search state for one decision — chosen, acc,
-// child requirement counts — exactly as assign does, and returns the
-// extended pending list and bound. The caller has already removed
-// st.class from pending and subtracted its minCost from bound.
+// child requirement counts — and returns pending, a frame's buffer
+// extended in place by the classes the decision newly requires, and
+// bound. The caller has already removed st.class from pending and
+// subtracted its minCost from bound.
 func (s *solver) applyStep(st step, pending []int, bound float64) ([]int, float64) {
 	s.chosen[st.class] = st.node
 	s.acc += s.p.Costs[st.node]
@@ -560,14 +666,17 @@ func (s *solver) undoStep(st step) {
 	s.chosen[st.class] = -1
 }
 
-// assign tries x_i = 1 for class c and recurses.
-func (s *solver) assign(c, i int, pending []int, bound float64) {
-	if s.p.CycleConstraints && s.createsCycle(c, i) {
+// assign tries one decision on top of the classes frames[depth] was
+// handed and recurses. The list it extends stays in the frame, so a
+// buffer that had to grow is the one the next sibling appends to.
+func (s *solver) assign(depth int, st step, bound float64) {
+	if s.p.CycleConstraints && s.createsCycle(st.class, st.node) {
 		return
 	}
-	st := step{c, i}
-	next, newBound := s.applyStep(st, pending, bound)
-	s.branch(next, newBound)
+	f := &s.frames[depth]
+	next, bound := s.applyStep(st, f.pending[:f.hi], bound)
+	f.pending = next
+	s.branch(depth, next, bound)
 	s.undoStep(st)
 }
 
@@ -580,66 +689,61 @@ const boundAdjust = 1e-9
 // (the continuous t_m constraints are satisfiable iff the chosen
 // subgraph is acyclic); TopoInt maintains integer levels by longest-
 // path relaxation with the same feasibility condition but a different
-// (slower on deep graphs) propagation style.
+// (slower on deep graphs) propagation style. Both keep their visited
+// sets in the solver's epoch-stamped scratch.
 func (s *solver) createsCycle(c, i int) bool {
-	switch s.p.TopoMode {
-	case TopoInt:
+	s.ev.next()
+	if s.p.TopoMode == TopoInt {
 		return s.createsCycleInt(c, i)
-	default:
-		return s.createsCycleReal(c, i)
-	}
-}
-
-func (s *solver) createsCycleReal(c, i int) bool {
-	// Can we reach c from any child of i through chosen edges?
-	target := c
-	seen := make(map[int]bool)
-	var dfs func(cls int) bool
-	dfs = func(cls int) bool {
-		if cls == target {
-			return true
-		}
-		if seen[cls] {
-			return false
-		}
-		seen[cls] = true
-		n := s.chosen[cls]
-		if n < 0 {
-			return false
-		}
-		for _, h := range s.p.Children[n] {
-			if dfs(h) {
-				return true
-			}
-		}
-		return false
 	}
 	for _, h := range s.p.Children[i] {
-		if dfs(h) {
+		if s.reaches(h, c) {
 			return true
 		}
 	}
 	return false
 }
 
+// reaches reports whether target can be reached from class cls through
+// chosen nodes, not re-entering a class this check has seen.
+func (s *solver) reaches(cls, target int) bool {
+	if cls == target {
+		return true
+	}
+	if s.ev.state[cls] == s.ev.epoch {
+		return false
+	}
+	s.ev.state[cls] = s.ev.epoch
+	n := s.chosen[cls]
+	if n < 0 {
+		return false
+	}
+	for _, h := range s.p.Children[n] {
+		if s.reaches(h, target) {
+			return true
+		}
+	}
+	return false
+}
+
+// createsCycleInt labels classes with integer levels: level[h] >=
+// level[cls] + 1 for every chosen edge cls -> h, relaxed along longest
+// paths from c with node i tentatively chosen. A cycle exists iff the
+// relaxation returns to c or a label reaches the class count.
 func (s *solver) createsCycleInt(c, i int) bool {
-	// Integer levels: require level[c] >= level[h] + 1 for every chosen
-	// edge c -> h... levels grow downward; relax longest paths from c.
-	// A cycle exists iff relaxation returns to c or exceeds M.
-	m := len(s.p.Classes)
-	// Temporary assignment for propagation.
+	seen, epoch := s.ev.state, s.ev.epoch
+	m := int32(len(s.p.Classes))
 	prev := s.chosen[c]
 	s.chosen[c] = i
-	defer func() { s.chosen[c] = prev }()
-
-	depth := make(map[int]int)
-	queue := []int{c}
-	depth[c] = 0
-	for len(queue) > 0 {
-		cls := queue[0]
-		queue = queue[1:]
-		if depth[cls] >= m {
-			return true // longest path longer than class count: cycle
+	cyclic := false
+	q := append(s.queue[:0], c)
+	seen[c], s.level[c] = epoch, 0
+relax:
+	for head := 0; head < len(q); head++ {
+		cls := q[head]
+		if s.level[cls] >= m {
+			cyclic = true // longest path longer than class count
+			break
 		}
 		n := s.chosen[cls]
 		if n < 0 {
@@ -647,13 +751,16 @@ func (s *solver) createsCycleInt(c, i int) bool {
 		}
 		for _, h := range s.p.Children[n] {
 			if h == c {
-				return true
+				cyclic = true
+				break relax
 			}
-			if d, ok := depth[h]; !ok || d < depth[cls]+1 {
-				depth[h] = depth[cls] + 1
-				queue = append(queue, h)
+			if seen[h] != epoch || s.level[h] < s.level[cls]+1 {
+				seen[h], s.level[h] = epoch, s.level[cls]+1
+				q = append(q, h)
 			}
 		}
 	}
-	return false
+	s.queue = q
+	s.chosen[c] = prev
+	return cyclic
 }

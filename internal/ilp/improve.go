@@ -5,16 +5,6 @@ import (
 	"sort"
 )
 
-// DebugHook, when non-nil, receives diagnostics from the incumbent
-// improvement pass. Used by tests; not part of the stable API.
-var DebugHook func(format string, args ...any)
-
-func debugf(format string, args ...any) {
-	if DebugHook != nil {
-		DebugHook(format, args...)
-	}
-}
-
 type addEntry struct {
 	class, node int
 }
@@ -72,7 +62,6 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				}
 			}
 		}
-		debugf("pass %d: switchable=%d required-classes=%d", pass, len(switchable), countTrue(required))
 		// Evaluate every candidate alternative once against the current
 		// base, recording its marginal completion ("support"). A hub can
 		// only improve an alternative whose support contains the hub's
@@ -123,13 +112,11 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 			}
 		}
 		improved := false
-		hubsTried, bestNet := 0, math.Inf(-1)
 		base := make([]bool, m)
 		for hub := 0; hub < m && !improved; hub++ {
 			if required[hub] || !hubCandidate[hub] || len(s.allowed[hub]) == 0 {
 				continue
 			}
-			hubsTried++
 			addCost, addPick, ok := s.marginalClosure(hub, required)
 			if !ok || math.IsInf(addCost, 1) || addCost <= boundAdjust {
 				// Free or impossible hubs cannot change the economics.
@@ -188,9 +175,6 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				moves = append(moves, mv)
 			}
 			sort.Slice(moves, func(a, b int) bool { return moves[a].class < moves[b].class })
-			if net := savings - addCost; net > bestNet {
-				bestNet = net
-			}
 			if savings <= addCost+boundAdjust || len(moves) == 0 {
 				continue
 			}
@@ -221,7 +205,6 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				}
 			}
 		}
-		debugf("pass %d: hubsTried=%d bestNet=%.2f improved=%v", pass, hubsTried, bestNet, improved)
 		if !improved {
 			break
 		}
@@ -286,23 +269,12 @@ func (s *solver) singleSwitchSweep(pick []int, required []bool, cur float64) boo
 			s.fillFreeFrom(pick, undo)
 			if cost, ok := s.ev.cost(pick); ok && cost < cur-boundAdjust {
 				s.improveCommits++
-				debugf("single-switch: class %d -> node %d, %.2f -> %.2f", c, i, cur, cost)
 				return true
 			}
 			rollback()
 		}
 	}
 	return false
-}
-
-func countTrue(b []bool) int {
-	n := 0
-	for _, v := range b {
-		if v {
-			n++
-		}
-	}
-	return n
 }
 
 // marginalClosure computes the cheapest completion of class c on top

@@ -2,8 +2,11 @@ package ilp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +28,14 @@ type parallelShared struct {
 	firstIncumbent time.Duration
 	start          time.Time
 	onIncumbent    func(cost float64, explored int64)
+}
+
+// newShared returns the incumbent state of a solve begun at start, with
+// no incumbent yet.
+func newShared(start time.Time, onIncumbent func(cost float64, explored int64)) *parallelShared {
+	sh := &parallelShared{start: start, onIncumbent: onIncumbent}
+	sh.bestBits.Store(math.Float64bits(math.Inf(1)))
+	return sh
 }
 
 // best returns the current shared incumbent cost (+Inf when none).
@@ -80,39 +91,48 @@ const (
 
 // collectUnits expands the top of the search tree breadth-limited and
 // returns the frontier as replayable prefixes. It runs on the master
-// solver (whose warm-start bound prunes hopeless prefixes) and leaves
-// the search state exactly as it found it. Free and forced picks are
-// recorded in the prefix but do not consume depth: they are the
-// plateau-collapsing assignments, not real branching.
+// solver (whose warm-start bound prunes hopeless prefixes), takes the
+// steps branch would take — same class, same candidate order — and
+// leaves the search state exactly as it found it. Free and forced
+// picks are recorded in the prefix but do not consume depth: they are
+// the plateau-collapsing assignments, not real branching.
 func (s *solver) collectUnits(target int) []unit {
 	var units []unit
 	var prefix []step
-	var walk func(pending []int, bound float64, depth int)
-	walk = func(pending []int, bound float64, depth int) {
+	emit := func(steps ...step) {
+		units = append(units, unit{steps: append(slices.Clone(prefix), steps...)})
+	}
+	// at counts every step from the root (the frame index), depth only
+	// the branching ones.
+	var walk func(at, depth int, pending []int, bound float64)
+	walk = func(at, depth int, pending []int, bound float64) {
 		if s.acc+bound-boundAdjust >= s.best {
 			return // a warm start already beats everything below
 		}
-		idx, forced := s.pickClass(pending)
+		idx, forced := s.pickClass(pending, s.frames[at].lo, s.frames[at].hi)
 		if idx < 0 {
 			// Complete solution at collection depth; a unit with a full
 			// prefix makes the claiming worker just evaluate the leaf.
-			units = append(units, unit{steps: append([]step(nil), prefix...)})
+			emit()
 			return
 		}
 		c := pending[idx]
-		rest := removeAt(pending, idx)
+		s.dropInto(at+1, pending, idx, forced >= 0)
+		bound -= s.minCost[c]
 		expand := func(node int, deeper int) {
 			if s.p.CycleConstraints && s.createsCycle(c, node) {
 				return
 			}
 			st := step{c, node}
 			if deeper > unitDepth || (deeper == unitDepth && len(units) >= target) {
-				units = append(units, unit{steps: append(append([]step(nil), prefix...), st)})
+				emit(st)
 				return
 			}
-			next, nb := s.applyStep(st, rest, bound-s.minCost[c])
+			f := &s.frames[at+1]
+			next, nb := s.applyStep(st, f.pending[:f.hi], bound)
+			f.pending = next
 			prefix = append(prefix, st)
-			walk(next, nb, deeper)
+			walk(at+1, deeper, next, nb)
 			prefix = prefix[:len(prefix)-1]
 			s.undoStep(st)
 		}
@@ -120,92 +140,88 @@ func (s *solver) collectUnits(target int) []unit {
 			expand(forced, depth) // no branching happened: same depth
 			return
 		}
-		cands := append([]int(nil), s.allowed[c]...)
+		// The frontier's sibling order is this exchange sort's, which
+		// differs from candidates' on equal keys: it decides which subtree
+		// is which unit, and zoo_tree_golden.json pins that.
+		cands := s.keyed(at+1, c)
 		for k := range cands {
 			for k2 := k + 1; k2 < len(cands); k2++ {
-				if s.nodeHeuristic(cands[k2]) < s.nodeHeuristic(cands[k]) {
+				if cands[k2].key < cands[k].key {
 					cands[k], cands[k2] = cands[k2], cands[k]
 				}
 			}
 		}
-		for _, i := range cands {
+		for _, cd := range cands {
 			if len(units) >= target && depth > 0 {
 				// Enough parallelism below this level: emit remaining
 				// siblings as whole-subtree units without expanding.
-				expand(i, unitDepth+1)
+				expand(cd.node, unitDepth+1)
 				continue
 			}
-			expand(i, depth+1)
+			expand(cd.node, depth+1)
 		}
 	}
 	s.need[s.p.Root] = 1
-	walk([]int{s.p.Root}, s.minCost[s.p.Root], 0)
+	s.frames[0] = frame{pending: append(s.frames[0].pending[:0], s.p.Root)}
+	walk(0, 0, s.frames[0].pending, s.minCost[s.p.Root])
 	s.need[s.p.Root] = 0
 	return units
 }
 
-// worker clones the master's read-only tables into a fresh search
-// state bound to the shared incumbent.
+// worker gives a fresh search state the master's read-only tables and
+// binds it to the shared incumbent.
 func (s *solver) worker(sh *parallelShared) *solver {
-	m := len(s.p.Classes)
 	w := &solver{
 		p:           s.p,
 		deadline:    s.deadline,
 		hasDeadline: s.hasDeadline,
 		done:        s.done,
-		allowed:     s.allowed,
-		minCost:     s.minCost,
-		greedy:      s.greedy,
-		freePick:    s.freePick,
-		chosen:      make([]int, m),
-		need:        make([]int, m),
+		tables:      s.tables,
 		best:        sh.best(),
 		shared:      sh,
 	}
-	for i := range w.chosen {
-		w.chosen[i] = -1
-	}
+	w.atRest()
 	return w
 }
 
 // runUnit replays the unit's decision prefix and searches the subtree
-// below it exhaustively (modulo pruning against the shared bound).
+// below it exhaustively (modulo pruning against the shared bound),
+// then puts the worker back at rest and hands in its count. The replay
+// edits one pending list in place, in frames[0], where the search
+// below starts.
 func (w *solver) runUnit(u unit, idx int) {
 	w.unitIdx = idx
-	pending := []int{w.p.Root}
-	w.need[w.p.Root] = 1
-	bound := w.minCost[w.p.Root]
-	applied := make([]step, 0, len(u.steps))
-	defer func() {
-		// Reset the worker state for the next unit and hand in its count.
-		for i := len(applied) - 1; i >= 0; i-- {
-			w.undoStep(applied[i])
-		}
-		w.need[w.p.Root] = 0
-		w.shared.explored.Add(w.explored)
-		w.explored = 0
-		w.refreshBound()
-	}()
+	root := w.p.Root
+	w.need[root] = 1
+	pending := append(w.frames[0].pending[:0], root)
+	bound := w.minCost[root]
+	applied := 0
 	for _, st := range u.steps {
-		at := -1
-		for k, c := range pending {
-			if c == st.class {
-				at = k
-				break
-			}
-		}
+		at := slices.Index(pending, st.class)
 		if at < 0 {
-			return // collection/replay mismatch; abandon defensively
+			// Skipping the unit would let the solve report a proof over a
+			// subtree nobody searched.
+			panic("ilp: unit prefix does not replay: class not pending")
 		}
-		pending = removeAt(pending, at)
+		pending = slices.Delete(pending, at, at+1)
 		bound -= w.minCost[st.class]
 		if w.p.CycleConstraints && w.createsCycle(st.class, st.node) {
-			return
+			break
 		}
 		pending, bound = w.applyStep(st, pending, bound)
-		applied = append(applied, st)
+		applied++
 	}
-	w.branch(pending, bound)
+	w.frames[0] = frame{pending: pending} // lo = hi = 0: nothing scanned yet
+	if applied == len(u.steps) {
+		w.branch(0, pending, bound)
+	}
+	for i := applied - 1; i >= 0; i-- {
+		w.undoStep(u.steps[i])
+	}
+	w.need[root] = 0
+	w.shared.explored.Add(w.explored)
+	w.explored, w.lastImprove = 0, 0 // the stall budget is per unit
+	w.refreshBound()
 }
 
 // DefaultWorkers is the worker count used when the caller passes 0:
@@ -225,6 +241,44 @@ func DefaultWorkers() int {
 // SolveParallel is SolveParallelContext without cancellation.
 func SolveParallel(p *Problem, workers int) (*Solution, error) {
 	return SolveParallelContext(context.Background(), p, workers)
+}
+
+// searchUnits runs one goroutine per worker, each claiming units in
+// order until none is left or its search timed out or stalled, and
+// returns when all have stopped. A worker's panic is raised again
+// here, with its stack: on the caller's goroutine the pipeline's
+// recovery makes it a failed job, on the worker's own it would take
+// the process down.
+func searchUnits(pool []*solver, units []unit) {
+	var (
+		nextUnit atomic.Int64
+		wg       sync.WaitGroup
+	)
+	panics := make([]error, len(pool))
+	for wi, w := range pool {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panics[wi] = fmt.Errorf("%v\n\n%s", r, debug.Stack())
+				}
+			}()
+			for {
+				i := int(nextUnit.Add(1)) - 1
+				if i >= len(units) || w.timedOut || w.stalled {
+					break
+				}
+				w.runUnit(units[i], i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range panics {
+		if err != nil {
+			panic(err)
+		}
+	}
 }
 
 // SolveParallelContext is the branch-and-bound driver. Workers claim
@@ -247,8 +301,7 @@ func SolveParallelContext(ctx context.Context, p *Problem, workers int) (*Soluti
 	}
 	seedCost := master.seed()
 
-	sh := &parallelShared{start: start, onIncumbent: p.OnIncumbent}
-	sh.bestBits.Store(math.Float64bits(math.Inf(1)))
+	sh := newShared(start, p.OnIncumbent)
 	if master.bestPick != nil {
 		sh.offer(master.best, master.bestPick, -1, 0) // unit -1: the warm start precedes every unit
 	}
@@ -258,27 +311,11 @@ func SolveParallelContext(ctx context.Context, p *Problem, workers int) (*Soluti
 		units = master.collectUnits(workers * unitsPerWorker)
 		workers = min(workers, len(units))
 	}
-	var (
-		nextUnit atomic.Int64
-		wg       sync.WaitGroup
-	)
 	pool := make([]*solver, workers)
 	for wi := range pool {
-		w := master.worker(sh)
-		pool[wi] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextUnit.Add(1)) - 1
-				if i >= len(units) || w.timedOut || w.stalled {
-					break
-				}
-				w.runUnit(units[i], i)
-			}
-		}()
+		pool[wi] = master.worker(sh)
 	}
-	wg.Wait()
+	searchUnits(pool, units)
 
 	sol := &Solution{
 		Explored:       sh.explored.Load(),

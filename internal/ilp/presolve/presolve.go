@@ -268,9 +268,13 @@ func dominate(p *ilp.Problem, alive []bool, upper []float64, c int, kill func(in
 // safe, even with cycle constraints — a subset of edges cannot close a
 // cycle the superset avoids), or, when cycle constraints are off, j's
 // cost plus tree-cost upper bounds for its extra children undercuts i
-// outright. jFirst breaks exact ties.
+// outright. jFirst breaks exact ties. Neither rule can hold when j
+// costs more, so that is tested before either child list is walked.
 func dominates(p *ilp.Problem, upper []float64, j, i int, jFirst bool) bool {
 	ci, cj := p.Costs[i], p.Costs[j]
+	if cj > ci {
+		return false
+	}
 	extra := 0.0
 	subset := true
 	for _, h := range p.Children[j] {
