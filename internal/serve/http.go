@@ -85,68 +85,47 @@ func writeServiceError(w http.ResponseWriter, err error) {
 //	GET    /metrics             — Prometheus text exposition
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmitJob(s, w, r)
-	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleListJobs(s, w, r)
-	})
-	mux.HandleFunc("GET /v1/rulesets", func(w http.ResponseWriter, r *http.Request) {
-		handleRuleSets(s, w, r)
-	})
-	mux.HandleFunc("GET /v1/costmodels", func(w http.ResponseWriter, r *http.Request) {
-		handleCostModels(s, w, r)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if job, ok := findJob(s, w, r); ok {
+	route := func(pattern string, h func(*Service, http.ResponseWriter, *http.Request)) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { h(s, w, r) })
+	}
+	route("POST /v1/jobs", handleSubmitJob)
+	route("GET /v1/jobs", handleListJobs)
+	route("GET /v1/rulesets", handleRuleSets)
+	route("GET /v1/costmodels", handleCostModels)
+	route("GET /v1/jobs/{id}", func(s *Service, w http.ResponseWriter, r *http.Request) {
+		if job, ok := findJob(s, w, r, false); ok {
 			writeJSON(w, http.StatusOK, toJobReply(job))
 		}
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		handleJobResult(s, w, r)
-	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if job, ok := findJob(s, w, r); ok {
+	route("GET /v1/jobs/{id}/result", handleJobResult)
+	route("DELETE /v1/jobs/{id}", func(s *Service, w http.ResponseWriter, r *http.Request) {
+		if job, ok := findJob(s, w, r, false); ok {
 			job.Cancel()
 			// Cancellation is asynchronous (the run stops at its next
 			// check point); report the state as of now.
 			writeJSON(w, http.StatusOK, toJobReply(job))
 		}
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		handleJobEvents(s, w, r)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		handleJobTrace(s, w, r)
-	})
+	route("GET /v1/jobs/{id}/events", handleJobEvents)
+	route("GET /v1/jobs/{id}/trace", handleJobTrace)
 	mux.Handle("GET /metrics", s.Metrics())
-	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
+	route("GET /v1/version", func(_ *Service, w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, versionReply())
 	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	route("GET /v1/stats", func(s *Service, w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, toStatsReply(s))
 	})
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		handleHealthz(w)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		handleReadyz(s, w)
-	})
-	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
-		handleReadyz(s, w)
-	})
+	route("GET /v1/healthz", handleHealthz)
+	route("GET /readyz", handleReadyz)
+	route("GET /v1/readyz", handleReadyz)
 	// Internal fleet surface: peers fetch records they own and push cold
 	// results to their owners. Exempt from tenant (client) auth but
 	// guarded by the cluster's shared secret — peerPreamble rejects any
 	// request without it, so clients on the same listener cannot read or
 	// poison the cache. Never fanning out (loop prevention by
 	// construction; the origin header catches misconfiguration).
-	mux.HandleFunc("GET /v1/peer/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		handlePeerGet(s, w, r)
-	})
-	mux.HandleFunc("PUT /v1/peer/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		handlePeerPut(s, w, r)
-	})
+	route("GET /v1/peer/cache/{key}", handlePeerGet)
+	route("PUT /v1/peer/cache/{key}", handlePeerPut)
 	if s.cfg.Tenants == nil {
 		return mux
 	}
@@ -332,7 +311,7 @@ func peerBreakers(s *Service) map[string]string {
 	return words
 }
 
-func handleHealthz(w http.ResponseWriter) {
+func handleHealthz(_ *Service, w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
@@ -340,7 +319,7 @@ func handleHealthz(w http.ResponseWriter) {
 // handleReadyz answers GET /readyz. Auth-exempt: load balancers and
 // orchestrators probe it without credentials, and it leaks nothing a
 // tenant could abuse.
-func handleReadyz(s *Service, w http.ResponseWriter) {
+func handleReadyz(s *Service, w http.ResponseWriter, _ *http.Request) {
 	reply := ReadyzReply{Draining: s.Draining(), StoreDegraded: s.storeDegraded(), PeerBreakers: peerBreakers(s)}
 	reply.Ready = !reply.Draining
 	status := http.StatusOK
@@ -433,12 +412,7 @@ func handleCostModels(s *Service, w http.ResponseWriter, _ *http.Request) {
 	infos := s.Registry().CostModels()
 	reply := CostModelsReply{CostModels: make([]CostModelReply, 0, len(infos)), Count: len(infos)}
 	for _, info := range infos {
-		reply.CostModels = append(reply.CostModels, CostModelReply{
-			Name:   info.Name,
-			Hash:   info.Hash,
-			Params: info.Params,
-			Source: info.Source,
-		})
+		reply.CostModels = append(reply.CostModels, CostModelReply(info))
 	}
 	writeJSON(w, http.StatusOK, reply)
 }
@@ -477,11 +451,19 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (OptimizeRequest, *te
 	return req, g, true
 }
 
-func findJob(s *Service, w http.ResponseWriter, r *http.Request) (*Job, bool) {
+// findJob looks up the job the path names (404 when unknown); with
+// finished set, a job still running is a 409.
+func findJob(s *Service, w http.ResponseWriter, r *http.Request, finished bool) (*Job, bool) {
 	id := r.PathValue("id")
 	job, ok := s.Job(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorReply{Error: "unknown job " + id})
+		return nil, false
+	}
+	if status, prog := job.Status(); finished && status == JobRunning {
+		writeJSON(w, http.StatusConflict, errorReply{
+			Error: fmt.Sprintf("job %s not finished (status %s, phase %s)", job.ID(), status, prog.Phase),
+		})
 		return nil, false
 	}
 	return job, true
@@ -501,30 +483,18 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 func handleJobResult(s *Service, w http.ResponseWriter, r *http.Request) {
-	job, ok := findJob(s, w, r)
+	job, ok := findJob(s, w, r, true)
 	if !ok {
 		return
 	}
-	select {
-	case <-job.Done():
-	default:
-		status, prog := job.Status()
-		writeJSON(w, http.StatusConflict, errorReply{
-			Error: fmt.Sprintf("job %s not finished (status %s, phase %s)", job.ID(), status, prog.Phase),
-		})
-		return
-	}
-	resp, err := job.Outcome()
+	out, err := job.Outcome()
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	reply, err := toOptimizeReply(resp)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorReply{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, reply)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out.Reply)
 }
 
 // handleJobEvents streams the job's progress log as server-sent
@@ -536,7 +506,7 @@ func handleJobResult(s *Service, w http.ResponseWriter, r *http.Request) {
 // don't reap the idle connection; comment lines are invisible to
 // EventSource clients by SSE semantics.
 func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
-	job, ok := findJob(s, w, r)
+	job, ok := findJob(s, w, r, false)
 	if !ok {
 		return
 	}
@@ -608,37 +578,28 @@ func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 // (canceled or failed runs have no result to trace). ?format=chrome
 // answers in the Chrome trace-event JSON that Perfetto opens directly.
 func handleJobTrace(s *Service, w http.ResponseWriter, r *http.Request) {
-	job, ok := findJob(s, w, r)
+	job, ok := findJob(s, w, r, true)
 	if !ok {
 		return
 	}
-	select {
-	case <-job.Done():
-	default:
-		status, prog := job.Status()
-		writeJSON(w, http.StatusConflict, errorReply{
-			Error: fmt.Sprintf("job %s not finished (status %s, phase %s)", job.ID(), status, prog.Phase),
-		})
-		return
-	}
-	resp, err := job.Outcome()
-	if err != nil || resp == nil || resp.Result == nil || resp.Result.Trace == nil {
+	out, err := job.Outcome()
+	if err != nil || out.Trace == nil {
 		writeJSON(w, http.StatusNotFound, errorReply{Error: "job " + job.ID() + " has no trace"})
 		return
 	}
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="`+job.ID()+`.trace.json"`)
-		_ = tensat.WriteChromeTrace(w, resp.Result.Trace)
+		_ = tensat.WriteChromeTrace(w, out.Trace)
 		return
 	}
 	_, prog := job.Status()
 	writeJSON(w, http.StatusOK, TraceReply{
 		ID:      job.ID(),
-		Cached:  resp.Cached,
-		Deduped: resp.Deduped,
+		Cached:  out.Cached,
+		Deduped: out.Deduped,
 		WallMS:  float64(prog.Elapsed) / float64(time.Millisecond),
-		Trace:   toTraceSpanReply(resp.Result.Trace),
+		Trace:   toTraceSpanReply(out.Trace),
 	})
 }
 
@@ -678,10 +639,9 @@ func AccessLog(log *slog.Logger, next http.Handler) http.Handler {
 	})
 }
 
+// writeJSON answers with v as compact JSON, encoded once.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

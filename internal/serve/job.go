@@ -43,6 +43,12 @@ func (l *progressLog) init() { l.notify = make(chan struct{}) }
 
 func (l *progressLog) publish(p tensat.Progress) {
 	l.mu.Lock()
+	l.appendLocked(p)
+	l.mu.Unlock()
+}
+
+// appendLocked adds p and wakes the watchers; l.mu must be held.
+func (l *progressLog) appendLocked(p tensat.Progress) {
 	if len(l.buf) < progressLogCap {
 		l.buf = append(l.buf, p)
 	} else {
@@ -51,7 +57,6 @@ func (l *progressLog) publish(p tensat.Progress) {
 	l.total++
 	close(l.notify)
 	l.notify = make(chan struct{})
-	l.mu.Unlock()
 }
 
 // since returns the entries from monotone index from on (oldest first,
@@ -78,6 +83,10 @@ func (l *progressLog) since(from int) ([]tensat.Progress, int, <-chan struct{}) 
 func (l *progressLog) latest() tensat.Progress {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.latestLocked()
+}
+
+func (l *progressLog) latestLocked() tensat.Progress {
 	if l.total > 0 {
 		return l.buf[(l.total-1)%progressLogCap]
 	}
@@ -98,24 +107,34 @@ const (
 
 // Job is one asynchronous optimization tracked by the service: submit
 // returns immediately, progress streams through a per-job log (shared
-// with any deduplicated siblings), and the result stays queryable for
-// the store's TTL after completion.
+// with any deduplicated siblings), and the answer stays queryable for
+// the store's TTL after completion. A finished job keeps its encoded
+// /result body, never the decoded result it was encoded from.
 type Job struct {
 	id      string
 	created time.Time
 	prof    profile
 	cancel  context.CancelFunc
 	done    chan struct{}
-	log     progressLog
+	// log's mutex also guards the fields below the blank line, so a
+	// status, its progress snapshot and its error are read together.
+	log progressLog
 	// adm is the admission decision: the quota slot the job holds from
 	// submission until it finishes.
 	adm admission
 
-	mu     sync.Mutex
-	status JobStatus
-	resp   *Response
-	err    error
-	doneAt time.Time
+	reply                              []byte
+	trace                              *tensat.TraceSpan
+	err                                error
+	finished, cached, deduped, retired bool // retired: under the store's lock
+}
+
+// JobOutcome is what a finished job keeps: its /result body (read-only;
+// memory hits share one), how it was answered, the run's span tree.
+type JobOutcome struct {
+	Reply           []byte
+	Cached, Deduped bool
+	Trace           *tensat.TraceSpan
 }
 
 // ID is the store key, exposed over HTTP as /v1/jobs/{id}.
@@ -136,29 +155,38 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // While the job runs, Elapsed is recomputed from submission time so
 // pollers see time advance between pipeline events.
 func (j *Job) Status() (JobStatus, tensat.Progress) {
-	j.mu.Lock()
-	st := j.status
-	j.mu.Unlock()
-	p := j.log.latest()
-	if st == JobRunning {
-		p.Elapsed = time.Since(j.created)
-	}
+	st, p, _ := j.snapshot()
 	return st, p
 }
 
-// Outcome returns the job's response and error; both are nil until
-// Done is closed.
-func (j *Job) Outcome() (*Response, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.resp, j.err
+// snapshot reads the status, the latest progress and the error as one.
+func (j *Job) snapshot() (JobStatus, tensat.Progress, error) {
+	j.log.mu.Lock()
+	defer j.log.mu.Unlock()
+	p := j.log.latestLocked()
+	if !j.finished {
+		p.Elapsed = time.Since(j.created)
+		return JobRunning, p, nil
+	}
+	return terminalStatus(j.err), p, j.err
+}
+
+// Outcome returns what the job keeps and its error, zero until Done.
+func (j *Job) Outcome() (JobOutcome, error) {
+	j.log.mu.Lock()
+	defer j.log.mu.Unlock()
+	return JobOutcome{Reply: j.reply, Cached: j.cached, Deduped: j.deduped, Trace: j.trace}, j.err
 }
 
 // Cancel aborts a running job; the exploration stops at its next
 // check point, the worker slot is freed (unless other requests share
 // the run), and the partial result is never cached. Canceling a
 // finished job is a no-op.
-func (j *Job) Cancel() { j.cancel() }
+func (j *Job) Cancel() {
+	j.log.mu.Lock()
+	defer j.log.mu.Unlock()
+	j.cancel()
+}
 
 // ProgressSince replays the job's progress log from a monotone index,
 // returning the entries, the index to resume from, and the channel
@@ -180,21 +208,15 @@ func terminalStatus(err error) JobStatus {
 	}
 }
 
-// finish publishes the terminal state exactly once.
-func (j *Job) finish(status JobStatus, resp *Response, err error) {
+// finish publishes the terminal progress entry and the outcome together,
+// then closes Done. resp is read, not kept; reply is its /result body.
+func (j *Job) finish(resp *Response, reply []byte, err error) {
+	want := tensat.Phase(terminalStatus(err)) // spelled alike
 	// Guarantee a terminal entry in the log: runs pumped from a flight
 	// already carry one for done/failed, but canceled followers and
 	// cache hits do not.
-	last := j.log.latest()
-	want := tensat.PhaseDone
-	switch status {
-	case JobCanceled:
-		want = tensat.PhaseCanceled
-	case JobFailed:
-		want = tensat.PhaseFailed
-	}
-	if last.Phase != want {
-		p := last
+	j.log.mu.Lock()
+	if p := j.log.latestLocked(); p.Phase != want {
 		p.Phase = want
 		if resp != nil && resp.Result != nil {
 			p.Iteration = resp.Result.Iterations
@@ -202,22 +224,18 @@ func (j *Job) finish(status JobStatus, resp *Response, err error) {
 			p.BestCost = resp.Result.OptCost
 		}
 		p.Elapsed = time.Since(j.created)
-		j.log.publish(p)
+		j.log.appendLocked(p)
 	}
-	j.mu.Lock()
-	j.status = status
-	j.resp, j.err = resp, err
-	j.doneAt = time.Now()
-	j.mu.Unlock()
+	// No entry follows the terminal one: Done is the log's last signal.
+	// Dropping cancel frees the job's context for the TTL.
+	j.cancel()
+	j.log.notify, j.cancel = j.done, func() {}
+	j.finished, j.reply, j.err = true, reply, err
+	if err == nil {
+		j.trace, j.cached, j.deduped = resp.Result.Trace, resp.Cached, resp.Deduped
+	}
+	j.log.mu.Unlock()
 	close(j.done)
-	j.cancel() // release the job context's resources
-}
-
-// finished reports the completion time (zero while running).
-func (j *Job) finishedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.doneAt
 }
 
 // JobCounters snapshots the job-lifecycle instruments
@@ -233,16 +251,28 @@ type JobCounters struct {
 // jobStore indexes asynchronous jobs by id. It is capacity-capped —
 // submissions beyond MaxJobs evict the oldest finished job, or fail
 // with ErrJobStoreFull when every held job is still running — and
-// TTL-bounded: finished jobs expire ttl after completion.
+// TTL-bounded: finished jobs expire ttl after completion. With one TTL
+// completion order is expiry order, so finished jobs wait in a FIFO
+// whose head is the next to expire and to evict: O(1) per job, however
+// many the store holds. The store never takes a job's lock.
 type jobStore struct {
-	mu   sync.Mutex
-	jobs map[string]*Job
-	ttl  time.Duration
-	cap  int
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []expiry // oldest completion first
+	ttl      time.Duration
+	cap      int
+	clock    func() time.Duration // time since creation; tests replace it
+}
+
+type expiry struct {
+	job *Job
+	at  time.Duration // completion time on the store's clock
 }
 
 func newJobStore(capacity int, ttl time.Duration) *jobStore {
-	return &jobStore{jobs: make(map[string]*Job), ttl: ttl, cap: capacity}
+	epoch := time.Now()
+	return &jobStore{jobs: make(map[string]*Job), ttl: ttl, cap: capacity,
+		clock: func() time.Duration { return time.Since(epoch) }}
 }
 
 // add registers a new job, purging expired entries and evicting the
@@ -250,31 +280,39 @@ func newJobStore(capacity int, ttl time.Duration) *jobStore {
 func (st *jobStore) add(j *Job) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.purgeLocked(time.Now())
+	st.purgeLocked()
 	if len(st.jobs) >= st.cap {
-		var oldest *Job
-		for _, held := range st.jobs {
-			at := held.finishedAt()
-			if at.IsZero() {
-				continue
-			}
-			if oldest == nil || at.Before(oldest.finishedAt()) {
-				oldest = held
-			}
-		}
-		if oldest == nil {
+		if len(st.finished) == 0 {
 			return ErrJobStoreFull
 		}
-		delete(st.jobs, oldest.id)
+		st.popLocked()
 	}
 	st.jobs[j.id] = j
 	return nil
 }
 
+// retire queues a job for expiry before it publishes its terminal state,
+// once even if finishJob re-runs after a panic between the two steps.
+func (st *jobStore) retire(j *Job) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !j.retired {
+		j.retired = true
+		st.finished = append(st.finished, expiry{job: j, at: st.clock()})
+	}
+}
+
+// popLocked drops the oldest finished job; append's regrowth reclaims its slot.
+func (st *jobStore) popLocked() {
+	delete(st.jobs, st.finished[0].job.id)
+	st.finished[0] = expiry{}
+	st.finished = st.finished[1:]
+}
+
 func (st *jobStore) get(id string) (*Job, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.purgeLocked(time.Now())
+	st.purgeLocked()
 	j, ok := st.jobs[id]
 	return j, ok
 }
@@ -283,7 +321,7 @@ func (st *jobStore) get(id string) (*Job, bool) {
 // id as the tiebreak so the order is deterministic.
 func (st *jobStore) list() []*Job {
 	st.mu.Lock()
-	st.purgeLocked(time.Now())
+	st.purgeLocked()
 	out := make([]*Job, 0, len(st.jobs))
 	for _, j := range st.jobs {
 		out = append(out, j)
@@ -298,11 +336,11 @@ func (st *jobStore) list() []*Job {
 	return out
 }
 
-func (st *jobStore) purgeLocked(now time.Time) {
-	for id, j := range st.jobs {
-		if at := j.finishedAt(); !at.IsZero() && now.Sub(at) > st.ttl {
-			delete(st.jobs, id)
-		}
+// purgeLocked pops the expired jobs off the head of the queue.
+func (st *jobStore) purgeLocked() {
+	now := st.clock()
+	for len(st.finished) > 0 && now-st.finished[0].at > st.ttl {
+		st.popLocked()
 	}
 }
 
@@ -312,7 +350,7 @@ func (st *jobStore) purgeLocked(now time.Time) {
 func (st *jobStore) purge() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.purgeLocked(time.Now())
+	st.purgeLocked()
 }
 
 // newJobID returns a 16-hex-char random job id.
@@ -374,7 +412,6 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 		prof:    q.prof,
 		cancel:  cancel,
 		done:    make(chan struct{}),
-		status:  JobRunning,
 		adm:     adm,
 	}
 	job.log.init()
@@ -412,12 +449,19 @@ func (s *Service) Job(id string) (*Job, bool) { return s.jobs.get(id) }
 // and disappearing from this listing.
 func (s *Service) Jobs() []*Job { return s.jobs.list() }
 
-// finishJob records the terminal state in the job-lifecycle
-// instruments, releases the tenant quota slot the job has held since
-// submission, and only then publishes the state on the job — whoever
-// observes the job as finished reads counters that include it and can
-// resubmit into the freed slot.
+// finishJob encodes the job's /result body (failing the job if it does
+// not encode), records the terminal state in the job-lifecycle
+// instruments, releases the tenant quota slot, queues the job for
+// expiry, and only then publishes the state on the job — whoever sees
+// the job finished reads counters that include it, can resubmit into
+// the freed slot, and can count on the job being evictable.
 func (s *Service) finishJob(job *Job, resp *Response, err error) {
+	var reply []byte
+	if err == nil {
+		if reply = resp.reply; reply == nil {
+			reply, err = encodeReply(resp)
+		}
+	}
 	status := terminalStatus(err)
 	attrs := []any{
 		"job", job.id,
@@ -434,12 +478,11 @@ func (s *Service) finishJob(job *Job, resp *Response, err error) {
 		attrs = append(attrs, "error", err.Error())
 	default:
 		s.metrics.jobsDone.Inc()
-		if resp != nil {
-			attrs = append(attrs, "cached", resp.Cached, "deduped", resp.Deduped)
-		}
+		attrs = append(attrs, "cached", resp.Cached, "deduped", resp.Deduped)
 	}
 	s.release(job.adm)
-	job.finish(status, resp, err)
+	s.jobs.retire(job)
+	job.finish(resp, reply, err)
 	s.log.Info("job finished", attrs...)
 }
 

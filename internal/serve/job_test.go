@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"tensat"
+	"tensat/internal/fingerprint"
 )
 
 // waitStatus polls until the job reaches the wanted terminal status.
@@ -134,8 +136,16 @@ func TestJobLifecycleWithProgress(t *testing.T) {
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	if resp.Result != res {
-		t.Fatal("job returned a different result object")
+	fp, err := fingerprint.GraphHex(testGraph(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := encodeReply(&Response{Result: res, Fingerprint: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resp.Reply, want) || resp.Trace != res.Trace {
+		t.Fatalf("job returned a different result:\n%s\nwant\n%s", resp.Reply, want)
 	}
 	if resp.Cached || resp.Deduped {
 		t.Fatalf("cold job reports cached=%v deduped=%v", resp.Cached, resp.Deduped)

@@ -35,6 +35,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"tensat"
@@ -458,6 +459,12 @@ type cachedResult struct {
 	res     *tensat.Result
 	tensors []string
 	parts   cachestore.KeyParts
+
+	// reply is the /result body of every memory hit in the entry's own
+	// tensor names, encoded by the first (nil if it does not encode).
+	// Like res, it is not counted by CacheMaxBytes.
+	replyOnce sync.Once
+	reply     []byte
 }
 
 // inVocabulary translates the cached result into the requester's
@@ -520,6 +527,9 @@ type Response struct {
 	// the run used greedy-only extraction. Degraded results are never
 	// cached as the key's answer.
 	Degraded bool
+
+	// reply is the /result body when a cache entry shares one.
+	reply []byte
 }
 
 // request is one prepared optimization request: effective options,
@@ -658,7 +668,12 @@ func (s *Service) answer(ctx context.Context, g *tensat.Graph, q request, adm ad
 		if err != nil {
 			return nil, err
 		}
-		return &Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier}, nil
+		resp := &Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier}
+		if tier == TierMemory && res == entry.res {
+			entry.replyOnce.Do(func() { entry.reply, _ = encodeReply(resp) })
+			resp.reply = entry.reply
+		}
+		return resp, nil
 	}
 	s.metrics.cacheMisses.Inc()
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -100,7 +101,7 @@ type JobReply struct {
 }
 
 func toJobReply(j *Job) JobReply {
-	status, prog := j.Status()
+	status, prog, err := j.snapshot()
 	rs, cm := j.Profile()
 	r := JobReply{
 		ID:        j.ID(),
@@ -112,7 +113,7 @@ func toJobReply(j *Job) JobReply {
 		ResultURL: "/v1/jobs/" + j.ID() + "/result",
 		EventsURL: "/v1/jobs/" + j.ID() + "/events",
 	}
-	if _, err := j.Outcome(); err != nil {
+	if err != nil {
 		r.Error = err.Error()
 	}
 	return r
@@ -458,4 +459,14 @@ func toOptimizeReply(resp *Response) (OptimizeReply, error) {
 		Truncated:      res.Truncated,
 		ILPOptimal:     res.ILPOptimal,
 	}, nil
+}
+
+// encodeReply is toOptimizeReply as the /result body writeJSON would write.
+func encodeReply(resp *Response) ([]byte, error) {
+	reply, err := toOptimizeReply(resp)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(reply)
+	return append(body, '\n'), err
 }

@@ -34,7 +34,7 @@ wait_up() {
   done
   fail "$1 never came up"
 }
-job_id() { sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p'; }
+job_id() { sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p'; }
 # optimize NODE N: one small never-seen graph through submit, the event
 # stream (which ends with the job's terminal event) and a 200 result.
 optimize() {
@@ -76,7 +76,7 @@ grep -q "FAULT INJECTION ARMED" "$TMP/a.log"
 
 # Phase 1: disk full. The injected ENOSPC on A's first write-through must
 # flip the store into degraded mode without failing the request.
-curl -sf "$A/readyz" | grep '"ready": true' >/dev/null || fail "A not ready at start"
+curl -sf "$A/readyz" | grep '"ready": *true' >/dev/null || fail "A not ready at start"
 optimize "$A" 100
 [ "$(metric "$A" tensat_store_degraded)" = 1 ] || fail "injected ENOSPC did not flip degraded mode"
 [ "$(metric "$A" tensat_store_errors_total)" -ge 1 ] || fail "store error not counted"
@@ -130,11 +130,11 @@ sleep 0.3
 kill -TERM "$NODE_B"
 code=$(curl -s -o "$TMP/readyz.json" -w '%{http_code}' "$B/readyz")
 [ "$code" = 503 ] || fail "readyz while draining answered $code, want 503"
-grep -q '"draining": true' "$TMP/readyz.json"
+grep -q '"draining": *true' "$TMP/readyz.json"
 code=$(curl -s -o "$TMP/refused.json" -w '%{http_code}' -X POST "$B/v1/jobs" \
   -d '{"graph": "(output (relu (input \"x@8 999\")))"}')
 [ "$code" = 503 ] || fail "new work while draining answered $code, want 503"
-grep -q '"code": "draining"' "$TMP/refused.json"
+grep -q '"code": *"draining"' "$TMP/refused.json"
 # The job submitted before SIGTERM still finishes during the drain; the
 # listener closes the moment it does, so poll tolerantly and prove the
 # ordering from the daemon's own log after it exits.

@@ -33,7 +33,7 @@ id=$(curl -sf -X POST "$URL/v1/jobs" -d '{
   "graph": "(output (tanh (matmul 0 (input \"x@64 256\") (weight \"w@256 256\"))))",
   "options": {"ruleset": "taso-single", "cost_model": "a100",
               "extractor": "greedy", "iter_limit": 4, "node_limit": 2000}
-}' | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')
+}' | sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')
 test -n "$id"
 # The event stream ends with the job's terminal event.
 # (grep without -q: it must drain curl's output, or pipefail sees a
