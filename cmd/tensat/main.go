@@ -7,6 +7,9 @@
 //	       [-filter efficient] [-nodelimit 20000] [-iters 15]
 //	       [-ruleset taso-default] [-costmodel t4] [-progress]
 //
+// -extractor, -filter and -scale take only the names listed; any other
+// value is a usage error (exit 2).
+//
 // With -progress, live lines trace the run as it happens: one per
 // exploration iteration (e-graph growth) and one per ILP incumbent
 // (the anytime answer improving). With -trace out.json, the full
@@ -64,10 +67,7 @@ func main() {
 		load      = flag.String("load", "", "load a graph from a .sexpr file instead of -model")
 		save      = flag.String("save", "", "write the optimized graph to this file")
 		dot       = flag.String("dot", "", "write the optimized graph in Graphviz dot format to this file")
-		scale     = flag.String("scale", "test", "model scale: test or full")
 		kmulti    = flag.Int("kmulti", 1, "iterations of multi-pattern rewrites (k_multi)")
-		extractor = flag.String("extractor", "ilp", "extraction algorithm: ilp or greedy")
-		filter    = flag.String("filter", "efficient", "cycle filtering: efficient, vanilla or none")
 		nodeLimit = flag.Int("nodelimit", 20000, "e-graph node limit (N_max)")
 		iters     = flag.Int("iters", 15, "exploration iteration limit (k_max)")
 		ilpTime   = flag.Duration("ilptimeout", 2*time.Minute, "ILP solver timeout")
@@ -81,6 +81,7 @@ func main() {
 		rulesDir  = flag.String("rules-dir", "", "load every *.rules file in this directory before resolving -ruleset")
 		deviceDir = flag.String("device-dir", "", "load every *.json device spec in this directory before resolving -costmodel")
 	)
+	extractor, filter, scale := choiceFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *workers < 0 {
@@ -115,11 +116,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := models.ScaleTest
-		if *scale == "full" {
-			s = models.ScaleFull
-		}
-		g = m.Build(s)
+		g = m.Build(models.Scale(scale.i))
 	}
 
 	opt := tensat.DefaultOptions()
@@ -131,15 +128,8 @@ func main() {
 	opt.Workers = *workers
 	opt.RuleSet = *ruleset
 	opt.CostModelName = *costmodel
-	if *extractor == "greedy" {
-		opt.Extractor = tensat.ExtractGreedy
-	}
-	switch *filter {
-	case "vanilla":
-		opt.CycleFilter = tensat.FilterVanilla
-	case "none":
-		opt.CycleFilter = tensat.FilterNone
-	}
+	opt.Extractor = tensat.Extractor(extractor.i)
+	opt.CycleFilter = tensat.CycleFilter(filter.i)
 
 	if *progress {
 		opt.Progress = printProgress
@@ -170,7 +160,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("model:            %s (scale=%s)\n", name, *scale)
+	fmt.Printf("model:            %s (scale=%s)\n", name, scale)
 	fmt.Printf("original cost:    %.1f us   ops: %s\n", res.OrigCost, tensor.HistogramString(g.OpHistogram()))
 	fmt.Printf("optimized cost:   %.1f us   ops: %s\n", res.OptCost, tensor.HistogramString(res.Graph.OpHistogram()))
 	fmt.Printf("speedup:          %.1f%%\n", res.SpeedupPercent)

@@ -1,12 +1,21 @@
-// Package exp is the experiment harness: it regenerates every table
-// and figure of the paper's evaluation (§6) over the model zoo, the
-// TENSAT pipeline (root package) and the TASO baseline. Absolute
-// numbers differ from the paper (the substrate is a simulated device,
-// not a T4), but each experiment preserves the published comparison's
-// shape.
+// Package exp regenerates every table and figure of the paper's
+// evaluation (§6) over the model zoo, the TENSAT pipeline (root
+// package) and the TASO baseline; cmd/experiments prints its Views.
+// Absolute numbers differ from the paper (the substrate is a simulated
+// device, not a T4), but each experiment preserves the published
+// comparison's shape.
+//
+// One report keeps its optimizer runs in a Runs: each distinct
+// (system, options, model) runs at most once, and every view that
+// needs it reads that run. Tables 1 and 3 and Figures 4 and 5 are views
+// of one sweep of ModelRuns; Figure 4's Inception-v3 k_multi = 2 bar is
+// Figure 6's last TENSAT point, and the sweep's Inception-v3 run is the
+// point before it. A view that measures with its own salt re-measures
+// the shared graph, so sharing a run changes no printed speedup.
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -24,7 +33,7 @@ import (
 )
 
 // Config sizes the experiments. Defaults run the whole suite on CPU in
-// well under a minute; Full() approximates the paper's settings.
+// under two minutes; Full() approximates the paper's settings.
 type Config struct {
 	Scale      models.Scale
 	NodeLimit  int           // e-graph size limit (paper: 50000)
@@ -58,12 +67,9 @@ func Full() Config {
 	return c
 }
 
-// device is the optimizer-facing cost model; runtime is the
-// measurement model used to report "graph runtime" speedups.
-func (c Config) deviceAndRuntime() (cost.Model, cost.Model) {
-	d := cost.NewT4()
-	return d, cost.NewRuntime(d)
-}
+// runtimeModel is the measurement model used to report "graph runtime"
+// speedups; the optimizers price graphs with the T4 device it wraps.
+func runtimeModel() cost.Model { return cost.NewRuntime(cost.NewT4()) }
 
 // measureRuntime returns the mean and standard error of the simulated
 // graph runtime over cfg.Runs measurements. The per-run jitter is a
@@ -101,21 +107,93 @@ func jitter(seed, run uint64) float64 {
 	return float64(x%2001)/1000 - 1
 }
 
-// tensatOptions builds root-API options for a given k_multi.
-func (c Config) tensatOptions(kmulti int) tensat.Options {
-	return tensat.Options{
-		NodeLimit:  c.NodeLimit,
-		IterLimit:  c.IterLimit,
-		KMulti:     kmulti,
-		ILPTimeout: c.ILPTimeout,
+// tensatRun is one distinct TENSAT configuration: a model and the
+// options this package varies.
+type tensatRun struct {
+	model                string
+	kmulti, iters, nodes int
+	ilp, explore         time.Duration
+}
+
+// run is the configured TENSAT run of model at kmulti; the sweep uses
+// the paper's k_multi = 1 everywhere (§6.2).
+func (c Config) run(model string, kmulti int) tensatRun {
+	return tensatRun{model: model, kmulti: kmulti, iters: c.IterLimit, nodes: c.NodeLimit, ilp: c.ILPTimeout}
+}
+
+// tasoRun is one distinct TASO configuration.
+type tasoRun struct {
+	model string
+	opt   taso.Options
+}
+
+// outcome is a finished run, kept with its error.
+type outcome[T any] struct {
+	res T
+	err error
+}
+
+// once returns memo's outcome for key, running compute the first time.
+func once[K comparable, T any](memo map[K]outcome[T], key K, compute func() (T, error)) (T, error) {
+	o, ok := memo[key]
+	if !ok {
+		o.res, o.err = compute()
+		memo[key] = o
+	}
+	return o.res, o.err
+}
+
+// Runs holds one report's optimizer runs, each computed the first time
+// a view asks for it.
+type Runs struct {
+	Config
+	// optimize is tensat.Optimize; tests substitute failures.
+	optimize   func(*tensor.Graph, tensat.Options) (*tensat.Result, error)
+	tensatRuns map[tensatRun]outcome[*tensat.Result]
+	tasoRuns   map[tasoRun]outcome[*taso.Result]
+}
+
+// NewRuns starts an empty report under c.
+func NewRuns(c Config) *Runs {
+	return &Runs{
+		Config:     c,
+		optimize:   tensat.Optimize,
+		tensatRuns: map[tensatRun]outcome[*tensat.Result]{},
+		tasoRuns:   map[tasoRun]outcome[*taso.Result]{},
 	}
 }
 
-// kmultiFor returns the paper's per-model k_multi (§6.2: 1 everywhere,
-// with Inception-v3 also reported at 2).
-func kmultiFor(model string) int { return 1 }
+// graph builds the named model at the configured scale.
+func (c Config) graph(name string) (*tensor.Graph, error) {
+	m, err := models.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return m.Build(c.Scale), nil
+}
 
-// ModelRun is one optimizer-vs-baseline comparison on one model.
+// optimized is TENSAT's result for k; g is k's model.
+func (r *Runs) optimized(g *tensor.Graph, k tensatRun) (*tensat.Result, error) {
+	return once(r.tensatRuns, k, func() (*tensat.Result, error) {
+		return r.optimize(g, tensat.Options{
+			NodeLimit:      k.nodes,
+			IterLimit:      k.iters,
+			KMulti:         k.kmulti,
+			ILPTimeout:     k.ilp,
+			ExploreTimeout: k.explore,
+		})
+	})
+}
+
+// searched is TASO's result for k; g is k's model.
+func (r *Runs) searched(g *tensor.Graph, k tasoRun) (*taso.Result, error) {
+	return once(r.tasoRuns, k, func() (*taso.Result, error) {
+		return taso.Search(g, rules.Default(), cost.NewT4(), k.opt)
+	})
+}
+
+// ModelRun is one optimizer-vs-baseline comparison on one model: a row
+// of the sweep.
 type ModelRun struct {
 	Model string
 
@@ -124,10 +202,8 @@ type ModelRun struct {
 	TensatRuntime float64
 	TensatStderr  float64
 	TensatSpeedup float64 // percent, on simulated runtime
-	TensatTime    time.Duration
 	TensatExplore time.Duration
 	TensatExtract time.Duration
-	TensatENodes  int
 
 	TasoRuntime float64
 	TasoStderr  float64
@@ -136,70 +212,111 @@ type ModelRun struct {
 	TasoBest    time.Duration
 }
 
-// RunModel optimizes one benchmark with both TENSAT and TASO.
+// TensatTime is TENSAT's optimization time: exploration plus extraction.
+func (m *ModelRun) TensatTime() time.Duration { return m.TensatExplore + m.TensatExtract }
+
+// RunModel optimizes one benchmark with both TENSAT and TASO: one row
+// of the sweep, run on its own.
 func (c Config) RunModel(name string) (*ModelRun, error) {
-	m, err := models.ByName(name)
+	return NewRuns(c).measure(c.run(name, 1), true)
+}
+
+// measure compares k's result and, with withTASO, the sweep's TASO
+// result with the unoptimized model.
+func (r *Runs) measure(k tensatRun, withTASO bool) (*ModelRun, error) {
+	g, err := r.graph(k.model)
 	if err != nil {
 		return nil, err
 	}
-	g := m.Build(c.Scale)
-	_, rt := c.deviceAndRuntime()
-
-	res, err := tensat.Optimize(g, c.tensatOptions(kmultiFor(name)))
+	res, err := r.optimized(g, k)
 	if err != nil {
-		return nil, fmt.Errorf("%s: tensat: %w", name, err)
+		return nil, fmt.Errorf("%s: tensat: %w", k.model, err)
 	}
-	tres, err := taso.Search(g, rules.Default(), cost.NewT4(), taso.Options{
-		N: c.TasoN, Alpha: c.TasoAlpha, Timeout: time.Hour, MaxMatchesPerRule: 2000,
-	})
+	rt := runtimeModel()
+	m := &ModelRun{Model: k.model, TensatExplore: res.ExploreTime, TensatExtract: res.ExtractTime}
+	m.OrigRuntime, _ = r.measureRuntime(rt, g, 0)
+	m.TensatRuntime, m.TensatStderr = r.measureRuntime(rt, res.Graph, 1)
+	m.TensatSpeedup = cost.SpeedupPercent(m.OrigRuntime, m.TensatRuntime)
+	if !withTASO {
+		return m, nil
+	}
+	tres, err := r.searched(g, tasoRun{k.model, taso.Options{
+		N: r.TasoN, Alpha: r.TasoAlpha, Timeout: time.Hour, MaxMatchesPerRule: 2000,
+	}})
 	if err != nil {
-		return nil, fmt.Errorf("%s: taso: %w", name, err)
+		return nil, fmt.Errorf("%s: taso: %w", k.model, err)
 	}
-
-	orig, _ := c.measureRuntime(rt, g, 0)
-	tnMean, tnErr := c.measureRuntime(rt, res.Graph, 1)
-	tsMean, tsErr := c.measureRuntime(rt, tres.Graph, 2)
-
-	return &ModelRun{
-		Model:         name,
-		OrigRuntime:   orig,
-		TensatRuntime: tnMean,
-		TensatStderr:  tnErr,
-		TensatSpeedup: cost.SpeedupPercent(orig, tnMean),
-		TensatTime:    res.ExploreTime + res.ExtractTime,
-		TensatExplore: res.ExploreTime,
-		TensatExtract: res.ExtractTime,
-		TensatENodes:  res.ENodes,
-		TasoRuntime:   tsMean,
-		TasoStderr:    tsErr,
-		TasoSpeedup:   cost.SpeedupPercent(orig, tsMean),
-		TasoTotal:     tres.TotalTime,
-		TasoBest:      tres.BestTime,
-	}, nil
+	m.TasoRuntime, m.TasoStderr = r.measureRuntime(rt, tres.Graph, 2)
+	m.TasoSpeedup = cost.SpeedupPercent(m.OrigRuntime, m.TasoRuntime)
+	m.TasoTotal, m.TasoBest = tres.TotalTime, tres.BestTime
+	return m, nil
 }
 
-// RunAll runs RunModel over every benchmark.
-func (c Config) RunAll() ([]*ModelRun, error) {
+// sweep measures each model at the paper's k_multi = 1, with TASO
+// beside it when withTASO.
+func (r *Runs) sweep(withTASO bool, ms []models.Model) ([]*ModelRun, error) {
 	var out []*ModelRun
-	for _, m := range models.Benchmarks() {
-		r, err := c.RunModel(m.Name)
+	for _, m := range ms {
+		run, err := r.measure(r.run(m.Name, 1), withTASO)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
+		out = append(out, run)
 	}
 	return out, nil
 }
 
+// Sweep is the report's one pass over the benchmarks with both
+// optimizers: Table 1, Figure 4 and Figure 5 are views of it.
+func (r *Runs) Sweep() ([]*ModelRun, error) { return r.sweep(true, models.Benchmarks()) }
+
+// tensatSweep is the sweep without TASO, all Table 3 prints.
+func (r *Runs) tensatSweep() ([]*ModelRun, error) { return r.sweep(false, models.Benchmarks()) }
+
+// A View is one table or figure of §6: "table" 1 or "fig" 7 on the
+// command line. Render runs what it prints and nothing else.
+type View struct {
+	Kind   string
+	N      int
+	Render func(*Runs) (string, error)
+}
+
+// Views is the evaluation in print order.
+var Views = []View{
+	{"table", 1, view((*Runs).Sweep, FormatTable1)},
+	{"table", 3, view((*Runs).tensatSweep, FormatTable3)},
+	{"table", 4, view((*Runs).Table4, FormatTable4)},
+	{"table", 5, view((*Runs).Table5, FormatTable5)},
+	{"table", 6, view(func(r *Runs) ([]Table6Row, error) { return r.Table6(1, 2) }, FormatTable6)},
+	{"fig", 4, view((*Runs).Figure4, FormatFigure4)},
+	{"fig", 5, view((*Runs).Sweep, FormatFigure5)},
+	{"fig", 6, func(r *Runs) (string, error) {
+		tensatCurve, tasoCurve, err := r.Figure6()
+		return FormatFigure6(tensatCurve, tasoCurve), err
+	}},
+	{"fig", 7, view((*Runs).Figure7, FormatFigure7)},
+}
+
+// view renders what run returns with format.
+func view[T any](run func(*Runs) (T, error), format func(T) string) func(*Runs) (string, error) {
+	return func(r *Runs) (string, error) {
+		v, err := run(r)
+		if err != nil {
+			return "", err
+		}
+		return format(v), nil
+	}
+}
+
 // explore runs only the exploration phase with the given settings.
-func (c Config) explore(g *tensor.Graph, kmulti int, filter rewrite.FilterMode) (*rewrite.Explored, error) {
+func (c Config) explore(g *tensor.Graph, kmulti int, filter rewrite.FilterMode, timeout time.Duration) (*rewrite.Explored, error) {
 	r := rewrite.NewRunner(rules.Default())
 	r.Filter = filter
 	r.Limits = rewrite.Limits{
 		MaxNodes: c.NodeLimit,
 		MaxIters: c.IterLimit,
 		KMulti:   kmulti,
-		Timeout:  time.Hour,
+		Timeout:  timeout,
 	}
 	return r.Run(g)
 }
@@ -213,20 +330,53 @@ func (c Config) ilpExtract(ex *rewrite.Explored, cycles bool, topo ilp.TopoMode)
 	})
 }
 
+// Timed is one timed cell: how long a step took and whether it ran
+// into its budget, or the error that ended it.
+type Timed struct {
+	Time     time.Duration
+	TimedOut bool
+	Err      error
+}
+
+// failed is the cell of a step that returned err. Only a spent ILP
+// budget is a timeout: a solve that spends it with an incumbent returns
+// that incumbent, so an error is ilp.ErrTimeout only when the budget ran
+// out before any feasible solution. Anything else is an error.
+func failed(err error, budget time.Duration) Timed {
+	if errors.Is(err, ilp.ErrTimeout) {
+		return Timed{Time: budget, TimedOut: true}
+	}
+	return Timed{Err: err}
+}
+
 // fmtDur renders a duration compactly for tables.
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
-// tableWriter accumulates aligned columns.
+// tableWriter accumulates aligned columns, and notes printed under them.
 type tableWriter struct {
 	header []string
 	rows   [][]string
+	notes  []string
 }
 
 func newTable(header ...string) *tableWriter { return &tableWriter{header: header} }
 
 func (t *tableWriter) row(cells ...string) { t.rows = append(t.rows, cells) }
+
+// timed renders x. An error reads "error", and its message, labeled
+// with where, is listed under the table.
+func (t *tableWriter) timed(x Timed, where string) string {
+	switch {
+	case x.Err != nil:
+		t.notes = append(t.notes, where+": "+x.Err.Error())
+		return "error"
+	case x.TimedOut:
+		return ">" + fmtDur(x.Time)
+	}
+	return fmtDur(x.Time)
+}
 
 func (t *tableWriter) String() string {
 	width := make([]int, len(t.header))
@@ -260,6 +410,9 @@ func (t *tableWriter) String() string {
 	b.WriteByte('\n')
 	for _, r := range t.rows {
 		writeRow(r)
+	}
+	for _, n := range t.notes {
+		fmt.Fprintf(&b, "error: %s\n", n)
 	}
 	return b.String()
 }

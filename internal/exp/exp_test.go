@@ -1,10 +1,15 @@
 package exp
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"tensat"
+	"tensat/internal/ilp"
 	"tensat/internal/models"
 	"tensat/internal/tensor"
 )
@@ -72,18 +77,142 @@ func TestTable6EfficientNotSlower(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	s := FormatTable1([]Table1Row{{Model: "X", TasoTime: time.Second, TensatTime: time.Millisecond,
+	s := FormatTable1([]*ModelRun{{Model: "X", TasoTotal: time.Second, TensatExplore: time.Millisecond,
 		TasoSpeedup: 5, TensatSpeedup: 10}})
-	if !strings.Contains(s, "Table 1") || !strings.Contains(s, "X") {
-		t.Fatalf("bad table 1 output:\n%s", s)
+	for _, want := range []string{"Table 1", "X", "1.000s", "0.001s", "5.0%", "10.0%"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("table 1 output missing %q:\n%s", want, s)
+		}
 	}
-	s = FormatTable5([]Table5Row{{Model: "X", KMulti: 2, WithReal: time.Second, RealTimedOut: true}})
-	if !strings.Contains(s, ">1.000s") {
-		t.Fatalf("timeout marker missing:\n%s", s)
+	s = FormatTable5([]Table5Row{{Model: "X", KMulti: 2,
+		WithReal: Timed{Time: time.Second, TimedOut: true},
+		WithInt:  Timed{Err: errors.New("ilp: infeasible extraction problem")},
+		Without:  Timed{Time: 2 * time.Second}}})
+	for _, want := range []string{">1.000s", " error ", " 2.000s",
+		"error: X k_multi 2, With cycle (int): ilp: infeasible extraction problem"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("table 5 output missing %q:\n%s", want, s)
+		}
 	}
-	s = FormatFigure7([]Figure7Row{{Model: "X", KMulti: 3, TimedOut: true}})
+	if strings.Contains(s, ">0.000s") {
+		t.Fatalf("an error printed as a timeout:\n%s", s)
+	}
+	s = FormatFigure7([]Figure7Row{{Model: "X", KMulti: 3, Time: Timed{TimedOut: true}}})
 	if !strings.Contains(s, "timeout") {
 		t.Fatalf("figure 7 timeout marker missing:\n%s", s)
+	}
+}
+
+// inceptionK2 runs Figure 4's Inception-v3 k_multi = 2 bar on its own.
+func (c Config) inceptionK2() (*ModelRun, error) { return NewRuns(c).inceptionK2() }
+
+// TestViewsShareOneSweep renders the views of one sweep and checks that
+// they print one TENSAT run per model: Table 3's split adds up to Table
+// 1's time, Figure 5 prints Table 1's time, and Figure 4 its speedups.
+func TestViewsShareOneSweep(t *testing.T) {
+	r := NewRuns(quick())
+	calls := 0
+	optimize := r.optimize
+	r.optimize = func(g *tensor.Graph, opt tensat.Options) (*tensat.Result, error) {
+		calls++
+		return optimize(g, opt)
+	}
+	var ms []models.Model
+	for _, name := range []string{"SqueezeNet", "VGG-19"} {
+		m, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	runs, err := r.sweep(true, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensatOnly, err := r.sweep(false, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t3, f4, f5 := FormatTable1(runs), FormatTable3(tensatOnly), FormatFigure4(runs), FormatFigure5(runs)
+	for _, m := range ms {
+		name := m.Name
+		row1, row3, row4, row5 := cells(t, t1, name), cells(t, t3, name), cells(t, f4, name), cells(t, f5, name)
+		if d := seconds(t, row3[1]) + seconds(t, row3[2]) - seconds(t, row1[2]); math.Abs(d) > 0.0015 {
+			t.Errorf("%s: Table 3 %s + %s is not Table 1's %s", name, row3[1], row3[2], row1[2])
+		}
+		if row5[3] != row1[2] {
+			t.Errorf("%s: Figure 5 prints %s, Table 1 %s", name, row5[3], row1[2])
+		}
+		if row4[1] != row1[3] || row4[4] != row1[4] {
+			t.Errorf("%s: Figure 4 speedups %s/%s, Table 1 %s/%s", name, row4[1], row4[4], row1[3], row1[4])
+		}
+	}
+	if calls != len(ms) {
+		t.Errorf("%d TENSAT runs for %d models", calls, len(ms))
+	}
+}
+
+// cells splits the row of table that starts with model.
+func cells(t *testing.T, table, model string) []string {
+	t.Helper()
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == model {
+			return f
+		}
+	}
+	t.Fatalf("no %s row in\n%s", model, table)
+	return nil
+}
+
+func seconds(t *testing.T, cell string) float64 {
+	t.Helper()
+	d, err := time.ParseDuration(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Seconds()
+}
+
+// TestFigure7ErrorIsNotATimeout injects failures into Figure 7's runs:
+// only ilp.ErrTimeout reads as a timeout, any other error reads "error"
+// with its message under the table.
+func TestFigure7ErrorIsNotATimeout(t *testing.T) {
+	r := NewRuns(quick())
+	infeasible := errors.New("ilp: infeasible extraction problem")
+	r.optimize = func(g *tensor.Graph, opt tensat.Options) (*tensat.Result, error) {
+		switch opt.KMulti {
+		case 2:
+			return nil, infeasible
+		case 3:
+			return nil, fmt.Errorf("extract: %w", ilp.ErrTimeout)
+		}
+		return &tensat.Result{Graph: g, ExploreTime: time.Millisecond, ENodes: 1}, nil
+	}
+	rows, err := r.Figure7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		want := Timed{Time: time.Millisecond}
+		switch row.KMulti {
+		case 2:
+			want = Timed{Err: infeasible}
+		case 3:
+			want = Timed{Time: 30 * time.Second, TimedOut: true}
+		}
+		if row.Time != want {
+			t.Errorf("%s k_multi %d: %+v, want %+v", row.Model, row.KMulti, row.Time, want)
+		}
+	}
+	s := FormatFigure7(rows)
+	for _, want := range []string{
+		"SqueezeNet    2        error    error           -",
+		"SqueezeNet    3        timeout  timeout         -",
+		"error: SqueezeNet k_multi 2: ilp: infeasible extraction problem",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("missing %q in\n%s", want, s)
+		}
 	}
 }
 
@@ -104,8 +233,7 @@ func TestJitterDeterministicBounded(t *testing.T) {
 func TestMeasureRuntimeStats(t *testing.T) {
 	c := quick()
 	g := mustModel(t, "VGG-19", c)
-	_, rt := c.deviceAndRuntime()
-	mean, stderr := c.measureRuntime(rt, g, 0)
+	mean, stderr := c.measureRuntime(runtimeModel(), g, 0)
 	if mean <= 0 {
 		t.Fatalf("mean %v", mean)
 	}

@@ -4,65 +4,30 @@ import (
 	"fmt"
 	"time"
 
-	"tensat"
 	"tensat/internal/cost"
 	"tensat/internal/models"
-	"tensat/internal/rules"
 	"tensat/internal/taso"
 )
 
-// Figure4Row is one bar pair of Figure 4: mean speedup with standard
-// error, per optimizer. Like the paper, Inception-v3 appears twice
-// (k_multi = 1 and 2).
-type Figure4Row struct {
-	Model                    string
-	TasoSpeedup, TasoErr     float64
-	TensatSpeedup, TensatErr float64
+// Figure4 is the sweep's speedups plus the paper's extra Inception-v3
+// bar at k_multi = 2, which has no TASO counterpart.
+func (r *Runs) Figure4() ([]*ModelRun, error) {
+	runs, err := r.Sweep()
+	if err != nil {
+		return nil, err
+	}
+	k2, err := r.inceptionK2()
+	return append(runs, k2), err
 }
 
-// Figure4 regenerates the Figure 4 series.
-func (c Config) Figure4() ([]Figure4Row, error) {
-	runs, err := c.RunAll()
+// inceptionK2 is Figure 4's Inception-v3 k_multi = 2 bar.
+func (r *Runs) inceptionK2() (*ModelRun, error) {
+	m, err := r.measure(r.run("Inception-v3", 2), false)
 	if err != nil {
 		return nil, err
 	}
-	var rows []Figure4Row
-	for _, r := range runs {
-		rows = append(rows, Figure4Row{
-			Model:         r.Model,
-			TasoSpeedup:   r.TasoSpeedup,
-			TasoErr:       errPercent(r.OrigRuntime, r.TasoRuntime, r.TasoStderr),
-			TensatSpeedup: r.TensatSpeedup,
-			TensatErr:     errPercent(r.OrigRuntime, r.TensatRuntime, r.TensatStderr),
-		})
-	}
-	k2, err := c.inceptionK2()
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, *k2)
-	return rows, nil
-}
-
-// inceptionK2 runs the paper's extra Inception-v3 k_multi=2 point.
-func (c Config) inceptionK2() (*Figure4Row, error) {
-	m, err := models.ByName("Inception-v3")
-	if err != nil {
-		return nil, err
-	}
-	g := m.Build(c.Scale)
-	_, rt := c.deviceAndRuntime()
-	res, err := tensat.Optimize(g, c.tensatOptions(2))
-	if err != nil {
-		return nil, err
-	}
-	orig, _ := c.measureRuntime(rt, g, 0)
-	mean, stderr := c.measureRuntime(rt, res.Graph, 1)
-	return &Figure4Row{
-		Model:         "Incept. k=2",
-		TensatSpeedup: cost.SpeedupPercent(orig, mean),
-		TensatErr:     errPercent(orig, mean, stderr),
-	}, nil
+	m.Model = "Incept. k=2"
+	return m, nil
 }
 
 // errPercent propagates a runtime stderr into speedup-percent units.
@@ -73,58 +38,32 @@ func errPercent(orig, opt, stderr float64) float64 {
 	return orig / (opt * opt) * stderr * 100
 }
 
-// FormatFigure4 renders the Figure 4 series.
-func FormatFigure4(rows []Figure4Row) string {
+// FormatFigure4 renders Figure 4 from the sweep: mean speedup with
+// standard error, per optimizer. Like the paper, Inception-v3 appears
+// twice (k_multi = 1 and 2).
+func FormatFigure4(runs []*ModelRun) string {
 	t := newTable("Model", "TASO speedup", "TENSAT speedup")
-	for _, r := range rows {
+	for _, r := range runs {
 		taso := "-"
 		if r.Model != "Incept. k=2" {
-			taso = fmt.Sprintf("%.1f%% ± %.2f", r.TasoSpeedup, r.TasoErr)
+			taso = fmt.Sprintf("%.1f%% ± %.2f", r.TasoSpeedup, errPercent(r.OrigRuntime, r.TasoRuntime, r.TasoStderr))
 		}
-		t.row(r.Model, taso, fmt.Sprintf("%.1f%% ± %.2f", r.TensatSpeedup, r.TensatErr))
+		t.row(r.Model, taso, fmt.Sprintf("%.1f%% ± %.2f", r.TensatSpeedup, errPercent(r.OrigRuntime, r.TensatRuntime, r.TensatStderr)))
 	}
 	return "Figure 4: speedup percentage of optimized graphs (mean ± stderr)\n" + t.String()
 }
 
-// Figure5Row is one group of Figure 5: optimizer times (log scale in
-// the paper) plus the TASO-total / TENSAT ratio annotation.
-type Figure5Row struct {
-	Model     string
-	TasoTotal time.Duration
-	TasoBest  time.Duration
-	Tensat    time.Duration
-	Ratio     float64 // TasoTotal / Tensat
-}
-
-// Figure5 regenerates the Figure 5 series.
-func (c Config) Figure5() ([]Figure5Row, error) {
-	runs, err := c.RunAll()
-	if err != nil {
-		return nil, err
-	}
-	var rows []Figure5Row
+// FormatFigure5 renders Figure 5 from the sweep: optimizer times (log
+// scale in the paper) plus the TASO-total / TENSAT ratio annotation.
+func FormatFigure5(runs []*ModelRun) string {
+	t := newTable("Model", "TASO total", "TASO best", "TENSAT", "speedup vs TASO total")
 	for _, r := range runs {
 		ratio := 0.0
-		if r.TensatTime > 0 {
-			ratio = float64(r.TasoTotal) / float64(r.TensatTime)
+		if r.TensatTime() > 0 {
+			ratio = float64(r.TasoTotal) / float64(r.TensatTime())
 		}
-		rows = append(rows, Figure5Row{
-			Model:     r.Model,
-			TasoTotal: r.TasoTotal,
-			TasoBest:  r.TasoBest,
-			Tensat:    r.TensatTime,
-			Ratio:     ratio,
-		})
-	}
-	return rows, nil
-}
-
-// FormatFigure5 renders the Figure 5 series.
-func FormatFigure5(rows []Figure5Row) string {
-	t := newTable("Model", "TASO total", "TASO best", "TENSAT", "speedup vs TASO total")
-	for _, r := range rows {
-		t.row(r.Model, fmtDur(r.TasoTotal), fmtDur(r.TasoBest), fmtDur(r.Tensat),
-			fmt.Sprintf("%.1fx", r.Ratio))
+		t.row(r.Model, fmtDur(r.TasoTotal), fmtDur(r.TasoBest), fmtDur(r.TensatTime()),
+			fmt.Sprintf("%.1fx", ratio))
 	}
 	return "Figure 5: optimization time (TASO total / TASO best / TENSAT)\n" + t.String()
 }
@@ -138,20 +77,19 @@ type CurvePoint struct {
 // Figure6 regenerates the Figure 6 tradeoff curves on Inception-v3:
 // best-so-far speedup against optimizer time for both systems. The
 // TASO curve is its search trace; the TENSAT curve grows the search
-// budget (iterations, then k_multi).
-func (c Config) Figure6() (tensatCurve, tasoCurve []CurvePoint, err error) {
-	m, err := models.ByName("Inception-v3")
+// budget (iterations, then k_multi). Its last two points are the
+// sweep's Inception-v3 run and Figure 4's k_multi = 2 bar.
+func (r *Runs) Figure6() (tensatCurve, tasoCurve []CurvePoint, err error) {
+	const name = "Inception-v3"
+	g, err := r.graph(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	g := m.Build(c.Scale)
-	_, rt := c.deviceAndRuntime()
-	orig, _ := c.measureRuntime(rt, g, 0)
+	rt := runtimeModel()
+	orig, _ := r.measureRuntime(rt, g, 0)
 
 	// TASO: replay the improvement trace.
-	tres, err := taso.Search(g, rules.Default(), cost.NewT4(), taso.Options{
-		N: c.TasoN, Alpha: c.TasoAlpha, Timeout: time.Minute,
-	})
+	tres, err := r.searched(g, tasoRun{name, taso.Options{N: r.TasoN, Alpha: r.TasoAlpha, Timeout: time.Minute}})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,23 +99,19 @@ func (c Config) Figure6() (tensatCurve, tasoCurve []CurvePoint, err error) {
 		// but the end point is re-measured exactly below.
 		tasoCurve = append(tasoCurve, CurvePoint{At: p.At, Speedup: cost.SpeedupPercent(tres.Trace[0].Cost, p.Cost)})
 	}
-	final, _ := c.measureRuntime(rt, tres.Graph, 2)
+	final, _ := r.measureRuntime(rt, tres.Graph, 2)
 	tasoCurve = append(tasoCurve, CurvePoint{At: tres.TotalTime, Speedup: cost.SpeedupPercent(orig, final)})
 
 	// TENSAT: increasing budgets.
-	type budget struct {
-		iters, kmulti int
-	}
-	budgets := []budget{{1, 0}, {2, 1}, {c.IterLimit, 1}, {c.IterLimit, 2}}
+	budgets := []tensatRun{r.run(name, 0), r.run(name, 1), r.run(name, 1), r.run(name, 2)}
+	budgets[0].iters, budgets[1].iters = 1, 2
 	elapsed := time.Duration(0)
-	for _, bud := range budgets {
-		opt := c.tensatOptions(bud.kmulti)
-		opt.IterLimit = bud.iters
-		res, err := tensat.Optimize(g, opt)
+	for _, k := range budgets {
+		res, err := r.optimized(g, k)
 		if err != nil {
 			return nil, nil, err
 		}
-		mean, _ := c.measureRuntime(rt, res.Graph, 3)
+		mean, _ := r.measureRuntime(rt, res.Graph, 3)
 		elapsed += res.ExploreTime + res.ExtractTime
 		tensatCurve = append(tensatCurve, CurvePoint{At: elapsed, Speedup: cost.SpeedupPercent(orig, mean)})
 	}
@@ -197,51 +131,38 @@ func FormatFigure6(tensatCurve, tasoCurve []CurvePoint) string {
 }
 
 // Figure7Row is one (model, k_multi) point of Figure 7: speedup,
-// optimizer time and final e-graph size.
+// optimizer time and final e-graph size. A run that failed has only
+// Time, as a timeout or an error.
 type Figure7Row struct {
 	Model   string
 	KMulti  int
 	Speedup float64
-	Time    time.Duration
+	Time    Timed
 	ENodes  int
-	// TimedOut marks ILP timeout (the paper's k_multi = 3 cases).
-	TimedOut bool
 }
 
-// Figure7 regenerates Figure 7 over k_multi = 0..maxK for all models.
+// Figure7 regenerates Figure 7 over k_multi = 0..3 for all models.
 // Large k_multi is where e-graphs grow doubly exponentially (§6.4), so
-// runs are clamped (10k nodes, 60 s exploration) — the paper similarly
-// reports ILP timeouts at k_multi = 3.
-func (c Config) Figure7(maxK int) ([]Figure7Row, error) {
-	if maxK <= 0 {
-		maxK = 3
-	}
-	if c.NodeLimit > 10000 {
-		c.NodeLimit = 10000
-	}
-	if c.ILPTimeout > 30*time.Second {
-		c.ILPTimeout = 30 * time.Second
-	}
-	_, rt := c.deviceAndRuntime()
+// runs are clamped (10k nodes, 30 s ILP, 60 s exploration) — the paper
+// similarly reports ILP timeouts at k_multi = 3.
+func (r *Runs) Figure7() ([]Figure7Row, error) {
+	rt := runtimeModel()
 	var rows []Figure7Row
 	for _, m := range models.Benchmarks() {
-		g := m.Build(c.Scale)
-		orig, _ := c.measureRuntime(rt, g, 0)
-		for k := 0; k <= maxK; k++ {
-			opt := c.tensatOptions(k)
-			opt.ExploreTimeout = time.Minute
-			res, err := tensat.Optimize(g, opt)
+		g := m.Build(r.Scale)
+		orig, _ := r.measureRuntime(rt, g, 0)
+		for k := 0; k <= 3; k++ {
+			run := r.run(m.Name, k)
+			run.nodes, run.ilp, run.explore = min(run.nodes, 10000), min(run.ilp, 30*time.Second), time.Minute
 			row := Figure7Row{Model: m.Name, KMulti: k}
-			if err != nil {
-				// ILP timeout at large k_multi mirrors the paper.
-				row.TimedOut = true
-				rows = append(rows, row)
-				continue
+			if res, err := r.optimized(g, run); err != nil {
+				row.Time = failed(err, run.ilp)
+			} else {
+				mean, _ := r.measureRuntime(rt, res.Graph, uint64(k))
+				row.Speedup = cost.SpeedupPercent(orig, mean)
+				row.Time = Timed{Time: res.ExploreTime + res.ExtractTime}
+				row.ENodes = res.ENodes
 			}
-			mean, _ := c.measureRuntime(rt, res.Graph, uint64(k))
-			row.Speedup = cost.SpeedupPercent(orig, mean)
-			row.Time = res.ExploreTime + res.ExtractTime
-			row.ENodes = res.ENodes
 			rows = append(rows, row)
 		}
 	}
@@ -252,12 +173,15 @@ func (c Config) Figure7(maxK int) ([]Figure7Row, error) {
 func FormatFigure7(rows []Figure7Row) string {
 	t := newTable("Model", "k_multi", "Speedup", "Optimizer time", "#e-nodes")
 	for _, r := range rows {
-		if r.TimedOut {
-			t.row(r.Model, fmt.Sprintf("%d", r.KMulti), "timeout", "timeout", "-")
-			continue
+		k := fmt.Sprintf("%d", r.KMulti)
+		switch {
+		case r.Time.Err != nil:
+			t.row(r.Model, k, "error", t.timed(r.Time, r.Model+" k_multi "+k), "-")
+		case r.Time.TimedOut:
+			t.row(r.Model, k, "timeout", "timeout", "-")
+		default:
+			t.row(r.Model, k, fmt.Sprintf("%.1f%%", r.Speedup), fmtDur(r.Time.Time), fmt.Sprintf("%d", r.ENodes))
 		}
-		t.row(r.Model, fmt.Sprintf("%d", r.KMulti),
-			fmt.Sprintf("%.1f%%", r.Speedup), fmtDur(r.Time), fmt.Sprintf("%d", r.ENodes))
 	}
 	return "Figure 7: effect of k_multi on speedup, time, and e-graph size\n" + t.String()
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFormatTable3(t *testing.T) {
-	s := FormatTable3([]Table3Row{{Model: "M", Exploration: time.Second, Extraction: 2 * time.Second}})
+	s := FormatTable3([]*ModelRun{{Model: "M", TensatExplore: time.Second, TensatExtract: 2 * time.Second}})
 	if !strings.Contains(s, "Table 3") || !strings.Contains(s, "1.000s") || !strings.Contains(s, "2.000s") {
 		t.Fatalf("bad output:\n%s", s)
 	}
@@ -34,7 +34,7 @@ func TestFormatTable6(t *testing.T) {
 }
 
 func TestFormatFigure4IncludesK2Row(t *testing.T) {
-	s := FormatFigure4([]Figure4Row{
+	s := FormatFigure4([]*ModelRun{
 		{Model: "NasRNN", TasoSpeedup: 10, TensatSpeedup: 20},
 		{Model: "Incept. k=2", TensatSpeedup: 24},
 	})
@@ -50,11 +50,11 @@ func TestFormatFigure4IncludesK2Row(t *testing.T) {
 }
 
 func TestFormatFigure5(t *testing.T) {
-	s := FormatFigure5([]Figure5Row{{
+	s := FormatFigure5([]*ModelRun{{
 		Model: "M", TasoTotal: 10 * time.Second, TasoBest: 5 * time.Second,
-		Tensat: time.Second, Ratio: 10,
+		TensatExplore: 400 * time.Millisecond, TensatExtract: 600 * time.Millisecond,
 	}})
-	if !strings.Contains(s, "10.0x") {
+	if !strings.Contains(s, "1.000s") || !strings.Contains(s, "10.0x") {
 		t.Fatalf("ratio missing:\n%s", s)
 	}
 }

@@ -4,77 +4,29 @@ import (
 	"fmt"
 	"time"
 
-	"tensat"
 	"tensat/internal/cost"
 	"tensat/internal/extract"
 	"tensat/internal/ilp"
-	"tensat/internal/models"
 	"tensat/internal/rewrite"
-	"tensat/internal/rules"
 )
 
-// Table1Row compares optimization time and achieved speedup, TASO vs
-// TENSAT (paper Table 1).
-type Table1Row struct {
-	Model                      string
-	TasoTime, TensatTime       time.Duration
-	TasoSpeedup, TensatSpeedup float64 // percent
-}
-
-// Table1 regenerates Table 1.
-func (c Config) Table1() ([]Table1Row, error) {
-	runs, err := c.RunAll()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table1Row, 0, len(runs))
-	for _, r := range runs {
-		rows = append(rows, Table1Row{
-			Model:         r.Model,
-			TasoTime:      r.TasoTotal,
-			TensatTime:    r.TensatTime,
-			TasoSpeedup:   r.TasoSpeedup,
-			TensatSpeedup: r.TensatSpeedup,
-		})
-	}
-	return rows, nil
-}
-
-// FormatTable1 renders Table 1 rows.
-func FormatTable1(rows []Table1Row) string {
+// FormatTable1 renders Table 1 from the sweep: optimization time and
+// achieved speedup, TASO vs TENSAT.
+func FormatTable1(runs []*ModelRun) string {
 	t := newTable("Model", "TASO time", "TENSAT time", "TASO speedup", "TENSAT speedup")
-	for _, r := range rows {
-		t.row(r.Model, fmtDur(r.TasoTime), fmtDur(r.TensatTime),
+	for _, r := range runs {
+		t.row(r.Model, fmtDur(r.TasoTotal), fmtDur(r.TensatTime()),
 			fmt.Sprintf("%.1f%%", r.TasoSpeedup), fmt.Sprintf("%.1f%%", r.TensatSpeedup))
 	}
 	return "Table 1: optimization time and runtime speedup, TASO vs TENSAT\n" + t.String()
 }
 
-// Table3Row is TENSAT's optimization-time breakdown (paper Table 3).
-type Table3Row struct {
-	Model                   string
-	Exploration, Extraction time.Duration
-}
-
-// Table3 regenerates Table 3.
-func (c Config) Table3() ([]Table3Row, error) {
-	var rows []Table3Row
-	for _, m := range models.Benchmarks() {
-		g := m.Build(c.Scale)
-		res, err := tensat.Optimize(g, c.tensatOptions(kmultiFor(m.Name)))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Name, err)
-		}
-		rows = append(rows, Table3Row{Model: m.Name, Exploration: res.ExploreTime, Extraction: res.ExtractTime})
-	}
-	return rows, nil
-}
-
-// FormatTable3 renders Table 3 rows.
-func FormatTable3(rows []Table3Row) string {
+// FormatTable3 renders Table 3 from the sweep: TENSAT's optimization
+// time split into exploration and extraction.
+func FormatTable3(runs []*ModelRun) string {
 	t := newTable("Model", "Exploration", "Extraction")
-	for _, r := range rows {
-		t.row(r.Model, fmtDur(r.Exploration), fmtDur(r.Extraction))
+	for _, r := range runs {
+		t.row(r.Model, fmtDur(r.TensatExplore), fmtDur(r.TensatExtract))
 	}
 	return "Table 3: optimization time breakdown for TENSAT\n" + t.String()
 }
@@ -91,15 +43,14 @@ var Table4Models = []string{"BERT", "NasRNN", "NasNet-A"}
 
 // Table4 regenerates Table 4.
 func (c Config) Table4() ([]Table4Row, error) {
-	_, rt := c.deviceAndRuntime()
+	rt := runtimeModel()
 	var rows []Table4Row
 	for _, name := range Table4Models {
-		m, err := models.ByName(name)
+		g, err := c.graph(name)
 		if err != nil {
 			return nil, err
 		}
-		g := m.Build(c.Scale)
-		ex, err := c.explore(g, 1, rewrite.FilterEfficient)
+		ex, err := c.explore(g, 1, rewrite.FilterEfficient, time.Hour)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -134,70 +85,52 @@ func FormatTable4(rows []Table4Row) string {
 }
 
 // Table5Row compares ILP solve time with and without cycle
-// constraints (paper Table 5: real/int topological variables).
+// constraints (paper Table 5: real/int topological variables). A cell
+// that spent its budget is the paper's ">3600" entry.
 type Table5Row struct {
-	Model    string
-	KMulti   int
-	WithReal time.Duration
-	WithInt  time.Duration
-	Without  time.Duration
-	// TimedOut flags per column (paper: ">3600" entries).
-	RealTimedOut, IntTimedOut, WithoutTimedOut bool
+	Model                      string
+	KMulti                     int
+	WithReal, WithInt, Without Timed
 }
 
-// Table5 regenerates Table 5 for k_multi in kmultis (paper: 1 and 2).
+// Table5 regenerates Table 5 at the paper's k_multi = 1 and 2.
 // The cycle-constrained solves are expected to hit their timeout on
 // larger e-graphs — that is the experiment's point (the paper reports
 // ">3600" cells) — so this experiment clamps the e-graph size and the
 // per-solve timeout to keep the wall-clock bounded.
-func (c Config) Table5(kmultis ...int) ([]Table5Row, error) {
-	if len(kmultis) == 0 {
-		kmultis = []int{1, 2}
-	}
-	if c.NodeLimit > 3000 {
-		c.NodeLimit = 3000
-	}
-	if c.ILPTimeout > 20*time.Second {
-		c.ILPTimeout = 20 * time.Second
+func (c Config) Table5() ([]Table5Row, error) {
+	c.NodeLimit = min(c.NodeLimit, 3000)
+	c.ILPTimeout = min(c.ILPTimeout, 20*time.Second)
+	solve := func(ex *rewrite.Explored, cycles bool, topo ilp.TopoMode) Timed {
+		res, err := c.ilpExtract(ex, cycles, topo)
+		if err != nil {
+			return failed(err, c.ILPTimeout)
+		}
+		return Timed{Time: res.ILP.Time, TimedOut: res.ILP.TimedOut}
 	}
 	var rows []Table5Row
 	for _, name := range Table4Models {
-		m, err := models.ByName(name)
+		g, err := c.graph(name)
 		if err != nil {
 			return nil, err
 		}
-		g := m.Build(c.Scale)
-		for _, k := range kmultis {
-			row := Table5Row{Model: name, KMulti: k}
+		for _, k := range []int{1, 2} {
 			// With cycle constraints: explore without filtering.
-			exNone, err := c.explore(g, k, rewrite.FilterNone)
+			exNone, err := c.explore(g, k, rewrite.FilterNone, time.Hour)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			for _, topo := range []ilp.TopoMode{ilp.TopoReal, ilp.TopoInt} {
-				res, err := c.ilpExtract(exNone, true, topo)
-				dur, timedOut := c.ILPTimeout, true
-				if err == nil {
-					dur, timedOut = res.ILP.Time, res.ILP.TimedOut
-				}
-				if topo == ilp.TopoReal {
-					row.WithReal, row.RealTimedOut = dur, timedOut
-				} else {
-					row.WithInt, row.IntTimedOut = dur, timedOut
-				}
 			}
 			// Without cycle constraints: efficient filtering first.
-			exFilt, err := c.explore(g, k, rewrite.FilterEfficient)
+			exFilt, err := c.explore(g, k, rewrite.FilterEfficient, time.Hour)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			res, err := c.ilpExtract(exFilt, false, ilp.TopoReal)
-			if err != nil {
-				row.Without, row.WithoutTimedOut = c.ILPTimeout, true
-			} else {
-				row.Without, row.WithoutTimedOut = res.ILP.Time, res.ILP.TimedOut
-			}
-			rows = append(rows, row)
+			rows = append(rows, Table5Row{
+				Model: name, KMulti: k,
+				WithReal: solve(exNone, true, ilp.TopoReal),
+				WithInt:  solve(exNone, true, ilp.TopoInt),
+				Without:  solve(exFilt, false, ilp.TopoReal),
+			})
 		}
 	}
 	return rows, nil
@@ -205,18 +138,14 @@ func (c Config) Table5(kmultis ...int) ([]Table5Row, error) {
 
 // FormatTable5 renders Table 5 rows.
 func FormatTable5(rows []Table5Row) string {
-	t := newTable("Model", "k_multi", "With cycle (real)", "With cycle (int)", "Without cycle")
-	cell := func(d time.Duration, timedOut bool) string {
-		if timedOut {
-			return ">" + fmtDur(d)
-		}
-		return fmtDur(d)
-	}
+	header := []string{"Model", "k_multi", "With cycle (real)", "With cycle (int)", "Without cycle"}
+	t := newTable(header...)
 	for _, r := range rows {
+		where := fmt.Sprintf("%s k_multi %d, ", r.Model, r.KMulti)
 		t.row(r.Model, fmt.Sprintf("%d", r.KMulti),
-			cell(r.WithReal, r.RealTimedOut),
-			cell(r.WithInt, r.IntTimedOut),
-			cell(r.Without, r.WithoutTimedOut))
+			t.timed(r.WithReal, where+header[2]),
+			t.timed(r.WithInt, where+header[3]),
+			t.timed(r.Without, where+header[4]))
 	}
 	return "Table 5: ILP solve time with vs without cycle constraints\n" + t.String()
 }
@@ -236,47 +165,26 @@ type Table6Row struct {
 // experiment's point — so exploration is clamped (e-graph size 3000,
 // 60 s timeout) and overruns are flagged, like the paper's ">3600".
 func (c Config) Table6(kmultis ...int) ([]Table6Row, error) {
-	if len(kmultis) == 0 {
-		kmultis = []int{1, 2}
-	}
-	if c.NodeLimit > 3000 {
-		c.NodeLimit = 3000
-	}
+	c.NodeLimit = min(c.NodeLimit, 3000)
 	var rows []Table6Row
 	for _, name := range Table4Models {
-		m, err := models.ByName(name)
+		g, err := c.graph(name)
 		if err != nil {
 			return nil, err
 		}
-		g := m.Build(c.Scale)
 		for _, k := range kmultis {
-			run := func(f rewrite.FilterMode) (time.Duration, bool, error) {
-				r := rewrite.NewRunner(rules.Default())
-				r.Filter = f
-				r.Limits = rewrite.Limits{
-					MaxNodes: c.NodeLimit,
-					MaxIters: c.IterLimit,
-					KMulti:   k,
-					Timeout:  time.Minute,
-				}
-				ex, err := r.Run(g)
-				if err != nil {
-					return 0, false, err
-				}
-				return ex.Stats.ExploreTime, ex.Stats.HitTimeout, nil
-			}
-			vt, vto, err := run(rewrite.FilterVanilla)
+			vanilla, err := c.explore(g, k, rewrite.FilterVanilla, time.Minute)
 			if err != nil {
 				return nil, fmt.Errorf("%s vanilla: %w", name, err)
 			}
-			et, eto, err := run(rewrite.FilterEfficient)
+			efficient, err := c.explore(g, k, rewrite.FilterEfficient, time.Minute)
 			if err != nil {
 				return nil, fmt.Errorf("%s efficient: %w", name, err)
 			}
 			rows = append(rows, Table6Row{
 				Model: name, KMulti: k,
-				Vanilla: vt, VanillaTimedOut: vto,
-				Efficient: et, EfficientTimedOut: eto,
+				Vanilla: vanilla.Stats.ExploreTime, VanillaTimedOut: vanilla.Stats.HitTimeout,
+				Efficient: efficient.Stats.ExploreTime, EfficientTimedOut: efficient.Stats.HitTimeout,
 			})
 		}
 	}
@@ -286,15 +194,10 @@ func (c Config) Table6(kmultis ...int) ([]Table6Row, error) {
 // FormatTable6 renders Table 6 rows.
 func FormatTable6(rows []Table6Row) string {
 	t := newTable("Model", "k_multi", "Vanilla", "Efficient")
-	cell := func(d time.Duration, timedOut bool) string {
-		if timedOut {
-			return ">" + fmtDur(d)
-		}
-		return fmtDur(d)
-	}
 	for _, r := range rows {
 		t.row(r.Model, fmt.Sprintf("%d", r.KMulti),
-			cell(r.Vanilla, r.VanillaTimedOut), cell(r.Efficient, r.EfficientTimedOut))
+			t.timed(Timed{Time: r.Vanilla, TimedOut: r.VanillaTimedOut}, ""),
+			t.timed(Timed{Time: r.Efficient, TimedOut: r.EfficientTimedOut}, ""))
 	}
 	return "Table 6: vanilla vs efficient cycle filtering, exploration time\n" + t.String()
 }
