@@ -1,8 +1,10 @@
 // Package extract implements TENSAT's extraction phase (§5): choosing
 // one e-node per (needed) e-class so the induced graph is a valid,
-// minimum-cost tensor DAG. It provides the greedy strategy and the ILP
-// formulation (with or without cycle constraints), and reconstructs a
-// tensor.Graph from the selection.
+// minimum-cost tensor DAG. Both strategies read one model of the
+// explored e-graph, an ilp.Problem: greedy is the model's tree-cost
+// selection, ILP solves it (with or without cycle constraints), and
+// either answer is judged by Problem.Check before one builder
+// reconstructs a tensor.Graph from it.
 package extract
 
 import (
@@ -52,36 +54,42 @@ func nodeCost(g *egraph.EGraph, m cost.Model, n egraph.Node) float64 {
 }
 
 // Greedy performs the greedy extraction of §5.1: per class, pick the
-// e-node minimizing the cost of the subtree rooted at it. As the paper
-// notes, this ignores subgraph sharing and can miss (or mis-rank)
-// graphs whose benefit comes from reuse — see Table 4.
+// e-node minimizing the cost of the subtree rooted at it. That is the
+// model's tree-cost selection (ilp.Problem.TreeCosts), the same one that
+// warm-starts the ILP, and Problem.Check judges it like any ILP answer.
+// As the paper notes, it ignores subgraph sharing and can miss (or
+// mis-rank) graphs whose benefit comes from reuse — see Table 4.
 func Greedy(ex *rewrite.Explored, model cost.Model) (*Result, error) {
 	return GreedyContext(context.Background(), ex, model)
 }
 
-// GreedyContext is Greedy with cancellation: the fixpoint checks ctx
-// between sweeps and aborts with ctx.Err() when the request is dead.
+// GreedyContext is Greedy with cancellation: ctx is checked before and
+// after the tree-cost fixpoint, which runs over the in-memory model, and
+// a dead request aborts with ctx.Err().
 func GreedyContext(ctx context.Context, ex *rewrite.Explored, model cost.Model) (*Result, error) {
 	start := time.Now()
-	g := ex.G
-	picks, err := greedySelectCtx(ctx, ex, model)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	root := g.Find(ex.Root)
-	if picks[root] < 0 {
+	p, ix, _ := buildModel(ex, model)
+	_, picks := p.TreeCosts(nil)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if picks[p.Root] < 0 {
 		return nil, fmt.Errorf("extract: greedy found no finite-cost derivation for the root")
 	}
-	sel := func(id egraph.ClassID) (egraph.Node, bool) {
-		cls := g.Class(id)
-		k := picks[cls.ID]
-		if k < 0 {
-			return egraph.Node{}, false
+	sel := make(map[int]int, len(picks))
+	for c, i := range picks {
+		if i >= 0 {
+			sel[c] = i
 		}
-		return cls.Nodes[k], true
 	}
-	graph, err := buildGraph(g, root, sel)
+	_, closure, err := p.Check(sel)
+	if err != nil {
+		return nil, fmt.Errorf("extract: greedy: selection rejected: %w", err)
+	}
+	graph, err := ix.buildGraph(ex.G, ex.Root, closure)
 	if err != nil {
 		return nil, fmt.Errorf("extract: greedy: %w", err)
 	}
@@ -90,95 +98,6 @@ func GreedyContext(ctx context.Context, ex *rewrite.Explored, model cost.Model) 
 		Cost:  cost.GraphCost(model, graph),
 		Time:  time.Since(start),
 	}, nil
-}
-
-// greedySelect runs the greedy tree-cost fixpoint (§5.1) and returns,
-// per canonical class, the index of the chosen node within
-// Class.Nodes (-1 when the class has no finite derivation). Shared by
-// Greedy and by ILP's warm start.
-func greedySelect(ex *rewrite.Explored, model cost.Model) map[egraph.ClassID]int {
-	picks, _ := greedySelectCtx(context.Background(), ex, model)
-	return picks
-}
-
-// greedySelectCtx is greedySelect with a cancellation check between
-// fixpoint sweeps (each sweep is a single pass over the e-graph, so
-// cancellation latency is one sweep).
-func greedySelectCtx(ctx context.Context, ex *rewrite.Explored, model cost.Model) (map[egraph.ClassID]int, error) {
-	g := ex.G
-	picks := make(map[egraph.ClassID]int)
-	classCost := make(map[egraph.ClassID]float64)
-	var classes []*egraph.Class
-	g.Classes(func(c *egraph.Class) {
-		classes = append(classes, c)
-		classCost[c.ID] = math.Inf(1)
-		picks[c.ID] = -1
-	})
-
-	// Per-node operator costs never change across sweeps (only the
-	// class costs below do), so price every e-node exactly once up
-	// front instead of on every Bellman sweep. Filtered nodes get an
-	// infinite cost, which also removes the per-sweep filter lookup.
-	nodeCosts := make([][]float64, len(classes))
-	for ci, cls := range classes {
-		cc := make([]float64, len(cls.Nodes))
-		for i, n := range cls.Nodes {
-			if ex.Filtered.Has(cls.Stamps[i]) {
-				cc[i] = math.Inf(1)
-				continue
-			}
-			cc[i] = nodeCost(g, model, n)
-		}
-		nodeCosts[ci] = cc
-	}
-
-	// Fixpoint over tree costs (Bellman-style; terminates because costs
-	// only decrease and every finite value stems from an acyclic
-	// derivation, of which there are finitely many).
-	for changed := true; changed; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		changed = false
-		for ci, cls := range classes {
-			for i, n := range cls.Nodes {
-				t := nodeCosts[ci][i]
-				if math.IsInf(t, 1) {
-					continue
-				}
-				for _, ch := range n.Children {
-					t += classCost[g.Find(ch)]
-				}
-				if t < classCost[cls.ID] {
-					classCost[cls.ID] = t
-					picks[cls.ID] = i
-					changed = true
-				}
-			}
-		}
-	}
-	return picks, nil
-}
-
-// originalSelect recovers the input graph as a selection: per class,
-// the earliest-inserted node if it predates exploration (ingest-time
-// stamps are preserved minimally through rebuild deduplication).
-// Returns nil when the Explored carries no ingest stamp.
-func originalSelect(ex *rewrite.Explored) map[egraph.ClassID]int {
-	if ex.IngestStamp == 0 {
-		return nil
-	}
-	picks := make(map[egraph.ClassID]int)
-	ex.G.Classes(func(cls *egraph.Class) {
-		best, idx := int64(1<<62), -1
-		for i, st := range cls.Stamps {
-			if st <= ex.IngestStamp && st < best && !ex.Filtered.Has(st) {
-				best, idx = st, i
-			}
-		}
-		picks[cls.ID] = idx
-	})
-	return picks
 }
 
 // ILPOptions configure ILP extraction.
@@ -222,51 +141,50 @@ func ILP(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*Result, erro
 
 // ProblemIndex ties an exported ilp.Problem back to the e-graph it
 // was built from: problem class ci is ClassIDs[ci], and problem node
-// (variable) vi is the e-node Node(vi).
+// (variable) vi is the vi-th e-node in class order.
 type ProblemIndex struct {
 	ClassIDs []egraph.ClassID
 	classIdx map[egraph.ClassID]int
 	nodes    []egraph.Node
 }
 
-// ClassIndex returns the problem's class index for an e-class.
-func (ix *ProblemIndex) ClassIndex(g *egraph.EGraph, id egraph.ClassID) int {
-	return ix.classIdx[g.Find(id)]
-}
-
-// Node returns the e-node behind problem variable vi.
-func (ix *ProblemIndex) Node(vi int) egraph.Node { return ix.nodes[vi] }
-
-// BuildProblem formulates the extraction ILP of §5.1 for an explored
-// e-graph — costs from the model, one binary per e-node, filtered
-// nodes forbidden, warm starts from the greedy extraction and the
-// original input graph — without solving it. Exposed so callers can
-// dump the model (lpfile), benchmark solvers against real instances,
-// or hand it to an external process.
-//
-//lint:ctxflow-exempt bounded passes over the in-memory e-graph; no solving, no I/O
-func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp.Problem, *ProblemIndex, error) {
+// buildModel is the one model both extractors read: one variable per
+// e-node, in class order, priced by the cost model, and filtered nodes
+// forbidden. In the same pass it records the input graph as a selection
+// (variable per class, -1 for none): per class the earliest-inserted
+// unfiltered node that predates exploration, since ingest-time stamps
+// are preserved minimally through rebuild deduplication. The selection
+// is nil when ex carries no ingest stamp. The caller sets the solver
+// options.
+func buildModel(ex *rewrite.Explored, model cost.Model) (*ilp.Problem, *ProblemIndex, []int) {
 	g := ex.G
-	if !opts.CycleConstraints && !rewrite.IsAcyclic(g, ex.Filtered) {
-		return nil, nil, fmt.Errorf("extract: e-graph has cycles; ILP without cycle constraints requires cycle filtering")
-	}
-
-	// Index classes and nodes.
 	ix := &ProblemIndex{classIdx: make(map[egraph.ClassID]int)}
+	vars := 0
 	g.Classes(func(c *egraph.Class) {
 		ix.classIdx[c.ID] = len(ix.ClassIDs)
 		ix.ClassIDs = append(ix.ClassIDs, c.ID)
+		vars += len(c.Nodes)
 	})
+	ix.nodes = make([]egraph.Node, 0, vars)
 	p := &ilp.Problem{
-		Root:             ix.classIdx[g.Find(ex.Root)],
-		Classes:          make([][]int, len(ix.ClassIDs)),
-		CycleConstraints: opts.CycleConstraints,
-		TopoMode:         opts.TopoMode,
-		Timeout:          opts.Timeout,
-		StallLimit:       DefaultStallLimit,
+		Costs:     make([]float64, 0, vars),
+		ClassOf:   make([]int, 0, vars),
+		Children:  make([][]int, 0, vars),
+		Classes:   make([][]int, len(ix.ClassIDs)),
+		Forbidden: make([]bool, 0, vars),
+		Root:      ix.classIdx[g.Find(ex.Root)],
 	}
+	var orig []int
+	if ex.IngestStamp != 0 {
+		orig = make([]int, len(ix.ClassIDs))
+	}
+	forbidden := false
 	for ci, id := range ix.ClassIDs {
 		cls := g.Class(id)
+		first := int64(1 << 62)
+		if orig != nil {
+			orig[ci] = -1
+		}
 		for i, n := range cls.Nodes {
 			vi := len(ix.nodes)
 			ix.nodes = append(ix.nodes, n)
@@ -278,49 +196,46 @@ func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp
 			}
 			p.Children = append(p.Children, children)
 			p.Classes[ci] = append(p.Classes[ci], vi)
-			if ex.Filtered.Has(cls.Stamps[i]) {
-				if p.Forbidden == nil {
-					p.Forbidden = make([]bool, 0, 64)
-				}
-				for len(p.Forbidden) < vi {
-					p.Forbidden = append(p.Forbidden, false)
-				}
-				p.Forbidden = append(p.Forbidden, true)
+			st := cls.Stamps[i]
+			filtered := ex.Filtered.Has(st)
+			p.Forbidden = append(p.Forbidden, filtered)
+			forbidden = forbidden || filtered
+			if orig != nil && !filtered && st <= ex.IngestStamp && st < first {
+				first, orig[ci] = st, vi
 			}
 		}
 	}
-	if p.Forbidden != nil {
-		for len(p.Forbidden) < len(p.Costs) {
-			p.Forbidden = append(p.Forbidden, false)
-		}
+	if !forbidden {
+		p.Forbidden = nil
 	}
+	return p, ix, orig
+}
+
+// BuildProblem formulates the extraction ILP of §5.1 for an explored
+// e-graph — costs from the model, one binary per e-node, filtered
+// nodes forbidden, warm starts from the greedy extraction and the
+// original input graph — without solving it. Exposed so callers can
+// dump the model (lpfile), benchmark solvers against real instances,
+// or hand it to an external process.
+//
+//lint:ctxflow-exempt bounded passes over the in-memory e-graph; no solving, no I/O
+func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp.Problem, *ProblemIndex, error) {
+	if !opts.CycleConstraints && !rewrite.IsAcyclic(ex.G, ex.Filtered) {
+		return nil, nil, fmt.Errorf("extract: e-graph has cycles; ILP without cycle constraints requires cycle filtering")
+	}
+	p, ix, orig := buildModel(ex, model)
+	p.CycleConstraints = opts.CycleConstraints
+	p.TopoMode = opts.TopoMode
+	p.Timeout = opts.Timeout
+	p.StallLimit = DefaultStallLimit
 
 	// Warm-start with (a) the greedy extraction and (b) the original
-	// input graph (nodes whose insertion stamps predate exploration),
-	// so the ILP result is never worse than either, however early the
-	// search is cut off.
-	offset := make([]int, len(ix.ClassIDs))
-	vi := 0
-	for ci, id := range ix.ClassIDs {
-		offset[ci] = vi
-		vi += len(g.Class(id).Nodes)
-	}
-	toWarm := func(picks map[egraph.ClassID]int) []int {
-		ws := make([]int, len(ix.ClassIDs))
-		for ci, id := range ix.ClassIDs {
-			//lint:canonical ClassIDs enumerates the canonical class table (built from g.Classes above)
-			k := picks[id]
-			if k < 0 {
-				ws[ci] = -1
-				continue
-			}
-			ws[ci] = offset[ci] + k
-		}
-		return ws
-	}
-	p.WarmStarts = append(p.WarmStarts, toWarm(greedySelect(ex, model)))
-	if orig := originalSelect(ex); orig != nil {
-		p.WarmStarts = append(p.WarmStarts, toWarm(orig))
+	// input graph, so the ILP result is never worse than either, however
+	// early the search is cut off.
+	_, greedy := p.TreeCosts(nil)
+	p.WarmStarts = append(p.WarmStarts, greedy)
+	if orig != nil {
+		p.WarmStarts = append(p.WarmStarts, orig)
 	}
 	return p, ix, nil
 }
@@ -331,7 +246,6 @@ func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp
 // exists surfaces as the context's own error.
 func ILPContext(ctx context.Context, ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*Result, error) {
 	start := time.Now()
-	g := ex.G
 	tr := opts.Trace
 	tr.Begin("ilp")
 	defer tr.End()
@@ -387,17 +301,11 @@ func ILPContext(ctx context.Context, ex *rewrite.Explored, model cost.Model, opt
 	// Whichever backend answered, the model as built — before presolve
 	// narrowed it — judges the selection: a node the cycle filter
 	// forbade, or one from another class, never reaches buildGraph.
-	if _, _, err := p.Check(sol.NodeOf); err != nil {
+	_, closure, err := p.Check(sol.NodeOf)
+	if err != nil {
 		return nil, fmt.Errorf("extract: ilp: %s solution rejected: %w", solver.Name(), err)
 	}
-	sel := func(id egraph.ClassID) (egraph.Node, bool) {
-		vi, ok := sol.NodeOf[ix.classIdx[g.Find(id)]]
-		if !ok {
-			return egraph.Node{}, false
-		}
-		return ix.nodes[vi], true
-	}
-	graph, err := buildGraph(g, g.Find(ex.Root), sel)
+	graph, err := ix.buildGraph(ex.G, ex.Root, closure)
 	if err != nil {
 		return nil, fmt.Errorf("extract: ilp: %w", err)
 	}
@@ -411,11 +319,10 @@ func ILPContext(ctx context.Context, ex *rewrite.Explored, model cost.Model, opt
 	}, nil
 }
 
-// buildGraph materializes the selection into a tensor.Graph, verifying
-// acyclicity of the chosen derivation as it goes.
-func buildGraph(g *egraph.EGraph, root egraph.ClassID,
-	sel func(egraph.ClassID) (egraph.Node, bool)) (*tensor.Graph, error) {
-
+// buildGraph materializes a selection the model has judged (problem
+// class -> variable) into a tensor.Graph, verifying acyclicity of the
+// chosen derivation as it goes.
+func (ix *ProblemIndex) buildGraph(g *egraph.EGraph, root egraph.ClassID, nodeOf map[int]int) (*tensor.Graph, error) {
 	built := make(map[egraph.ClassID]*tensor.Node)
 	onPath := make(map[egraph.ClassID]bool)
 	var build func(id egraph.ClassID) (*tensor.Node, error)
@@ -429,10 +336,11 @@ func buildGraph(g *egraph.EGraph, root egraph.ClassID,
 		}
 		onPath[id] = true
 		defer delete(onPath, id)
-		en, ok := sel(id)
+		vi, ok := nodeOf[ix.classIdx[id]]
 		if !ok {
 			return nil, fmt.Errorf("no node selected for class %d", id)
 		}
+		en := ix.nodes[vi]
 		tn := &tensor.Node{Op: tensor.Op(en.Op), Int: en.Int, Str: en.Str}
 		args := make([]*tensor.Meta, len(en.Children))
 		for i, ch := range en.Children {

@@ -19,7 +19,7 @@ import (
 	"tensat/internal/rules"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/zoo_*golden.json files of the tests that run from this build's results")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*golden.json files of the tests that run from this build's results")
 
 var zoo struct {
 	once     sync.Once
@@ -114,6 +114,13 @@ func TestZooGolden(t *testing.T) {
 		sum := sha256.Sum256([]byte(text))
 		got[name] = goldenRow{Cost: res.Cost, SHA256: hex.EncodeToString(sum[:])}
 	}
+	checkGoldenRows(t, path, got)
+}
+
+// checkGoldenRows compares one row per zoo model with path, or rewrites
+// path under -update-golden.
+func checkGoldenRows(t *testing.T, path string, got map[string]goldenRow) {
+	t.Helper()
 	want, ok := goldenFile(t, path, got)
 	if !ok {
 		return

@@ -309,7 +309,7 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 		}
 	}
 	s.computeFree()
-	s.greedy = p.TreeCosts(nil)
+	s.greedy, _ = p.TreeCosts(nil)
 	s.atRest()
 	s.best = math.Inf(1)
 	return s, nil

@@ -166,7 +166,7 @@ func Run(ctx context.Context, p *ilp.Problem) (*ilp.Problem, Reduction, error) {
 		// Tree-cost upper bounds for the dependency-aware domination:
 		// upper[c] bounds the cost of adding class c's closure to any
 		// solution (fixpoint over surviving nodes).
-		upper := p.TreeCosts(alive)
+		upper, _ := p.TreeCosts(alive)
 
 		// Iterated domination inside each reachable class.
 		for c := 0; c < m; c++ {

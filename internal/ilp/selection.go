@@ -16,15 +16,20 @@ func (p *Problem) Allowed(i int) bool {
 
 // TreeCosts returns, per class, the least tree cost over the alive
 // nodes (nil: every Allowed node) — the greedy extractor's objective,
-// which pays a shared subgraph once per use. It is an upper bound on
-// the DAG cost of adding the class's closure to any selection, and
-// infinite when the class has no finite acyclic derivation.
+// which pays a shared subgraph once per use — and the node that reached
+// it (-1 where it is infinite): the greedy extraction itself. Sweeps
+// visit nodes in variable order and only a strictly lower cost replaces
+// a pick, so of two nodes reaching the same cost in one sweep the
+// earlier variable keeps the class. The cost is an upper bound on the
+// DAG cost of adding the class's closure to any selection, and infinite
+// when the class has no finite acyclic derivation.
 //
-//lint:ctxflow-exempt least fixpoint over in-memory arrays, costs only decrease; presolve checks ctx between calls
-func (p *Problem) TreeCosts(alive []bool) []float64 {
-	tree := make([]float64, len(p.Classes))
+//lint:ctxflow-exempt least fixpoint over in-memory arrays, costs only decrease; callers check ctx between calls
+func (p *Problem) TreeCosts(alive []bool) (tree []float64, pick []int) {
+	tree = make([]float64, len(p.Classes))
+	pick = make([]int, len(p.Classes))
 	for c := range tree {
-		tree[c] = math.Inf(1)
+		tree[c], pick[c] = math.Inf(1), -1
 	}
 	for changed := true; changed; {
 		changed = false
@@ -37,12 +42,12 @@ func (p *Problem) TreeCosts(alive []bool) []float64 {
 				t += tree[h]
 			}
 			if c := p.ClassOf[i]; t < tree[c] {
-				tree[c] = t
+				tree[c], pick[c] = t, i
 				changed = true
 			}
 		}
 	}
-	return tree
+	return tree, pick
 }
 
 // evaluator is the one traversal that judges a selection (the chosen

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,18 +62,45 @@ func TestCheckRejectsBadSelections(t *testing.T) {
 }
 
 // TestTreeCostsIsTheGreedyObjective: shared classes are paid once per
-// use, dead nodes do not count, and an underivable class is infinite.
+// use, dead nodes do not count, an underivable class is infinite and
+// unpicked, and the pick is the node that reached the cost first.
 func TestTreeCostsIsTheGreedyObjective(t *testing.T) {
 	p := diamondProblem()
-	got := p.TreeCosts(nil)
+	got, pick := p.TreeCosts(nil)
 	for c, want := range []float64{1 + 70 + 70, 70, 70, 100} {
 		if got[c] != want {
 			t.Fatalf("class %d: tree cost %v, want %v (all: %v)", c, got[c], want, got)
 		}
 	}
+	if !slices.Equal(pick, []int{0, 2, 4, 5}) {
+		t.Fatalf("picks %v, want [0 2 4 5]", pick)
+	}
 	alive := []bool{true, true, false, true, true, false} // class 1's leaf and the shared class are gone
-	got = p.TreeCosts(alive)
+	got, pick = p.TreeCosts(alive)
 	if !math.IsInf(got[3], 1) || !math.IsInf(got[1], 1) || got[2] != 70 || !math.IsInf(got[0], 1) {
 		t.Fatalf("masked tree costs %v", got)
+	}
+	if !slices.Equal(pick, []int{-1, -1, 4, -1}) {
+		t.Fatalf("masked picks %v, want [-1 -1 4 -1]", pick)
+	}
+
+	// A tie within one sweep: class 1's two nodes both cost 7 once class
+	// 0 is priced, and the earlier variable keeps the class.
+	tie := &Problem{
+		Costs:    []float64{3, 4, 7, 1},
+		ClassOf:  []int{0, 1, 1, 2},
+		Children: [][]int{nil, {0}, nil, {1}},
+		Classes:  [][]int{{0}, {1, 2}, {3}},
+		Root:     2,
+	}
+	if got, pick := tie.TreeCosts(nil); got[1] != 7 || pick[1] != 1 {
+		t.Fatalf("tie: class 1 cost %v pick %d, want 7 by node 1", got[1], pick[1])
+	}
+	// A tie across sweeps: node 1 reaches 110 only once the shared class
+	// is priced, a sweep after leaf node 2 did, so node 2 keeps class 1.
+	late := diamondProblem()
+	late.Costs[2] = 110
+	if got, pick := late.TreeCosts(nil); got[1] != 110 || pick[1] != 2 {
+		t.Fatalf("late tie: class 1 cost %v pick %d, want 110 by node 2", got[1], pick[1])
 	}
 }
