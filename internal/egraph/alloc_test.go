@@ -18,8 +18,8 @@ func chainGraph(n int) (*EGraph, []ClassID) {
 }
 
 // TestHotPathsAllocateNothing pins what the exploration loop leans on:
-// asking the e-graph for a node it already has, and reading a frozen
-// view, allocate nothing.
+// asking the e-graph for a node it already has, and reading a node or a
+// frozen view, allocate nothing.
 func TestHotPathsAllocateNothing(t *testing.T) {
 	g, ids := chainGraph(50)
 	children := []ClassID{ids[0], ids[20]}
@@ -28,19 +28,24 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	v := g.Freeze()
 	var sink ClassID
 	var cls *Class
+	var node *Node
+	var stamp int64
 	for name, f := range map[string]func(){
 		"Add of a present node":    func() { sink = g.Add(present) },
 		"Add of a present leaf":    func() { sink = g.Add(leaf) },
 		"Lookup of a present node": func() { sink, _ = g.Lookup(present) },
 		"Lookup of an absent node": func() { sink, _ = g.Lookup(Node{Op: 9, Children: children}) },
+		"EGraph.Node":              func() { node = g.Node(ids[30]) },
+		"EGraph.NodeStamp":         func() { stamp = g.NodeStamp(ids[30]) },
 		"View.Find":                func() { sink = v.Find(ids[30]) },
 		"View.Class":               func() { cls = v.Class(ids[30]) },
+		"View.Node":                func() { node = v.Node(ids[30]) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", name, n)
 		}
 	}
-	_, _ = sink, cls
+	_, _, _, _ = sink, cls, node, stamp
 }
 
 var benchSink ClassID

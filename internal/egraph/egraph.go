@@ -11,15 +11,13 @@ import (
 )
 
 // Class is an e-class: a set of equivalent e-nodes plus analysis data.
-// Nodes and Stamps are parallel. After a Rebuild the entries are the
-// class's live nodes (see EGraph), each once; an entry's Children is the
-// live node's own array, which Rebuild canonicalizes in place, so a
-// Class read after a Rebuild never shows a stale child id.
+// Nodes lists the e-nodes by id; their content lives in the e-graph's
+// node table only (EGraph.Node, View.Node). After a Rebuild the ids are
+// the class's live nodes (see EGraph), each once.
 type Class struct {
-	ID     ClassID
-	Nodes  []Node
-	Stamps []int64 // per-node global insertion stamps, parallel to Nodes
-	Data   any     // analysis data
+	ID    ClassID
+	Nodes []ClassID // node ids
+	Data  any       // analysis data
 
 	// parents lists the e-nodes with a child in this class, by node id
 	// (see EGraph.nodes), in the order Add and Union put them there.
@@ -36,8 +34,8 @@ type Class struct {
 //
 // Every table is a slice indexed by id. Adding a new e-node issues one
 // ClassID, so nodes and the classes they create share an id space:
-// node i is the one whose insertion created class i, its stamp is i+1,
-// and Find(i) is the class it lives in now.
+// node i is the one whose insertion created class i, Add issued it
+// stamp i+1 (see stamps), and Find(i) is the class it lives in now.
 //
 // A node is live from Add until a repair finds it congruent to another
 // live node; then it is dead for good (flagDead), since congruent nodes
@@ -49,19 +47,21 @@ type Class struct {
 // still names it.
 type EGraph struct {
 	uf unionFind
-	// nodes is the node table. Op, Int, Str and the Children slice header
-	// never change after Add; a Node value copied into a Class is a handle
-	// on the same children array. repair rewrites that array in place to
-	// canonical ids, after the node is unlinked from the memo and before
-	// it is linked again.
+	// nodes is the node table, the one place e-node content lives. Op,
+	// Int, Str and the Children slice header never change after Add;
+	// repair rewrites the children array in place to canonical ids, after
+	// the node is unlinked from the memo and before it is linked again.
 	nodes []Node
+	// stamps is indexed by node id: the stamp Add issued, lowered by
+	// dedupe to the earliest stamp of the node's congruence group.
+	stamps []int64
 	// memo is the hash-cons table: chained buckets over node ids (stored
 	// +1, so zero means none), one live node per distinct content. It is
 	// a table over ids and not a map on a comparable key because a node
 	// may have any number of children.
 	memoHeads []int32
 	memoNext  []int32 // indexed by node id
-	memoLen   int
+	memoLen   int     // linked nodes, the live ones outside a repair
 	// classes is the class table: nil at ids merged into another class.
 	//
 	//lint:classtable
@@ -77,10 +77,8 @@ type EGraph struct {
 	children []ClassID // canonical children of the node in hand
 	arena    []ClassID // chunk new nodes' children are carved from
 	flags    []uint8   // per id: flagRepaired, flagEmitted
-	reps     []ClassID
 
-	nodeCount int    // live e-node count (deduplicated)
-	version   uint64 // mutation counter; Views freeze against it
+	version uint64 // mutation counter; Views freeze against it
 
 	opNames []string
 }
@@ -200,9 +198,10 @@ func (g *EGraph) Add(n Node) ClassID {
 	id := g.uf.makeSet()
 	g.version++
 	g.nodes = append(g.nodes, cn)
+	g.stamps = append(g.stamps, g.Stamp())
 	g.memoNext = append(g.memoNext, 0)
 	g.flags = append(g.flags, 0)
-	cls := &Class{ID: id, Nodes: []Node{cn}, Stamps: []int64{g.Stamp()}, touched: g.version}
+	cls := &Class{ID: id, Nodes: []ClassID{id}, touched: g.version}
 	cls.Data = g.analysis.Make(g, cn)
 	g.classes = append(g.classes, cls)
 	g.classCount++
@@ -212,7 +211,6 @@ func (g *EGraph) Add(n Node) ClassID {
 		chc.parents = append(chc.parents, id)
 	}
 	g.memoLink(id)
-	g.nodeCount++
 	return id
 }
 
@@ -232,7 +230,6 @@ func (g *EGraph) Union(a, b ClassID) (ClassID, bool) {
 	}
 	keep, lose := g.classes[root], g.classes[other]
 	keep.Nodes = append(keep.Nodes, lose.Nodes...)
-	keep.Stamps = append(keep.Stamps, lose.Stamps...)
 	keep.parents = append(keep.parents, lose.parents...)
 	keep.touched = g.version
 	merged, changed := g.analysis.Merge(keep.Data, lose.Data)
@@ -348,42 +345,32 @@ func (g *EGraph) repairAnalysis(id ClassID) {
 }
 
 // dedupe removes duplicate nodes from a class (they appear when child
-// merges make two of its nodes congruent), keeping the first of each
-// in place with the earliest stamp of the group, so "last added"
-// queries used by cycle resolution stay stable across rebuilds. Every
-// kept entry becomes the memo's linked node, whose children repair
-// keeps canonical. Rebuild passes id through uf.find.
+// merges make two of its nodes congruent): each group of congruent
+// entries becomes its memo-linked node, a live entry of the group, at
+// the first entry's place, with the group's earliest stamp, so "last
+// added" queries of cycle resolution stay stable across rebuilds.
+// Rebuild passes id through uf.find.
 //
 //lint:canonical id
 func (g *EGraph) dedupe(id ClassID) {
 	cls := g.classes[id]
-	nodes, stamps := cls.Nodes[:0], cls.Stamps[:0]
-	g.reps = g.reps[:0]
-	for i := range cls.Nodes {
-		cn := g.canonical(&cls.Nodes[i])
+	nodes := cls.Nodes[:0]
+	for _, n := range cls.Nodes {
+		cn := g.canonical(&g.nodes[n])
 		rep, ok := g.memoFind(&cn)
 		if !ok {
 			panic(fmt.Sprintf("egraph: node %s of class %d is not in the memo after repair", g.NodeString(cn), id))
 		}
-		stamp := cls.Stamps[i]
-		if g.flags[rep]&flagEmitted != 0 {
-			for j, r := range g.reps {
-				if r == rep && stamp < stamps[j] {
-					stamps[j] = stamp
-				}
-			}
-			continue
+		g.stamps[rep] = min(g.stamps[rep], g.stamps[n])
+		if g.flags[rep]&flagEmitted == 0 {
+			g.flags[rep] |= flagEmitted
+			nodes = append(nodes, rep)
 		}
-		g.flags[rep] |= flagEmitted
-		g.reps = append(g.reps, rep)
-		nodes = append(nodes, g.nodes[rep])
-		stamps = append(stamps, stamp)
 	}
-	for _, rep := range g.reps {
+	for _, rep := range nodes {
 		g.flags[rep] &^= flagEmitted
 	}
-	g.nodeCount -= len(cls.Nodes) - len(nodes)
-	cls.Nodes, cls.Stamps = nodes, stamps
+	cls.Nodes = nodes
 }
 
 // Class returns the e-class for id (canonicalized). It panics if the
@@ -404,11 +391,19 @@ func (g *EGraph) Classes(f func(*Class)) {
 func (g *EGraph) ClassCount() int { return g.classCount }
 
 // NodeCount returns the number of distinct e-nodes.
-func (g *EGraph) NodeCount() int { return g.nodeCount }
+func (g *EGraph) NodeCount() int { return g.memoLen }
 
 // Stamp returns the current value of the global insertion counter: the
 // stamp of the most recently inserted node.
 func (g *EGraph) Stamp() int64 { return int64(len(g.nodes)) }
+
+// Node returns node id's content, to be read, never written. Class
+// entries of a rebuilt e-graph name live nodes: their children are canonical.
+func (g *EGraph) Node(id ClassID) *Node { return &g.nodes[id] }
+
+// NodeStamp returns node id's stamp, the earliest of its congruence
+// group: cycle resolution filters the node with the largest on a cycle.
+func (g *EGraph) NodeStamp(id ClassID) int64 { return g.stamps[id] }
 
 // NodeString renders a node with registered op names.
 func (g *EGraph) NodeString(n Node) string {
@@ -440,7 +435,7 @@ func (g *EGraph) Dump() string {
 		fmt.Fprintf(&b, "e%d:", cls.ID)
 		for _, n := range cls.Nodes {
 			b.WriteString(" ")
-			b.WriteString(g.NodeString(n))
+			b.WriteString(g.NodeString(g.nodes[n]))
 		}
 		b.WriteByte('\n')
 	})

@@ -182,7 +182,7 @@ func TestAddExprTree(t *testing.T) {
 	}}
 	id := g.AddExprTree(e)
 	cls := g.Class(id)
-	if len(cls.Nodes) != 1 || cls.Nodes[0].Op != opMul {
+	if len(cls.Nodes) != 1 || g.Node(cls.Nodes[0]).Op != opMul {
 		t.Fatalf("unexpected root class %v", cls.Nodes)
 	}
 }
@@ -261,8 +261,8 @@ func TestStampsMonotone(t *testing.T) {
 	y := g.Add(Leaf(opVarY))
 	a := g.Add(NewNode(opAdd, x, y))
 	cls := g.Class(a)
-	if cls.Stamps[0] != 3 {
-		t.Fatalf("third insertion stamp = %d, want 3", cls.Stamps[0])
+	if st := g.NodeStamp(cls.Nodes[0]); st != 3 {
+		t.Fatalf("third insertion stamp = %d, want 3", st)
 	}
 	if g.Stamp() != 3 {
 		t.Fatalf("Stamp() = %d, want 3", g.Stamp())

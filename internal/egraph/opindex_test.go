@@ -11,9 +11,9 @@ func recomputeByOp(v *View) map[Op][]ClassID {
 	for _, cls := range v.Classes() {
 		seen := make(map[Op]bool)
 		for _, n := range cls.Nodes {
-			if !seen[n.Op] {
-				seen[n.Op] = true
-				out[n.Op] = append(out[n.Op], cls.ID)
+			if op := v.Node(n).Op; !seen[op] {
+				seen[op] = true
+				out[op] = append(out[op], cls.ID)
 			}
 		}
 	}
@@ -28,7 +28,7 @@ func assertOpIndex(t *testing.T, v *View) {
 	ops := make(map[Op]bool)
 	for _, cls := range v.Classes() {
 		for _, n := range cls.Nodes {
-			ops[n.Op] = true
+			ops[v.Node(n).Op] = true
 		}
 	}
 	for op := range ops {

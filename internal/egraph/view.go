@@ -11,8 +11,8 @@ package egraph
 //
 // Every table of a view is a slice indexed by id, like the e-graph's
 // own. Freeze copies the union-find with every path resolved (one word
-// per id ever issued), shares the e-graph's class table, and walks the
-// classes once for the search accelerators: an operator
+// per id ever issued), shares the e-graph's class and node tables, and
+// walks the classes once for the search accelerators: an operator
 // index (ByOp: root Op -> the classes containing a node with that op
 // in ascending id order, so a pattern rooted at matmul only visits
 // matmul-bearing classes) and, on demand, the dirty-class query
@@ -38,6 +38,7 @@ type View struct {
 	//
 	//lint:classtable
 	table   []*Class
+	nodes   []Node     // the e-graph's node table as of the freeze
 	classes []*Class   // canonical classes in ascending id order
 	byOp    [][]*Class // op -> classes with a node of that op, ascending id order
 }
@@ -55,6 +56,7 @@ func (g *EGraph) Freeze() *View {
 		version: g.version,
 		find:    make([]ClassID, g.uf.size()),
 		table:   g.classes,
+		nodes:   g.nodes,
 		classes: make([]*Class, 0, g.classCount),
 	}
 	for i := range v.find {
@@ -69,8 +71,8 @@ func (g *EGraph) Freeze() *View {
 			continue
 		}
 		v.classes = append(v.classes, cls)
-		for i := range cls.Nodes {
-			op := int(cls.Nodes[i].Op)
+		for _, n := range cls.Nodes {
+			op := int(g.nodes[n].Op)
 			for op >= len(v.byOp) {
 				v.byOp = append(v.byOp, nil)
 			}
@@ -89,6 +91,10 @@ func (v *View) Find(id ClassID) ClassID { return v.find[id] }
 // Class returns the e-class for id (canonicalized through the frozen
 // table). It panics if the id was never issued by the source e-graph.
 func (v *View) Class(id ClassID) *Class { return v.table[v.find[id]] }
+
+// Node returns node id's content, as EGraph.Node does: read it, never
+// write it.
+func (v *View) Node(id ClassID) *Node { return &v.nodes[id] }
 
 // Classes returns every canonical class in ascending ID order — the
 // same order EGraph.Classes iterates in. Callers may slice the result

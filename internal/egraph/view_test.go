@@ -98,7 +98,7 @@ func TestViewConcurrentReads(t *testing.T) {
 						return
 					}
 					for _, n := range cls.Nodes {
-						for _, ch := range n.Children {
+						for _, ch := range v.Node(n).Children {
 							v.Class(ch)
 						}
 					}

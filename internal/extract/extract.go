@@ -42,7 +42,7 @@ type Result struct {
 }
 
 // nodeCost prices one e-node using the analysis metas of its children.
-func nodeCost(g *egraph.EGraph, m cost.Model, n egraph.Node) float64 {
+func nodeCost(g *egraph.EGraph, m cost.Model, n *egraph.Node) float64 {
 	args := make([]*tensor.Meta, len(n.Children))
 	for i, c := range n.Children {
 		args[i] = rewrite.ClassMeta(g, c)
@@ -144,8 +144,11 @@ func ILP(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*Result, erro
 // (variable) vi is the vi-th e-node in class order.
 type ProblemIndex struct {
 	ClassIDs []egraph.ClassID
-	classIdx map[egraph.ClassID]int
-	nodes    []egraph.Node
+	// classIdx maps a canonical class id to its problem class.
+	//
+	//lint:classtable
+	classIdx []int
+	nodes    []egraph.ClassID // variable -> e-node id
 }
 
 // buildModel is the one model both extractors read: one variable per
@@ -158,14 +161,13 @@ type ProblemIndex struct {
 // options.
 func buildModel(ex *rewrite.Explored, model cost.Model) (*ilp.Problem, *ProblemIndex, []int) {
 	g := ex.G
-	ix := &ProblemIndex{classIdx: make(map[egraph.ClassID]int)}
-	vars := 0
+	ix := &ProblemIndex{classIdx: make([]int, g.Stamp())}
+	vars := g.NodeCount()
 	g.Classes(func(c *egraph.Class) {
 		ix.classIdx[c.ID] = len(ix.ClassIDs)
 		ix.ClassIDs = append(ix.ClassIDs, c.ID)
-		vars += len(c.Nodes)
 	})
-	ix.nodes = make([]egraph.Node, 0, vars)
+	ix.nodes = make([]egraph.ClassID, 0, vars)
 	p := &ilp.Problem{
 		Costs:     make([]float64, 0, vars),
 		ClassOf:   make([]int, 0, vars),
@@ -185,9 +187,10 @@ func buildModel(ex *rewrite.Explored, model cost.Model) (*ilp.Problem, *ProblemI
 		if orig != nil {
 			orig[ci] = -1
 		}
-		for i, n := range cls.Nodes {
+		for _, nid := range cls.Nodes {
+			n := g.Node(nid)
 			vi := len(ix.nodes)
-			ix.nodes = append(ix.nodes, n)
+			ix.nodes = append(ix.nodes, nid)
 			p.Costs = append(p.Costs, nodeCost(g, model, n))
 			p.ClassOf = append(p.ClassOf, ci)
 			children := make([]int, len(n.Children))
@@ -196,7 +199,7 @@ func buildModel(ex *rewrite.Explored, model cost.Model) (*ilp.Problem, *ProblemI
 			}
 			p.Children = append(p.Children, children)
 			p.Classes[ci] = append(p.Classes[ci], vi)
-			st := cls.Stamps[i]
+			st := g.NodeStamp(nid)
 			filtered := ex.Filtered.Has(st)
 			p.Forbidden = append(p.Forbidden, filtered)
 			forbidden = forbidden || filtered
@@ -220,7 +223,7 @@ func buildModel(ex *rewrite.Explored, model cost.Model) (*ilp.Problem, *ProblemI
 //
 //lint:ctxflow-exempt bounded passes over the in-memory e-graph; no solving, no I/O
 func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp.Problem, *ProblemIndex, error) {
-	if !opts.CycleConstraints && !rewrite.IsAcyclic(ex.G, ex.Filtered) {
+	if !opts.CycleConstraints && !rewrite.IsAcyclic(ex.G, &ex.Filtered) {
 		return nil, nil, fmt.Errorf("extract: e-graph has cycles; ILP without cycle constraints requires cycle filtering")
 	}
 	p, ix, orig := buildModel(ex, model)
@@ -340,7 +343,7 @@ func (ix *ProblemIndex) buildGraph(g *egraph.EGraph, root egraph.ClassID, nodeOf
 		if !ok {
 			return nil, fmt.Errorf("no node selected for class %d", id)
 		}
-		en := ix.nodes[vi]
+		en := g.Node(ix.nodes[vi])
 		tn := &tensor.Node{Op: tensor.Op(en.Op), Int: en.Int, Str: en.Str}
 		args := make([]*tensor.Meta, len(en.Children))
 		for i, ch := range en.Children {

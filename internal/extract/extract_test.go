@@ -99,7 +99,7 @@ func TestILPWithCycleConstraintsOnUnfilteredEGraph(t *testing.T) {
 	ex, g, model := figure2Setup(t, rewrite.FilterNone)
 	// Without cycle filtering, cycle-free extraction must be requested
 	// via the constrained formulation.
-	if _, err := ILP(ex, model, ILPOptions{}); err == nil && !rewrite.IsAcyclic(ex.G, ex.Filtered) {
+	if _, err := ILP(ex, model, ILPOptions{}); err == nil && !rewrite.IsAcyclic(ex.G, &ex.Filtered) {
 		t.Fatal("unconstrained ILP accepted a cyclic e-graph")
 	}
 	for _, mode := range []ilp.TopoMode{ilp.TopoReal, ilp.TopoInt} {
@@ -225,7 +225,7 @@ func TestILPRefusesForbiddenNodeFromBackend(t *testing.T) {
 	c := p.ClassOf[dearest]
 	for k, i := range p.Classes[c] {
 		if i == dearest {
-			ex.Filtered[ex.G.Class(ix.ClassIDs[c]).Stamps[k]] = true
+			ex.Filtered.Add(ex.G.NodeStamp(ex.G.Class(ix.ClassIDs[c]).Nodes[k]))
 		}
 	}
 	// Presolve also drops every node that needs the now-empty class, so

@@ -44,7 +44,8 @@ func TestZooClassesAreShapeConsistent(t *testing.T) {
 		g, bad, nodes := ex.G, 0, 0
 		g.Classes(func(cls *egraph.Class) {
 			want := rewrite.ClassMeta(g, cls.ID)
-			for _, n := range cls.Nodes {
+			for _, nid := range cls.Nodes {
+				n := g.Node(nid)
 				nodes++
 				args := make([]*tensor.Meta, len(n.Children))
 				typed := want != nil

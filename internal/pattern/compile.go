@@ -197,8 +197,8 @@ func (pr *Program) AppendMatches(dst *Matches, v *egraph.View, classes []*egraph
 				continue
 			}
 			cls := v.Class(regs[in.a])
-			for ni := range cls.Nodes {
-				n := &cls.Nodes[ni]
+			for _, id := range cls.Nodes {
+				n := v.Node(id)
 				if n.Op != in.op || n.Int != in.i64 || n.Str != in.str || len(n.Children) != in.arity {
 					continue
 				}

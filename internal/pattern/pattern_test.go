@@ -164,8 +164,8 @@ func TestInstantiate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := g.Class(id2)
-	if cls.Nodes[0].Op != egraph.Op(tensor.OpRelu) {
-		t.Fatalf("instantiated class root %v", cls.Nodes[0])
+	if n := g.Node(cls.Nodes[0]); n.Op != egraph.Op(tensor.OpRelu) {
+		t.Fatalf("instantiated class root %v", n)
 	}
 	if _, err := Instantiate(g, MustParse("(relu ?unbound)"), subst); err == nil {
 		t.Fatal("unbound variable accepted")

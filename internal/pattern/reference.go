@@ -15,6 +15,7 @@ import "tensat/internal/egraph"
 type Source interface {
 	Find(egraph.ClassID) egraph.ClassID
 	Class(egraph.ClassID) *egraph.Class
+	Node(egraph.ClassID) *egraph.Node
 }
 
 // ReferenceSearchClasses finds matches of p rooted at each class of
@@ -47,11 +48,9 @@ func referenceMatchClass(g Source, p *Pat, id egraph.ClassID, subst Subst) []Sub
 	}
 	var results []Subst
 	cls := g.Class(id)
-	for _, n := range cls.Nodes {
-		if n.Op != egraph.Op(p.Op) || n.Int != p.Int || n.Str != p.Str {
-			continue
-		}
-		if len(n.Children) != len(p.Children) {
+	for _, nid := range cls.Nodes {
+		n := g.Node(nid)
+		if n.Op != egraph.Op(p.Op) || n.Int != p.Int || n.Str != p.Str || len(n.Children) != len(p.Children) {
 			continue
 		}
 		partial := []Subst{subst}

@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"slices"
-	"sort"
 
 	"tensat/internal/egraph"
 	"tensat/internal/pattern"
@@ -24,15 +23,28 @@ import (
 // process-wide pool between runs.
 
 // FilterSet marks e-nodes as removed from the e-graph for extraction
-// purposes (the "filter list" of Algorithm 2), keyed by the node's
-// global insertion stamp. Filtered nodes stay in the e-graph (removal
+// purposes (the "filter list" of Algorithm 2): a bit table indexed by
+// the node's stamp (egraph.EGraph.NodeStamp, 1..EGraph.Stamp()); the
+// zero value is empty. Filtered nodes stay in the e-graph (removal
 // would break congruence bookkeeping) but are ignored by descendant
 // computation, cycle detection and extraction; the ILP extractor adds
 // x_i = 0 constraints for them, exactly as §5.2 prescribes.
-type FilterSet map[int64]bool
+type FilterSet struct{ bits []uint64 }
 
 // Has reports whether the node with this stamp is filtered.
-func (f FilterSet) Has(stamp int64) bool { return f[stamp] }
+func (f *FilterSet) Has(stamp int64) bool {
+	w := int(stamp >> 6)
+	return w < len(f.bits) && f.bits[w]&(1<<(stamp&63)) != 0
+}
+
+// Add filters the node with this stamp.
+func (f *FilterSet) Add(stamp int64) {
+	w := int(stamp >> 6)
+	if w >= len(f.bits) {
+		f.bits = append(f.bits, make([]uint64, w+1-len(f.bits))...)
+	}
+	f.bits[w] |= 1 << (stamp & 63)
+}
 
 // cycleFilter is the scratch of Algorithm 2, reused from walk to walk.
 // The zero value is ready to use.
@@ -64,7 +76,7 @@ func (f *cycleFilter) renumber(g *egraph.EGraph) int {
 // The e-graph must be acyclic modulo filtered nodes; if a residual
 // cycle is encountered the edge closing it is ignored (the
 // post-processing pass will resolve it).
-func (f *cycleFilter) computeDescendants(g *egraph.EGraph, filtered FilterSet) {
+func (f *cycleFilter) computeDescendants(g *egraph.EGraph, filtered *FilterSet) {
 	classes := f.renumber(g)
 	f.words = (classes + 63) / 64
 	// Rows are cleared as the walk reaches them, so what the slab held
@@ -75,11 +87,11 @@ func (f *cycleFilter) computeDescendants(g *egraph.EGraph, filtered FilterSet) {
 		f.state[k] = 1
 		row := f.slab[int(k)*f.words : (int(k)+1)*f.words]
 		clear(row)
-		for i := range cls.Nodes {
-			if filtered.Has(cls.Stamps[i]) {
+		for _, n := range cls.Nodes {
+			if filtered.Has(g.NodeStamp(n)) {
 				continue
 			}
-			for _, ch := range cls.Nodes[i].Children {
+			for _, ch := range g.Node(n).Children {
 				c := f.number[g.Find(ch)] - 1
 				// A child on the stack closes a residual cycle: skip the
 				// edge, post-processing fixes it. A child already in the row
@@ -134,43 +146,35 @@ func (f *cycleFilter) willCreateCycle(g *egraph.EGraph, target *pattern.Target,
 	return false
 }
 
-// cycleEdge identifies one e-graph edge on a cycle: the e-node (by
-// class and stamp) whose child closes the cycle.
-type cycleEdge struct {
-	class egraph.ClassID
-	stamp int64
-}
-
 // findCycles performs the DFSGETCYCLES pass of Algorithm 2: a DFS over
 // the class graph (through unfiltered nodes) collecting one cycle per
-// back edge encountered.
-func (f *cycleFilter) findCycles(g *egraph.EGraph, filtered FilterSet) [][]cycleEdge {
+// back edge encountered. A cycle is the stamps of the e-nodes whose
+// children make up its edges.
+func (f *cycleFilter) findCycles(g *egraph.EGraph, filtered *FilterSet) [][]int64 {
 	f.renumber(g)
-	var stackEdges []cycleEdge // stackEdges[k] enters the class at depth k+1
-	var cycles [][]cycleEdge
+	var stack []int64 // stack[k] is the stamp of the node entering the class at depth k+1
+	var cycles [][]int64
 
 	var dfs func(cls *egraph.Class, k int32, depth int)
 	dfs = func(cls *egraph.Class, k int32, depth int) {
 		f.state[k] = 1
 		f.pos[k] = int32(depth)
-		for i := range cls.Nodes {
-			stamp := cls.Stamps[i]
+		for _, n := range cls.Nodes {
+			stamp := g.NodeStamp(n)
 			if filtered.Has(stamp) {
 				continue
 			}
-			for _, ch := range cls.Nodes[i].Children {
+			for _, ch := range g.Node(n).Children {
 				c := f.number[g.Find(ch)] - 1
 				switch f.state[c] {
 				case 1: // back edge: cycle through stack from ch to id, plus this edge
 					start := int(f.pos[c])
-					cyc := make([]cycleEdge, 0, depth-start+1)
-					cyc = append(cyc, stackEdges[start:depth]...)
-					cyc = append(cyc, cycleEdge{class: cls.ID, stamp: stamp})
-					cycles = append(cycles, cyc)
+					cyc := append(make([]int64, 0, depth-start+1), stack[start:depth]...)
+					cycles = append(cycles, append(cyc, stamp))
 				case 0:
-					stackEdges = append(stackEdges, cycleEdge{class: cls.ID, stamp: stamp})
+					stack = append(stack, stamp)
 					dfs(g.Class(ch), c, depth+1)
-					stackEdges = stackEdges[:depth]
+					stack = stack[:depth]
 				}
 			}
 		}
@@ -188,23 +192,13 @@ func (f *cycleFilter) findCycles(g *egraph.EGraph, filtered FilterSet) [][]cycle
 // broken by an earlier resolution, filter the most recently added
 // e-node on it (largest insertion stamp). Returns how many nodes were
 // filtered.
-func resolveCycles(filtered FilterSet, cycles [][]cycleEdge) int {
+func resolveCycles(filtered *FilterSet, cycles [][]int64) int {
 	count := 0
 	for _, cyc := range cycles {
-		broken := false
-		for _, e := range cyc {
-			if filtered.Has(e.stamp) {
-				broken = true
-				break
-			}
+		if !slices.ContainsFunc(cyc, filtered.Has) {
+			filtered.Add(slices.Max(cyc))
+			count++
 		}
-		if broken {
-			continue
-		}
-		// Filter the last-added node on the cycle.
-		sort.Slice(cyc, func(i, j int) bool { return cyc[i].stamp > cyc[j].stamp })
-		filtered[cyc[0].stamp] = true
-		count++
 	}
 	return count
 }
@@ -218,7 +212,7 @@ func resolveCycles(filtered FilterSet, cycles [][]cycleEdge) int {
 // rounds and stops early when it fires — the graph may then still be
 // cyclic, and the caller must run a final uncancelable pass (done ==
 // nil) before relying on acyclicity.
-func (f *cycleFilter) filterCycles(g *egraph.EGraph, filtered FilterSet, done <-chan struct{}) int {
+func (f *cycleFilter) filterCycles(g *egraph.EGraph, filtered *FilterSet, done <-chan struct{}) int {
 	total := 0
 	for !stopped(done) {
 		cycles := f.findCycles(g, filtered)
@@ -235,6 +229,6 @@ func (f *cycleFilter) filterCycles(g *egraph.EGraph, filtered FilterSet, done <-
 // IsAcyclic reports whether the class graph is acyclic through
 // unfiltered nodes (the invariant the ILP extractor without cycle
 // constraints relies on).
-func IsAcyclic(g *egraph.EGraph, filtered FilterSet) bool {
+func IsAcyclic(g *egraph.EGraph, filtered *FilterSet) bool {
 	return len(new(cycleFilter).findCycles(g, filtered)) == 0
 }

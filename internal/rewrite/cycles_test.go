@@ -31,7 +31,7 @@ func cyclicEGraph(t *testing.T) (*egraph.EGraph, egraph.ClassID, egraph.ClassID)
 
 func TestFindCyclesDetectsFigure3(t *testing.T) {
 	g, _, _ := cyclicEGraph(t)
-	cycles := findCycles(g, FilterSet{})
+	cycles := findCycles(g, &FilterSet{})
 	if len(cycles) == 0 {
 		t.Fatal("cycle not detected")
 	}
@@ -39,7 +39,7 @@ func TestFindCyclesDetectsFigure3(t *testing.T) {
 
 func TestFilterCyclesBreaksAllCycles(t *testing.T) {
 	g, _, _ := cyclicEGraph(t)
-	filtered := FilterSet{}
+	filtered := &FilterSet{}
 	n := FilterCycles(g, filtered, nil)
 	if n == 0 {
 		t.Fatal("nothing filtered")
@@ -56,7 +56,7 @@ func TestFilterCyclesBreaksAllCycles(t *testing.T) {
 // and a nil done must run it to completion.
 func TestFilterCyclesHonorsDone(t *testing.T) {
 	g, _, _ := cyclicEGraph(t)
-	filtered := FilterSet{}
+	filtered := &FilterSet{}
 	done := make(chan struct{})
 	close(done)
 	if n := FilterCycles(g, filtered, done); n != 0 {
@@ -75,39 +75,69 @@ func TestFilterCyclesHonorsDone(t *testing.T) {
 
 func TestFilterCyclesRemovesLastAddedNode(t *testing.T) {
 	g, a, b := cyclicEGraph(t)
-	filtered := FilterSet{}
+	filtered := &FilterSet{}
 	FilterCycles(g, filtered, nil)
 	// The cycle consists of sigmoid(B) in A (earlier) and sigmoid(A) in
 	// B (later). Algorithm 2 filters the most recently added node.
 	var maxStamp int64
 	for _, id := range []egraph.ClassID{a, b} {
 		cls := g.Class(id)
-		for i := range cls.Nodes {
-			if cls.Stamps[i] > maxStamp {
-				maxStamp = cls.Stamps[i]
-			}
+		for _, n := range cls.Nodes {
+			maxStamp = max(maxStamp, g.NodeStamp(n))
 		}
 	}
 	if !filtered.Has(maxStamp) {
 		t.Fatalf("expected last-added node (stamp %d) filtered, got %v", maxStamp, filtered)
 	}
-	if len(filtered) != 1 {
-		t.Fatalf("filtered %d nodes, want 1", len(filtered))
+	if n := filteredCount(g, filtered); n != 1 {
+		t.Fatalf("filtered %d nodes, want 1", n)
 	}
+}
+
+// TestFilterSet checks the bit table against the stamps put on it, across
+// word boundaries and past the end of what it has grown to, and that
+// Has, which every cycle walk calls per node, allocates nothing.
+func TestFilterSet(t *testing.T) {
+	var f FilterSet
+	on := map[int64]bool{1: true, 63: true, 64: true, 200: true}
+	for st := range on {
+		f.Add(st)
+	}
+	for st := int64(0); st < 300; st++ {
+		if f.Has(st) != on[st] {
+			t.Fatalf("Has(%d) = %v, want %v", st, f.Has(st), on[st])
+		}
+	}
+	var sink bool
+	if n := testing.AllocsPerRun(100, func() { sink = f.Has(200) || f.Has(5000) }); n != 0 {
+		t.Errorf("FilterSet.Has: %v allocations per run, want 0", n)
+	}
+	_ = sink
+}
+
+// filteredCount returns how many of g's stamps the filter list holds.
+func filteredCount(g *egraph.EGraph, f *FilterSet) int {
+	n := 0
+	for st := int64(1); st <= g.Stamp(); st++ {
+		if f.Has(st) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestIsAcyclicOnAcyclicGraph(t *testing.T) {
 	g := egraph.New(nil)
 	x := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x@4 4"))
 	g.Add(egraph.NewNode(egraph.Op(tensor.OpRelu), x))
-	if !IsAcyclic(g, FilterSet{}) {
+	if !IsAcyclic(g, &FilterSet{}) {
 		t.Fatal("acyclic graph reported cyclic")
 	}
 }
 
 func TestDescendantsSkipFilteredNodes(t *testing.T) {
 	g, a, b := cyclicEGraph(t)
-	filtered := FilterSet{}
+	filtered := &FilterSet{}
 	FilterCycles(g, filtered, nil)
 	desc := computeDescendants(g, filtered)
 	// After filtering, at most one of A-reaches-B / B-reaches-A remains.
@@ -122,7 +152,7 @@ func TestWillCreateCycleSelfReference(t *testing.T) {
 	g := egraph.New(nil)
 	x := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x@4 4"))
 	r := g.Add(egraph.NewNode(egraph.Op(tensor.OpRelu), x))
-	desc := computeDescendants(g, FilterSet{})
+	desc := computeDescendants(g, &FilterSet{})
 	// A rewrite binding ?t to the matched class itself must be caught.
 	p := mustPat(t, "(relu ?t)")
 	subst := substOf("?t", r)
@@ -136,7 +166,7 @@ func TestWillCreateCycleSelfReference(t *testing.T) {
 	}
 	// But binding ?t to an ancestor is a cycle.
 	up := g.Add(egraph.NewNode(egraph.Op(tensor.OpTanh), r))
-	desc = computeDescendants(g, FilterSet{})
+	desc = computeDescendants(g, &FilterSet{})
 	subst = substOf("?t", up)
 	if !willCreateCycle(g, desc, p, subst, x) {
 		t.Fatal("ancestor reference not flagged")
@@ -147,17 +177,17 @@ func TestWillCreateCycleSelfReference(t *testing.T) {
 // tests call them: standalone, on scratch of their own, with the
 // rewrite's bindings as a substitution by variable name.
 
-func FilterCycles(g *egraph.EGraph, filtered FilterSet, done <-chan struct{}) int {
+func FilterCycles(g *egraph.EGraph, filtered *FilterSet, done <-chan struct{}) int {
 	return new(cycleFilter).filterCycles(g, filtered, done)
 }
 
-func computeDescendants(g *egraph.EGraph, filtered FilterSet) *cycleFilter {
+func computeDescendants(g *egraph.EGraph, filtered *FilterSet) *cycleFilter {
 	f := new(cycleFilter)
 	f.computeDescendants(g, filtered)
 	return f
 }
 
-func findCycles(g *egraph.EGraph, filtered FilterSet) [][]cycleEdge {
+func findCycles(g *egraph.EGraph, filtered *FilterSet) [][]int64 {
 	return new(cycleFilter).findCycles(g, filtered)
 }
 
@@ -202,6 +232,6 @@ func BenchmarkDescendants(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.computeDescendants(g, FilterSet{})
+		f.computeDescendants(g, &FilterSet{})
 	}
 }

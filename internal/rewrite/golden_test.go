@@ -5,11 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"tensat/internal/egraph"
 	"tensat/internal/models"
 	"tensat/internal/rewrite"
 	"tensat/internal/rules"
@@ -50,12 +52,28 @@ func exploreRows() []exploreRow {
 }
 
 // exploreGolden is what the golden file pins per row: every integer
-// field of rewrite.Stats by name, the e-graph's text and the size of
-// the cycle filter list.
+// field of rewrite.Stats by name, the e-graph's text, the size of the
+// cycle filter list, and every class entry's stamp and filtered bit.
 type exploreGolden struct {
-	Stats    map[string]int `json:"stats"`
-	DumpSHA  string         `json:"dump_sha256"`
-	Filtered int            `json:"filtered"`
+	Stats     map[string]int `json:"stats"`
+	DumpSHA   string         `json:"dump_sha256"`
+	Filtered  int            `json:"filtered"`
+	StampsSHA string         `json:"stamps_sha256"`
+}
+
+// stampsDigest hashes every canonical class's entries in order: the
+// node's text, its stamp and whether the filter list holds it. Dump
+// prints no stamps, so this is what pins the stamps cycle filtering and
+// extraction read.
+func stampsDigest(ex *rewrite.Explored) string {
+	h := sha256.New()
+	ex.G.Classes(func(cls *egraph.Class) {
+		for _, n := range cls.Nodes {
+			st := ex.G.NodeStamp(n)
+			fmt.Fprintf(h, "e%d %s %d %t\n", cls.ID, ex.G.NodeString(*ex.G.Node(n)), st, ex.Filtered.Has(st))
+		}
+	})
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
@@ -71,7 +89,12 @@ func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
 	if err != nil {
 		t.Fatalf("%s: %v", row.name, err)
 	}
-	out := exploreGolden{Stats: make(map[string]int), Filtered: len(ex.Filtered)}
+	out := exploreGolden{Stats: make(map[string]int)}
+	for st := int64(1); st <= ex.G.Stamp(); st++ {
+		if ex.Filtered.Has(st) {
+			out.Filtered++
+		}
+	}
 	sv := reflect.ValueOf(ex.Stats)
 	for i := 0; i < sv.NumField(); i++ {
 		if sv.Field(i).Kind() == reflect.Int {
@@ -80,6 +103,7 @@ func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
 	}
 	sum := sha256.Sum256([]byte(ex.G.Dump()))
 	out.DumpSHA = hex.EncodeToString(sum[:])
+	out.StampsSHA = stampsDigest(ex)
 	return out
 }
 
@@ -88,7 +112,8 @@ func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
 // the filter-list size — to the file recorded at the commit before the
 // e-graph, the matcher's match lists and the cycle filter moved onto
 // dense tables, at 1, 2 and 4 search workers: a change of containers
-// must build the same e-graph.
+// must build the same e-graph. The stamps digest was recorded at the
+// commit before class entries became node ids and stamps a node table.
 func TestExploreGolden(t *testing.T) {
 	const path = "testdata/explore_golden.json"
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // Workers is clamped to GOMAXPROCS

@@ -174,7 +174,7 @@ func (r *Runner) RunContext(ctx context.Context, t *tensor.Graph) (*Explored, er
 	if err != nil {
 		return nil, err
 	}
-	ex := &Explored{G: g, Root: root, Filtered: make(FilterSet), IngestStamp: g.Stamp()}
+	ex := &Explored{G: g, Root: root, IngestStamp: g.Stamp()}
 	r.explore(ex, ctx.Done())
 	return ex, nil
 }
@@ -182,7 +182,7 @@ func (r *Runner) RunContext(ctx context.Context, t *tensor.Graph) (*Explored, er
 // RunOnEGraph explores an existing e-graph (used by tests and by the
 // incremental experiment harness).
 func (r *Runner) RunOnEGraph(g *egraph.EGraph, root egraph.ClassID) *Explored {
-	ex := &Explored{G: g, Root: root, Filtered: make(FilterSet), IngestStamp: g.Stamp()}
+	ex := &Explored{G: g, Root: root, IngestStamp: g.Stamp()}
 	r.explore(ex, nil)
 	return ex
 }
@@ -254,7 +254,7 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 	// on acyclicity even when exploration was cut short.
 	if r.Filter != FilterNone {
 		r.Trace.Begin("filter")
-		ex.Stats.FilteredNodes += cycles.filterCycles(g, ex.Filtered, nil)
+		ex.Stats.FilteredNodes += cycles.filterCycles(g, &ex.Filtered, nil)
 		r.Trace.End()
 	}
 	ex.Stats.ENodes = g.NodeCount()
@@ -303,7 +303,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	// One descendants snapshot per iteration for the efficient filter.
 	if r.Filter == FilterEfficient {
 		r.Trace.Begin("descendants")
-		cycles.computeDescendants(g, ex.Filtered)
+		cycles.computeDescendants(g, &ex.Filtered)
 		r.Trace.End()
 	}
 
@@ -353,7 +353,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 		if r.Filter != FilterNone {
 			if r.Filter == FilterVanilla {
 				// Vanilla: a full pass over the e-graph per substitution.
-				cycles.computeDescendants(g, ex.Filtered)
+				cycles.computeDescendants(g, &ex.Filtered)
 			}
 			for i, tgt := range c.targets {
 				if cycles.willCreateCycle(g, tgt, bind, matched[i]) {
@@ -439,7 +439,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	g.Rebuild()
 
 	if r.Filter != FilterNone {
-		ex.Stats.FilteredNodes += cycles.filterCycles(g, ex.Filtered, done)
+		ex.Stats.FilteredNodes += cycles.filterCycles(g, &ex.Filtered, done)
 	}
 	ex.Stats.RebuildTime += time.Since(rebuildStart)
 	r.Trace.End()
