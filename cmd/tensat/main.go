@@ -73,7 +73,7 @@ func main() {
 		ilpTime   = flag.Duration("ilptimeout", 2*time.Minute, "ILP solver timeout")
 		ilpSolver = flag.String("ilp-solver", "", "ILP backend: builtin (parallel branch-and-bound), builtin-seq, cbc or highs (external binaries on PATH)")
 		ilpMPS    = flag.String("ilp-mps", "", "explore, then write the extraction ILP (as built, before presolve) as a free-format MPS file and exit without solving")
-		workers   = flag.Int("workers", 0, "parallel e-matching goroutines (0 = GOMAXPROCS, 1 = sequential)")
+		workers   = flag.Int("workers", 0, "deprecated, no effect: exploration searches on one goroutine")
 		progress  = flag.Bool("progress", false, "print live progress lines (iterations, e-graph growth, ILP incumbents) to stderr")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto or chrome://tracing)")
 		ruleset   = flag.String("ruleset", "", "named rule set profile (e.g. taso-default, taso-single, or a loaded .rules file)")
@@ -238,7 +238,6 @@ func exportMPS(ctx context.Context, g *tensat.Graph, opt tensat.Options, registr
 		KMulti:   opt.KMulti,
 		Timeout:  opt.ExploreTimeout,
 	}
-	runner.Workers = opt.Workers
 	switch opt.CycleFilter {
 	case tensat.FilterVanilla:
 		runner.Filter = rewrite.FilterVanilla

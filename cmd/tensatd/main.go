@@ -97,7 +97,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		workers       = flag.Int("workers", 0, "max concurrent optimizations (0 = GOMAXPROCS)")
-		searchWorkers = flag.Int("search-workers", 0, "parallel e-matching goroutines per optimization (0 = GOMAXPROCS, 1 = sequential); with a full -workers pool, total search goroutines is the product, so heavily loaded daemons should divide cores between the two")
+		searchWorkers = flag.Int("search-workers", 0, "default \"workers\" request option; deprecated, no effect on a run: exploration searches on one goroutine")
 		cacheSize     = flag.Int("cache", 256, "result cache capacity (entries)")
 		maxJobs       = flag.Int("max-jobs", 1024, "async job store capacity; submissions beyond it answer 429 once every held job is unfinished")
 		jobTTL        = flag.Duration("job-ttl", 15*time.Minute, "how long a finished job's result and progress log stay queryable")

@@ -27,7 +27,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	leaf := StrNode(1, "x")
 	v := g.Freeze()
 	var sink ClassID
-	var cls *Class
+	var nodes []ClassID
 	var node *Node
 	var stamp int64
 	for name, f := range map[string]func(){
@@ -38,14 +38,14 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		"EGraph.Node":              func() { node = g.Node(ids[30]) },
 		"EGraph.NodeStamp":         func() { stamp = g.NodeStamp(ids[30]) },
 		"View.Find":                func() { sink = v.Find(ids[30]) },
-		"View.Class":               func() { cls = v.Class(ids[30]) },
+		"View.Nodes":               func() { nodes = v.Nodes(ids[30]) },
 		"View.Node":                func() { node = v.Node(ids[30]) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", name, n)
 		}
 	}
-	_, _, _, _ = sink, cls, node, stamp
+	_, _, _, _ = sink, nodes, node, stamp
 }
 
 var benchSink ClassID

@@ -3,6 +3,7 @@ package egraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -184,7 +185,7 @@ func (d *refDriver) check() {
 }
 
 // checkView freezes and compares the view with the e-graph just
-// checked: Find, Class, the op index, and DirtySince against its
+// checked: Find, Nodes, the op index, and DirtySince against its
 // definition — a class is dirty exactly when something at or below it
 // differs from the previous freeze.
 func (d *refDriver) checkView() {
@@ -192,7 +193,7 @@ func (d *refDriver) checkView() {
 	v := g.Freeze()
 	d.check()
 	for i := 0; i < g.uf.size(); i++ {
-		if id := ClassID(i); v.Find(id) != g.Find(id) || v.Class(id) != g.Class(id) {
+		if id := ClassID(i); v.Find(id) != g.Find(id) || !slices.Equal(v.Nodes(id), g.Nodes(id)) {
 			t.Fatalf("view disagrees with the e-graph on e%d", id)
 		}
 	}
@@ -216,7 +217,7 @@ func (d *refDriver) checkView() {
 				return
 			}
 			seen[id] = true
-			for _, n := range v.Class(id).Nodes {
+			for _, n := range v.Nodes(id) {
 				for _, c := range v.Node(n).Children {
 					walk(c)
 				}

@@ -99,7 +99,7 @@ func TestViewConcurrentReads(t *testing.T) {
 					}
 					for _, n := range cls.Nodes {
 						for _, ch := range v.Node(n).Children {
-							v.Class(ch)
+							v.Nodes(ch)
 						}
 					}
 				}

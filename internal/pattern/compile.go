@@ -196,8 +196,7 @@ func (pr *Program) AppendMatches(dst *Matches, v *egraph.View, classes []*egraph
 				pc++
 				continue
 			}
-			cls := v.Class(regs[in.a])
-			for _, id := range cls.Nodes {
+			for _, id := range v.Nodes(regs[in.a]) {
 				n := v.Node(id)
 				if n.Op != in.op || n.Int != in.i64 || n.Str != in.str || len(n.Children) != in.arity {
 					continue

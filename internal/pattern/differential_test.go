@@ -3,6 +3,7 @@ package pattern
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tensat/internal/egraph"
@@ -160,6 +161,68 @@ func TestCompiledMatchesMutableEGraph(t *testing.T) {
 		for _, cls := range classes {
 			cwant := ReferenceSearchClasses(g, p, []*egraph.Class{cls})
 			assertSameMatches(t, label+" (class)", cwant, SearchClass(g, p, cls.ID))
+		}
+	}
+}
+
+// TestViewSurvivesAddAndUnion freezes a view, then adds nodes and
+// unions classes as a rule loop does before the next Rebuild. The view
+// must still give every class the node list it had at the freeze, and
+// AppendMatches the same matches. One union's losing class is
+// canonical in the view; the other's kept class has spare capacity in
+// its node list, so the union appends in place.
+func TestViewSurvivesAddAndUnion(t *testing.T) {
+	g := egraph.New(nil)
+	var x []egraph.ClassID
+	for i := 0; i < 6; i++ {
+		x = append(x, g.Add(egraph.StrNode(fuzzOps.leaf, fmt.Sprintf("x%d", i))))
+	}
+	rx0 := g.Add(egraph.NewNode(fuzzOps.un, x[0]))
+	g.Add(egraph.NewNode(fuzzOps.bin1, x[0], x[3]))
+	g.Add(egraph.NewNode(fuzzOps.bin2, rx0, x[4]))
+	g.Add(egraph.NewNode(fuzzOps.bin1, x[4], x[5]))
+	g.Add(egraph.NewNode(fuzzOps.un, x[5]))
+	g.Union(x[0], x[1])
+	g.Union(x[0], x[2]) // x0's class: three nodes in room for four
+	v := g.Freeze()
+	if ns := g.Class(x[0]).Nodes; len(ns) == cap(ns) {
+		t.Fatal("setup: x0's node list has no spare capacity")
+	}
+	progs := []*Program{
+		Compile(MustParse("(ewadd ?a ?b)")),
+		Compile(MustParse("(relu ?a)")),
+		Compile(MustParse("(ewmul (relu ?a) ?b)")),
+	}
+	read := func() (lists [][]egraph.ClassID, found []Matches) {
+		for _, cls := range v.Classes() {
+			lists = append(lists, slices.Clone(v.Nodes(cls.ID)))
+		}
+		found = make([]Matches, len(progs))
+		for i, pr := range progs {
+			pr.AppendMatches(&found[i], v, v.Classes())
+		}
+		return lists, found
+	}
+	wantLists, wantFound := read()
+
+	if root, _ := g.Union(x[0], x[3]); root != x[0] {
+		t.Fatalf("setup: the union kept e%d, want x0's class", root)
+	}
+	if root, _ := g.Union(x[4], x[5]); root != x[4] || v.Find(x[5]) != x[5] {
+		t.Fatal("setup: x5's class must lose the union and be canonical in the view")
+	}
+	g.Add(egraph.NewNode(fuzzOps.bin2, x[4], x[0]))
+	g.Add(egraph.NewNode(fuzzOps.un, x[4]))
+
+	gotLists, gotFound := read()
+	for i, cls := range v.Classes() {
+		if !slices.Equal(gotLists[i], wantLists[i]) {
+			t.Errorf("class e%d: the view lists %v after Add and Union, %v at the freeze", cls.ID, gotLists[i], wantLists[i])
+		}
+	}
+	for i := range progs {
+		if !slices.Equal(gotFound[i].Roots, wantFound[i].Roots) || !slices.Equal(gotFound[i].binds, wantFound[i].binds) {
+			t.Errorf("program %d: matches at %v after Add and Union, at %v at the freeze", i, gotFound[i].Roots, wantFound[i].Roots)
 		}
 	}
 }

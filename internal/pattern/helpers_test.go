@@ -17,8 +17,7 @@ func Search(g *egraph.EGraph, p *Pat) []Match { return SearchView(g.Freeze(), p)
 
 // SearchClass finds matches of p rooted at one e-class.
 func SearchClass(g *egraph.EGraph, p *Pat, class egraph.ClassID) []Match {
-	v := g.Freeze()
-	return SearchClasses(v, p, []*egraph.Class{v.Class(class)})
+	return SearchClasses(g.Freeze(), p, []*egraph.Class{g.Class(class)})
 }
 
 // Instantiate adds p, with variables substituted, to the e-graph.

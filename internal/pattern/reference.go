@@ -14,7 +14,7 @@ import "tensat/internal/egraph"
 // needs. Both *egraph.EGraph and *egraph.View implement it.
 type Source interface {
 	Find(egraph.ClassID) egraph.ClassID
-	Class(egraph.ClassID) *egraph.Class
+	Nodes(egraph.ClassID) []egraph.ClassID
 	Node(egraph.ClassID) *egraph.Node
 }
 
@@ -47,8 +47,7 @@ func referenceMatchClass(g Source, p *Pat, id egraph.ClassID, subst Subst) []Sub
 		return []Subst{next}
 	}
 	var results []Subst
-	cls := g.Class(id)
-	for _, nid := range cls.Nodes {
+	for _, nid := range g.Nodes(id) {
 		n := g.Node(nid)
 		if n.Op != egraph.Op(p.Op) || n.Int != p.Int || n.Str != p.Str || len(n.Children) != len(p.Children) {
 			continue

@@ -127,65 +127,3 @@ func TestTimedOutRunNeverSaturated(t *testing.T) {
 		t.Fatalf("timeout not reported: %+v", ex.Stats)
 	}
 }
-
-// TestParallelExploreMatchesSequential runs the same workloads with
-// Workers=1 and Workers=4 and demands identical exploration: same
-// statistics and a byte-identical e-graph dump.
-func TestParallelExploreMatchesSequential(t *testing.T) {
-	workloads := []struct {
-		name  string
-		graph func() *tensor.Graph
-		rules func() []*Rule
-	}{
-		{
-			name:  "figure2-multi",
-			graph: func() *tensor.Graph { return manyMatmulGraph(t, 6) },
-			rules: func() []*Rule {
-				return []*Rule{MustMultiRule("merge",
-					"(matmul ?a ?x ?y) (matmul ?a ?x ?z)",
-					"(split0 (split 1 (matmul ?a ?x (concat2 1 ?y ?z)))) (split1 (split 1 (matmul ?a ?x (concat2 1 ?y ?z))))")}
-			},
-		},
-		{
-			name: "small-algebra",
-			graph: func() *tensor.Graph {
-				b := tensor.NewBuilder()
-				x := b.Input("x", 4, 4)
-				y := b.Input("y", 4, 4)
-				z := b.Input("z", 4, 4)
-				return b.MustFinish(b.Ewadd(x, b.Ewadd(y, z)))
-			},
-			rules: func() []*Rule {
-				rs := []*Rule{MustRule("comm", "(ewadd ?x ?y)", "(ewadd ?y ?x)")}
-				return append(rs, Bidirectional("assoc", "(ewadd ?x (ewadd ?y ?z))", "(ewadd (ewadd ?x ?y) ?z)")...)
-			},
-		},
-	}
-	for _, w := range workloads {
-		t.Run(w.name, func(t *testing.T) {
-			run := func(workers int) *Explored {
-				r := NewRunner(w.rules())
-				r.Limits.KMulti = 2
-				r.Limits.MaxIters = 4
-				r.Workers = workers
-				ex, err := r.Run(w.graph())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return ex
-			}
-			seq, par := run(1), run(4)
-			ss, ps := seq.Stats, par.Stats
-			ss.ExploreTime, ps.ExploreTime = 0, 0
-			ss.SearchTime, ps.SearchTime = 0, 0
-			ss.ApplyTime, ps.ApplyTime = 0, 0
-			ss.RebuildTime, ps.RebuildTime = 0, 0
-			if ss != ps {
-				t.Fatalf("stats diverge:\nworkers=1: %+v\nworkers=4: %+v", ss, ps)
-			}
-			if seq.G.Dump() != par.G.Dump() {
-				t.Fatal("e-graphs diverge between Workers=1 and Workers=4")
-			}
-		})
-	}
-}

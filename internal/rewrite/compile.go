@@ -25,8 +25,8 @@ type CompiledRules struct {
 	rules []compiledRule // parallel to Rules
 }
 
-// compiledPat is one canonical source pattern, searched once per
-// iteration and shared by every rule source that renames to it.
+// compiledPat is one canonical source pattern, searched at most once
+// per iteration and shared by every rule source that renames to it.
 type compiledPat struct {
 	pat  *pattern.Pat
 	prog *pattern.Program
@@ -127,31 +127,36 @@ func (cr *CompiledRules) compiledFor(rules []*Rule) bool {
 	return true
 }
 
-// searchState carries the match lists of one exploration run from
-// iteration to iteration. matches holds, per canonical pattern, the
-// complete match list of the latest frozen view, and version the view
-// version it was computed at: on the next iteration only classes dirty
-// since that version are re-searched and clean classes answer from the
-// list (see View.DirtySince for why that is sound). The other fields
-// are the lists a search fills, kept so that an iteration whose lists
-// fit the previous one's storage allocates nothing for its matches.
+// searchState carries one exploration run's match lists from iteration
+// to iteration, one per canonical pattern, and the iteration's frozen
+// view. A list is complete as of the view version it was computed at.
+// A pattern that no reached rule read keeps an older list, so lists can
+// be several freezes apart: bringing one up to date re-searches only
+// the candidates dirty since its own version (see View.DirtySince for
+// why that is sound). The scratch fields serve every search, so an
+// iteration whose lists fit the previous storage allocates nothing for
+// its matches.
 type searchState struct {
-	matches []pattern.Matches // per compiledPat: latest complete match list
-	version uint64            // view version the lists were computed at
-	valid   bool              // false until one full search completes
+	cr   *CompiledRules
+	pats []patState // per compiledPat
 
-	spare []pattern.Matches   // per compiledPat: the previous list, storage for the next
-	scans [][]*egraph.Class   // per compiledPat: the dirty candidates to scan
-	found [][]pattern.Matches // per search worker, per compiledPat: what the worker's scans found
+	view  *egraph.View      // this iteration's
+	dirty map[uint64][]bool // version some list is complete at -> the classes dirty since, on view
+
+	scan  []*egraph.Class // scratch: the dirty candidates of the pattern in hand
+	found pattern.Matches // scratch: what scanning them found
+}
+
+// patState is one canonical pattern's match list.
+type patState struct {
+	matches pattern.Matches // complete as of the view at version
+	spare   pattern.Matches // the previous list: storage for the next
+	version uint64
+	valid   bool // false until one search completes
 }
 
 func newSearchState(cr *CompiledRules) *searchState {
-	n := len(cr.pats)
-	return &searchState{
-		matches: make([]pattern.Matches, n),
-		spare:   make([]pattern.Matches, n),
-		scans:   make([][]*egraph.Class, n),
-	}
+	return &searchState{cr: cr, pats: make([]patState, len(cr.pats)), dirty: make(map[uint64][]bool)}
 }
 
 // matchRun is matches lo..hi of a list: what one scan appended to it.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"tensat/internal/egraph"
@@ -76,7 +75,7 @@ func stampsDigest(ex *rewrite.Explored) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
+func exploreOnce(t testing.TB, row exploreRow) exploreGolden {
 	t.Helper()
 	m, err := models.ByName(row.model)
 	if err != nil {
@@ -84,7 +83,6 @@ func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
 	}
 	r := rewrite.NewRunner(row.rules)
 	r.Limits = rewrite.Limits{MaxNodes: row.nodes, MaxIters: 15, KMulti: 1}
-	r.Workers = workers
 	ex, err := r.Run(m.Build(models.ScaleTest))
 	if err != nil {
 		t.Fatalf("%s: %v", row.name, err)
@@ -111,16 +109,16 @@ func exploreOnce(t testing.TB, row exploreRow, workers int) exploreGolden {
 // the counters of rewrite.Stats, the SHA-256 of the e-graph's Dump and
 // the filter-list size — to the file recorded at the commit before the
 // e-graph, the matcher's match lists and the cycle filter moved onto
-// dense tables, at 1, 2 and 4 search workers: a change of containers
-// must build the same e-graph. The stamps digest was recorded at the
-// commit before class entries became node ids and stamps a node table.
+// dense tables: a change of containers must build the same e-graph.
+// The stamps digest was recorded at the commit before class entries
+// became node ids and stamps a node table, and the Search* counters at
+// the commit that made search on demand. Each row runs once.
 func TestExploreGolden(t *testing.T) {
 	const path = "testdata/explore_golden.json"
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // Workers is clamped to GOMAXPROCS
 	if *updateGolden {
 		got := make(map[string]exploreGolden)
 		for _, row := range exploreRows() {
-			got[row.name] = exploreOnce(t, row, 1)
+			got[row.name] = exploreOnce(t, row)
 		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -144,10 +142,8 @@ func TestExploreGolden(t *testing.T) {
 		t.Fatalf("%d rows, golden file has %d", len(rows), len(want))
 	}
 	for _, row := range rows {
-		for _, workers := range []int{1, 2, 4} {
-			if got := exploreOnce(t, row, workers); !reflect.DeepEqual(got, want[row.name]) {
-				t.Errorf("%s at %d workers:\n got  %+v\n want %+v", row.name, workers, got, want[row.name])
-			}
+		if got := exploreOnce(t, row); !reflect.DeepEqual(got, want[row.name]) {
+			t.Errorf("%s:\n got  %+v\n want %+v", row.name, got, want[row.name])
 		}
 	}
 }
@@ -159,9 +155,9 @@ func TestExploreGolden(t *testing.T) {
 func TestExploreDeterministicInProcess(t *testing.T) {
 	row := exploreRows()[0]
 	row.nodes = 5000
-	want := exploreOnce(t, row, 2)
+	want := exploreOnce(t, row)
 	for i := 1; i < 10; i++ {
-		if got := exploreOnce(t, row, 2); !reflect.DeepEqual(got, want) {
+		if got := exploreOnce(t, row); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d differs from run 0:\n got  %+v\n want %+v", i, got, want)
 		}
 	}

@@ -24,17 +24,19 @@ func incrementalRules() []*Rule {
 }
 
 // mutate applies a random batch of adds and unions to g, returning
-// whether anything changed.
+// whether anything changed. One operation in six is a union: more, and
+// the e-graph collapses into a few classes that every change dirties,
+// so an old list's dirty set no longer differs from a newer one's.
 func mutate(rng *rand.Rand, g *egraph.EGraph, ids *[]egraph.ClassID) bool {
 	changed := false
 	pick := func() egraph.ClassID { return (*ids)[rng.Intn(len(*ids))] }
 	for i := 0; i < 3+rng.Intn(5); i++ {
-		switch rng.Intn(3) {
-		case 0:
+		switch rng.Intn(6) {
+		case 0, 1, 2:
 			before := g.NodeCount()
 			*ids = append(*ids, g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), pick(), pick())))
 			changed = changed || g.NodeCount() != before
-		case 1:
+		case 3, 4:
 			before := g.NodeCount()
 			*ids = append(*ids, g.Add(egraph.NewNode(egraph.Op(tensor.OpRelu), pick())))
 			changed = changed || g.NodeCount() != before
@@ -48,46 +50,52 @@ func mutate(rng *rand.Rand, g *egraph.EGraph, ids *[]egraph.ClassID) bool {
 	return changed
 }
 
-// TestIncrementalSearchEqualsFullRescan drives searchAll through
-// several freeze → search → mutate rounds, comparing the incremental
-// match lists (dirty re-search merged with the memo) against a fresh
-// full search of the same view. This is the dirty-set completeness
-// property end to end: a match appearing only through a newly-repaired
-// or newly-reparented class is never missed, and the merged lists are
-// identical to a full rescan — order and bindings included.
+// TestIncrementalSearchEqualsFullRescan drives the on-demand search
+// through several freeze → search → mutate rounds and compares every
+// list it brings up to date (dirty re-search merged with the old list)
+// against a full search of the same view. From the second round on,
+// each round searches only a random subset of the patterns, so a list
+// can be several freezes old when it is next searched: its dirty set
+// must be the one since its own version, not the latest. This is the
+// dirty-set completeness property end to end: a match appearing only
+// through a newly-repaired or newly-reparented class is never missed,
+// and the merged lists are identical to a full rescan — order and
+// bindings included.
 func TestIncrementalSearchEqualsFullRescan(t *testing.T) {
 	cr := CompileRules(incrementalRules())
+	engaged, behind := false, false
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := egraph.New(nil)
 		var ids []egraph.ClassID
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 30; i++ {
 			ids = append(ids, g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), fmt.Sprintf("x%d", i))))
 		}
 		for i := 0; i < 20; i++ {
 			mutate(rng, g, &ids)
 		}
 
-		r := &Runner{Workers: 1 + int(seed%4)} // cover sequential and parallel paths
 		st := newSearchState(cr)
+		last := make([]int, len(cr.pats)) // the round each list was last searched
 		for round := 0; round < 6; round++ {
-			view := g.Freeze()
-			var ex Explored
-			r.searchAll(view, cr, st, &ex, nil)
-			if round > 0 && ex.Stats.SearchClean == 0 && ex.Stats.SearchDirty == 0 {
-				t.Fatalf("seed %d round %d: incremental path never engaged", seed, round)
-			}
-
-			// Oracle: a fresh full search of the same view.
-			full := newSearchState(cr)
-			r.searchAll(view, cr, full, &Explored{}, nil)
+			st.freeze(g)
+			full := newSearchState(cr) // the oracle: a full search of the same view
+			full.freeze(g)
+			var stats Stats
 			for p := range cr.pats {
-				if st.matches[p].Len() != full.matches[p].Len() {
-					t.Fatalf("seed %d round %d pattern %d: incremental found %d matches, full rescan %d",
-						seed, round, p, st.matches[p].Len(), full.matches[p].Len())
+				if round > 0 && rng.Intn(2) == 0 {
+					continue
 				}
-				for i := range full.matches[p].Roots {
-					a, b := &st.matches[p], &full.matches[p]
+				behind = behind || round-last[p] > 1
+				last[p] = round
+				st.update(p, &stats, nil)
+				full.update(p, &Stats{}, nil)
+				a, b := &st.pats[p].matches, &full.pats[p].matches
+				if a.Len() != b.Len() {
+					t.Fatalf("seed %d round %d pattern %d: incremental found %d matches, full rescan %d",
+						seed, round, p, a.Len(), b.Len())
+				}
+				for i := range b.Roots {
 					if a.Roots[i] != b.Roots[i] {
 						t.Fatalf("seed %d round %d pattern %d match %d: class e%d vs e%d",
 							seed, round, p, i, a.Roots[i], b.Roots[i])
@@ -100,9 +108,13 @@ func TestIncrementalSearchEqualsFullRescan(t *testing.T) {
 					}
 				}
 			}
-
+			engaged = engaged || stats.SearchClean > 0 || stats.SearchDirty > 0
 			mutate(rng, g, &ids)
 		}
+	}
+	if !engaged || !behind {
+		t.Fatalf("incremental path engaged: %v; a list searched more than one freeze after its last search: %v",
+			engaged, behind)
 	}
 }
 
@@ -120,11 +132,10 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 	add := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), a, b))
 	mul := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwmul), c, a)) // no match yet: c is a leaf
 
-	r := &Runner{Workers: 1}
 	st := newSearchState(cr)
-	var ex1 Explored
-	r.searchAll(g.Freeze(), cr, st, &ex1, nil)
-	if n := st.matches[0].Len(); n != 0 {
+	st.freeze(g)
+	st.update(0, &Stats{}, nil)
+	if n := st.pats[0].matches.Len(); n != 0 {
 		t.Fatalf("premature match: %d", n)
 	}
 
@@ -132,20 +143,21 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 	// class was never unioned or added to.
 	g.Union(c, add)
 	g.Rebuild()
-	var ex2 Explored
-	r.searchAll(g.Freeze(), cr, st, &ex2, nil)
-	if ex2.Stats.SearchDirty == 0 {
+	var stats Stats
+	st.freeze(g)
+	st.update(0, &stats, nil)
+	if stats.SearchDirty == 0 {
 		t.Fatal("incremental path not engaged: mul's class was not re-searched")
 	}
-	if n := st.matches[0].Len(); n != 1 {
+	if n := st.pats[0].matches.Len(); n != 1 {
 		t.Fatalf("incremental search found %d matches, want 1", n)
 	}
-	if root := st.matches[0].Roots[0]; g.Find(root) != g.Find(mul) {
+	if root := st.pats[0].matches.Roots[0]; g.Find(root) != g.Find(mul) {
 		t.Fatalf("match rooted at e%d, want e%d", root, g.Find(mul))
 	}
 	// Decanonicalize through the compiled rule: slot -> variable name.
 	s := pattern.Subst{}
-	for k, id := range st.matches[0].Bind(0) {
+	for k, id := range st.pats[0].matches.Bind(0) {
 		s[cr.rules[0].vars[cr.rules[0].sources[0].slots[k]]] = id
 	}
 	if g.Find(s["?x"]) != g.Find(a) || g.Find(s["?y"]) != g.Find(b) || g.Find(s["?z"]) != g.Find(a) {

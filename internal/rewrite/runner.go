@@ -2,10 +2,6 @@ package rewrite
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"tensat/internal/egraph"
@@ -74,29 +70,32 @@ type Stats struct {
 	ExploreTime   time.Duration
 	// ApplyTime and RebuildTime split out the remainder of ExploreTime:
 	// the rule-application loop (shape checks, cycle pre-filtering,
-	// instantiation and unions) and the congruence rebuild plus cycle
-	// post-processing, each summed over iterations.
+	// instantiation and unions, but not the pattern scans it runs) and
+	// the congruence rebuild plus cycle post-processing, each summed
+	// over iterations.
 	ApplyTime   time.Duration
 	RebuildTime time.Duration
-	// SearchTime is the part of ExploreTime spent in the e-matching
-	// search phase (freezing the view, op-index build, dirty-class
-	// computation and the pattern-program scans), summed over
-	// iterations — the quantity the Workers knob parallelizes.
+	// SearchTime is the part of ExploreTime spent in e-matching search,
+	// summed over iterations: freezing the view and computing the dirty
+	// sets, then the pattern scans the rule loop runs on demand before
+	// a rule's first use.
 	SearchTime time.Duration
-	// Search-phase work accounting, summed over iterations and
-	// canonical patterns. For each (pattern, iteration) pair the
-	// candidate classes (those containing the pattern's root operator)
-	// split into scanned vs. answered-from-memo, while every class
-	// without the root op is pruned without a visit:
+	// Search work accounting, summed over iterations and the canonical
+	// patterns each iteration searched: a pattern that no rule the
+	// iteration reached reads is not searched. For each (pattern,
+	// iteration) pair searched, the candidate classes (those containing
+	// the pattern's root operator) split into scanned vs. answered from
+	// the pattern's previous list, while every class without the root
+	// op is pruned without a visit:
 	//
 	//	SearchScanned  — classes the pattern VM actually visited
 	//	SearchPruned   — classes skipped by the op index
-	//	SearchClean    — candidate classes answered from the previous
-	//	                 iteration's memoized matches (iterations >= 2)
+	//	SearchClean    — candidate classes answered from the pattern's
+	//	                 previous match list
 	//	SearchDirty    — candidate classes re-searched because they were
-	//	                 touched since the previous freeze (subset of
+	//	                 touched since that list was computed (subset of
 	//	                 SearchScanned)
-	//	SearchMatches  — matches produced by the search phase
+	//	SearchMatches  — matches in the lists searched
 	SearchScanned int
 	SearchPruned  int
 	SearchClean   int
@@ -127,13 +126,10 @@ type Runner struct {
 	// compile-at-registration path used by tensat.Registry. When nil or
 	// out of date the runner compiles Rules itself at explore start.
 	Compiled *CompiledRules
-	// Workers bounds the goroutines used by the search phase of each
-	// iteration. Searching runs against a frozen read-only view of the
-	// e-graph (egraph.View), so N workers match concurrently with no
-	// locks; results are deterministic and identical to the sequential
-	// scan whatever the worker count. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces the sequential path; values above GOMAXPROCS are
-	// clamped to it (extra goroutines cannot add parallelism).
+	// Workers is not read: each pattern is searched on the exploring
+	// goroutine just before the first rule that reads it.
+	//
+	// Deprecated: it has no effect and is kept for callers that set it.
 	Workers int
 	// Progress, when non-nil, is called from the exploring goroutine
 	// once before the first iteration (with iteration 0 and the
@@ -143,8 +139,10 @@ type Runner struct {
 	Progress func(iteration, enodes, eclasses int)
 	// Trace, when non-nil, receives phase spans: an "explore" span
 	// containing one "iteration" span per iteration — each with
-	// "descendants", "search", "apply" and "rebuild" children annotated
-	// with e-node / e-class deltas — and a closing "filter" span for the
+	// "descendants", "search" (the freeze and dirty sets), "apply" (the
+	// rule loop, with the classes its on-demand scans visited and the
+	// matches they listed) and "rebuild" children, annotated with
+	// e-node / e-class deltas — and a closing "filter" span for the
 	// final cycle pass. A nil Trace records nothing and costs a nil
 	// check per phase boundary.
 	Trace *obs.Trace
@@ -277,9 +275,10 @@ func stopped(done <-chan struct{}) bool {
 	}
 }
 
-// iterate runs one exploration iteration: search all canonical
-// patterns, then apply all rule matches (Algorithm 1, lines 9-22),
-// then rebuild and post-process cycles (Algorithm 2, lines 10-18).
+// iterate runs one exploration iteration: freeze the e-graph, apply
+// every rule's matches, searching each pattern on demand just before
+// the first rule that reads it (Algorithm 1, lines 9-22), then rebuild
+// and post-process cycles (Algorithm 2, lines 10-18).
 // It reports whether the e-graph changed and whether the iteration was
 // interrupted (cancellation, deadline, or node limit) before every
 // match was considered — an interrupted no-change iteration is not
@@ -307,14 +306,13 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 		r.Trace.End()
 	}
 
-	// SEARCH(G, e_c): all matches for all canonical patterns, matched
-	// concurrently against a frozen read-only view of the e-graph.
+	// SEARCH(G, e_c) runs against a view frozen before any rule applies.
+	// The scans run on demand in the rule loop, so a pattern that no
+	// reached rule reads is not scanned this iteration.
 	r.Trace.Begin("search")
 	searchStart := time.Now()
-	r.searchAll(g.Freeze(), cr, st, ex, done)
+	st.freeze(g)
 	ex.Stats.SearchTime += time.Since(searchStart)
-	r.Trace.Attr("scanned", int64(ex.Stats.SearchScanned-scannedBefore))
-	r.Trace.Attr("matches", int64(ex.Stats.SearchMatches-searchMatchesBefore))
 	r.Trace.End()
 
 	// apply considers one match of a rule: matched[i] is the class its
@@ -372,7 +370,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	}
 
 	r.Trace.Begin("apply")
-	applyStart := time.Now()
+	applyStart, searchBefore := time.Now(), ex.Stats.SearchTime
 	for ri, rule := range r.Rules {
 		if rule.IsMulti() && !useMulti {
 			continue
@@ -390,12 +388,17 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 			break
 		}
 		c := &cr.rules[ri]
+		if !st.search(c, &ex.Stats, done) {
+			ex.Stats.Canceled = true
+			interrupted = true
+			break
+		}
 		matched = append(matched[:0], make([]egraph.ClassID, len(c.sources))...)
 		bind = append(bind[:0], make([]egraph.ClassID, len(c.vars))...)
 		metas = append(metas[:0], make([]*tensor.Meta, len(c.vars))...)
 		if !rule.IsMulti() {
 			ref := c.sources[0]
-			ms := &st.matches[ref.pat]
+			ms := &st.pats[ref.pat].matches
 			for mi := 0; mi < ms.Len(); mi++ {
 				// Large match lists must notice a dead request between
 				// rule boundaries, same cadence as applyMulti.
@@ -429,7 +432,9 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 			interrupted = true
 		}
 	}
-	ex.Stats.ApplyTime += time.Since(applyStart)
+	ex.Stats.ApplyTime += time.Since(applyStart) - (ex.Stats.SearchTime - searchBefore)
+	r.Trace.Attr("scanned", int64(ex.Stats.SearchScanned-scannedBefore))
+	r.Trace.Attr("search_matches", int64(ex.Stats.SearchMatches-searchMatchesBefore))
 	r.Trace.Attr("matches", int64(ex.Stats.Matches-matchesBefore))
 	r.Trace.Attr("applied", int64(ex.Stats.Applied-appliedBefore))
 	r.Trace.End()
@@ -452,255 +457,105 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	return unioned || g.NodeCount() != nodesBefore, interrupted
 }
 
-// searchShardSize bounds how many classes one search work unit scans
-// before the cancellation channel is consulted again. It caps the
-// latency between a caller canceling and the search phase noticing:
-// on pathological, heavily merged e-graphs a single pattern × full
-// class list scan can run for minutes, which must not pin a worker
-// slot after every interested request is gone.
+// searchShardSize bounds how many classes one scan visits before the
+// cancellation channel is consulted again. It caps the latency between
+// a caller canceling and the search noticing: on pathological, heavily
+// merged e-graphs a single pattern's candidate scan can run for
+// minutes, which must not pin a worker slot after every interested
+// request is gone.
 const searchShardSize = 1024
 
-// workerPanic carries a panic out of a search worker goroutine to the
-// calling goroutine, preserving the worker's stack — re-panicking with
-// the raw value would otherwise report the barrier's stack instead of
-// the site that actually blew up.
-type workerPanic struct {
-	value any
-	stack []byte
+// freeze starts an iteration's search: it freezes g and computes the
+// classes dirty since each version a match list is complete at, once
+// per distinct version. It runs before any rule applies, because
+// DirtySince reads the live classes that Add and Union change.
+func (st *searchState) freeze(g *egraph.EGraph) {
+	st.view = g.Freeze()
+	clear(st.dirty)
+	for i := range st.pats {
+		p := &st.pats[i]
+		if p.valid && p.version != st.view.Version() && st.dirty[p.version] == nil {
+			st.dirty[p.version] = st.view.DirtySince(p.version)
+		}
+	}
 }
 
-func (p *workerPanic) String() string {
-	return fmt.Sprintf("rewrite: search worker panic: %v\n%s", p.value, p.stack)
+// search brings the match lists of c's sources up to date with the
+// iteration's view, adding the time it takes to stats.SearchTime. It
+// reports false when done fired first.
+func (st *searchState) search(c *compiledRule, stats *Stats, done <-chan struct{}) bool {
+	start := time.Now()
+	defer func() { stats.SearchTime += time.Since(start) }()
+	for _, src := range c.sources {
+		if !st.update(src.pat, stats, done) {
+			return false
+		}
+	}
+	return true
 }
 
-// searchParallelThreshold is the minimum per-pattern work-list length
-// worth sharding across workers. Below it a pattern's candidate scan
-// runs as one work unit (still overlapping other patterns on the
-// pool): the op index leaves most patterns with short candidate
-// lists, and for those the channel hand-offs and shard bookkeeping
-// cost more than the scan itself. Measured on the nasrnn search
-// benchmark at 4 workers (candidate lists ranging from a handful to a
-// few thousand classes), sharding lists below ~256 classes was
-// consistently slower than scanning them whole, while longer lists
-// gained from the fan-out.
-const searchParallelThreshold = 256
-
-// searchAll fills st.matches for every canonical pattern by scanning a
-// frozen view. Three accelerations apply, none of which change the
-// match lists:
+// update brings canonical pattern i's match list up to date with the
+// iteration's view. Two accelerations apply, neither of which changes
+// the list:
 //
 //  1. Op-index pruning: a pattern rooted at op only visits
 //     view.ByOp(op), the classes containing at least one node with
 //     that op (Stats.SearchPruned counts the skipped rest).
-//  2. Incremental re-search: on iterations >= 2 only candidates dirty
-//     since the previous freeze are re-scanned; clean candidates
-//     answer from the previous iteration's memoized list. This is
-//     sound because DirtySince is upward-closed — a clean class's
-//     entire downward-reachable region is unchanged, so its matches
-//     (bindings included) are exactly what they were.
-//  3. Parallel sharding: work lists of searchParallelThreshold or more
-//     classes fan out as (pattern × class-shard) units over a bounded
-//     worker pool; shard results concatenate in scan order.
+//  2. Incremental re-search: once the pattern has a list, only the
+//     candidates dirty since the list's version are scanned, and clean
+//     candidates answer from the list. This is sound because
+//     DirtySince is upward-closed — a clean class's entire
+//     downward-reachable region is unchanged, so its matches (bindings
+//     included) are exactly what they were.
 //
-// The per-pattern match list is therefore byte-for-byte the one a
-// sequential full scan would produce, regardless of Workers or
-// iteration history. A fired done channel invalidates the memo and
-// leaves the match lists empty (the caller's rule loop observes the
-// cancellation before applying anything).
-func (r *Runner) searchAll(view *egraph.View, cr *CompiledRules, st *searchState,
-	ex *Explored, done <-chan struct{}) {
-
-	workers := r.Workers
-	if p := runtime.GOMAXPROCS(0); workers <= 0 || workers > p {
-		// More workers than schedulable threads cannot add parallelism,
-		// only channel hand-offs and context switches — the same
-		// fan-out-overhead argument as searchParallelThreshold, applied
-		// to hardware capacity. Results are identical for any worker
-		// count, so clamping is invisible except in wall-clock time.
-		workers = p
+// The list is therefore the one a full scan of the view produces, in
+// the same order. When done fires first, update reports false and
+// leaves the list complete as of its older version.
+func (st *searchState) update(i int, stats *Stats, done <-chan struct{}) bool {
+	p, view := &st.pats[i], st.view
+	if p.valid && p.version == view.Version() {
+		return true
 	}
-	classCount := view.ClassCount()
-
-	// Per-pattern work: the candidate list from the op index, narrowed
-	// to the dirty subset when the previous iteration's memo is valid.
-	incremental := st.valid
-	var dirty []bool
-	if incremental {
-		dirty = view.DirtySince(st.version)
+	prog := st.cr.pats[i].prog
+	cands := view.Classes()
+	if op, ok := prog.RootOp(); ok {
+		cands = view.ByOp(op)
 	}
-	cands := make([][]*egraph.Class, len(cr.pats))
-	scans := make([][]*egraph.Class, len(cr.pats))
-	var planPruned, planDirty, planClean, planScanned int
-	for i, cp := range cr.pats {
-		if op, ok := cp.prog.RootOp(); ok {
-			cands[i] = view.ByOp(op)
-		} else {
-			cands[i] = view.Classes()
-		}
-		planPruned += classCount - len(cands[i])
-		if !incremental {
-			scans[i] = cands[i]
-		} else {
-			scan := st.scans[i][:0]
-			for _, cls := range cands[i] {
-				if dirty[cls.ID] {
-					scan = append(scan, cls)
-				}
-			}
-			scans[i], st.scans[i] = scan, scan
-			planDirty += len(scans[i])
-			planClean += len(cands[i]) - len(scans[i])
-		}
-		planScanned += len(scans[i])
-	}
-
-	// Scan the work lists. Each worker appends what it finds to its own
-	// list for the pattern; fresh[p] names, in scan order, the runs of
-	// those lists that together hold pattern p's scan results.
-	for len(st.found) < workers {
-		st.found = append(st.found, make([]pattern.Matches, len(cr.pats)))
-	}
-	for _, found := range st.found[:workers] {
-		for i := range found {
-			found[i].Reset()
-		}
-	}
-	fresh := make([][]matchRun, len(cr.pats))
-	if workers == 1 {
-		for i, cp := range cr.pats {
-			scan := scans[i]
-			found := &st.found[0][i]
-			// Scan in bounded chunks, re-checking cancellation between
-			// them; chunk results concatenate in scan order, so the
-			// match list is identical to one whole-list scan.
-			for lo := 0; lo < len(scan) && !stopped(done); lo += searchShardSize {
-				hi := lo + searchShardSize
-				if hi > len(scan) {
-					hi = len(scan)
-				}
-				cp.prog.AppendMatches(found, view, scan[lo:hi])
-			}
-			fresh[i] = []matchRun{{found, 0, found.Len()}}
-		}
-	} else {
-		// Shard long work lists so a single hot pattern also spreads
-		// across workers; short lists (below searchParallelThreshold)
-		// stay whole and only ride the pool for cross-pattern overlap.
-		// A shard's matches are one run of its worker's list.
-		type task struct{ p, s int }
-		bounds := make([][]int, len(cr.pats)) // per pattern: shard start offsets
-		for i := range cr.pats {
-			n := len(scans[i])
-			size := n
-			if n >= searchParallelThreshold {
-				shards := workers * 4
-				if min := (n + searchShardSize - 1) / searchShardSize; shards < min {
-					shards = min
-				}
-				if shards > n {
-					shards = n
-				}
-				size = (n + shards - 1) / shards
-			}
-			for lo := 0; lo < n; lo += size {
-				bounds[i] = append(bounds[i], lo)
-			}
-			fresh[i] = make([]matchRun, len(bounds[i]))
-		}
-		tasks := make(chan task)
-		var wg sync.WaitGroup
-		// A panic in a worker (a buggy matcher program) must not kill
-		// the process: the worker records the first panic with its
-		// stack and keeps draining tasks so the producer never blocks,
-		// and the panic is re-raised on the calling goroutine after the
-		// barrier — where the job-level recovery turns it into a failed
-		// job instead of a crash.
-		var panicMu sync.Mutex
-		var panicked *workerPanic
-		recordPanic := func(r any) {
-			panicMu.Lock()
-			if panicked == nil {
-				panicked = &workerPanic{value: r, stack: debug.Stack()}
-			}
-			panicMu.Unlock()
-		}
-		hasPanicked := func() bool {
-			panicMu.Lock()
-			defer panicMu.Unlock()
-			return panicked != nil
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				found := st.found[w]
-				for t := range tasks {
-					if stopped(done) || hasPanicked() {
-						continue // drain cheaply once canceled or doomed
-					}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								recordPanic(r)
-							}
-						}()
-						scan := scans[t.p]
-						lo := bounds[t.p][t.s]
-						hi := len(scan)
-						if t.s+1 < len(bounds[t.p]) {
-							hi = bounds[t.p][t.s+1]
-						}
-						from := found[t.p].Len()
-						cr.pats[t.p].prog.AppendMatches(&found[t.p], view, scan[lo:hi])
-						fresh[t.p][t.s] = matchRun{&found[t.p], from, found[t.p].Len()}
-					}()
-				}
-			}(w)
-		}
-		for p := range cr.pats {
-			for s := range bounds[p] {
-				tasks <- task{p, s}
+	scan, dirty := cands, st.dirty[p.version]
+	if p.valid {
+		st.scan = st.scan[:0]
+		for _, cls := range cands {
+			if dirty[cls.ID] {
+				st.scan = append(st.scan, cls)
 			}
 		}
-		close(tasks)
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
+		scan = st.scan
 	}
-
+	// Scan in bounded chunks, re-checking cancellation between them;
+	// chunk results concatenate in scan order.
+	st.found.Reset()
+	for lo := 0; lo < len(scan) && !stopped(done); lo += searchShardSize {
+		prog.AppendMatches(&st.found, view, scan[lo:min(lo+searchShardSize, len(scan))])
+	}
 	if stopped(done) {
-		// Incomplete scans must neither be applied (the rule loop checks
-		// done before any apply) nor memoized for a later iteration —
-		// and the planned work counters stay unrecorded, since a
-		// canceled scan did not actually visit those classes.
-		st.valid = false
-		for i := range st.matches {
-			st.matches[i].Reset()
-		}
-		return
+		return false
 	}
-	ex.Stats.SearchPruned += planPruned
-	ex.Stats.SearchDirty += planDirty
-	ex.Stats.SearchClean += planClean
-	ex.Stats.SearchScanned += planScanned
-
-	for i := range cr.pats {
-		// Build the new list beside the old one, which the merge reads.
-		next := &st.spare[i]
-		next.Reset()
-		if incremental {
-			mergeMatches(next, cands[i], dirty, &st.matches[i], fresh[i])
-		} else {
-			for _, run := range fresh[i] {
-				next.AppendRange(run.list, run.lo, run.hi)
-			}
-		}
-		st.matches[i], st.spare[i] = st.spare[i], st.matches[i]
-		ex.Stats.SearchMatches += st.matches[i].Len()
+	// Build the new list beside the old one, which the merge reads.
+	next := &p.spare
+	next.Reset()
+	if p.valid {
+		mergeMatches(next, cands, dirty, &p.matches, []matchRun{{&st.found, 0, st.found.Len()}})
+		stats.SearchDirty += len(scan)
+		stats.SearchClean += len(cands) - len(scan)
+	} else {
+		next.AppendRange(&st.found, 0, st.found.Len())
 	}
-	st.version = view.Version()
-	st.valid = true
+	p.matches, p.spare = p.spare, p.matches
+	p.version, p.valid = view.Version(), true
+	stats.SearchPruned += view.ClassCount() - len(cands)
+	stats.SearchScanned += len(scan)
+	stats.SearchMatches += p.matches.Len()
+	return true
 }
 
 // applyMulti enumerates compatible match combinations for a
@@ -742,7 +597,7 @@ func (r *Runner) applyMulti(ex *Explored, c *compiledRule, st *searchState,
 			return
 		}
 		ref := c.sources[i]
-		ms := &st.matches[ref.pat]
+		ms := &st.pats[ref.pat].matches
 	match:
 		for mi := 0; mi < ms.Len(); mi++ {
 			if aborted {

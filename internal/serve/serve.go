@@ -263,11 +263,9 @@ type RequestOptions struct {
 	// ILP solver. Zero inherits.
 	ExploreTimeoutMS int64 `json:"explore_timeout_ms,omitempty"`
 	ILPTimeoutMS     int64 `json:"ilp_timeout_ms,omitempty"`
-	// Workers bounds the parallel e-matching goroutines used inside
-	// this request's exploration phase (0 inherits the server base,
-	// which itself defaults to GOMAXPROCS; 1 forces sequential search).
-	// With unlimited time budgets the result does not depend on it,
-	// but under an ExploreTimeout more workers explore further.
+	// Workers is accepted (0 inherits the server base; negative is
+	// rejected) but no longer changes a run: exploration searches on
+	// one goroutine.
 	Workers int `json:"workers,omitempty"`
 	// ILPSolver selects the ILP extraction backend: "builtin" (parallel
 	// branch-and-bound), "builtin-seq", or an external MIP solver on the
@@ -418,10 +416,9 @@ func keyFromParts(p cachestore.KeyParts) string {
 func optionsKey(o tensat.Options) string {
 	var b strings.Builder
 	// Workers joins the key only when an exploration time budget is
-	// set: under a budget the worker count changes how much of the
-	// search space a run covers, but with unlimited exploration time
-	// results are byte-identical for any worker count, so requests
-	// differing only in workers share one cache entry and one run.
+	// set, so without one requests differing only in workers share one
+	// cache entry and one run. It no longer changes a run; the key
+	// keeps it until the option is removed.
 	workersKey := 0
 	if o.ExploreTimeout > 0 {
 		workersKey = o.Workers

@@ -360,7 +360,6 @@ func (o *Optimizer) run(ctx context.Context, g *Graph, opt Options, sink func(Pr
 		KMulti:   opt.KMulti,
 		Timeout:  opt.ExploreTimeout,
 	}
-	runner.Workers = opt.Workers
 	if sink != nil {
 		runner.Progress = func(iteration, enodes, eclasses int) {
 			sink(Progress{

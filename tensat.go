@@ -206,14 +206,11 @@ type Options struct {
 	KMulti int
 	// ExploreTimeout bounds the exploration phase.
 	ExploreTimeout time.Duration
-	// Workers bounds the goroutines used by the e-matching search
-	// phase of exploration, which runs against a frozen read-only view
-	// of the e-graph so workers need no locks. When exploration runs
-	// to its natural limits the result is byte-identical whatever the
-	// value; under a time budget (ExploreTimeout, or the implicit
-	// one-hour safety net) more workers explore further before the
-	// budget expires. 0 means runtime.GOMAXPROCS(0); 1 forces the
-	// sequential search; values above GOMAXPROCS are clamped to it.
+	// Workers is not read: exploration searches each pattern on
+	// demand, on the exploring goroutine. The serve layer still takes
+	// it as the "workers" request option.
+	//
+	// Deprecated: it has no effect.
 	Workers int
 	// Extractor selects ILP or greedy extraction.
 	Extractor Extractor
@@ -260,16 +257,17 @@ func DefaultOptions() Options {
 	}
 }
 
-// SearchStats reports what the e-matching search phase of exploration
-// did, summed over iterations and canonical patterns. Scanned vs.
-// Pruned shows the op-index win (classes visited vs. skipped because
-// they lack a pattern's root operator); Dirty vs. Clean shows the
-// incremental-search win on iterations >= 2 (candidates re-searched
-// because they changed since the previous iteration vs. answered from
-// the memoized match lists).
+// SearchStats reports what the e-matching search of exploration did,
+// summed over iterations and the canonical patterns each iteration
+// searched (a pattern that no reached rule reads is not searched).
+// Scanned vs. Pruned shows the op-index win (classes visited vs.
+// skipped because they lack a pattern's root operator); Dirty vs.
+// Clean shows the incremental-search win (candidates re-searched
+// because they changed since the pattern's previous list vs. answered
+// from that list).
 type SearchStats struct {
-	// Time is the part of ExploreTime spent searching (the quantity
-	// Options.Workers parallelizes).
+	// Time is the part of ExploreTime spent searching: freezing the
+	// view, the dirty sets and the on-demand pattern scans.
 	Time time.Duration
 	// Scanned counts e-classes the pattern programs actually visited.
 	Scanned int
