@@ -1,9 +1,8 @@
 // Package lpfile moves extraction ILP models across the process
-// boundary: it exports any ilp.Problem to the standard MPS and CPLEX
-// LP text formats, reads MPS models back, and parses the solution
-// files CBC and HiGHS write. That makes the model debuggable with any
-// off-the-shelf MIP tooling — dump the MPS, solve it by hand, diff the
-// selection — and is the transport the external solver backend uses.
+// boundary to an external MIP solver: WriteMPS exports any ilp.Problem
+// in the MPS format CBC and HiGHS read, and ParseSolution decodes the
+// solution files they write. Nothing here reads a model back: the MPS
+// reader that checks WriteMPS round-trips is test code.
 //
 // Naming is deterministic and keyed to the problem's own indices, so
 // a variable in the file is traceable to its e-node without any side
@@ -24,14 +23,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
 	"tensat/internal/ilp"
 )
 
-// VarName is the MPS/LP column name of node i in class c.
+// VarName is the MPS column name of node i in class c.
 func VarName(c, i int) string { return fmt.Sprintf("X_C%d_N%d", c, i) }
 
 // OrderVarName is the column name of class c's topological-order
@@ -217,92 +215,6 @@ func WriteMPS(w io.Writer, p *ilp.Problem) error {
 	return bw.Flush()
 }
 
-// WriteLP writes the model in CPLEX LP format — the human-readable
-// twin of WriteMPS, for eyeballing a model rather than solving it.
-//
-//lint:ctxflow-exempt single bounded pass over an in-memory model; I/O speed is the caller's writer
-func WriteLP(w io.Writer, p *ilp.Problem) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "\\ TENSAT extraction ILP (one binary per e-node; pick one node per required e-class)")
-	fmt.Fprintln(bw, "Minimize")
-	fmt.Fprint(bw, " obj:")
-	first := true
-	for c, members := range p.Classes {
-		for _, i := range members {
-			cost := p.Costs[i]
-			if math.IsInf(cost, 1) {
-				cost = 0
-			}
-			if first {
-				fmt.Fprintf(bw, " %.9g %s", cost, VarName(c, i))
-				first = false
-			} else {
-				fmt.Fprintf(bw, " + %.9g %s", cost, VarName(c, i))
-			}
-		}
-	}
-	fmt.Fprintln(bw)
-	fmt.Fprintln(bw, "Subject To")
-	fmt.Fprint(bw, " ROOT:")
-	for k, i := range p.Classes[p.Root] {
-		if k > 0 {
-			fmt.Fprint(bw, " +")
-		}
-		fmt.Fprintf(bw, " %s", VarName(p.Root, i))
-	}
-	fmt.Fprintln(bw, " = 1")
-	for i := range p.Costs {
-		for _, m := range dedupChildren(p, i) {
-			fmt.Fprintf(bw, " %s:", childRow(i, m))
-			for _, j := range p.Classes[m] {
-				fmt.Fprintf(bw, " + %s", VarName(m, j))
-			}
-			fmt.Fprintf(bw, " - %s >= 0\n", VarName(p.ClassOf[i], i))
-		}
-	}
-	if p.CycleConstraints {
-		A := bigM(p)
-		for i := range p.Costs {
-			gi := p.ClassOf[i]
-			for _, m := range dedupChildren(p, i) {
-				fmt.Fprintf(bw, " %s: %s - %s - %.9g %s >= %.9g\n",
-					cycleRow(i, m), OrderVarName(gi), OrderVarName(m), A, VarName(gi, i), 1-A)
-			}
-		}
-	}
-	fmt.Fprintln(bw, "Bounds")
-	for c, members := range p.Classes {
-		for _, i := range members {
-			if !p.Allowed(i) {
-				fmt.Fprintf(bw, " %s = 0\n", VarName(c, i))
-			}
-		}
-	}
-	if p.CycleConstraints {
-		A := bigM(p)
-		for c := range p.Classes {
-			fmt.Fprintf(bw, " 0 <= %s <= %.9g\n", OrderVarName(c), A-1)
-		}
-	}
-	fmt.Fprintln(bw, "Binary")
-	for c, members := range p.Classes {
-		for _, i := range members {
-			fmt.Fprintf(bw, " %s\n", VarName(c, i))
-		}
-	}
-	if p.CycleConstraints && p.TopoMode == ilp.TopoInt {
-		fmt.Fprintln(bw, "Generals")
-		for c := range p.Classes {
-			fmt.Fprintf(bw, " %s\n", OrderVarName(c))
-		}
-	}
-	fmt.Fprintln(bw, "End")
-	return bw.Flush()
-}
-
 // parseVar decodes an X_C<c>_N<i> column name; ok is false for any
 // other name (order variables, markers, foreign columns).
 func parseVar(name string) (class, node int, ok bool) {
@@ -320,173 +232,6 @@ func parseVar(name string) (class, node int, ok bool) {
 		return 0, 0, false
 	}
 	return c, i, true
-}
-
-// parseChildRow decodes a CH_N<i>_C<m> (or CY_N<i>_C<m>) row name.
-func parseChildRow(name, prefix string) (node, class int, ok bool) {
-	if !strings.HasPrefix(name, prefix+"_N") {
-		return 0, 0, false
-	}
-	rest := name[len(prefix)+len("_N"):]
-	sep := strings.Index(rest, "_C")
-	if sep < 0 {
-		return 0, 0, false
-	}
-	i, err1 := strconv.Atoi(rest[:sep])
-	m, err2 := strconv.Atoi(rest[sep+len("_C"):])
-	if err1 != nil || err2 != nil || i < 0 || m < 0 {
-		return 0, 0, false
-	}
-	return i, m, true
-}
-
-// ReadMPS reconstructs a Problem from an MPS file using this package's
-// naming scheme (it is the inverse of WriteMPS, not a general MPS
-// reader). Duplicate child entries collapse to one, as documented.
-//
-//lint:ctxflow-exempt single bounded pass over an already-read text model
-func ReadMPS(r io.Reader) (*ilp.Problem, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	section := ""
-	maxNode, maxClass := -1, -1
-	classOf := map[int]int{}
-	costs := map[int]float64{}
-	children := map[int][]int{}
-	forbidden := map[int]bool{}
-	rootClass := -1
-	cycle := false
-	topoInt := false
-	inInt := false
-	sawOrderVar := false
-
-	for sc.Scan() {
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "*") {
-			continue
-		}
-		if !strings.HasPrefix(line, " ") && !strings.HasPrefix(line, "\t") {
-			f := strings.Fields(trimmed)
-			section = f[0]
-			continue
-		}
-		f := strings.Fields(trimmed)
-		switch section {
-		case "ROWS":
-			if len(f) != 2 {
-				return nil, fmt.Errorf("lpfile: malformed ROWS line %q", trimmed)
-			}
-			if i, m, ok := parseChildRow(f[1], "CH"); ok {
-				children[i] = appendUnique(children[i], m)
-				if i > maxNode {
-					maxNode = i
-				}
-				if m > maxClass {
-					maxClass = m
-				}
-			}
-			if _, _, ok := parseChildRow(f[1], "CY"); ok {
-				cycle = true
-			}
-		case "COLUMNS":
-			if len(f) >= 3 && f[1] == "'MARKER'" {
-				switch f[2] {
-				case "'INTORG'":
-					inInt = true
-				case "'INTEND'":
-					inInt = false
-				}
-				continue
-			}
-			if len(f) < 3 {
-				return nil, fmt.Errorf("lpfile: malformed COLUMNS line %q", trimmed)
-			}
-			if c, i, ok := parseVar(f[0]); ok {
-				classOf[i] = c
-				if i > maxNode {
-					maxNode = i
-				}
-				if c > maxClass {
-					maxClass = c
-				}
-				for k := 1; k+1 < len(f); k += 2 {
-					v, err := strconv.ParseFloat(f[k+1], 64)
-					if err != nil {
-						return nil, fmt.Errorf("lpfile: bad coefficient in %q: %v", trimmed, err)
-					}
-					switch {
-					case f[k] == "OBJ":
-						costs[i] = v
-					case f[k] == "ROOT":
-						rootClass = c
-					}
-				}
-			} else if strings.HasPrefix(f[0], "T_C") {
-				sawOrderVar = true
-				if inInt {
-					topoInt = true
-				}
-			}
-		case "BOUNDS":
-			// " FX BND X_C0_N1 0" fixes a variable; BV marks binaries.
-			if len(f) >= 3 && f[0] == "FX" {
-				if _, i, ok := parseVar(f[2]); ok {
-					forbidden[i] = true
-				}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if maxNode < 0 || rootClass < 0 {
-		return nil, fmt.Errorf("lpfile: no node variables or no ROOT membership found")
-	}
-	_ = sawOrderVar
-
-	p := &ilp.Problem{Root: rootClass, CycleConstraints: cycle}
-	if topoInt {
-		p.TopoMode = ilp.TopoInt
-	}
-	n := maxNode + 1
-	m := maxClass + 1
-	p.Costs = make([]float64, n)
-	p.ClassOf = make([]int, n)
-	p.Children = make([][]int, n)
-	p.Classes = make([][]int, m)
-	anyForbidden := false
-	fb := make([]bool, n)
-	for i := 0; i < n; i++ {
-		c, ok := classOf[i]
-		if !ok {
-			return nil, fmt.Errorf("lpfile: node %d has no column", i)
-		}
-		p.ClassOf[i] = c
-		p.Costs[i] = costs[i]
-		p.Children[i] = children[i]
-		p.Classes[c] = append(p.Classes[c], i)
-		if forbidden[i] {
-			fb[i] = true
-			anyForbidden = true
-		}
-	}
-	if anyForbidden {
-		p.Forbidden = fb
-	}
-	for c := range p.Classes {
-		sort.Ints(p.Classes[c])
-	}
-	return p, p.Validate()
-}
-
-func appendUnique(s []int, v int) []int {
-	for _, o := range s {
-		if o == v {
-			return s
-		}
-	}
-	return append(s, v)
 }
 
 // Selection is a solution file mapped back onto the model.
@@ -530,8 +275,10 @@ func ParseSolution(r io.Reader) (*Selection, error) {
 			sel.Status = "stopped"
 		}
 		// CBC: "Optimal - objective value 121.0000000"; HiGHS: "Objective 121".
+		// The value is cut from lower, not line: ToLower rewrites
+		// invalid UTF-8, so the two can differ in length.
 		if k := strings.Index(lower, "objective value"); k >= 0 {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(line[k+len("objective value"):]), 64); err == nil {
+			if v, err := strconv.ParseFloat(strings.TrimSpace(lower[k+len("objective value"):]), 64); err == nil {
 				sel.Objective, sel.HasObjective = v, true
 			}
 		} else if strings.HasPrefix(lower, "objective") {

@@ -1,8 +1,13 @@
 package lpfile
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -39,9 +44,9 @@ func roundTrip(t *testing.T, p *ilp.Problem) {
 	if err := WriteMPS(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	q, err := ReadMPS(bytes.NewReader(buf.Bytes()))
+	q, err := readMPS(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadMPS: %v\n%s", err, buf.String())
+		t.Fatalf("readMPS: %v\n%s", err, buf.String())
 	}
 	want, err1 := ilp.Solve(p)
 	got, err2 := ilp.Solve(q)
@@ -79,7 +84,7 @@ func TestMPSRoundTripRandom(t *testing.T) {
 		if err := WriteMPS(&buf, p); err != nil {
 			return false
 		}
-		q, err := ReadMPS(bytes.NewReader(buf.Bytes()))
+		q, err := readMPS(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
@@ -108,29 +113,37 @@ func TestMPSDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteLPContainsModel(t *testing.T) {
-	var buf bytes.Buffer
-	p := cyclic()
-	if err := WriteLP(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Minimize", "ROOT:", "X_C1_N2", "T_C1", "Binary", "CY_N2_C2", "End"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("LP output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestParseSolutionCBC(t *testing.T) {
-	in := `Optimal - objective value 121.00000000
+// Solution files as CBC and HiGHS write them for diamond(), and CBC's
+// verdict on an infeasible model. They are FuzzParseSolution's seeds.
+const (
+	cbcSolution = `Optimal - objective value 121.00000000
       0 X_C0_N0                1                       1
       1 X_C1_N1                1                      10
       3 X_C2_N3                1                      10
       5 X_C3_N5                0.99999999             100
       2 X_C1_N2                0                      70
 `
-	sel, err := ParseSolution(strings.NewReader(in))
+	highsSolution = `Model status
+Optimal
+
+# Primal solution values
+Feasible
+Objective 121
+# Columns 6
+X_C0_N0 1
+X_C1_N1 1
+X_C1_N2 0
+X_C2_N3 1
+X_C2_N4 0
+X_C3_N5 1
+# Rows 5
+ROOT 1
+`
+	infeasibleSolution = "Infeasible - objective value 0\n"
+)
+
+func TestParseSolutionCBC(t *testing.T) {
+	sel, err := ParseSolution(strings.NewReader(cbcSolution))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,23 +166,7 @@ func TestParseSolutionCBC(t *testing.T) {
 }
 
 func TestParseSolutionHiGHS(t *testing.T) {
-	in := `Model status
-Optimal
-
-# Primal solution values
-Feasible
-Objective 121
-# Columns 6
-X_C0_N0 1
-X_C1_N1 1
-X_C1_N2 0
-X_C2_N3 1
-X_C2_N4 0
-X_C3_N5 1
-# Rows 5
-ROOT 1
-`
-	sel, err := ParseSolution(strings.NewReader(in))
+	sel, err := ParseSolution(strings.NewReader(highsSolution))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +180,39 @@ ROOT 1
 }
 
 func TestParseSolutionInfeasible(t *testing.T) {
-	sel, err := ParseSolution(strings.NewReader("Infeasible - objective value 0\n"))
+	sel, err := ParseSolution(strings.NewReader(infeasibleSolution))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.Status != "infeasible" {
 		t.Fatalf("status %q", sel.Status)
 	}
+}
+
+// FuzzParseSolution feeds arbitrary bytes to the decoder of the solver
+// subprocess's output. It must not panic, every decoded class and node
+// must be an index (>= 0), and Status must be one of the four
+// documented verdicts.
+func FuzzParseSolution(f *testing.F) {
+	for _, seed := range []string{cbcSolution, highsSolution, infeasibleSolution} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sel, err := ParseSolution(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for c, i := range sel.NodeOf {
+			if c < 0 || i < 0 {
+				t.Fatalf("decoded class %d node %d", c, i)
+			}
+		}
+		switch sel.Status {
+		case "optimal", "infeasible", "stopped", "unknown":
+		default:
+			t.Fatalf("status %q", sel.Status)
+		}
+	})
 }
 
 // randomDAG mirrors the solver test generator.
@@ -224,4 +247,167 @@ func randomDAG(seed []uint8) *ilp.Problem {
 		p.Classes = append(p.Classes, members)
 	}
 	return p
+}
+
+// parseChildRow decodes a CH_N<i>_C<m> (or CY_N<i>_C<m>) row name.
+func parseChildRow(name, prefix string) (node, class int, ok bool) {
+	if !strings.HasPrefix(name, prefix+"_N") {
+		return 0, 0, false
+	}
+	rest := name[len(prefix)+len("_N"):]
+	sep := strings.Index(rest, "_C")
+	if sep < 0 {
+		return 0, 0, false
+	}
+	i, err1 := strconv.Atoi(rest[:sep])
+	m, err2 := strconv.Atoi(rest[sep+len("_C"):])
+	if err1 != nil || err2 != nil || i < 0 || m < 0 {
+		return 0, 0, false
+	}
+	return i, m, true
+}
+
+// readMPS reconstructs a Problem from an MPS file using this package's
+// naming scheme: it is the round-trip oracle for WriteMPS, not a
+// general MPS reader. Duplicate child entries collapse to one, as
+// documented.
+func readMPS(r io.Reader) (*ilp.Problem, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	section := ""
+	maxNode, maxClass := -1, -1
+	classOf := map[int]int{}
+	costs := map[int]float64{}
+	children := map[int][]int{}
+	forbidden := map[int]bool{}
+	rootClass := -1
+	cycle := false
+	topoInt := false
+	inInt := false
+
+	for sc.Scan() {
+		line := sc.Text()
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" || strings.HasPrefix(trimmed, "*") {
+			continue
+		}
+		if !strings.HasPrefix(line, " ") && !strings.HasPrefix(line, "\t") {
+			f := strings.Fields(trimmed)
+			section = f[0]
+			continue
+		}
+		f := strings.Fields(trimmed)
+		switch section {
+		case "ROWS":
+			if len(f) != 2 {
+				return nil, fmt.Errorf("lpfile: malformed ROWS line %q", trimmed)
+			}
+			if i, m, ok := parseChildRow(f[1], "CH"); ok {
+				children[i] = appendUnique(children[i], m)
+				if i > maxNode {
+					maxNode = i
+				}
+				if m > maxClass {
+					maxClass = m
+				}
+			}
+			if _, _, ok := parseChildRow(f[1], "CY"); ok {
+				cycle = true
+			}
+		case "COLUMNS":
+			if len(f) >= 3 && f[1] == "'MARKER'" {
+				switch f[2] {
+				case "'INTORG'":
+					inInt = true
+				case "'INTEND'":
+					inInt = false
+				}
+				continue
+			}
+			if len(f) < 3 {
+				return nil, fmt.Errorf("lpfile: malformed COLUMNS line %q", trimmed)
+			}
+			if c, i, ok := parseVar(f[0]); ok {
+				classOf[i] = c
+				if i > maxNode {
+					maxNode = i
+				}
+				if c > maxClass {
+					maxClass = c
+				}
+				for k := 1; k+1 < len(f); k += 2 {
+					v, err := strconv.ParseFloat(f[k+1], 64)
+					if err != nil {
+						return nil, fmt.Errorf("lpfile: bad coefficient in %q: %v", trimmed, err)
+					}
+					switch {
+					case f[k] == "OBJ":
+						costs[i] = v
+					case f[k] == "ROOT":
+						rootClass = c
+					}
+				}
+			} else if strings.HasPrefix(f[0], "T_C") {
+				if inInt {
+					topoInt = true
+				}
+			}
+		case "BOUNDS":
+			// " FX BND X_C0_N1 0" fixes a variable; BV marks binaries.
+			if len(f) >= 3 && f[0] == "FX" {
+				if _, i, ok := parseVar(f[2]); ok {
+					forbidden[i] = true
+				}
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if maxNode < 0 || rootClass < 0 {
+		return nil, fmt.Errorf("lpfile: no node variables or no ROOT membership found")
+	}
+
+	p := &ilp.Problem{Root: rootClass, CycleConstraints: cycle}
+	if topoInt {
+		p.TopoMode = ilp.TopoInt
+	}
+	n := maxNode + 1
+	m := maxClass + 1
+	p.Costs = make([]float64, n)
+	p.ClassOf = make([]int, n)
+	p.Children = make([][]int, n)
+	p.Classes = make([][]int, m)
+	anyForbidden := false
+	fb := make([]bool, n)
+	for i := 0; i < n; i++ {
+		c, ok := classOf[i]
+		if !ok {
+			return nil, fmt.Errorf("lpfile: node %d has no column", i)
+		}
+		p.ClassOf[i] = c
+		p.Costs[i] = costs[i]
+		p.Children[i] = children[i]
+		p.Classes[c] = append(p.Classes[c], i)
+		if forbidden[i] {
+			fb[i] = true
+			anyForbidden = true
+		}
+	}
+	if anyForbidden {
+		p.Forbidden = fb
+	}
+	for c := range p.Classes {
+		sort.Ints(p.Classes[c])
+	}
+	return p, p.Validate()
+}
+
+func appendUnique(s []int, v int) []int {
+	for _, o := range s {
+		if o == v {
+			return s
+		}
+	}
+	return append(s, v)
 }

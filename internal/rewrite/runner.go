@@ -177,14 +177,6 @@ func (r *Runner) RunContext(ctx context.Context, t *tensor.Graph) (*Explored, er
 	return ex, nil
 }
 
-// RunOnEGraph explores an existing e-graph (used by tests and by the
-// incremental experiment harness).
-func (r *Runner) RunOnEGraph(g *egraph.EGraph, root egraph.ClassID) *Explored {
-	ex := &Explored{G: g, Root: root, IngestStamp: g.Stamp()}
-	r.explore(ex, nil)
-	return ex
-}
-
 func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 	start := time.Now()
 	r.Trace.Begin("explore")

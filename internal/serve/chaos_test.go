@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,13 +252,26 @@ func graphsOwnedBy(t testing.TB, s *Service, node string, seed *int, n int) []*t
 // compute while B's breaker trips, and when B comes back the peer tier
 // resumes. No request ever fails because a peer did.
 func TestPeerOutageDegradesToLocalCompute(t *testing.T) {
+	// baseURL is read by A's background push workers while the test
+	// restarts B under a new URL, so it is guarded.
+	var urlMu sync.Mutex
 	baseURL := map[string]string{}
+	setURL := func(node, url string) {
+		urlMu.Lock()
+		baseURL[node] = url
+		urlMu.Unlock()
+	}
+	urlOf := func(node string) string {
+		urlMu.Lock()
+		defer urlMu.Unlock()
+		return baseURL[node]
+	}
 	mkClient := func(self string) *cluster.Client {
 		cl, err := cluster.New(cluster.Config{
 			Self:             self,
 			Peers:            []string{"a", "b"},
 			Timeout:          2 * time.Second,
-			BaseURL:          func(node string) string { return baseURL[node] },
+			BaseURL:          urlOf,
 			Secret:           testClusterSecret,
 			BreakerThreshold: 2,
 			BreakerCooldown:  100 * time.Millisecond,
@@ -275,7 +289,7 @@ func TestPeerOutageDegradesToLocalCompute(t *testing.T) {
 			return res, nil
 		}
 		ts := httptest.NewServer(NewHandler(s))
-		baseURL[self] = ts.URL
+		setURL(self, ts.URL)
 		return s, ts
 	}
 	sA, tsA := newNode("a")
@@ -329,7 +343,7 @@ func TestPeerOutageDegradesToLocalCompute(t *testing.T) {
 	// probe closes the breaker and the peer tier serves again.
 	tsB2 := httptest.NewServer(NewHandler(sB))
 	defer tsB2.Close()
-	baseURL["b"] = tsB2.URL
+	setURL("b", tsB2.URL)
 	time.Sleep(120 * time.Millisecond)
 	probe := graphsOwnedBy(t, sA, "b", &seed, 1)[0]
 	if _, err := sB.Optimize(context.Background(), probe, RequestOptions{}); err != nil {

@@ -98,10 +98,19 @@ func TestProgressLogRingKeepsDeliveringPastCap(t *testing.T) {
 // result, and counters.
 func TestJobLifecycleWithProgress(t *testing.T) {
 	s := New(Config{Workers: 1})
+	// start holds the run's first snapshot back until the test has read
+	// the queued one; without it a fast run can publish iteration 1
+	// before the first Status call.
+	start := make(chan struct{})
 	step := make(chan struct{})
 	release := make(chan struct{})
 	res := stubResult(t)
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
+		select {
+		case <-start:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		o.Progress(tensat.Progress{Phase: tensat.PhaseExplore, Iteration: 1, ENodes: 10})
 		select {
 		case <-step:
@@ -124,6 +133,7 @@ func TestJobLifecycleWithProgress(t *testing.T) {
 	if st, p := job.Status(); st != JobRunning || p.Phase != tensat.PhaseQueued {
 		t.Fatalf("initial status = %s/%s, want running/queued", st, p.Phase)
 	}
+	close(start)
 
 	// The run's first snapshot must surface through the job's log.
 	waitFor(t, func() bool { _, p := job.Status(); return p.Iteration == 1 })

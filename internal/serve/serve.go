@@ -785,8 +785,8 @@ func (s *Service) run(key string, parts cachestore.KeyParts, c *flightCall, g *t
 	// Canceled mark (exploration aborted mid-way), it must never be
 	// cached as the answer for this key. A run truncated with no
 	// explicit budget hit the runner's implicit safety-net timeout;
-	// how far it got depends on the worker count, which this key
-	// deliberately omits for budget-free requests — don't cache it.
+	// how far it got depends on the host's speed, which no key can
+	// name — don't cache it.
 	// A degraded (load-shed) run is never cached or pushed at all: its
 	// greedy-only answer must not masquerade as the key's optimal.
 	if err == nil && !degraded && !res.Canceled && !(res.Truncated && opts.ExploreTimeout == 0) {

@@ -35,11 +35,6 @@ const (
 	PhaseFailed   Phase = "failed"
 )
 
-// Terminal reports whether the phase is a final state.
-func (p Phase) Terminal() bool {
-	return p == PhaseDone || p == PhaseCanceled || p == PhaseFailed
-}
-
 // Progress is a point-in-time snapshot of a running optimization job.
 // During PhaseExplore the e-graph sizes grow with each iteration;
 // during PhaseExtract, BestCost tracks the ILP incumbent (the anytime
@@ -96,10 +91,6 @@ func NewOptimizer(opts ...OptimizerOption) *Optimizer {
 	return o
 }
 
-// Registry returns the profile registry this optimizer resolves
-// Options.RuleSet and Options.CostModelName against.
-func (o *Optimizer) Registry() *Registry { return o.reg() }
-
 // reg resolves the registry lazily, so an optimizer that never names a
 // profile (and brings its own rules) never compiles the built-ins.
 func (o *Optimizer) reg() *Registry {
@@ -143,32 +134,14 @@ func (o *Optimizer) resolve(opt Options) Options {
 	return opt
 }
 
-// Job is one asynchronous optimization submitted to an Optimizer. All
-// methods are safe for concurrent use from any goroutine.
+// Job is one asynchronous optimization submitted to an Optimizer. Its
+// progress reaches the caller through Options.Progress; its methods
+// are safe for concurrent use from any goroutine.
 type Job struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-	start  time.Time
-
-	mu   sync.Mutex
-	prog Progress
-
+	done chan struct{}
 	// res and err are written exactly once before done is closed.
 	res *Result
 	err error
-}
-
-// Progress returns the latest snapshot. Until the job reaches a
-// terminal phase, Elapsed is recomputed at call time so pollers see
-// time advance even between pipeline events.
-func (j *Job) Progress() Progress {
-	j.mu.Lock()
-	p := j.prog
-	j.mu.Unlock()
-	if !p.Phase.Terminal() {
-		p.Elapsed = time.Since(j.start)
-	}
-	return p
 }
 
 // Done returns a channel closed when the job reaches a terminal phase.
@@ -181,41 +154,11 @@ func (j *Job) Result() (*Result, error) {
 	return j.res, j.err
 }
 
-// Err returns the job's error without blocking: nil while running or
-// after success, the failure otherwise.
-func (j *Job) Err() error {
-	select {
-	case <-j.done:
-		return j.err
-	default:
-		return nil
-	}
-}
-
-// Cancel aborts the job. Exploration stops at its next check point
-// and the pipeline unwinds with context.Canceled; canceling a finished
-// job is a no-op.
-func (j *Job) Cancel() { j.cancel() }
-
-// record updates the snapshot and forwards it to the user sink (called
-// serially from the job's goroutine; sink runs outside the lock so it
-// may call back into Progress).
-func (j *Job) record(p Progress, sink func(Progress)) {
-	p.Elapsed = time.Since(j.start)
-	j.mu.Lock()
-	j.prog = p
-	j.mu.Unlock()
-	if sink != nil {
-		sink(p)
-	}
-}
-
-// finish publishes the outcome, records the terminal snapshot, and
-// releases the waiters.
-func (j *Job) finish(res *Result, err error, sink func(Progress)) {
-	j.mu.Lock()
-	p := j.prog
-	j.mu.Unlock()
+// terminal is the job's last snapshot: the phase its outcome names,
+// carrying the last iteration and e-graph sizes the run reported (the
+// result's own on success).
+func terminal(last Progress, res *Result, err error) Progress {
+	p := last
 	switch {
 	case err == nil:
 		p.Phase = PhaseDone
@@ -227,23 +170,15 @@ func (j *Job) finish(res *Result, err error, sink func(Progress)) {
 	default:
 		p.Phase = PhaseFailed
 	}
-	p.Elapsed = time.Since(j.start)
-	j.mu.Lock()
-	j.prog = p
-	j.mu.Unlock()
-	if sink != nil {
-		sink(p)
-	}
-	j.res, j.err = res, err
-	close(j.done)
-	j.cancel() // release the job context's resources
+	return p
 }
 
 // Submit starts an asynchronous optimization of g and returns its Job
-// handle immediately. The job runs until completion, cancellation of
-// ctx, or Job.Cancel. opts follows the same zero-means-default rules
-// as Optimize; opts.Rules and opts.CostModel override the optimizer's
-// compiled set for this job only.
+// handle immediately. The job runs until completion or cancellation of
+// ctx. opts follows the same zero-means-default rules as Optimize;
+// opts.Rules and opts.CostModel override the optimizer's compiled set
+// for this job only. opts.Progress, when set, receives every snapshot
+// of the run, ending with a terminal one.
 func (o *Optimizer) Submit(ctx context.Context, g *Graph, opts Options) (*Job, error) {
 	if g == nil {
 		return nil, fmt.Errorf("tensat: nil graph")
@@ -270,16 +205,24 @@ func (o *Optimizer) Submit(ctx context.Context, g *Graph, opts Options) (*Job, e
 		return nil, fmt.Errorf("tensat: unknown ILP solver %q (known: %s)",
 			opts.ILPSolver, strings.Join(backend.Names(), ", "))
 	}
-	jctx, cancel := context.WithCancel(ctx)
-	j := &Job{
-		cancel: cancel,
-		done:   make(chan struct{}),
-		start:  time.Now(),
-		prog:   Progress{Phase: PhaseQueued},
-	}
+	j := &Job{done: make(chan struct{})}
+	start := time.Now()
 	go func() {
-		res, err := o.runRecover(jctx, g, opts, func(p Progress) { j.record(p, opts.Progress) })
-		j.finish(res, err, opts.Progress)
+		// The pipeline calls push serially (ILP incumbents arrive from
+		// solver workers, one at a time under the solver's incumbent
+		// lock, which orders them), so last needs no lock of its own.
+		last := Progress{Phase: PhaseQueued}
+		push := func(p Progress) {
+			p.Elapsed = time.Since(start)
+			last = p
+			if opts.Progress != nil {
+				opts.Progress(p)
+			}
+		}
+		res, err := o.runRecover(ctx, g, opts, push)
+		push(terminal(last, res, err))
+		j.res, j.err = res, err
+		close(j.done)
 	}()
 	return j, nil
 }

@@ -20,9 +20,6 @@ import (
 // internal/cost.Spec for the field reference.
 type DeviceSpec = cost.Spec
 
-// ParseDeviceSpec decodes and validates a JSON device spec.
-func ParseDeviceSpec(data []byte) (*DeviceSpec, error) { return cost.ParseSpec(data) }
-
 // Names of the built-in profiles every Registry starts with.
 const (
 	// DefaultRuleSetName is the full TASO-style set (single- and
@@ -67,13 +64,13 @@ type RuleSetInfo struct {
 	// Rules counts the rules; MultiRules counts the multi-pattern
 	// subset of them.
 	Rules, MultiRules int
-	// Source records provenance: "builtin", a file path, or "code".
+	// Source records provenance: "builtin" or a file path.
 	Source string
 	// VetWarnings holds warning-severity findings from the static rule
 	// verifier (internal/rulecheck) recorded when the set was loaded
 	// from a file: rules that can never fire, dead targets, or target
 	// operators the default cost model prices at +Inf (so extraction
-	// could never choose them). Empty for builtin/programmatic sets and
+	// could never choose them). Empty for builtin sets and
 	// under RuleVetOff; under RuleVetStrict warnings fail the load
 	// instead of landing here.
 	VetWarnings []string
@@ -86,9 +83,9 @@ type CostModelInfo struct {
 	// Hash is the content hash of the device parameters (name
 	// excluded), stable across restarts while the parameters hold.
 	Hash string
-	// Params counts tunable parameters (0 for opaque Go models).
+	// Params counts tunable parameters.
 	Params int
-	// Source records provenance: "builtin", a file path, or "code".
+	// Source records provenance: "builtin" or a file path.
 	Source string
 }
 
@@ -137,10 +134,10 @@ func NewRegistry() *Registry {
 	single := rules.Single()
 	multi := rules.Multi()
 	def := append(append(make([]*Rule, 0, len(single)+len(multi)), single...), multi...)
-	r.putRuleSet(DefaultRuleSetName, def, "builtin")
-	r.putRuleSet(SingleRuleSetName, single, "builtin")
+	r.putRuleSet(DefaultRuleSetName, def, "builtin", nil)
+	r.putRuleSet(SingleRuleSetName, single, "builtin", nil)
 	for _, spec := range []*DeviceSpec{cost.T4Spec(), cost.A100Spec(), cost.CPUSpec()} {
-		r.putCostModel(spec.Name, spec.Model(), spec.Hash(), spec.Params(), "builtin")
+		r.putCostModel(spec, "builtin")
 	}
 	return r
 }
@@ -155,11 +152,7 @@ var defaultRegistry = sync.OnceValue(NewRegistry)
 // serve.Config.Registry).
 func DefaultRegistry() *Registry { return defaultRegistry() }
 
-func (r *Registry) putRuleSet(name string, rs []*Rule, source string) {
-	r.putRuleSetVetted(name, rs, source, nil)
-}
-
-func (r *Registry) putRuleSetVetted(name string, rs []*Rule, source string, vetWarnings []string) {
+func (r *Registry) putRuleSet(name string, rs []*Rule, source string, vetWarnings []string) {
 	multi := 0
 	for _, rule := range rs {
 		if rule.IsMulti() {
@@ -224,11 +217,11 @@ func (r *Registry) vetRuleFile(path string, rs []*Rule) ([]string, error) {
 	return warns, nil
 }
 
-func (r *Registry) putCostModel(name string, m CostModel, hash string, params int, source string) {
+func (r *Registry) putCostModel(spec *DeviceSpec, source string) {
 	r.mu.Lock()
-	r.costModels[name] = &costModelEntry{
-		model: m,
-		info:  CostModelInfo{Name: name, Hash: hash, Params: params, Source: source},
+	r.costModels[spec.Name] = &costModelEntry{
+		model: spec.Model(),
+		info:  CostModelInfo{Name: spec.Name, Hash: spec.Hash(), Params: spec.Params(), Source: source},
 	}
 	r.mu.Unlock()
 }
@@ -244,54 +237,6 @@ func checkProfileName(name string) error {
 	if name == "custom" {
 		return fmt.Errorf("tensat: profile name %q is reserved", name)
 	}
-	return nil
-}
-
-// RegisterRuleSet registers (or replaces) a named rule set built in Go
-// code. The content hash is computed from the rules themselves.
-func (r *Registry) RegisterRuleSet(name string, rs []*Rule) error {
-	if err := checkProfileName(name); err != nil {
-		return err
-	}
-	if len(rs) == 0 {
-		return fmt.Errorf("tensat: rule set %q is empty", name)
-	}
-	r.putRuleSet(name, rs, "code")
-	return nil
-}
-
-// RegisterDevice registers (or replaces) a cost model from a validated
-// device spec, under the spec's own name.
-func (r *Registry) RegisterDevice(spec *DeviceSpec) error {
-	if spec == nil {
-		return fmt.Errorf("tensat: nil device spec")
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	if err := checkProfileName(spec.Name); err != nil {
-		return err
-	}
-	r.putCostModel(spec.Name, spec.Model(), spec.Hash(), spec.Params(), "code")
-	return nil
-}
-
-// RegisterCostModel registers (or replaces) an opaque Go cost model.
-// contentHash must be a stable identifier of the model's pricing
-// behavior (bump it when the model changes): it feeds the serving
-// cache key, so a stale hash would let results computed under the old
-// behavior answer requests for the new one.
-func (r *Registry) RegisterCostModel(name string, m CostModel, contentHash string) error {
-	if err := checkProfileName(name); err != nil {
-		return err
-	}
-	if m == nil {
-		return fmt.Errorf("tensat: cost model %q is nil", name)
-	}
-	if contentHash == "" {
-		return fmt.Errorf("tensat: cost model %q needs a content hash", name)
-	}
-	r.putCostModel(name, m, contentHash, 0, "code")
 	return nil
 }
 
@@ -327,7 +272,7 @@ func (r *Registry) LoadRuleFile(path string) (RuleSetInfo, error) {
 	if err != nil {
 		return RuleSetInfo{}, err
 	}
-	r.putRuleSetVetted(name, rs, path, warns)
+	r.putRuleSet(name, rs, path, warns)
 	info, _ := r.RuleSetInfo(name)
 	return info, nil
 }
@@ -360,7 +305,7 @@ func (r *Registry) LoadRulesDir(dir string) ([]RuleSetInfo, error) {
 	}
 	infos := make([]RuleSetInfo, 0, len(stage))
 	for _, s := range stage {
-		r.putRuleSetVetted(s.name, s.rs, s.path, s.warns)
+		r.putRuleSet(s.name, s.rs, s.path, s.warns)
 		info, _ := r.RuleSetInfo(s.name)
 		infos = append(infos, info)
 	}
@@ -392,7 +337,7 @@ func (r *Registry) LoadDeviceFile(path string) (CostModelInfo, error) {
 	if err != nil {
 		return CostModelInfo{}, err
 	}
-	r.putCostModel(spec.Name, spec.Model(), spec.Hash(), spec.Params(), path)
+	r.putCostModel(spec, path)
 	info, _ := r.CostModelInfo(spec.Name)
 	return info, nil
 }
@@ -419,7 +364,7 @@ func (r *Registry) LoadDevicesDir(dir string) ([]CostModelInfo, error) {
 	}
 	infos := make([]CostModelInfo, 0, len(stage))
 	for _, s := range stage {
-		r.putCostModel(s.spec.Name, s.spec.Model(), s.spec.Hash(), s.spec.Params(), s.path)
+		r.putCostModel(s.spec, s.path)
 		info, _ := r.CostModelInfo(s.spec.Name)
 		infos = append(infos, info)
 	}

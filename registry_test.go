@@ -2,6 +2,7 @@ package tensat
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,29 +129,35 @@ func TestRegistryLoadErrors(t *testing.T) {
 // TestRegistryRejectsBadProfileNames: names with characters outside
 // the identifier alphabet would corrupt the "<ruleset>/<costmodel>"
 // stats labels, and "custom" is the reserved programmatic-override
-// label.
+// label. Rule set names come from file names, cost model names from
+// the spec's "name" field; both loaders must refuse them.
 func TestRegistryRejectsBadProfileNames(t *testing.T) {
 	r := NewRegistry()
-	rs, _ := r.RuleSet(SingleRuleSetName)
-	for _, name := range []string{"a/b", "has space", "custom", ""} {
-		if err := r.RegisterRuleSet(name, rs); err == nil {
-			t.Errorf("RegisterRuleSet(%q) succeeded", name)
-		}
-		if err := r.RegisterCostModel(name, DefaultCostModel(), "h1"); err == nil {
-			t.Errorf("RegisterCostModel(%q) succeeded", name)
-		}
-	}
-	spec := &DeviceSpec{Name: "a/b", PeakGFLOPS: 1, MemBWGBps: 1}
-	if err := r.RegisterDevice(spec); err == nil {
-		t.Error("RegisterDevice with slash in name succeeded")
-	}
 	dir := t.TempDir()
-	devFile := filepath.Join(dir, "c.json")
-	if err := os.WriteFile(devFile, []byte(`{"name":"custom","peak_gflops":1,"mem_bw_gbps":1}`), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"a:b", "has space", "custom", ""} {
+		ruleFile := filepath.Join(dir, name+".rules")
+		if err := os.WriteFile(ruleFile, []byte("ok: (relu ?x) => (relu ?x)\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.LoadRuleFile(ruleFile); err == nil {
+			t.Errorf("LoadRuleFile(%q) succeeded", ruleFile)
+		}
+		if _, ok := r.RuleSet(name); ok {
+			t.Errorf("rule set %q registered", name)
+		}
 	}
-	if _, err := r.LoadDeviceFile(devFile); err == nil {
-		t.Error("loading a device named \"custom\" succeeded")
+	for _, name := range []string{"a/b", "has space", "custom", ""} {
+		devFile := filepath.Join(dir, "dev.json")
+		spec := fmt.Sprintf(`{"name":%q,"peak_gflops":1,"mem_bw_gbps":1}`, name)
+		if err := os.WriteFile(devFile, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.LoadDeviceFile(devFile); err == nil {
+			t.Errorf("loading a device named %q succeeded", name)
+		}
+		if _, ok := r.CostModel(name); ok {
+			t.Errorf("cost model %q registered", name)
+		}
 	}
 }
 

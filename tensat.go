@@ -30,15 +30,18 @@
 // Submit returns a Job handle immediately:
 //
 //	o := tensat.NewOptimizer()
-//	job, err := o.Submit(ctx, g, tensat.DefaultOptions())
-//	// ... job.Progress() for live snapshots, job.Cancel() to abort ...
-//	res, err := job.Result() // blocks until done
+//	opts := tensat.DefaultOptions()
+//	opts.Progress = func(p tensat.Progress) { ... } // live snapshots
+//	job, err := o.Submit(ctx, g, opts)              // cancel ctx to abort
+//	res, err := job.Result()                        // blocks until done
 //
-// Job.Progress() snapshots the running pipeline — phase, exploration
-// iteration, e-graph sizes, the ILP incumbent cost, elapsed time —
-// and Options.Progress registers a push sink receiving every update.
-// Optimize and OptimizeContext remain as synchronous one-shot shims
-// over this machinery.
+// Options.Progress is the one way to watch a run: it receives every
+// snapshot — phase, exploration iteration, e-graph sizes, the ILP
+// incumbent cost, elapsed time — and a terminal one (done, canceled
+// or failed) carrying the last iteration and e-graph sizes.
+// Cancellation is the context passed to Submit. Optimize and
+// OptimizeContext remain as synchronous one-shot shims over this
+// machinery.
 //
 // # Optimization profiles
 //
@@ -131,10 +134,6 @@ func NewBuilder() *Builder { return tensor.NewBuilder() }
 // DefaultCostModel returns the simulated T4 device model.
 func DefaultCostModel() CostModel { return cost.NewT4() }
 
-// RuntimeModel wraps a cost model with the deterministic measurement
-// deviations used as ground-truth "graph runtime" in the experiments.
-func RuntimeModel(base CostModel) CostModel { return cost.NewRuntime(base) }
-
 // DefaultRules returns the full TASO-style rule set (single- and
 // multi-pattern).
 func DefaultRules() []*Rule { return rules.Default() }
@@ -143,12 +142,6 @@ func DefaultRules() []*Rule { return rules.Default() }
 // patterns, e.g. NewRule("fuse", "(relu (matmul 0 ?x ?y))", "(matmul 2 ?x ?y)").
 func NewRule(name, source, target string) (*Rule, error) {
 	return rewrite.NewRule(name, source, target)
-}
-
-// NewMultiRule builds a multi-pattern rule; sources and targets are
-// whitespace-separated pattern lists with pairwise matched outputs.
-func NewMultiRule(name, sources, targets string) (*Rule, error) {
-	return rewrite.NewMultiRule(name, sources, targets)
 }
 
 // Extractor selects the extraction algorithm (§5.1).
@@ -231,9 +224,10 @@ type Options struct {
 	// Progress, when non-nil, receives live snapshots from the running
 	// pipeline: one per exploration iteration, one on the switch to
 	// extraction, one per ILP incumbent improvement, and a terminal
-	// snapshot. It is called serially from the job's goroutine, must
-	// return quickly, and takes no part in option identity (a serving
-	// cache must not key on it).
+	// snapshot carrying the last iteration and e-graph sizes. It is the
+	// one way to watch a run. Calls never overlap; it must return
+	// quickly, and takes no part in option identity (a serving cache
+	// must not key on it).
 	//
 	//lint:cachekey-exempt pure observability: snapshots never alter the result
 	Progress func(Progress)
@@ -356,10 +350,6 @@ type Result struct {
 // integer attributes, point events, and child spans. Result.Trace is
 // the root of a span tree.
 type TraceSpan = obs.Span
-
-// TraceEvent is a point-in-time marker inside a TraceSpan, e.g. an ILP
-// incumbent improvement carrying the new cost.
-type TraceEvent = obs.Event
 
 // WriteChromeTrace renders a span tree in the Chrome trace-event JSON
 // format, which Perfetto (ui.perfetto.dev) and chrome://tracing open

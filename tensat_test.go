@@ -141,16 +141,7 @@ func TestOptimizeNilGraph(t *testing.T) {
 	}
 }
 
-func TestNewMultiRuleAPI(t *testing.T) {
-	r, err := tensat.NewMultiRule("m",
-		"(relu ?x) (relu ?y)",
-		"(split0 (split 1 (relu (concat2 1 ?x ?y)))) (split1 (split 1 (relu (concat2 1 ?x ?y))))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.IsMulti() {
-		t.Fatal("not multi")
-	}
+func TestNewRuleRejectsMalformedPattern(t *testing.T) {
 	if _, err := tensat.NewRule("bad", "(relu ?x", "?x"); err == nil {
 		t.Fatal("malformed pattern accepted")
 	}
@@ -172,23 +163,5 @@ func TestResultStringOutput(t *testing.T) {
 	s := res.Graph.String()
 	if !strings.Contains(s, "matmul") || !strings.Contains(s, "concat2") {
 		t.Fatalf("unexpected graph rendering:\n%s", s)
-	}
-}
-
-func TestRuntimeModelDiffersFromDevice(t *testing.T) {
-	g := figure2Graph(t)
-	dev := tensat.DefaultCostModel()
-	rt := tensat.RuntimeModel(dev)
-	if tensat.GraphCost(dev, g) <= 0 {
-		t.Fatal("zero device cost")
-	}
-	// Runtime model deviates on data-movement ops; on this plain graph
-	// they coincide, after optimization (with splits) they differ.
-	res, err := tensat.Optimize(g, tensat.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tensat.GraphCost(rt, res.Graph) <= tensat.GraphCost(dev, res.Graph) {
-		t.Fatal("runtime model shows no deviation on split/concat graph")
 	}
 }
