@@ -290,6 +290,29 @@ func (t *Target) Instantiate(g *egraph.EGraph, bind []egraph.ClassID) egraph.Cla
 	return g.Add(egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: children})
 }
 
+// Lookup is Instantiate without adding: it walks the target the same
+// way but looks each operator up with EGraph.Lookup, and reports the
+// class Instantiate would return when every node is already present.
+// It changes nothing and allocates nothing.
+func (t *Target) Lookup(g *egraph.EGraph, bind []egraph.ClassID) (egraph.ClassID, bool) {
+	if t.slot >= 0 {
+		return g.Find(bind[t.slot]), true
+	}
+	var buf [targetArity]egraph.ClassID
+	children := buf[:0]
+	if len(t.children) > len(buf) {
+		children = make([]egraph.ClassID, 0, len(t.children))
+	}
+	for i := range t.children {
+		id, ok := t.children[i].Lookup(g, bind)
+		if !ok {
+			return 0, false
+		}
+		children = append(children, id)
+	}
+	return g.Lookup(egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: children})
+}
+
 // InferMeta symbolically evaluates the target's shapes given the meta of
 // each variable slot. The rewrite engine uses it to shape-check a target
 // before applying a rewrite (§4): if any operator in the target is

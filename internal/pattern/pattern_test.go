@@ -212,6 +212,33 @@ func TestInferMetaShapeChecksTarget(t *testing.T) {
 	}
 }
 
+// TestTargetLookup checks the probe on a present and an absent target:
+// the present one reports the class Instantiate returns, the absent one
+// reports false and adds nothing, and neither allocates.
+func TestTargetLookup(t *testing.T) {
+	g := egraph.New(nil)
+	x := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x"))
+	y := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "y"))
+	top := g.Add(egraph.NewNode(egraph.Op(tensor.OpRelu), g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), x, y))))
+	tgt := CompileTarget(MustParse("(relu (ewadd ?a ?b))"), []string{"?a", "?b"})
+	present, absent := []egraph.ClassID{x, y}, []egraph.ClassID{y, x}
+	if id, ok := tgt.Lookup(g, present); !ok || id != top {
+		t.Fatalf("present target: Lookup = e%d, %v; want e%d, true", id, ok, top)
+	}
+	stamp := g.Stamp()
+	if _, ok := tgt.Lookup(g, absent); ok || g.Stamp() != stamp {
+		t.Fatalf("absent target: ok = %v, stamp %d -> %d", ok, stamp, g.Stamp())
+	}
+	for name, bind := range map[string][]egraph.ClassID{"present": present, "absent": absent} {
+		if n := testing.AllocsPerRun(100, func() { tgt.Lookup(g, bind) }); n != 0 {
+			t.Errorf("Lookup of the %s target: %v allocations per run, want 0", name, n)
+		}
+	}
+	if id := tgt.Instantiate(g, present); id != top || g.Stamp() != stamp {
+		t.Fatalf("Instantiate of the present target returned e%d and moved the stamp to %d", id, g.Stamp())
+	}
+}
+
 func TestPatternStringRoundTrip(t *testing.T) {
 	for _, src := range []string{
 		"(matmul ?act ?x ?y)",

@@ -22,13 +22,19 @@ type ShapeAnalysis struct{}
 //
 //lint:ctxflow-exempt loop is bounded by the node's arity (at most a handful of children)
 func (ShapeAnalysis) Make(g *egraph.EGraph, n egraph.Node) any {
-	args := make([]*tensor.Meta, len(n.Children))
-	for i, c := range n.Children {
+	// A stack buffer: the tensor operators take at most seven inputs, and
+	// tensor.Infer keeps no reference to args.
+	var buf [8]*tensor.Meta
+	args := buf[:0]
+	if len(n.Children) > len(buf) {
+		args = make([]*tensor.Meta, 0, len(n.Children))
+	}
+	for _, c := range n.Children {
 		m, _ := g.Class(c).Data.(*tensor.Meta)
 		if m == nil {
 			return (*tensor.Meta)(nil)
 		}
-		args[i] = m
+		args = append(args, m)
 	}
 	m, err := tensor.Infer(tensor.Op(n.Op), n.Int, n.Str, args)
 	if err != nil {

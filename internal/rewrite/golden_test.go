@@ -14,6 +14,7 @@ import (
 	"tensat/internal/models"
 	"tensat/internal/rewrite"
 	"tensat/internal/rules"
+	"tensat/internal/tensor"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/explore_golden.json from this build's results")
@@ -75,18 +76,31 @@ func stampsDigest(ex *rewrite.Explored) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func exploreOnce(t testing.TB, row exploreRow) exploreGolden {
+// input builds the row's model at the scale the benchmark uses.
+func (row exploreRow) input(t testing.TB) *tensor.Graph {
 	t.Helper()
 	m, err := models.ByName(row.model)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m.Build(models.ScaleTest)
+}
+
+// explore runs the row's exploration on g.
+func (row exploreRow) explore(t testing.TB, g *tensor.Graph) *rewrite.Explored {
+	t.Helper()
 	r := rewrite.NewRunner(row.rules)
 	r.Limits = rewrite.Limits{MaxNodes: row.nodes, MaxIters: 15, KMulti: 1}
-	ex, err := r.Run(m.Build(models.ScaleTest))
+	ex, err := r.Run(g)
 	if err != nil {
 		t.Fatalf("%s: %v", row.name, err)
 	}
+	return ex
+}
+
+func exploreOnce(t testing.TB, row exploreRow) exploreGolden {
+	t.Helper()
+	ex := row.explore(t, row.input(t))
 	out := exploreGolden{Stats: make(map[string]int)}
 	for st := int64(1); st <= ex.G.Stamp(); st++ {
 		if ex.Filtered.Has(st) {
@@ -112,7 +126,13 @@ func exploreOnce(t testing.TB, row exploreRow) exploreGolden {
 // dense tables: a change of containers must build the same e-graph.
 // The stamps digest was recorded at the commit before class entries
 // became node ids and stamps a node table, and the Search* counters at
-// the commit that made search on demand. Each row runs once.
+// the commit that made search on demand. Applied, SkippedCycle and
+// Redundant were re-recorded at the commit that skips redundant matches
+// before checking them: Applied no longer counts matches that changed
+// nothing, and the pre-filter no longer sees them, while every other
+// counter and both digests stayed as recorded. Each row is also checked
+// to count every match once: Redundant + Applied + SkippedShape +
+// SkippedCycle = Matches. Each row runs once.
 func TestExploreGolden(t *testing.T) {
 	const path = "testdata/explore_golden.json"
 	if *updateGolden {
@@ -142,8 +162,13 @@ func TestExploreGolden(t *testing.T) {
 		t.Fatalf("%d rows, golden file has %d", len(rows), len(want))
 	}
 	for _, row := range rows {
-		if got := exploreOnce(t, row); !reflect.DeepEqual(got, want[row.name]) {
+		got := exploreOnce(t, row)
+		if !reflect.DeepEqual(got, want[row.name]) {
 			t.Errorf("%s:\n got  %+v\n want %+v", row.name, got, want[row.name])
+		}
+		s := got.Stats
+		if sum := s["Redundant"] + s["Applied"] + s["SkippedShape"] + s["SkippedCycle"]; sum != s["Matches"] {
+			t.Errorf("%s: Redundant+Applied+SkippedShape+SkippedCycle = %d, Matches = %d", row.name, sum, s["Matches"])
 		}
 	}
 }
@@ -159,6 +184,25 @@ func TestExploreDeterministicInProcess(t *testing.T) {
 	for i := 1; i < 10; i++ {
 		if got := exploreOnce(t, row); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d differs from run 0:\n got  %+v\n want %+v", i, got, want)
+		}
+	}
+}
+
+// BenchmarkExplore times one pass over the six zoo_explore rows of the
+// benchmark, exploration only: search, rule application (the redundancy
+// probe, shape checks, cycle pre-filter, instantiation) and rebuild.
+// The models are built once, outside the timer.
+func BenchmarkExplore(b *testing.B) {
+	rows := exploreRows()[:6]
+	inputs := make([]*tensor.Graph, len(rows))
+	for i, row := range rows {
+		inputs[i] = row.input(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, row := range rows {
+			row.explore(b, inputs[j])
 		}
 	}
 }

@@ -52,7 +52,12 @@ func DefaultLimits() Limits {
 	return Limits{MaxNodes: 50000, MaxIters: 15, KMulti: 1, Timeout: time.Hour}
 }
 
-// Stats reports what the exploration phase did.
+// Stats reports what the exploration phase did. Each match lands in
+// exactly one of Redundant, Applied, SkippedShape and SkippedCycle, so
+// the four sum to Matches. A match is redundant when every node its
+// targets name is already present and each target's class is the
+// matched one: it is not checked or applied, since applying it would
+// add nothing and union only equal classes.
 type Stats struct {
 	Iterations    int
 	Saturated     bool
@@ -61,18 +66,19 @@ type Stats struct {
 	HitTimeout    bool
 	Canceled      bool // the caller's context was canceled mid-exploration
 	Matches       int  // candidate substitutions found
-	Applied       int  // substitutions applied
-	SkippedShape  int  // substitutions rejected by shape checking
+	Redundant     int  // substitutions whose every target was already in its matched class
+	Applied       int  // substitutions applied: each changed the e-graph
+	SkippedShape  int  // substitutions rejected by shape checking or the rule's Cond
 	SkippedCycle  int  // substitutions rejected by the pre-filter
 	FilteredNodes int  // e-nodes put on the filter list by post-processing
 	ENodes        int  // final e-node count
 	EClasses      int  // final e-class count
 	ExploreTime   time.Duration
 	// ApplyTime and RebuildTime split out the remainder of ExploreTime:
-	// the rule-application loop (shape checks, cycle pre-filtering,
-	// instantiation and unions, but not the pattern scans it runs) and
-	// the congruence rebuild plus cycle post-processing, each summed
-	// over iterations.
+	// the rule-application loop (redundancy probes, shape checks, cycle
+	// pre-filtering, instantiation and unions, but not the pattern scans
+	// it runs) and the congruence rebuild plus cycle post-processing,
+	// each summed over iterations.
 	ApplyTime   time.Duration
 	RebuildTime time.Duration
 	// SearchTime is the part of ExploreTime spent in e-matching search,
@@ -140,8 +146,9 @@ type Runner struct {
 	// Trace, when non-nil, receives phase spans: an "explore" span
 	// containing one "iteration" span per iteration — each with
 	// "descendants", "search" (the freeze and dirty sets), "apply" (the
-	// rule loop, with the classes its on-demand scans visited and the
-	// matches they listed) and "rebuild" children, annotated with
+	// rule loop, with the classes its on-demand scans visited, the
+	// matches they listed, and how many matches it considered, found
+	// redundant and applied) and "rebuild" children, annotated with
 	// e-node / e-class deltas — and a closing "filter" span for the
 	// final cycle pass. A nil Trace records nothing and costs a nil
 	// check per phase boundary.
@@ -284,9 +291,9 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	classesBefore := g.ClassCount()
 	matchesBefore := ex.Stats.Matches
 	appliedBefore := ex.Stats.Applied
+	redundantBefore := ex.Stats.Redundant
 	scannedBefore := ex.Stats.SearchScanned
 	searchMatchesBefore := ex.Stats.SearchMatches
-	unioned := false
 
 	r.Trace.Begin("iteration")
 	r.Trace.Attr("iteration", int64(ex.Stats.Iterations))
@@ -318,6 +325,21 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 		// the job-level recovery barrier is exactly what it exercises.
 		if err := fault.Check("rewrite.apply"); err != nil {
 			panic(err)
+		}
+		// A match whose every target is already in its matched class
+		// would add no node and union only equal classes: Lookup is Add's
+		// hit branch, so skipping it leaves the e-graph as applying would,
+		// whatever the checks below decide.
+		redundant := true
+		for i, tgt := range c.targets {
+			if id, ok := tgt.Lookup(g, bind); !ok || id != g.Find(matched[i]) {
+				redundant = false
+				break
+			}
+		}
+		if redundant {
+			ex.Stats.Redundant++
+			return
 		}
 		// Shape checking (§4) over every target pattern.
 		for slot, id := range bind[:c.bound] {
@@ -352,11 +374,11 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 				}
 			}
 		}
-		// APPLY: instantiate each target and union with its matched output.
+		// APPLY: instantiate each target and union with its matched
+		// output. A match that is not redundant adds a node or merges two
+		// classes, so it changes the e-graph.
 		for i, tgt := range c.targets {
-			if _, ch := g.Union(tgt.Instantiate(g, bind), matched[i]); ch {
-				unioned = true
-			}
+			g.Union(tgt.Instantiate(g, bind), matched[i])
 		}
 		ex.Stats.Applied++
 	}
@@ -428,6 +450,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	r.Trace.Attr("scanned", int64(ex.Stats.SearchScanned-scannedBefore))
 	r.Trace.Attr("search_matches", int64(ex.Stats.SearchMatches-searchMatchesBefore))
 	r.Trace.Attr("matches", int64(ex.Stats.Matches-matchesBefore))
+	r.Trace.Attr("redundant", int64(ex.Stats.Redundant-redundantBefore))
 	r.Trace.Attr("applied", int64(ex.Stats.Applied-appliedBefore))
 	r.Trace.End()
 
@@ -446,7 +469,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	r.Trace.Attr("enodes_delta", int64(g.NodeCount()-nodesBefore))
 	r.Trace.Attr("eclasses_delta", int64(g.ClassCount()-classesBefore))
 	r.Trace.End()
-	return unioned || g.NodeCount() != nodesBefore, interrupted
+	return ex.Stats.Applied != appliedBefore, interrupted
 }
 
 // searchShardSize bounds how many classes one scan visits before the

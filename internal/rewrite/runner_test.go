@@ -191,6 +191,42 @@ func TestCycleFilteringKeepsEGraphAcyclic(t *testing.T) {
 	}
 }
 
+// TestPreFilterRejectsCycle gives the pre-filter a substitution that
+// adds a node and would close a cycle. The rule, made up for the test,
+// matches relu(x) together with tanh(sigmoid(relu(x))) and puts
+// ewadd(x, sigmoid(relu(x))) into relu(x)'s class, so the new node's
+// child reaches its own class. Both filters must reject the one match
+// (not apply it, not find it redundant) and leave the e-graph acyclic;
+// without a filter the same match is applied.
+func TestPreFilterRejectsCycle(t *testing.T) {
+	b := tensor.NewBuilder()
+	x := b.Input("x", 4, 4)
+	g := b.MustFinish(b.Tanh(b.Sigmoid(b.Relu(x))))
+	rule := MustMultiRule("cyclic", "(relu ?r) (tanh ?t)", "(ewadd ?r ?t) (tanh ?t)")
+	for _, mode := range []FilterMode{FilterEfficient, FilterVanilla, FilterNone} {
+		r := NewRunner([]*Rule{rule})
+		r.Filter = mode
+		r.Limits.MaxIters = 1
+		ex, err := r.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Stats{Matches: 1, SkippedCycle: 1}
+		if mode == FilterNone {
+			want = Stats{Matches: 1, Applied: 1}
+		}
+		s := ex.Stats
+		if s.Matches != want.Matches || s.Applied != want.Applied || s.Redundant != 0 ||
+			s.SkippedShape != 0 || s.SkippedCycle != want.SkippedCycle {
+			t.Fatalf("%v: %+v, want Matches %d Applied %d SkippedCycle %d",
+				mode, s, want.Matches, want.Applied, want.SkippedCycle)
+		}
+		if mode != FilterNone && !IsAcyclic(ex.G, &ex.Filtered) {
+			t.Fatalf("%v filtering left a cyclic e-graph", mode)
+		}
+	}
+}
+
 func TestFilterNoneMayLeaveCycles(t *testing.T) {
 	g := twoMatmulGraph(t)
 	r := NewRunner([]*Rule{figure2Rule(t)})

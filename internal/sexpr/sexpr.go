@@ -33,8 +33,11 @@ func (e *Expr) String() string {
 	return "(" + strings.Join(parts, " ") + ")"
 }
 
+// needsQuote reports whether atom s would not read back as itself
+// unquoted: it is empty, starts a comment, or holds a character that
+// ends an atom or starts a string.
 func needsQuote(s string) bool {
-	if s == "" {
+	if s == "" || s[0] == ';' {
 		return true
 	}
 	for _, r := range s {

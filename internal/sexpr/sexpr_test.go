@@ -139,3 +139,33 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzParse checks that Parse never panics and that whatever parses
+// prints to text that parses back and prints the same. The corpus under
+// testdata/fuzz holds an atom starting with ';', which once printed bare
+// and read back as a comment.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"(matmul ?act ?x (concat2 1 ?y ?z))",
+		`(transpose ?x "0 2 1 3")`,
+		"(a ; comment\n b)",
+		`(a "" "\"q\"" "x\ty")`,
+		"()",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := e.String()
+		e2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) printed %q, which does not parse: %v", src, text, err)
+		}
+		if got := e2.String(); got != text {
+			t.Fatalf("Parse(%q) printed %q, which reads back as %q", src, text, got)
+		}
+	})
+}
