@@ -410,39 +410,10 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 		matched = append(matched[:0], make([]egraph.ClassID, len(c.sources))...)
 		bind = append(bind[:0], make([]egraph.ClassID, len(c.vars))...)
 		metas = append(metas[:0], make([]*tensor.Meta, len(c.vars))...)
-		if !rule.IsMulti() {
-			ref := c.sources[0]
-			ms := &st.pats[ref.pat].matches
-			for mi := 0; mi < ms.Len(); mi++ {
-				// Large match lists must notice a dead request between
-				// rule boundaries, same cadence as applyMulti.
-				if mi%256 == 255 && (time.Now().After(deadline) || stopped(done)) {
-					if stopped(done) {
-						ex.Stats.Canceled = true
-					} else {
-						ex.Stats.HitTimeout = true
-					}
-					interrupted = true
-					break
-				}
-				ex.Stats.Matches++
-				matched[0] = ms.Roots[mi]
-				for k, id := range ms.Bind(mi) {
-					bind[ref.slots[k]] = id
-				}
-				apply(rule, c)
-				if g.NodeCount() >= lim.MaxNodes {
-					interrupted = true
-					break
-				}
-			}
-			continue
-		}
-		// Multi-pattern: cartesian product of decanonicalized matches,
-		// keeping only combinations compatible on shared variables
-		// (Algorithm 1, lines 11-21).
+		// Every rule, single- or multi-pattern, applies the cartesian
+		// product of its sources' match lists (Algorithm 1, lines 11-21).
 		visit := func() { apply(rule, c) }
-		if r.applyMulti(ex, c, st, matched, bind, visit, lim, deadline, done) {
+		if r.enumerate(ex, c, st, matched, bind, visit, lim, deadline, done) {
 			interrupted = true
 		}
 	}
@@ -573,16 +544,19 @@ func (st *searchState) update(i int, stats *Stats, done <-chan struct{}) bool {
 	return true
 }
 
-// applyMulti enumerates compatible match combinations for a
-// multi-pattern rule via backtracking over the per-source match lists:
-// source i's match goes into matched[i] and its bindings into the
-// rule's slots of bind, and visit is called on each full combination.
-// It reports whether enumeration was aborted early (node limit,
-// deadline, or cancellation): the abort flag unwinds the entire
-// recursion, so no sibling branch of the cartesian product keeps
-// enumerating after the budget is gone. An abort caused by the done
-// channel sets Stats.Canceled.
-func (r *Runner) applyMulti(ex *Explored, c *compiledRule, st *searchState,
+// enumerate visits a rule's matches: the combinations of one match per
+// source, taken from the per-source match lists, that agree on the
+// variables sources share (Algorithm 1's COMPATIBLE). It backtracks
+// over the sources in order: source i's match goes into matched[i] and
+// its bindings into the rule's slots of bind, and visit is called on
+// each full combination, counted in Stats.Matches. A single-pattern
+// rule is the one-source case: it shares no variable, so every match
+// of its list is visited once, in list order. enumerate reports
+// whether it was aborted early (node limit, deadline, or cancellation):
+// the abort flag unwinds the entire recursion, so no sibling branch of
+// the cartesian product keeps enumerating after the budget is gone. An
+// abort caused by the done channel sets Stats.Canceled.
+func (r *Runner) enumerate(ex *Explored, c *compiledRule, st *searchState,
 	matched, bind []egraph.ClassID, visit func(),
 	lim Limits, deadline time.Time, done <-chan struct{}) (aborted bool) {
 

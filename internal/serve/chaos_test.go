@@ -188,8 +188,8 @@ func TestStoreDegradedModeAndRecovery(t *testing.T) {
 	if !got.StoreDegraded {
 		t.Fatal("store not degraded after ENOSPC write-through")
 	}
-	if got.Store.Errors != 1 {
-		t.Fatalf("store errors = %d, want 1", got.Store.Errors)
+	if got.StoreErrors != 1 {
+		t.Fatalf("store errors = %d, want 1", got.StoreErrors)
 	}
 
 	// Memory keeps serving the result whose write-through failed.
@@ -205,8 +205,8 @@ func TestStoreDegradedModeAndRecovery(t *testing.T) {
 	if _, err := s.Optimize(context.Background(), testGraph(t, 2), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats(); got.Store.Errors != 1 {
-		t.Fatalf("store errors grew to %d while degraded, want steady 1", got.Store.Errors)
+	if got := s.Stats(); got.StoreErrors != 1 {
+		t.Fatalf("store errors grew to %d while degraded, want steady 1", got.StoreErrors)
 	}
 
 	// After the reprobe interval (fault long cleared), the next store

@@ -62,7 +62,7 @@ func TestRestartSurvivesWarmSet(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("store entries = %d, want 1 (write-through)", st.Len())
 	}
-	if got := s.Stats(); got.Store.Puts != 1 || got.CacheBytes <= 0 {
+	if got := s.Stats(); got.StorePuts != 1 || got.CacheBytes <= 0 {
 		t.Fatalf("stats = %+v, want 1 store put and positive cache bytes", got)
 	}
 	if err := st.Close(); err != nil {
@@ -102,8 +102,8 @@ func TestRestartSurvivesWarmSet(t *testing.T) {
 	if !again.Cached || again.Tier != TierMemory {
 		t.Fatalf("cached=%v tier=%q, want memory hit after promotion", again.Cached, again.Tier)
 	}
-	if got := s2.Stats(); got.Store.Hits != 1 {
-		t.Fatalf("store hits = %d, want 1", got.Store.Hits)
+	if got := s2.Stats(); got.StoreHits != 1 {
+		t.Fatalf("store hits = %d, want 1", got.StoreHits)
 	}
 }
 
@@ -178,8 +178,8 @@ func TestRestartToleratesStaleSchemaAndCorruptTail(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("recompute calls = %d, want 1 (graph 2 only)", calls.Load())
 	}
-	if got := s2.Stats(); got.Store.Errors < 1 {
-		t.Fatalf("store errors = %d, want >= 1 (unreadable record)", got.Store.Errors)
+	if got := s2.Stats(); got.StoreErrors < 1 {
+		t.Fatalf("store errors = %d, want >= 1 (unreadable record)", got.StoreErrors)
 	}
 	if payload, ok, err := st2.Get(q2.key); err != nil || !ok {
 		t.Fatalf("recomputed record not rewritten: ok=%v err=%v", ok, err)
@@ -267,7 +267,7 @@ func TestTwoNodeClusterServesPeerWarmSet(t *testing.T) {
 	// The push to the owner is asynchronous; wait for it to land in
 	// B's store (the PUT handler writes through).
 	waitFor(t, func() bool { return stB.Len() == 1 })
-	waitFor(t, func() bool { return sA.Stats().Peer.Puts == 1 })
+	waitFor(t, func() bool { return sA.Stats().PeerPuts == 1 })
 
 	// A fresh stateless "a" replica — no memory, no disk — must serve
 	// the result from peer B over the GET path, byte-identically.
@@ -286,8 +286,8 @@ func TestTwoNodeClusterServesPeerWarmSet(t *testing.T) {
 	if got, want := graphText(t, peerHit.Result.Graph), graphText(t, cold.Result.Graph); got != want {
 		t.Fatalf("peer-served result differs:\n%s\nvs\n%s", got, want)
 	}
-	if got := sA2.Stats(); got.Peer.Hits != 1 {
-		t.Fatalf("peer hits = %d, want 1", got.Peer.Hits)
+	if got := sA2.Stats(); got.PeerHits != 1 {
+		t.Fatalf("peer hits = %d, want 1", got.PeerHits)
 	}
 
 	// Kill node B and reboot it onto the same store directory: the
@@ -532,7 +532,7 @@ func TestPeerFailureDegradesToLocalCompute(t *testing.T) {
 	if resp.Cached || calls.Load() != 1 {
 		t.Fatalf("cached=%v calls=%d, want local cold compute", resp.Cached, calls.Load())
 	}
-	waitFor(t, func() bool { return s.Stats().Peer.Errors >= 1 })
+	waitFor(t, func() bool { return s.Stats().PeerErrors >= 1 })
 }
 
 const shedTenants = `{"tenants": [
@@ -594,8 +594,8 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 		results <- outcome{resp, err}
 	}()
 	waitFor(t, func() bool { return calls.Load() == 2 })
-	if got := s.Stats(); got.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", got.Shed)
+	if got := s.Stats(); got.ShedTotal != 1 {
+		t.Fatalf("shed = %d, want 1", got.ShedTotal)
 	}
 
 	// Third request: quota and shed headroom both exhausted — only now
@@ -685,8 +685,8 @@ func TestHighPriorityNeverDegraded(t *testing.T) {
 		t.Fatalf("err = %v, want *RateLimitError (no degradation for priority >= %d)",
 			err, s.cfg.NoShedPriority)
 	}
-	if got := s.Stats(); got.Shed != 0 {
-		t.Fatalf("shed = %d, want 0 for a high-priority tenant", got.Shed)
+	if got := s.Stats(); got.ShedTotal != 0 {
+		t.Fatalf("shed = %d, want 0 for a high-priority tenant", got.ShedTotal)
 	}
 }
 

@@ -113,7 +113,7 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, versionReply())
 	})
 	route("GET /v1/stats", func(s *Service, w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, toStatsReply(s))
+		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	route("GET /v1/healthz", handleHealthz)
 	route("GET /readyz", handleReadyz)

@@ -238,16 +238,6 @@ func (j *Job) finish(resp *Response, reply []byte, err error) {
 	close(j.done)
 }
 
-// JobCounters snapshots the job-lifecycle instruments
-// (tensat_jobs_*).
-type JobCounters struct {
-	Submitted uint64
-	Running   int
-	Done      uint64
-	Canceled  uint64
-	Failed    uint64
-}
-
 // jobStore indexes asynchronous jobs by id. It is capacity-capped —
 // submissions beyond MaxJobs evict the oldest finished job, or fail
 // with ErrJobStoreFull when every held job is still running — and

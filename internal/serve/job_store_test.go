@@ -239,7 +239,7 @@ func TestFinishedJobFootprint(t *testing.T) {
 			st := s.Stats()
 			hits := st.Hits
 			if tc.store {
-				hits = st.Store.Hits
+				hits = st.StoreHits
 			}
 			if hits != n {
 				t.Fatalf("%d %s hits, want %d", hits, tc.name, n)

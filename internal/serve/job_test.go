@@ -171,8 +171,8 @@ func TestJobLifecycleWithProgress(t *testing.T) {
 	if last := entries[len(entries)-1]; last.Phase != tensat.PhaseDone {
 		t.Fatalf("last entry phase = %s, want done", last.Phase)
 	}
-	c := s.JobCounters()
-	if c.Submitted != 1 || c.Done != 1 || c.Running != 0 {
+	c := s.Stats()
+	if c.JobsSubmitted != 1 || c.JobsDone != 1 || c.JobsRunning != 0 {
 		t.Fatalf("counters = %+v", c)
 	}
 }
@@ -224,8 +224,8 @@ func TestJobCancelMidRunFreesSlotAndNeverCaches(t *testing.T) {
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("optimize ran %d times, want 2 (canceled run must not satisfy job B)", n)
 	}
-	c := s.JobCounters()
-	if c.Canceled != 1 || c.Done != 1 {
+	c := s.Stats()
+	if c.JobsCanceled != 1 || c.JobsDone != 1 {
 		t.Fatalf("counters = %+v, want 1 canceled / 1 done", c)
 	}
 }

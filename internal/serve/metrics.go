@@ -13,8 +13,9 @@ import (
 // metrics is the service's only counter store: one instrument per
 // fact, registered on the obs.Registry that Service.Metrics exposes
 // and NewHandler serves as GET /metrics. Call sites bump the
-// instrument directly; Service.Stats (GET /v1/stats) is a read of the
-// same instruments, so the two surfaces cannot disagree.
+// instrument directly; Service.Stats reads the same instruments into
+// the GET /v1/stats body (StatsReply) field by field, so the two
+// surfaces cannot disagree and no third copy of a count exists.
 type metrics struct {
 	reg *obs.Registry
 

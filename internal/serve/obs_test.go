@@ -629,8 +629,8 @@ func TestSSEKeepAlive(t *testing.T) {
 // GET /metrics exposes as tensat_run_seconds.
 func TestStatsPercentiles(t *testing.T) {
 	s := New(Config{Workers: 1})
-	if st := s.Stats(); st.P50 != 0 || st.P95 != 0 || st.P99 != 0 {
-		t.Fatalf("percentiles before the first run = %v/%v/%v, want 0", st.P50, st.P95, st.P99)
+	if st := s.Stats(); st.P50MS != 0 || st.P95MS != 0 || st.P99MS != 0 {
+		t.Fatalf("percentiles before the first run = %v/%v/%v, want 0", st.P50MS, st.P95MS, st.P99MS)
 	}
 	for i := 1; i <= 100; i++ {
 		s.metrics.inFlight.Inc()
@@ -648,20 +648,19 @@ func TestStatsPercentiles(t *testing.T) {
 	// bucket; ranks 95 and 99 interpolate inside (50ms, 100ms], which
 	// holds the other 50.
 	for _, c := range []struct {
-		name string
-		got  time.Duration
-		want time.Duration
+		name      string
+		got, want float64
 	}{
-		{"P50", st.P50, 50 * time.Millisecond},
-		{"P95", st.P95, 95 * time.Millisecond},
-		{"P99", st.P99, 99 * time.Millisecond},
+		{"P50", st.P50MS, 50},
+		{"P95", st.P95MS, 95},
+		{"P99", st.P99MS, 99},
 	} {
-		if d := c.got - c.want; d < -time.Microsecond || d > time.Microsecond {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		if math.Abs(c.got-c.want) > 1e-3 {
+			t.Errorf("%s = %vms, want %vms", c.name, c.got, c.want)
 		}
 	}
-	if st.P50 > st.P95 || st.P95 > st.P99 {
-		t.Errorf("percentiles not monotone: %v/%v/%v", st.P50, st.P95, st.P99)
+	if st.P50MS > st.P95MS || st.P95MS > st.P99MS {
+		t.Errorf("percentiles not monotone: %v/%v/%v", st.P50MS, st.P95MS, st.P99MS)
 	}
 	if st.Completed != 100 || st.Errors != 1 || st.InFlight != 0 {
 		t.Errorf("completed/errors/in-flight = %d/%d/%d, want 100/1/0", st.Completed, st.Errors, st.InFlight)

@@ -7,7 +7,8 @@
 // singleflight), and runs execute on a bounded worker pool with
 // per-request context propagation down into exploration and
 // extraction. Every counter lives once, in the obs registry behind
-// GET /metrics (metrics.go); Stats is a read of those instruments.
+// GET /metrics (metrics.go); Stats reads those instruments straight
+// into StatsReply, the GET /v1/stats body, with no struct in between.
 //
 // Finished results are held in tiers: the in-memory LRU, then the byte
 // tiers behind one small interface (tier.go) — the persistent store

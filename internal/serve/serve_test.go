@@ -145,10 +145,10 @@ func TestILPStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.ILP.Solves["builtin/optimal"] != 1 {
-		t.Fatalf("ILP solves = %v, want builtin/optimal: 1", st.ILP.Solves)
+	if st.ILPSolves["builtin/optimal"] != 1 {
+		t.Fatalf("ILP solves = %v, want builtin/optimal: 1", st.ILPSolves)
 	}
-	if st.ILP.Incumbents == 0 {
+	if st.ILPIncumbents == 0 {
 		t.Fatal("no incumbents counted for a completed ILP run")
 	}
 }
@@ -455,7 +455,7 @@ func TestEndToEndRealOptimize(t *testing.T) {
 		t.Fatalf("fingerprint %q is not 64 hex chars", cold.Fingerprint)
 	}
 	st := s.Stats()
-	if st.P50 <= 0 || st.P95 < st.P50 {
+	if st.P50MS <= 0 || st.P95MS < st.P50MS {
 		t.Fatalf("latency percentiles not recorded: %+v", st)
 	}
 }

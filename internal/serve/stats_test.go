@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -15,8 +19,11 @@ import (
 	"tensat"
 	"tensat/internal/cachestore"
 	"tensat/internal/fault"
+	"tensat/internal/obs"
 	"tensat/internal/tenant"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json from this build's reply")
 
 // statsSeries maps every counter and gauge key of GET /v1/stats to the
 // /metrics series it is a read of. A map-valued key ("profiles") names
@@ -311,4 +318,66 @@ func renderMap(m map[string]any) string {
 		b.WriteByte(' ')
 	}
 	return b.String()
+}
+
+// TestStatsWireGolden pins the bytes of GET /v1/stats, recorded at the
+// commit before Service.Stats filled StatsReply straight from the
+// instruments. Every counter and every vec child holds its own number,
+// the run histogram holds forty runs of 1…40 ms and one failed run, so
+// two keys swapped, a field reordered or a number printed differently
+// all change the body. TestStatsMatchesMetrics checks values against
+// /metrics; only this test checks the spelling.
+func TestStatsWireGolden(t *testing.T) {
+	const path = "testdata/stats_golden.json"
+	s := New(Config{Workers: 3})
+	m := s.metrics
+	for i := 1; i <= 40; i++ {
+		m.inFlight.Inc()
+		m.endWork(time.Duration(i)*time.Millisecond, nil)
+	}
+	m.inFlight.Inc()
+	m.endWork(time.Hour, errors.New("boom"))
+	m.inFlight.Set(5)
+	m.jobsRunning.Set(2)
+	for i, c := range []*obs.Counter{
+		m.cacheHits, m.cacheMisses, m.cacheDedup, m.canceled,
+		m.jobsSubmitted, m.jobsDone, m.jobsCanceled, m.jobsFailed,
+		m.searchScanned, m.searchPruned, m.searchDirty, m.searchClean, m.searchMatches,
+		m.ilpPresolveFixed, m.ilpPresolveDropped, m.ilpPresolveRemoved, m.ilpIncumbents,
+		m.store.hits, m.store.misses, m.store.errors, m.store.puts,
+		m.peer.hits, m.peer.misses, m.peer.errors, m.peer.puts,
+		m.peerRetries, m.peerPushDropped, m.shed,
+		m.requests.With("taso-default", "t4"), m.requests.With("taso-single", "a100"),
+		m.ilpSolves.With("builtin", "optimal"), m.ilpSolves.With("builtin", "feasible"),
+		m.panics.With("worker"), m.panics.With("job"),
+		m.tenantRequests.With("batch"), m.tenantRequests.With("prod"),
+		m.tenantRejected.With("batch"), m.tenantRejected.With("prod"),
+	} {
+		c.Add(uint64(101 + i))
+	}
+
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to record it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("GET /v1/stats body changed:\n got %s\nwant %s", got, want)
+	}
 }

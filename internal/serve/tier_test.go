@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -125,4 +127,70 @@ func key1(t *testing.T, s *Service) string {
 		t.Fatal(err)
 	}
 	return q.key
+}
+
+// FuzzDecodeRecord feeds arbitrary bytes under an arbitrary key to
+// decodeRecord, the one decode-and-verify for records from the disk
+// store, peer replies and peer pushes. It must never panic, and a
+// record it accepts must survive a round trip: encoded again, it
+// decodes under the same key to the same graph text, tensor names and
+// result fields. The seeds are a stub result encoded under its own
+// key, a truncated copy, and the same bytes under another request's
+// key.
+func FuzzDecodeRecord(f *testing.F) {
+	record := func(g *tensat.Graph) (string, []byte) {
+		q, err := New(Config{}).prepare(g, RequestOptions{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := cachestore.Encode(stubResult(f), q.names, q.keyParts())
+		if err != nil {
+			f.Fatal(err)
+		}
+		return q.key, payload
+	}
+	key, payload := record(testGraph(f, 1))
+	other, _ := record(testGraph(f, 2))
+	f.Add(key, payload)
+	f.Add(key, payload[:len(payload)/2])
+	f.Add(other, payload)
+
+	// fields prints every result field but the graph and the trace,
+	// which the codec does not carry.
+	fields := func(res *tensat.Result) string {
+		r := *res
+		r.Graph, r.Trace = nil, nil
+		return fmt.Sprintf("%+v", r)
+	}
+	f.Fuzz(func(t *testing.T, key string, payload []byte) {
+		first, err := decodeRecord(key, payload)
+		if err != nil {
+			return
+		}
+		again, err := cachestore.Encode(first.res, first.tensors, first.parts)
+		if err != nil {
+			t.Fatalf("a decoded record does not encode: %v", err)
+		}
+		second, err := decodeRecord(key, again)
+		if err != nil {
+			t.Fatalf("a re-encoded record does not decode under its key: %v", err)
+		}
+		text1, err := first.res.Graph.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text2, err := second.res.Graph.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(text1) != string(text2) {
+			t.Fatalf("graph text %q came back as %q", text1, text2)
+		}
+		if !slices.Equal(first.tensors, second.tensors) {
+			t.Fatalf("tensor names %q came back as %q", first.tensors, second.tensors)
+		}
+		if a, b := fields(first.res), fields(second.res); a != b {
+			t.Fatalf("result fields %s came back as %s", a, b)
+		}
+	})
 }

@@ -288,8 +288,8 @@ func TestV1JobCancelHTTP(t *testing.T) {
 	if last.event != "done" || !strings.Contains(last.data, string(JobCanceled)) {
 		t.Fatalf("SSE final event = %+v", last)
 	}
-	if st := s.Stats(); st.Jobs.Canceled != 1 {
-		t.Fatalf("jobs canceled = %d, want 1", st.Jobs.Canceled)
+	if st := s.Stats(); st.JobsCanceled != 1 {
+		t.Fatalf("jobs canceled = %d, want 1", st.JobsCanceled)
 	}
 }
 

@@ -372,66 +372,6 @@ func versionReply() VersionReply {
 	return v
 }
 
-func toStatsReply(s *Service) StatsReply {
-	st := s.Stats()
-	return StatsReply{
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Deduped:       st.Deduped,
-		Completed:     st.Completed,
-		Errors:        st.Errors,
-		Canceled:      st.Canceled,
-		InFlight:      st.InFlight,
-		CacheEntries:  st.CacheEntries,
-		Workers:       s.Workers(),
-		P50MS:         float64(st.P50) / float64(time.Millisecond),
-		P95MS:         float64(st.P95) / float64(time.Millisecond),
-		P99MS:         float64(st.P99) / float64(time.Millisecond),
-		JobsSubmitted: st.Jobs.Submitted,
-		JobsRunning:   st.Jobs.Running,
-		JobsDone:      st.Jobs.Done,
-		JobsCanceled:  st.Jobs.Canceled,
-		JobsFailed:    st.Jobs.Failed,
-		Profiles:      st.Profiles,
-
-		SearchClassesScanned: st.Search.ClassesScanned,
-		SearchClassesPruned:  st.Search.ClassesPruned,
-		SearchDirtySearched:  st.Search.DirtySearched,
-		SearchCleanReused:    st.Search.CleanReused,
-		SearchMatches:        st.Search.Matches,
-
-		ILPPresolveFixed:   st.ILP.PresolveFixed,
-		ILPPresolveDropped: st.ILP.PresolveDropped,
-		ILPPresolveRemoved: st.ILP.PresolveRemoved,
-		ILPIncumbents:      st.ILP.Incumbents,
-		ILPSolves:          st.ILP.Solves,
-
-		CacheBytes:   st.CacheBytes,
-		QueueWaiting: st.QueueWaiting,
-		StoreHits:    st.Store.Hits,
-		StoreMisses:  st.Store.Misses,
-		StoreErrors:  st.Store.Errors,
-		StorePuts:    st.Store.Puts,
-		StoreEntries: st.StoreEntries,
-		StoreBytes:   st.StoreBytes,
-		PeerHits:     st.Peer.Hits,
-		PeerMisses:   st.Peer.Misses,
-		PeerErrors:   st.Peer.Errors,
-		PeerPuts:     st.Peer.Puts,
-
-		StoreDegraded:   st.StoreDegraded,
-		PeerRetries:     st.PeerRetries,
-		PeerPushDropped: st.PeerPushDropped,
-		PeerBreakers:    peerBreakers(s),
-		Panics:          st.Panics,
-		Draining:        st.Draining,
-
-		ShedTotal:      st.Shed,
-		TenantRequests: st.TenantRequests,
-		TenantRejected: st.TenantRejected,
-	}
-}
-
 // toOptimizeReply spells a finished run on the wire; it fails only if
 // the result graph does not marshal.
 func toOptimizeReply(resp *Response) (OptimizeReply, error) {
