@@ -22,7 +22,7 @@ test:
 	$(GO) vet -C bench . && $(GO) test -C bench .
 
 race:
-	$(GO) test -race ./internal/serve/... ./internal/breaker/... ./internal/egraph/... ./internal/pattern/... ./internal/rewrite/... ./internal/ilp/... ./internal/extract/... .
+	$(GO) test -race ./internal/serve/... ./internal/fingerprint/... ./internal/obs/... ./internal/fault/... ./internal/breaker/... ./internal/cluster/... ./internal/cachestore/... ./internal/egraph/... ./internal/pattern/... ./internal/rewrite/... ./internal/ilp/... ./internal/extract/... .
 
 # loc prints non-test Go lines outside bench/, per package and in
 # total: the figure CHANGES.md reports for every PR.
@@ -41,7 +41,7 @@ soak:
 lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/tensatlint ./...
-	$(GO) run ./cmd/tensat vet-rules profiles/rules
+	$(GO) run ./cmd/tensat vet-rules -strict profiles/rules
 
 # lint-full additionally runs the pinned third-party linters; needs
 # network on first run to fetch them. CI runs this.
@@ -50,7 +50,7 @@ lint-full: lint
 	$(GO) run $(GOVULNCHECK) ./...
 
 vet-rules:
-	$(GO) run ./cmd/tensat vet-rules profiles/rules
+	$(GO) run ./cmd/tensat vet-rules -strict profiles/rules
 
 tensatlint:
 	$(GO) run ./cmd/tensatlint ./...

@@ -73,7 +73,6 @@ func main() {
 		ilpTime   = flag.Duration("ilptimeout", 2*time.Minute, "ILP solver timeout")
 		ilpSolver = flag.String("ilp-solver", "", "ILP backend: builtin (parallel branch-and-bound), builtin-seq, cbc or highs (external binaries on PATH)")
 		ilpMPS    = flag.String("ilp-mps", "", "explore, then write the extraction ILP (as built, before presolve) as a free-format MPS file and exit without solving")
-		workers   = flag.Int("workers", 0, "deprecated, no effect: exploration searches on one goroutine")
 		progress  = flag.Bool("progress", false, "print live progress lines (iterations, e-graph growth, ILP incumbents) to stderr")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto or chrome://tracing)")
 		ruleset   = flag.String("ruleset", "", "named rule set profile (e.g. taso-default, taso-single, or a loaded .rules file)")
@@ -84,9 +83,6 @@ func main() {
 	extractor, filter, scale := choiceFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *workers < 0 {
-		log.Fatalf("-workers must be >= 0, got %d", *workers)
-	}
 	registry := tensat.DefaultRegistry()
 	if *rulesDir != "" {
 		if _, err := registry.LoadRulesDir(*rulesDir); err != nil {
@@ -125,7 +121,6 @@ func main() {
 	opt.IterLimit = *iters
 	opt.ILPTimeout = *ilpTime
 	opt.ILPSolver = *ilpSolver
-	opt.Workers = *workers
 	opt.RuleSet = *ruleset
 	opt.CostModelName = *costmodel
 	opt.Extractor = tensat.Extractor(extractor.i)

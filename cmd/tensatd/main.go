@@ -58,9 +58,10 @@
 // options. A malformed or shape-unsound file refuses to boot the
 // daemon — better a loud start-up failure than a silently missing
 // profile — and every loaded file passes through the static rule
-// verifier (internal/rulecheck): warnings are logged (-strict-rules
-// turns them into startup failures), and -vet-only runs only the
-// verifier and exits, for deploy-pipeline gating.
+// verifier (internal/rulecheck): warnings are logged, and
+// -strict-rules turns them into startup failures. To gate a deploy
+// pipeline on profile health without starting a daemon, run
+// `tensat vet-rules -strict <dir>`.
 //
 // Observability: the daemon logs structured records via log/slog
 // (-log-format json for machine ingestion), exposes Prometheus metrics
@@ -88,43 +89,40 @@ import (
 	"tensat/internal/cluster"
 	"tensat/internal/fault"
 	"tensat/internal/ilp/backend"
-	"tensat/internal/rulecheck"
 	"tensat/internal/serve"
 	"tensat/internal/tenant"
 )
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":8080", "listen address")
-		workers       = flag.Int("workers", 0, "max concurrent optimizations (0 = GOMAXPROCS)")
-		searchWorkers = flag.Int("search-workers", 0, "default \"workers\" request option; deprecated, no effect on a run: exploration searches on one goroutine")
-		cacheSize     = flag.Int("cache", 256, "result cache capacity (entries)")
-		maxJobs       = flag.Int("max-jobs", 1024, "async job store capacity; submissions beyond it answer 429 once every held job is unfinished")
-		jobTTL        = flag.Duration("job-ttl", 15*time.Minute, "how long a finished job's result and progress log stay queryable")
-		nodeLimit     = flag.Int("nodelimit", 20000, "default e-graph node limit (N_max)")
-		iters         = flag.Int("iters", 15, "default exploration iteration limit (k_max)")
-		kmulti        = flag.Int("kmulti", 1, "default multi-pattern iterations (k_multi)")
-		ilpTime       = flag.Duration("ilptimeout", 2*time.Minute, "default ILP solver timeout")
-		ilpSolver     = flag.String("ilp-solver", "", "default ILP backend: builtin (parallel branch-and-bound), builtin-seq, cbc or highs (external binaries on PATH); requests override per-job with ilp_solver")
-		rulesDir      = flag.String("rules-dir", "", "load every *.rules file in this directory as a named rule set profile")
-		deviceDir     = flag.String("device-dir", "", "load every *.json device spec in this directory as a named cost model profile")
-		strictRules   = flag.Bool("strict-rules", false, "fail startup on any static rule-verifier finding in -rules-dir, warnings included (shape-unsound rules always fail)")
-		vetOnly       = flag.Bool("vet-only", false, "vet -rules-dir with the static rule verifier and exit without serving (exit 1 on error findings, or any finding with -strict-rules)")
-		cacheBytes    = flag.Int64("cache-max-bytes", 0, "result cache byte bound (encoded size; 0 = unbounded, entry-count bound still applies)")
-		storeDir      = flag.String("store-dir", "", "persist optimization results to this directory so restarts keep their warm set (empty = memory only)")
-		peers         = flag.String("peers", "", "comma-separated host:port fleet membership for the peer cache tier (requires -self)")
-		self          = flag.String("self", "", "this node's own name in -peers (its advertised host:port)")
-		peerTimeout   = flag.Duration("peer-timeout", cluster.DefaultTimeout, "per-request peer cache timeout; a slower peer is treated as a miss")
-		peerSecret    = flag.String("cluster-secret-file", "", "file holding the fleet's shared peer-auth secret (>= 16 bytes after trimming whitespace); required with -peers, must match on every node")
-		breakerFails  = flag.Int("peer-breaker-failures", 0, "consecutive failures that trip a peer's circuit breaker (0 = default "+strconv.Itoa(cluster.DefaultBreakerThreshold)+")")
-		breakerCool   = flag.Duration("peer-breaker-cooldown", 0, "how long a tripped breaker shuns its peer before a half-open probe (0 = default "+cluster.DefaultBreakerCooldown.String()+")")
-		peerRetries   = flag.Int("peer-retries", 0, "retry attempts for idempotent peer fetches, with jittered exponential backoff (negative = disabled, 0 = default "+strconv.Itoa(cluster.DefaultRetryAttempts)+")")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM/SIGINT shutdown waits for running jobs to finish before abandoning them")
-		faultSpec     = flag.String("fault-spec", "", "arm deterministic fault injection, e.g. 'store.put:enospc,peer.fetch:error:3' (development/chaos testing only — never set in production)")
-		tenantsFile   = flag.String("tenants", "", "JSON tenant registry (API keys, rate limits, concurrency quotas, priorities); empty = no auth, no quotas")
-		logFormat     = flag.String("log-format", "text", "log output format: text or json")
-		debugAddr     = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled; bind to loopback)")
-		keepAlive     = flag.Duration("sse-keepalive", 15*time.Second, "idle SSE keepalive comment interval (negative = disabled)")
+		addr         = flag.String("addr", ":8080", "listen address")
+		workers      = flag.Int("workers", 0, "max concurrent optimizations (0 = GOMAXPROCS)")
+		cacheSize    = flag.Int("cache", 256, "result cache capacity (entries)")
+		maxJobs      = flag.Int("max-jobs", 1024, "async job store capacity; submissions beyond it answer 429 once every held job is unfinished")
+		jobTTL       = flag.Duration("job-ttl", 15*time.Minute, "how long a finished job's result and progress log stay queryable")
+		nodeLimit    = flag.Int("nodelimit", 20000, "default e-graph node limit (N_max)")
+		iters        = flag.Int("iters", 15, "default exploration iteration limit (k_max)")
+		kmulti       = flag.Int("kmulti", 1, "default multi-pattern iterations (k_multi)")
+		ilpTime      = flag.Duration("ilptimeout", 2*time.Minute, "default ILP solver timeout")
+		ilpSolver    = flag.String("ilp-solver", "", "default ILP backend: builtin (parallel branch-and-bound), builtin-seq, cbc or highs (external binaries on PATH); requests override per-job with ilp_solver")
+		rulesDir     = flag.String("rules-dir", "", "load every *.rules file in this directory as a named rule set profile")
+		deviceDir    = flag.String("device-dir", "", "load every *.json device spec in this directory as a named cost model profile")
+		strictRules  = flag.Bool("strict-rules", false, "fail startup on any static rule-verifier finding in -rules-dir, warnings included (shape-unsound rules always fail)")
+		cacheBytes   = flag.Int64("cache-max-bytes", 0, "result cache byte bound (encoded size; 0 = unbounded, entry-count bound still applies)")
+		storeDir     = flag.String("store-dir", "", "persist optimization results to this directory so restarts keep their warm set (empty = memory only)")
+		peers        = flag.String("peers", "", "comma-separated host:port fleet membership for the peer cache tier (requires -self)")
+		self         = flag.String("self", "", "this node's own name in -peers (its advertised host:port)")
+		peerTimeout  = flag.Duration("peer-timeout", cluster.DefaultTimeout, "per-request peer cache timeout; a slower peer is treated as a miss")
+		peerSecret   = flag.String("cluster-secret-file", "", "file holding the fleet's shared peer-auth secret (>= 16 bytes after trimming whitespace); required with -peers, must match on every node")
+		breakerFails = flag.Int("peer-breaker-failures", 0, "consecutive failures that trip a peer's circuit breaker (0 = default "+strconv.Itoa(cluster.DefaultBreakerThreshold)+")")
+		breakerCool  = flag.Duration("peer-breaker-cooldown", 0, "how long a tripped breaker shuns its peer before a half-open probe (0 = default "+cluster.DefaultBreakerCooldown.String()+")")
+		peerRetries  = flag.Int("peer-retries", 0, "retry attempts for idempotent peer fetches, with jittered exponential backoff (negative = disabled, 0 = default "+strconv.Itoa(cluster.DefaultRetryAttempts)+")")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM/SIGINT shutdown waits for running jobs to finish before abandoning them")
+		faultSpec    = flag.String("fault-spec", "", "arm deterministic fault injection, e.g. 'store.put:enospc,peer.fetch:error:3' (development/chaos testing only — never set in production)")
+		tenantsFile  = flag.String("tenants", "", "JSON tenant registry (API keys, rate limits, concurrency quotas, priorities); empty = no auth, no quotas")
+		logFormat    = flag.String("log-format", "text", "log output format: text or json")
+		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled; bind to loopback)")
+		keepAlive    = flag.Duration("sse-keepalive", 15*time.Second, "idle SSE keepalive comment interval (negative = disabled)")
 	)
 	flag.Parse()
 
@@ -144,14 +142,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Worker counts must be non-negative: silently coercing a negative
-	// value to "GOMAXPROCS" (or to sequential search) hides an operator
-	// mistake.
+	// The worker count must be non-negative: silently coercing a
+	// negative value to "GOMAXPROCS" hides an operator mistake.
 	if *workers < 0 {
 		fatal("-workers must be >= 0", "got", *workers)
-	}
-	if *searchWorkers < 0 {
-		fatal("-search-workers must be >= 0", "got", *searchWorkers)
 	}
 	if !backend.Valid(*ilpSolver) {
 		fatal("-ilp-solver unknown", "got", *ilpSolver, "known", strings.Join(backend.Names(), ", "))
@@ -169,29 +163,6 @@ func main() {
 		}
 		logger.Warn("FAULT INJECTION ARMED — this daemon will deliberately misbehave; never use -fault-spec in production",
 			"spec", *faultSpec)
-	}
-
-	// -vet-only turns the daemon into a config checker: run the static
-	// rule verifier over -rules-dir and exit without binding a socket,
-	// so deploy pipelines can gate on profile health.
-	if *vetOnly {
-		if *rulesDir == "" {
-			fatal("-vet-only requires -rules-dir")
-		}
-		model, _ := tensat.DefaultRegistry().CostModel(tensat.DefaultCostModelName)
-		findings, err := rulecheck.CheckDir(*rulesDir, model)
-		if err != nil {
-			fatal("vetting rule sets", "error", err)
-		}
-		for _, f := range findings {
-			logger.Warn("rule vet finding", "source", f.Source, "rule", f.Rule,
-				"class", f.Class, "severity", f.Severity, "detail", f.Detail)
-		}
-		if rulecheck.HasErrors(findings) || (*strictRules && len(findings) > 0) {
-			os.Exit(1)
-		}
-		logger.Info("rule sets vetted", "dir", *rulesDir, "findings", len(findings))
-		return
 	}
 
 	registry := tensat.DefaultRegistry()
@@ -229,7 +200,6 @@ func main() {
 	base.IterLimit = *iters
 	base.KMulti = *kmulti
 	base.ILPTimeout = *ilpTime
-	base.Workers = *searchWorkers
 	base.ILPSolver = *ilpSolver
 
 	// The persistent store opens before the listener binds: an unusable

@@ -10,10 +10,8 @@
 package cachekey
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"tensat/internal/analysis"
@@ -265,17 +263,4 @@ func sameNamed(t types.Type, target *types.Named) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj() == target.Obj()
-}
-
-// Describe returns a sorted list of the struct names `required`
-// hard-wires, for documentation and tests.
-func Describe() []string {
-	var out []string
-	for pkg, names := range required {
-		for _, n := range names {
-			out = append(out, fmt.Sprintf("%s.%s", pkg, n))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -19,7 +19,7 @@
 // The file layout is a single log (results.log) in the store
 // directory. The key → offset index is rebuilt by scanning at Open, so
 // there is no separate index file to corrupt. Overwritten keys leave
-// dead records behind; Compact (triggered automatically when dead
+// dead records behind; compaction (triggered automatically when dead
 // bytes exceed the live set) rewrites the log atomically via a temp
 // file + rename.
 package cachestore
@@ -51,10 +51,6 @@ type Store interface {
 	// Bytes reports the live payload bytes (excluding framing and dead
 	// records) — the store's logical size.
 	Bytes() int64
-	// Keys lists the live keys in unspecified order.
-	Keys() []string
-	// Close releases the store. Get/Put after Close return ErrClosed.
-	Close() error
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -114,7 +110,7 @@ type FileStore struct {
 	compacting bool // a background compaction is scheduled or running
 
 	// compactMinDead is how many dead bytes must accumulate (and exceed
-	// the live set) before Put triggers an automatic background Compact.
+	// the live set) before Put triggers an automatic background compaction.
 	compactMinDead int64
 }
 
@@ -362,16 +358,9 @@ func appendFrame(buf []byte, key string, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc)
 }
 
-// Compact rewrites the log with only the live records, reclaiming dead
-// bytes. Put triggers it automatically in a background goroutine when
-// dead bytes exceed the live set.
-func (s *FileStore) Compact() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.compactUnderWmu()
-}
-
-// compactUnderWmu rewrites the log. The caller holds wmu, so no writer
+// compactUnderWmu rewrites the log with only the live records,
+// reclaiming dead bytes; Put runs it in a background goroutine when
+// dead bytes exceed the live set. The caller holds wmu, so no writer
 // can move the index or the append offset; mu is taken only to
 // snapshot the index and for the final swap, so Gets keep being served
 // from the old log for the whole rewrite.
@@ -473,15 +462,7 @@ func (s *FileStore) Bytes() int64 {
 	return s.live
 }
 
-// DeadBytes reports bytes held by overwritten or unreadable records —
-// what a Compact would reclaim. Observability only.
-func (s *FileStore) DeadBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.dead
-}
-
-// Keys implements Store.
+// Keys lists the live keys in unspecified order.
 func (s *FileStore) Keys() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -492,7 +473,8 @@ func (s *FileStore) Keys() []string {
 	return out
 }
 
-// Close implements Store. It waits for any in-flight append or
+// Close releases the store; Get and Put after Close return ErrClosed.
+// It waits for any in-flight append or
 // compaction (wmu) so the log is never torn by the close, then
 // releases the directory lock.
 func (s *FileStore) Close() error {

@@ -59,6 +59,21 @@ var testParts = KeyParts{
 	CostModelHash: "ch-cafef00d",
 }
 
+// compact rewrites the log now, as Put's background compaction does.
+func compact(s *FileStore) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.compactUnderWmu()
+}
+
+// deadBytes reports bytes held by overwritten or unreadable records:
+// what a compaction would reclaim.
+func deadBytes(s *FileStore) int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.dead
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	res, tensors := testResult(t)
 	payload, err := Encode(res, tensors, testParts)
@@ -259,14 +274,14 @@ func TestCompactReclaimsDeadBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.DeadBytes() == 0 {
+	if deadBytes(s) == 0 {
 		t.Fatal("overwrites produced no dead bytes")
 	}
-	if err := s.Compact(); err != nil {
+	if err := compact(s); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DeadBytes(); got != 0 {
-		t.Fatalf("DeadBytes after Compact = %d", got)
+	if got := deadBytes(s); got != 0 {
+		t.Fatalf("dead bytes after compaction = %d", got)
 	}
 	p, ok, err := s.Get("hot")
 	if err != nil || !ok || !bytes.Equal(p, bytes.Repeat([]byte{49}, 128)) {
@@ -301,11 +316,11 @@ func TestAutoCompactTriggers(t *testing.T) {
 	// Compaction runs on a background goroutine; poll until it lands.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if dead := s.DeadBytes(); dead <= 2*1024 {
+		if dead := deadBytes(s); dead <= 2*1024 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("auto-compaction never ran: %d dead bytes", s.DeadBytes())
+			t.Fatalf("auto-compaction never ran: %d dead bytes", deadBytes(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

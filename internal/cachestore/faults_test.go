@@ -36,7 +36,7 @@ func TestCrashDuringCompaction(t *testing.T) {
 	// Kill the compaction at the rename: the temp file is fully written
 	// and fsync'd, but never swapped in — exactly the crash window.
 	fault.Arm("store.compact.rename", fault.Action{Mode: fault.ModeError, Count: 1})
-	if err := s.Compact(); err == nil {
+	if err := compact(s); err == nil {
 		t.Fatal("Compact succeeded despite injected rename failure")
 	}
 	fault.Reset()
@@ -70,7 +70,7 @@ func TestCrashDuringCompaction(t *testing.T) {
 	}
 	// And the store is still fully functional: a clean compaction now
 	// succeeds and loses nothing.
-	if err := s2.Compact(); err != nil {
+	if err := compact(s2); err != nil {
 		t.Fatalf("Compact after recovery: %v", err)
 	}
 	for k, v := range want {

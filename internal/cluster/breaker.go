@@ -7,8 +7,5 @@ import "tensat/internal/breaker"
 // values are the `tensat_peer_breaker_state{peer}` gauge encoding.
 type BreakerState = breaker.State
 
-const (
-	BreakerClosed   = breaker.Closed
-	BreakerOpen     = breaker.Open
-	BreakerHalfOpen = breaker.HalfOpen
-)
+// BreakerClosed is the state every peer's breaker starts in.
+const BreakerClosed = breaker.Closed

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tensat/internal/breaker"
 )
 
 // transitions records breaker state changes for assertions.
@@ -100,7 +102,7 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 			t.Fatalf("fetch %d against failing peer: err = %v", i, err)
 		}
 	}
-	if st := c.BreakerStates()["peer"]; st != BreakerOpen {
+	if st := c.BreakerStates()["peer"]; st != breaker.Open {
 		t.Fatalf("breaker after 3 failures = %v, want open", st)
 	}
 	// While open, the key falls over to the next successor — self, on a
@@ -125,7 +127,7 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	if st := c.BreakerStates()["peer"]; st != BreakerClosed {
 		t.Fatalf("breaker after successful probe = %v, want closed", st)
 	}
-	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerClosed}
+	want := []BreakerState{breaker.Open, breaker.HalfOpen, BreakerClosed}
 	if got := tr.snapshot(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("breaker transitions = %v, want %v", got, want)
 	}
@@ -153,7 +155,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	if _, err := c.Fetch(context.Background(), key); err == nil {
 		t.Fatal("fetch against failing peer succeeded")
 	}
-	if st := c.BreakerStates()["peer"]; st != BreakerOpen {
+	if st := c.BreakerStates()["peer"]; st != breaker.Open {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 	time.Sleep(40 * time.Millisecond)
@@ -161,7 +163,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	if _, err := c.Fetch(context.Background(), key); err == nil || errors.Is(err, ErrNotFound) {
 		t.Fatalf("probe fetch: err = %v, want transport error", err)
 	}
-	if st := c.BreakerStates()["peer"]; st != BreakerOpen {
+	if st := c.BreakerStates()["peer"]; st != breaker.Open {
 		t.Fatalf("breaker after failed probe = %v, want open", st)
 	}
 }

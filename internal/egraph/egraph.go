@@ -377,10 +377,6 @@ func (g *EGraph) dedupe(id ClassID) {
 // id was never issued by this e-graph.
 func (g *EGraph) Class(id ClassID) *Class { return g.classes[g.uf.find(id)] }
 
-// Nodes returns the node ids of id's class (canonicalized), as
-// View.Nodes does for a frozen view.
-func (g *EGraph) Nodes(id ClassID) []ClassID { return g.Class(id).Nodes }
-
 // Classes calls f for every canonical class in ascending id order.
 // Mutating the e-graph during iteration is not allowed.
 func (g *EGraph) Classes(f func(*Class)) {

@@ -62,7 +62,7 @@ func TestOpIndexFresh(t *testing.T) {
 // TestOpIndexUnderUnionRebuild is the invalidation/refresh contract:
 // after Union+Rebuild merge classes holding different ops, a fresh
 // Freeze must index the merged class under every op it now contains,
-// and the stale view's index must not be consulted (Stale reports it).
+// and the stale view's index must not be consulted (stale reports it).
 func TestOpIndexUnderUnionRebuild(t *testing.T) {
 	g := New(nil)
 	a := g.Add(Node{Op: 1, Str: "a"})
@@ -79,7 +79,7 @@ func TestOpIndexUnderUnionRebuild(t *testing.T) {
 
 	g.Union(a, b)
 	g.Rebuild() // merges f(a) ~ f(b) by congruence
-	if !v1.Stale() {
+	if !stale(v1) {
 		t.Fatal("union did not invalidate the old view")
 	}
 	v2 := g.Freeze()

@@ -193,7 +193,7 @@ func (d *refDriver) checkView() {
 	v := g.Freeze()
 	d.check()
 	for i := 0; i < g.uf.size(); i++ {
-		if id := ClassID(i); v.Find(id) != g.Find(id) || !slices.Equal(v.Nodes(id), g.Nodes(id)) {
+		if id := ClassID(i); v.Find(id) != g.Find(id) || !slices.Equal(v.Nodes(id), g.Class(id).Nodes) {
 			t.Fatalf("view disagrees with the e-graph on e%d", id)
 		}
 	}

@@ -141,8 +141,9 @@ func (v *View) Version() uint64 { return v.version }
 // Conversely, a class not in the returned set has its entire downward
 // reachable region unchanged, so matches rooted at it are exactly what
 // they were at version since (with all bound class ids still
-// canonical). DirtySince reads the e-graph's live classes, so the view
-// must be fresh (not Stale): call it before mutating the e-graph.
+// canonical). DirtySince reads the e-graph's live classes, so the
+// e-graph must not have changed since the freeze: call it before
+// mutating the e-graph.
 func (v *View) DirtySince(since uint64) []bool {
 	dirty := make([]bool, len(v.find))
 	var queue []*Class
@@ -165,9 +166,3 @@ func (v *View) DirtySince(since uint64) []bool {
 	}
 	return dirty
 }
-
-// Stale reports whether the source e-graph has been mutated (Add,
-// Union, or a Rebuild that had work to do) since the view was frozen.
-// A view made stale by Add and Union alone still answers as at the
-// freeze (see View).
-func (v *View) Stale() bool { return v.version != v.g.version }

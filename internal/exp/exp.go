@@ -215,12 +215,6 @@ type ModelRun struct {
 // TensatTime is TENSAT's optimization time: exploration plus extraction.
 func (m *ModelRun) TensatTime() time.Duration { return m.TensatExplore + m.TensatExtract }
 
-// RunModel optimizes one benchmark with both TENSAT and TASO: one row
-// of the sweep, run on its own.
-func (c Config) RunModel(name string) (*ModelRun, error) {
-	return NewRuns(c).measure(c.run(name, 1), true)
-}
-
 // measure compares k's result and, with withTASO, the sweep's TASO
 // result with the unoptimized model.
 func (r *Runs) measure(k tensatRun, withTASO bool) (*ModelRun, error) {

@@ -25,7 +25,8 @@ func quick() Config {
 }
 
 func TestRunModelNasRNN(t *testing.T) {
-	r, err := quick().RunModel("NasRNN")
+	c := quick()
+	r, err := NewRuns(c).measure(c.run("NasRNN", 1), true)
 	if err != nil {
 		t.Fatal(err)
 	}

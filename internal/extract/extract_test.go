@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -191,7 +192,7 @@ func TestILPRefusesForbiddenNodeFromBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := ilp.Solve(p)
+	sol, err := ilp.SolveParallelContext(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // in always — there is no build tag — but costs a single atomic load
 // when no fault is armed, so production binaries pay nothing for it.
 //
-// Faults are armed programmatically from tests (Arm/Disarm/Reset) or
+// Faults are armed programmatically from tests (Arm/Reset) or
 // at daemon start from the dev-only `tensatd -fault-spec` flag, whose
 // grammar ParseSpec implements. A fault fires deterministically: an
 // armed point triggers on every Check, or on exactly the first Count
@@ -126,17 +126,6 @@ func Arm(name string, a Action) {
 	points[name] = &point{action: a}
 }
 
-// Disarm removes the fault at the named point, if any. Hit counts for
-// the point are discarded.
-func Disarm(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[name]; ok {
-		delete(points, name)
-		armed.Add(-1)
-	}
-}
-
 // Reset disarms every point and clears all hit counts, returning the
 // framework to its inert state. Tests that arm faults must defer a
 // Reset so state cannot leak across tests.
@@ -145,23 +134,6 @@ func Reset() {
 	defer mu.Unlock()
 	points = nil
 	armed.Store(0)
-}
-
-// Active reports whether any point is currently armed. tensatd uses it
-// to log a loud warning at boot when -fault-spec armed something.
-func Active() bool {
-	return armed.Load() != 0
-}
-
-// Hits reports how many Checks have reached the named point since it
-// was armed, whether or not they triggered. Zero for unarmed points.
-func Hits(name string) int {
-	mu.Lock()
-	defer mu.Unlock()
-	if p, ok := points[name]; ok {
-		return p.hits
-	}
-	return 0
 }
 
 // Check consults the named injection point. When the point is not

@@ -7,15 +7,37 @@ import (
 	"time"
 )
 
+// disarm removes the fault at the named point, if any, discarding its
+// hit count.
+func disarm(name string) {
+	mu.Lock()
+	defer mu.Unlock()
+	if _, ok := points[name]; ok {
+		delete(points, name)
+		armed.Add(-1)
+	}
+}
+
+// hits reports how many Checks have reached the named point since it
+// was armed, whether or not they triggered. Zero for unarmed points.
+func hits(name string) int {
+	mu.Lock()
+	defer mu.Unlock()
+	if p, ok := points[name]; ok {
+		return p.hits
+	}
+	return 0
+}
+
 func TestInertFastPath(t *testing.T) {
 	Reset()
 	if err := Check("store.put"); err != nil {
 		t.Fatalf("unarmed Check returned %v", err)
 	}
-	if Active() {
-		t.Fatal("Active() true with nothing armed")
+	if armed.Load() != 0 {
+		t.Fatal("a point is armed with nothing armed")
 	}
-	if Hits("store.put") != 0 {
+	if hits("store.put") != 0 {
 		t.Fatal("unarmed point recorded hits")
 	}
 }
@@ -24,8 +46,8 @@ func TestArmErrorAndDisarm(t *testing.T) {
 	Reset()
 	defer Reset()
 	Arm("store.put", Action{Mode: ModeError})
-	if !Active() {
-		t.Fatal("Active() false after Arm")
+	if armed.Load() == 0 {
+		t.Fatal("no point armed after Arm")
 	}
 	if err := Check("store.put"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
@@ -34,9 +56,9 @@ func TestArmErrorAndDisarm(t *testing.T) {
 	if err := Check("store.get"); err != nil {
 		t.Fatalf("unarmed sibling point returned %v", err)
 	}
-	Disarm("store.put")
-	if Active() {
-		t.Fatal("Active() true after Disarm")
+	disarm("store.put")
+	if armed.Load() != 0 {
+		t.Fatal("a point is still armed after disarm")
 	}
 	if err := Check("store.put"); err != nil {
 		t.Fatalf("disarmed Check returned %v", err)
@@ -75,7 +97,7 @@ func TestCountedTrigger(t *testing.T) {
 	if err := Check("peer.fetch"); err != nil {
 		t.Fatalf("third check should pass, got %v", err)
 	}
-	if got := Hits("peer.fetch"); got != 3 {
+	if got := hits("peer.fetch"); got != 3 {
 		t.Fatalf("Hits = %d, want 3", got)
 	}
 }
@@ -128,7 +150,7 @@ func TestParseSpec(t *testing.T) {
 	if err := ParseSpec(spec); err != nil {
 		t.Fatalf("ParseSpec(%q) = %v", spec, err)
 	}
-	if !Active() {
+	if armed.Load() == 0 {
 		t.Fatal("spec armed nothing")
 	}
 	if err := Check("store.put"); !errors.Is(err, syscall.ENOSPC) {
@@ -150,7 +172,7 @@ func TestParseSpecEmpty(t *testing.T) {
 	if err := ParseSpec("  "); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
-	if Active() {
+	if armed.Load() != 0 {
 		t.Fatal("empty spec armed something")
 	}
 }
@@ -172,7 +194,7 @@ func TestParseSpecErrors(t *testing.T) {
 		if err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted a bad spec", spec)
 		}
-		if Active() {
+		if armed.Load() != 0 {
 			t.Fatalf("ParseSpec(%q) armed something despite erroring", spec)
 		}
 	}

@@ -32,10 +32,6 @@ type Solver interface {
 	// Name is the stable identifier used in flags, request options,
 	// cache keys, and metric labels.
 	Name() string
-	// Available reports whether this backend can run here (external
-	// binaries present, etc.). Solving through an unavailable backend
-	// returns ErrUnavailable.
-	Available() bool
 	// Solve runs the backend. The anytime contract matches the builtin
 	// solver: on timeout the best incumbent comes back with
 	// Optimal=false rather than an error, when one exists.
@@ -64,9 +60,6 @@ func (b Builtin) Name() string {
 	return "builtin"
 }
 
-// Available implements Solver; the builtin always runs.
-func (b Builtin) Available() bool { return true }
-
 // Solve implements Solver.
 func (b Builtin) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, error) {
 	return ilp.SolveParallelContext(ctx, p, b.Workers)
@@ -80,12 +73,6 @@ type External struct {
 
 // Name implements Solver.
 func (e External) Name() string { return e.Binary }
-
-// Available implements Solver.
-func (e External) Available() bool {
-	_, err := exec.LookPath(e.Binary)
-	return err == nil
-}
 
 // timeoutSeconds derives the subprocess time budget from the problem
 // timeout and the context deadline, whichever binds first.

@@ -260,11 +260,6 @@ type solver struct {
 	unitIdx        int
 }
 
-// Solve runs branch-and-bound and returns the best selection.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveContext(context.Background(), p)
-}
-
 // prepare validates the problem and builds the master solver: every
 // precomputed read-only table (allowed nodes, class minima, tree
 // costs, free picks, watch sets) plus search state at rest.
@@ -361,14 +356,6 @@ func (s *solver) seed() (seedCost float64) {
 		}
 	}
 	return seedCost
-}
-
-// SolveContext is Solve with cancellation: when ctx is done the search
-// stops at the next check point and the incumbent (if any) is returned
-// with Canceled set, exactly like a timeout; with no incumbent it
-// returns ctx.Err() so callers see the cancellation directly.
-func SolveContext(ctx context.Context, p *Problem) (*Solution, error) {
-	return SolveParallelContext(ctx, p, 1)
 }
 
 // greedyStart returns the greedy extraction — per class the node of

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -39,7 +40,7 @@ func TestSolveSingleClass(t *testing.T) {
 		Classes:  [][]int{{0, 1}},
 		Root:     0,
 	}
-	sol, err := Solve(p)
+	sol, err := SolveParallelContext(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSolvePrefersCheapSubtree(t *testing.T) {
 	// Root node A costs 1 but requires an expensive chain; node B costs
 	// 4 and is a leaf. Total via A = 1+10 = 11 > 4.
 	p := chain([][2]float64{{1, 4}, {10, 10}})
-	sol, err := Solve(p)
+	sol, err := SolveParallelContext(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSolveExploitsSharing(t *testing.T) {
 		Classes:  [][]int{{0}, {1, 2}, {3, 4}, {5}},
 		Root:     0,
 	}
-	sol, err := Solve(p)
+	sol, err := SolveParallelContext(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestForbiddenNodesExcluded(t *testing.T) {
 		Root:      0,
 		Forbidden: []bool{true, false},
 	}
-	sol, err := Solve(p)
+	sol, err := SolveParallelContext(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestInfeasibleAllForbidden(t *testing.T) {
 		Root:      0,
 		Forbidden: []bool{true},
 	}
-	if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveParallelContext(context.Background(), p, 1); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -140,7 +141,7 @@ func TestCycleConstraintsBlockCyclicSelection(t *testing.T) {
 	for _, mode := range []TopoMode{TopoReal, TopoInt} {
 		p := cyclicProblem()
 		p.TopoMode = mode
-		sol, err := Solve(p)
+		sol, err := SolveParallelContext(context.Background(), p, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -158,7 +159,7 @@ func TestCycleConstraintsBlockCyclicSelection(t *testing.T) {
 func TestWithoutCycleConstraintsCyclicGraphMaySelectCycle(t *testing.T) {
 	p := cyclicProblem()
 	p.CycleConstraints = false
-	sol, err := Solve(p)
+	sol, err := SolveParallelContext(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestTimeoutReturnsIncumbentOrError(t *testing.T) {
 	}
 	p := chain(costs)
 	p.Timeout = time.Nanosecond
-	sol, err := Solve(p)
+	sol, err := SolveParallelContext(context.Background(), p, 1)
 	if err != nil {
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("unexpected error %v", err)
@@ -217,15 +218,15 @@ func TestTimeoutReturnsIncumbentOrError(t *testing.T) {
 
 func TestValidateRejectsBadProblems(t *testing.T) {
 	bad := &Problem{Costs: []float64{1}, ClassOf: []int{0}, Children: [][]int{nil}, Classes: [][]int{{0}}, Root: 5}
-	if _, err := Solve(bad); err == nil {
+	if _, err := SolveParallelContext(context.Background(), bad, 1); err == nil {
 		t.Fatal("bad root accepted")
 	}
 	bad2 := &Problem{Costs: []float64{1}, ClassOf: []int{9}, Children: [][]int{nil}, Classes: [][]int{{0}}, Root: 0}
-	if _, err := Solve(bad2); err == nil {
+	if _, err := SolveParallelContext(context.Background(), bad2, 1); err == nil {
 		t.Fatal("bad class accepted")
 	}
 	bad3 := &Problem{Costs: []float64{1}, ClassOf: []int{0}, Children: [][]int{{7}}, Classes: [][]int{{0}}, Root: 0}
-	if _, err := Solve(bad3); err == nil {
+	if _, err := SolveParallelContext(context.Background(), bad3, 1); err == nil {
 		t.Fatal("bad child accepted")
 	}
 }
@@ -235,7 +236,7 @@ func TestValidateRejectsBadProblems(t *testing.T) {
 func TestRandomDAGOptimality(t *testing.T) {
 	f := func(seed []uint8) bool {
 		p := randomDAG(seed)
-		sol, err := Solve(p)
+		sol, err := SolveParallelContext(context.Background(), p, 1)
 		if err != nil {
 			return errors.Is(err, ErrInfeasible)
 		}

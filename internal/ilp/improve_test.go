@@ -56,7 +56,7 @@ func TestImproveIncumbentFindsJointSwitch(t *testing.T) {
 }
 
 func TestSolveFindsJointSwitch(t *testing.T) {
-	sol, err := Solve(figure2Problem())
+	sol, err := SolveParallelContext(context.Background(), figure2Problem(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package lpfile
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -48,8 +49,8 @@ func roundTrip(t *testing.T, p *ilp.Problem) {
 	if err != nil {
 		t.Fatalf("readMPS: %v\n%s", err, buf.String())
 	}
-	want, err1 := ilp.Solve(p)
-	got, err2 := ilp.Solve(q)
+	want, err1 := ilp.SolveParallelContext(context.Background(), p, 1)
+	got, err2 := ilp.SolveParallelContext(context.Background(), q, 1)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("solve: original %v, round-tripped %v", err1, err2)
 	}
@@ -88,8 +89,8 @@ func TestMPSRoundTripRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a, err1 := ilp.Solve(p)
-		b, err2 := ilp.Solve(q)
+		a, err1 := ilp.SolveParallelContext(context.Background(), p, 1)
+		b, err2 := ilp.SolveParallelContext(context.Background(), q, 1)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}

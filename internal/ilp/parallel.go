@@ -238,11 +238,6 @@ func DefaultWorkers() int {
 	return n
 }
 
-// SolveParallel is SolveParallelContext without cancellation.
-func SolveParallel(p *Problem, workers int) (*Solution, error) {
-	return SolveParallelContext(context.Background(), p, workers)
-}
-
 // searchUnits runs one goroutine per worker, each claiming units in
 // order until none is left or its search timed out or stalled, and
 // returns when all have stopped. A worker's panic is raised again
@@ -289,7 +284,10 @@ func searchUnits(pool []*solver, units []unit) {
 // problem regardless of scheduling. One worker searches the whole tree
 // as a single unit; more split its top with collectUnits. Every worker
 // count accepts incumbents by the one rule in offer. workers <= 0
-// selects DefaultWorkers().
+// selects DefaultWorkers(). When ctx is done the search stops at the
+// next check point and the incumbent (if any) is returned with
+// Canceled set, exactly like a timeout; with no incumbent it returns
+// ctx.Err() so callers see the cancellation directly.
 func SolveParallelContext(ctx context.Context, p *Problem, workers int) (*Solution, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()

@@ -88,7 +88,7 @@ func escapeRing(m int) *Problem {
 
 func TestSharingProblemOptimum(t *testing.T) {
 	const k = 14
-	sol, err := Solve(sharingProblem(k))
+	sol, err := SolveParallelContext(context.Background(), sharingProblem(k), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func TestSharingProblemOptimum(t *testing.T) {
 func TestParallelMatchesSequentialRandom(t *testing.T) {
 	f := func(seed []uint8) bool {
 		p := randomDAG(seed)
-		seq, serr := Solve(p)
-		par, perr := SolveParallel(p, 4)
+		seq, serr := SolveParallelContext(context.Background(), p, 1)
+		par, perr := SolveParallelContext(context.Background(), p, 4)
 		if serr != nil || perr != nil {
 			return errors.Is(serr, ErrInfeasible) && errors.Is(perr, ErrInfeasible)
 		}
@@ -117,7 +117,7 @@ func TestParallelMatchesSequentialCyclic(t *testing.T) {
 	for _, mode := range []TopoMode{TopoReal, TopoInt} {
 		p := cyclicProblem()
 		p.TopoMode = mode
-		sol, err := SolveParallel(p, 4)
+		sol, err := SolveParallelContext(context.Background(), p, 4)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -129,7 +129,7 @@ func TestParallelMatchesSequentialCyclic(t *testing.T) {
 
 func TestParallelSharingOptimum(t *testing.T) {
 	const k = 14
-	sol, err := SolveParallel(sharingProblem(k), 4)
+	sol, err := SolveParallelContext(context.Background(), sharingProblem(k), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestParallelDeterministicCost(t *testing.T) {
 	p := sharingProblem(12)
 	first := -1.0
 	for run := 0; run < 6; run++ {
-		sol, err := SolveParallel(p, 4)
+		sol, err := SolveParallelContext(context.Background(), p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,9 +203,9 @@ func TestOnIncumbentMonotonic(t *testing.T) {
 		var sol *Solution
 		var err error
 		if par {
-			sol, err = SolveParallel(p, 4)
+			sol, err = SolveParallelContext(context.Background(), p, 4)
 		} else {
-			sol, err = Solve(p)
+			sol, err = SolveParallelContext(context.Background(), p, 1)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -264,7 +264,7 @@ func TestCanceledWithoutIncumbentReturnsContextError(t *testing.T) {
 		if par {
 			_, err = SolveParallelContext(ctx, p, 4)
 		} else {
-			_, err = SolveContext(ctx, p)
+			_, err = SolveParallelContext(ctx, p, 1)
 		}
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -286,9 +286,9 @@ func TestTimeoutReturnsIncumbentNotError(t *testing.T) {
 		var sol *Solution
 		var err error
 		if par {
-			sol, err = SolveParallel(p, 4)
+			sol, err = SolveParallelContext(context.Background(), p, 4)
 		} else {
-			sol, err = Solve(p)
+			sol, err = SolveParallelContext(context.Background(), p, 1)
 		}
 		if err != nil {
 			t.Fatalf("parallel=%v: %v", par, err)
@@ -300,7 +300,7 @@ func TestTimeoutReturnsIncumbentNotError(t *testing.T) {
 }
 
 func TestParallelWorkersOneIsSequential(t *testing.T) {
-	sol, err := SolveParallel(sharingProblem(10), 1)
+	sol, err := SolveParallelContext(context.Background(), sharingProblem(10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestCostDominationBeatsSubsetRule(t *testing.T) {
 	if red.VarsFixed != 3 {
 		t.Fatalf("VarsFixed = %d, want 3 (%+v)", red.VarsFixed, red)
 	}
-	sol, err := ilp.Solve(q)
+	sol, err := ilp.SolveParallelContext(context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCycleConstraintsKeptWhenCyclePossible(t *testing.T) {
 	if red.ConstraintsRemoved == 0 {
 		t.Fatalf("no vacuous rows found: %+v", red)
 	}
-	sol, err := ilp.Solve(q)
+	sol, err := ilp.SolveParallelContext(context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEmptyChildClassPropagates(t *testing.T) {
 	if red.Iterations < 2 {
 		t.Fatalf("propagation needs a second round, got %+v", red)
 	}
-	sol, err := ilp.Solve(q)
+	sol, err := ilp.SolveParallelContext(context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCanceledContext(t *testing.T) {
 func TestPresolvePreservesOptimum(t *testing.T) {
 	f := func(seed []uint8) bool {
 		p := randomDAG(seed)
-		orig, err := ilp.Solve(p)
+		orig, err := ilp.SolveParallelContext(context.Background(), p, 1)
 		if err != nil {
 			return true // infeasible inputs are out of scope here
 		}
@@ -190,7 +190,7 @@ func TestPresolvePreservesOptimum(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		reduced, err := ilp.Solve(q)
+		reduced, err := ilp.SolveParallelContext(context.Background(), q, 1)
 		if err != nil {
 			return false
 		}

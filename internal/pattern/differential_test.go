@@ -156,14 +156,19 @@ func TestCompiledMatchesMutableEGraph(t *testing.T) {
 	for pi := 0; pi < 12; pi++ {
 		p := randomPat(rng, 1+rng.Intn(3))
 		label := fmt.Sprintf("pattern %s", p)
-		want := ReferenceSearchClasses(g, p, classes)
+		want := ReferenceSearchClasses(mutable{g}, p, classes)
 		assertSameMatches(t, label, want, Search(g, p))
 		for _, cls := range classes {
-			cwant := ReferenceSearchClasses(g, p, []*egraph.Class{cls})
+			cwant := ReferenceSearchClasses(mutable{g}, p, []*egraph.Class{cls})
 			assertSameMatches(t, label+" (class)", cwant, SearchClass(g, p, cls.ID))
 		}
 	}
 }
+
+// mutable reads the live e-graph as a Source.
+type mutable struct{ *egraph.EGraph }
+
+func (m mutable) Nodes(id egraph.ClassID) []egraph.ClassID { return m.Class(id).Nodes }
 
 // TestViewSurvivesAddAndUnion freezes a view, then adds nodes and
 // unions classes as a rule loop does before the next Rebuild. The view

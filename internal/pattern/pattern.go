@@ -203,20 +203,6 @@ func (s Subst) Clone() Subst {
 	return c
 }
 
-// Rename relabels s's keys through a canonical->original map, i.e. the
-// DECANONICAL step of Algorithm 1.
-func (s Subst) Rename(back map[string]string) Subst {
-	out := make(Subst, len(s))
-	for k, v := range s {
-		name, ok := back[k]
-		if !ok {
-			name = k
-		}
-		out[name] = v
-	}
-	return out
-}
-
 // String renders the substitution deterministically for tests/logs.
 func (s Subst) String() string {
 	keys := make([]string, 0, len(s))

@@ -68,14 +68,6 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-func TestSubstRename(t *testing.T) {
-	s := Subst{"?0": 3, "?1": 5}
-	out := s.Rename(map[string]string{"?0": "?x", "?1": "?y"})
-	if out["?x"] != 3 || out["?y"] != 5 {
-		t.Fatalf("renamed %v", out)
-	}
-}
-
 // buildMatmulEGraph ingests matmul(act=0, x, w) into an e-graph by hand.
 func buildMatmulEGraph(t *testing.T) (*egraph.EGraph, egraph.ClassID, egraph.ClassID, egraph.ClassID) {
 	t.Helper()

@@ -11,7 +11,7 @@ import "tensat/internal/egraph"
 // faster. Do not call it from non-test code.
 
 // Source is the read-only e-graph access the reference interpreter
-// needs. Both *egraph.EGraph and *egraph.View implement it.
+// needs. *egraph.View implements it.
 type Source interface {
 	Find(egraph.ClassID) egraph.ClassID
 	Nodes(egraph.ClassID) []egraph.ClassID

@@ -135,7 +135,9 @@ type Runner struct {
 	// Workers is not read: each pattern is searched on the exploring
 	// goroutine just before the first rule that reads it.
 	//
-	// Deprecated: it has no effect and is kept for callers that set it.
+	// Deprecated: it has no effect. It remains only because the
+	// benchmark's pipeline (bench/pipeline.go) still sets it; it goes
+	// when that file next changes.
 	Workers int
 	// Progress, when non-nil, is called from the exploring goroutine
 	// once before the first iteration (with iteration 0 and the

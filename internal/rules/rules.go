@@ -245,12 +245,3 @@ func transposeInverse() *rewrite.Rule {
 	}
 	return r
 }
-
-// Names lists rule names, for reports.
-func Names(rs []*rewrite.Rule) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.Name
-	}
-	return out
-}

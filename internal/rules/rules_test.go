@@ -44,13 +44,12 @@ func TestRuleSetParses(t *testing.T) {
 	if multi < 4 {
 		t.Fatalf("only %d multi-pattern rules", multi)
 	}
-	names := Names(rs)
 	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate rule name %s", n)
+	for _, r := range rs {
+		if seen[r.Name] {
+			t.Fatalf("duplicate rule name %s", r.Name)
 		}
-		seen[n] = true
+		seen[r.Name] = true
 	}
 }
 

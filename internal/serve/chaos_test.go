@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"tensat"
+	"tensat/internal/breaker"
 	"tensat/internal/cachestore"
 	"tensat/internal/cluster"
 	"tensat/internal/fault"
@@ -57,7 +58,7 @@ func TestPipelinePanicIsIsolated(t *testing.T) {
 	g := rewriteGraph(t)
 
 	fault.Arm("rewrite.apply", fault.Action{Mode: fault.ModePanic, Count: 1})
-	_, err := s.Optimize(context.Background(), g, RequestOptions{})
+	_, err := submitAndWait(context.Background(), s, g, RequestOptions{})
 	var perr *tensat.PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("faulted run: err = %v, want *tensat.PanicError", err)
@@ -71,7 +72,7 @@ func TestPipelinePanicIsIsolated(t *testing.T) {
 
 	// The failed run must not have been cached; the retry recomputes.
 	fault.Reset()
-	retry, err := s.Optimize(context.Background(), g, RequestOptions{})
+	retry, err := submitAndWait(context.Background(), s, g, RequestOptions{})
 	if err != nil {
 		t.Fatalf("post-fault run: %v", err)
 	}
@@ -80,11 +81,11 @@ func TestPipelinePanicIsIsolated(t *testing.T) {
 	}
 
 	control := New(Config{Workers: 2})
-	want, err := control.Optimize(context.Background(), rewriteGraph(t), RequestOptions{})
+	want, err := submitAndWait(context.Background(), control, rewriteGraph(t), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, wantText := graphText(t, retry.Result.Graph), graphText(t, want.Result.Graph); got != wantText {
+	if got, wantText := retry.Graph, want.Graph; got != wantText {
 		t.Fatalf("post-fault result differs from control:\n%s\nvs\n%s", got, wantText)
 	}
 }
@@ -137,7 +138,7 @@ func TestJobPanicReachesTerminalState(t *testing.T) {
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
 		panic("chaos: injected job panic")
 	}
-	job, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	job, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestStoreDegradedModeAndRecovery(t *testing.T) {
 	}
 
 	fault.Arm("store.put", fault.Action{Mode: fault.ModeENOSPC, Count: 1})
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{}); err != nil {
 		t.Fatalf("request must survive a store write failure: %v", err)
 	}
 	got := s.Stats()
@@ -193,16 +194,16 @@ func TestStoreDegradedModeAndRecovery(t *testing.T) {
 	}
 
 	// Memory keeps serving the result whose write-through failed.
-	warm, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	warm, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Cached || warm.Tier != TierMemory {
-		t.Fatalf("cached=%v tier=%q, want memory hit while degraded", warm.Cached, warm.Tier)
+	if !warm.Cached || warm.CacheTier != TierMemory {
+		t.Fatalf("cached=%v tier=%q, want memory hit while degraded", warm.Cached, warm.CacheTier)
 	}
 	// A different request inside the reprobe window skips the store
 	// quietly: no new store errors, no store misses — and no crash.
-	if _, err := s.Optimize(context.Background(), testGraph(t, 2), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 2), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.StoreErrors != 1 {
@@ -212,7 +213,7 @@ func TestStoreDegradedModeAndRecovery(t *testing.T) {
 	// After the reprobe interval (fault long cleared), the next store
 	// operation probes, succeeds, and recovers the tier.
 	time.Sleep(60 * time.Millisecond)
-	if _, err := s.Optimize(context.Background(), testGraph(t, 3), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 3), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.StoreDegraded {
@@ -302,40 +303,40 @@ func TestPeerOutageDegradesToLocalCompute(t *testing.T) {
 	// first fetch hits.
 	seed := 1
 	warmG := graphsOwnedBy(t, sA, "b", &seed, 1)[0]
-	if _, err := sB.Optimize(context.Background(), warmG, RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), sB, warmG, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := sA.Optimize(context.Background(), warmG, RequestOptions{})
+	hit, err := submitAndWait(context.Background(), sA, warmG, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit.Cached || hit.Tier != TierPeer {
-		t.Fatalf("cached=%v tier=%q, want peer hit while B is up", hit.Cached, hit.Tier)
+	if !hit.Cached || hit.CacheTier != TierPeer {
+		t.Fatalf("cached=%v tier=%q, want peer hit while B is up", hit.Cached, hit.CacheTier)
 	}
-	control := graphText(t, hit.Result.Graph)
+	control := hit.Graph
 
 	// Kill B. A must keep answering the same key byte-identically from
 	// its (now warm) memory; cold keys owned by B compute locally.
 	tsB.Close()
-	again, err := sA.Optimize(context.Background(), warmG, RequestOptions{})
+	again, err := submitAndWait(context.Background(), sA, warmG, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := graphText(t, again.Result.Graph); got != control {
+	if got := again.Graph; got != control {
 		t.Fatal("result changed after peer death")
 	}
 	// Two cold fetches against dead B trip the breaker (threshold 2);
 	// requests still succeed via local compute.
 	for _, cg := range graphsOwnedBy(t, sA, "b", &seed, 3) {
-		resp, err := sA.Optimize(context.Background(), cg, RequestOptions{})
+		resp, err := submitAndWait(context.Background(), sA, cg, RequestOptions{})
 		if err != nil {
 			t.Fatalf("request failed during peer outage: %v", err)
 		}
-		if got := graphText(t, resp.Result.Graph); got != graphText(t, res.Graph) {
+		if got := resp.Graph; got != graphText(t, res.Graph) {
 			t.Fatal("local compute returned a different result during outage")
 		}
 	}
-	if st := sA.cfg.Cluster.BreakerStates()["b"]; st != cluster.BreakerOpen {
+	if st := sA.cfg.Cluster.BreakerStates()["b"]; st != breaker.Open {
 		t.Fatalf("breaker for b = %v, want open after repeated failures", st)
 	}
 
@@ -346,15 +347,15 @@ func TestPeerOutageDegradesToLocalCompute(t *testing.T) {
 	setURL("b", tsB2.URL)
 	time.Sleep(120 * time.Millisecond)
 	probe := graphsOwnedBy(t, sA, "b", &seed, 1)[0]
-	if _, err := sB.Optimize(context.Background(), probe, RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), sB, probe, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := sA.Optimize(context.Background(), probe, RequestOptions{})
+	recovered, err := submitAndWait(context.Background(), sA, probe, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !recovered.Cached || recovered.Tier != TierPeer {
-		t.Fatalf("cached=%v tier=%q, want peer hit after recovery", recovered.Cached, recovered.Tier)
+	if !recovered.Cached || recovered.CacheTier != TierPeer {
+		t.Fatalf("cached=%v tier=%q, want peer hit after recovery", recovered.Cached, recovered.CacheTier)
 	}
 	if st := sA.cfg.Cluster.BreakerStates()["b"]; st != cluster.BreakerClosed {
 		t.Fatalf("breaker for b = %v, want closed after recovery", st)
@@ -376,7 +377,7 @@ func TestDrainLifecycle(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	job, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	job, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,11 +386,11 @@ func TestDrainLifecycle(t *testing.T) {
 	if !s.Draining() {
 		t.Fatal("Draining() false after BeginDrain")
 	}
-	if _, err := s.SubmitJob(testGraph(t, 2), RequestOptions{}, 0); !errors.Is(err, ErrDraining) {
-		t.Fatalf("SubmitJob while draining: %v, want ErrDraining", err)
+	if _, err := s.SubmitJobAs(testGraph(t, 2), RequestOptions{}, 0, nil); !errors.Is(err, ErrDraining) {
+		t.Fatalf("SubmitJobAs while draining: %v, want ErrDraining", err)
 	}
-	if _, err := s.Optimize(context.Background(), testGraph(t, 2), RequestOptions{}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Optimize while draining: %v, want ErrDraining", err)
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 2), RequestOptions{}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit and wait while draining: %v, want ErrDraining", err)
 	}
 
 	// The job is still running: a short drain deadline expires.
@@ -454,7 +455,7 @@ func TestDrainHTTP(t *testing.T) {
 		t.Fatalf("readyz before drain: status %d ready %v, want 200 ready", status, rr.Ready)
 	}
 
-	job, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	job, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

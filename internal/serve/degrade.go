@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// ErrDraining is returned by the submission surfaces once BeginDrain
+// ErrDraining is returned by SubmitJobAs once BeginDrain
 // has been called: the daemon is shutting down, finishing the work it
 // holds but accepting no more. Transports answer 503 with Retry-After
 // so load balancers move on to a healthy node.
@@ -83,9 +83,9 @@ func (d *drainState) wait(ctx context.Context) error {
 }
 
 // BeginDrain flips the service into draining mode: running work
-// continues, but new synchronous requests and job submissions fail
-// with ErrDraining, /readyz answers 503, and every open SSE stream
-// receives a terminal "draining" event. Idempotent.
+// continues, but new job submissions fail with ErrDraining, /readyz
+// answers 503, and every open SSE stream receives a terminal
+// "draining" event. Idempotent.
 func (s *Service) BeginDrain() {
 	s.drain.begin()
 }

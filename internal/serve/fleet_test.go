@@ -52,7 +52,7 @@ func TestRestartSurvivesWarmSet(t *testing.T) {
 		calls.Add(1)
 		return res, nil
 	}
-	cold, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	cold, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,26 +81,26 @@ func TestRestartSurvivesWarmSet(t *testing.T) {
 		t.Error("rebooted node recomputed a stored result")
 		return nil, context.Canceled
 	}
-	warm, err := s2.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	warm, err := submitAndWait(context.Background(), s2, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Cached || warm.Tier != TierDisk {
-		t.Fatalf("cached=%v tier=%q, want disk hit", warm.Cached, warm.Tier)
+	if !warm.Cached || warm.CacheTier != TierDisk {
+		t.Fatalf("cached=%v tier=%q, want disk hit", warm.Cached, warm.CacheTier)
 	}
-	if got, want := graphText(t, warm.Result.Graph), graphText(t, cold.Result.Graph); got != want {
+	if got, want := warm.Graph, cold.Graph; got != want {
 		t.Fatalf("restored result differs:\n%s\nvs\n%s", got, want)
 	}
-	if warm.Result.OptCost != cold.Result.OptCost {
-		t.Fatalf("restored cost %v, want %v", warm.Result.OptCost, cold.Result.OptCost)
+	if warm.OptCost != cold.OptCost {
+		t.Fatalf("restored cost %v, want %v", warm.OptCost, cold.OptCost)
 	}
 	// The disk hit was promoted: the next lookup is a memory hit.
-	again, err := s2.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	again, err := submitAndWait(context.Background(), s2, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Cached || again.Tier != TierMemory {
-		t.Fatalf("cached=%v tier=%q, want memory hit after promotion", again.Cached, again.Tier)
+	if !again.Cached || again.CacheTier != TierMemory {
+		t.Fatalf("cached=%v tier=%q, want memory hit after promotion", again.Cached, again.CacheTier)
 	}
 	if got := s2.Stats(); got.StoreHits != 1 {
 		t.Fatalf("store hits = %d, want 1", got.StoreHits)
@@ -122,7 +122,7 @@ func TestRestartToleratesStaleSchemaAndCorruptTail(t *testing.T) {
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
 		return res, nil
 	}
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Plant a record under graph 2's key that the codec cannot read —
@@ -159,16 +159,16 @@ func TestRestartToleratesStaleSchemaAndCorruptTail(t *testing.T) {
 		return res, nil
 	}
 	// The good record survives the torn tail.
-	good, err := s2.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	good, err := submitAndWait(context.Background(), s2, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !good.Cached || good.Tier != TierDisk {
-		t.Fatalf("cached=%v tier=%q, want disk hit for the good record", good.Cached, good.Tier)
+	if !good.Cached || good.CacheTier != TierDisk {
+		t.Fatalf("cached=%v tier=%q, want disk hit for the good record", good.Cached, good.CacheTier)
 	}
 	// The stale-schema record is a miss, not a failure; recomputation
 	// overwrites it with a readable one.
-	bad, err := s2.Optimize(context.Background(), testGraph(t, 2), RequestOptions{})
+	bad, err := submitAndWait(context.Background(), s2, testGraph(t, 2), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestTwoNodeClusterServesPeerWarmSet(t *testing.T) {
 		}
 	}
 
-	cold, err := sA.Optimize(context.Background(), g, RequestOptions{})
+	cold, err := submitAndWait(context.Background(), sA, g, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +276,14 @@ func TestTwoNodeClusterServesPeerWarmSet(t *testing.T) {
 		t.Error("stateless replica recomputed a peer-owned result")
 		return nil, context.Canceled
 	}
-	peerHit, err := sA2.Optimize(context.Background(), g, RequestOptions{})
+	peerHit, err := submitAndWait(context.Background(), sA2, g, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !peerHit.Cached || peerHit.Tier != TierPeer {
-		t.Fatalf("cached=%v tier=%q, want peer hit", peerHit.Cached, peerHit.Tier)
+	if !peerHit.Cached || peerHit.CacheTier != TierPeer {
+		t.Fatalf("cached=%v tier=%q, want peer hit", peerHit.Cached, peerHit.CacheTier)
 	}
-	if got, want := graphText(t, peerHit.Result.Graph), graphText(t, cold.Result.Graph); got != want {
+	if got, want := peerHit.Graph, cold.Graph; got != want {
 		t.Fatalf("peer-served result differs:\n%s\nvs\n%s", got, want)
 	}
 	if got := sA2.Stats(); got.PeerHits != 1 {
@@ -315,14 +315,14 @@ func TestTwoNodeClusterServesPeerWarmSet(t *testing.T) {
 		t.Error("replica recomputed after B's reboot")
 		return nil, context.Canceled
 	}
-	rebooted, err := sA3.Optimize(context.Background(), g, RequestOptions{})
+	rebooted, err := submitAndWait(context.Background(), sA3, g, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rebooted.Cached || rebooted.Tier != TierPeer {
-		t.Fatalf("cached=%v tier=%q, want peer hit from rebooted B", rebooted.Cached, rebooted.Tier)
+	if !rebooted.Cached || rebooted.CacheTier != TierPeer {
+		t.Fatalf("cached=%v tier=%q, want peer hit from rebooted B", rebooted.Cached, rebooted.CacheTier)
 	}
-	if got, want := graphText(t, rebooted.Result.Graph), graphText(t, cold.Result.Graph); got != want {
+	if got, want := rebooted.Graph, cold.Graph; got != want {
 		t.Fatal("result changed across B's reboot")
 	}
 	if n := callsA.Load(); n != 1 {
@@ -525,7 +525,7 @@ func TestPeerFailureDegradesToLocalCompute(t *testing.T) {
 			g = cand
 		}
 	}
-	resp, err := s.Optimize(context.Background(), g, RequestOptions{})
+	resp, err := submitAndWait(context.Background(), s, g, RequestOptions{})
 	if err != nil {
 		t.Fatalf("peer failure surfaced to the caller: %v", err)
 	}
@@ -575,14 +575,14 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 	}
 
 	type outcome struct {
-		resp *Response
+		resp *OptimizeReply
 		err  error
 	}
 	results := make(chan outcome, 2)
 	// First request: within quota, admitted at full quality. It keeps
 	// its concurrency slot until release.
 	go func() {
-		resp, err := s.OptimizeAs(context.Background(), testGraph(t, 1), RequestOptions{}, &tn)
+		resp, err := submitAndWaitAs(context.Background(), s, testGraph(t, 1), RequestOptions{}, &tn)
 		results <- outcome{resp, err}
 	}()
 	waitFor(t, func() bool { return calls.Load() == 1 })
@@ -590,7 +590,7 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 	// Second request: quota full (max_concurrent 1) — degraded to
 	// greedy, not rejected.
 	go func() {
-		resp, err := s.OptimizeAs(context.Background(), testGraph(t, 2), RequestOptions{}, &tn)
+		resp, err := submitAndWaitAs(context.Background(), s, testGraph(t, 2), RequestOptions{}, &tn)
 		results <- outcome{resp, err}
 	}()
 	waitFor(t, func() bool { return calls.Load() == 2 })
@@ -600,7 +600,7 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 
 	// Third request: quota and shed headroom both exhausted — only now
 	// a rejection, carrying a usable retry delay.
-	_, err = s.OptimizeAs(context.Background(), testGraph(t, 3), RequestOptions{}, &tn)
+	_, err = submitAndWaitAs(context.Background(), s, testGraph(t, 3), RequestOptions{}, &tn)
 	var rle *RateLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("err = %v, want *RateLimitError", err)
@@ -636,7 +636,7 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 	// The degraded answer must not have been cached as the key's
 	// optimal: re-requesting graph 2 without a tenant recomputes.
 	before := calls.Load()
-	resp, err := s.Optimize(context.Background(), testGraph(t, 2), RequestOptions{})
+	resp, err := submitAndWait(context.Background(), s, testGraph(t, 2), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +647,7 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 		t.Fatal("re-request of the shed graph did not recompute")
 	}
 	// Graph 1 (the admitted full-quality run) IS cached.
-	resp, err = s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	resp, err = submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,9 +677,9 @@ func TestHighPriorityNeverDegraded(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	go s.OptimizeAs(context.Background(), testGraph(t, 1), RequestOptions{}, &tn)
+	go submitAndWaitAs(context.Background(), s, testGraph(t, 1), RequestOptions{}, &tn)
 	waitFor(t, func() bool { return calls.Load() == 1 })
-	_, err = s.OptimizeAs(context.Background(), testGraph(t, 2), RequestOptions{}, &tn)
+	_, err = submitAndWaitAs(context.Background(), s, testGraph(t, 2), RequestOptions{}, &tn)
 	var rle *RateLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("err = %v, want *RateLimitError (no degradation for priority >= %d)",

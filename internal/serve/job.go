@@ -15,7 +15,7 @@ import (
 	"tensat/internal/tenant"
 )
 
-// ErrJobStoreFull is returned by SubmitJob when the store holds
+// ErrJobStoreFull is returned by SubmitJobAs when the store holds
 // MaxJobs unfinished jobs; transports classify it as backpressure
 // (HTTP 429), not a server fault.
 var ErrJobStoreFull = errors.New("serve: job store full")
@@ -352,20 +352,14 @@ func newJobID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// SubmitJob validates the request synchronously (bad options and
+// SubmitJobAs validates the request synchronously (bad options and
 // malformed graphs fail here, before a job exists), registers a job,
 // and starts it in the background. The job is bounded by timeout when
 // positive, and by Job.Cancel; it is NOT tied to the submitting
-// caller's lifetime — that is the point of the asynchronous surface.
-func (s *Service) SubmitJob(g *tensat.Graph, ro RequestOptions, timeout time.Duration) (*Job, error) {
-	return s.SubmitJobAs(g, ro, timeout, nil)
-}
-
-// SubmitJobAs is SubmitJob under a tenant's admission control: the
-// decision (full quality, degraded, or *RateLimitError) is made at
-// submission, the quota slot is held for the job's lifetime, and the
-// tenant's priority orders the job in the worker queue. tn == nil
-// bypasses admission entirely.
+// caller's lifetime. Tenant admission control (full quality, degraded,
+// or *RateLimitError) is decided at submission, the quota slot is held
+// for the job's lifetime, and the tenant's priority orders the job in
+// the worker queue. tn == nil bypasses admission entirely.
 func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.Duration, tn *tenant.Tenant) (*Job, error) {
 	q, err := s.prepare(g, ro)
 	if err != nil {
@@ -476,10 +470,9 @@ func (s *Service) finishJob(job *Job, resp *Response, err error) {
 	s.log.Info("job finished", attrs...)
 }
 
-// runJob drives one asynchronous job through the same request tail as
-// the synchronous Optimize, pumping the shared flight's progress stream
-// into the job's own log so every deduplicated sibling (and the SSE
-// watchers of each) sees identical live snapshots.
+// runJob drives one job through answer, pumping the shared flight's
+// progress stream into the job's own log so every deduplicated sibling
+// (and the SSE watchers of each) sees identical live snapshots.
 func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Graph) {
 	// Panic isolation for the job runner itself (the worker-pool run has
 	// its own recover): the job must always reach a terminal state —

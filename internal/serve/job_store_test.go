@@ -129,7 +129,7 @@ func TestJobStoreDoneJobIsEvictable(t *testing.T) {
 	}
 	g := testGraph(t, 1)
 	for i := 0; i < 5000; i++ {
-		job, err := s.SubmitJob(g, RequestOptions{}, 0)
+		job, err := s.SubmitJobAs(g, RequestOptions{}, 0, nil)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -148,11 +148,11 @@ func TestJobSnapshotConsistent(t *testing.T) {
 		return stubResult(t), nil
 	}
 	g := testGraph(t, 1)
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5000; i++ {
-		job, err := s.SubmitJob(g, RequestOptions{}, 0)
+		job, err := s.SubmitJobAs(g, RequestOptions{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,13 +223,13 @@ func TestFinishedJobFootprint(t *testing.T) {
 				return stubResult(t), nil
 			}
 			for _, g := range graphs {
-				if _, err := s.Optimize(context.Background(), g, RequestOptions{}); err != nil {
+				if _, err := submitAndWait(context.Background(), s, g, RequestOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			before := heapAfterGC()
 			for i := 0; i < n; i++ {
-				job, err := s.SubmitJob(graphs[i%len(graphs)], RequestOptions{}, 0)
+				job, err := s.SubmitJobAs(graphs[i%len(graphs)], RequestOptions{}, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -286,7 +286,7 @@ func TestResultBodiesMatchFreshReply(t *testing.T) {
 	renamed := parse(t, `(output (relu (matmul 0 (input "act@4 8") (weight "k@8 8"))))`)
 	other := parse(t, `(output (tanh (input "x@4 8")))`)
 	for _, g := range []*tensat.Graph{own, other} {
-		if _, err := s.Optimize(context.Background(), g, RequestOptions{}); err != nil {
+		if _, err := submitAndWait(context.Background(), s, g, RequestOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func TestResultBodiesMatchFreshReply(t *testing.T) {
 	// result submits g as a job and returns the job and its /result body.
 	result := func(t *testing.T, g *tensat.Graph) (*Job, []byte) {
 		t.Helper()
-		job, err := s.SubmitJob(g, RequestOptions{}, 0)
+		job, err := s.SubmitJobAs(g, RequestOptions{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,20 +311,28 @@ func TestResultBodiesMatchFreshReply(t *testing.T) {
 		return job, body
 	}
 	// check decodes body and compares it, field for field, with a fresh
-	// reply to the same request, answered after the job from the memory
-	// tier and relabeled with the tier the job was answered from.
+	// reply spelled from the result the memory tier holds for the same
+	// request after the job, labeled with the tier the job was answered
+	// from.
 	check := func(t *testing.T, g *tensat.Graph, body []byte, tier string) {
 		t.Helper()
 		var got OptimizeReply
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatalf("%s: %v: %s", tier, err, body)
 		}
-		fresh, err := s.Optimize(context.Background(), g, RequestOptions{})
+		q, err := s.prepare(g, RequestOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.Tier = tier
-		want, err := toOptimizeReply(fresh)
+		entry, ok := s.cache.get(q.key)
+		if !ok {
+			t.Fatalf("%s: the answered request is not in the memory tier", tier)
+		}
+		res, err := entry.inVocabulary(q.names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := toOptimizeReply(&Response{Result: res, Fingerprint: q.fp, Cached: true, Tier: tier})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +343,7 @@ func TestResultBodiesMatchFreshReply(t *testing.T) {
 
 	// own is in memory (other was optimized last, but the LRU holds one
 	// entry: make own the warm one again).
-	if _, err := s.Optimize(context.Background(), own, RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, own, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	j1, b1 := result(t, own)
@@ -360,7 +368,7 @@ func TestResultBodiesMatchFreshReply(t *testing.T) {
 	}
 
 	// other evicts own from the one-entry LRU, so own comes from disk.
-	if _, err := s.Optimize(context.Background(), other, RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, other, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	jd, bd := result(t, own)
@@ -381,11 +389,11 @@ func BenchmarkSubmitJobHit(b *testing.B) {
 				return stubResult(b), nil
 			}
 			g := testGraph(b, 1)
-			if _, err := s.Optimize(context.Background(), g, RequestOptions{}); err != nil {
+			if _, err := submitAndWait(context.Background(), s, g, RequestOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			hit := func() {
-				job, err := s.SubmitJob(g, RequestOptions{}, 0)
+				job, err := s.SubmitJobAs(g, RequestOptions{}, 0, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -126,7 +126,7 @@ func TestJobLifecycleWithProgress(t *testing.T) {
 		return res, nil
 	}
 
-	job, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	job, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestJobCancelMidRunFreesSlotAndNeverCaches(t *testing.T) {
 		return stubResult(t), nil
 	}
 
-	jobA, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	jobA, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestJobCancelMidRunFreesSlotAndNeverCaches(t *testing.T) {
 
 	// Same graph again: must re-run (nothing cached), and must get the
 	// worker slot the canceled job released.
-	jobB, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	jobB, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +247,12 @@ func TestJobCancelKeepsDedupedSiblingAlive(t *testing.T) {
 		}
 	}
 
-	jobA, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	jobA, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { _, p := jobA.Status(); return p.Phase == tensat.PhaseExplore })
-	jobB, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	jobB, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +292,10 @@ func TestJobCacheHit(t *testing.T) {
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
 		return stubResult(t), nil
 	}
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	job, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	job, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,22 +326,22 @@ func TestJobStoreCapacityAndTTL(t *testing.T) {
 		}
 	}
 
-	a, err := s.SubmitJob(testGraph(t, 1), RequestOptions{}, 0)
+	a, err := s.SubmitJobAs(testGraph(t, 1), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitJob(testGraph(t, 2), RequestOptions{}, 0); err != nil {
+	if _, err := s.SubmitJobAs(testGraph(t, 2), RequestOptions{}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Store full of running jobs: the third submit must be refused.
-	if _, err := s.SubmitJob(testGraph(t, 3), RequestOptions{}, 0); !errors.Is(err, ErrJobStoreFull) {
+	if _, err := s.SubmitJobAs(testGraph(t, 3), RequestOptions{}, 0, nil); !errors.Is(err, ErrJobStoreFull) {
 		t.Fatalf("err = %v, want ErrJobStoreFull", err)
 	}
 	close(release)
 	waitStatus(t, a, JobDone)
 
 	// With a finished job present, a new submit evicts it.
-	c, err := s.SubmitJob(testGraph(t, 3), RequestOptions{}, 0)
+	c, err := s.SubmitJobAs(testGraph(t, 3), RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatalf("submit after completion: %v", err)
 	}

@@ -234,10 +234,10 @@ func TestMetricsExpositionValid(t *testing.T) {
 
 	// A cold run, a cache hit, and a profiled request feed the counters.
 	g := testGraph(t, 1)
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{Extractor: "greedy"}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{Extractor: "greedy"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{Extractor: "greedy"}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{Extractor: "greedy"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,11 +315,11 @@ func TestMetricsProfileLabels(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1),
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1),
 		RequestOptions{RuleSet: "taso-single", CostModel: "cpu"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Optimize(context.Background(), testGraph(t, 2), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 2), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,17 +346,17 @@ func TestMetricsCounterMonotonic(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	before := scrapeMetrics(t, ts.URL)
 	for i := 2; i < 6; i++ {
-		if _, err := s.Optimize(context.Background(), testGraph(t, i), RequestOptions{}); err != nil {
+		if _, err := submitAndWait(context.Background(), s, testGraph(t, i), RequestOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// And a cache hit, which bumps a different counter family.
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after := scrapeMetrics(t, ts.URL)
@@ -395,7 +395,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				s.Optimize(context.Background(), testGraph(t, seed*100+i), RequestOptions{})
+				submitAndWait(context.Background(), s, testGraph(t, seed*100+i), RequestOptions{})
 			}
 		}(w)
 		go func() {

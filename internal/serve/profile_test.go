@@ -177,19 +177,6 @@ func TestUnknownProfileNamesAre400s(t *testing.T) {
 	}
 }
 
-// TestNegativeWorkersRejected: a negative workers knob is a 400, not a
-// silent coercion.
-func TestNegativeWorkersRejected(t *testing.T) {
-	_, ts := newTestServer(t)
-	status, _, raw := postJob(t, ts.URL, OptimizeRequest{
-		Graph:   figure2Wire,
-		Options: RequestOptions{Workers: -2},
-	})
-	if status != http.StatusBadRequest {
-		t.Fatalf("negative workers: status %d, want 400: %s", status, raw)
-	}
-}
-
 // TestDiscoveryEndpoints lists rule sets and cost models — built-ins
 // plus a file-loaded profile — over HTTP.
 func TestDiscoveryEndpoints(t *testing.T) {
@@ -271,11 +258,11 @@ func TestJobListing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := s.SubmitJob(g, RequestOptions{}, 0)
+	j1, err := s.SubmitJobAs(g, RequestOptions{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s.SubmitJob(g, RequestOptions{CostModel: "cpu", RuleSet: tensat.SingleRuleSetName}, 0)
+	j2, err := s.SubmitJobAs(g, RequestOptions{CostModel: "cpu", RuleSet: tensat.SingleRuleSetName}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

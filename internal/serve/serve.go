@@ -15,11 +15,9 @@
 // and the owning fleet peer — which lookup and the write-through walk
 // in one loop.
 //
-// Two request surfaces share that machinery. Optimize is synchronous:
-// it blocks the caller until the run (or its cached/deduplicated
-// stand-in) finishes. SubmitJob is asynchronous: it registers a Job in
-// a TTL-bounded, capacity-capped store and returns immediately; the
-// job's live progress (exploration iterations, ILP incumbents)
+// One request surface drives that machinery: SubmitJobAs registers a
+// Job in a TTL-bounded, capacity-capped store and returns immediately;
+// the job's live progress (exploration iterations, ILP incumbents)
 // streams through a per-job broadcast log that HTTP exposes by polling
 // and as server-sent events. Deduplicated jobs share one progress
 // stream, and a canceled job frees its worker slot (when it was the
@@ -57,7 +55,7 @@ type Config struct {
 	// CacheSize is the LRU capacity in results; 0 means 256.
 	CacheSize int
 	// MaxJobs caps the asynchronous job store; 0 means 1024. When the
-	// store is full of unfinished jobs, SubmitJob fails with
+	// store is full of unfinished jobs, SubmitJobAs fails with
 	// ErrJobStoreFull.
 	MaxJobs int
 	// JobTTL bounds how long a finished job (its result and progress
@@ -230,7 +228,7 @@ func isZeroOptions(o tensat.Options) bool {
 		o.IterLimit == 0 && o.KMulti == 0 && o.ExploreTimeout == 0 &&
 		o.ILPTimeout == 0 && o.Extractor == tensat.ExtractILP &&
 		o.CycleFilter == tensat.FilterEfficient && !o.TopoInt &&
-		o.Workers == 0 && o.ILPSolver == "" && o.Progress == nil && !o.Trace
+		o.ILPSolver == "" && o.Progress == nil && !o.Trace
 }
 
 // RequestOptions are the per-request optimization knobs. The zero
@@ -264,10 +262,6 @@ type RequestOptions struct {
 	// ILP solver. Zero inherits.
 	ExploreTimeoutMS int64 `json:"explore_timeout_ms,omitempty"`
 	ILPTimeoutMS     int64 `json:"ilp_timeout_ms,omitempty"`
-	// Workers is accepted (0 inherits the server base; negative is
-	// rejected) but no longer changes a run: exploration searches on
-	// one goroutine.
-	Workers int `json:"workers,omitempty"`
 	// ILPSolver selects the ILP extraction backend: "builtin" (parallel
 	// branch-and-bound), "builtin-seq", or an external MIP solver on the
 	// server's PATH ("cbc", "highs"). "" inherits; unknown names are
@@ -332,12 +326,6 @@ func (ro RequestOptions) apply(base tensat.Options) (tensat.Options, error) {
 	}
 	if ro.ILPTimeoutMS > 0 {
 		o.ILPTimeout = time.Duration(ro.ILPTimeoutMS) * time.Millisecond
-	}
-	if ro.Workers < 0 {
-		return o, fmt.Errorf("%w: negative workers %d", ErrBadOptions, ro.Workers)
-	}
-	if ro.Workers > 0 {
-		o.Workers = ro.Workers
 	}
 	if !backend.Valid(ro.ILPSolver) {
 		return o, fmt.Errorf("%w: unknown ilp_solver %q (known: %s)",
@@ -416,16 +404,10 @@ func keyFromParts(p cachestore.KeyParts) string {
 // spelling it out — share a cache entry and a singleflight run.
 func optionsKey(o tensat.Options) string {
 	var b strings.Builder
-	// Workers joins the key only when an exploration time budget is
-	// set, so without one requests differing only in workers share one
-	// cache entry and one run. It no longer changes a run; the key
-	// keeps it until the option is removed.
-	workersKey := 0
-	if o.ExploreTimeout > 0 {
-		workersKey = o.Workers
-	}
+	// The trailing 0 held the retired workers option; it stays so keys
+	// already on disk or at a peer keep answering.
 	for _, v := range []int{o.NodeLimit, o.IterLimit, o.KMulti,
-		int(o.Extractor), int(o.CycleFilter), workersKey} {
+		int(o.Extractor), int(o.CycleFilter), 0} {
 		b.WriteString(strconv.Itoa(v))
 		b.WriteByte('|')
 	}
@@ -553,8 +535,7 @@ func (q request) keyParts() cachestore.KeyParts {
 }
 
 // prepare validates ro against the service configuration and computes
-// the request's cache identity — the shared head of the synchronous
-// and asynchronous submission paths.
+// the request's cache identity.
 func (s *Service) prepare(g *tensat.Graph, ro RequestOptions) (request, error) {
 	var q request
 	var err error
@@ -618,46 +599,13 @@ func (s *Service) release(adm admission) {
 	}
 }
 
-// Optimize answers one request: cache lookup, then singleflight join
-// or a fresh run on the worker pool. Canceling ctx returns promptly
-// with ctx.Err() — the shared run keeps going while any other request
-// still wants it, and an abandoned or failed run is never cached.
-func (s *Service) Optimize(ctx context.Context, g *tensat.Graph, ro RequestOptions) (*Response, error) {
-	return s.OptimizeAs(ctx, g, ro, nil)
-}
-
-// OptimizeAs is Optimize under a tenant's admission control: the
-// tenant's quota decides whether the request runs at full quality,
-// degrades to greedy-only extraction, or is rejected with a
-// *RateLimitError. tn == nil bypasses admission entirely.
-func (s *Service) OptimizeAs(ctx context.Context, g *tensat.Graph, ro RequestOptions, tn *tenant.Tenant) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.drain.active() {
-		return nil, ErrDraining
-	}
-	q, err := s.prepare(g, ro)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModel).Inc()
-	adm, err := s.admit(tn)
-	if err != nil {
-		return nil, err
-	}
-	defer s.release(adm)
-	return s.answer(ctx, g, q, adm, nil)
-}
-
-// answer is the request tail both surfaces share: cache tiers, then a
-// singleflight join or a fresh run on the worker pool, then the wait.
-// progress, when non-nil, receives the shared run's live snapshots in
-// order (a job pumps them into its own log). When ctx ends first the
-// caller's interest is dropped: the shared run keeps going while any
-// other request still wants it; if this was the last, the flight
-// cancels the work, the worker slot frees up, and run never caches the
-// partial result.
+// answer is a job's request tail: cache tiers, then a singleflight
+// join or a fresh run on the worker pool, then the wait. progress
+// receives the shared run's live snapshots in order (the job pumps them
+// into its own log). When ctx ends first the job's interest is dropped:
+// the shared run keeps going while any other request still wants it; if
+// this was the last, the flight cancels the work, the worker slot frees
+// up, and run never caches the partial result.
 func (s *Service) answer(ctx context.Context, g *tensat.Graph, q request, adm admission, progress func(tensat.Progress)) (*Response, error) {
 	// A cached full-quality answer rescues even an over-quota request:
 	// shedding only applies to work, and a cache hit is free.
@@ -690,13 +638,9 @@ func (s *Service) answer(ctx context.Context, g *tensat.Graph, q request, adm ad
 		s.metrics.cacheDedup.Inc()
 	}
 
-	// Without a sink, notify stays nil and its select arm never fires.
 	idx := 0
 	var notify <-chan struct{}
 	pump := func() {
-		if progress == nil {
-			return
-		}
 		var entries []tensat.Progress
 		entries, idx, notify = c.progress.since(idx)
 		for _, p := range entries {

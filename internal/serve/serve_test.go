@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"tensat"
+	"tensat/internal/tenant"
 )
 
 // testGraph builds a distinct small graph per seed.
@@ -21,6 +23,37 @@ func testGraph(t testing.TB, seed int) *tensat.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// submitAndWait submits g as a job, waits for it and decodes its
+// /result body. When ctx ends first it cancels the job and returns
+// ctx's error.
+func submitAndWait(ctx context.Context, s *Service, g *tensat.Graph, ro RequestOptions) (*OptimizeReply, error) {
+	return submitAndWaitAs(ctx, s, g, ro, nil)
+}
+
+// submitAndWaitAs is submitAndWait under tenant tn's admission control.
+func submitAndWaitAs(ctx context.Context, s *Service, g *tensat.Graph, ro RequestOptions, tn *tenant.Tenant) (*OptimizeReply, error) {
+	job, err := s.SubmitJobAs(g, ro, 0, tn)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-job.Done():
+	case <-ctx.Done():
+		job.Cancel()
+		<-job.Done()
+		return nil, ctx.Err()
+	}
+	out, err := job.Outcome()
+	if err != nil {
+		return nil, err
+	}
+	var reply OptimizeReply
+	if err := json.Unmarshal(out.Reply, &reply); err != nil {
+		return nil, err
+	}
+	return &reply, nil
 }
 
 // stubResult fabricates a minimal result; the service treats results
@@ -40,7 +73,7 @@ func TestCacheHitSkipsReoptimization(t *testing.T) {
 	}
 
 	g := testGraph(t, 1)
-	first, err := s.Optimize(context.Background(), g, RequestOptions{})
+	first, err := submitAndWait(context.Background(), s, g, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,15 +82,15 @@ func TestCacheHitSkipsReoptimization(t *testing.T) {
 	}
 	// Second identical request: must be served from the cache, not
 	// re-optimized. Rebuild the graph to prove keying is structural.
-	second, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	second, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !second.Cached {
 		t.Fatal("second identical request missed the cache")
 	}
-	if second.Result != res {
-		t.Fatal("cache returned a different result object")
+	if second.Graph != graphText(t, res.Graph) || second.OptCost != res.OptCost {
+		t.Fatal("cache returned a different result")
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("optimize ran %d times, want 1", n)
@@ -76,10 +109,10 @@ func TestDistinctOptionsAreDistinctEntries(t *testing.T) {
 		return stubResult(t), nil
 	}
 	g := testGraph(t, 1)
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{Extractor: "ilp"}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{Extractor: "ilp"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{Extractor: "greedy"}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{Extractor: "greedy"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls.Load(); n != 2 {
@@ -97,10 +130,10 @@ func TestEquivalentOptionsShareCacheEntry(t *testing.T) {
 		return stubResult(t), nil
 	}
 	g := testGraph(t, 1)
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{Extractor: "ilp"}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{Extractor: "ilp"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.Optimize(context.Background(), g, RequestOptions{})
+	resp, err := submitAndWait(context.Background(), s, g, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +148,7 @@ func TestEquivalentOptionsShareCacheEntry(t *testing.T) {
 func TestILPSolverRequestOption(t *testing.T) {
 	s := New(Config{Workers: 2})
 	g := testGraph(t, 1)
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{ILPSolver: "scip"}); !errors.Is(err, ErrBadOptions) {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: "scip"}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("unknown ilp_solver: err = %v, want ErrBadOptions", err)
 	}
 
@@ -126,10 +159,10 @@ func TestILPSolverRequestOption(t *testing.T) {
 		calls.Add(1)
 		return stubResult(t), nil
 	}
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{ILPSolver: "builtin"}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: "builtin"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Optimize(context.Background(), g, RequestOptions{ILPSolver: "builtin-seq"}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: "builtin-seq"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls.Load(); n != 2 {
@@ -141,7 +174,7 @@ func TestILPSolverRequestOption(t *testing.T) {
 // and checks the run's solver/presolve counters land in Stats.
 func TestILPStatsCounters(t *testing.T) {
 	s := New(Config{Workers: 2})
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -175,7 +208,7 @@ func TestSingleflightDeduplicatesConcurrentIdenticalRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+			resp, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 			errs[i] = err
 			if resp != nil {
 				deduped[i] = resp.Deduped
@@ -219,7 +252,7 @@ func TestCanceledContextReturnsPromptlyWithoutPoisoningCache(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Optimize(ctx, testGraph(t, 1), RequestOptions{})
+		_, err := submitAndWait(ctx, s, testGraph(t, 1), RequestOptions{})
 		errc <- err
 	}()
 	<-started
@@ -238,7 +271,7 @@ func TestCanceledContextReturnsPromptlyWithoutPoisoningCache(t *testing.T) {
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
 		return stubResult(t), nil
 	}
-	resp, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	resp, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +297,7 @@ func TestAbandonedRunIsCanceledWhenLastWaiterLeaves(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Optimize(ctx, testGraph(t, 1), RequestOptions{})
+		_, err := submitAndWait(ctx, s, testGraph(t, 1), RequestOptions{})
 		errc <- err
 	}()
 	<-started
@@ -305,7 +338,7 @@ func TestConcurrentDistinctRequestsRunInParallel(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Optimize(context.Background(), testGraph(t, i), RequestOptions{})
+			_, errs[i] = submitAndWait(context.Background(), s, testGraph(t, i), RequestOptions{})
 		}(i)
 	}
 	waitFor(t, func() bool { return running.Load() == n })
@@ -344,7 +377,7 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Optimize(context.Background(), testGraph(t, i), RequestOptions{}); err != nil {
+			if _, err := submitAndWait(context.Background(), s, testGraph(t, i), RequestOptions{}); err != nil {
 				t.Errorf("request %d: %v", i, err)
 			}
 		}(i)
@@ -370,10 +403,10 @@ func TestFailedRunIsNotCached(t *testing.T) {
 		}
 		return stubResult(t), nil
 	}
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{}); !errors.Is(err, fail) {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{}); !errors.Is(err, fail) {
 		t.Fatalf("err = %v, want %v", err, fail)
 	}
-	resp, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+	resp, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,10 +443,10 @@ func TestLRUEviction(t *testing.T) {
 
 func TestRequestOptionsValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{Extractor: "quantum"}); err == nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{Extractor: "quantum"}); err == nil {
 		t.Fatal("unknown extractor accepted")
 	}
-	if _, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{CycleFilter: "perhaps"}); err == nil {
+	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{CycleFilter: "perhaps"}); err == nil {
 		t.Fatal("unknown cycle filter accepted")
 	}
 }
@@ -434,21 +467,22 @@ func TestEndToEndRealOptimize(t *testing.T) {
 		}
 		return g
 	}
-	cold, err := s.Optimize(context.Background(), build(), RequestOptions{})
+	cold, err := submitAndWait(context.Background(), s, build(), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Result.OptCost >= cold.Result.OrigCost {
-		t.Fatalf("no improvement: %v -> %v", cold.Result.OrigCost, cold.Result.OptCost)
+	if cold.OptCost >= cold.OrigCost {
+		t.Fatalf("no improvement: %v -> %v", cold.OrigCost, cold.OptCost)
 	}
-	warm, err := s.Optimize(context.Background(), build(), RequestOptions{})
+	warm, err := submitAndWait(context.Background(), s, build(), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !warm.Cached {
 		t.Fatal("second identical optimize was not a cache hit")
 	}
-	if warm.Result != cold.Result {
+	warm.Cached, warm.CacheTier = false, ""
+	if *warm != *cold {
 		t.Fatal("cache returned a different result")
 	}
 	if len(cold.Fingerprint) != 64 {

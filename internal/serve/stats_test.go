@@ -23,7 +23,7 @@ import (
 	"tensat/internal/tenant"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json from this build's reply")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json and testdata/key_golden.json from this build")
 
 // statsSeries maps every counter and gauge key of GET /v1/stats to the
 // /metrics series it is a read of. A map-valued key ("profiles") names
@@ -108,7 +108,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	// same store, empty LRU — answers it as a store hit.
 	warm := New(Config{Workers: 1, Store: st})
 	warm.optimize = stub
-	if _, err := warm.Optimize(context.Background(), testGraph(t, 2), RequestOptions{}); err != nil {
+	if _, err := submitAndWait(context.Background(), warm, testGraph(t, 2), RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -87,12 +87,12 @@ func TestTierLoopAccounting(t *testing.T) {
 			f.putErr = c.putErr
 			s.tiers = []tier{f}
 
-			resp, err := s.Optimize(context.Background(), testGraph(t, 1), RequestOptions{})
+			resp, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
 			if err != nil {
 				t.Fatalf("a tier outcome failed the request: %v", err)
 			}
-			if resp.Cached != (c.wantTier != "") || resp.Tier != c.wantTier {
-				t.Errorf("cached=%v tier=%q, want tier %q", resp.Cached, resp.Tier, c.wantTier)
+			if resp.Cached != (c.wantTier != "") || resp.CacheTier != c.wantTier {
+				t.Errorf("cached=%v tier=%q, want tier %q", resp.Cached, resp.CacheTier, c.wantTier)
 			}
 			wantRuns := int64(1)
 			if c.wantTier != "" {

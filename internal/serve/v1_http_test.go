@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -410,33 +411,29 @@ func TestV1JobEndToEndRealPipeline(t *testing.T) {
 	}
 }
 
-// TestV1UnknownFieldsRejected: a typo in the request body errors
-// instead of silently running with defaults.
+// TestV1UnknownFieldsRejected: a typo in the request body, or an
+// option that no longer exists, errors instead of silently running
+// with defaults, and the error names the field.
 func TestV1UnknownFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t)
-	body := `{"graph": "(output (relu (input \"x@8 8\")))", "options": {"worker": 4}}`
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := new(bytes.Buffer)
-	raw.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d, want 400 (%s)", resp.StatusCode, raw.String())
-	}
-	if !strings.Contains(raw.String(), "worker") {
-		t.Errorf("error does not name the bad field: %s", raw.String())
-	}
-	// Top-level typos too.
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"graf": "(output (relu (input \"x@8 8\")))"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("top-level typo: status %d, want 400", resp.StatusCode)
+	for field, body := range map[string]string{
+		"worker":  `{"graph": "(output (relu (input \"x@8 8\")))", "options": {"worker": 4}}`,
+		"workers": `{"graph": "(output (relu (input \"x@8 8\")))", "options": {"workers": 4}}`,
+		"graf":    `{"graf": "(output (relu (input \"x@8 8\")))"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorReply
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%+v, %v)", field, resp.StatusCode, e, err)
+		}
+		if !strings.Contains(e.Error, strconv.Quote(field)) {
+			t.Errorf("error does not name the bad field %q: %s", field, e.Error)
+		}
 	}
 }
 

@@ -187,13 +187,6 @@ func Parse(data []byte) (*Registry, error) {
 	return r, nil
 }
 
-// SetClock injects a clock (tests only).
-func (r *Registry) SetClock(now func() time.Time) {
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-}
-
 // Lookup resolves an API key to its tenant (a copy; quotas live in the
 // registry). The presented key is hashed before the index lookup; see
 // the Registry doc comment for why.
@@ -266,16 +259,6 @@ func (r *Registry) Release(name string, degraded bool) {
 	} else if st.running > 0 {
 		st.running--
 	}
-}
-
-// Running reports a tenant's in-flight jobs (full-quality, degraded).
-func (r *Registry) Running(name string) (running, shed int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.byName[name]; ok {
-		return st.running, st.shed
-	}
-	return 0, 0
 }
 
 // refillLocked advances the token bucket to now.

@@ -32,8 +32,16 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock(r *Registry) *fakeClock {
 	c := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	r.SetClock(c.now)
+	r.now = c.now
 	return c
+}
+
+// running reports a tenant's in-flight jobs (full-quality, degraded).
+func running(r *Registry, name string) (run, shed int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.byName[name]
+	return st.running, st.shed
 }
 
 func TestParseValidation(t *testing.T) {
@@ -135,7 +143,7 @@ func TestAcquireConcurrencyQuota(t *testing.T) {
 	if d, _ := r.Acquire("batch"); d != Reject {
 		t.Fatal("exhausted shed slots should reject")
 	}
-	if run, shed := r.Running("batch"); run != 1 || shed != 2 {
+	if run, shed := running(r, "batch"); run != 1 || shed != 2 {
 		t.Fatalf("Running = %d, %d", run, shed)
 	}
 	r.Release("batch", true)
@@ -152,7 +160,7 @@ func TestUnlimitedTenant(t *testing.T) {
 			t.Fatalf("acquire %d = %v", i, d)
 		}
 	}
-	if run, _ := r.Running("unlimited"); run != 50 {
+	if run, _ := running(r, "unlimited"); run != 50 {
 		t.Fatalf("running = %d", run)
 	}
 }
@@ -169,7 +177,7 @@ func TestReleaseNeverGoesNegative(t *testing.T) {
 	r := mustParse(t, validFile)
 	r.Release("research", false)
 	r.Release("research", true)
-	if run, shed := r.Running("research"); run != 0 || shed != 0 {
+	if run, shed := running(r, "research"); run != 0 || shed != 0 {
 		t.Fatalf("Running after spurious release = %d, %d", run, shed)
 	}
 }

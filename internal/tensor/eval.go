@@ -54,20 +54,6 @@ func (t *Tensor) FillPseudo(seed uint64) {
 	}
 }
 
-// MaxAbsDiff returns the largest element-wise absolute difference.
-func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
-	if !t.Shape.Equal(o.Shape) {
-		return math.Inf(1)
-	}
-	worst := 0.0
-	for i := range t.Data {
-		if d := math.Abs(t.Data[i] - o.Data[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // MaxRelDiff returns the largest element-wise relative difference,
 // |a-b| / (1 + |a| + |b|). Rewrites legitimately reassociate long
 // reductions, so equivalence checks must tolerate rounding drift

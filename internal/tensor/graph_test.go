@@ -171,9 +171,6 @@ func TestOpHelpers(t *testing.T) {
 	if _, err := ConcatOp(6); err == nil {
 		t.Fatal("ConcatOp(6) accepted")
 	}
-	if ConcatArity(OpConcat4) != 4 || ConcatArity(OpMatmul) != 0 {
-		t.Fatal("ConcatArity broken")
-	}
 	for op := Op(0); op < NumOps; op++ {
 		if op.Arity() < 0 {
 			t.Fatalf("op %v has no arity", op)

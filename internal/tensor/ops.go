@@ -178,19 +178,3 @@ func ConcatOp(n int) (Op, error) {
 		return 0, fmt.Errorf("tensor: no concat operator for %d inputs", n)
 	}
 }
-
-// ConcatArity returns how many tensors a concat op joins, or 0.
-func ConcatArity(o Op) int {
-	switch o {
-	case OpConcat2:
-		return 2
-	case OpConcat3:
-		return 3
-	case OpConcat4:
-		return 4
-	case OpConcat5:
-		return 5
-	default:
-		return 0
-	}
-}

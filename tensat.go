@@ -200,10 +200,13 @@ type Options struct {
 	// ExploreTimeout bounds the exploration phase.
 	ExploreTimeout time.Duration
 	// Workers is not read: exploration searches each pattern on
-	// demand, on the exploring goroutine. The serve layer still takes
-	// it as the "workers" request option.
+	// demand, on the exploring goroutine.
 	//
-	// Deprecated: it has no effect.
+	// Deprecated: it has no effect. It remains only because the
+	// benchmark's pipeline (bench/pipeline.go) still sets it; it goes
+	// when that file next changes.
+	//
+	//lint:cachekey-exempt unread: no run depends on it
 	Workers int
 	// Extractor selects ILP or greedy extraction.
 	Extractor Extractor
