@@ -146,7 +146,7 @@ func main() {
 		return
 	}
 
-	job, err := tensat.NewOptimizer().Submit(ctx, g, opt)
+	job, err := tensat.NewOptimizer(tensat.WithRegistry(registry)).Submit(ctx, g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -210,23 +210,11 @@ func main() {
 // -extractor ilp presolves it before a backend sees it, so what the
 // backends solve is a reduction of this file with the same optimum.
 func exportMPS(ctx context.Context, g *tensat.Graph, opt tensat.Options, registry *tensat.Registry, path string) error {
-	rs := tensat.DefaultRules()
-	if opt.RuleSet != "" {
-		named, ok := registry.RuleSet(opt.RuleSet)
-		if !ok {
-			return fmt.Errorf("unknown ruleset %q", opt.RuleSet)
-		}
-		rs = named
+	prof, err := registry.Resolve(opt)
+	if err != nil {
+		return err
 	}
-	model := tensat.DefaultCostModel()
-	if opt.CostModelName != "" {
-		named, ok := registry.CostModel(opt.CostModelName)
-		if !ok {
-			return fmt.Errorf("unknown costmodel %q", opt.CostModelName)
-		}
-		model = named
-	}
-	runner := rewrite.NewRunner(rs)
+	runner := rewrite.NewRunner(prof.Rules)
 	runner.Limits = rewrite.Limits{
 		MaxNodes: opt.NodeLimit,
 		MaxIters: opt.IterLimit,
@@ -249,7 +237,7 @@ func exportMPS(ctx context.Context, g *tensat.Graph, opt tensat.Options, registr
 	if opt.TopoInt {
 		topo = ilp.TopoInt
 	}
-	p, _, err := extract.BuildProblem(ex, model, extract.ILPOptions{
+	p, _, err := extract.BuildProblem(ex, prof.CostModel, extract.ILPOptions{
 		CycleConstraints: opt.CycleFilter == tensat.FilterNone,
 		TopoMode:         topo,
 	})

@@ -5,6 +5,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"tensat/internal/analysis"
@@ -30,6 +31,12 @@ var allowedPackages = map[string]string{
 	"tensat/internal/analysis/analysistest": "the analyzers' test driver; only tests import it",
 }
 
+// loadModule loads the whole module with bench/ as a caller, once for
+// every whole-program check in this package.
+var loadModule = sync.OnceValues(func() (*analysis.Program, error) {
+	return analysis.Load("../../bench", "./...", "tensat/...")
+})
+
 // reexported are the types the root package re-exports by alias: their
 // methods are public API whether or not the module calls them.
 var reexported = map[string]bool{
@@ -49,7 +56,7 @@ var reexported = map[string]bool{
 // satisfies a standard-library interface is skipped, and so is one that
 // satisfies a module interface non-test code converts its type to.
 func TestNoTestOnlyExports(t *testing.T) {
-	prog, err := analysis.Load("../../bench", "./...", "tensat/...")
+	prog, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,16 +95,11 @@ type Config struct {
 	// the peer surface shares the client listener, so an unsecured
 	// fleet would let any network client read or poison the cache.
 	Secret string
-	// VirtualNodes tunes the ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// Timeout bounds each peer request (0 = DefaultTimeout).
 	Timeout time.Duration
 	// BaseURL maps a node name to the base URL its HTTP surface is
 	// reachable at; nil means "http://" + node.
 	BaseURL func(node string) string
-	// Transport overrides the HTTP transport (tests); nil means
-	// http.DefaultTransport.
-	Transport http.RoundTripper
 
 	// BreakerThreshold is how many consecutive failures trip a peer's
 	// circuit breaker (0 = DefaultBreakerThreshold).
@@ -115,15 +110,18 @@ type Config struct {
 	// RetryAttempts is how many times an idempotent fetch retries after
 	// a transport failure (<0 disables retry, 0 = DefaultRetryAttempts).
 	RetryAttempts int
-	// RetryBaseDelay seeds the jittered exponential backoff between
+
+	// The knobs below only this package's tests change.
+
+	// retryBaseDelay seeds the jittered exponential backoff between
 	// retries (0 = DefaultRetryBaseDelay).
-	RetryBaseDelay time.Duration
-	// PushQueueLen bounds the async push queue; enqueues beyond it are
+	retryBaseDelay time.Duration
+	// pushQueueLen bounds the async push queue; enqueues beyond it are
 	// dropped and counted (0 = DefaultPushQueueLen).
-	PushQueueLen int
-	// PushWorkers is how many goroutines drain the push queue
+	pushQueueLen int
+	// pushWorkers is how many goroutines drain the push queue
 	// (0 = DefaultPushWorkers).
-	PushWorkers int
+	pushWorkers int
 }
 
 // Observer receives the client's resilience events so the serving
@@ -193,7 +191,7 @@ func New(cfg Config) (*Client, error) {
 	if !found {
 		nodes = append(nodes, cfg.Self)
 	}
-	ring := NewRing(nodes, cfg.VirtualNodes)
+	ring := NewRing(nodes, DefaultVirtualNodes)
 	if len(ring.Nodes()) < 2 {
 		return nil, fmt.Errorf("cluster: need at least one peer besides self, got %v", ring.Nodes())
 	}
@@ -219,15 +217,15 @@ func New(cfg Config) (*Client, error) {
 	} else if retries < 0 {
 		retries = 0
 	}
-	retryBase := cfg.RetryBaseDelay
+	retryBase := cfg.retryBaseDelay
 	if retryBase <= 0 {
 		retryBase = DefaultRetryBaseDelay
 	}
-	queueLen := cfg.PushQueueLen
+	queueLen := cfg.pushQueueLen
 	if queueLen <= 0 {
 		queueLen = DefaultPushQueueLen
 	}
-	workers := cfg.PushWorkers
+	workers := cfg.pushWorkers
 	if workers <= 0 {
 		workers = DefaultPushWorkers
 	}
@@ -241,10 +239,7 @@ func New(cfg Config) (*Client, error) {
 		retryBase:     retryBase,
 		breakers:      make(map[string]*breaker.Breaker),
 		pushCh:        make(chan pushItem, queueLen),
-		http: &http.Client{
-			Timeout:   timeout,
-			Transport: cfg.Transport,
-		},
+		http:          &http.Client{Timeout: timeout},
 	}
 	for _, n := range ring.Nodes() {
 		if n == cfg.Self {

@@ -186,7 +186,7 @@ func TestFetchRetriesTransientFailure(t *testing.T) {
 		BaseURL:          func(string) string { return srv.URL },
 		BreakerThreshold: 10,
 		RetryAttempts:    2,
-		RetryBaseDelay:   time.Millisecond,
+		retryBaseDelay:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestFetchDoesNotRetryCleanMiss(t *testing.T) {
 		Secret:         testSecret,
 		BaseURL:        func(string) string { return srv.URL },
 		RetryAttempts:  3,
-		RetryBaseDelay: time.Millisecond,
+		retryBaseDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +353,8 @@ func TestPushQueueBoundedAndDrains(t *testing.T) {
 		Peers:        []string{"self", "peer"},
 		Secret:       testSecret,
 		BaseURL:      func(string) string { return srv.URL },
-		PushQueueLen: 2,
-		PushWorkers:  1,
+		pushQueueLen: 2,
+		pushWorkers:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,8 +434,8 @@ func TestPushWorkerRetries(t *testing.T) {
 		BaseURL:          func(string) string { return srv.URL },
 		BreakerThreshold: 10,
 		RetryAttempts:    2,
-		RetryBaseDelay:   time.Millisecond,
-		PushWorkers:      1,
+		retryBaseDelay:   time.Millisecond,
+		pushWorkers:      1,
 	})
 	if err != nil {
 		t.Fatal(err)

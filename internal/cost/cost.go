@@ -54,16 +54,8 @@ type Device struct {
 	GroupPenalty float64
 }
 
-// NewT4 returns the default simulated device.
-func NewT4() *Device {
-	return &Device{
-		LaunchUS:     8.0,
-		PeakGFLOPS:   4000,
-		MemBWGBps:    220,
-		FusedActUS:   0.5,
-		GroupPenalty: 0.25,
-	}
-}
+// NewT4 returns the default simulated device, built from T4Spec.
+func NewT4() *Device { return T4Spec().device() }
 
 const bytesPerElem = 4 // fp32
 

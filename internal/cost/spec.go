@@ -103,13 +103,7 @@ func (s *Spec) Validate() error {
 // Model compiles the spec into a cost model: a Device, wrapped with
 // the per-operator multipliers when any are given.
 func (s *Spec) Model() Model {
-	d := &Device{
-		LaunchUS:     s.LaunchUS,
-		PeakGFLOPS:   s.PeakGFLOPS,
-		MemBWGBps:    s.MemBWGBps,
-		FusedActUS:   s.FusedActUS,
-		GroupPenalty: s.GroupPenalty,
-	}
+	d := s.device()
 	if len(s.OpScale) == 0 {
 		return d
 	}
@@ -118,6 +112,17 @@ func (s *Spec) Model() Model {
 		scale[tensor.OpByName[name]] = f
 	}
 	return &scaledModel{base: d, scale: scale}
+}
+
+// device is the spec's roofline device, op_scale overrides left out.
+func (s *Spec) device() *Device {
+	return &Device{
+		LaunchUS:     s.LaunchUS,
+		PeakGFLOPS:   s.PeakGFLOPS,
+		MemBWGBps:    s.MemBWGBps,
+		FusedActUS:   s.FusedActUS,
+		GroupPenalty: s.GroupPenalty,
+	}
 }
 
 // Params counts the spec's tunable parameters (the five roofline

@@ -30,8 +30,7 @@ import (
 type Mode int
 
 const (
-	// ModeError makes Check return the configured error (ErrInjected
-	// unless the arming supplied one).
+	// ModeError makes Check return an error wrapping ErrInjected.
 	ModeError Mode = iota
 	// ModeENOSPC makes Check return an error wrapping syscall.ENOSPC,
 	// simulating a full disk.
@@ -60,8 +59,8 @@ func (m Mode) String() string {
 	}
 }
 
-// ErrInjected is the default error returned by a point armed in
-// ModeError. Call sites and tests match it with errors.Is.
+// ErrInjected is the error a point armed in ModeError returns,
+// wrapped. Call sites and tests match it with errors.Is.
 var ErrInjected = errors.New("fault: injected error")
 
 // Action describes how an armed point misbehaves.
@@ -72,9 +71,6 @@ type Action struct {
 	// fire, later ones pass through. 0 means every check fires until
 	// the point is disarmed.
 	Count int
-	// Err overrides the error returned in ModeError. Ignored by the
-	// other modes.
-	Err error
 	// Sleep is the ModeSleep duration.
 	Sleep time.Duration
 }
@@ -162,9 +158,6 @@ func Check(name string) error {
 
 	switch a.Mode {
 	case ModeError:
-		if a.Err != nil {
-			return fmt.Errorf("fault %s: %w", name, a.Err)
-		}
 		return fmt.Errorf("fault %s: %w", name, ErrInjected)
 	case ModeENOSPC:
 		return fmt.Errorf("fault %s: %w", name, syscall.ENOSPC)

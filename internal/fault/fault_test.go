@@ -65,16 +65,6 @@ func TestArmErrorAndDisarm(t *testing.T) {
 	}
 }
 
-func TestCustomError(t *testing.T) {
-	Reset()
-	defer Reset()
-	sentinel := errors.New("boom")
-	Arm("peer.fetch", Action{Mode: ModeError, Err: sentinel})
-	if err := Check("peer.fetch"); !errors.Is(err, sentinel) {
-		t.Fatalf("want wrapped sentinel, got %v", err)
-	}
-}
-
 func TestENOSPC(t *testing.T) {
 	Reset()
 	defer Reset()

@@ -175,7 +175,7 @@ func TestStoreDegradedModeAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s := New(Config{Workers: 2, Store: st, StoreReprobe: 50 * time.Millisecond})
+	s := New(Config{Workers: 2, Store: st, storeReprobe: 50 * time.Millisecond})
 	res := stubResult(t)
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
 		return res, nil

@@ -657,7 +657,7 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 }
 
 // TestHighPriorityNeverDegraded: a saturated tenant at or above
-// NoShedPriority gets an explicit 429, never a silently weaker answer.
+// noShedPriority gets an explicit 429, never a silently weaker answer.
 func TestHighPriorityNeverDegraded(t *testing.T) {
 	reg, err := tenant.Parse([]byte(shedTenants))
 	if err != nil {
@@ -683,7 +683,7 @@ func TestHighPriorityNeverDegraded(t *testing.T) {
 	var rle *RateLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("err = %v, want *RateLimitError (no degradation for priority >= %d)",
-			err, s.cfg.NoShedPriority)
+			err, noShedPriority)
 	}
 	if got := s.Stats(); got.ShedTotal != 0 {
 		t.Fatalf("shed = %d, want 0 for a high-priority tenant", got.ShedTotal)

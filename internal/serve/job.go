@@ -113,9 +113,10 @@ const (
 type Job struct {
 	id      string
 	created time.Time
-	prof    profile
-	cancel  context.CancelFunc
-	done    chan struct{}
+	// ruleSet and costModel name the resolved profile.
+	ruleSet, costModel string
+	cancel             context.CancelFunc
+	done               chan struct{}
 	// log's mutex also guards the fields below the blank line, so a
 	// status, its progress snapshot and its error are read together.
 	log progressLog
@@ -145,8 +146,11 @@ func (j *Job) Created() time.Time { return j.created }
 
 // Profile reports the resolved profile names the job runs under.
 func (j *Job) Profile() (ruleSet, costModel string) {
-	return j.prof.RuleSet, j.prof.CostModel
+	return j.ruleSet, j.costModel
 }
+
+// profileLabel is the job's profile in log records.
+func (j *Job) profileLabel() string { return j.ruleSet + "/" + j.costModel }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -369,7 +373,7 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModel).Inc()
+	s.metrics.requests.With(q.prof.RuleSet, q.prof.CostModelName).Inc()
 	adm, err := s.admit(tn)
 	if err != nil {
 		return nil, err
@@ -391,12 +395,13 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	job := &Job{
-		id:      id,
-		created: time.Now(),
-		prof:    q.prof,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		adm:     adm,
+		id:        id,
+		created:   time.Now(),
+		ruleSet:   q.prof.RuleSet,
+		costModel: q.prof.CostModelName,
+		cancel:    cancel,
+		done:      make(chan struct{}),
+		adm:       adm,
 	}
 	job.log.init()
 	job.log.publish(tensat.Progress{Phase: tensat.PhaseQueued})
@@ -410,7 +415,7 @@ func (s *Service) SubmitJobAs(g *tensat.Graph, ro RequestOptions, timeout time.D
 	s.metrics.jobsRunning.Inc()
 	attrs := []any{
 		"job", job.id,
-		"profile", q.prof.label(),
+		"profile", job.profileLabel(),
 		"fingerprint", q.fp,
 	}
 	if adm.tenant != "" {
@@ -450,7 +455,7 @@ func (s *Service) finishJob(job *Job, resp *Response, err error) {
 	attrs := []any{
 		"job", job.id,
 		"status", string(status),
-		"profile", job.prof.label(),
+		"profile", job.profileLabel(),
 		"duration", time.Since(job.created),
 	}
 	s.metrics.jobsRunning.Dec()

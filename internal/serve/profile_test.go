@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,23 +153,26 @@ func TestCrossProfileCacheIsolation(t *testing.T) {
 }
 
 // TestUnknownProfileNamesAre400s checks unknown profile names are
-// rejected with a client error listing what exists.
+// rejected with a client error carrying the registry's message, which
+// lists what exists.
 func TestUnknownProfileNamesAre400s(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, c := range []struct {
-		opts     RequestOptions
-		wantName string
+		opts RequestOptions
+		want string
 	}{
-		{RequestOptions{RuleSet: "warp-drive"}, "taso-default"},
-		{RequestOptions{CostModel: "warp-drive"}, "t4"},
+		{RequestOptions{RuleSet: "warp-drive"},
+			`{"error":"serve: bad request options: tensat: unknown profile: rule set \"warp-drive\" (known: taso-default, taso-single)"}`},
+		{RequestOptions{CostModel: "warp-drive"},
+			`{"error":"serve: bad request options: tensat: unknown profile: cost model \"warp-drive\" (known: a100, cpu, t4)"}`},
 	} {
 		opts := c.opts
 		status, _, raw := postJob(t, ts.URL, OptimizeRequest{Graph: figure2Wire, Options: opts})
 		if status != http.StatusBadRequest {
 			t.Fatalf("job submit with %+v: status %d, want 400: %s", opts, status, raw)
 		}
-		if !bytes.Contains([]byte(raw), []byte("known:")) || !bytes.Contains([]byte(raw), []byte(c.wantName)) {
-			t.Errorf("error %q does not list the known names (want %q)", raw, c.wantName)
+		if got := strings.TrimSpace(raw); got != c.want {
+			t.Errorf("400 body = %s, want %s", got, c.want)
 		}
 		status, _, raw = postOptimize(t, ts.URL, OptimizeRequest{Graph: figure2Wire, Options: opts})
 		if status != http.StatusBadRequest {

@@ -86,11 +86,6 @@ type Config struct {
 	// are written through on completion and consulted on LRU misses, so
 	// a restarted daemon keeps its warm set.
 	Store cachestore.Store
-	// StoreReprobe is how often a degraded store (one that returned an
-	// I/O error) lets one operation through to test whether the fault
-	// has cleared; 0 means 5 seconds. While degraded, the memory tier
-	// keeps serving and store operations are skipped, not failed.
-	StoreReprobe time.Duration
 	// Cluster, when non-nil, is the peer cache tier: keys whose
 	// consistent-hash owner is another node are fetched from (and cold
 	// results pushed to) that owner. Peer failures degrade to local
@@ -100,11 +95,19 @@ type Config struct {
 	// per-tenant admission control (rate limits, concurrency quotas,
 	// priorities, load shedding) for the HTTP surface.
 	Tenants *tenant.Registry
-	// NoShedPriority is the tenant priority at or above which requests
-	// are never quality-degraded: a saturated high-priority tenant gets
-	// an explicit 429 instead of a silently weaker answer. 0 means 100.
-	NoShedPriority int
+
+	// storeReprobe is how often a degraded store (one that returned an
+	// I/O error) lets one operation through to test whether the fault
+	// has cleared; 0 means 5 seconds. While degraded, the memory tier
+	// keeps serving and store operations are skipped, not failed. Only
+	// this package's tests change it.
+	storeReprobe time.Duration
 }
+
+// noShedPriority is the tenant priority at or above which requests are
+// never quality-degraded: a saturated high-priority tenant gets an
+// explicit 429 instead of a silently weaker answer.
+const noShedPriority = 100
 
 // Service is a concurrent graph-optimization service.
 type Service struct {
@@ -127,8 +130,7 @@ type Service struct {
 	// drain coordinates graceful shutdown.
 	drain *drainState
 
-	// opt is the shared optimizer: the rule set and cost model are
-	// compiled once at construction and reused by every run.
+	// opt is the shared optimizer on cfg.Registry.
 	opt *tensat.Optimizer
 
 	// optimize runs one optimization, injectable by tests to model
@@ -164,9 +166,6 @@ func New(cfg Config) *Service {
 	if cfg.SSEKeepAlive == 0 {
 		cfg.SSEKeepAlive = 15 * time.Second
 	}
-	if cfg.NoShedPriority <= 0 {
-		cfg.NoShedPriority = 100
-	}
 	s := &Service{
 		cfg:    cfg,
 		queue:  newWorkQueue(cfg.Workers),
@@ -184,7 +183,7 @@ func New(cfg Config) *Service {
 	s.drain = newDrainState()
 	s.metrics = newMetrics(s)
 	if cfg.Store != nil {
-		s.disk = newStoreTier(cfg.Store, cfg.StoreReprobe, s.metrics.store, s.log)
+		s.disk = newStoreTier(cfg.Store, cfg.storeReprobe, s.metrics.store, s.log)
 		s.tiers = append(s.tiers, s.disk)
 	}
 	s.local = s.tiers
@@ -275,8 +274,8 @@ type RequestOptions struct {
 var ErrBadOptions = errors.New("serve: bad request options")
 
 // apply refines base with the request's non-zero knobs. Profile names
-// are carried over verbatim; resolveProfile validates them against the
-// registry and computes the content hashes the cache key needs.
+// are carried over verbatim; prepare resolves them against the
+// registry, which yields the content hashes the cache key needs.
 func (ro RequestOptions) apply(base tensat.Options) (tensat.Options, error) {
 	o := base
 	if ro.RuleSet != "" {
@@ -335,56 +334,6 @@ func (ro RequestOptions) apply(base tensat.Options) (tensat.Options, error) {
 		o.ILPSolver = ro.ILPSolver
 	}
 	return o, nil
-}
-
-// profile is a resolved optimization profile: the effective display
-// names and the content hashes that join the cache key. Two requests
-// share cache entries exactly when their profiles hash alike —
-// whatever the names say — so a reloaded-but-unchanged profile keeps
-// its entries and renamed-identical devices share them.
-type profile struct {
-	RuleSet, CostModel         string
-	ruleSetHash, costModelHash string
-}
-
-// label is the per-profile stats key and job-listing tag.
-func (p profile) label() string { return p.RuleSet + "/" + p.CostModel }
-
-// resolveProfile validates o's profile names against the registry and
-// fills in defaults: an unnamed half falls back to the built-in
-// profile, or to the opaque "custom" label when the service was
-// configured with a programmatic Rules/CostModel object.
-func (s *Service) resolveProfile(o *tensat.Options) (profile, error) {
-	var p profile
-	switch {
-	case o.Rules != nil:
-		p.RuleSet = "custom"
-	case o.RuleSet == "":
-		o.RuleSet = tensat.DefaultRuleSetName
-		fallthrough
-	default:
-		info, ok := s.cfg.Registry.RuleSetInfo(o.RuleSet)
-		if !ok {
-			return p, fmt.Errorf("%w: unknown ruleset %q (known: %s)",
-				ErrBadOptions, o.RuleSet, strings.Join(s.cfg.Registry.RuleSetNames(), ", "))
-		}
-		p.RuleSet, p.ruleSetHash = info.Name, info.Hash
-	}
-	switch {
-	case o.CostModel != nil:
-		p.CostModel = "custom"
-	case o.CostModelName == "":
-		o.CostModelName = tensat.DefaultCostModelName
-		fallthrough
-	default:
-		info, ok := s.cfg.Registry.CostModelInfo(o.CostModelName)
-		if !ok {
-			return p, fmt.Errorf("%w: unknown cost_model %q (known: %s)",
-				ErrBadOptions, o.CostModelName, strings.Join(s.cfg.Registry.CostModelNames(), ", "))
-		}
-		p.CostModel, p.costModelHash = info.Name, info.Hash
-	}
-	return p, nil
 }
 
 // keyFromParts derives the cache/singleflight key from its components
@@ -513,10 +462,13 @@ type Response struct {
 }
 
 // request is one prepared optimization request: effective options,
-// resolved profile, graph identity, and the derived cache key.
+// resolved profile, graph identity, and the derived cache key. Two
+// requests share cache entries exactly when their profiles hash alike
+// — whatever the names say — so a reloaded-but-unchanged profile keeps
+// its entries and renamed-identical devices share them.
 type request struct {
 	opts  tensat.Options
-	prof  profile
+	prof  tensat.Profile
 	fp    string
 	names []string
 	key   string
@@ -529,8 +481,8 @@ func (q request) keyParts() cachestore.KeyParts {
 	return cachestore.KeyParts{
 		Fingerprint:   q.fp,
 		Options:       optionsKey(q.opts),
-		RuleSetHash:   q.prof.ruleSetHash,
-		CostModelHash: q.prof.costModelHash,
+		RuleSetHash:   q.prof.RuleSetHash,
+		CostModelHash: q.prof.CostModelHash,
 	}
 }
 
@@ -542,8 +494,8 @@ func (s *Service) prepare(g *tensat.Graph, ro RequestOptions) (request, error) {
 	if q.opts, err = ro.apply(s.cfg.Base); err != nil {
 		return q, err
 	}
-	if q.prof, err = s.resolveProfile(&q.opts); err != nil {
-		return q, err
+	if q.prof, err = s.cfg.Registry.Resolve(q.opts); err != nil {
+		return q, fmt.Errorf("%w: %w", ErrBadOptions, err)
 	}
 	if q.fp, err = fingerprint.GraphHex(g); err != nil {
 		return q, err
@@ -578,7 +530,7 @@ func (s *Service) admit(tn *tenant.Tenant) (admission, error) {
 	case tenant.Admit:
 		return admission{tenant: tn.Name, prio: tn.Priority}, nil
 	case tenant.Degrade:
-		if tn.Priority >= s.cfg.NoShedPriority {
+		if tn.Priority >= noShedPriority {
 			// High-priority work is never silently weakened; surface the
 			// saturation instead.
 			s.cfg.Tenants.Release(tn.Name, true)

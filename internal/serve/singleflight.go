@@ -34,9 +34,8 @@ type flightCall struct {
 	tensors []string
 	// waiters is guarded by the owning group's mutex.
 	waiters int
-	// progress records the run's live snapshots; every waiter (sync
-	// requests ignore it, async jobs pump it into their own logs)
-	// shares one stream, so N deduplicated jobs see identical
+	// progress records the run's live snapshots; every waiter pumps
+	// it into its own job log, so N deduplicated jobs see identical
 	// progress.
 	progress progressLog
 }

@@ -118,7 +118,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	// The long reprobe keeps the store degraded once the injected write
 	// failure opens its breaker.
-	s := New(Config{Workers: 4, Store: st, StoreReprobe: time.Hour, Tenants: reg})
+	s := New(Config{Workers: 4, Store: st, storeReprobe: time.Hour, Tenants: reg})
 	var started atomic.Int64
 	var panicNext, hold atomic.Bool
 	release := make(chan struct{})

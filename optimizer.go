@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"tensat/internal/cost"
@@ -15,7 +14,6 @@ import (
 	"tensat/internal/ilp/backend"
 	"tensat/internal/obs"
 	"tensat/internal/rewrite"
-	"tensat/internal/rules"
 )
 
 // Phase identifies where in the pipeline a job currently is.
@@ -53,74 +51,43 @@ type Progress struct {
 	Elapsed time.Duration
 }
 
-// Optimizer runs the TENSAT pipeline repeatedly with a rule set and
-// cost model that are compiled once and shared by every submitted job.
-// Construct with NewOptimizer and reuse freely: an Optimizer is safe
-// for concurrent Submit calls. The zero value is not usable.
+// Optimizer runs the TENSAT pipeline against a profile Registry: each
+// submitted job resolves its rule set and cost model there (see
+// Registry.Resolve), sharing the pattern compilation the registry did
+// when the rule set was registered. Construct with NewOptimizer and
+// reuse freely: an Optimizer is safe for concurrent Submit calls. The
+// zero value is not usable.
 //
 // Optimize and OptimizeContext remain as one-shot shims over this
-// type; services or tools optimizing more than one graph should hold
-// one Optimizer so the rule patterns are not re-parsed per call.
+// type.
 type Optimizer struct {
-	model    CostModel
 	registry *Registry
-
-	rulesOnce sync.Once
-	rules     []*Rule
-	compiled  *rewrite.CompiledRules
 }
 
 // OptimizerOption configures NewOptimizer.
 type OptimizerOption func(*Optimizer)
 
-// WithRegistry sets the profile registry that resolves Options.RuleSet
-// and Options.CostModelName (nil keeps DefaultRegistry). Registry
-// entries are compiled at registration, so per-job resolution is a map
-// lookup — the per-profile generalization of the optimizer's old
-// compile-once behavior.
+// WithRegistry sets the profile registry that resolves each job's rule
+// set and cost model (nil keeps DefaultRegistry).
 func WithRegistry(r *Registry) OptimizerOption {
 	return func(o *Optimizer) { o.registry = r }
 }
 
 // NewOptimizer builds a reusable Optimizer.
 func NewOptimizer(opts ...OptimizerOption) *Optimizer {
-	o := &Optimizer{model: cost.NewT4()}
+	o := &Optimizer{}
 	for _, apply := range opts {
 		apply(o)
+	}
+	if o.registry == nil {
+		o.registry = DefaultRegistry()
 	}
 	return o
 }
 
-// reg resolves the registry lazily, so an optimizer that never names a
-// profile (and brings its own rules) never compiles the built-ins.
-func (o *Optimizer) reg() *Registry {
-	if o.registry != nil {
-		return o.registry
-	}
-	return DefaultRegistry()
-}
-
-// ruleSet resolves the optimizer-default rule set exactly once (the
-// registry's taso-default entry), used by jobs that name no profile
-// and bring no rules of their own. Named rule sets (Options.RuleSet)
-// bypass this and hit the registry, where each set was compiled at
-// registration.
-func (o *Optimizer) ruleSet() ([]*Rule, *rewrite.CompiledRules) {
-	o.rulesOnce.Do(func() {
-		if rs, ok := o.reg().RuleSet(DefaultRuleSetName); ok {
-			o.rules = rs
-			o.compiled, _ = o.reg().compiledRuleSet(DefaultRuleSetName)
-			return
-		}
-		o.rules = rules.Default()
-		o.compiled = rewrite.CompileRules(o.rules)
-	})
-	return o.rules, o.compiled
-}
-
-// resolve fills the zero limits of opt from the paper defaults,
-// mirroring what the original Optimize entry point did.
-func (o *Optimizer) resolve(opt Options) Options {
+// withDefaultLimits fills the zero limits of opt from the paper
+// defaults, mirroring what the original Optimize entry point did.
+func withDefaultLimits(opt Options) Options {
 	def := DefaultOptions()
 	if opt.NodeLimit == 0 {
 		opt.NodeLimit = def.NodeLimit
@@ -175,10 +142,11 @@ func terminal(last Progress, res *Result, err error) Progress {
 
 // Submit starts an asynchronous optimization of g and returns its Job
 // handle immediately. The job runs until completion or cancellation of
-// ctx. opts follows the same zero-means-default rules as Optimize;
-// opts.Rules and opts.CostModel override the optimizer's compiled set
-// for this job only. opts.Progress, when set, receives every snapshot
-// of the run, ending with a terminal one.
+// ctx. opts follows the same zero-means-default rules as Optimize; its
+// profile is resolved against the optimizer's registry now, so an
+// unknown name fails the submission with ErrUnknownProfile instead of
+// a dead job. opts.Progress, when set, receives every snapshot of the
+// run, ending with a terminal one.
 func (o *Optimizer) Submit(ctx context.Context, g *Graph, opts Options) (*Job, error) {
 	if g == nil {
 		return nil, fmt.Errorf("tensat: nil graph")
@@ -186,20 +154,10 @@ func (o *Optimizer) Submit(ctx context.Context, g *Graph, opts Options) (*Job, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts = o.resolve(opts)
-	// Validate profile names now, so a typo fails the submission with a
-	// client error instead of a dead job.
-	if opts.Rules == nil && opts.RuleSet != "" {
-		if _, ok := o.reg().RuleSet(opts.RuleSet); !ok {
-			return nil, fmt.Errorf("%w: rule set %q (known: %s)",
-				ErrUnknownProfile, opts.RuleSet, strings.Join(o.reg().RuleSetNames(), ", "))
-		}
-	}
-	if opts.CostModel == nil && opts.CostModelName != "" {
-		if _, ok := o.reg().CostModel(opts.CostModelName); !ok {
-			return nil, fmt.Errorf("%w: cost model %q (known: %s)",
-				ErrUnknownProfile, opts.CostModelName, strings.Join(o.reg().CostModelNames(), ", "))
-		}
+	opts = withDefaultLimits(opts)
+	prof, err := o.registry.Resolve(opts)
+	if err != nil {
+		return nil, err
 	}
 	if !backend.Valid(opts.ILPSolver) {
 		return nil, fmt.Errorf("tensat: unknown ILP solver %q (known: %s)",
@@ -219,7 +177,7 @@ func (o *Optimizer) Submit(ctx context.Context, g *Graph, opts Options) (*Job, e
 				opts.Progress(p)
 			}
 		}
-		res, err := o.runRecover(ctx, g, opts, push)
+		res, err := runRecover(ctx, g, opts, prof, push)
 		push(terminal(last, res, err))
 		j.res, j.err = res, err
 		close(j.done)
@@ -246,46 +204,23 @@ func (e *PanicError) Error() string {
 // runRecover is run with a panic barrier: every Submit-spawned job
 // goroutine goes through it, so a panic anywhere in exploration or
 // extraction becomes a PanicError on the job rather than a crash.
-func (o *Optimizer) runRecover(ctx context.Context, g *Graph, opt Options, sink func(Progress)) (res *Result, err error) {
+func runRecover(ctx context.Context, g *Graph, opt Options, prof Profile, sink func(Progress)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return o.run(ctx, g, opt, sink)
+	return run(ctx, g, opt, prof, sink)
 }
 
-// run executes the full pipeline (exploration, then extraction),
-// reporting each stage through sink. It is the engine behind both
-// Submit and the synchronous Optimize shims.
-func (o *Optimizer) run(ctx context.Context, g *Graph, opt Options, sink func(Progress)) (*Result, error) {
+// run executes the full pipeline (exploration, then extraction) with
+// the profile Submit resolved, reporting each stage through sink. It
+// is the engine behind both Submit and the synchronous Optimize shims.
+func run(ctx context.Context, g *Graph, opt Options, prof Profile, sink func(Progress)) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Resolution order for each profile half: an explicit object on the
-	// Options, then a registry name, then the optimizer's own default.
-	// Named and default rule sets carry their registration-time pattern
-	// compilation; per-job Rules objects are compiled by the runner.
-	ruleset := opt.Rules
-	var compiled *rewrite.CompiledRules
-	if ruleset == nil && opt.RuleSet != "" {
-		if rs, ok := o.reg().RuleSet(opt.RuleSet); ok {
-			ruleset = rs
-			compiled, _ = o.reg().compiledRuleSet(opt.RuleSet)
-		}
-	}
-	if ruleset == nil {
-		ruleset, compiled = o.ruleSet()
-	}
-	model := opt.CostModel
-	if model == nil && opt.CostModelName != "" {
-		if m, ok := o.reg().CostModel(opt.CostModelName); ok {
-			model = m
-		}
-	}
-	if model == nil {
-		model = o.model
-	}
+	model := prof.CostModel
 
 	// One trace serves the whole run; nil when tracing is off, which
 	// every recording call tolerates at the cost of a nil check.
@@ -294,8 +229,8 @@ func (o *Optimizer) run(ctx context.Context, g *Graph, opt Options, sink func(Pr
 		tr = obs.NewTrace("optimize")
 	}
 
-	runner := rewrite.NewRunner(ruleset)
-	runner.Compiled = compiled
+	runner := rewrite.NewRunner(prof.Rules)
+	runner.Compiled = prof.compiled
 	runner.Trace = tr
 	runner.Limits = rewrite.Limits{
 		MaxNodes: opt.NodeLimit,

@@ -1,6 +1,7 @@
 package tensat
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -31,15 +32,19 @@ const (
 	DefaultCostModelName = "t4"
 )
 
+// customProfile labels a rule set or cost model given as an object on
+// Options rather than by name; no registry entry may take it.
+const customProfile = "custom"
+
 // ErrUnknownProfile marks a RuleSet or CostModelName that no registry
 // entry answers to; transports classify it as a client error.
 var ErrUnknownProfile = errors.New("tensat: unknown profile")
 
 // RuleVetMode selects what rule-set loading does with findings from
 // the static rule verifier (internal/rulecheck). Error-severity
-// findings (shape-unsound rewrites) always fail the load — except
-// under RuleVetOff — because applying such a rule silently corrupts
-// tensor shapes; the mode only decides the fate of warnings.
+// findings (shape-unsound rewrites) always fail the load, because
+// applying such a rule silently corrupts tensor shapes; the mode only
+// decides the fate of warnings.
 type RuleVetMode int
 
 const (
@@ -49,8 +54,6 @@ const (
 	RuleVetWarn RuleVetMode = iota
 	// RuleVetStrict fails the load on any finding, warnings included.
 	RuleVetStrict
-	// RuleVetOff skips verification entirely.
-	RuleVetOff
 )
 
 // RuleSetInfo describes one registered rule set.
@@ -70,9 +73,8 @@ type RuleSetInfo struct {
 	// verifier (internal/rulecheck) recorded when the set was loaded
 	// from a file: rules that can never fire, dead targets, or target
 	// operators the default cost model prices at +Inf (so extraction
-	// could never choose them). Empty for builtin sets and
-	// under RuleVetOff; under RuleVetStrict warnings fail the load
-	// instead of landing here.
+	// could never choose them). Empty for builtin sets; under
+	// RuleVetStrict warnings fail the load instead of landing here.
 	VetWarnings []string
 }
 
@@ -110,12 +112,12 @@ type costModelEntry struct {
 // taso-single; devices t4, a100 and cpu) and can load more at runtime:
 // rule sets from .rules files (see internal/rules ParseRuleSet for the
 // line format) and cost models from JSON device specs (DeviceSpec).
-// Rules are compiled once, at registration, so resolving a name per
-// job is a map lookup — the per-rule-set generalization of the old
-// compile-once sync.Once. All methods are safe for concurrent use;
-// re-registering a name atomically replaces it, and because cache keys
-// are derived from content hashes rather than names, a reload keeps
-// serving-cache entries exactly when the content is unchanged.
+// Rules are compiled once, at registration, so resolving a profile per
+// job (Resolve) is a map lookup under a read lock. All methods are
+// safe for concurrent use; re-registering a name atomically replaces
+// it, and because cache keys are derived from content hashes rather
+// than names, a reload keeps serving-cache entries exactly when the
+// content is unchanged.
 type Registry struct {
 	mu         sync.RWMutex
 	ruleSets   map[string]*ruleSetEntry
@@ -142,9 +144,9 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// defaultRegistry builds the process-wide registry on first use, so
-// programs that never resolve a profile (custom-rules library users, a
-// CLI exiting on a usage error) skip the built-in rule compilation.
+// defaultRegistry builds the process-wide registry on first use, so a
+// program that never builds an Optimizer (a CLI exiting on a usage
+// error) skips the built-in rule compilation.
 var defaultRegistry = sync.OnceValue(NewRegistry)
 
 // DefaultRegistry returns the process-wide registry that Optimizer and
@@ -192,14 +194,11 @@ func (r *Registry) vetRuleFile(path string, rs []*Rule) ([]string, error) {
 	r.mu.RLock()
 	mode := r.vetMode
 	r.mu.RUnlock()
-	if mode == RuleVetOff {
-		return nil, nil
+	def, err := r.Resolve(Options{})
+	if err != nil {
+		return nil, err
 	}
-	model, ok := r.CostModel(DefaultCostModelName)
-	if !ok {
-		model = cost.NewT4()
-	}
-	findings := rulecheck.CheckRules(path, rs, model)
+	findings := rulecheck.CheckRules(path, rs, def.CostModel)
 	if len(findings) == 0 {
 		return nil, nil
 	}
@@ -228,13 +227,13 @@ func (r *Registry) putCostModel(spec *DeviceSpec, source string) {
 
 // checkProfileName gates every name that enters the registry: the
 // conservative identifier alphabet shared with rule names, and never
-// "custom" — the label the serving layer reserves for programmatic
-// (unnamed) rule/model overrides.
+// "custom" — the label Resolve gives programmatic (unnamed) rule/model
+// overrides.
 func checkProfileName(name string) error {
 	if err := rules.CheckName(name); err != nil {
 		return fmt.Errorf("tensat: profile %v", err)
 	}
-	if name == "custom" {
+	if name == customProfile {
 		return fmt.Errorf("tensat: profile name %q is reserved", name)
 	}
 	return nil
@@ -397,16 +396,61 @@ func (r *Registry) RuleSet(name string) ([]*Rule, bool) {
 	return e.rules, true
 }
 
-// compiledRuleSet resolves a named rule set to its registration-time
-// pattern-program compilation (always present alongside the rules).
-func (r *Registry) compiledRuleSet(name string) (*rewrite.CompiledRules, bool) {
+// Profile is what one run optimizes with: the rule set and cost model
+// an Options resolves to, plus the names and content hashes that
+// identify them to the serving cache, its stats and its job listings.
+type Profile struct {
+	// Rules and CostModel are what the run explores and extracts with.
+	Rules     []*Rule
+	CostModel CostModel
+	// RuleSet and CostModelName are the registry keys they came from,
+	// or "custom" for an object given on the Options.
+	RuleSet, CostModelName string
+	// RuleSetHash and CostModelHash are the registry entries' content
+	// hashes; "" for a custom object.
+	RuleSetHash, CostModelHash string
+
+	// compiled is the registration-time pattern compilation of a
+	// registered rule set; nil for custom rules, which the runner
+	// compiles per run.
+	compiled *rewrite.CompiledRules
+}
+
+// Resolve returns the profile opt selects, half by half: an object on
+// opt (Rules, CostModel) wins, then a registry name (RuleSet,
+// CostModelName), then whatever the registry holds under
+// DefaultRuleSetName and DefaultCostModelName at the time of the call
+// — a file loaded under one of those names included. An unknown name
+// is an error wrapping ErrUnknownProfile that lists the known names.
+func (r *Registry) Resolve(opt Options) (Profile, error) {
+	p := Profile{Rules: opt.Rules, CostModel: opt.CostModel, RuleSet: customProfile, CostModelName: customProfile}
+	var rs *ruleSetEntry
+	var cm *costModelEntry
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.ruleSets[name]
-	if !ok {
-		return nil, false
+	if p.Rules == nil {
+		p.RuleSet = cmp.Or(opt.RuleSet, DefaultRuleSetName)
+		rs = r.ruleSets[p.RuleSet]
 	}
-	return e.compiled, true
+	if p.CostModel == nil {
+		p.CostModelName = cmp.Or(opt.CostModelName, DefaultCostModelName)
+		cm = r.costModels[p.CostModelName]
+	}
+	r.mu.RUnlock()
+	if p.Rules == nil {
+		if rs == nil {
+			return Profile{}, fmt.Errorf("%w: rule set %q (known: %s)",
+				ErrUnknownProfile, p.RuleSet, strings.Join(r.RuleSetNames(), ", "))
+		}
+		p.Rules, p.compiled, p.RuleSetHash = rs.rules, rs.compiled, rs.info.Hash
+	}
+	if p.CostModel == nil {
+		if cm == nil {
+			return Profile{}, fmt.Errorf("%w: cost model %q (known: %s)",
+				ErrUnknownProfile, p.CostModelName, strings.Join(r.CostModelNames(), ", "))
+		}
+		p.CostModel, p.CostModelHash = cm.model, cm.info.Hash
+	}
+	return p, nil
 }
 
 // RuleSetInfo reports a named rule set's metadata.

@@ -2,10 +2,12 @@ package tensat
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"tensat/internal/tensor"
@@ -244,4 +246,152 @@ type countingModel struct {
 func (m *countingModel) NodeCost(op tensor.Op, ival int64, sval string, args []*tensor.Meta) float64 {
 	m.calls++
 	return m.base.NodeCost(op, ival, sval, args)
+}
+
+// writeProfile writes one profile file into a fresh directory and
+// returns its path.
+func writeProfile(t *testing.T, name, text string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// runProfileJob runs g through o with a small greedy budget under the
+// named profile ("" for the default).
+func runProfileJob(t *testing.T, o *Optimizer, g *Graph, ruleSet, costModel string) *Result {
+	t.Helper()
+	opt := Options{RuleSet: ruleSet, CostModelName: costModel, NodeLimit: 2000, IterLimit: 4, Extractor: ExtractGreedy}
+	job, err := o.Submit(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRegistryDefaultCostModelIsLoadedT4: under a registry that
+// loaded a device named t4 with other numbers, a job naming no cost
+// model is priced exactly like one naming "t4" — by the loaded device,
+// not the built-in one.
+func TestRegistryDefaultCostModelIsLoadedT4(t *testing.T) {
+	r := NewRegistry()
+	if _, err := r.LoadDeviceFile(writeProfile(t, "t4.json",
+		`{"name":"t4","launch_us":2,"peak_gflops":100,"mem_bw_gbps":10,"fused_act_us":0.1,"group_penalty":0.5}`)); err != nil {
+		t.Fatal(err)
+	}
+	o := NewOptimizer(WithRegistry(r))
+	g := buildProfileTestGraph(t)
+	dflt, named := runProfileJob(t, o, g, "", ""), runProfileJob(t, o, g, "", DefaultCostModelName)
+	if dflt.OrigCost != named.OrigCost || dflt.OptCost != named.OptCost {
+		t.Errorf("default job costs %v -> %v, the job naming t4 %v -> %v",
+			dflt.OrigCost, dflt.OptCost, named.OrigCost, named.OptCost)
+	}
+	if builtin := GraphCost(DefaultCostModel(), g); dflt.OrigCost == builtin {
+		t.Errorf("default job priced by the built-in T4 (%v)", builtin)
+	}
+}
+
+// TestRegistryDefaultRuleSetFollowsReload: a taso-default.rules loaded
+// after a first default job is what the next default job explores
+// with.
+func TestRegistryDefaultRuleSetFollowsReload(t *testing.T) {
+	r := NewRegistry()
+	o := NewOptimizer(WithRegistry(r))
+	g := buildProfileTestGraph(t)
+	first := runProfileJob(t, o, g, "", "")
+	if _, err := r.LoadRuleFile(writeProfile(t, DefaultRuleSetName+".rules",
+		"ewadd-comm: (ewadd ?x ?y) => (ewadd ?y ?x)\n")); err != nil {
+		t.Fatal(err)
+	}
+	dflt, named := runProfileJob(t, o, g, "", ""), runProfileJob(t, o, g, DefaultRuleSetName, "")
+	if dflt.ENodes != named.ENodes || dflt.Iterations != named.Iterations {
+		t.Errorf("default job explored %d e-nodes in %d iterations, the job naming %s %d in %d",
+			dflt.ENodes, dflt.Iterations, DefaultRuleSetName, named.ENodes, named.Iterations)
+	}
+	if dflt.ENodes == first.ENodes {
+		t.Errorf("the reloaded rule set explored as the built-in one did (%d e-nodes)", first.ENodes)
+	}
+}
+
+// TestRegistryReloadDuringJobs submits default jobs from several
+// goroutines while the default rule set and device are reloaded, for
+// the race detector to check that each job's resolution is ordered
+// against the reloads.
+func TestRegistryReloadDuringJobs(t *testing.T) {
+	r := NewRegistry()
+	o := NewOptimizer(WithRegistry(r))
+	g := buildProfileTestGraph(t)
+	rulesPath := writeProfile(t, DefaultRuleSetName+".rules", "ewadd-comm: (ewadd ?x ?y) => (ewadd ?y ?x)\n")
+	devicePath := writeProfile(t, DefaultCostModelName+".json",
+		`{"name":"t4","launch_us":2,"peak_gflops":100,"mem_bw_gbps":10,"fused_act_us":0.1,"group_penalty":0.5}`)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				job, err := o.Submit(context.Background(), g, Options{NodeLimit: 500, IterLimit: 2, Extractor: ExtractGreedy})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := job.Result(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := r.LoadRuleFile(rulesPath); err != nil {
+			t.Error(err)
+		}
+		if _, err := r.LoadDeviceFile(devicePath); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+}
+
+// TestRegistryResolve pins the resolver's answers: the registry's
+// entries for names and defaults, "custom" with no hash for objects,
+// and one ErrUnknownProfile error per unknown name.
+func TestRegistryResolve(t *testing.T) {
+	r := NewRegistry()
+	p, err := r.Resolve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsInfo, _ := r.RuleSetInfo(DefaultRuleSetName)
+	cmInfo, _ := r.CostModelInfo(DefaultCostModelName)
+	if p.RuleSet != DefaultRuleSetName || p.CostModelName != DefaultCostModelName ||
+		p.RuleSetHash != rsInfo.Hash || p.CostModelHash != cmInfo.Hash || p.compiled == nil {
+		t.Errorf("default profile = %s/%s %s/%s, want the registry's %s/%s entries",
+			p.RuleSet, p.CostModelName, p.RuleSetHash, p.CostModelHash, DefaultRuleSetName, DefaultCostModelName)
+	}
+	custom, err := r.Resolve(Options{Rules: DefaultRules(), CostModel: DefaultCostModel(), RuleSet: "nope", CostModelName: "nope"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if custom.RuleSet != "custom" || custom.CostModelName != "custom" ||
+		custom.RuleSetHash != "" || custom.CostModelHash != "" || custom.compiled != nil {
+		t.Errorf("object profile = %+v, want custom/custom with no hashes", custom)
+	}
+	for _, c := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{RuleSet: "nope"}, `tensat: unknown profile: rule set "nope" (known: taso-default, taso-single)`},
+		{Options{CostModelName: "nope"}, `tensat: unknown profile: cost model "nope" (known: a100, cpu, t4)`},
+	} {
+		if _, err := r.Resolve(c.opt); !errors.Is(err, ErrUnknownProfile) || err.Error() != c.want {
+			t.Errorf("Resolve(%+v) = %v, want %s", c.opt, err, c.want)
+		}
+	}
 }

@@ -17,8 +17,8 @@ func writeRules(t *testing.T, name, text string) string {
 }
 
 // A shape-unsound rule must be rejected at load time regardless of
-// vet mode (except RuleVetOff): transpose changes the shape, so the
-// target cannot equal the source.
+// vet mode: transpose changes the shape, so the target cannot equal
+// the source.
 func TestLoadRuleFileRejectsShapeUnsound(t *testing.T) {
 	path := writeRules(t, "bad.rules", "droppose: (transpose ?x \"1 0\") => ?x\n")
 
@@ -30,12 +30,6 @@ func TestLoadRuleFileRejectsShapeUnsound(t *testing.T) {
 	}
 	if _, ok := r.RuleSet("bad"); ok {
 		t.Fatal("registry registered a rejected rule set")
-	}
-
-	// RuleVetOff is the escape hatch: the same file loads.
-	r.SetRuleVetMode(RuleVetOff)
-	if _, err := r.LoadRuleFile(path); err != nil {
-		t.Fatalf("RuleVetOff should skip vetting: %v", err)
 	}
 }
 

@@ -25,9 +25,9 @@
 // # Jobs and live progress
 //
 // Optimization runs are long (the paper budgets the ILP a full hour),
-// so the primary API is asynchronous: an Optimizer compiles the rule
-// set and cost model once and is reused for any number of jobs, and
-// Submit returns a Job handle immediately:
+// so the primary API is asynchronous: an Optimizer resolves each job's
+// rule set and cost model against its Registry, is reused for any
+// number of jobs, and Submit returns a Job handle immediately:
 //
 //	o := tensat.NewOptimizer()
 //	opts := tensat.DefaultOptions()
@@ -131,11 +131,13 @@ const (
 // NewBuilder returns an empty graph builder.
 func NewBuilder() *Builder { return tensor.NewBuilder() }
 
-// DefaultCostModel returns the simulated T4 device model.
+// DefaultCostModel returns the built-in simulated T4 device model, the
+// one a NewRegistry holds under DefaultCostModelName.
 func DefaultCostModel() CostModel { return cost.NewT4() }
 
 // DefaultRules returns the full TASO-style rule set (single- and
-// multi-pattern).
+// multi-pattern), the one a NewRegistry holds under
+// DefaultRuleSetName.
 func DefaultRules() []*Rule { return rules.Default() }
 
 // NewRule builds a single-pattern rewrite rule from S-expression
@@ -175,20 +177,22 @@ const (
 // explicitly exempted as pure observability. tensatlint's cachekey
 // analyzer enforces this; see cmd/tensatlint.
 //
-//lint:cachekey keyfunc=tensat/internal/serve.optionsKey keyfunc=tensat/internal/serve.Service.resolveProfile
+//lint:cachekey keyfunc=tensat/internal/serve.optionsKey keyfunc=tensat.Registry.Resolve
 type Options struct {
-	// Rules is the rewrite rule set; nil means DefaultRules.
+	// Rules is the rewrite rule set; nil means the one RuleSet names.
 	Rules []*Rule
-	// CostModel prices operators; nil means DefaultCostModel.
+	// CostModel prices operators; nil means the one CostModelName
+	// names.
 	CostModel CostModel
 	// RuleSet selects a named rule set from the optimizer's Registry
 	// (e.g. "taso-default", "taso-single", or a loaded .rules profile).
-	// It applies only when Rules is nil; "" means the default set. An
-	// unknown name fails Submit with ErrUnknownProfile.
+	// It applies only when Rules is nil; "" means the registry's
+	// taso-default entry. An unknown name fails Submit with
+	// ErrUnknownProfile.
 	RuleSet string
 	// CostModelName selects a named cost model from the Registry (e.g.
 	// "t4", "a100", "cpu", or a loaded device spec). It applies only
-	// when CostModel is nil; "" means the optimizer's default device.
+	// when CostModel is nil; "" means the registry's t4 entry.
 	CostModelName string
 	// NodeLimit bounds the e-graph size (paper: 50000).
 	NodeLimit int
@@ -305,7 +309,7 @@ type ILPStats struct {
 type Result struct {
 	// Graph is the optimized graph.
 	Graph *Graph
-	// OrigCost and OptCost are graph costs under the optimizer's model.
+	// OrigCost and OptCost are graph costs under the run's cost model.
 	OrigCost, OptCost float64
 	// SpeedupPercent is (OrigCost/OptCost - 1) * 100.
 	SpeedupPercent float64
@@ -362,9 +366,8 @@ func WriteChromeTrace(w io.Writer, root *TraceSpan) error {
 }
 
 // Optimize runs the full TENSAT pipeline on g: exploration by equality
-// saturation, then extraction. It is a one-shot shim over Optimizer;
-// callers optimizing many graphs should hold a single Optimizer so the
-// rule set is compiled once.
+// saturation, then extraction. It is a one-shot shim over an Optimizer
+// on DefaultRegistry.
 func Optimize(g *Graph, opt Options) (*Result, error) {
 	return OptimizeContext(context.Background(), g, opt)
 }
@@ -377,8 +380,8 @@ func Optimize(g *Graph, opt Options) (*Result, error) {
 // extracted, as in the paper's anytime setup), while canceling ctx
 // aborts the whole pipeline with ctx.Err().
 //
-// Like Optimize, it is a synchronous shim: it submits one job to a
-// fresh Optimizer and waits for the result.
+// Like Optimize, it is a synchronous shim: it submits one job to an
+// Optimizer on DefaultRegistry and waits for the result.
 func OptimizeContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	job, err := NewOptimizer().Submit(ctx, g, opt)
 	if err != nil {
