@@ -7,27 +7,30 @@ import (
 	"tensat/internal/pattern"
 )
 
-// This file is Algorithm 2 (§5.2): the descendants map the pre-filter
-// consults, the DFS that collects cycles, and the post-processing loop
-// that filters the last-added node of each. All three walk the class
-// graph through a cycleFilter, which numbers the canonical classes
-// 0..C-1 (ascending id) for the walk in hand and keeps every per-class
-// fact in a slice indexed by that number. Class ids are issued per
-// e-node, so there are about 2.5 of them per live class: indexing by
-// dense number is what keeps a descendant row C bits wide.
+// This file is Algorithm 2 (§5.2): the DFS that collects cycles, the
+// post-processing loop that filters the last-added node of each, and
+// the reachability query the pre-filter asks. All three keep their
+// per-class facts in cycleFilter slices indexed by class id.
 //
-// The descendants map is one slab of C rows of ⌈C/64⌉ words — C²/64
-// words, 12 MB at 10,000 classes — so it is allocated once per
-// exploration run, grown when C grows, and released with the run: it
-// is too large to rebuild every iteration and too large to park in a
-// process-wide pool between runs.
+// The paper's pre-filter consults a descendants map rebuilt every
+// iteration. Here the query answers from an order instead: the cycle
+// walk numbers each class in postorder, and once it finds no cycle
+// that numbering is a topological order of exactly the graph the next
+// iteration freezes, since nothing changes between the post-processing
+// pass and the freeze. Every edge of the walk but a back edge descends
+// in postorder, so "does b reach m?" is false at once when b's number
+// is not above m's, and is otherwise a DFS from b pruned to the
+// classes numbered between the two (the pruned search of dynamic
+// topological sorting, Pearce & Kelly, ACM JEA 2006). Skipping the
+// edges that do not descend skips exactly the walk's back edges, the
+// edges that close a residual cycle, which post-processing resolves.
 
 // FilterSet marks e-nodes as removed from the e-graph for extraction
 // purposes (the "filter list" of Algorithm 2): a bit table indexed by
 // the node's stamp (egraph.EGraph.NodeStamp, 1..EGraph.Stamp()); the
 // zero value is empty. Filtered nodes stay in the e-graph (removal
-// would break congruence bookkeeping) but are ignored by descendant
-// computation, cycle detection and extraction; the ILP extractor adds
+// would break congruence bookkeeping) but are ignored by the
+// pre-filter's query, cycle detection and extraction; the ILP extractor adds
 // x_i = 0 constraints for them, exactly as §5.2 prescribes.
 type FilterSet struct{ bits []uint64 }
 
@@ -46,100 +49,86 @@ func (f *FilterSet) Add(stamp int64) {
 	f.bits[w] |= 1 << (stamp & 63)
 }
 
-// cycleFilter is the scratch of Algorithm 2, reused from walk to walk.
-// The zero value is ready to use.
+// cycleFilter is the scratch of Algorithm 2, reused from walk to walk
+// and query to query. The zero value is ready to use.
 type cycleFilter struct {
-	number []int32 // ClassID -> 1 + dense number of a canonical class, 0 otherwise
-	state  []uint8 // per dense number: 0 unvisited, 1 on the DFS stack, 2 done
-	pos    []int32 // per dense number: DFS depth, while on the stack
-	words  int     // words per descendants row
-	slab   []uint64
+	state []uint8  // per class id: 0 unvisited, 1 on the DFS stack, 2 done
+	pos   []int32  // per class id: DFS depth, while on the stack
+	stack []int64  // stack[k] is the stamp of the node entering the class at depth k+1
+	post  []int32  // per class id: 1 + postorder number in the last walk, 0 if not a class then
+	seen  []uint32 // per class id: the epoch of the last query that visited it
+	epoch uint32
+	todo  []egraph.ClassID // the query's DFS stack
 }
 
-// renumber numbers g's canonical classes and clears the DFS state.
-func (f *cycleFilter) renumber(g *egraph.EGraph) int {
-	classes := g.ClassCount()
-	f.number = append(f.number[:0], make([]int32, g.Stamp())...)
-	f.state = append(f.state[:0], make([]uint8, classes)...)
-	f.pos = append(f.pos[:0], make([]int32, classes)...)
-	next := int32(0)
-	g.Classes(func(cls *egraph.Class) {
-		next++
-		f.number[cls.ID] = next
-	})
-	return classes
+// classGraph is the class graph a query reads: the iteration's frozen
+// view for FilterEfficient, the live e-graph (liveGraph) for
+// FilterVanilla. It must be the graph the last walk numbered.
+type classGraph interface {
+	Find(egraph.ClassID) egraph.ClassID
+	Nodes(egraph.ClassID) []egraph.ClassID
+	Node(egraph.ClassID) *egraph.Node
 }
 
-// computeDescendants makes one pass over the e-graph and records, for
-// each e-class, the set of e-classes reachable strictly below it
-// through unfiltered nodes (the GETDESCENDANTS step of Algorithm 2).
-// The e-graph must be acyclic modulo filtered nodes; if a residual
-// cycle is encountered the edge closing it is ignored (the
-// post-processing pass will resolve it).
-func (f *cycleFilter) computeDescendants(g *egraph.EGraph, filtered *FilterSet) {
-	classes := f.renumber(g)
-	f.words = (classes + 63) / 64
-	// Rows are cleared as the walk reaches them, so what the slab held
-	// before does not matter.
-	f.slab = slices.Grow(f.slab[:0], classes*f.words)[:classes*f.words]
-	var dfs func(cls *egraph.Class, k int32)
-	dfs = func(cls *egraph.Class, k int32) {
-		f.state[k] = 1
-		row := f.slab[int(k)*f.words : (int(k)+1)*f.words]
-		clear(row)
-		for _, n := range cls.Nodes {
+// liveGraph reads the e-graph as it stands.
+type liveGraph struct{ *egraph.EGraph }
+
+func (l liveGraph) Nodes(id egraph.ClassID) []egraph.ClassID { return l.Class(id).Nodes }
+
+// reaches reports whether class to is strictly below class from in src,
+// through nodes the filter list does not hold and along edges that
+// descend in the last walk's postorder, which skips the walk's back
+// edges. g supplies the stamps. A class created since the walk reaches
+// nothing and is reached by nothing. The query allocates nothing once
+// its stack has grown.
+func (f *cycleFilter) reaches(src classGraph, g *egraph.EGraph, filtered *FilterSet, from, to egraph.ClassID) bool {
+	if int(from) >= len(f.post) || int(to) >= len(f.post) {
+		return false
+	}
+	lo := f.post[to]
+	if f.post[from] <= lo {
+		return false
+	}
+	if f.epoch++; f.epoch == 0 { // wrapped: no stamp left is this query's
+		clear(f.seen)
+		f.epoch = 1
+	}
+	f.seen[from] = f.epoch
+	f.todo = append(f.todo[:0], from)
+	for len(f.todo) > 0 {
+		k := f.todo[len(f.todo)-1]
+		f.todo = f.todo[:len(f.todo)-1]
+		for _, n := range src.Nodes(k) {
 			if filtered.Has(g.NodeStamp(n)) {
 				continue
 			}
-			for _, ch := range g.Node(n).Children {
-				c := f.number[g.Find(ch)] - 1
-				// A child on the stack closes a residual cycle: skip the
-				// edge, post-processing fixes it. A child already in the row
-				// brought its own descendants with it: rows are final once
-				// their class is done, and only done rows are folded in.
-				if f.state[c] == 1 || row[c>>6]&(1<<(uint(c)&63)) != 0 {
-					continue
-				}
-				if f.state[c] == 0 {
-					dfs(g.Class(ch), c)
-				}
-				row[c>>6] |= 1 << (uint(c) & 63)
-				for w, bits := range f.slab[int(c)*f.words : (int(c)+1)*f.words] {
-					row[w] |= bits
+			for _, ch := range src.Node(n).Children {
+				c := src.Find(ch)
+				switch p := f.post[c]; {
+				case p == lo:
+					return true
+				case p > lo && p < f.post[k] && f.seen[c] != f.epoch:
+					f.seen[c] = f.epoch
+					f.todo = append(f.todo, c)
 				}
 			}
 		}
-		f.state[k] = 2
 	}
-	g.Classes(func(cls *egraph.Class) {
-		if k := f.number[cls.ID] - 1; f.state[k] == 0 {
-			dfs(cls, k)
-		}
-	})
-}
-
-// reaches reports whether class to was strictly below class from when
-// the descendants were computed. A class created since has no row and
-// is in no row.
-func (f *cycleFilter) reaches(from, to egraph.ClassID) bool {
-	if int(from) >= len(f.number) || int(to) >= len(f.number) {
-		return false
-	}
-	a, b := f.number[from]-1, f.number[to]-1
-	return a >= 0 && b >= 0 && f.slab[int(a)*f.words+int(b>>6)]&(1<<(uint(b)&63)) != 0
+	return false
 }
 
 // willCreateCycle is the pre-filtering check of Algorithm 2 (line 6):
 // applying the rewrite would add nodes under class `matched` whose
 // leaves are the classes bound to the target's variables; a cycle
 // appears iff some bound class can already reach `matched` (or is
-// `matched` itself). The check is sound but not complete: the
-// descendants are a snapshot from the start of the iteration.
-func (f *cycleFilter) willCreateCycle(g *egraph.EGraph, target *pattern.Target,
-	bind []egraph.ClassID, matched egraph.ClassID) bool {
+// `matched` itself). The check is sound but not complete: src is the
+// graph the last walk numbered, for FilterEfficient the iteration's
+// start.
+func (f *cycleFilter) willCreateCycle(g *egraph.EGraph, src classGraph, filtered *FilterSet,
+	target *pattern.Target, bind []egraph.ClassID, matched egraph.ClassID) bool {
 	cm := g.Find(matched)
 	for _, slot := range target.Slots() {
-		if b := g.Find(bind[slot]); b == cm || f.reaches(b, cm) {
+		if b := g.Find(bind[slot]); b == cm || f.reaches(src, g, filtered, b, cm) {
 			return true
 		}
 	}
@@ -147,42 +136,50 @@ func (f *cycleFilter) willCreateCycle(g *egraph.EGraph, target *pattern.Target,
 }
 
 // findCycles performs the DFSGETCYCLES pass of Algorithm 2: a DFS over
-// the class graph (through unfiltered nodes) collecting one cycle per
-// back edge encountered. A cycle is the stamps of the e-nodes whose
-// children make up its edges.
+// the class graph (through unfiltered nodes, classes in ascending id
+// order) collecting one cycle per back edge encountered. A cycle is the
+// stamps of the e-nodes whose children make up its edges. The walk
+// numbers the classes in postorder for reaches.
 func (f *cycleFilter) findCycles(g *egraph.EGraph, filtered *FilterSet) [][]int64 {
-	f.renumber(g)
-	var stack []int64 // stack[k] is the stamp of the node entering the class at depth k+1
+	ids := int(g.Stamp())
+	f.state = append(f.state[:0], make([]uint8, ids)...)
+	f.pos = append(f.pos[:0], make([]int32, ids)...)
+	f.post = append(f.post[:0], make([]int32, ids)...)
+	if len(f.seen) < ids {
+		f.seen = append(f.seen, make([]uint32, ids-len(f.seen))...)
+	}
+	next := int32(0)
 	var cycles [][]int64
 
-	var dfs func(cls *egraph.Class, k int32, depth int)
-	dfs = func(cls *egraph.Class, k int32, depth int) {
-		f.state[k] = 1
-		f.pos[k] = int32(depth)
+	var dfs func(cls *egraph.Class, depth int)
+	dfs = func(cls *egraph.Class, depth int) {
+		f.state[cls.ID] = 1
+		f.pos[cls.ID] = int32(depth)
 		for _, n := range cls.Nodes {
 			stamp := g.NodeStamp(n)
 			if filtered.Has(stamp) {
 				continue
 			}
 			for _, ch := range g.Node(n).Children {
-				c := f.number[g.Find(ch)] - 1
+				c := g.Find(ch)
 				switch f.state[c] {
 				case 1: // back edge: cycle through stack from ch to id, plus this edge
 					start := int(f.pos[c])
-					cyc := append(make([]int64, 0, depth-start+1), stack[start:depth]...)
+					cyc := append(make([]int64, 0, depth-start+1), f.stack[start:depth]...)
 					cycles = append(cycles, append(cyc, stamp))
 				case 0:
-					stack = append(stack, stamp)
-					dfs(g.Class(ch), c, depth+1)
-					stack = stack[:depth]
+					f.stack = append(f.stack[:depth], stamp)
+					dfs(g.Class(c), depth+1)
 				}
 			}
 		}
-		f.state[k] = 2
+		f.state[cls.ID] = 2
+		next++
+		f.post[cls.ID] = next
 	}
 	g.Classes(func(cls *egraph.Class) {
-		if k := f.number[cls.ID] - 1; f.state[k] == 0 {
-			dfs(cls, k, 0)
+		if f.state[cls.ID] == 0 {
+			dfs(cls, 0)
 		}
 	})
 	return cycles

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -139,12 +140,12 @@ func TestDescendantsSkipFilteredNodes(t *testing.T) {
 	g, a, b := cyclicEGraph(t)
 	filtered := &FilterSet{}
 	FilterCycles(g, filtered, nil)
-	desc := computeDescendants(g, filtered)
+	desc := orderOf(g, filtered)
 	// After filtering, at most one of A-reaches-B / B-reaches-A remains.
 	ab := desc.reaches(g.Find(a), g.Find(b))
 	ba := desc.reaches(g.Find(b), g.Find(a))
 	if ab && ba {
-		t.Fatal("descendants still mutually reachable after filtering")
+		t.Fatal("classes still mutually reachable after filtering")
 	}
 }
 
@@ -152,7 +153,7 @@ func TestWillCreateCycleSelfReference(t *testing.T) {
 	g := egraph.New(nil)
 	x := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x@4 4"))
 	r := g.Add(egraph.NewNode(egraph.Op(tensor.OpRelu), x))
-	desc := computeDescendants(g, &FilterSet{})
+	desc := orderOf(g, &FilterSet{})
 	// A rewrite binding ?t to the matched class itself must be caught.
 	p := mustPat(t, "(relu ?t)")
 	subst := substOf("?t", r)
@@ -166,14 +167,14 @@ func TestWillCreateCycleSelfReference(t *testing.T) {
 	}
 	// But binding ?t to an ancestor is a cycle.
 	up := g.Add(egraph.NewNode(egraph.Op(tensor.OpTanh), r))
-	desc = computeDescendants(g, &FilterSet{})
+	desc = orderOf(g, &FilterSet{})
 	subst = substOf("?t", up)
 	if !willCreateCycle(g, desc, p, subst, x) {
 		t.Fatal("ancestor reference not flagged")
 	}
 }
 
-// The four functions below spell the cycleFilter methods the way these
+// The functions below spell the cycleFilter methods the way these
 // tests call them: standalone, on scratch of their own, with the
 // rewrite's bindings as a substitution by variable name.
 
@@ -181,24 +182,36 @@ func FilterCycles(g *egraph.EGraph, filtered *FilterSet, done <-chan struct{}) i
 	return new(cycleFilter).filterCycles(g, filtered, done)
 }
 
-func computeDescendants(g *egraph.EGraph, filtered *FilterSet) *cycleFilter {
+// order is a walk's postorder queried on the live e-graph it numbered,
+// as FilterVanilla queries it.
+type order struct {
+	f        *cycleFilter
+	g        *egraph.EGraph
+	filtered *FilterSet
+}
+
+func orderOf(g *egraph.EGraph, filtered *FilterSet) order {
 	f := new(cycleFilter)
-	f.computeDescendants(g, filtered)
-	return f
+	f.findCycles(g, filtered)
+	return order{f, g, filtered}
+}
+
+func (o order) reaches(from, to egraph.ClassID) bool {
+	return o.f.reaches(liveGraph{o.g}, o.g, o.filtered, from, to)
 }
 
 func findCycles(g *egraph.EGraph, filtered *FilterSet) [][]int64 {
 	return new(cycleFilter).findCycles(g, filtered)
 }
 
-func willCreateCycle(g *egraph.EGraph, desc *cycleFilter, target *pattern.Pat,
+func willCreateCycle(g *egraph.EGraph, desc order, target *pattern.Pat,
 	subst pattern.Subst, matched egraph.ClassID) bool {
 	vars := target.Vars()
 	bind := make([]egraph.ClassID, len(vars))
 	for i, v := range vars {
 		bind[i] = subst[v]
 	}
-	return desc.willCreateCycle(g, pattern.CompileTarget(target, vars), bind, matched)
+	return desc.f.willCreateCycle(g, liveGraph{g}, desc.filtered, pattern.CompileTarget(target, vars), bind, matched)
 }
 
 func mustPat(t *testing.T, src string) *pattern.Pat {
@@ -214,24 +227,196 @@ func substOf(v string, id egraph.ClassID) pattern.Subst {
 	return pattern.Subst{v: id}
 }
 
-// BenchmarkDescendants times the GETDESCENDANTS pass on a 4000-class
-// DAG whose classes hold two nodes each, on one reused cycleFilter —
-// the way an exploration run calls it once per iteration.
-func BenchmarkDescendants(b *testing.B) {
+// TestReachesAgainstReference checks the order query on random
+// e-graphs against a naive reference: reachability through unfiltered
+// nodes in the class graph minus the back edges of the same
+// ascending-id DFS, for every pair of classes. Half the e-graphs keep
+// the residual cycles their unions made, as exploration without cycle
+// filtering leaves them; the other half have had them filtered, and a
+// random tenth of their nodes filtered besides. Queries read the view
+// frozen at the walk while new nodes and unions change the e-graph, as
+// FilterEfficient's do, and a class created after the walk reaches
+// nothing and is reached by nothing.
+func TestReachesAgainstReference(t *testing.T) {
+	pairs, reached, cyclic := 0, 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := egraph.New(nil)
+		var ids []egraph.ClassID
+		for i := 0; i < 8; i++ {
+			ids = append(ids, g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), fmt.Sprintf("x%d", i))))
+		}
+		for i := 0; i < 6; i++ {
+			mutate(rng, g, &ids)
+		}
+		filtered := &FilterSet{}
+		if seed%2 == 1 {
+			FilterCycles(g, filtered, nil)
+			for st := int64(1); st <= g.Stamp(); st++ {
+				if rng.Intn(10) == 0 {
+					filtered.Add(st)
+				}
+			}
+		}
+		var f cycleFilter
+		if len(f.findCycles(g, filtered)) > 0 {
+			cyclic++
+		}
+		want := naiveReaches(g, filtered)
+		view := g.Freeze()
+		var classes []egraph.ClassID
+		g.Classes(func(cls *egraph.Class) { classes = append(classes, cls.ID) })
+
+		// Change the e-graph as rules applying would, without a rebuild.
+		leaf := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "fresh"))
+		fresh := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), classes[len(classes)-1], leaf))
+		for i := 0; i < 3; i++ {
+			g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), classes[rng.Intn(len(classes))], fresh))
+			g.Union(classes[rng.Intn(len(classes))], g.Add(egraph.NewNode(egraph.Op(tensor.OpTanh), fresh)))
+		}
+		for _, a := range classes {
+			for _, b := range classes {
+				got := f.reaches(view, g, filtered, a, b)
+				if got != want[[2]egraph.ClassID{a, b}] {
+					t.Fatalf("seed %d: reaches(e%d, e%d) = %v, reference %v", seed, a, b, got, !got)
+				}
+				pairs++
+				if got {
+					reached++
+				}
+			}
+			if f.reaches(view, g, filtered, fresh, a) || f.reaches(view, g, filtered, a, fresh) {
+				t.Fatalf("seed %d: class e%d created after the walk is related to e%d", seed, fresh, a)
+			}
+		}
+	}
+	if reached == 0 || reached == pairs || cyclic == 0 {
+		t.Fatalf("%d of %d pairs reach, %d e-graphs cyclic: the cases are not exercised", reached, pairs, cyclic)
+	}
+}
+
+// naiveReaches is the reference for reaches: it marks the back edges
+// of a plain recursive DFS over the canonical classes in ascending id
+// order, then collects for every class the classes strictly below it
+// along the other edges of unfiltered nodes.
+func naiveReaches(g *egraph.EGraph, filtered *FilterSet) map[[2]egraph.ClassID]bool {
+	edges := make(map[egraph.ClassID][]egraph.ClassID)
+	g.Classes(func(cls *egraph.Class) {
+		for _, n := range cls.Nodes {
+			if !filtered.Has(g.NodeStamp(n)) {
+				for _, ch := range g.Node(n).Children {
+					edges[cls.ID] = append(edges[cls.ID], g.Find(ch))
+				}
+			}
+		}
+	})
+	onStack, done := map[egraph.ClassID]bool{}, map[egraph.ClassID]bool{}
+	back := map[[2]egraph.ClassID]bool{}
+	var dfs func(id egraph.ClassID)
+	dfs = func(id egraph.ClassID) {
+		onStack[id] = true
+		for _, c := range edges[id] {
+			if onStack[c] {
+				back[[2]egraph.ClassID{id, c}] = true
+			} else if !done[c] {
+				dfs(c)
+			}
+		}
+		onStack[id], done[id] = false, true
+	}
+	g.Classes(func(cls *egraph.Class) {
+		if !done[cls.ID] {
+			dfs(cls.ID)
+		}
+	})
+	reach := map[[2]egraph.ClassID]bool{}
+	g.Classes(func(cls *egraph.Class) {
+		queue := []egraph.ClassID{cls.ID}
+		for len(queue) > 0 {
+			id := queue[0]
+			queue = queue[1:]
+			for _, c := range edges[id] {
+				if e := [2]egraph.ClassID{cls.ID, c}; !back[[2]egraph.ClassID{id, c}] && !reach[e] {
+					reach[e] = true
+					queue = append(queue, c)
+				}
+			}
+		}
+	})
+	return reach
+}
+
+// TestReachesAllocatesNothing checks that a query, on scratch a walk
+// has sized and an earlier query has grown, allocates nothing, whether
+// it answers from the order alone or searches.
+func TestReachesAllocatesNothing(t *testing.T) {
+	g, ids := orderDAG(500)
+	view := g.Freeze()
+	var f cycleFilter
+	if cycles := f.findCycles(g, &FilterSet{}); len(cycles) > 0 {
+		t.Fatalf("orderDAG has %d cycles", len(cycles))
+	}
+	top, bottom := ids[len(ids)-1], ids[0]
+	f.reaches(view, g, &FilterSet{}, top, bottom)
+	var sink bool
+	if n := testing.AllocsPerRun(100, func() {
+		sink = f.reaches(view, g, &FilterSet{}, top, bottom) || f.reaches(view, g, &FilterSet{}, bottom, top)
+	}); n != 0 {
+		t.Errorf("reaches: %v allocations per run, want 0", n)
+	}
+	_ = sink
+}
+
+// orderDAG builds a DAG of n classes holding two nodes each, both over
+// classes built before it; ids[i] is the i-th class. A node the e-graph
+// already holds is drawn again: its class is an older one, and a union
+// with it could close a cycle.
+func orderDAG(n int) (*egraph.EGraph, []egraph.ClassID) {
 	rng := rand.New(rand.NewSource(1))
 	g := egraph.New(nil)
 	ids := []egraph.ClassID{g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x@4 4"))}
-	for len(ids) < 4000 {
-		below := func() egraph.ClassID { return ids[rng.Intn(len(ids))] }
-		id := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), below(), below()))
-		g.Union(id, g.Add(egraph.NewNode(egraph.Op(tensor.OpEwmul), below(), below())))
+	fresh := func(op tensor.Op) egraph.ClassID {
+		for {
+			before := g.NodeCount()
+			id := g.Add(egraph.NewNode(egraph.Op(op), ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]))
+			if g.NodeCount() > before {
+				return id
+			}
+		}
+	}
+	for len(ids) < n {
+		id := fresh(tensor.OpEwadd)
+		g.Union(id, fresh(tensor.OpEwmul))
 		ids = append(ids, id)
 	}
 	g.Rebuild()
+	for i, id := range ids {
+		ids[i] = g.Find(id)
+	}
+	return g, ids
+}
+
+// BenchmarkCycleOrder times what FilterEfficient does per iteration on
+// a 4000-class DAG whose classes hold two nodes each, on one reused
+// cycleFilter: the walk that numbers the classes, then a fixed batch of
+// 1000 pre-filter queries between random classes through the frozen
+// view.
+func BenchmarkCycleOrder(b *testing.B) {
+	g, ids := orderDAG(4000)
+	view := g.Freeze()
+	rng := rand.New(rand.NewSource(2))
+	queries := make([][2]egraph.ClassID, 1000)
+	for i := range queries {
+		queries[i] = [2]egraph.ClassID{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]}
+	}
 	var f cycleFilter
+	filtered := &FilterSet{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.computeDescendants(g, &FilterSet{})
+		f.findCycles(g, filtered)
+		for _, q := range queries {
+			f.reaches(view, g, filtered, q[0], q[1])
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 	"tensat/internal/tensor"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/explore_golden.json from this build's results")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/explore_golden.json and testdata/vanilla_golden.json from this build's results")
 
 // exploreRow is one benchmark row: a zoo model explored at the limits
 // bench/zoo.go gives it.
@@ -86,10 +86,11 @@ func (row exploreRow) input(t testing.TB) *tensor.Graph {
 	return m.Build(models.ScaleTest)
 }
 
-// explore runs the row's exploration on g.
-func (row exploreRow) explore(t testing.TB, g *tensor.Graph) *rewrite.Explored {
+// explore runs the row's exploration on g under the given cycle filter.
+func (row exploreRow) explore(t testing.TB, g *tensor.Graph, filter rewrite.FilterMode) *rewrite.Explored {
 	t.Helper()
 	r := rewrite.NewRunner(row.rules)
+	r.Filter = filter
 	r.Limits = rewrite.Limits{MaxNodes: row.nodes, MaxIters: 15, KMulti: 1}
 	ex, err := r.Run(g)
 	if err != nil {
@@ -98,9 +99,9 @@ func (row exploreRow) explore(t testing.TB, g *tensor.Graph) *rewrite.Explored {
 	return ex
 }
 
-func exploreOnce(t testing.TB, row exploreRow) exploreGolden {
+func exploreOnce(t testing.TB, row exploreRow, filter rewrite.FilterMode) exploreGolden {
 	t.Helper()
-	ex := row.explore(t, row.input(t))
+	ex := row.explore(t, row.input(t), filter)
 	out := exploreGolden{Stats: make(map[string]int)}
 	for st := int64(1); st <= ex.G.Stamp(); st++ {
 		if ex.Filtered.Has(st) {
@@ -134,11 +135,34 @@ func exploreOnce(t testing.TB, row exploreRow) exploreGolden {
 // to count every match once: Redundant + Applied + SkippedShape +
 // SkippedCycle = Matches. Each row runs once.
 func TestExploreGolden(t *testing.T) {
-	const path = "testdata/explore_golden.json"
+	checkGolden(t, "testdata/explore_golden.json", exploreRows(), rewrite.FilterEfficient)
+}
+
+// TestVanillaGolden pins FilterVanilla, the paper's slow baseline that
+// repeats the cycle walk before every substitution, the same way on the
+// seven /ilp rows other than NasNet-A (the eighth takes seconds). The
+// efficient goldens rarely reach the pre-filter; these rows reject
+// matches there. The file was recorded at the commit before the
+// pre-filter answered from the walk's postorder instead of a
+// descendants map.
+func TestVanillaGolden(t *testing.T) {
+	var rows []exploreRow
+	for _, row := range exploreRows()[6:] {
+		if row.model != "NasNet-A" {
+			rows = append(rows, row)
+		}
+	}
+	checkGolden(t, "testdata/vanilla_golden.json", rows, rewrite.FilterVanilla)
+}
+
+// checkGolden explores each row once under filter and compares the
+// result with the file at path (or, with -update-golden, rewrites it).
+func checkGolden(t *testing.T, path string, rows []exploreRow, filter rewrite.FilterMode) {
+	t.Helper()
 	if *updateGolden {
 		got := make(map[string]exploreGolden)
-		for _, row := range exploreRows() {
-			got[row.name] = exploreOnce(t, row)
+		for _, row := range rows {
+			got[row.name] = exploreOnce(t, row, filter)
 		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -157,12 +181,11 @@ func TestExploreGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	rows := exploreRows()
 	if len(rows) != len(want) {
 		t.Fatalf("%d rows, golden file has %d", len(rows), len(want))
 	}
 	for _, row := range rows {
-		got := exploreOnce(t, row)
+		got := exploreOnce(t, row, filter)
 		if !reflect.DeepEqual(got, want[row.name]) {
 			t.Errorf("%s:\n got  %+v\n want %+v", row.name, got, want[row.name])
 		}
@@ -180,9 +203,9 @@ func TestExploreGolden(t *testing.T) {
 func TestExploreDeterministicInProcess(t *testing.T) {
 	row := exploreRows()[0]
 	row.nodes = 5000
-	want := exploreOnce(t, row)
+	want := exploreOnce(t, row, rewrite.FilterEfficient)
 	for i := 1; i < 10; i++ {
-		if got := exploreOnce(t, row); !reflect.DeepEqual(got, want) {
+		if got := exploreOnce(t, row, rewrite.FilterEfficient); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d differs from run 0:\n got  %+v\n want %+v", i, got, want)
 		}
 	}
@@ -202,7 +225,7 @@ func BenchmarkExplore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, row := range rows {
-			row.explore(b, inputs[j])
+			row.explore(b, inputs[j], rewrite.FilterEfficient)
 		}
 	}
 }

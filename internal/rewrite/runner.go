@@ -15,11 +15,13 @@ import (
 type FilterMode int
 
 const (
-	// FilterEfficient is Algorithm 2: a descendants map built once per
-	// iteration for pre-filtering, plus a DFS post-processing pass.
+	// FilterEfficient is Algorithm 2: pre-filtering against the
+	// iteration's start, answered from the postorder the previous DFS
+	// post-processing pass left, plus that pass itself.
 	FilterEfficient FilterMode = iota
-	// FilterVanilla recomputes the descendants map before every single
-	// substitution (O(n_m * N) per iteration).
+	// FilterVanilla repeats the full DFS walk on the live e-graph
+	// before every single substitution and pre-filters against that
+	// (O(n_m * N) per iteration).
 	FilterVanilla
 	// FilterNone performs no cycle filtering; extraction must then use
 	// the ILP formulation with cycle constraints (§5.1).
@@ -147,7 +149,7 @@ type Runner struct {
 	Progress func(iteration, enodes, eclasses int)
 	// Trace, when non-nil, receives phase spans: an "explore" span
 	// containing one "iteration" span per iteration — each with
-	// "descendants", "search" (the freeze and dirty sets), "apply" (the
+	// "search" (the freeze and dirty sets), "apply" (the
 	// rule loop, with the classes its on-demand scans visited, the
 	// matches they listed, and how many matches it considered, found
 	// redundant and applied) and "rebuild" children, annotated with
@@ -208,7 +210,13 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 		cr = CompileRules(r.Rules)
 	}
 	st := newSearchState(cr)
-	cycles := new(cycleFilter) // this run's Algorithm 2 scratch, descendants slab included
+	cycles := new(cycleFilter) // this run's Algorithm 2 scratch
+	if r.Filter == FilterEfficient {
+		// Later iterations pre-filter against the order the previous
+		// one's post-processing left; the first one against this walk
+		// of the ingested graph.
+		cycles.findCycles(g, &ex.Filtered)
+	}
 
 	if r.Progress != nil {
 		r.Progress(0, g.NodeCount(), g.ClassCount())
@@ -300,13 +308,6 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	r.Trace.Begin("iteration")
 	r.Trace.Attr("iteration", int64(ex.Stats.Iterations))
 
-	// One descendants snapshot per iteration for the efficient filter.
-	if r.Filter == FilterEfficient {
-		r.Trace.Begin("descendants")
-		cycles.computeDescendants(g, &ex.Filtered)
-		r.Trace.End()
-	}
-
 	// SEARCH(G, e_c) runs against a view frozen before any rule applies.
 	// The scans run on demand in the rule loop, so a pattern that no
 	// reached rule reads is not scanned this iteration.
@@ -363,14 +364,18 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 				return
 			}
 		}
-		// Cycle pre-filtering.
+		// Cycle pre-filtering: the efficient filter reads the frozen view,
+		// the graph its order numbers, since the live class lists grow
+		// as rules apply.
 		if r.Filter != FilterNone {
+			var src classGraph = st.view
 			if r.Filter == FilterVanilla {
-				// Vanilla: a full pass over the e-graph per substitution.
-				cycles.computeDescendants(g, &ex.Filtered)
+				// Vanilla: a full walk of the live e-graph per substitution.
+				cycles.findCycles(g, &ex.Filtered)
+				src = liveGraph{g}
 			}
 			for i, tgt := range c.targets {
-				if cycles.willCreateCycle(g, tgt, bind, matched[i]) {
+				if cycles.willCreateCycle(g, src, &ex.Filtered, tgt, bind, matched[i]) {
 					ex.Stats.SkippedCycle++
 					return
 				}

@@ -307,7 +307,7 @@ func TestDescendantsComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := computeDescendants(eg, &FilterSet{})
+	desc := orderOf(eg, &FilterSet{})
 	// Every other class is below the root.
 	for _, id := range ids {
 		if eg.Find(id) != eg.Find(root) && !desc.reaches(eg.Find(root), eg.Find(id)) {

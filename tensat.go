@@ -319,8 +319,9 @@ type Result struct {
 	// ApplyTime and RebuildTime break ExploreTime down further: the
 	// rule-application loops and the congruence rebuilds (incl. cycle
 	// post-processing), summed over iterations. Search.Time is the
-	// third component; the remainder is per-iteration bookkeeping such
-	// as the descendants snapshot for cycle pre-filtering.
+	// third component; the remainder is bookkeeping such as the cycle
+	// walk of the ingested graph that orders the first iteration's
+	// pre-filter, and the final cycle pass.
 	ApplyTime, RebuildTime time.Duration
 	// ENodes and EClasses are final e-graph sizes; Iterations counts
 	// exploration rounds; Saturated is true only when a full iteration
