@@ -221,14 +221,7 @@ func exportMPS(ctx context.Context, g *tensat.Graph, opt tensat.Options, registr
 		KMulti:   opt.KMulti,
 		Timeout:  opt.ExploreTimeout,
 	}
-	switch opt.CycleFilter {
-	case tensat.FilterVanilla:
-		runner.Filter = rewrite.FilterVanilla
-	case tensat.FilterNone:
-		runner.Filter = rewrite.FilterNone
-	default:
-		runner.Filter = rewrite.FilterEfficient
-	}
+	runner.Filter = opt.CycleFilter
 	ex, err := runner.RunContext(ctx, g)
 	if err != nil {
 		return err

@@ -30,7 +30,7 @@
 //
 // Resilience: each peer sits behind a circuit breaker
 // (-peer-breaker-failures / -peer-breaker-cooldown) with jittered
-// retry for idempotent fetches (-peer-retries); the disk store sits
+// retry for peer fetches and pushes (-peer-retries); the disk store sits
 // behind the same breaker (first I/O error opens it, memory keeps serving);
 // SIGTERM drains gracefully — /readyz turns 503, running jobs finish
 // under -drain-timeout. -fault-spec arms deterministic fault
@@ -116,7 +116,7 @@ func main() {
 		peerSecret   = flag.String("cluster-secret-file", "", "file holding the fleet's shared peer-auth secret (>= 16 bytes after trimming whitespace); required with -peers, must match on every node")
 		breakerFails = flag.Int("peer-breaker-failures", 0, "consecutive failures that trip a peer's circuit breaker (0 = default "+strconv.Itoa(cluster.DefaultBreakerThreshold)+")")
 		breakerCool  = flag.Duration("peer-breaker-cooldown", 0, "how long a tripped breaker shuns its peer before a half-open probe (0 = default "+cluster.DefaultBreakerCooldown.String()+")")
-		peerRetries  = flag.Int("peer-retries", 0, "retry attempts for idempotent peer fetches, with jittered exponential backoff (negative = disabled, 0 = default "+strconv.Itoa(cluster.DefaultRetryAttempts)+")")
+		peerRetries  = flag.Int("peer-retries", 0, "retry attempts for peer fetches and pushes after a transport error or 5xx, with jittered exponential backoff (negative = disabled, 0 = default "+strconv.Itoa(cluster.DefaultRetryAttempts)+")")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM/SIGINT shutdown waits for running jobs to finish before abandoning them")
 		faultSpec    = flag.String("fault-spec", "", "arm deterministic fault injection, e.g. 'store.put:enospc,peer.fetch:error:3' (development/chaos testing only — never set in production)")
 		tenantsFile  = flag.String("tenants", "", "JSON tenant registry (API keys, rate limits, concurrency quotas, priorities); empty = no auth, no quotas")

@@ -63,8 +63,8 @@ const DefaultTimeout = 2 * time.Second
 
 // Resilience defaults. The breaker trips after DefaultBreakerThreshold
 // consecutive transport failures and shuns the peer for
-// DefaultBreakerCooldown before admitting a half-open probe; an
-// idempotent fetch retries DefaultRetryAttempts times with jittered
+// DefaultBreakerCooldown before admitting a half-open probe; a fetch
+// or a push retries DefaultRetryAttempts times with jittered
 // exponential backoff starting at DefaultRetryBaseDelay.
 const (
 	DefaultBreakerThreshold = 5
@@ -107,8 +107,9 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker shuns its peer
 	// before admitting a half-open probe (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// RetryAttempts is how many times an idempotent fetch retries after
-	// a transport failure (<0 disables retry, 0 = DefaultRetryAttempts).
+	// RetryAttempts is how many times a fetch or a push retries after a
+	// transport failure or a 5xx answer (<0 disables retry, 0 =
+	// DefaultRetryAttempts).
 	RetryAttempts int
 
 	// The knobs below only this package's tests change.
@@ -385,10 +386,10 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 // live successor) for its cached record. It returns ErrNotFound on a
 // clean miss, ErrPeerDown when no live peer exists, and other errors
 // on transport failures — all of which callers treat as "compute
-// locally". Transport failures are retried with jittered exponential
-// backoff (fetches are idempotent); every failure feeds the peer's
-// circuit breaker. Fetch on a locally-owned key returns ErrNotFound
-// immediately (the local tiers were already consulted).
+// locally". Transport failures and 5xx answers are retried (fetches
+// are idempotent) and feed the peer's circuit breaker; see retry.
+// Fetch on a locally-owned key returns ErrNotFound immediately (the
+// local tiers were already consulted).
 func (c *Client) Fetch(ctx context.Context, key string) ([]byte, error) {
 	node, local, br, ok := c.route(key)
 	if local {
@@ -397,30 +398,41 @@ func (c *Client) Fetch(ctx context.Context, key string) ([]byte, error) {
 	if !ok {
 		return nil, ErrPeerDown
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		payload, retriable, err := c.doFetch(ctx, node, key)
-		if err == nil || !retriable {
-			// The peer answered (a record, a miss, a loop, a rejection): it
-			// is alive, whatever it said.
-			br.Success()
-			return payload, err
-		}
-		br.Failure()
-		lastErr = err
-		if attempt >= c.retryAttempts {
-			return nil, lastErr
-		}
-		if err := c.backoff(ctx, attempt); err != nil {
-			return nil, lastErr
-		}
-		if !br.TryAcquire() {
-			// Breaker tripped during the backoff: stop hammering.
-			return nil, lastErr
-		}
+	var payload []byte
+	err := c.retry(ctx, br, func() (retriable bool, err error) {
+		payload, retriable, err = c.doFetch(ctx, node, key)
+		return retriable, err
+	}, func() {
 		if f := c.observer().FetchRetry; f != nil {
 			f(node)
 		}
+	})
+	return payload, err
+}
+
+// retry runs attempt, one peer request, under the outcome rule every
+// peer request obeys. A retriable failure (a transport error or a 5xx)
+// is a breaker Failure and is retried with jittered exponential
+// backoff, up to the configured attempts and while the breaker still
+// admits the peer; before each retry it calls onRetry. Any other
+// answer (a record, a miss, a loop, a rejection) proves the peer
+// alive: it is a breaker Success and is returned as it is.
+func (c *Client) retry(ctx context.Context, br *breaker.Breaker, attempt func() (retriable bool, err error), onRetry func()) error {
+	for n := 0; ; n++ {
+		retriable, err := attempt()
+		if !retriable {
+			br.Success()
+			return err
+		}
+		br.Failure()
+		if n >= c.retryAttempts || c.backoff(ctx, n) != nil {
+			return err
+		}
+		if !br.TryAcquire() {
+			// Breaker tripped during the backoff: stop hammering.
+			return err
+		}
+		onRetry()
 	}
 }
 
@@ -455,19 +467,18 @@ func (c *Client) doFetch(ctx context.Context, node, key string) (payload []byte,
 	case http.StatusLoopDetected:
 		return nil, false, fmt.Errorf("%w (peer %s)", ErrLoop, node)
 	default:
-		if resp.StatusCode >= 500 {
-			return nil, true, fmt.Errorf("cluster: peer %s answered %s", node, resp.Status)
-		}
-		return nil, false, fmt.Errorf("cluster: peer %s answered %s", node, resp.Status)
+		return nil, resp.StatusCode >= 500, fmt.Errorf("cluster: peer %s answered %s", node, resp.Status)
 	}
 }
 
-// Push synchronously sends an encoded record toward key's owner (or
-// its live successor) so the fleet's warm set converges on the
-// responsible node. Pushing a locally-owned key is a no-op (the caller
-// already stored it). Push is best-effort and single-attempt: errors
-// are for counters and logs, never for failing the client request.
-// Prefer EnqueuePush, which bounds concurrency and retries.
+// Push sends an encoded record toward key's owner (or its live
+// successor) so the fleet's warm set converges on the responsible
+// node, retrying transport failures and 5xx answers as Fetch does. A
+// peer that rejects the record (a 4xx) is alive and is not asked
+// again. Pushing a locally-owned key is a no-op (the caller already
+// stored it). Push is best-effort: errors are for counters and logs,
+// never for failing the client request. Prefer EnqueuePush, which
+// bounds concurrency and never blocks.
 func (c *Client) Push(ctx context.Context, key string, payload []byte) error {
 	node, local, br, ok := c.route(key)
 	if local {
@@ -476,32 +487,32 @@ func (c *Client) Push(ctx context.Context, key string, payload []byte) error {
 	if !ok {
 		return ErrPeerDown
 	}
-	err := c.doPush(ctx, node, key, payload)
-	br.Settle(err)
-	return err
+	return c.retry(ctx, br, func() (bool, error) { return c.doPush(ctx, node, key, payload) }, func() {})
 }
 
-func (c *Client) doPush(ctx context.Context, node, key string, payload []byte) error {
+// doPush runs one push attempt. retriable=true marks transport-level
+// failures worth retrying and counting against the breaker.
+func (c *Client) doPush(ctx context.Context, node, key string, payload []byte) (retriable bool, err error) {
 	if err := fault.Check("peer.push"); err != nil {
-		return fmt.Errorf("cluster: pushing %q to %s: %w", key, node, err)
+		return true, fmt.Errorf("cluster: pushing %q to %s: %w", key, node, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(node, key), bytes.NewReader(payload))
 	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+		return false, fmt.Errorf("cluster: %w", err)
 	}
 	req.Header.Set(AuthHeader, c.secret)
 	req.Header.Set(OriginHeader, c.self)
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("cluster: pushing %q to %s: %w", key, node, err)
+		return true, fmt.Errorf("cluster: pushing %q to %s: %w", key, node, err)
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer %s rejected push: %s", node, resp.Status)
+		return resp.StatusCode >= 500, fmt.Errorf("cluster: peer %s rejected push: %s", node, resp.Status)
 	}
-	return nil
+	return false, nil
 }
 
 // EnqueuePush hands a record to the bounded async push queue. It never
@@ -524,9 +535,8 @@ func (c *Client) EnqueuePush(key string, payload []byte) bool {
 	}
 }
 
-// pushWorker drains the push queue, retrying transient failures with
-// backoff. The queue channel closing (Close) ends the worker once the
-// backlog is drained.
+// pushWorker drains the push queue. The queue channel closing (Close)
+// ends the worker once the backlog is drained.
 func (c *Client) pushWorker() {
 	defer c.pushWG.Done()
 	for item := range c.pushCh {
@@ -534,20 +544,9 @@ func (c *Client) pushWorker() {
 	}
 }
 
-// pushOne pushes one queued record, retrying transport failures with
-// backoff; a locally owned key or an open breaker ends it at once.
+// pushOne pushes one queued record and reports how it ended.
 func (c *Client) pushOne(item pushItem) {
-	ctx := context.Background()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.Push(ctx, item.key, item.payload)
-		if err == nil || errors.Is(err, ErrPeerDown) || attempt >= c.retryAttempts {
-			break
-		}
-		if c.backoff(ctx, attempt) != nil {
-			break
-		}
-	}
+	err := c.Push(context.Background(), item.key, item.payload)
 	if f := c.observer().PushDone; f != nil {
 		f(err)
 	}

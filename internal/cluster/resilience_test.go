@@ -459,3 +459,49 @@ func TestPushWorkerRetries(t *testing.T) {
 	}
 	c.Close()
 }
+
+// TestPushRejectionIsNotRetried pins the outcome rule for pushes: a
+// live peer that rejects a record (here 421 not_owner) answered, so
+// the push is tried once, still reaches PushDone with its error, and
+// leaves the peer's breaker closed for the fetches that follow.
+func TestPushRejectionIsNotRetried(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusMisdirectedRequest)
+	}))
+	defer srv.Close()
+	c, err := New(Config{
+		Self:             "self",
+		Peers:            []string{"self", "peer"},
+		Secret:           testSecret,
+		BaseURL:          func(string) string { return srv.URL },
+		BreakerThreshold: 3,
+		RetryAttempts:    2,
+		retryBaseDelay:   time.Millisecond,
+		pushWorkers:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	result := make(chan error, 1)
+	c.SetObserver(Observer{PushDone: func(err error) { result <- err }})
+	if !c.EnqueuePush(remoteKey(t, c), []byte("p")) {
+		t.Fatal("enqueue refused")
+	}
+	select {
+	case err := <-result:
+		if err == nil {
+			t.Fatal("rejected push reported success")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("push never completed")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("peer saw %d push attempts, want 1", n)
+	}
+	if st := c.BreakerStates()["peer"]; st != BreakerClosed {
+		t.Fatalf("breaker %v after a rejected push, want closed", st)
+	}
+}

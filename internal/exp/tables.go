@@ -183,8 +183,8 @@ func (c Config) Table6(kmultis ...int) ([]Table6Row, error) {
 			}
 			rows = append(rows, Table6Row{
 				Model: name, KMulti: k,
-				Vanilla: vanilla.Stats.ExploreTime, VanillaTimedOut: vanilla.Stats.HitTimeout,
-				Efficient: efficient.Stats.ExploreTime, EfficientTimedOut: efficient.Stats.HitTimeout,
+				Vanilla: vanilla.Stats.ExploreTime, VanillaTimedOut: vanilla.Stats.Stop == rewrite.StopTimeout,
+				Efficient: efficient.Stats.ExploreTime, EfficientTimedOut: efficient.Stats.Stop == rewrite.StopTimeout,
 			})
 		}
 	}

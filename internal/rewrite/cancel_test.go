@@ -57,10 +57,10 @@ func TestCancelAbortsMultiEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Stats.Canceled {
+	if ex.Stats.Stop != StopCanceled {
 		t.Fatalf("cancellation not reported: %+v", ex.Stats)
 	}
-	if ex.Stats.Saturated {
+	if ex.Stats.Stop == StopSaturated {
 		t.Fatalf("canceled run reported Saturated: %+v", ex.Stats)
 	}
 	// The cancellation check fires every 256 recursion visits, so at
@@ -92,17 +92,17 @@ func TestCanceledRunNeverSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Stats.Saturated {
+	if ex.Stats.Stop == StopSaturated {
 		t.Fatalf("canceled run reported Saturated: %+v", ex.Stats)
 	}
-	if !ex.Stats.Canceled {
+	if ex.Stats.Stop != StopCanceled {
 		t.Fatalf("cancellation not reported: %+v", ex.Stats)
 	}
 }
 
 // TestTimedOutRunNeverSaturated is the deadline twin: the exploration
 // budget expires during a no-change iteration; the run must report
-// HitTimeout, not Saturated.
+// a timeout, not saturation.
 func TestTimedOutRunNeverSaturated(t *testing.T) {
 	b := tensor.NewBuilder()
 	x := b.Input("x", 4, 4)
@@ -120,10 +120,10 @@ func TestTimedOutRunNeverSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Stats.Saturated {
+	if ex.Stats.Stop == StopSaturated {
 		t.Fatalf("timed-out run reported Saturated: %+v", ex.Stats)
 	}
-	if !ex.Stats.HitTimeout {
+	if ex.Stats.Stop != StopTimeout {
 		t.Fatalf("timeout not reported: %+v", ex.Stats)
 	}
 }

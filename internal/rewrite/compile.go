@@ -137,7 +137,6 @@ func (cr *CompiledRules) compiledFor(rules []*Rule) bool {
 // iteration whose lists fit the previous storage allocates nothing for
 // its matches.
 type searchState struct {
-	cr   *CompiledRules
 	pats []patState // per compiledPat
 
 	view  *egraph.View      // this iteration's
@@ -153,10 +152,6 @@ type patState struct {
 	spare   pattern.Matches // the previous list: storage for the next
 	version uint64
 	valid   bool // false until one search completes
-}
-
-func newSearchState(cr *CompiledRules) *searchState {
-	return &searchState{cr: cr, pats: make([]patState, len(cr.pats)), dirty: make(map[uint64][]bool)}
 }
 
 // matchRun is matches lo..hi of a list: what one scan appended to it.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"tensat/internal/egraph"
 	"tensat/internal/pattern"
@@ -75,22 +76,21 @@ func TestIncrementalSearchEqualsFullRescan(t *testing.T) {
 			mutate(rng, g, &ids)
 		}
 
-		st := newSearchState(cr)
+		e := searchOnly(g, cr)
 		last := make([]int, len(cr.pats)) // the round each list was last searched
 		for round := 0; round < 6; round++ {
-			st.freeze(g)
-			full := newSearchState(cr) // the oracle: a full search of the same view
-			full.freeze(g)
-			var stats Stats
+			e.st.freeze(g)
+			full := searchOnly(g, cr) // the oracle: a full search of the same view
+			full.st.freeze(g)
 			for p := range cr.pats {
 				if round > 0 && rng.Intn(2) == 0 {
 					continue
 				}
 				behind = behind || round-last[p] > 1
 				last[p] = round
-				st.update(p, &stats, nil)
-				full.update(p, &Stats{}, nil)
-				a, b := &st.pats[p].matches, &full.pats[p].matches
+				e.update(p)
+				full.update(p)
+				a, b := &e.st.pats[p].matches, &full.st.pats[p].matches
 				if a.Len() != b.Len() {
 					t.Fatalf("seed %d round %d pattern %d: incremental found %d matches, full rescan %d",
 						seed, round, p, a.Len(), b.Len())
@@ -108,7 +108,7 @@ func TestIncrementalSearchEqualsFullRescan(t *testing.T) {
 					}
 				}
 			}
-			engaged = engaged || stats.SearchClean > 0 || stats.SearchDirty > 0
+			engaged = engaged || e.ex.Stats.SearchClean > 0 || e.ex.Stats.SearchDirty > 0
 			mutate(rng, g, &ids)
 		}
 	}
@@ -132,9 +132,10 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 	add := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), a, b))
 	mul := g.Add(egraph.NewNode(egraph.Op(tensor.OpEwmul), c, a)) // no match yet: c is a leaf
 
-	st := newSearchState(cr)
+	e := searchOnly(g, cr)
+	st := &e.st
 	st.freeze(g)
-	st.update(0, &Stats{}, nil)
+	e.update(0)
 	if n := st.pats[0].matches.Len(); n != 0 {
 		t.Fatalf("premature match: %d", n)
 	}
@@ -143,10 +144,9 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 	// class was never unioned or added to.
 	g.Union(c, add)
 	g.Rebuild()
-	var stats Stats
 	st.freeze(g)
-	st.update(0, &stats, nil)
-	if stats.SearchDirty == 0 {
+	e.update(0)
+	if e.ex.Stats.SearchDirty == 0 {
 		t.Fatal("incremental path not engaged: mul's class was not re-searched")
 	}
 	if n := st.pats[0].matches.Len(); n != 1 {
@@ -163,4 +163,13 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 	if g.Find(s["?x"]) != g.Find(a) || g.Find(s["?y"]) != g.Find(b) || g.Find(s["?z"]) != g.Find(a) {
 		t.Fatalf("unexpected bindings %v", s)
 	}
+}
+
+// searchOnly starts a run of cr's rules over g for a test that drives
+// the search alone.
+func searchOnly(g *egraph.EGraph, cr *CompiledRules) *exploration {
+	r := NewRunner(cr.Rules)
+	r.Compiled = cr
+	e := r.newExploration(&Explored{G: g}, time.Now(), nil)
+	return &e
 }

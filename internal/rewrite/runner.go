@@ -54,6 +54,19 @@ func DefaultLimits() Limits {
 	return Limits{MaxNodes: 50000, MaxIters: 15, KMulti: 1, Timeout: time.Hour}
 }
 
+// StopReason says why exploration ended (§6.1): it saturated, or ran
+// into k_max iterations, N_max e-nodes, its time limit, or the caller's
+// cancellation.
+type StopReason string
+
+const (
+	StopSaturated StopReason = "saturated"  // a full iteration changed nothing
+	StopIterLimit StopReason = "iter_limit" // Limits.MaxIters iterations ran
+	StopNodeLimit StopReason = "node_limit" // an iteration ended with Limits.MaxNodes e-nodes
+	StopTimeout   StopReason = "timeout"    // Limits.Timeout passed
+	StopCanceled  StopReason = "canceled"   // the caller's context was done
+)
+
 // Stats reports what the exploration phase did. Each match lands in
 // exactly one of Redundant, Applied, SkippedShape and SkippedCycle, so
 // the four sum to Matches. A match is redundant when every node its
@@ -62,19 +75,15 @@ func DefaultLimits() Limits {
 // add nothing and union only equal classes.
 type Stats struct {
 	Iterations    int
-	Saturated     bool
-	HitNodeLimit  bool
-	HitIterLimit  bool
-	HitTimeout    bool
-	Canceled      bool // the caller's context was canceled mid-exploration
-	Matches       int  // candidate substitutions found
-	Redundant     int  // substitutions whose every target was already in its matched class
-	Applied       int  // substitutions applied: each changed the e-graph
-	SkippedShape  int  // substitutions rejected by shape checking or the rule's Cond
-	SkippedCycle  int  // substitutions rejected by the pre-filter
-	FilteredNodes int  // e-nodes put on the filter list by post-processing
-	ENodes        int  // final e-node count
-	EClasses      int  // final e-class count
+	Stop          StopReason // why exploration ended; every run records exactly one
+	Matches       int        // candidate substitutions found
+	Redundant     int        // substitutions whose every target was already in its matched class
+	Applied       int        // substitutions applied: each changed the e-graph
+	SkippedShape  int        // substitutions rejected by shape checking or the rule's Cond
+	SkippedCycle  int        // substitutions rejected by the pre-filter
+	FilteredNodes int        // e-nodes put on the filter list by post-processing
+	ENodes        int        // final e-node count
+	EClasses      int        // final e-class count
 	ExploreTime   time.Duration
 	// ApplyTime and RebuildTime split out the remainder of ExploreTime:
 	// the rule-application loop (redundancy probes, shape checks, cycle
@@ -171,7 +180,8 @@ func (r *Runner) Run(t *tensor.Graph) (*Explored, error) {
 
 // RunContext is Run with cancellation: when ctx is done, exploration
 // stops at the next check point exactly as if Limits.Timeout had
-// expired (Stats.Canceled is set), and the partial e-graph is returned.
+// expired (Stats.Stop is StopCanceled), and the partial e-graph is
+// returned.
 // Deciding whether a canceled request should still be extracted is the
 // caller's business (tensat.OptimizeContext aborts; an anytime caller
 // may extract what it has).
@@ -191,68 +201,35 @@ func (r *Runner) RunContext(ctx context.Context, t *tensor.Graph) (*Explored, er
 func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 	start := time.Now()
 	r.Trace.Begin("explore")
+	e := r.newExploration(ex, start, done)
 	g := ex.G
-	lim := r.Limits
-	// MaxNodes/Timeout zero means "default"; MaxIters 0 is honored as-is
-	// (an explicit "do not explore"), matching the k_multi=0 baseline.
-	if lim.MaxNodes == 0 {
-		lim.MaxNodes = 50000
-	}
-	if lim.Timeout == 0 {
-		lim.Timeout = time.Hour
-	}
-
-	// Resolve the compiled rule set: the precompiled programs from rule
-	// registration when available, a fresh compilation otherwise
-	// (Algorithm 1, lines 1-8, plus pattern-program compilation).
-	cr := r.Compiled
-	if !cr.compiledFor(r.Rules) {
-		cr = CompileRules(r.Rules)
-	}
-	st := newSearchState(cr)
-	cycles := new(cycleFilter) // this run's Algorithm 2 scratch
 	if r.Filter == FilterEfficient {
 		// Later iterations pre-filter against the order the previous
 		// one's post-processing left; the first one against this walk
 		// of the ingested graph.
-		cycles.findCycles(g, &ex.Filtered)
+		e.cycles.findCycles(g, &ex.Filtered)
 	}
 
 	if r.Progress != nil {
 		r.Progress(0, g.NodeCount(), g.ClassCount())
 	}
-	deadline := start.Add(lim.Timeout)
-	for iter := 0; ; iter++ {
-		if iter >= lim.MaxIters {
-			ex.Stats.HitIterLimit = true
+	// Checked before the first iteration too: the input may be full.
+	for iter := 0; !e.stop(true, true); iter++ {
+		if iter >= e.lim.MaxIters {
+			ex.Stats.Stop = StopIterLimit
 			break
 		}
-		if g.NodeCount() >= lim.MaxNodes {
-			ex.Stats.HitNodeLimit = true
-			break
-		}
-		if stopped(done) {
-			ex.Stats.Canceled = true
-			break
-		}
-		if time.Now().After(deadline) {
-			ex.Stats.HitTimeout = true
-			break
-		}
-		useMulti := iter < lim.KMulti
-		changed, interrupted := r.iterate(ex, cr, st, cycles, useMulti, lim, deadline, done)
+		changed := e.iterate(iter < e.lim.KMulti)
 		ex.Stats.Iterations++
 		if r.Progress != nil {
 			r.Progress(ex.Stats.Iterations, g.NodeCount(), g.ClassCount())
 		}
 		// Saturation means a full iteration ran to completion without
-		// changing the e-graph. An iteration cut short by cancellation,
-		// timeout, or the node limit proves nothing — a canceled or
-		// timed-out run must never report Saturated; loop back so the
-		// checks above classify the stop reason instead.
-		if !changed && !interrupted && !stopped(done) && !time.Now().After(deadline) {
-			ex.Stats.Saturated = true
-			break
+		// changing the e-graph. An iteration a stop cause cut short
+		// proves nothing, and neither does one that ended past the
+		// deadline or after cancellation.
+		if !changed && !e.stop(true, true) {
+			ex.Stats.Stop = StopSaturated
 		}
 	}
 
@@ -261,7 +238,7 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 	// on acyclicity even when exploration was cut short.
 	if r.Filter != FilterNone {
 		r.Trace.Begin("filter")
-		ex.Stats.FilteredNodes += cycles.filterCycles(g, &ex.Filtered, nil)
+		ex.Stats.FilteredNodes += e.cycles.filterCycles(g, &ex.Filtered, nil)
 		r.Trace.End()
 	}
 	ex.Stats.ENodes = g.NodeCount()
@@ -271,6 +248,75 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 	r.Trace.Attr("enodes", int64(ex.Stats.ENodes))
 	r.Trace.Attr("eclasses", int64(ex.Stats.EClasses))
 	r.Trace.End()
+}
+
+// exploration is one run of the exploration phase: the e-graph and the
+// Explored it fills, the compiled rules, the match lists carried from
+// iteration to iteration, the cycle filter's scratch, and the budget
+// the run stops on.
+type exploration struct {
+	r        *Runner
+	ex       *Explored
+	g        *egraph.EGraph
+	cr       *CompiledRules
+	st       searchState
+	cycles   cycleFilter // Algorithm 2's scratch
+	lim      Limits
+	deadline time.Time
+	done     <-chan struct{}
+}
+
+// newExploration sets up a run of r over ex, started at start, that
+// done cancels. The run is a value so that it lives on its caller's
+// stack.
+func (r *Runner) newExploration(ex *Explored, start time.Time, done <-chan struct{}) exploration {
+	// MaxNodes/Timeout zero means "default"; MaxIters 0 is honored as-is
+	// (an explicit "do not explore"), matching the k_multi=0 baseline.
+	lim, def := r.Limits, DefaultLimits()
+	if lim.MaxNodes == 0 {
+		lim.MaxNodes = def.MaxNodes
+	}
+	if lim.Timeout == 0 {
+		lim.Timeout = def.Timeout
+	}
+	// Resolve the compiled rule set: the precompiled programs from rule
+	// registration when available, a fresh compilation otherwise
+	// (Algorithm 1, lines 1-8, plus pattern-program compilation).
+	cr := r.Compiled
+	if !cr.compiledFor(r.Rules) {
+		cr = CompileRules(r.Rules)
+	}
+	st := searchState{pats: make([]patState, len(cr.pats)), dirty: make(map[uint64][]bool)}
+	return exploration{r: r, ex: ex, g: ex.G, cr: cr, st: st,
+		lim: lim, deadline: start.Add(lim.Timeout), done: done}
+}
+
+// stop is the one place exploration decides to end early. It tests
+// the node limit, then, when clock is set, cancellation and then the
+// deadline, and reports whether one holds; once a cause is recorded in
+// Stats.Stop, it reports true without testing. Cancellation and the
+// deadline are recorded as soon as they are found. A full e-graph is
+// recorded only between iterations (between set): within one it ends
+// just the iteration, since the rebuild that closes it can merge
+// e-nodes back under the limit. The node count is cheap and is tested
+// before every match visit; the clock and the channel are read every
+// 256 visits, before each rule and search shard, and between
+// iterations.
+func (e *exploration) stop(clock, between bool) bool {
+	s := &e.ex.Stats
+	switch full := e.g.NodeCount() >= e.lim.MaxNodes; {
+	case s.Stop != "":
+	case full && !between:
+		return true
+	case full:
+		s.Stop = StopNodeLimit
+	case !clock:
+	case stopped(e.done):
+		s.Stop = StopCanceled
+	case time.Now().After(e.deadline):
+		s.Stop = StopTimeout
+	}
+	return s.Stop != ""
 }
 
 // stopped reports whether the cancellation channel has fired; a nil
@@ -287,16 +333,10 @@ func stopped(done <-chan struct{}) bool {
 // iterate runs one exploration iteration: freeze the e-graph, apply
 // every rule's matches, searching each pattern on demand just before
 // the first rule that reads it (Algorithm 1, lines 9-22), then rebuild
-// and post-process cycles (Algorithm 2, lines 10-18).
-// It reports whether the e-graph changed and whether the iteration was
-// interrupted (cancellation, deadline, or node limit) before every
-// match was considered — an interrupted no-change iteration is not
-// saturation.
-func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycles *cycleFilter,
-	useMulti bool, lim Limits, deadline time.Time,
-	done <-chan struct{}) (changed, interrupted bool) {
-
-	g := ex.G
+// and post-process cycles (Algorithm 2, lines 10-18). It reports
+// whether the e-graph changed. The stop check ends the rule loop early.
+func (e *exploration) iterate(useMulti bool) (changed bool) {
+	r, ex, g, st := e.r, e.ex, e.g, &e.st
 	nodesBefore := g.NodeCount()
 	classesBefore := g.ClassCount()
 	matchesBefore := ex.Stats.Matches
@@ -371,11 +411,11 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 			var src classGraph = st.view
 			if r.Filter == FilterVanilla {
 				// Vanilla: a full walk of the live e-graph per substitution.
-				cycles.findCycles(g, &ex.Filtered)
+				e.cycles.findCycles(g, &ex.Filtered)
 				src = liveGraph{g}
 			}
 			for i, tgt := range c.targets {
-				if cycles.willCreateCycle(g, src, &ex.Filtered, tgt, bind, matched[i]) {
+				if e.cycles.willCreateCycle(g, src, &ex.Filtered, tgt, bind, matched[i]) {
 					ex.Stats.SkippedCycle++
 					return
 				}
@@ -396,33 +436,18 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 		if rule.IsMulti() && !useMulti {
 			continue
 		}
-		if g.NodeCount() >= lim.MaxNodes || time.Now().After(deadline) || stopped(done) {
-			// Record timeout/cancel here, not only at the explore loop
-			// top: the iteration-limit check there runs first and would
-			// otherwise mask a budget cut as a plain iter-limit stop.
-			if stopped(done) {
-				ex.Stats.Canceled = true
-			} else if time.Now().After(deadline) {
-				ex.Stats.HitTimeout = true
-			}
-			interrupted = true
+		if e.stop(true, false) {
 			break
 		}
-		c := &cr.rules[ri]
-		if !st.search(c, &ex.Stats, done) {
-			ex.Stats.Canceled = true
-			interrupted = true
-			break
-		}
+		c := &e.cr.rules[ri]
+		e.search(c)
 		matched = append(matched[:0], make([]egraph.ClassID, len(c.sources))...)
 		bind = append(bind[:0], make([]egraph.ClassID, len(c.vars))...)
 		metas = append(metas[:0], make([]*tensor.Meta, len(c.vars))...)
 		// Every rule, single- or multi-pattern, applies the cartesian
 		// product of its sources' match lists (Algorithm 1, lines 11-21).
-		visit := func() { apply(rule, c) }
-		if r.enumerate(ex, c, st, matched, bind, visit, lim, deadline, done) {
-			interrupted = true
-		}
+		// A search a stop cut short leaves nothing to visit.
+		e.enumerate(c, matched, bind, func() { apply(rule, c) })
 	}
 	ex.Stats.ApplyTime += time.Since(applyStart) - (ex.Stats.SearchTime - searchBefore)
 	r.Trace.Attr("scanned", int64(ex.Stats.SearchScanned-scannedBefore))
@@ -437,7 +462,7 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	g.Rebuild()
 
 	if r.Filter != FilterNone {
-		ex.Stats.FilteredNodes += cycles.filterCycles(g, &ex.Filtered, done)
+		ex.Stats.FilteredNodes += e.cycles.filterCycles(g, &ex.Filtered, e.done)
 	}
 	ex.Stats.RebuildTime += time.Since(rebuildStart)
 	r.Trace.End()
@@ -447,15 +472,15 @@ func (r *Runner) iterate(ex *Explored, cr *CompiledRules, st *searchState, cycle
 	r.Trace.Attr("enodes_delta", int64(g.NodeCount()-nodesBefore))
 	r.Trace.Attr("eclasses_delta", int64(g.ClassCount()-classesBefore))
 	r.Trace.End()
-	return ex.Stats.Applied != appliedBefore, interrupted
+	return ex.Stats.Applied != appliedBefore
 }
 
 // searchShardSize bounds how many classes one scan visits before the
-// cancellation channel is consulted again. It caps the latency between
-// a caller canceling and the search noticing: on pathological, heavily
-// merged e-graphs a single pattern's candidate scan can run for
-// minutes, which must not pin a worker slot after every interested
-// request is gone.
+// stop check runs again. It caps the latency between a caller
+// canceling and the search noticing: on pathological, heavily merged
+// e-graphs a single pattern's candidate scan can run for minutes,
+// which must not pin a worker slot after every interested request is
+// gone.
 const searchShardSize = 1024
 
 // freeze starts an iteration's search: it freezes g and computes the
@@ -474,17 +499,13 @@ func (st *searchState) freeze(g *egraph.EGraph) {
 }
 
 // search brings the match lists of c's sources up to date with the
-// iteration's view, adding the time it takes to stats.SearchTime. It
-// reports false when done fired first.
-func (st *searchState) search(c *compiledRule, stats *Stats, done <-chan struct{}) bool {
+// iteration's view, adding the time it takes to Stats.SearchTime.
+func (e *exploration) search(c *compiledRule) {
 	start := time.Now()
-	defer func() { stats.SearchTime += time.Since(start) }()
 	for _, src := range c.sources {
-		if !st.update(src.pat, stats, done) {
-			return false
-		}
+		e.update(src.pat)
 	}
-	return true
+	e.ex.Stats.SearchTime += time.Since(start)
 }
 
 // update brings canonical pattern i's match list up to date with the
@@ -502,14 +523,15 @@ func (st *searchState) search(c *compiledRule, stats *Stats, done <-chan struct{
 //     included) are exactly what they were.
 //
 // The list is therefore the one a full scan of the view produces, in
-// the same order. When done fires first, update reports false and
+// the same order. When the stop check fires between shards, update
 // leaves the list complete as of its older version.
-func (st *searchState) update(i int, stats *Stats, done <-chan struct{}) bool {
+func (e *exploration) update(i int) {
+	st, stats := &e.st, &e.ex.Stats
 	p, view := &st.pats[i], st.view
 	if p.valid && p.version == view.Version() {
-		return true
+		return
 	}
-	prog := st.cr.pats[i].prog
+	prog := e.cr.pats[i].prog
 	cands := view.Classes()
 	if op, ok := prog.RootOp(); ok {
 		cands = view.ByOp(op)
@@ -524,14 +546,14 @@ func (st *searchState) update(i int, stats *Stats, done <-chan struct{}) bool {
 		}
 		scan = st.scan
 	}
-	// Scan in bounded chunks, re-checking cancellation between them;
+	// Scan in bounded chunks, running the stop check between them;
 	// chunk results concatenate in scan order.
 	st.found.Reset()
-	for lo := 0; lo < len(scan) && !stopped(done); lo += searchShardSize {
+	for lo := 0; lo < len(scan); lo += searchShardSize {
+		if e.stop(true, false) {
+			return
+		}
 		prog.AppendMatches(&st.found, view, scan[lo:min(lo+searchShardSize, len(scan))])
-	}
-	if stopped(done) {
-		return false
 	}
 	// Build the new list beside the old one, which the merge reads.
 	next := &p.spare
@@ -548,7 +570,6 @@ func (st *searchState) update(i int, stats *Stats, done <-chan struct{}) bool {
 	stats.SearchPruned += view.ClassCount() - len(cands)
 	stats.SearchScanned += len(scan)
 	stats.SearchMatches += p.matches.Len()
-	return true
 }
 
 // enumerate visits a rule's matches: the combinations of one match per
@@ -558,47 +579,27 @@ func (st *searchState) update(i int, stats *Stats, done <-chan struct{}) bool {
 // its bindings into the rule's slots of bind, and visit is called on
 // each full combination, counted in Stats.Matches. A single-pattern
 // rule is the one-source case: it shares no variable, so every match
-// of its list is visited once, in list order. enumerate reports
-// whether it was aborted early (node limit, deadline, or cancellation):
-// the abort flag unwinds the entire recursion, so no sibling branch of
-// the cartesian product keeps enumerating after the budget is gone. An
-// abort caused by the done channel sets Stats.Canceled.
-func (r *Runner) enumerate(ex *Explored, c *compiledRule, st *searchState,
-	matched, bind []egraph.ClassID, visit func(),
-	lim Limits, deadline time.Time, done <-chan struct{}) (aborted bool) {
-
-	g := ex.G
+// of its list is visited once, in list order. The stop check runs
+// before every step of the recursion, reading the clock every 256th;
+// once it holds, the entire recursion unwinds, so no sibling branch of
+// the cartesian product keeps enumerating after the budget is gone.
+func (e *exploration) enumerate(c *compiledRule, matched, bind []egraph.ClassID, visit func()) {
+	g, stats := e.g, &e.ex.Stats
 	visited := 0
-	var rec func(i int)
-	rec = func(i int) {
-		if aborted {
-			return
-		}
-		if g.NodeCount() >= lim.MaxNodes {
-			aborted = true
-			return
-		}
-		if visited++; visited%256 == 0 && (time.Now().After(deadline) || stopped(done)) {
-			if stopped(done) {
-				ex.Stats.Canceled = true
-			} else {
-				ex.Stats.HitTimeout = true
-			}
-			aborted = true
-			return
+	var rec func(i int) bool // false once the stop check holds
+	rec = func(i int) bool {
+		if visited++; e.stop(visited%256 == 0, false) {
+			return false
 		}
 		if i == len(c.sources) {
-			ex.Stats.Matches++
+			stats.Matches++
 			visit()
-			return
+			return true
 		}
 		ref := c.sources[i]
-		ms := &st.pats[ref.pat].matches
+		ms := &e.st.pats[ref.pat].matches
 	match:
 		for mi := 0; mi < ms.Len(); mi++ {
-			if aborted {
-				return
-			}
 			// COMPATIBLE: shared variables must map to the same e-class.
 			for k, id := range ms.Bind(mi) {
 				if slot := ref.slots[k]; !ref.shared[k] {
@@ -608,9 +609,11 @@ func (r *Runner) enumerate(ex *Explored, c *compiledRule, st *searchState,
 				}
 			}
 			matched[i] = ms.Roots[mi]
-			rec(i + 1)
+			if !rec(i + 1) {
+				return false
+			}
 		}
+		return true
 	}
 	rec(0)
-	return aborted
 }

@@ -28,7 +28,7 @@ func TestExploreTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Stats.HitTimeout {
+	if ex.Stats.Stop != StopTimeout {
 		t.Fatalf("timeout not reported: %+v", ex.Stats)
 	}
 }
@@ -47,7 +47,7 @@ func TestSaturationSmallAlgebra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Stats.Saturated {
+	if ex.Stats.Stop != StopSaturated {
 		t.Fatalf("did not saturate: %+v", ex.Stats)
 	}
 	// Root class must contain multiple representations; e-graph stays small.

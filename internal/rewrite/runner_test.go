@@ -65,7 +65,7 @@ func TestSingleRuleSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Stats.Saturated {
+	if ex.Stats.Stop != StopSaturated {
 		t.Fatalf("commutativity did not saturate: %+v", ex.Stats)
 	}
 	// Both orientations are present in the root class.
@@ -256,7 +256,7 @@ func TestNodeLimitStopsExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Stats.HitNodeLimit {
+	if ex.Stats.Stop != StopNodeLimit {
 		t.Fatalf("node limit not reported: %+v", ex.Stats)
 	}
 }
@@ -275,7 +275,7 @@ func TestIterLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Stats.HitIterLimit || ex.Stats.Iterations != 0 {
+	if ex.Stats.Stop != StopIterLimit || ex.Stats.Iterations != 0 {
 		t.Fatalf("iter limit not honored: %+v", ex.Stats)
 	}
 }

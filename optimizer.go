@@ -248,18 +248,11 @@ func run(ctx context.Context, g *Graph, opt Options, prof Profile, sink func(Pro
 			})
 		}
 	}
-	switch opt.CycleFilter {
-	case FilterVanilla:
-		runner.Filter = rewrite.FilterVanilla
-	case FilterNone:
-		runner.Filter = rewrite.FilterNone
-	default:
-		runner.Filter = rewrite.FilterEfficient
-	}
+	runner.Filter = opt.CycleFilter
 	// ExploreTimeout stays the runner's soft budget (Limits.Timeout,
 	// set above): expiry keeps the partial e-graph. The caller's ctx is
 	// the hard stop — both flow into RunContext, whose Stats
-	// distinguish HitTimeout from Canceled.
+	// distinguish a timeout from a cancellation.
 	ex, err := runner.RunContext(ctx, g)
 	if err != nil {
 		return nil, err
@@ -333,9 +326,9 @@ func run(ctx context.Context, g *Graph, opt Options, prof Profile, sink func(Pro
 		ENodes:         ex.Stats.ENodes,
 		EClasses:       ex.Stats.EClasses,
 		Iterations:     ex.Stats.Iterations,
-		Saturated:      ex.Stats.Saturated,
-		Truncated:      ex.Stats.HitTimeout || ex.Stats.Canceled,
-		Canceled:       ex.Stats.Canceled,
+		Saturated:      ex.Stats.Stop == rewrite.StopSaturated,
+		Truncated:      ex.Stats.Stop == rewrite.StopTimeout || ex.Stats.Stop == rewrite.StopCanceled,
+		Canceled:       ex.Stats.Stop == rewrite.StopCanceled,
 		FilteredNodes:  ex.Stats.FilteredNodes,
 		Search: SearchStats{
 			Time:    ex.Stats.SearchTime,

@@ -156,18 +156,19 @@ const (
 	ExtractGreedy
 )
 
-// CycleFilter selects the cycle handling strategy (§5.2).
-type CycleFilter int
+// CycleFilter selects the cycle handling strategy (§5.2): the
+// exploration phase's own filter mode.
+type CycleFilter = rewrite.FilterMode
 
 const (
 	// FilterEfficient is Algorithm 2 (default; enables ILP without
 	// cycle constraints).
-	FilterEfficient CycleFilter = iota
+	FilterEfficient = rewrite.FilterEfficient
 	// FilterVanilla re-scans the e-graph before every substitution.
-	FilterVanilla
+	FilterVanilla = rewrite.FilterVanilla
 	// FilterNone disables filtering; ILP extraction then uses the
 	// topological-order cycle constraints.
-	FilterNone
+	FilterNone = rewrite.FilterNone
 )
 
 // Options configure Optimize. Zero values take the paper's defaults.
@@ -250,10 +251,11 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's experimental setup (§6.1).
 func DefaultOptions() Options {
+	lim := rewrite.DefaultLimits()
 	return Options{
-		NodeLimit:  50000,
-		IterLimit:  15,
-		KMulti:     1,
+		NodeLimit:  lim.MaxNodes,
+		IterLimit:  lim.MaxIters,
+		KMulti:     lim.KMulti,
 		ILPTimeout: time.Hour,
 	}
 }
