@@ -10,7 +10,8 @@
 //	experiments -all -config full   # paper-scale settings (slow)
 //
 // An unknown value is a usage error (exit 2). A table or figure that
-// fails prints its error, the rest still print, and the exit is 1.
+// fails, or holds a cell reading "error", prints its error, the rest
+// still print, and the exit is 1.
 package main
 
 import (
@@ -40,12 +41,13 @@ func main() {
 	failed := false
 	for _, v := range views {
 		out, err := v.Render(runs)
+		if out != "" {
+			fmt.Println(out)
+		}
 		if err != nil {
 			log.Printf("%s %d: %v", v.Kind, v.N, err)
 			failed = true
-			continue
 		}
-		fmt.Println(out)
 	}
 	if failed {
 		os.Exit(1)

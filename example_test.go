@@ -36,8 +36,8 @@ func ExampleOptimize() {
 	// original:  cost 30.2 us
 	// optimized: cost 17.2 us (75.6% speedup)
 	// 43 e-nodes explored
-	// (split0 (split 1 (matmul 0 (input "x@64 256") (concat2 1 (weight "w1@256 256") (weight "w2@256 256")))))
-	// (split1 (split 1 (matmul 0 (input "x@64 256") (concat2 1 (weight "w1@256 256") (weight "w2@256 256")))))
+	// (split0 (split#256 1 (matmul 0 (input "x@64 256") (concat2 1 (weight "w1@256 256") (weight "w2@256 256")))))
+	// (split1 (split#256 1 (matmul 0 (input "x@64 256") (concat2 1 (weight "w1@256 256") (weight "w2@256 256")))))
 }
 
 // attention builds a transformer-style Q/K/V projection block over a

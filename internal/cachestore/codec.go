@@ -19,8 +19,9 @@ import (
 // Version history: v1 carried result+tensors only; v2 adds the
 // KeyParts block so receivers of a record (the peer PUT surface in
 // particular) can re-derive the cache key and verify it matches the
-// key the record claims to answer.
-const CodecVersion = 2
+// key the record claims to answer; v3 writes a split's boundary in the
+// result graph's text (split#N), which v2 text lacks.
+const CodecVersion = 3
 
 // KeyParts are the components the cache key is derived from: the
 // request graph's canonical fingerprint, the canonical encoding of the

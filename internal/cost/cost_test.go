@@ -71,7 +71,7 @@ func TestSplitAndReshapeAreFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt, err := tensor.Infer(tensor.OpSplit, 0, "", []*tensor.Meta{tensor.IntMeta(1), cat})
+	tt, err := tensor.Infer(tensor.OpSplit, 8, "", []*tensor.Meta{tensor.IntMeta(1), cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRuntimeDeviation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt, err := tensor.Infer(tensor.OpSplit, 0, "", []*tensor.Meta{tensor.IntMeta(1), cat})
+	tt, err := tensor.Infer(tensor.OpSplit, 1024, "", []*tensor.Meta{tensor.IntMeta(1), cat})
 	if err != nil {
 		t.Fatal(err)
 	}

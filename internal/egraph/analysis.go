@@ -2,8 +2,8 @@ package egraph
 
 // Analysis attaches semantic data to every e-class, in the style of
 // egg's e-class analyses (Willsey et al. 2020). TENSAT uses an analysis
-// to carry tensor shapes, split positions and layout information for the
-// shape checking described in §4 and §6 of the paper.
+// to carry tensor shapes and layout information for the shape checking
+// described in §4 and §6 of the paper.
 //
 // The invariant maintained by the e-graph is
 //

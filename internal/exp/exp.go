@@ -291,6 +291,9 @@ var Views = []View{
 	{"fig", 7, view((*Runs).Figure7, FormatFigure7)},
 }
 
+// ErrCell is what Render returns, beside the output, when a cell reads "error".
+var ErrCell = errors.New("a cell reads error")
+
 // view renders what run returns with format.
 func view[T any](run func(*Runs) (T, error), format func(T) string) func(*Runs) (string, error) {
 	return func(r *Runs) (string, error) {
@@ -298,7 +301,11 @@ func view[T any](run func(*Runs) (T, error), format func(T) string) func(*Runs) 
 		if err != nil {
 			return "", err
 		}
-		return format(v), nil
+		out := format(v)
+		if strings.Contains(out, "\nerror: ") { // a note tableWriter writes under a failed cell
+			return out, ErrCell
+		}
+		return out, nil
 	}
 }
 

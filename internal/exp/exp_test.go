@@ -176,7 +176,9 @@ func seconds(t *testing.T, cell string) float64 {
 
 // TestFigure7ErrorIsNotATimeout injects failures into Figure 7's runs:
 // only ilp.ErrTimeout reads as a timeout, any other error reads "error"
-// with its message under the table.
+// with its message under the table, and the view that prints it
+// returns ErrCell beside its output (cmd/experiments then exits 1). A
+// timeout alone is no error.
 func TestFigure7ErrorIsNotATimeout(t *testing.T) {
 	r := NewRuns(quick())
 	infeasible := errors.New("ilp: infeasible extraction problem")
@@ -214,6 +216,23 @@ func TestFigure7ErrorIsNotATimeout(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("missing %q in\n%s", want, s)
 		}
+	}
+	fig7 := Views[len(Views)-1]
+	if fig7.Kind != "fig" || fig7.N != 7 {
+		t.Fatalf("last view is %s %d, want fig 7", fig7.Kind, fig7.N)
+	}
+	if out, err := fig7.Render(r); !errors.Is(err, ErrCell) || out != s {
+		t.Errorf("fig 7 with an error cell: Render = %q, %v; want the table and ErrCell", out, err)
+	}
+	timedOut := NewRuns(quick())
+	timedOut.optimize = func(g *tensor.Graph, opt tensat.Options) (*tensat.Result, error) {
+		if opt.KMulti == 3 {
+			return nil, fmt.Errorf("extract: %w", ilp.ErrTimeout)
+		}
+		return &tensat.Result{Graph: g, ExploreTime: time.Millisecond, ENodes: 1}, nil
+	}
+	if out, err := fig7.Render(timedOut); err != nil || !strings.Contains(out, "timeout") {
+		t.Errorf("fig 7 with a timeout cell only: Render = %q, %v; want no error", out, err)
 	}
 }
 

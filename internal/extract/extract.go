@@ -353,16 +353,6 @@ func (ix *ProblemIndex) buildGraph(g *egraph.EGraph, root egraph.ClassID, nodeOf
 			}
 			tn.Inputs = append(tn.Inputs, child)
 			args[i] = child.Meta
-			// split reads its boundary from the e-class analysis (§3.1),
-			// not from whichever member node extraction picked: a class
-			// can mix marker-carrying and marker-less derivations of the
-			// same tensor, so graft the class marker onto the child meta.
-			if cm := rewrite.ClassMeta(g, ch); cm != nil && cm.HasSplit && args[i] != nil && !args[i].HasSplit {
-				grafted := args[i].Clone()
-				grafted.HasSplit, grafted.SplitAxis, grafted.SplitAt = true, cm.SplitAxis, cm.SplitAt
-				args[i] = grafted
-				child.Meta = grafted
-			}
 		}
 		meta, err := tensor.Infer(tn.Op, tn.Int, tn.Str, args)
 		if err != nil {

@@ -8,7 +8,9 @@ import (
 
 	"tensat/internal/cost"
 	"tensat/internal/egraph"
+	"tensat/internal/models"
 	"tensat/internal/rewrite"
+	"tensat/internal/rules"
 	"tensat/internal/tensor"
 )
 
@@ -38,9 +40,37 @@ func TestGreedyGolden(t *testing.T) {
 // TestZooClassesAreShapeConsistent: every live node of an explored zoo
 // e-graph infers, from its children's class metas, the kind, shapes and
 // payload its own class carries. A node that does not is an unsound
-// merge, and extraction could pick it.
+// merge, and extraction could pick it. Besides the zoo's e-graphs, two
+// run multi-pattern rules for two iterations (NasNet-A at 3,000 nodes
+// without cycle filtering, SqueezeNet at 10,000), where splits over
+// merged concats meet.
 func TestZooClassesAreShapeConsistent(t *testing.T) {
+	explored := make(map[string]*rewrite.Explored)
 	for name, ex := range zooExplore(t) {
+		explored[name] = ex
+	}
+	for _, tc := range []struct {
+		model  string
+		nodes  int
+		filter rewrite.FilterMode
+	}{
+		{"NasNet-A", 3000, rewrite.FilterNone},
+		{"SqueezeNet", 10000, rewrite.FilterEfficient},
+	} {
+		m, err := models.ByName(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rewrite.NewRunner(rules.Default())
+		r.Filter = tc.filter
+		r.Limits = rewrite.Limits{MaxNodes: tc.nodes, MaxIters: 15, KMulti: 2}
+		ex, err := r.Run(m.Build(models.ScaleTest))
+		if err != nil {
+			t.Fatalf("%s: explore: %v", tc.model, err)
+		}
+		explored[tc.model+" k_multi 2"] = ex
+	}
+	for name, ex := range explored {
 		g, bad, nodes := ex.G, 0, 0
 		g.Classes(func(cls *egraph.Class) {
 			want := rewrite.ClassMeta(g, cls.ID)

@@ -159,7 +159,7 @@ func (c *canonicalizer) visit(n *tensor.Node) int {
 	c.num(id)
 	c.num(int(n.Op))
 	switch n.Op {
-	case tensor.OpInt:
+	case tensor.OpInt, tensor.OpSplit: // a split's Int is where it cuts
 		c.num(int(n.Int))
 	case tensor.OpStr:
 		// String parameters (axis permutations, reshape shapes) are

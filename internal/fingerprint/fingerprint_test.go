@@ -133,6 +133,26 @@ func TestShapeMatters(t *testing.T) {
 	}
 }
 
+// TestSplitBoundaryMatters: two graphs that differ only in where a
+// split cuts compute different tensors, so they must not share a cache
+// key and receive each other's result.
+func TestSplitBoundaryMatters(t *testing.T) {
+	build := func(at int64) *tensor.Graph {
+		b := tensor.NewBuilder()
+		s0, s1 := b.Split(1, at, b.Input("x", 8, 16))
+		g, err := b.Finish(b.Relu(s0), s1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	fa, _ := Graph(build(4))
+	fb, _ := Graph(build(12))
+	if fa == fb {
+		t.Fatal("a split's boundary does not influence the fingerprint")
+	}
+}
+
 func TestSharingMatters(t *testing.T) {
 	// relu(x) used twice (shared) vs two distinct-but-equal inputs: the
 	// first computes one relu, the second two, so they must differ.

@@ -30,10 +30,13 @@ import (
 
 type instKind uint8
 
+const splitOp = egraph.Op(tensor.OpSplit)
+
 const (
 	// instBind enumerates the nodes of class regs[a] with the
-	// instruction's op/payloads/arity, writing canonical children into
-	// regs[out:out+arity] and running the rest of the program for each.
+	// instruction's op/payloads/arity (a split's any boundary, as in
+	// Pat.Accepts), writing canonical children into regs[out:out+arity]
+	// and running the rest of the program for each.
 	instBind instKind = iota
 	// instCompare requires regs[a] == regs[b] (both canonical): the
 	// consistency check for a repeated variable.
@@ -198,7 +201,7 @@ func (pr *Program) AppendMatches(dst *Matches, v *egraph.View, classes []*egraph
 			}
 			for _, id := range v.Nodes(regs[in.a]) {
 				n := v.Node(id)
-				if n.Op != in.op || n.Int != in.i64 || n.Str != in.str || len(n.Children) != in.arity {
+				if n.Op != in.op || (n.Int != in.i64 && in.op != splitOp) || n.Str != in.str || len(n.Children) != in.arity {
 					continue
 				}
 				for k, ch := range n.Children {
@@ -227,13 +230,17 @@ func (pr *Program) AppendMatches(dst *Matches, v *egraph.View, classes []*egraph
 // variable slots: where the pattern names a variable, the target holds
 // an index into the binding array a match supplies, so applying a
 // rewrite builds no substitution map.
+//
+// A split under a split0 or split1 root cuts where out, the meta of the
+// class the root joins, says (tensor.SplitBoundary).
 type Target struct {
 	slot     int // variable: its slot; operator: -1
 	op       tensor.Op
 	i64      int64
 	str      string
 	children []Target
-	slots    []int // at the root: the distinct variable slots, in first-occurrence order
+	slots    []int     // at the root: the distinct variable slots, in first-occurrence order
+	proj     tensor.Op // at the root's children: the root's op; else 0
 }
 
 // CompileTarget compiles p against vars, the slot order of the bindings
@@ -260,6 +267,9 @@ func CompileTarget(p *Pat, vars []string) *Target {
 	}
 	root := walk(p)
 	root.slots = slots
+	for i := range root.children {
+		root.children[i].proj = root.op
+	}
 	return &root
 }
 
@@ -267,34 +277,30 @@ func CompileTarget(p *Pat, vars []string) *Target {
 // first-occurrence order. Callers must not modify the slice.
 func (t *Target) Slots() []int { return t.slots }
 
-// targetArity is the child count up to which Instantiate and InferMeta
-// gather a node's children in a stack array (the tensor operators take
-// at most seven).
+// targetArity is the child count up to which Instantiate, Lookup and
+// InferMeta gather a node's children in a stack array (the tensor
+// operators take at most seven).
 const targetArity = 8
 
 // Instantiate adds the target, with bind[slot] for each variable, to the
-// e-graph and returns the root class. Where every node already exists
-// it allocates nothing.
-func (t *Target) Instantiate(g *egraph.EGraph, bind []egraph.ClassID) egraph.ClassID {
-	if t.slot >= 0 {
-		return g.Find(bind[t.slot])
-	}
-	var buf [targetArity]egraph.ClassID
-	children := buf[:0]
-	if len(t.children) > len(buf) {
-		children = make([]egraph.ClassID, 0, len(t.children))
-	}
-	for i := range t.children {
-		children = append(children, t.children[i].Instantiate(g, bind))
-	}
-	return g.Add(egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: children})
+// e-graph and returns the root class; out is the meta of the class the
+// root will be unioned with. Where every node already exists it
+// allocates nothing.
+func (t *Target) Instantiate(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta) egraph.ClassID {
+	id, _ := t.walk(g, bind, out, true)
+	return id
 }
 
 // Lookup is Instantiate without adding: it walks the target the same
 // way but looks each operator up with EGraph.Lookup, and reports the
 // class Instantiate would return when every node is already present.
 // It changes nothing and allocates nothing.
-func (t *Target) Lookup(g *egraph.EGraph, bind []egraph.ClassID) (egraph.ClassID, bool) {
+func (t *Target) Lookup(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta) (egraph.ClassID, bool) {
+	return t.walk(g, bind, out, false)
+}
+
+// walk is Instantiate when add is set and Lookup otherwise.
+func (t *Target) walk(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta, add bool) (egraph.ClassID, bool) {
 	if t.slot >= 0 {
 		return g.Find(bind[t.slot]), true
 	}
@@ -304,20 +310,30 @@ func (t *Target) Lookup(g *egraph.EGraph, bind []egraph.ClassID) (egraph.ClassID
 		children = make([]egraph.ClassID, 0, len(t.children))
 	}
 	for i := range t.children {
-		id, ok := t.children[i].Lookup(g, bind)
+		id, ok := t.children[i].walk(g, bind, out, add)
 		if !ok {
 			return 0, false
 		}
 		children = append(children, id)
 	}
-	return g.Lookup(egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: children})
+	n := egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: children}
+	if t.op == tensor.OpSplit {
+		axis, _ := g.Class(children[0]).Data.(*tensor.Meta)
+		body, _ := g.Class(children[1]).Data.(*tensor.Meta)
+		n.Int = tensor.SplitBoundary(t.proj, axis, body, out)
+	}
+	if add {
+		return g.Add(n), true
+	}
+	return g.Lookup(n)
 }
 
 // InferMeta symbolically evaluates the target's shapes given the meta of
-// each variable slot. The rewrite engine uses it to shape-check a target
+// each variable slot and out, the meta of the class the root will be
+// unioned with. The rewrite engine uses it to shape-check a target
 // before applying a rewrite (§4): if any operator in the target is
 // ill-typed for the matched tensors, the rewrite is skipped.
-func (t *Target) InferMeta(metas []*tensor.Meta) (*tensor.Meta, error) {
+func (t *Target) InferMeta(metas []*tensor.Meta, out *tensor.Meta) (*tensor.Meta, error) {
 	if t.slot >= 0 {
 		if metas[t.slot] == nil {
 			return nil, fmt.Errorf("pattern: no meta for variable slot %d", t.slot)
@@ -330,11 +346,15 @@ func (t *Target) InferMeta(metas []*tensor.Meta) (*tensor.Meta, error) {
 		args = make([]*tensor.Meta, 0, len(t.children))
 	}
 	for i := range t.children {
-		m, err := t.children[i].InferMeta(metas)
+		m, err := t.children[i].InferMeta(metas, out)
 		if err != nil {
 			return nil, err
 		}
 		args = append(args, m)
 	}
-	return tensor.Infer(t.op, t.i64, t.str, args)
+	at := t.i64
+	if t.op == tensor.OpSplit {
+		at = tensor.SplitBoundary(t.proj, args[0], args[1], out)
+	}
+	return tensor.Infer(t.op, at, t.str, args)
 }

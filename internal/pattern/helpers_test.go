@@ -31,15 +31,16 @@ func Instantiate(g *egraph.EGraph, p *Pat, subst Subst) (egraph.ClassID, error) 
 		}
 		bind[i] = id
 	}
-	return CompileTarget(p, vars).Instantiate(g, bind), nil
+	return CompileTarget(p, vars).Instantiate(g, bind, nil), nil
 }
 
-// InferMeta shape-checks p given a meta per variable name.
-func InferMeta(p *Pat, varMeta func(string) (*tensor.Meta, bool)) (*tensor.Meta, error) {
+// InferMeta shape-checks p given a meta per variable name and out, the
+// meta of the class p would join.
+func InferMeta(p *Pat, varMeta func(string) (*tensor.Meta, bool), out *tensor.Meta) (*tensor.Meta, error) {
 	vars := p.Vars()
 	metas := make([]*tensor.Meta, len(vars))
 	for i, v := range vars {
 		metas[i], _ = varMeta(v)
 	}
-	return CompileTarget(p, vars).InferMeta(metas)
+	return CompileTarget(p, vars).InferMeta(metas, out)
 }

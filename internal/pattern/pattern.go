@@ -29,6 +29,14 @@ type Pat struct {
 // IsVar reports whether p is a variable.
 func (p *Pat) IsVar() bool { return p.Var != "" }
 
+// Accepts reports whether p, an operator pattern, matches a node with
+// this operator and these payloads, children aside. A split matches
+// whatever its boundary: a rule reads the boundary through the shapes
+// of what it matched, and the rewrite engine checks those shapes.
+func (p *Pat) Accepts(op tensor.Op, i int64, s string) bool {
+	return op == p.Op && s == p.Str && (i == p.Int || op == tensor.OpSplit)
+}
+
 // Parse compiles an S-expression pattern like
 //
 //	(matmul ?act ?x (concat2 1 ?y ?z))

@@ -187,7 +187,7 @@ func TestInferMetaShapeChecksTarget(t *testing.T) {
 		}
 		return nil, false
 	}
-	m, err := InferMeta(MustParse("(matmul 0 ?x ?y)"), lookup)
+	m, err := InferMeta(MustParse("(matmul 0 ?x ?y)"), lookup, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +195,23 @@ func TestInferMetaShapeChecksTarget(t *testing.T) {
 		t.Fatalf("inferred %v", m.Shape)
 	}
 	// Incompatible target is rejected: y x instead of x y.
-	if _, err := InferMeta(MustParse("(matmul 0 ?y ?x)"), lookup); err == nil {
+	if _, err := InferMeta(MustParse("(matmul 0 ?y ?x)"), lookup, nil); err == nil {
 		t.Fatal("shape check passed for incompatible matmul")
 	}
-	// Split without marker rejected.
-	if _, err := InferMeta(MustParse("(split0 (split 1 ?x))"), lookup); err == nil {
-		t.Fatal("split without concat marker accepted")
+	// A split takes its boundary from the class its half joins: split0
+	// that class's extent, split1 the rest. With no class, it has none.
+	if _, err := InferMeta(MustParse("(split0 (split 1 ?x))"), lookup, nil); err == nil {
+		t.Fatal("split with no boundary accepted")
+	}
+	half := tensor.TensorMeta(tensor.Shape{8, 12})
+	for _, src := range []string{"(split0 (split 1 ?x))", "(split1 (split 1 ?x))"} {
+		if m, err := InferMeta(MustParse(src), lookup, half); err != nil || !m.Equivalent(half) {
+			t.Fatalf("%s joining %v: inferred %v, %v", src, half, m, err)
+		}
+	}
+	// Only the split under the root takes a boundary.
+	if _, err := InferMeta(MustParse("(relu (split0 (split 1 ?x)))"), lookup, half); err == nil {
+		t.Fatal("a split below the root took a boundary")
 	}
 }
 
@@ -214,19 +225,19 @@ func TestTargetLookup(t *testing.T) {
 	top := g.Add(egraph.NewNode(egraph.Op(tensor.OpRelu), g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), x, y))))
 	tgt := CompileTarget(MustParse("(relu (ewadd ?a ?b))"), []string{"?a", "?b"})
 	present, absent := []egraph.ClassID{x, y}, []egraph.ClassID{y, x}
-	if id, ok := tgt.Lookup(g, present); !ok || id != top {
+	if id, ok := tgt.Lookup(g, present, nil); !ok || id != top {
 		t.Fatalf("present target: Lookup = e%d, %v; want e%d, true", id, ok, top)
 	}
 	stamp := g.Stamp()
-	if _, ok := tgt.Lookup(g, absent); ok || g.Stamp() != stamp {
+	if _, ok := tgt.Lookup(g, absent, nil); ok || g.Stamp() != stamp {
 		t.Fatalf("absent target: ok = %v, stamp %d -> %d", ok, stamp, g.Stamp())
 	}
 	for name, bind := range map[string][]egraph.ClassID{"present": present, "absent": absent} {
-		if n := testing.AllocsPerRun(100, func() { tgt.Lookup(g, bind) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { tgt.Lookup(g, bind, nil) }); n != 0 {
 			t.Errorf("Lookup of the %s target: %v allocations per run, want 0", name, n)
 		}
 	}
-	if id := tgt.Instantiate(g, present); id != top || g.Stamp() != stamp {
+	if id := tgt.Instantiate(g, present, nil); id != top || g.Stamp() != stamp {
 		t.Fatalf("Instantiate of the present target returned e%d and moved the stamp to %d", id, g.Stamp())
 	}
 }

@@ -1,6 +1,9 @@
 package pattern
 
-import "tensat/internal/egraph"
+import (
+	"tensat/internal/egraph"
+	"tensat/internal/tensor"
+)
 
 // This file preserves the original tree-walking match interpreter as a
 // reference implementation. It is NOT used by any production code path
@@ -49,7 +52,7 @@ func referenceMatchClass(g Source, p *Pat, id egraph.ClassID, subst Subst) []Sub
 	var results []Subst
 	for _, nid := range g.Nodes(id) {
 		n := g.Node(nid)
-		if n.Op != egraph.Op(p.Op) || n.Int != p.Int || n.Str != p.Str || len(n.Children) != len(p.Children) {
+		if !p.Accepts(tensor.Op(n.Op), n.Int, n.Str) || len(n.Children) != len(p.Children) {
 			continue
 		}
 		partial := []Subst{subst}

@@ -12,7 +12,7 @@ import (
 )
 
 // ShapeAnalysis is the e-class analysis carrying tensor.Meta for every
-// e-class (shape, split position, foldability), mirroring TENSAT's use
+// e-class (kind, shapes, payload, foldability), mirroring TENSAT's use
 // of egg's analysis feature for shape checking (§6). Data is *tensor.Meta.
 type ShapeAnalysis struct{}
 
@@ -43,34 +43,23 @@ func (ShapeAnalysis) Make(g *egraph.EGraph, n egraph.Node) any {
 	return m
 }
 
-// Merge joins two class metas. Equivalent shapes are required by
-// soundness of the rules; the join keeps the split marker and
-// foldability if either side has them, so that split stays applicable
-// and weight-foldability is not lost when classes merge.
+// Merge joins two class metas. The runner unions only classes whose
+// metas are Equivalent (its shape check compares every target root with
+// the class it joins), so the join has only foldability to reconcile:
+// a class is foldable if either side is, so weight-foldability is not
+// lost when classes merge.
 func (ShapeAnalysis) Merge(a, b any) (any, bool) {
 	am, _ := a.(*tensor.Meta)
 	bm, _ := b.(*tensor.Meta)
 	if am == nil {
 		return bm, bm != nil
 	}
-	if bm == nil {
+	if bm == nil || am.Foldable || !bm.Foldable {
 		return am, false
 	}
-	changed := false
-	out := am
-	if !am.HasSplit && bm.HasSplit {
-		out = out.Clone()
-		out.HasSplit, out.SplitAxis, out.SplitAt = true, bm.SplitAxis, bm.SplitAt
-		changed = true
-	}
-	if !am.Foldable && bm.Foldable {
-		if out == am {
-			out = out.Clone()
-		}
-		out.Foldable = true
-		changed = true
-	}
-	return out, changed
+	out := *am // metas are shared read-only, shapes included
+	out.Foldable = true
+	return &out, true
 }
 
 // ClassMeta returns the analysis meta of a class (nil if invalid).

@@ -20,12 +20,14 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/explore_golden.json and testdata/vanilla_golden.json from this build's results")
 
 // exploreRow is one benchmark row: a zoo model explored at the limits
-// bench/zoo.go gives it.
+// bench/zoo.go gives it, with multi-pattern rules for kmulti iterations
+// (0 reads as 1, the benchmark's setting).
 type exploreRow struct {
-	name  string
-	model string
-	rules []*rewrite.Rule
-	nodes int
+	name   string
+	model  string
+	rules  []*rewrite.Rule
+	nodes  int
+	kmulti int
 }
 
 // exploreRows lists the six zoo_explore rows and the eight zoo_ilp rows
@@ -33,12 +35,12 @@ type exploreRow struct {
 func exploreRows() []exploreRow {
 	def, single := rules.Default(), rules.Single()
 	rows := []exploreRow{
-		{"NasRNN/taso-default", "NasRNN", def, 20000},
-		{"BERT/taso-default", "BERT", def, 20000},
-		{"NasNet-A/taso-default", "NasNet-A", def, 20000},
-		{"Inception-v3/taso-default", "Inception-v3", def, 20000},
-		{"NasRNN/taso-single", "NasRNN", single, 20000},
-		{"BERT/taso-single", "BERT", single, 20000},
+		{"NasRNN/taso-default", "NasRNN", def, 20000, 0},
+		{"BERT/taso-default", "BERT", def, 20000, 0},
+		{"NasNet-A/taso-default", "NasNet-A", def, 20000, 0},
+		{"Inception-v3/taso-default", "Inception-v3", def, 20000, 0},
+		{"NasRNN/taso-single", "NasRNN", single, 20000, 0},
+		{"BERT/taso-single", "BERT", single, 20000, 0},
 	}
 	limit := map[string]int{"NasRNN": 2000, "BERT": 5000, "NasNet-A": 10000}
 	for _, m := range append(models.Benchmarks(), models.Extras()...) {
@@ -46,7 +48,7 @@ func exploreRows() []exploreRow {
 		if l, ok := limit[m.Name]; ok {
 			n = l
 		}
-		rows = append(rows, exploreRow{m.Name + "/ilp", m.Name, def, n})
+		rows = append(rows, exploreRow{m.Name + "/ilp", m.Name, def, n, 0})
 	}
 	return rows
 }
@@ -91,7 +93,7 @@ func (row exploreRow) explore(t testing.TB, g *tensor.Graph, filter rewrite.Filt
 	t.Helper()
 	r := rewrite.NewRunner(row.rules)
 	r.Filter = filter
-	r.Limits = rewrite.Limits{MaxNodes: row.nodes, MaxIters: 15, KMulti: 1}
+	r.Limits = rewrite.Limits{MaxNodes: row.nodes, MaxIters: 15, KMulti: max(row.kmulti, 1)}
 	ex, err := r.Run(g)
 	if err != nil {
 		t.Fatalf("%s: %v", row.name, err)
@@ -133,9 +135,13 @@ func exploreOnce(t testing.TB, row exploreRow, filter rewrite.FilterMode) explor
 // nothing, and the pre-filter no longer sees them, while every other
 // counter and both digests stayed as recorded. Each row is also checked
 // to count every match once: Redundant + Applied + SkippedShape +
-// SkippedCycle = Matches. Each row runs once.
+// SkippedCycle = Matches. Each row runs once. One more row runs
+// multi-pattern rules for two iterations (SqueezeNet, 10,000 nodes),
+// where split boundaries once made the shape analysis join classes of
+// different shapes.
 func TestExploreGolden(t *testing.T) {
-	checkGolden(t, "testdata/explore_golden.json", exploreRows(), rewrite.FilterEfficient)
+	rows := append(exploreRows(), exploreRow{"SqueezeNet/kmulti2", "SqueezeNet", rules.Default(), 10000, 2})
+	checkGolden(t, "testdata/explore_golden.json", rows, rewrite.FilterEfficient)
 }
 
 // TestVanillaGolden pins FilterVanilla, the paper's slow baseline that

@@ -47,11 +47,11 @@ func TestTargetLookupAgreesWithInstantiate(t *testing.T) {
 				}
 				for ti, tgt := range c.targets {
 					stamp := g.Stamp()
-					id, ok := tgt.Lookup(g, bind)
+					id, ok := tgt.Lookup(g, bind, nil)
 					if g.Stamp() != stamp {
 						t.Fatalf("seed %d: Lookup added a node", seed)
 					}
-					got := tgt.Instantiate(g, bind)
+					got := tgt.Instantiate(g, bind, nil)
 					if added := g.Stamp() != stamp; ok == added {
 						t.Fatalf("seed %d round %d target %d of %v: Lookup ok=%v, Instantiate added nodes=%v",
 							seed, round, ti, c.vars, ok, added)

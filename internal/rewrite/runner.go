@@ -375,7 +375,7 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 		// whatever the checks below decide.
 		redundant := true
 		for i, tgt := range c.targets {
-			if id, ok := tgt.Lookup(g, bind); !ok || id != g.Find(matched[i]) {
+			if id, ok := tgt.Lookup(g, bind, ClassMeta(g, matched[i])); !ok || id != g.Find(matched[i]) {
 				redundant = false
 				break
 			}
@@ -384,12 +384,14 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 			ex.Stats.Redundant++
 			return
 		}
-		// Shape checking (§4) over every target pattern.
+		// Shape checking (§4) over every target pattern: each must infer,
+		// and infer what the class it joins holds.
 		for slot, id := range bind[:c.bound] {
 			metas[slot] = ClassMeta(g, id)
 		}
-		for _, tgt := range c.targets {
-			if _, err := tgt.InferMeta(metas); err != nil {
+		for i, tgt := range c.targets {
+			out := ClassMeta(g, matched[i])
+			if m, err := tgt.InferMeta(metas, out); err != nil || out == nil || !m.Equivalent(out) {
 				ex.Stats.SkippedShape++
 				return
 			}
@@ -425,7 +427,7 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 		// output. A match that is not redundant adds a node or merges two
 		// classes, so it changes the e-graph.
 		for i, tgt := range c.targets {
-			g.Union(tgt.Instantiate(g, bind), matched[i])
+			g.Union(tgt.Instantiate(g, bind, ClassMeta(g, matched[i])), matched[i])
 		}
 		ex.Stats.Applied++
 	}

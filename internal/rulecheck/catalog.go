@@ -105,7 +105,6 @@ func strCands(op tensor.Op, idx int) []string {
 //
 //   - rank-2 matrices covering matmul chains (2x3 · 3x5 · 5x7) and the
 //     square/equal-shape cases element-wise ops need;
-//   - two concat-marked tensors (split needs a marker to be typeable);
 //   - one NCHW activation and OIHW weights covering plain, 1x1 and
 //     grouped convolutions plus merge-compatible group structure.
 //
@@ -113,11 +112,6 @@ func strCands(op tensor.Op, idx int) []string {
 // outputs at zero before considering the operator, which would mask
 // the uncosted-op check.
 func tensorCatalog() []*tensor.Meta {
-	marked := func(shape tensor.Shape, axis, at int) *tensor.Meta {
-		m := tensor.TensorMeta(shape)
-		m.HasSplit, m.SplitAxis, m.SplitAt = true, axis, at
-		return m
-	}
 	return []*tensor.Meta{
 		tensor.TensorMeta(tensor.Shape{2, 3}),
 		tensor.TensorMeta(tensor.Shape{3, 2}),
@@ -125,8 +119,6 @@ func tensorCatalog() []*tensor.Meta {
 		tensor.TensorMeta(tensor.Shape{5, 7}),
 		tensor.TensorMeta(tensor.Shape{3, 3}),
 		tensor.TensorMeta(tensor.Shape{2, 2}),
-		marked(tensor.Shape{2, 6}, 1, 3),
-		marked(tensor.Shape{4, 3}, 0, 2),
 		tensor.TensorMeta(tensor.Shape{1, 4, 6, 6}),
 		tensor.TensorMeta(tensor.Shape{2, 4, 3, 3}),
 		tensor.TensorMeta(tensor.Shape{3, 4, 3, 3}),

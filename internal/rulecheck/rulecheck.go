@@ -159,7 +159,7 @@ func checkRule(source string, r *rewrite.Rule, model cost.Model, out *[]Finding)
 	// metas are non-foldable (folded subtrees price at 0 regardless).
 	type opCost struct{ evaluated, finite bool }
 	costState := make(map[tensor.Op]*opCost)
-	visit := func(p *pattern.Pat, args []*tensor.Meta, outMeta *tensor.Meta) {
+	visit := func(p *pattern.Pat, at int64, args []*tensor.Meta, outMeta *tensor.Meta) {
 		if model == nil || p.Op == tensor.OpInt || p.Op == tensor.OpStr || outMeta.Foldable {
 			return
 		}
@@ -169,7 +169,7 @@ func checkRule(source string, r *rewrite.Rule, model cost.Model, out *[]Finding)
 			costState[p.Op] = st
 		}
 		st.evaluated = true
-		if !math.IsInf(model.NodeCost(p.Op, p.Int, p.Str, args), 1) {
+		if !math.IsInf(model.NodeCost(p.Op, at, p.Str, args), 1) {
 			st.finite = true
 		}
 	}
@@ -248,10 +248,10 @@ func checkRule(source string, r *rewrite.Rule, model cost.Model, out *[]Finding)
 // source infers; for unconditional rules, additionally infers the
 // targets and compares metas pairwise.
 func checkWitness(source string, r *rewrite.Rule, bind map[string]*tensor.Meta,
-	visit func(*pattern.Pat, []*tensor.Meta, *tensor.Meta), applicable, targetOK *int, unsound **Finding) {
+	visit func(*pattern.Pat, int64, []*tensor.Meta, *tensor.Meta), applicable, targetOK *int, unsound **Finding) {
 	srcMetas := make([]*tensor.Meta, len(r.Sources))
 	for i, s := range r.Sources {
-		m, err := inferPat(s, bind, nil)
+		m, err := inferPat(s, bind, nil, 0, nil)
 		if err != nil {
 			return
 		}
@@ -260,7 +260,7 @@ func checkWitness(source string, r *rewrite.Rule, bind map[string]*tensor.Meta,
 	*applicable++
 	tgtMetas := make([]*tensor.Meta, len(r.Targets))
 	for i, t := range r.Targets {
-		m, err := inferPat(t, bind, visit)
+		m, err := inferPat(t, bind, visit, t.Op, srcMetas[i])
 		if err != nil {
 			return // ill-typed target on this witness: engine skips it at apply time
 		}
@@ -284,9 +284,14 @@ func checkWitness(source string, r *rewrite.Rule, bind map[string]*tensor.Meta,
 
 // inferPat computes the meta of a pattern under a variable binding,
 // invoking visit bottom-up for every successfully inferred operator
-// node (with its argument metas) — the hook the cost check rides on.
+// node (with its Int payload and argument metas) — the hook the cost
+// check rides on. A target is given its root's op as proj and the
+// source meta it replaces as out; its split under a split0 or split1
+// root cuts where tensor.SplitBoundary says, as in the engine. A source
+// (0, nil) matches any boundary; its split is witnessed where the
+// concat it splits ends (§3.1), or mid-input when it splits no concat.
 func inferPat(p *pattern.Pat, bind map[string]*tensor.Meta,
-	visit func(*pattern.Pat, []*tensor.Meta, *tensor.Meta)) (*tensor.Meta, error) {
+	visit func(*pattern.Pat, int64, []*tensor.Meta, *tensor.Meta), proj tensor.Op, out *tensor.Meta) (*tensor.Meta, error) {
 	if p.IsVar() {
 		m := bind[p.Var]
 		if m == nil {
@@ -294,22 +299,46 @@ func inferPat(p *pattern.Pat, bind map[string]*tensor.Meta,
 		}
 		return m, nil
 	}
+	below := proj
+	if p.Op != proj {
+		below = 0
+	}
 	args := make([]*tensor.Meta, len(p.Children))
 	for i, c := range p.Children {
-		m, err := inferPat(c, bind, visit)
+		m, err := inferPat(c, bind, visit, below, out)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = m
 	}
-	out, err := tensor.Infer(p.Op, p.Int, p.Str, args)
+	at := p.Int
+	if p.Op == tensor.OpSplit {
+		at = splitWitness(p, bind, args, proj, out)
+	}
+	m, err := tensor.Infer(p.Op, at, p.Str, args)
 	if err != nil {
 		return nil, err
 	}
 	if visit != nil {
-		visit(p, args, out)
+		visit(p, at, args, m)
 	}
-	return out, nil
+	return m, nil
+}
+
+// splitWitness is where split pattern p cuts, given its argument metas
+// (see inferPat).
+func splitWitness(p *pattern.Pat, bind map[string]*tensor.Meta, args []*tensor.Meta, proj tensor.Op, out *tensor.Meta) int64 {
+	if out != nil {
+		return tensor.SplitBoundary(proj, args[0], args[1], out)
+	}
+	if in := p.Children[1]; !in.IsVar() && in.Op >= tensor.OpConcat2 && in.Op <= tensor.OpConcat5 {
+		first, _ := inferPat(in.Children[1], bind, nil, 0, nil)
+		return tensor.SplitBoundary(tensor.OpSplit0, args[0], args[1], first)
+	}
+	if a := args[0]; a.Kind == tensor.KindInt && a.IVal >= 0 && int(a.IVal) < len(args[1].Shape) {
+		return int64(args[1].Shape[a.IVal] / 2)
+	}
+	return 0
 }
 
 func renderBind(bind map[string]*tensor.Meta) string {

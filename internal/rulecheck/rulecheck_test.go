@@ -64,6 +64,28 @@ func TestCheckRulesTable(t *testing.T) {
 			want: []string{ClassShapeUnsound},
 		},
 		{
+			// A source split is witnessed where its concat cut, so
+			// undoing the concat is clean, and keeping the wrong half is
+			// caught: split rules need no exemption.
+			name: "sound-split-of-concat",
+			src:  "(split1 (split ?a (concat2 ?a ?x ?y)))",
+			dst:  "?y",
+			want: nil,
+		},
+		{
+			name: "unsound-split-wrong-half",
+			src:  "(split0 (split ?a (concat2 ?a ?x ?y)))",
+			dst:  "?y",
+			want: []string{ClassShapeUnsound},
+		},
+		{
+			// A target's split cuts where the tensor it replaces ends.
+			name: "sound-merge-through-split",
+			src:  "(relu ?x)",
+			dst:  "(split0 (split 1 (relu (concat2 1 ?x ?x))))",
+			want: nil,
+		},
+		{
 			// ?x must be both a tensor (ewadd) and an axis (split):
 			// the per-variable candidate intersection is empty.
 			name: "conflicting-kinds",

@@ -6,8 +6,9 @@
 // families, including every pattern the paper's appendix shows in use
 // (Figures 2 and 8-11). All rules are validated by the engine's shape
 // checking before application, so rules that need preconditions beyond
-// syntax (split markers, divisibility of channels, matching spatial
-// dims) are stated in full generality here and pruned at match time.
+// syntax (where a split cuts, divisibility of channels, matching
+// spatial dims) are stated in full generality here and pruned at match
+// time.
 package rules
 
 import (
@@ -57,13 +58,12 @@ func Single() []*rewrite.Rule {
 	rs = append(rs, transposeInverse())
 
 	// --- concat / split structure ---
-	// split reads the boundary from its input's e-class analysis (the
-	// "most recent concat" of §3.1), so undoing a concat is only sound
-	// when the class marker still sits at this concat's boundary —
-	// merging can move it (e.g. via concat-assoc). The condition
-	// enforces that.
-	rs = append(rs, splitOfConcat("split0-of-concat", "(split0 (split ?a (concat2 ?a ?x ?y)))", "?x"))
-	rs = append(rs, splitOfConcat("split1-of-concat", "(split1 (split ?a (concat2 ?a ?x ?y)))", "?y"))
+	// A source split matches any boundary; the engine's shape check (a
+	// target must infer what the class it joins holds) lets these fire
+	// only on a split at ?x's end (§3.1's "most recent concat"), or on
+	// two splits at one place.
+	one("split0-of-concat", "(split0 (split ?a (concat2 ?a ?x ?y)))", "?x")
+	one("split1-of-concat", "(split1 (split ?a (concat2 ?a ?x ?y)))", "?y")
 	one("concat-of-splits", "(concat2 ?a (split0 (split ?a ?t)) (split1 (split ?a ?t)))", "?t")
 	bi("concat-assoc", "(concat2 ?a ?x (concat2 ?a ?y ?z))", "(concat2 ?a (concat2 ?a ?x ?y) ?z)")
 	bi("concat-ewadd", "(ewadd (concat2 ?a ?x ?y) (concat2 ?a ?z ?w))", "(concat2 ?a (ewadd ?x ?z) (ewadd ?y ?w))")
@@ -101,46 +101,6 @@ func Single() []*rewrite.Rule {
 	rs = append(rs, mergeGconv())
 
 	return rs
-}
-
-// splitOfConcat builds a guarded split-elimination rule: it fires only
-// when the e-class holding (concat2 ?a ?x ?y) carries a split marker
-// exactly at ?x's boundary, so split(?a, ·) provably undoes this
-// concat and not some other member of the class.
-func splitOfConcat(name, src, dst string) *rewrite.Rule {
-	r := rewrite.MustRule(name, src, dst)
-	r.Cond = func(g *egraph.EGraph, s pattern.Subst) bool {
-		am := rewrite.ClassMeta(g, s["?a"])
-		xm := rewrite.ClassMeta(g, s["?x"])
-		ym := rewrite.ClassMeta(g, s["?y"])
-		if am == nil || xm == nil || ym == nil || am.Kind != tensor.KindInt {
-			return false
-		}
-		axis := int(am.IVal)
-		if axis < 0 || axis >= len(xm.Shape) {
-			return false
-		}
-		// Locate the concat node's class and check its marker.
-		node := egraph.Node{
-			Op:       egraph.Op(concatOpFor(2)),
-			Children: []egraph.ClassID{s["?a"], s["?x"], s["?y"]},
-		}
-		id, ok := g.Lookup(node)
-		if !ok {
-			return false
-		}
-		cm := rewrite.ClassMeta(g, id)
-		return cm != nil && cm.HasSplit && cm.SplitAxis == axis && cm.SplitAt == xm.Shape[axis]
-	}
-	return r
-}
-
-func concatOpFor(n int) tensor.Op {
-	op, err := tensor.ConcatOp(n)
-	if err != nil {
-		panic(err)
-	}
-	return op
 }
 
 // mergeGconv builds the conditional merge_gconv rule.

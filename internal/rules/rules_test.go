@@ -186,7 +186,7 @@ func TestConcatSplitRoundTripSound(t *testing.T) {
 	w1 := b.Weight("w1", 32, 16)
 	w2 := b.Weight("w2", 32, 24)
 	mm := b.Matmul(tensor.ActNone, x, b.Concat(1, w1, w2))
-	s0, s1 := b.Split(1, mm)
+	s0, s1 := b.Split(1, 16, mm)
 	g := b.MustFinish(b.Relu(s0), b.Tanh(s1))
 	res := optimize(t, g, 1, 4)
 	for i, out := range res.Graph.Outputs {

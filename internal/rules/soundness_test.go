@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,21 +19,48 @@ import (
 // numerically identical outputs to the original on deterministic
 // pseudo-random inputs. This exercises every rewrite rule family, the
 // multi-pattern algorithm, cycle filtering, extraction, and the
-// reference interpreter together.
+// reference interpreter together. Four more rows run multi-pattern
+// rules for two or three iterations, where splits over merged
+// concats pile up: each once extracted an ill-shaped graph, or none.
 func TestOptimizedGraphsComputeSameValues(t *testing.T) {
+	type row struct {
+		model         string
+		kmulti, iters int
+		nodes         int
+		filter        rewrite.FilterMode
+	}
+	var rows []row
 	for _, m := range models.Benchmarks() {
-		m := m
-		t.Run(m.Name, func(t *testing.T) {
+		rows = append(rows, row{m.Name, 1, 8, 8000, rewrite.FilterEfficient})
+	}
+	rows = append(rows,
+		row{"NasNet-A", 2, 15, 3000, rewrite.FilterNone},
+		row{"SqueezeNet", 2, 15, 10000, rewrite.FilterEfficient},
+		row{"ResNeXt-50", 3, 15, 10000, rewrite.FilterEfficient},
+		row{"BERT", 2, 15, 20000, rewrite.FilterEfficient})
+	for _, tc := range rows {
+		name := tc.model
+		if tc.kmulti > 1 {
+			name = fmt.Sprintf("%s_kmulti%d", tc.model, tc.kmulti)
+		}
+		t.Run(name, func(t *testing.T) {
+			m, err := models.ByName(tc.model)
+			if err != nil {
+				t.Fatal(err)
+			}
 			g := m.Build(models.ScaleTest)
 			r := rewrite.NewRunner(Default())
-			r.Limits.KMulti = 1
-			r.Limits.MaxIters = 8
-			r.Limits.MaxNodes = 8000
+			r.Filter = tc.filter
+			r.Limits.KMulti = tc.kmulti
+			r.Limits.MaxIters = tc.iters
+			r.Limits.MaxNodes = tc.nodes
 			ex, err := r.Run(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := extract.ILP(ex, cost.NewT4(), extract.ILPOptions{Timeout: time.Minute})
+			res, err := extract.ILP(ex, cost.NewT4(), extract.ILPOptions{
+				CycleConstraints: tc.filter == rewrite.FilterNone, Timeout: time.Minute,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

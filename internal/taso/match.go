@@ -38,7 +38,7 @@ func matchPattern(p *pattern.Pat, n *tensor.Node, bind Binding) bool {
 		bind[p.Var] = n
 		return true
 	}
-	if n.Op != p.Op || n.Int != p.Int || n.Str != p.Str {
+	if !p.Accepts(n.Op, n.Int, n.Str) {
 		return false
 	}
 	if len(n.Inputs) != len(p.Children) {
@@ -137,8 +137,10 @@ func (cb *consBuilder) mk(op tensor.Op, ival int64, sval string, inputs []*tenso
 	return n, nil
 }
 
-// instantiate builds the target pattern as graph nodes.
-func (cb *consBuilder) instantiate(p *pattern.Pat, bind Binding) (*tensor.Node, error) {
+// instantiate builds the target pattern as graph nodes; proj is the
+// root's op and out the node the target replaces. A split under a
+// split0 or split1 root cuts where tensor.SplitBoundary says for out.
+func (cb *consBuilder) instantiate(p *pattern.Pat, bind Binding, proj tensor.Op, out *tensor.Node) (*tensor.Node, error) {
 	if p.IsVar() {
 		n, ok := bind[p.Var]
 		if !ok {
@@ -146,15 +148,23 @@ func (cb *consBuilder) instantiate(p *pattern.Pat, bind Binding) (*tensor.Node, 
 		}
 		return n, nil
 	}
+	below := proj
+	if p.Op != proj {
+		below = 0
+	}
 	inputs := make([]*tensor.Node, 0, len(p.Children))
 	for _, c := range p.Children {
-		in, err := cb.instantiate(c, bind)
+		in, err := cb.instantiate(c, bind, below, out)
 		if err != nil {
 			return nil, err
 		}
 		inputs = append(inputs, in)
 	}
-	return cb.mk(p.Op, p.Int, p.Str, inputs)
+	at := p.Int
+	if p.Op == tensor.OpSplit {
+		at = tensor.SplitBoundary(proj, inputs[0].Meta, inputs[1].Meta, out.Meta)
+	}
+	return cb.mk(p.Op, at, p.Str, inputs)
 }
 
 // Apply produces a new graph with the match's output nodes replaced by
@@ -166,9 +176,12 @@ func Apply(g *tensor.Graph, m GraphMatch) (*tensor.Graph, error) {
 	cb := newConsBuilder()
 	replace := make(map[*tensor.Node]*tensor.Node, len(m.Outputs))
 	for i, out := range m.Outputs {
-		tn, err := cb.instantiate(m.Rule.Targets[i], m.Bind)
+		tn, err := cb.instantiate(m.Rule.Targets[i], m.Bind, m.Rule.Targets[i].Op, out)
 		if err != nil {
 			return nil, err
+		}
+		if !tn.Meta.Equivalent(out.Meta) {
+			return nil, fmt.Errorf("taso: %s rewrites %v into %v", m.Rule.Name, out.Meta, tn.Meta)
 		}
 		replace[out] = tn
 	}

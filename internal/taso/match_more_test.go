@@ -25,6 +25,19 @@ func TestApplyShapeIncompatibleMatchFails(t *testing.T) {
 	if ng, err := Apply(g, ms[0]); err == nil {
 		t.Fatalf("ill-shaped substitution accepted: %v", ng)
 	}
+	// A well-shaped target of another shape than what it replaces is
+	// refused too: this split cuts at 3, not where the concat's first
+	// operand ends, so split0 is not ?x.
+	b = tensor.NewBuilder()
+	s0, _ := b.Split(1, 3, b.Concat(1, b.Input("x", 4, 8), b.Input("y", 4, 8)))
+	g = b.MustFinish(s0)
+	rule = rewrite.MustRule("split0-of-concat", "(split0 (split ?a (concat2 ?a ?x ?y)))", "?x")
+	if ms = FindMatches(g, rule, 0); len(ms) != 1 {
+		t.Fatalf("split matches = %d", len(ms))
+	}
+	if ng, err := Apply(g, ms[0]); err == nil {
+		t.Fatalf("a rewrite to another shape was accepted: %v", ng)
+	}
 }
 
 func TestFindMatchesCap(t *testing.T) {

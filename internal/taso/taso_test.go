@@ -1,6 +1,7 @@
 package taso
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +57,48 @@ func TestFindMatchesRespectsSharedVariables(t *testing.T) {
 	if len(ms) != 2 {
 		t.Fatalf("got %d joint matches, want 2 (diagonal only)", len(ms))
 	}
+}
+
+// TestApplyMergeCutsSplitAtTheFirstOutput: the Figure 2 merge over
+// two matmuls of different widths builds a split that cuts where the
+// first output ends, so the rewritten graph computes what the input
+// did, and the split in it reads split#16.
+func TestApplyMergeCutsSplitAtTheFirstOutput(t *testing.T) {
+	b := tensor.NewBuilder()
+	x := b.Input("x", 8, 32)
+	w1 := b.Weight("w1", 32, 16)
+	w2 := b.Weight("w2", 32, 24)
+	g := b.MustFinish(b.Matmul(tensor.ActNone, x, w1), b.Matmul(tensor.ActNone, x, w2))
+	rule := rewrite.MustMultiRule("merge",
+		"(matmul ?a ?x ?y) (matmul ?a ?x ?z)",
+		"(split0 (split 1 (matmul ?a ?x (concat2 1 ?y ?z)))) (split1 (split 1 (matmul ?a ?x (concat2 1 ?y ?z))))")
+	for _, m := range FindMatches(g, rule, 0) {
+		if m.Outputs[0] != g.Outputs[0] || m.Outputs[1] != g.Outputs[1] {
+			continue
+		}
+		ng, err := Apply(g, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(ng.String(), "(split#16 1 ") {
+			t.Fatalf("merged graph:\n%v", ng)
+		}
+		want, err := tensor.NewEvaluator().EvalOutputs(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tensor.NewEvaluator().EvalOutputs(ng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if d := want[i].MaxRelDiff(got[i]); d > 1e-12 {
+				t.Fatalf("output %d differs by %v", i, d)
+			}
+		}
+		return
+	}
+	t.Fatal("no match pairs the two outputs in order")
 }
 
 func TestApplyFusesRelu(t *testing.T) {

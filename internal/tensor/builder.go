@@ -134,10 +134,11 @@ func (b *Builder) Concat(axis int64, xs ...*Node) *Node {
 	return b.mk(op, 0, "", inputs...)
 }
 
-// Split splits x at the most recent concat boundary on axis and
-// returns the two halves (split0 and split1 of the tuple).
-func (b *Builder) Split(axis int64, x *Node) (*Node, *Node) {
-	tt := b.mk(OpSplit, 0, "", b.IntParam(axis), x)
+// Split cuts x on axis at position at, the most recent concat's
+// boundary in the paper's use (§3.1), and returns the two halves
+// (split0 and split1 of the tuple).
+func (b *Builder) Split(axis, at int64, x *Node) (*Node, *Node) {
+	tt := b.mk(OpSplit, at, "", b.IntParam(axis), x)
 	return b.mk(OpSplit0, 0, "", tt), b.mk(OpSplit1, 0, "", tt)
 }
 

@@ -244,11 +244,7 @@ func (e *Evaluator) compute(n *Node) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		meta := n.Inputs[1].Meta
-		if meta == nil || !meta.HasSplit || meta.SplitAxis != axis {
-			return nil, fmt.Errorf("split without a concat marker")
-		}
-		a, b, err := splitEval(axis, meta.SplitAt, x)
+		a, b, err := splitEval(axis, int(n.Int), x)
 		if err != nil {
 			return nil, err
 		}
@@ -532,8 +528,8 @@ func concatEval(axis int, parts []*Tensor) (*Tensor, error) {
 }
 
 func splitEval(axis, at int, x *Tensor) (*Tensor, *Tensor, error) {
-	if at <= 0 || at >= x.Shape[axis] {
-		return nil, nil, fmt.Errorf("split position %d out of range", at)
+	if axis < 0 || axis >= len(x.Shape) || at <= 0 || at >= x.Shape[axis] {
+		return nil, nil, fmt.Errorf("split position %d on axis %d out of range for %v", at, axis, x.Shape)
 	}
 	s1 := x.Shape.Clone()
 	s1[axis] = at

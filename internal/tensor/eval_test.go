@@ -97,7 +97,7 @@ func TestEvalConcatSplitRoundTrip(t *testing.T) {
 	x := b.Input("x", 3, 4)
 	y := b.Input("y", 3, 6)
 	cat := b.Concat(1, x, y)
-	s0, s1 := b.Split(1, cat)
+	s0, s1 := b.Split(1, 4, cat)
 	g := b.MustFinish(s0, s1)
 	outs := evalGraph(t, g)
 	xs := NewTensor(Shape{3, 4})
@@ -132,7 +132,7 @@ func TestEvalMatmulConcatIdentity(t *testing.T) {
 	w1 := b.Weight("w1", 8, 3)
 	w2 := b.Weight("w2", 8, 5)
 	merged := b.Matmul(ActNone, x, b.Concat(1, w1, w2))
-	s0, s1 := b.Split(1, merged)
+	s0, s1 := b.Split(1, 3, merged)
 	g1 := b.MustFinish(s0, s1)
 	b2 := NewBuilder()
 	x2 := b2.Input("x", 4, 8)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -13,7 +14,7 @@ import (
 // Nodes are immutable once built; graphs share subgraphs by pointer.
 type Node struct {
 	Op     Op
-	Int    int64  // payload when Op == OpInt
+	Int    int64  // payload when Op == OpInt; a split's boundary
 	Str    string // payload when Op is OpStr/OpInput/OpWeight
 	Inputs []*Node
 	Meta   *Meta
@@ -47,6 +48,15 @@ func (n *Node) treeHash(memo map[*Node]uint64) uint64 {
 	return h
 }
 
+// head is the node's operator as the text forms write it: a split
+// carries its boundary, as split#N.
+func (n *Node) head() string {
+	if n.Op == OpSplit {
+		return n.Op.String() + "#" + strconv.FormatInt(n.Int, 10)
+	}
+	return n.Op.String()
+}
+
 // String renders the node as an S-expression (inputs recursively).
 func (n *Node) String() string {
 	var b strings.Builder
@@ -67,7 +77,7 @@ func (n *Node) write(b *strings.Builder) {
 		return
 	}
 	b.WriteByte('(')
-	b.WriteString(n.Op.String())
+	b.WriteString(n.head())
 	for _, in := range n.Inputs {
 		b.WriteByte(' ')
 		in.write(b)
@@ -139,13 +149,6 @@ func (g *Graph) Validate() error {
 			m, err := check(in)
 			if err != nil {
 				return nil, err
-			}
-			// Split boundaries may come from e-class analysis rather
-			// than the node's own derivation (see extract.buildGraph);
-			// honor a recorded marker the fresh inference cannot see.
-			if rm := in.Meta; rm != nil && rm.HasSplit && !m.HasSplit && rm.Shape.Equal(m.Shape) {
-				m = m.Clone()
-				m.HasSplit, m.SplitAxis, m.SplitAt = true, rm.SplitAxis, rm.SplitAt
 			}
 			args[i] = m
 		}

@@ -124,7 +124,7 @@ func TestGraphHashDistinguishesGraphs(t *testing.T) {
 	w1 := b.Weight("w1", 32, 16)
 	w2 := b.Weight("w2", 32, 16)
 	h := b.Matmul(ActNone, x, b.Concat(1, w1, w2))
-	s0, s1 := b.Split(1, h)
+	s0, s1 := b.Split(1, 16, h)
 	g2 := b.MustFinish(b.Ewadd(s0, s1))
 	if g1.Hash() == g2.Hash() {
 		t.Fatal("distinct graphs share a hash")
@@ -138,7 +138,7 @@ func TestSplitBuilder(t *testing.T) {
 	w2 := b.Weight("w2", 32, 24)
 	cat := b.Concat(1, w1, w2)
 	h := b.Matmul(ActNone, x, cat)
-	s0, s1 := b.Split(1, h)
+	s0, s1 := b.Split(1, 16, h)
 	g := b.MustFinish(s0, s1)
 	if !g.Outputs[0].Meta.Shape.Equal(Shape{8, 16}) || !g.Outputs[1].Meta.Shape.Equal(Shape{8, 24}) {
 		t.Fatalf("split outputs: %v / %v", g.Outputs[0].Meta.Shape, g.Outputs[1].Meta.Shape)

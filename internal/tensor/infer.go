@@ -7,8 +7,8 @@ import "fmt"
 // the e-class analysis, and the rewrite engine's shape checking (§4:
 // "Before applying a rewrite at a found match, we perform a shape
 // checking to verify if the tensor shapes in the target pattern are
-// compatible."). ival/sval are the payloads of literal ops and are
-// ignored for the rest.
+// compatible."). ival/sval are the payloads of literal ops, ival is
+// split's boundary, and both are ignored for the rest.
 func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
 	if want := op.Arity(); want >= 0 && len(args) != want {
 		return nil, fmt.Errorf("tensor: %v expects %d arguments, got %d", op, want, len(args))
@@ -45,9 +45,6 @@ func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
 		}
 		m := TensorMeta(a.Shape.Clone())
 		m.Foldable = a.Foldable && b.Foldable
-		if a.HasSplit && b.HasSplit && a.SplitAxis == b.SplitAxis && a.SplitAt == b.SplitAt {
-			m.HasSplit, m.SplitAxis, m.SplitAt = true, a.SplitAxis, a.SplitAt
-		}
 		return m, nil
 	case OpMatmul:
 		if err := intArgIn(op, args, 0, "activation", ActNone, ActTanh); err != nil {
@@ -71,7 +68,6 @@ func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
 		}
 		m := TensorMeta(a.Shape.Clone())
 		m.Foldable = a.Foldable
-		m.HasSplit, m.SplitAxis, m.SplitAt = a.HasSplit, a.SplitAxis, a.SplitAt
 		return m, nil
 	case OpPoolMax, OpPoolAvg:
 		return inferPool(op, args)
@@ -82,7 +78,7 @@ func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
 	case OpConcat2, OpConcat3, OpConcat4, OpConcat5:
 		return inferConcat(op, args)
 	case OpSplit:
-		return inferSplit(args)
+		return inferSplit(ival, args)
 	case OpSplit0, OpSplit1:
 		a := args[0]
 		if a.Kind != KindTuple {
@@ -158,13 +154,6 @@ func inferMatmul(a, b *Meta) (*Meta, error) {
 	out[n-1] = b.Shape[n-1]
 	m := TensorMeta(out)
 	m.Foldable = a.Foldable && b.Foldable
-	// A concat boundary on b's columns (or a's rows) survives matmul:
-	// this is what lets split undo the Figure 2 merged matmul.
-	if b.HasSplit && b.SplitAxis == n-1 {
-		m.HasSplit, m.SplitAxis, m.SplitAt = true, n-1, b.SplitAt
-	} else if a.HasSplit && a.SplitAxis == n-2 {
-		m.HasSplit, m.SplitAxis, m.SplitAt = true, n-2, a.SplitAt
-	}
 	return m, nil
 }
 
@@ -216,11 +205,6 @@ func inferConv(args []*Meta) (*Meta, error) {
 	}
 	m := TensorMeta(Shape{n, cout, oh, ow})
 	m.Foldable = x.Foldable && w.Foldable
-	// A concat boundary on the weight's output channels survives the
-	// convolution as a boundary on the output channel axis (Figure 9).
-	if w.HasSplit && w.SplitAxis == 0 {
-		m.HasSplit, m.SplitAxis, m.SplitAt = true, 1, w.SplitAt
-	}
 	return m, nil
 }
 
@@ -304,13 +288,6 @@ func inferTranspose(args []*Meta) (*Meta, error) {
 	}
 	m := TensorMeta(out)
 	m.Foldable = x.Foldable
-	if x.HasSplit {
-		for i, a := range perm {
-			if a == x.SplitAxis {
-				m.HasSplit, m.SplitAxis, m.SplitAt = true, i, x.SplitAt
-			}
-		}
-	}
 	return m, nil
 }
 
@@ -370,13 +347,10 @@ func inferConcat(op Op, args []*Meta) (*Meta, error) {
 	}
 	m := TensorMeta(out)
 	m.Foldable = foldable
-	// The split marker records the most recent concat boundary: the end
-	// of the first operand. split(axis, .) undoes a concat2 exactly.
-	m.HasSplit, m.SplitAxis, m.SplitAt = true, int(axis), first.Shape[axis]
 	return m, nil
 }
 
-func inferSplit(args []*Meta) (*Meta, error) {
+func inferSplit(at int64, args []*Meta) (*Meta, error) {
 	axis, err := intArg(OpSplit, args, 0, "axis")
 	if err != nil {
 		return nil, err
@@ -385,18 +359,35 @@ func inferSplit(args []*Meta) (*Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !x.HasSplit || x.SplitAxis != int(axis) {
-		return nil, fmt.Errorf("tensor: split axis %d without a matching concat marker on %v", axis, x)
+	if axis < 0 || int(axis) >= len(x.Shape) {
+		return nil, fmt.Errorf("tensor: split axis %d out of range for rank %d", axis, len(x.Shape))
 	}
-	if x.SplitAt <= 0 || x.SplitAt >= x.Shape[axis] {
-		return nil, fmt.Errorf("tensor: split position %d out of range for dim %d", x.SplitAt, x.Shape[axis])
+	if at <= 0 || at >= int64(x.Shape[axis]) {
+		return nil, fmt.Errorf("tensor: split position %d out of range for dim %d", at, x.Shape[axis])
 	}
 	s1 := x.Shape.Clone()
-	s1[axis] = x.SplitAt
+	s1[axis] = int(at)
 	s2 := x.Shape.Clone()
-	s2[axis] = x.Shape[axis] - x.SplitAt
+	s2[axis] = x.Shape[axis] - int(at)
 	m := &Meta{Kind: KindTuple, Shape: s1, Shape2: s2, Foldable: x.Foldable}
 	return m, nil
+}
+
+// SplitBoundary is where a split on axis of body must cut for its proj
+// half (OpSplit0 or OpSplit1) to have out's extent on that axis: the
+// boundary a rule application gives a split it builds, read off the
+// tensor the half stands for. It returns 0, which split inference
+// rejects, for any other proj and for metas that fit no such split.
+func SplitBoundary(proj Op, axis, body, out *Meta) int64 {
+	if (proj != OpSplit0 && proj != OpSplit1) || axis == nil || body == nil || out == nil ||
+		axis.Kind != KindInt || body.Kind != KindTensor || out.Kind != KindTensor ||
+		axis.IVal < 0 || int(axis.IVal) >= min(len(body.Shape), len(out.Shape)) {
+		return 0
+	}
+	if proj == OpSplit1 {
+		return int64(body.Shape[axis.IVal] - out.Shape[axis.IVal])
+	}
+	return int64(out.Shape[axis.IVal])
 }
 
 func inferMerge(args []*Meta) (*Meta, error) {

@@ -137,13 +137,6 @@ func TestInferTranspose(t *testing.T) {
 	}
 	wantErr(t, OpTranspose, 0, "", x, StrMeta("0 1"))
 	wantErr(t, OpTranspose, 0, "", x, StrMeta("0 0 1"))
-	// Split marker follows its axis through the permutation.
-	c := TensorMeta(Shape{2, 6, 4})
-	c.HasSplit, c.SplitAxis, c.SplitAt = true, 1, 2
-	m = mustInfer(t, OpTranspose, 0, "", c, StrMeta("1 0 2"))
-	if !m.HasSplit || m.SplitAxis != 0 || m.SplitAt != 2 {
-		t.Fatalf("split marker after transpose = %v", m)
-	}
 }
 
 func TestInferConcatSplitRoundTrip(t *testing.T) {
@@ -153,10 +146,7 @@ func TestInferConcatSplitRoundTrip(t *testing.T) {
 	if !cat.Shape.Equal(Shape{4, 20}) {
 		t.Fatalf("concat shape = %v", cat.Shape)
 	}
-	if !cat.HasSplit || cat.SplitAxis != 1 || cat.SplitAt != 8 {
-		t.Fatalf("concat split marker = %v", cat)
-	}
-	tt := mustInfer(t, OpSplit, 0, "", IntMeta(1), cat)
+	tt := mustInfer(t, OpSplit, 8, "", IntMeta(1), cat)
 	if tt.Kind != KindTuple || !tt.Shape.Equal(Shape{4, 8}) || !tt.Shape2.Equal(Shape{4, 12}) {
 		t.Fatalf("split tuple = %v", tt)
 	}
@@ -165,9 +155,30 @@ func TestInferConcatSplitRoundTrip(t *testing.T) {
 	if !s0.Shape.Equal(a.Shape) || !s1.Shape.Equal(bb.Shape) {
 		t.Fatalf("split halves = %v / %v", s0.Shape, s1.Shape)
 	}
-	// Split without a marker, or on the wrong axis, is rejected.
-	wantErr(t, OpSplit, 0, "", IntMeta(0), cat)
-	wantErr(t, OpSplit, 0, "", IntMeta(1), a)
+	// The boundary is the split's own: at 8 on axis 1 it undoes the
+	// concat, elsewhere it cuts elsewhere, and out of range it fails.
+	if m := mustInfer(t, OpSplit, 3, "", IntMeta(0), TensorMeta(Shape{4, 20})); !m.Shape.Equal(Shape{3, 20}) || !m.Shape2.Equal(Shape{1, 20}) {
+		t.Fatalf("split at 3 on axis 0 = %v", m)
+	}
+	wantErr(t, OpSplit, 0, "", IntMeta(1), cat)
+	wantErr(t, OpSplit, 20, "", IntMeta(1), cat)
+	wantErr(t, OpSplit, 8, "", IntMeta(2), cat)
+	// SplitBoundary is the cut that gives a half a given extent.
+	for _, tc := range []struct {
+		proj Op
+		out  *Meta
+		want int64
+	}{
+		{OpSplit0, a, 8},
+		{OpSplit1, bb, 8},
+		{OpSplit1, a, 12},
+		{OpSplit0, tt, 0},
+		{OpRelu, a, 0},
+	} {
+		if got := SplitBoundary(tc.proj, IntMeta(1), cat, tc.out); got != tc.want {
+			t.Errorf("SplitBoundary(%v, 1, %v, %v) = %d, want %d", tc.proj, cat, tc.out, got, tc.want)
+		}
+	}
 	// Mismatched non-axis dims are rejected.
 	wantErr(t, OpConcat2, 0, "", IntMeta(1), a, TensorMeta(Shape{5, 12}))
 	// Axis out of range.

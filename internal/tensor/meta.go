@@ -33,11 +33,11 @@ func (k Kind) String() string {
 }
 
 // Meta is the semantic summary of a node: its kind, shape(s), payload
-// values, the most-recent-concat split position (§3.1 footnote e: "the
-// position of the split is at the place of the most recent concat"),
-// and whether the value is computable from weights alone (so it can be
-// pre-computed at inference time, as exploited by the Figure 10
-// rewrite). Meta doubles as TENSAT's e-class analysis data (§6).
+// values, and whether the value is computable from weights alone (so it
+// can be pre-computed at inference time, as exploited by the Figure 10
+// rewrite). Meta doubles as TENSAT's e-class analysis data (§6). Where a
+// split cuts its input is not part of the input's meta: it is the split
+// node's own payload (see OpSplit).
 type Meta struct {
 	Kind   Kind
 	Shape  Shape // tensor shape (KindTensor), or first tuple element
@@ -45,13 +45,6 @@ type Meta struct {
 
 	IVal int64  // KindInt payload
 	SVal string // KindStr payload
-
-	// HasSplit marks that Shape's SplitAxis dimension was produced by
-	// a concat whose first operand ended at SplitAt; split(axis, x)
-	// is only valid when x carries a matching marker.
-	HasSplit  bool
-	SplitAxis int
-	SplitAt   int
 
 	// Foldable is true when the whole subtree consists of weights and
 	// shape/arithmetic ops over weights: its value is constant at
@@ -68,17 +61,9 @@ func IntMeta(v int64) *Meta { return &Meta{Kind: KindInt, IVal: v} }
 // StrMeta builds a string-parameter Meta.
 func StrMeta(s string) *Meta { return &Meta{Kind: KindStr, SVal: s} }
 
-// Clone returns a deep copy of m.
-func (m *Meta) Clone() *Meta {
-	c := *m
-	c.Shape = m.Shape.Clone()
-	c.Shape2 = m.Shape2.Clone()
-	return &c
-}
-
 // Equivalent reports whether two metas agree on kind, shapes and
-// payloads (split markers and foldability may differ between members
-// of an e-class and are joined, not compared).
+// payloads: whether two nodes may share an e-class. Foldability may
+// differ between members of an e-class and is joined, not compared.
 func (m *Meta) Equivalent(o *Meta) bool {
 	return m.Kind == o.Kind && m.Shape.Equal(o.Shape) && m.Shape2.Equal(o.Shape2) &&
 		m.IVal == o.IVal && m.SVal == o.SVal
@@ -95,9 +80,6 @@ func (m *Meta) String() string {
 		return fmt.Sprintf("TT([%v],[%v])", m.Shape, m.Shape2)
 	default:
 		s := fmt.Sprintf("T[%v]", m.Shape)
-		if m.HasSplit {
-			s += fmt.Sprintf("/split(ax%d@%d)", m.SplitAxis, m.SplitAt)
-		}
 		if m.Foldable {
 			s += "/w"
 		}

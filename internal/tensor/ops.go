@@ -53,8 +53,9 @@ const (
 	OpConcat3
 	OpConcat4
 	OpConcat5
-	// OpSplit splits a tensor in two at the most recent concat
-	// boundary: (N axis, T) -> TT.
+	// OpSplit splits a tensor in two on an axis: (N axis, T) -> TT.
+	// It cuts at its own payload: in the paper's use the most recent
+	// concat's boundary (§3.1 footnote e), see SplitBoundary.
 	OpSplit
 	// OpSplit0 and OpSplit1 project a tensor tuple: TT -> T.
 	OpSplit0

@@ -15,6 +15,7 @@ import (
 //	(let t0 (conv 1 1 0 2 (input "x@1 3 32 32") (weight "w@8 3 3 3")))
 //	(output (relu t0))
 //	(output (poolmax t0 2 2 2 2 1 0))
+//	(output (split0 (split#3 1 (input "y@1 8 4 4")))) ; a split cuts at its #N
 //
 // A node is bound when it is referenced more than once (so the DAG
 // round-trips exactly, sharing included).
@@ -51,7 +52,7 @@ func (g *Graph) MarshalText() ([]byte, error) {
 			expr = fmt.Sprintf("(%v %q)", n.Op, n.Str)
 		default:
 			parts := make([]string, 0, len(n.Inputs)+1)
-			parts = append(parts, n.Op.String())
+			parts = append(parts, n.head())
 			for _, in := range n.Inputs {
 				parts = append(parts, render(in))
 			}
@@ -100,9 +101,17 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 		if !head.IsAtom() {
 			return nil, fmt.Errorf("tensor: expression head must be an atom")
 		}
-		op, ok := OpByName[head.Atom]
-		if !ok {
-			return nil, fmt.Errorf("tensor: unknown operator %q", head.Atom)
+		name, at, bounded := strings.Cut(head.Atom, "#")
+		op, ok := OpByName[name]
+		if !ok || bounded != (op == OpSplit) {
+			return nil, fmt.Errorf("tensor: unknown operator %q (a split is written split#N, N where it cuts)", head.Atom)
+		}
+		var boundary int64
+		if bounded {
+			var err error
+			if boundary, err = strconv.ParseInt(at, 10, 64); err != nil {
+				return nil, fmt.Errorf("tensor: split boundary %q: %w", at, err)
+			}
 		}
 		if op == OpInput || op == OpWeight {
 			if len(e.List) != 2 || !e.List[1].IsAtom() {
@@ -125,7 +134,7 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 			}
 			inputs = append(inputs, in)
 		}
-		n := b.Raw(op, inputs...)
+		n := b.Raw(op, boundary, inputs...)
 		if err := b.Err(); err != nil {
 			return nil, err
 		}
@@ -166,15 +175,15 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 }
 
 // Raw builds a node for op over pre-built inputs (shape-checked); used
-// by deserialization. Literal payload ops must go through IntParam,
-// StrParam, Input or Weight instead.
-func (b *Builder) Raw(op Op, inputs ...*Node) *Node {
+// by deserialization; at is a split's boundary, 0 for other ops.
+// Literal payload ops must go through IntParam, StrParam, Input or
+// Weight instead.
+func (b *Builder) Raw(op Op, at int64, inputs ...*Node) *Node {
 	switch op {
 	case OpInt, OpStr, OpInput, OpWeight:
-		b.fail(fmt.Errorf("tensor: Raw cannot build literal op %v", op))
-		return &Node{Op: OpInt, Meta: IntMeta(0)}
+		return b.fail(fmt.Errorf("tensor: Raw cannot build literal op %v", op))
 	}
-	return b.mk(op, 0, "", inputs...)
+	return b.mk(op, at, "", inputs...)
 }
 
 // Dot renders the graph in Graphviz dot format for visualization.
@@ -184,7 +193,7 @@ func (g *Graph) Dot() string {
 	ids := make(map[*Node]int)
 	for i, n := range g.Nodes() {
 		ids[n] = i
-		label := n.Op.String()
+		label := n.head()
 		switch n.Op {
 		case OpInt:
 			label = strconv.FormatInt(n.Int, 10)

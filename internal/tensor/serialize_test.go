@@ -62,7 +62,7 @@ func TestSerializeRoundTripAllOps(t *testing.T) {
 	conv := b.Conv(1, 1, PadSame, ActRelu, x, w)
 	en := b.Conv(1, 1, PadSame, ActNone, x, b.Enlarge(k1, w))
 	cat := b.Concat(1, conv, en)
-	s0, s1 := b.Split(1, cat)
+	s0, s1 := b.Split(1, 8, cat)
 	pool := b.PoolMax(s0, 2, 2, 2, 2, PadValid, ActNone)
 	g := b.MustFinish(pool, b.Tanh(s1), b.Sigmoid(b.Reshape(s1, 8, 64)))
 	g2 := roundTrip(t, g)
@@ -71,6 +71,33 @@ func TestSerializeRoundTripAllOps(t *testing.T) {
 	}
 	if err := g2.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSerializeRoundTripSplitBoundary: a split's boundary is part of
+// the text, so a split that does not cut at a concat survives the
+// round trip, and two splits differing only in where they cut do not
+// print alike.
+func TestSerializeRoundTripSplitBoundary(t *testing.T) {
+	text := func(at int64) string {
+		b := NewBuilder()
+		s0, s1 := b.Split(1, at, b.Input("x", 4, 10))
+		g := b.MustFinish(b.Relu(s0), s1)
+		g2 := roundTrip(t, g)
+		if g.Hash() != g2.Hash() {
+			t.Fatalf("split at %d: round trip changed the graph", at)
+		}
+		if got := g2.Outputs[1].Meta.Shape; !got.Equal(Shape{4, 10 - int(at)}) {
+			t.Fatalf("split at %d: second half %v after the round trip", at, got)
+		}
+		data, err := g2.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if a, b := text(3), text(7); a == b || !strings.Contains(a, "(split#3 1 ") {
+		t.Fatalf("boundaries 3 and 7 print as:\n%s\n%s", a, b)
 	}
 }
 
@@ -96,6 +123,10 @@ func TestUnmarshalErrors(t *testing.T) {
 		"(frobnicate 1 2)",                 // unknown form
 		`(output (ewadd (input "x@2 2")))`, // arity
 		`(output (ewadd (input "x@2 2") (input "y@3 3")))`, // shape error
+		`(output (split0 (split 1 (input "x@2 4"))))`,      // split with no boundary
+		`(output (split0 (split#x 1 (input "x@2 4"))))`,    // malformed boundary
+		`(output (split0 (split#4 1 (input "x@2 4"))))`,    // boundary out of range
+		`(output (relu#1 (input "x@2 4")))`,                // boundary on another op
 	} {
 		if _, err := UnmarshalGraph([]byte(src)); err == nil {
 			t.Errorf("UnmarshalGraph(%q) succeeded, want error", src)
@@ -105,7 +136,7 @@ func TestUnmarshalErrors(t *testing.T) {
 
 func TestRawRejectsLiterals(t *testing.T) {
 	b := NewBuilder()
-	b.Raw(OpInput)
+	b.Raw(OpInput, 0)
 	if b.Err() == nil {
 		t.Fatal("Raw accepted a literal op")
 	}
