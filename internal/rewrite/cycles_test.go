@@ -262,7 +262,7 @@ func TestReachesAgainstReference(t *testing.T) {
 		if len(f.findCycles(g, filtered)) > 0 {
 			cyclic++
 		}
-		want := naiveReaches(g, filtered)
+		want := naiveOrderOf(g, filtered)
 		view := g.Freeze()
 		var classes []egraph.ClassID
 		g.Classes(func(cls *egraph.Class) { classes = append(classes, cls.ID) })
@@ -277,7 +277,7 @@ func TestReachesAgainstReference(t *testing.T) {
 		for _, a := range classes {
 			for _, b := range classes {
 				got := f.reaches(view, g, filtered, a, b)
-				if got != want[[2]egraph.ClassID{a, b}] {
+				if got != want.reaches(a, b) {
 					t.Fatalf("seed %d: reaches(e%d, e%d) = %v, reference %v", seed, a, b, got, !got)
 				}
 				pairs++
@@ -295,55 +295,73 @@ func TestReachesAgainstReference(t *testing.T) {
 	}
 }
 
-// naiveReaches is the reference for reaches: it marks the back edges
-// of a plain recursive DFS over the canonical classes in ascending id
-// order, then collects for every class the classes strictly below it
-// along the other edges of unfiltered nodes.
-func naiveReaches(g *egraph.EGraph, filtered *FilterSet) map[[2]egraph.ClassID]bool {
-	edges := make(map[egraph.ClassID][]egraph.ClassID)
+// naiveOrder is the reference for reaches: per class id, the class
+// graph's edges through unfiltered nodes, with the back edges of a plain
+// recursive DFS over the canonical classes in ascending id order marked.
+type naiveOrder [][]naiveEdge
+
+type naiveEdge struct {
+	to   egraph.ClassID
+	back bool
+}
+
+func naiveOrderOf(g *egraph.EGraph, filtered *FilterSet) naiveOrder {
+	o := make(naiveOrder, g.Stamp())
 	g.Classes(func(cls *egraph.Class) {
 		for _, n := range cls.Nodes {
 			if !filtered.Has(g.NodeStamp(n)) {
 				for _, ch := range g.Node(n).Children {
-					edges[cls.ID] = append(edges[cls.ID], g.Find(ch))
+					o[cls.ID] = append(o[cls.ID], naiveEdge{to: g.Find(ch)})
 				}
 			}
 		}
 	})
-	onStack, done := map[egraph.ClassID]bool{}, map[egraph.ClassID]bool{}
-	back := map[[2]egraph.ClassID]bool{}
+	state := make([]uint8, len(o)) // 1 on the stack, 2 done
 	var dfs func(id egraph.ClassID)
 	dfs = func(id egraph.ClassID) {
-		onStack[id] = true
-		for _, c := range edges[id] {
-			if onStack[c] {
-				back[[2]egraph.ClassID{id, c}] = true
-			} else if !done[c] {
-				dfs(c)
+		state[id] = 1
+		for i := range o[id] {
+			switch e := &o[id][i]; state[e.to] {
+			case 1:
+				e.back = true
+			case 0:
+				dfs(e.to)
 			}
 		}
-		onStack[id], done[id] = false, true
+		state[id] = 2
 	}
 	g.Classes(func(cls *egraph.Class) {
-		if !done[cls.ID] {
+		if state[cls.ID] == 0 {
 			dfs(cls.ID)
 		}
 	})
-	reach := map[[2]egraph.ClassID]bool{}
-	g.Classes(func(cls *egraph.Class) {
-		queue := []egraph.ClassID{cls.ID}
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			for _, c := range edges[id] {
-				if e := [2]egraph.ClassID{cls.ID, c}; !back[[2]egraph.ClassID{id, c}] && !reach[e] {
-					reach[e] = true
-					queue = append(queue, c)
-				}
+	return o
+}
+
+// reaches reports whether class to is strictly below class from along
+// edges that are not back edges. A class the walk did not see reaches
+// nothing and is reached by nothing.
+func (o naiveOrder) reaches(from, to egraph.ClassID) bool {
+	if int(from) >= len(o) || int(to) >= len(o) {
+		return false
+	}
+	seen := make([]bool, len(o))
+	queue := []egraph.ClassID{from}
+	for len(queue) > 0 {
+		id := queue[0]
+		queue = queue[1:]
+		for _, e := range o[id] {
+			if e.back || seen[e.to] {
+				continue
 			}
+			if e.to == to {
+				return true
+			}
+			seen[e.to] = true
+			queue = append(queue, e.to)
 		}
-	})
-	return reach
+	}
+	return false
 }
 
 // TestReachesAllocatesNothing checks that a query, on scratch a walk
