@@ -18,28 +18,31 @@ func chainGraph(n int) (*EGraph, []ClassID) {
 }
 
 // TestHotPathsAllocateNothing pins what the exploration loop leans on:
-// asking the e-graph for a node it already has, and reading a node or a
-// frozen view, allocate nothing.
+// asking the e-graph for a node it already has, with or without the
+// analysis data a new node would get, and reading a node or a frozen
+// view, allocate nothing.
 func TestHotPathsAllocateNothing(t *testing.T) {
 	g, ids := chainGraph(50)
 	children := []ClassID{ids[0], ids[20]}
 	present := Node{Op: 3, Children: children}
 	leaf := StrNode(1, "x")
+	data := new(int)
 	v := g.Freeze()
 	var sink ClassID
 	var nodes []ClassID
 	var node *Node
 	var stamp int64
 	for name, f := range map[string]func(){
-		"Add of a present node":    func() { sink = g.Add(present) },
-		"Add of a present leaf":    func() { sink = g.Add(leaf) },
-		"Lookup of a present node": func() { sink, _ = g.Lookup(present) },
-		"Lookup of an absent node": func() { sink, _ = g.Lookup(Node{Op: 9, Children: children}) },
-		"EGraph.Node":              func() { node = g.Node(ids[30]) },
-		"EGraph.NodeStamp":         func() { stamp = g.NodeStamp(ids[30]) },
-		"View.Find":                func() { sink = v.Find(ids[30]) },
-		"View.Nodes":               func() { nodes = v.Nodes(ids[30]) },
-		"View.Node":                func() { node = v.Node(ids[30]) },
+		"Add of a present node":     func() { sink = g.Add(present) },
+		"Add of a present leaf":     func() { sink = g.Add(leaf) },
+		"AddData of a present node": func() { sink = g.AddData(present, data) },
+		"Lookup of a present node":  func() { sink, _ = g.Lookup(present) },
+		"Lookup of an absent node":  func() { sink, _ = g.Lookup(Node{Op: 9, Children: children}) },
+		"EGraph.Node":               func() { node = g.Node(ids[30]) },
+		"EGraph.NodeStamp":          func() { stamp = g.NodeStamp(ids[30]) },
+		"View.Find":                 func() { sink = v.Find(ids[30]) },
+		"View.Nodes":                func() { nodes = v.Nodes(ids[30]) },
+		"View.Node":                 func() { node = v.Node(ids[30]) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", name, n)

@@ -9,9 +9,10 @@ package egraph
 //
 //	class.Data == Merge over nodes n in class of Make(g, n)
 //
-// Make is called when a node is first added; Merge joins the data of two
-// classes being unioned (and again whenever a node's recomputed data
-// must be folded into its class during rebuilding).
+// Make is called when a node is first added, unless AddData supplies
+// its data, which must equal Make's; Merge joins the data of two classes
+// being unioned (and again whenever a node's recomputed data must be
+// folded into its class during rebuilding).
 type Analysis interface {
 	// Make computes the analysis data for a single (canonical) node. It
 	// may read g (Class, Find) but must not change it, and n.Children

@@ -182,7 +182,13 @@ func (g *EGraph) Lookup(n Node) (ClassID, bool) {
 // node keeps its own copy of n's payload string and children, so
 // nothing of n outlives the call and a caller may build n's Children in
 // a stack buffer.
-func (g *EGraph) Add(n Node) ClassID {
+func (g *EGraph) Add(n Node) ClassID { return g.add(n, nil, false) }
+
+// AddData is Add for a caller that holds n's analysis data, which must
+// equal what Make would give it. An existing node keeps its class's.
+func (g *EGraph) AddData(n Node, data any) ClassID { return g.add(n, data, true) }
+
+func (g *EGraph) add(n Node, data any, supplied bool) ClassID {
 	query := g.canonical(&n)
 	if id, ok := g.memoFind(&query); ok {
 		return g.uf.find(id)
@@ -201,8 +207,10 @@ func (g *EGraph) Add(n Node) ClassID {
 	g.stamps = append(g.stamps, g.Stamp())
 	g.memoNext = append(g.memoNext, 0)
 	g.flags = append(g.flags, 0)
-	cls := &Class{ID: id, Nodes: []ClassID{id}, touched: g.version}
-	cls.Data = g.analysis.Make(g, cn)
+	cls := &Class{ID: id, Nodes: []ClassID{id}, Data: data, touched: g.version}
+	if !supplied {
+		cls.Data = g.analysis.Make(g, cn)
+	}
 	g.classes = append(g.classes, cls)
 	g.classCount++
 	for _, ch := range cn.Children {

@@ -1,7 +1,6 @@
 package pattern
 
 import (
-	"fmt"
 	"slices"
 
 	"tensat/internal/egraph"
@@ -20,7 +19,9 @@ import (
 // ClassIDs instead of a string-keyed map, and a match list (Matches) is
 // two pointer-free arrays the garbage collector never scans. The other
 // half of a rule is compiled the same way: a Target reads the bindings
-// by slot to shape-check and instantiate the rule's right-hand side.
+// by slot, and one bottom-up walk of it (Target.Walk) finds what of the
+// rule's right-hand side is present, shape-checks the rest and plans
+// its addition (Plan.Apply).
 //
 // The enumeration order is exactly the interpreter's: for every class
 // in the given scan order, nodes in class order, child choices nested
@@ -277,84 +278,102 @@ func CompileTarget(p *Pat, vars []string) *Target {
 // first-occurrence order. Callers must not modify the slice.
 func (t *Target) Slots() []int { return t.slots }
 
-// targetArity is the child count up to which Instantiate, Lookup and
-// InferMeta gather a node's children in a stack array (the tensor
-// operators take at most seven).
+// targetArity is the child count up to which a walk gathers a node's
+// children and their metas in stack arrays (the tensor operators take
+// at most seven).
 const targetArity = 8
 
-// Instantiate adds the target, with bind[slot] for each variable, to the
-// e-graph and returns the root class; out is the meta of the class the
-// root will be unioned with. Where every node already exists it
-// allocates nothing.
-func (t *Target) Instantiate(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta) egraph.ClassID {
-	id, _ := t.walk(g, bind, out, true)
-	return id
+// Plan is what one walk of a target found missing from the e-graph: the
+// nodes to add, in the order adding them creates them, each with the
+// meta the walk inferred, and the target's root. A planned node's child
+// below zero names planned node -c-1. A Plan is scratch reused from
+// walk to walk; the zero value is ready.
+type Plan struct {
+	nodes []plannedNode
+	kids  []egraph.ClassID // storage for the planned nodes' children
+	root  egraph.ClassID
 }
 
-// Lookup is Instantiate without adding: it walks the target the same
-// way but looks each operator up with EGraph.Lookup, and reports the
-// class Instantiate would return when every node is already present.
-// It changes nothing and allocates nothing.
-func (t *Target) Lookup(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta) (egraph.ClassID, bool) {
-	return t.walk(g, bind, out, false)
+type plannedNode struct {
+	n    egraph.Node
+	meta *tensor.Meta
+	id   egraph.ClassID // its class, once Apply added it
 }
 
-// walk is Instantiate when add is set and Lookup otherwise.
-func (t *Target) walk(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta, add bool) (egraph.ClassID, bool) {
+// Walk walks the target bottom-up over g, with bind[slot] for each
+// variable, and plans what g lacks. A variable yields its class and
+// that class's meta. An operator whose children are all present is
+// looked up: a hit yields its class and that class's meta; a miss, or
+// an operator over a planned child, is planned with the meta inferred
+// from its children's. A split under the root cuts where out, the meta
+// of the class the root joins, says (tensor.SplitBoundary).
+//
+// It returns the root's class (below zero when planned) and meta, or
+// ok=false when a slot is past bind (no source binds it) or an
+// inference fails. It changes nothing, and allocates nothing over a
+// present target.
+func (t *Target) Walk(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta, plan *Plan) (root egraph.ClassID, meta *tensor.Meta, ok bool) {
+	plan.nodes, plan.kids = plan.nodes[:0], plan.kids[:0]
+	plan.root, meta, ok = t.walk(g, bind, out, plan)
+	return plan.root, meta, ok
+}
+
+func (t *Target) walk(g *egraph.EGraph, bind []egraph.ClassID, out *tensor.Meta, plan *Plan) (egraph.ClassID, *tensor.Meta, bool) {
 	if t.slot >= 0 {
-		return g.Find(bind[t.slot]), true
+		if t.slot >= len(bind) {
+			return 0, nil, false
+		}
+		id := g.Find(bind[t.slot])
+		m, _ := g.Class(id).Data.(*tensor.Meta)
+		return id, m, true
 	}
-	var buf [targetArity]egraph.ClassID
-	children := buf[:0]
-	if len(t.children) > len(buf) {
-		children = make([]egraph.ClassID, 0, len(t.children))
-	}
+	var idBuf [targetArity]egraph.ClassID
+	var metaBuf [targetArity]*tensor.Meta
+	ids, metas := idBuf[:0], metaBuf[:0]
+	present := true
 	for i := range t.children {
-		id, ok := t.children[i].walk(g, bind, out, add)
+		id, m, ok := t.children[i].walk(g, bind, out, plan)
 		if !ok {
-			return 0, false
+			return 0, nil, false
 		}
-		children = append(children, id)
+		ids, metas = append(ids, id), append(metas, m)
+		present = present && id >= 0
 	}
-	n := egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: children}
+	n := egraph.Node{Op: egraph.Op(t.op), Int: t.i64, Str: t.str, Children: ids}
 	if t.op == tensor.OpSplit {
-		axis, _ := g.Class(children[0]).Data.(*tensor.Meta)
-		body, _ := g.Class(children[1]).Data.(*tensor.Meta)
-		n.Int = tensor.SplitBoundary(t.proj, axis, body, out)
+		n.Int = tensor.SplitBoundary(t.proj, metas[0], metas[1], out)
 	}
-	if add {
-		return g.Add(n), true
+	if present {
+		if id, ok := g.Lookup(n); ok {
+			m, _ := g.Class(id).Data.(*tensor.Meta)
+			return id, m, true
+		}
 	}
-	return g.Lookup(n)
+	m, err := tensor.Infer(t.op, n.Int, t.str, metas)
+	if err != nil {
+		return 0, nil, false
+	}
+	plan.kids = append(plan.kids, ids...)
+	kids := plan.kids[len(plan.kids)-len(ids):]
+	plan.nodes = append(plan.nodes, plannedNode{n: egraph.Node{Op: n.Op, Int: n.Int, Str: t.str, Children: kids}, meta: m})
+	return -egraph.ClassID(len(plan.nodes)), m, true
 }
 
-// InferMeta symbolically evaluates the target's shapes given the meta of
-// each variable slot and out, the meta of the class the root will be
-// unioned with. The rewrite engine uses it to shape-check a target
-// before applying a rewrite (§4): if any operator in the target is
-// ill-typed for the matched tensors, the rewrite is skipped.
-func (t *Target) InferMeta(metas []*tensor.Meta, out *tensor.Meta) (*tensor.Meta, error) {
-	if t.slot >= 0 {
-		if metas[t.slot] == nil {
-			return nil, fmt.Errorf("pattern: no meta for variable slot %d", t.slot)
+// Apply adds the planned nodes to g in order, each with the meta the
+// walk inferred (EGraph.AddData), and returns the class of the target's
+// root. A node added since the walk is found, not added again.
+func (p *Plan) Apply(g *egraph.EGraph) egraph.ClassID {
+	for i := range p.nodes {
+		pn := &p.nodes[i]
+		for k, c := range pn.n.Children {
+			if c < 0 {
+				pn.n.Children[k] = p.nodes[-c-1].id
+			}
 		}
-		return metas[t.slot], nil
+		pn.id = g.AddData(pn.n, pn.meta)
 	}
-	var buf [targetArity]*tensor.Meta
-	args := buf[:0]
-	if len(t.children) > len(buf) {
-		args = make([]*tensor.Meta, 0, len(t.children))
+	if p.root < 0 {
+		return p.nodes[-p.root-1].id
 	}
-	for i := range t.children {
-		m, err := t.children[i].InferMeta(metas, out)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, m)
-	}
-	at := t.i64
-	if t.op == tensor.OpSplit {
-		at = tensor.SplitBoundary(t.proj, args[0], args[1], out)
-	}
-	return tensor.Infer(t.op, at, t.str, args)
+	return p.root
 }

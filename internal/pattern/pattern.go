@@ -6,7 +6,6 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -209,20 +208,6 @@ func (s Subst) Clone() Subst {
 		c[k] = v
 	}
 	return c
-}
-
-// String renders the substitution deterministically for tests/logs.
-func (s Subst) String() string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=e%d", k, s[k])
-	}
-	return "{" + strings.Join(parts, " ") + "}"
 }
 
 // Match is one occurrence of a pattern: the e-class whose node matched

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"reflect"
 	"testing"
 
 	"tensat/internal/egraph"
@@ -68,10 +69,11 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-// buildMatmulEGraph ingests matmul(act=0, x, w) into an e-graph by hand.
+// buildMatmulEGraph ingests matmul(act=0, x, w) into an e-graph with
+// metas by hand.
 func buildMatmulEGraph(t *testing.T) (*egraph.EGraph, egraph.ClassID, egraph.ClassID, egraph.ClassID) {
 	t.Helper()
-	g := egraph.New(nil)
+	g := egraph.New(shapes{})
 	act := g.Add(egraph.IntNode(egraph.Op(tensor.OpInt), 0))
 	x := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x@8 32"))
 	w := g.Add(egraph.StrNode(egraph.Op(tensor.OpWeight), "w@32 16"))
@@ -215,30 +217,41 @@ func TestInferMetaShapeChecksTarget(t *testing.T) {
 	}
 }
 
-// TestTargetLookup checks the probe on a present and an absent target:
-// the present one reports the class Instantiate returns, the absent one
-// reports false and adds nothing, and neither allocates.
-func TestTargetLookup(t *testing.T) {
-	g := egraph.New(nil)
-	x := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x"))
-	y := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "y"))
+// TestTargetWalk checks the one walk of a target over an e-graph with
+// metas. A present target plans nothing, returns its class and that
+// class's meta, and allocates nothing. An absent one changes nothing
+// and plans its nodes, each with the meta the analysis's Make gives the
+// node Apply adds for it; a second walk then plans nothing and returns
+// the class Apply did. A variable whose slot is past the bindings fails.
+func TestTargetWalk(t *testing.T) {
+	g := egraph.New(shapes{})
+	x := g.Add(egraph.StrNode(egraph.Op(tensor.OpInput), "x@4 4"))
+	y := g.Add(egraph.StrNode(egraph.Op(tensor.OpWeight), "y@4 4"))
 	top := g.Add(egraph.NewNode(egraph.Op(tensor.OpRelu), g.Add(egraph.NewNode(egraph.Op(tensor.OpEwadd), x, y))))
 	tgt := CompileTarget(MustParse("(relu (ewadd ?a ?b))"), []string{"?a", "?b"})
 	present, absent := []egraph.ClassID{x, y}, []egraph.ClassID{y, x}
-	if id, ok := tgt.Lookup(g, present, nil); !ok || id != top {
-		t.Fatalf("present target: Lookup = e%d, %v; want e%d, true", id, ok, top)
+	var plan Plan
+	if id, m, ok := tgt.Walk(g, present, nil, &plan); !ok || id != top || m != g.Class(top).Data || len(plan.nodes) != 0 {
+		t.Fatalf("present target: Walk = e%d, %v, %v with %d planned; want e%d, its meta, true, none", id, m, ok, len(plan.nodes), top)
+	}
+	if n := testing.AllocsPerRun(100, func() { tgt.Walk(g, present, nil, &plan) }); n != 0 {
+		t.Errorf("Walk of the present target: %v allocations per run, want 0", n)
 	}
 	stamp := g.Stamp()
-	if _, ok := tgt.Lookup(g, absent, nil); ok || g.Stamp() != stamp {
-		t.Fatalf("absent target: ok = %v, stamp %d -> %d", ok, stamp, g.Stamp())
+	if id, _, ok := tgt.Walk(g, absent, nil, &plan); !ok || id >= 0 || len(plan.nodes) != 2 || g.Stamp() != stamp {
+		t.Fatalf("absent target: Walk = e%d, %v with %d planned, stamp %d -> %d", id, ok, len(plan.nodes), stamp, g.Stamp())
 	}
-	for name, bind := range map[string][]egraph.ClassID{"present": present, "absent": absent} {
-		if n := testing.AllocsPerRun(100, func() { tgt.Lookup(g, bind, nil) }); n != 0 {
-			t.Errorf("Lookup of the %s target: %v allocations per run, want 0", name, n)
+	got := plan.Apply(g)
+	for _, pn := range plan.nodes {
+		if m := g.Class(pn.id).Data; m != pn.meta || !reflect.DeepEqual(shapes{}.Make(g, *g.Node(pn.id)), m) {
+			t.Errorf("planned %s: class meta %v, planned %v, Make %v", g.NodeString(*g.Node(pn.id)), m, pn.meta, shapes{}.Make(g, *g.Node(pn.id)))
 		}
 	}
-	if id := tgt.Instantiate(g, present, nil); id != top || g.Stamp() != stamp {
-		t.Fatalf("Instantiate of the present target returned e%d and moved the stamp to %d", id, g.Stamp())
+	if id, _, ok := tgt.Walk(g, absent, nil, &plan); !ok || id != got || len(plan.nodes) != 0 {
+		t.Fatalf("after Apply: Walk = e%d, %v with %d planned; want e%d, none", id, ok, len(plan.nodes), got)
+	}
+	if _, _, ok := tgt.Walk(g, present[:1], nil, &plan); ok {
+		t.Fatal("a variable past the bindings walked")
 	}
 }
 

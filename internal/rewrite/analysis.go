@@ -16,31 +16,21 @@ import (
 // of egg's analysis feature for shape checking (§6). Data is *tensor.Meta.
 type ShapeAnalysis struct{}
 
-// Make infers the meta of a freshly added node from its children's
-// metas. Nodes are only added after shape checking, so inference is
-// expected to succeed; a nil result marks an invalid class defensively.
+// Make infers a node's meta from its children's, for ingest and rebuild:
+// a rewrite adds its nodes with the metas its shape check inferred
+// (pattern.Plan). A nil result marks an invalid class defensively.
 //
 //lint:ctxflow-exempt loop is bounded by the node's arity (at most a handful of children)
 func (ShapeAnalysis) Make(g *egraph.EGraph, n egraph.Node) any {
-	// A stack buffer: the tensor operators take at most seven inputs, and
-	// tensor.Infer keeps no reference to args.
-	var buf [8]*tensor.Meta
+	var buf [8]*tensor.Meta // the operators take at most seven inputs; Infer keeps no args
 	args := buf[:0]
-	if len(n.Children) > len(buf) {
-		args = make([]*tensor.Meta, 0, len(n.Children))
-	}
 	for _, c := range n.Children {
-		m, _ := g.Class(c).Data.(*tensor.Meta)
-		if m == nil {
-			return (*tensor.Meta)(nil)
-		}
-		args = append(args, m)
+		args = append(args, ClassMeta(g, c)) // Infer rejects a nil one
 	}
-	m, err := tensor.Infer(tensor.Op(n.Op), n.Int, n.Str, args)
-	if err != nil {
-		return (*tensor.Meta)(nil)
+	if m, err := tensor.Infer(tensor.Op(n.Op), n.Int, n.Str, args); err == nil {
+		return m
 	}
-	return m
+	return (*tensor.Meta)(nil)
 }
 
 // Merge joins two class metas. The runner unions only classes whose

@@ -34,8 +34,8 @@ type compiledPat struct {
 
 // compiledRule is one rule over binding slots. vars numbers the rule's
 // variables: those its sources bind first (in first-occurrence order),
-// then any a target names that no source binds — such a slot is never
-// filled, so the target fails its shape check and the rule never fires.
+// then any a target names that no source binds — such a slot is past
+// the walk's bindings, bind[:bound], so the rule never fires.
 type compiledRule struct {
 	vars    []string
 	bound   int // vars[:bound] are bound by the sources

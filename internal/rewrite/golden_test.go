@@ -218,8 +218,8 @@ func TestExploreDeterministicInProcess(t *testing.T) {
 }
 
 // BenchmarkExplore times one pass over the six zoo_explore rows of the
-// benchmark, exploration only: search, rule application (the redundancy
-// probe, shape checks, cycle pre-filter, instantiation) and rebuild.
+// benchmark, exploration only: search, rule application (one walk per
+// target, cycle pre-filter, adding the planned nodes) and rebuild.
 // The models are built once, outside the timer.
 func BenchmarkExplore(b *testing.B) {
 	rows := exploreRows()[:6]

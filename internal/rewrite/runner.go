@@ -86,10 +86,10 @@ type Stats struct {
 	EClasses      int        // final e-class count
 	ExploreTime   time.Duration
 	// ApplyTime and RebuildTime split out the remainder of ExploreTime:
-	// the rule-application loop (redundancy probes, shape checks, cycle
-	// pre-filtering, instantiation and unions, but not the pattern scans
-	// it runs) and the congruence rebuild plus cycle post-processing,
-	// each summed over iterations.
+	// the rule-application loop (target walks, Cond, cycle pre-filter,
+	// planned nodes and unions, but not the pattern scans it runs) and
+	// the congruence rebuild plus cycle post-processing, each summed
+	// over iterations.
 	ApplyTime   time.Duration
 	RebuildTime time.Duration
 	// SearchTime is the part of ExploreTime spent in e-matching search,
@@ -158,13 +158,13 @@ type Runner struct {
 	Progress func(iteration, enodes, eclasses int)
 	// Trace, when non-nil, receives phase spans: an "explore" span
 	// containing one "iteration" span per iteration — each with
-	// "search" (the freeze and dirty sets), "apply" (the
-	// rule loop, with the classes its on-demand scans visited, the
-	// matches they listed, and how many matches it considered, found
-	// redundant and applied) and "rebuild" children, annotated with
-	// e-node / e-class deltas — and a closing "filter" span for the
-	// final cycle pass. A nil Trace records nothing and costs a nil
-	// check per phase boundary.
+	// "search" (the freeze and dirty sets), "apply" (the rule loop,
+	// one target walk per match, with the classes its on-demand scans
+	// visited, the matches they listed, and how many matches it
+	// considered, found redundant and applied) and "rebuild" children,
+	// annotated with e-node / e-class deltas — and a closing "filter"
+	// span for the final cycle pass. A nil Trace records nothing and
+	// costs a nil check per phase boundary.
 	Trace *obs.Trace
 }
 
@@ -359,9 +359,9 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 
 	// apply considers one match of a rule: matched[i] is the class its
 	// i-th source matched at and bind the rule's variables by slot. The
-	// rule loop below sizes matched, bind and metas for each rule.
+	// rule loop below sizes matched, bind and plans (one per target).
 	var matched, bind []egraph.ClassID
-	var metas []*tensor.Meta // per slot; nil at a slot no source binds
+	var plans []pattern.Plan
 	apply := func(rule *Rule, c *compiledRule) {
 		// Chaos hook: a fault armed at rewrite.apply models a buggy rule.
 		// Apply has no error channel, so an injected error panics too —
@@ -369,32 +369,25 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 		if err := fault.Check("rewrite.apply"); err != nil {
 			panic(err)
 		}
-		// A match whose every target is already in its matched class
-		// would add no node and union only equal classes: Lookup is Add's
-		// hit branch, so skipping it leaves the e-graph as applying would,
-		// whatever the checks below decide.
-		redundant := true
-		for i, tgt := range c.targets {
-			if id, ok := tgt.Lookup(g, bind, ClassMeta(g, matched[i])); !ok || id != g.Find(matched[i]) {
-				redundant = false
-				break
-			}
+		// One walk per target decides. A match whose every target is
+		// already in its matched class would add no node and union only
+		// equal classes, whatever the checks below decide. Otherwise
+		// shape checking (§4) needs each target to infer what its class
+		// holds.
+		redundant, fits := true, true
+		for i := 0; i < len(c.targets) && (redundant || fits); i++ {
+			out := ClassMeta(g, matched[i])
+			id, m, ok := c.targets[i].Walk(g, bind[:c.bound], out, &plans[i])
+			redundant = redundant && ok && id == g.Find(matched[i])
+			fits = fits && ok && m != nil && out != nil && m.Equivalent(out)
 		}
 		if redundant {
 			ex.Stats.Redundant++
 			return
 		}
-		// Shape checking (§4) over every target pattern: each must infer,
-		// and infer what the class it joins holds.
-		for slot, id := range bind[:c.bound] {
-			metas[slot] = ClassMeta(g, id)
-		}
-		for i, tgt := range c.targets {
-			out := ClassMeta(g, matched[i])
-			if m, err := tgt.InferMeta(metas, out); err != nil || out == nil || !m.Equivalent(out) {
-				ex.Stats.SkippedShape++
-				return
-			}
+		if !fits {
+			ex.Stats.SkippedShape++
+			return
 		}
 		if rule.Cond != nil {
 			subst := make(pattern.Subst, c.bound)
@@ -423,11 +416,11 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 				}
 			}
 		}
-		// APPLY: instantiate each target and union with its matched
-		// output. A match that is not redundant adds a node or merges two
-		// classes, so it changes the e-graph.
-		for i, tgt := range c.targets {
-			g.Union(tgt.Instantiate(g, bind, ClassMeta(g, matched[i])), matched[i])
+		// APPLY: add each target's planned nodes and union its root with
+		// its matched output. A match that is not redundant adds a node or
+		// merges two classes, so it changes the e-graph.
+		for i := range c.targets {
+			g.Union(plans[i].Apply(g), matched[i])
 		}
 		ex.Stats.Applied++
 	}
@@ -445,7 +438,9 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 		e.search(c)
 		matched = append(matched[:0], make([]egraph.ClassID, len(c.sources))...)
 		bind = append(bind[:0], make([]egraph.ClassID, len(c.vars))...)
-		metas = append(metas[:0], make([]*tensor.Meta, len(c.vars))...)
+		if len(plans) < len(c.targets) {
+			plans = make([]pattern.Plan, len(c.targets))
+		}
 		// Every rule, single- or multi-pattern, applies the cartesian
 		// product of its sources' match lists (Algorithm 1, lines 11-21).
 		// A search a stop cut short leaves nothing to visit.

@@ -75,20 +75,36 @@ func TestSingleRuleSaturates(t *testing.T) {
 	}
 }
 
+// TestShapeCheckBlocksBadRewrite runs rules whose targets must not pass
+// the shape check. One swaps matmul operands that cannot multiply (x:
+// 4x8, y: 8x16). The other is a hand-built Rule whose target names a
+// variable no source binds: NewRule refuses such a rule, but Rule is a
+// plain struct, and the compiled rule leaves that variable's slot
+// unfilled, which must not read as class 0 (the input x, with whose
+// shape the target would fit).
 func TestShapeCheckBlocksBadRewrite(t *testing.T) {
-	// x: 4x8, y: 8x16. The bogus rule (matmul ?a ?x ?y) => (matmul ?a ?y ?x)
-	// is shape-incompatible and must be skipped.
 	b := tensor.NewBuilder()
 	x := b.Input("x", 4, 8)
 	y := b.Weight("y", 8, 16)
-	g := b.MustFinish(b.Matmul(tensor.ActNone, x, y))
-	r := NewRunner([]*Rule{MustRule("bogus-swap", "(matmul ?a ?x ?y)", "(matmul ?a ?y ?x)")})
-	ex, err := r.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Stats.Applied != 0 || ex.Stats.SkippedShape == 0 {
-		t.Fatalf("shape check failed to block: %+v", ex.Stats)
+	matmul := b.MustFinish(b.Matmul(tensor.ActNone, x, y))
+	b = tensor.NewBuilder()
+	relu := b.MustFinish(b.Relu(b.Input("x", 4, 4)))
+	for _, tc := range []struct {
+		g    *tensor.Graph
+		rule *Rule
+	}{
+		{matmul, MustRule("bogus-swap", "(matmul ?a ?x ?y)", "(matmul ?a ?y ?x)")},
+		{relu, &Rule{Name: "unbound-target-variable",
+			Sources: []*pattern.Pat{pattern.MustParse("(relu ?x)")},
+			Targets: []*pattern.Pat{pattern.MustParse("(ewadd ?x ?y)")}}},
+	} {
+		ex, err := NewRunner([]*Rule{tc.rule}).Run(tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Stats.Applied != 0 || ex.Stats.SkippedShape == 0 {
+			t.Errorf("%s: shape check failed to block: %+v", tc.rule.Name, ex.Stats)
+		}
 	}
 }
 
