@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tensat/internal/egraph"
-	"tensat/internal/pattern"
 	"tensat/internal/tensor"
 )
 
@@ -41,7 +39,7 @@ func TestCancelAbortsMultiEnumeration(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls, afterCancel := 0, 0
-	rule.Cond = func(_ *egraph.EGraph, _ pattern.Subst) bool {
+	rule.Cond = func(func(string) *tensor.Meta) bool {
 		calls++
 		if calls == 5 {
 			cancel()
@@ -82,7 +80,7 @@ func TestCanceledRunNeverSaturated(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rule := MustRule("gated", "(relu ?x)", "(relu (relu ?x))")
-	rule.Cond = func(_ *egraph.EGraph, _ pattern.Subst) bool {
+	rule.Cond = func(func(string) *tensor.Meta) bool {
 		cancel() // the request dies mid-iteration
 		return false
 	}
@@ -109,7 +107,7 @@ func TestTimedOutRunNeverSaturated(t *testing.T) {
 	g := b.MustFinish(b.Relu(x))
 
 	rule := MustRule("gated", "(relu ?x)", "(relu (relu ?x))")
-	rule.Cond = func(_ *egraph.EGraph, _ pattern.Subst) bool {
+	rule.Cond = func(func(string) *tensor.Meta) bool {
 		time.Sleep(30 * time.Millisecond) // outlive the budget mid-iteration
 		return false
 	}

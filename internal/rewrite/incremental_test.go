@@ -170,6 +170,5 @@ func TestIncrementalSearchSeesRepairedMatch(t *testing.T) {
 func searchOnly(g *egraph.EGraph, cr *CompiledRules) *exploration {
 	r := NewRunner(cr.Rules)
 	r.Compiled = cr
-	e := r.newExploration(&Explored{G: g}, time.Now(), nil)
-	return &e
+	return r.newExploration(&Explored{G: g}, time.Now(), nil)
 }

@@ -133,7 +133,13 @@ func (ref *referenceRun) apply(rule *Rule, s pattern.Subst, matched []egraph.Cla
 			return
 		}
 	}
-	if rule.Cond != nil && !rule.Cond(g, s) {
+	meta := func(v string) *tensor.Meta {
+		if id, ok := s[v]; ok {
+			return ClassMeta(g, id)
+		}
+		return nil
+	}
+	if rule.Cond != nil && !rule.Cond(meta) {
 		stats.SkippedShape++
 		return
 	}

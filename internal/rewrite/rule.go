@@ -3,8 +3,8 @@ package rewrite
 import (
 	"fmt"
 
-	"tensat/internal/egraph"
 	"tensat/internal/pattern"
+	"tensat/internal/tensor"
 )
 
 // Rule is a rewrite rule (§3.2): one or more source patterns matched
@@ -18,8 +18,13 @@ type Rule struct {
 
 	// Cond, when non-nil, is an extra applicability predicate checked
 	// after the syntactic match and shape check (egg-style conditional
-	// rewrites, footnote 3 of the paper).
-	Cond func(g *egraph.EGraph, s pattern.Subst) bool
+	// rewrites, footnote 3 of the paper). It reads only the metas of the
+	// match's bindings: meta(v) is the meta of whatever source variable
+	// v is bound to, nil for a name no source binds. So every engine
+	// that applies rules answers it the same way: the e-graph runner
+	// from class metas, the TASO baseline from graph nodes, and the
+	// static verifier (rulecheck) from witness metas.
+	Cond func(meta func(v string) *tensor.Meta) bool
 }
 
 // IsMulti reports whether the rule has multiple matched outputs.

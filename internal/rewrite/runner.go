@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"tensat/internal/egraph"
@@ -264,12 +265,21 @@ type exploration struct {
 	lim      Limits
 	deadline time.Time
 	done     <-chan struct{}
+
+	// The match in hand: c is its compiled rule, matched[i] the class
+	// its i-th source matched at, bind the rule's variables by slot and
+	// plans one per target. meta, made once per run, is what Cond
+	// reads it through (bindingMeta).
+	c       *compiledRule
+	matched []egraph.ClassID
+	bind    []egraph.ClassID
+	plans   []pattern.Plan
+	meta    func(v string) *tensor.Meta
 }
 
 // newExploration sets up a run of r over ex, started at start, that
-// done cancels. The run is a value so that it lives on its caller's
-// stack.
-func (r *Runner) newExploration(ex *Explored, start time.Time, done <-chan struct{}) exploration {
+// done cancels.
+func (r *Runner) newExploration(ex *Explored, start time.Time, done <-chan struct{}) *exploration {
 	// MaxNodes/Timeout zero means "default"; MaxIters 0 is honored as-is
 	// (an explicit "do not explore"), matching the k_multi=0 baseline.
 	lim, def := r.Limits, DefaultLimits()
@@ -287,8 +297,19 @@ func (r *Runner) newExploration(ex *Explored, start time.Time, done <-chan struc
 		cr = CompileRules(r.Rules)
 	}
 	st := searchState{pats: make([]patState, len(cr.pats)), dirty: make(map[uint64][]bool)}
-	return exploration{r: r, ex: ex, g: ex.G, cr: cr, st: st,
+	e := &exploration{r: r, ex: ex, g: ex.G, cr: cr, st: st,
 		lim: lim, deadline: start.Add(lim.Timeout), done: done}
+	e.meta = e.bindingMeta
+	return e
+}
+
+// bindingMeta is Rule.Cond's view of the match in hand: the meta of the
+// class variable v is bound to, nil for a name no source binds.
+func (e *exploration) bindingMeta(v string) *tensor.Meta {
+	if slot := slices.Index(e.c.vars[:e.c.bound], v); slot >= 0 {
+		return ClassMeta(e.g, e.bind[slot])
+	}
+	return nil
 }
 
 // stop is the one place exploration decides to end early. It tests
@@ -357,74 +378,6 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 	ex.Stats.SearchTime += time.Since(searchStart)
 	r.Trace.End()
 
-	// apply considers one match of a rule: matched[i] is the class its
-	// i-th source matched at and bind the rule's variables by slot. The
-	// rule loop below sizes matched, bind and plans (one per target).
-	var matched, bind []egraph.ClassID
-	var plans []pattern.Plan
-	apply := func(rule *Rule, c *compiledRule) {
-		// Chaos hook: a fault armed at rewrite.apply models a buggy rule.
-		// Apply has no error channel, so an injected error panics too —
-		// the job-level recovery barrier is exactly what it exercises.
-		if err := fault.Check("rewrite.apply"); err != nil {
-			panic(err)
-		}
-		// One walk per target decides. A match whose every target is
-		// already in its matched class would add no node and union only
-		// equal classes, whatever the checks below decide. Otherwise
-		// shape checking (§4) needs each target to infer what its class
-		// holds.
-		redundant, fits := true, true
-		for i := 0; i < len(c.targets) && (redundant || fits); i++ {
-			out := ClassMeta(g, matched[i])
-			id, m, ok := c.targets[i].Walk(g, bind[:c.bound], out, &plans[i])
-			redundant = redundant && ok && id == g.Find(matched[i])
-			fits = fits && ok && m != nil && out != nil && m.Equivalent(out)
-		}
-		if redundant {
-			ex.Stats.Redundant++
-			return
-		}
-		if !fits {
-			ex.Stats.SkippedShape++
-			return
-		}
-		if rule.Cond != nil {
-			subst := make(pattern.Subst, c.bound)
-			for slot, id := range bind[:c.bound] {
-				subst[c.vars[slot]] = id
-			}
-			if !rule.Cond(g, subst) {
-				ex.Stats.SkippedShape++
-				return
-			}
-		}
-		// Cycle pre-filtering: the efficient filter reads the frozen view,
-		// the graph its order numbers, since the live class lists grow
-		// as rules apply.
-		if r.Filter != FilterNone {
-			var src classGraph = st.view
-			if r.Filter == FilterVanilla {
-				// Vanilla: a full walk of the live e-graph per substitution.
-				e.cycles.findCycles(g, &ex.Filtered)
-				src = liveGraph{g}
-			}
-			for i, tgt := range c.targets {
-				if e.cycles.willCreateCycle(g, src, &ex.Filtered, tgt, bind, matched[i]) {
-					ex.Stats.SkippedCycle++
-					return
-				}
-			}
-		}
-		// APPLY: add each target's planned nodes and union its root with
-		// its matched output. A match that is not redundant adds a node or
-		// merges two classes, so it changes the e-graph.
-		for i := range c.targets {
-			g.Union(plans[i].Apply(g), matched[i])
-		}
-		ex.Stats.Applied++
-	}
-
 	r.Trace.Begin("apply")
 	applyStart, searchBefore := time.Now(), ex.Stats.SearchTime
 	for ri, rule := range r.Rules {
@@ -436,15 +389,16 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 		}
 		c := &e.cr.rules[ri]
 		e.search(c)
-		matched = append(matched[:0], make([]egraph.ClassID, len(c.sources))...)
-		bind = append(bind[:0], make([]egraph.ClassID, len(c.vars))...)
-		if len(plans) < len(c.targets) {
-			plans = make([]pattern.Plan, len(c.targets))
+		e.c = c
+		e.matched = append(e.matched[:0], make([]egraph.ClassID, len(c.sources))...)
+		e.bind = append(e.bind[:0], make([]egraph.ClassID, len(c.vars))...)
+		if len(e.plans) < len(c.targets) {
+			e.plans = make([]pattern.Plan, len(c.targets))
 		}
 		// Every rule, single- or multi-pattern, applies the cartesian
 		// product of its sources' match lists (Algorithm 1, lines 11-21).
 		// A search a stop cut short leaves nothing to visit.
-		e.enumerate(c, matched, bind, func() { apply(rule, c) })
+		e.enumerate(rule)
 	}
 	ex.Stats.ApplyTime += time.Since(applyStart) - (ex.Stats.SearchTime - searchBefore)
 	r.Trace.Attr("scanned", int64(ex.Stats.SearchScanned-scannedBefore))
@@ -470,6 +424,62 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 	r.Trace.Attr("eclasses_delta", int64(g.ClassCount()-classesBefore))
 	r.Trace.End()
 	return ex.Stats.Applied != appliedBefore
+}
+
+// apply considers the match in hand of rule.
+func (e *exploration) apply(rule *Rule) {
+	r, ex, g, c := e.r, e.ex, e.g, e.c
+	matched, bind, plans := e.matched, e.bind, e.plans
+	// Chaos hook: a fault armed at rewrite.apply models a buggy rule.
+	// Apply has no error channel, so an injected error panics too —
+	// the job-level recovery barrier is exactly what it exercises.
+	if err := fault.Check("rewrite.apply"); err != nil {
+		panic(err)
+	}
+	// One walk per target decides. A match whose every target is
+	// already in its matched class would add no node and union only
+	// equal classes, whatever the checks below decide. Otherwise
+	// shape checking (§4) needs each target to infer what its class
+	// holds.
+	redundant, fits := true, true
+	for i := 0; i < len(c.targets) && (redundant || fits); i++ {
+		out := ClassMeta(g, matched[i])
+		id, m, ok := c.targets[i].Walk(g, bind[:c.bound], out, &plans[i])
+		redundant = redundant && ok && id == g.Find(matched[i])
+		fits = fits && ok && m != nil && out != nil && m.Equivalent(out)
+	}
+	if redundant {
+		ex.Stats.Redundant++
+		return
+	}
+	if !fits || rule.Cond != nil && !rule.Cond(e.meta) {
+		ex.Stats.SkippedShape++
+		return
+	}
+	// Cycle pre-filtering: the efficient filter reads the frozen view,
+	// the graph its order numbers, since the live class lists grow
+	// as rules apply.
+	if r.Filter != FilterNone {
+		var src classGraph = e.st.view
+		if r.Filter == FilterVanilla {
+			// Vanilla: a full walk of the live e-graph per substitution.
+			e.cycles.findCycles(g, &ex.Filtered)
+			src = liveGraph{g}
+		}
+		for i, tgt := range c.targets {
+			if e.cycles.willCreateCycle(g, src, &ex.Filtered, tgt, bind, matched[i]) {
+				ex.Stats.SkippedCycle++
+				return
+			}
+		}
+	}
+	// APPLY: add each target's planned nodes and union its root with
+	// its matched output. A match that is not redundant adds a node or
+	// merges two classes, so it changes the e-graph.
+	for i := range c.targets {
+		g.Union(plans[i].Apply(g), matched[i])
+	}
+	ex.Stats.Applied++
 }
 
 // searchShardSize bounds how many classes one scan visits before the
@@ -569,19 +579,19 @@ func (e *exploration) update(i int) {
 	stats.SearchMatches += p.matches.Len()
 }
 
-// enumerate visits a rule's matches: the combinations of one match per
+// enumerate visits rule's matches: the combinations of one match per
 // source, taken from the per-source match lists, that agree on the
 // variables sources share (Algorithm 1's COMPATIBLE). It backtracks
-// over the sources in order: source i's match goes into matched[i] and
-// its bindings into the rule's slots of bind, and visit is called on
-// each full combination, counted in Stats.Matches. A single-pattern
+// over the sources of e.c in order: source i's match goes into
+// e.matched[i] and its bindings into the rule's slots of e.bind, and
+// each full combination is counted in Stats.Matches and applied. A single-pattern
 // rule is the one-source case: it shares no variable, so every match
 // of its list is visited once, in list order. The stop check runs
 // before every step of the recursion, reading the clock every 256th;
 // once it holds, the entire recursion unwinds, so no sibling branch of
 // the cartesian product keeps enumerating after the budget is gone.
-func (e *exploration) enumerate(c *compiledRule, matched, bind []egraph.ClassID, visit func()) {
-	g, stats := e.g, &e.ex.Stats
+func (e *exploration) enumerate(rule *Rule) {
+	g, stats, c, matched, bind := e.g, &e.ex.Stats, e.c, e.matched, e.bind
 	visited := 0
 	var rec func(i int) bool // false once the stop check holds
 	rec = func(i int) bool {
@@ -590,7 +600,7 @@ func (e *exploration) enumerate(c *compiledRule, matched, bind []egraph.ClassID,
 		}
 		if i == len(c.sources) {
 			stats.Matches++
-			visit()
+			e.apply(rule)
 			return true
 		}
 		ref := c.sources[i]

@@ -114,7 +114,7 @@ func TestConditionBlocksRewrite(t *testing.T) {
 	g := b.MustFinish(b.Relu(x))
 	rule := MustRule("gated", "(relu ?x)", "(relu (relu ?x))")
 	calls := 0
-	rule.Cond = func(_ *egraph.EGraph, _ pattern.Subst) bool {
+	rule.Cond = func(func(string) *tensor.Meta) bool {
 		calls++
 		return false
 	}

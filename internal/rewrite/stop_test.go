@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"tensat/internal/egraph"
 	"tensat/internal/models"
-	"tensat/internal/pattern"
 	"tensat/internal/rewrite"
 	"tensat/internal/rules"
 	"tensat/internal/tensor"
@@ -28,7 +26,7 @@ func TestStopCause(t *testing.T) {
 	// 10 ms budget the timeout case gives.
 	sleepy := func() []*rewrite.Rule {
 		r := rewrite.MustRule("gated", "(ewadd ?x ?y)", "(ewadd ?y ?x)")
-		r.Cond = func(*egraph.EGraph, pattern.Subst) bool {
+		r.Cond = func(func(string) *tensor.Meta) bool {
 			time.Sleep(30 * time.Millisecond)
 			return false
 		}

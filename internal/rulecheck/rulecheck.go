@@ -16,7 +16,8 @@
 // (tensor.Infer via the pattern walker):
 //
 //   - shape-unsound (error): some witness makes every source AND every
-//     target well-typed, but a target's meta differs from its source's.
+//     target well-typed, and satisfies the rule's condition if it has
+//     one, but a target's meta differs from its source's.
 //     Applying the rule on that witness would change the value's shape.
 //   - no-witness (warning): no catalog assignment makes the sources
 //     well-typed. The rule can never fire on shapes like the catalog's
@@ -29,11 +30,11 @@
 //     choose the rewritten form (the silent-degradation bug this check
 //     exists for).
 //
-// Rules with a Go-side applicability condition (Rule.Cond, builtin
-// only) are exempt from the shape-equivalence check — the condition
-// encodes exactly when the rewrite is sound, and it cannot be
-// evaluated without an e-graph — but still get the witness-existence
-// and cost checks.
+// A rule with a Go-side applicability condition (Rule.Cond, builtin
+// only) is checked like any other: the condition reads only the metas
+// of the rule's bindings, so it is evaluated on each witness, and a
+// witness on which it fails is not applicable — the engines would not
+// apply the rule there either.
 //
 // Variable escape (a target variable unbound by any source) is
 // rejected earlier, by rewrite.Rule validation at parse time; it
@@ -43,7 +44,6 @@ package rulecheck
 import (
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -108,13 +108,10 @@ func CheckRules(source string, rs []*rewrite.Rule, model cost.Model) []Finding {
 	return out
 }
 
-// CheckFile parses and verifies one .rules file.
+// CheckFile loads and verifies one .rules file as a registry would
+// (rules.LoadFile): a file it refuses is one load-error finding.
 func CheckFile(path string, model cost.Model) []Finding {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return []Finding{{Source: path, Class: ClassLoadError, Severity: SevError, Detail: err.Error()}}
-	}
-	rs, err := rules.ParseRuleSet(path, data)
+	_, rs, err := rules.LoadFile(path)
 	if err != nil {
 		return []Finding{{Source: path, Class: ClassLoadError, Severity: SevError, Detail: err.Error()}}
 	}
@@ -192,11 +189,6 @@ func checkRule(source string, r *rewrite.Rule, model cost.Model, out *[]Finding)
 		if unsound != nil {
 			break
 		}
-		if r.Cond != nil && targetOK > 0 {
-			// Conditional rules get existence and cost checks only; one
-			// witness with well-typed sources and targets settles both.
-			break
-		}
 		// Odometer over the candidate lists.
 		i := 0
 		for ; i < len(idx); i++ {
@@ -223,7 +215,7 @@ func checkRule(source string, r *rewrite.Rule, model cost.Model, out *[]Finding)
 			Source: source, Rule: r.Name, Class: ClassNoWitness, Severity: SevWarning,
 			Detail: fmt.Sprintf("no assignment from %s makes the source pattern(s) well-typed: check operator arities and argument kinds", scanned),
 		})
-	case r.Cond == nil && targetOK == 0:
+	case targetOK == 0:
 		*out = append(*out, Finding{
 			Source: source, Rule: r.Name, Class: ClassDeadTarget, Severity: SevWarning,
 			Detail: fmt.Sprintf("sources matched %d witness(es) from %s but the target is never well-typed: the rule is dead weight", applicable, scanned),
@@ -244,9 +236,10 @@ func checkRule(source string, r *rewrite.Rule, model cost.Model, out *[]Finding)
 	}
 }
 
-// checkWitness evaluates one variable assignment: counts it if every
-// source infers; for unconditional rules, additionally infers the
-// targets and compares metas pairwise.
+// checkWitness evaluates one variable assignment: counts it as
+// applicable if every source infers and the rule's condition holds on
+// the witness metas, then infers the targets and compares metas
+// pairwise.
 func checkWitness(source string, r *rewrite.Rule, bind map[string]*tensor.Meta,
 	visit func(*pattern.Pat, int64, []*tensor.Meta, *tensor.Meta), applicable, targetOK *int, unsound **Finding) {
 	srcMetas := make([]*tensor.Meta, len(r.Sources))
@@ -256,6 +249,9 @@ func checkWitness(source string, r *rewrite.Rule, bind map[string]*tensor.Meta,
 			return
 		}
 		srcMetas[i] = m
+	}
+	if r.Cond != nil && !r.Cond(func(v string) *tensor.Meta { return bind[v] }) {
+		return
 	}
 	*applicable++
 	tgtMetas := make([]*tensor.Meta, len(r.Targets))
@@ -267,9 +263,6 @@ func checkWitness(source string, r *rewrite.Rule, bind map[string]*tensor.Meta,
 		tgtMetas[i] = m
 	}
 	*targetOK++
-	if r.Cond != nil {
-		return
-	}
 	for i := range srcMetas {
 		if !srcMetas[i].Equivalent(tgtMetas[i]) {
 			*unsound = &Finding{

@@ -213,3 +213,40 @@ func renderFindings(fs []Finding) string {
 	}
 	return b.String()
 }
+
+// TestConditionalRulesAreChecked vets each conditional builtin as
+// shipped and with a condition that always holds. The condition is
+// evaluated on every witness, so the shipped rules are clean and
+// transpose-inverse without its condition is caught by shapes alone.
+// merge-gconv without its condition stays shape-sound: its fault (a
+// merge where cout differs from C) shows only by execution.
+func TestConditionalRulesAreChecked(t *testing.T) {
+	byName := make(map[string]*rewrite.Rule)
+	for _, r := range rules.Default() {
+		byName[r.Name] = r
+	}
+	for _, tc := range []struct {
+		rule    string
+		unsound string // the shape-unsound witness without the condition, "" for none
+	}{
+		{"transpose-inverse", `?p=S("0 1") ?q=S("1 0") ?x=T[2 3]`},
+		{"merge-gconv", ""},
+	} {
+		r := byName[tc.rule]
+		if r == nil || r.Cond == nil {
+			t.Fatalf("%s: not a conditional builtin", tc.rule)
+		}
+		if fs := CheckRules("builtin", []*rewrite.Rule{r}, cost.NewT4()); len(fs) != 0 {
+			t.Errorf("%s as shipped has findings:\n%s", tc.rule, renderFindings(fs))
+		}
+		always := *r
+		always.Cond = func(func(string) *tensor.Meta) bool { return true }
+		fs := CheckRules("test", []*rewrite.Rule{&always}, cost.NewT4())
+		switch {
+		case tc.unsound == "" && HasErrors(fs):
+			t.Errorf("%s without its condition: want shape-sound, got:\n%s", tc.rule, renderFindings(fs))
+		case tc.unsound != "" && (len(fs) != 1 || fs[0].Class != ClassShapeUnsound || !strings.Contains(fs[0].Detail, tc.unsound)):
+			t.Errorf("%s without its condition: want shape-unsound on %s, got:\n%s", tc.rule, tc.unsound, renderFindings(fs))
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"tensat/internal/rewrite"
@@ -56,8 +58,8 @@ func ParseRuleSet(source string, data []byte) ([]*rewrite.Rule, error) {
 			return nil, fmt.Errorf("%s:%d: missing \"name:\" prefix", source, lineno)
 		}
 		name = strings.TrimSpace(name)
-		if err := checkRuleName(name); err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", source, lineno, err)
+		if err := CheckName(name); err != nil {
+			return nil, fmt.Errorf("%s:%d: rule %v", source, lineno, err)
 		}
 		// "<=>" contains "=>", so test for the bidirectional arrow first.
 		lhs, rhs, bidi := strings.Cut(rest, "<=>")
@@ -110,11 +112,36 @@ func CheckName(name string) error {
 	return nil
 }
 
-func checkRuleName(name string) error {
+// CheckProfileName gates every profile name, a rule file's or a device
+// spec's: CheckName's alphabet, and never "custom", the label a
+// registry gives a rule set or cost model passed as an object.
+func CheckProfileName(name string) error {
 	if err := CheckName(name); err != nil {
-		return fmt.Errorf("rule %v", err)
+		return fmt.Errorf("profile %v", err)
+	}
+	if name == "custom" {
+		return fmt.Errorf("profile name %q is reserved", name)
 	}
 	return nil
+}
+
+// LoadFile compiles the .rules file at path and names the profile it
+// defines after the file (merge.rules -> "merge"), a name that must
+// pass CheckProfileName. The registry and the static verifier both
+// load files through it, so they refuse the same ones.
+func LoadFile(path string) (name string, rs []*rewrite.Rule, err error) {
+	name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	if err := CheckProfileName(name); err != nil {
+		return "", nil, fmt.Errorf("%w (derived from file name %s)", err, path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", nil, err
+	}
+	if rs, err = ParseRuleSet(path, data); err != nil {
+		return "", nil, err
+	}
+	return name, rs, nil
 }
 
 // Hash computes the content hash of a rule set: a SHA-256 over the rule

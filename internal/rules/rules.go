@@ -8,12 +8,14 @@
 // checking before application, so rules that need preconditions beyond
 // syntax (where a split cuts, divisibility of channels, matching
 // spatial dims) are stated in full generality here and pruned at match
-// time.
+// time. Two rules need more than shapes: merge-gconv and
+// transpose-inverse carry a condition (Rule.Cond) over the metas of
+// their bindings, which the e-graph runner, the TASO baseline and the
+// static verifier (internal/rulecheck) each evaluate before a rewrite
+// counts.
 package rules
 
 import (
-	"tensat/internal/egraph"
-	"tensat/internal/pattern"
 	"tensat/internal/rewrite"
 	"tensat/internal/tensor"
 )
@@ -107,9 +109,8 @@ func Single() []*rewrite.Rule {
 func mergeGconv() *rewrite.Rule {
 	r := rewrite.MustRule("merge-gconv",
 		"(conv ?sh ?sw 0 ?act ?x ?w)", "(conv ?sh ?sw 0 ?act ?x (merge ?w 2))")
-	r.Cond = func(g *egraph.EGraph, s pattern.Subst) bool {
-		xm := rewrite.ClassMeta(g, s["?x"])
-		wm := rewrite.ClassMeta(g, s["?w"])
+	r.Cond = func(meta func(string) *tensor.Meta) bool {
+		xm, wm := meta("?x"), meta("?w")
 		if xm == nil || wm == nil || len(xm.Shape) != 4 || len(wm.Shape) != 4 {
 			return false
 		}
@@ -181,12 +182,11 @@ func Multi() []*rewrite.Rule {
 //	(transpose (transpose ?x ?p) ?q) => ?x   when q ∘ p = id
 //
 // The composition check needs the actual permutation strings, which
-// live in the e-class analysis, so this is a conditional rewrite.
+// the bindings' metas carry, so this is a conditional rewrite.
 func transposeInverse() *rewrite.Rule {
 	r := rewrite.MustRule("transpose-inverse", "(transpose (transpose ?x ?p) ?q)", "?x")
-	r.Cond = func(g *egraph.EGraph, s pattern.Subst) bool {
-		pm := rewrite.ClassMeta(g, s["?p"])
-		qm := rewrite.ClassMeta(g, s["?q"])
+	r.Cond = func(meta func(string) *tensor.Meta) bool {
+		pm, qm := meta("?p"), meta("?q")
 		if pm == nil || qm == nil || pm.Kind != tensor.KindStr || qm.Kind != tensor.KindStr {
 			return false
 		}

@@ -9,8 +9,6 @@ package taso
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"tensat/internal/pattern"
 	"tensat/internal/rewrite"
@@ -103,50 +101,30 @@ func FindMatches(g *tensor.Graph, rule *rewrite.Rule, maxMatches int) []GraphMat
 	return out
 }
 
-// consBuilder hash-conses freshly constructed nodes so rewritten graphs
-// keep maximal sharing (matching the builder's invariant).
-type consBuilder struct {
-	memo map[string]*tensor.Node
-}
-
-func newConsBuilder() *consBuilder { return &consBuilder{memo: make(map[string]*tensor.Node)} }
-
-func (cb *consBuilder) mk(op tensor.Op, ival int64, sval string, inputs []*tensor.Node) (*tensor.Node, error) {
-	var key strings.Builder
-	key.WriteString(strconv.Itoa(int(op)))
-	key.WriteByte('|')
-	key.WriteString(strconv.FormatInt(ival, 10))
-	key.WriteByte('|')
-	key.WriteString(sval)
-	for _, in := range inputs {
-		fmt.Fprintf(&key, "|%p", in)
-	}
-	if n, ok := cb.memo[key.String()]; ok {
-		return n, nil
-	}
-	args := make([]*tensor.Meta, len(inputs))
-	for i, in := range inputs {
-		args[i] = in.Meta
-	}
-	meta, err := tensor.Infer(op, ival, sval, args)
-	if err != nil {
-		return nil, err
-	}
-	n := &tensor.Node{Op: op, Int: ival, Str: sval, Inputs: inputs, Meta: meta}
-	cb.memo[key.String()] = n
-	return n, nil
-}
-
-// instantiate builds the target pattern as graph nodes; proj is the
-// root's op and out the node the target replaces. A split under a
-// split0 or split1 root cuts where tensor.SplitBoundary says for out.
-func (cb *consBuilder) instantiate(p *pattern.Pat, bind Binding, proj tensor.Op, out *tensor.Node) (*tensor.Node, error) {
-	if p.IsVar() {
+// instantiate builds the target pattern as graph nodes through b; proj
+// is the root's op and out the node the target replaces. A split under
+// a split0 or split1 root cuts where tensor.SplitBoundary says for out.
+func instantiate(b *tensor.Builder, p *pattern.Pat, bind Binding, proj tensor.Op, out *tensor.Node) (*tensor.Node, error) {
+	switch {
+	case p.IsVar():
 		n, ok := bind[p.Var]
 		if !ok {
 			return nil, fmt.Errorf("taso: unbound variable %s", p.Var)
 		}
 		return n, nil
+	case p.Op == tensor.OpInt:
+		return b.IntParam(p.Int), nil
+	case p.Op == tensor.OpStr:
+		return b.StrParam(p.Str), nil
+	case p.Op == tensor.OpInput || p.Op == tensor.OpWeight:
+		name, shape, err := tensor.ParseIdent(p.Str)
+		if err != nil {
+			return nil, err
+		}
+		if p.Op == tensor.OpInput {
+			return b.Input(name, shape...), nil
+		}
+		return b.Weight(name, shape...), nil
 	}
 	below := proj
 	if p.Op != proj {
@@ -154,7 +132,7 @@ func (cb *consBuilder) instantiate(p *pattern.Pat, bind Binding, proj tensor.Op,
 	}
 	inputs := make([]*tensor.Node, 0, len(p.Children))
 	for _, c := range p.Children {
-		in, err := cb.instantiate(c, bind, below, out)
+		in, err := instantiate(b, c, bind, below, out)
 		if err != nil {
 			return nil, err
 		}
@@ -164,19 +142,29 @@ func (cb *consBuilder) instantiate(p *pattern.Pat, bind Binding, proj tensor.Op,
 	if p.Op == tensor.OpSplit {
 		at = tensor.SplitBoundary(proj, inputs[0].Meta, inputs[1].Meta, out.Meta)
 	}
-	return cb.mk(p.Op, at, p.Str, inputs)
+	return b.Raw(p.Op, at, inputs...), b.Err()
 }
 
 // Apply produces a new graph with the match's output nodes replaced by
 // the rule targets (destructive substitution on an immutable DAG: all
-// ancestors are rebuilt). Returns nil if the target is ill-shaped or
-// the substitution would create a cycle (a target node reaching a
-// replaced output through an argument path).
+// ancestors are rebuilt, hash-consed by a tensor.Builder). Returns nil
+// if the rule's condition fails on the bound nodes' metas, a target is
+// ill-shaped, or the substitution would create a cycle (a target node
+// reaching a replaced output through an argument path).
 func Apply(g *tensor.Graph, m GraphMatch) (*tensor.Graph, error) {
-	cb := newConsBuilder()
+	meta := func(v string) *tensor.Meta {
+		if n, ok := m.Bind[v]; ok {
+			return n.Meta
+		}
+		return nil
+	}
+	if m.Rule.Cond != nil && !m.Rule.Cond(meta) {
+		return nil, fmt.Errorf("taso: %s: condition fails", m.Rule.Name)
+	}
+	b := tensor.NewBuilder()
 	replace := make(map[*tensor.Node]*tensor.Node, len(m.Outputs))
 	for i, out := range m.Outputs {
-		tn, err := cb.instantiate(m.Rule.Targets[i], m.Bind, m.Rule.Targets[i].Op, out)
+		tn, err := instantiate(b, m.Rule.Targets[i], m.Bind, m.Rule.Targets[i].Op, out)
 		if err != nil {
 			return nil, err
 		}
@@ -212,8 +200,8 @@ func Apply(g *tensor.Graph, m GraphMatch) (*tensor.Graph, error) {
 			memo[n] = n
 			return n, nil
 		}
-		r, err := cb.mk(n.Op, n.Int, n.Str, inputs)
-		if err != nil {
+		r := b.Raw(n.Op, n.Int, inputs...)
+		if err := b.Err(); err != nil {
 			return nil, err
 		}
 		memo[n] = r

@@ -40,6 +40,27 @@ func TestApplyShapeIncompatibleMatchFails(t *testing.T) {
 	}
 }
 
+// A target may name a literal of any kind, integer, string, input or
+// weight, and Apply builds each one.
+func TestApplyBuildsLiteralTargets(t *testing.T) {
+	b := tensor.NewBuilder()
+	g := b.MustFinish(b.Relu(b.Input("x", 4, 4)))
+	rule := rewrite.MustRule("literals", "(relu ?x)",
+		`(relu (ewadd (transpose ?x "1 0") (matmul 0 (input "y@4 4") (weight "w@4 4"))))`)
+	ms := FindMatches(g, rule, 0)
+	if len(ms) != 1 {
+		t.Fatalf("matches = %d", len(ms))
+	}
+	ng, err := Apply(g, ms[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `(relu (ewadd (transpose (input "x@4 4") "1 0") (matmul 0 (input "y@4 4") (weight "w@4 4"))))`
+	if got := ng.String(); got != want {
+		t.Fatalf("got %s, want %s", got, want)
+	}
+}
+
 func TestFindMatchesCap(t *testing.T) {
 	b := tensor.NewBuilder()
 	x := b.Input("x", 8, 32)

@@ -33,7 +33,8 @@ const (
 )
 
 // customProfile labels a rule set or cost model given as an object on
-// Options rather than by name; no registry entry may take it.
+// Options rather than by name; no registry entry may take it
+// (rules.CheckProfileName reserves it).
 const customProfile = "custom"
 
 // ErrUnknownProfile marks a RuleSet or CostModelName that no registry
@@ -225,47 +226,15 @@ func (r *Registry) putCostModel(spec *DeviceSpec, source string) {
 	r.mu.Unlock()
 }
 
-// checkProfileName gates every name that enters the registry: the
-// conservative identifier alphabet shared with rule names, and never
-// "custom" — the label Resolve gives programmatic (unnamed) rule/model
-// overrides.
-func checkProfileName(name string) error {
-	if err := rules.CheckName(name); err != nil {
-		return fmt.Errorf("tensat: profile %v", err)
-	}
-	if name == customProfile {
-		return fmt.Errorf("tensat: profile name %q is reserved", name)
-	}
-	return nil
-}
-
-// parseRuleFile compiles and validates one .rules file without
-// touching the registry.
-func parseRuleFile(path string) (name string, rs []*Rule, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, fmt.Errorf("tensat: %w", err)
-	}
-	name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	if err := checkProfileName(name); err != nil {
-		return "", nil, fmt.Errorf("%w (derived from file name %s)", err, path)
-	}
-	rs, err = rules.ParseRuleSet(path, data)
-	if err != nil {
-		return "", nil, err
-	}
-	return name, rs, nil
-}
-
 // LoadRuleFile loads a .rules file and registers it under the file's
 // base name (merge.rules -> "merge"). The whole file is compiled,
 // validated and statically vetted (see RuleVetMode) before anything
 // is registered: on any error the registry is unchanged. Non-fatal
 // verifier findings land in the returned RuleSetInfo.VetWarnings.
 func (r *Registry) LoadRuleFile(path string) (RuleSetInfo, error) {
-	name, rs, err := parseRuleFile(path)
+	name, rs, err := rules.LoadFile(path)
 	if err != nil {
-		return RuleSetInfo{}, err
+		return RuleSetInfo{}, fmt.Errorf("tensat: %w", err)
 	}
 	warns, err := r.vetRuleFile(path, rs)
 	if err != nil {
@@ -292,9 +261,9 @@ func (r *Registry) LoadRulesDir(dir string) ([]RuleSetInfo, error) {
 	}
 	stage := make([]staged, 0, len(paths))
 	for _, p := range paths {
-		name, rs, err := parseRuleFile(p)
+		name, rs, err := rules.LoadFile(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tensat: %w", err)
 		}
 		warns, err := r.vetRuleFile(p, rs)
 		if err != nil {
@@ -322,8 +291,8 @@ func parseDeviceFile(path string) (*DeviceSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tensat: %s: %w", path, err)
 	}
-	if err := checkProfileName(spec.Name); err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
+	if err := rules.CheckProfileName(spec.Name); err != nil {
+		return nil, fmt.Errorf("tensat: %w (in %s)", err, path)
 	}
 	return spec, nil
 }

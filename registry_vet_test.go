@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tensat/internal/cost"
+	"tensat/internal/rulecheck"
 )
 
 func writeRules(t *testing.T, name, text string) string {
@@ -97,6 +100,36 @@ func TestLoadShippedProfilesVetClean(t *testing.T) {
 	for _, info := range infos {
 		if len(info.VetWarnings) != 0 {
 			t.Errorf("%s: unexpected vet warnings: %v", info.Name, info.VetWarnings)
+		}
+	}
+}
+
+// The vetter refuses exactly the files the registry refuses by name: a
+// copy of a shipped profile under a reserved or ill-formed file name
+// is a load-error finding, and fails to load; under its own name it
+// vets clean and loads.
+func TestVetRefusesWhatRegistryRefuses(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("profiles", "rules", "algebra.rules"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		file string
+		ok   bool
+	}{
+		{"algebra.rules", true},
+		{"custom.rules", false},
+		{"bad name.rules", false},
+	} {
+		path := writeRules(t, tc.file, string(text))
+		fs := rulecheck.CheckFile(path, cost.NewT4())
+		_, loadErr := NewRegistry().LoadRuleFile(path)
+		refused := len(fs) == 1 && fs[0].Class == rulecheck.ClassLoadError
+		if tc.ok != (len(fs) == 0) || !tc.ok && !refused {
+			t.Errorf("%s: findings %v", tc.file, fs)
+		}
+		if tc.ok != (loadErr == nil) {
+			t.Errorf("%s: LoadRuleFile error %v", tc.file, loadErr)
 		}
 	}
 }
