@@ -17,6 +17,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"time"
@@ -72,10 +73,16 @@ func Full() Config {
 func runtimeModel() cost.Model { return cost.NewRuntime(cost.NewT4()) }
 
 // measureRuntime returns the mean and standard error of the simulated
-// graph runtime over cfg.Runs measurements. The per-run jitter is a
-// deterministic ±1% hash-derived perturbation standing in for real
-// measurement noise (the paper plots mean ± stderr over five runs).
-func (c Config) measureRuntime(rt cost.Model, g *tensor.Graph, salt uint64) (mean, stderr float64) {
+// runtime of g, a graph of model, over cfg.Runs measurements. The
+// per-run jitter is a deterministic ±1% perturbation standing in for
+// real measurement noise (the paper plots mean ± stderr over five
+// runs). It is seeded by the cell — the model and salt, which names the
+// configuration — not by g, so a graph that only prints differently
+// measures the same.
+func (c Config) measureRuntime(rt cost.Model, g *tensor.Graph, model string, salt uint64) (mean, stderr float64) {
+	h := fnv.New64a()
+	h.Write([]byte(model))
+	seed := h.Sum64() ^ salt
 	base := cost.GraphCost(rt, g)
 	runs := c.Runs
 	if runs < 1 {
@@ -83,7 +90,7 @@ func (c Config) measureRuntime(rt cost.Model, g *tensor.Graph, salt uint64) (mea
 	}
 	var sum, sumsq float64
 	for i := 0; i < runs; i++ {
-		x := base * (1 + jitter(g.Hash()^salt, uint64(i))*0.01)
+		x := base * (1 + jitter(seed, uint64(i))*0.01)
 		sum += x
 		sumsq += x * x
 	}
@@ -228,8 +235,8 @@ func (r *Runs) measure(k tensatRun, withTASO bool) (*ModelRun, error) {
 	}
 	rt := runtimeModel()
 	m := &ModelRun{Model: k.model, TensatExplore: res.ExploreTime, TensatExtract: res.ExtractTime}
-	m.OrigRuntime, _ = r.measureRuntime(rt, g, 0)
-	m.TensatRuntime, m.TensatStderr = r.measureRuntime(rt, res.Graph, 1)
+	m.OrigRuntime, _ = r.measureRuntime(rt, g, k.model, 0)
+	m.TensatRuntime, m.TensatStderr = r.measureRuntime(rt, res.Graph, k.model, 1)
 	m.TensatSpeedup = cost.SpeedupPercent(m.OrigRuntime, m.TensatRuntime)
 	if !withTASO {
 		return m, nil
@@ -240,7 +247,7 @@ func (r *Runs) measure(k tensatRun, withTASO bool) (*ModelRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: taso: %w", k.model, err)
 	}
-	m.TasoRuntime, m.TasoStderr = r.measureRuntime(rt, tres.Graph, 2)
+	m.TasoRuntime, m.TasoStderr = r.measureRuntime(rt, tres.Graph, k.model, 2)
 	m.TasoSpeedup = cost.SpeedupPercent(m.OrigRuntime, m.TasoRuntime)
 	m.TasoTotal, m.TasoBest = tres.TotalTime, tres.BestTime
 	return m, nil

@@ -253,12 +253,28 @@ func TestJitterDeterministicBounded(t *testing.T) {
 func TestMeasureRuntimeStats(t *testing.T) {
 	c := quick()
 	g := mustModel(t, "VGG-19", c)
-	mean, stderr := c.measureRuntime(runtimeModel(), g, 0)
+	mean, stderr := c.measureRuntime(runtimeModel(), g, "VGG-19", 0)
 	if mean <= 0 {
 		t.Fatalf("mean %v", mean)
 	}
 	if stderr < 0 || stderr > mean*0.02 {
 		t.Fatalf("stderr %v implausible for mean %v", stderr, mean)
+	}
+}
+
+// TestMeasureRuntimeSeedsByCell: two graphs that cost the same but
+// print differently measure the same in one cell, so a change to how a
+// graph prints cannot move a figure.
+func TestMeasureRuntimeSeedsByCell(t *testing.T) {
+	c := quick()
+	graph := func(name string) *tensor.Graph {
+		b := tensor.NewBuilder()
+		return b.MustFinish(b.Relu(b.Input(name, 64, 64)))
+	}
+	mx, sx := c.measureRuntime(runtimeModel(), graph("x"), "VGG-19", 1)
+	my, sy := c.measureRuntime(runtimeModel(), graph("y"), "VGG-19", 1)
+	if mx != my || sx != sy {
+		t.Fatalf("same cell, same cost: %v ± %v and %v ± %v", mx, sx, my, sy)
 	}
 }
 

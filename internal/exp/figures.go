@@ -86,7 +86,7 @@ func (r *Runs) Figure6() (tensatCurve, tasoCurve []CurvePoint, err error) {
 		return nil, nil, err
 	}
 	rt := runtimeModel()
-	orig, _ := r.measureRuntime(rt, g, 0)
+	orig, _ := r.measureRuntime(rt, g, name, 0)
 
 	// TASO: replay the improvement trace.
 	tres, err := r.searched(g, tasoRun{name, taso.Options{N: r.TasoN, Alpha: r.TasoAlpha, Timeout: time.Minute}})
@@ -99,7 +99,7 @@ func (r *Runs) Figure6() (tensatCurve, tasoCurve []CurvePoint, err error) {
 		// but the end point is re-measured exactly below.
 		tasoCurve = append(tasoCurve, CurvePoint{At: p.At, Speedup: cost.SpeedupPercent(tres.Trace[0].Cost, p.Cost)})
 	}
-	final, _ := r.measureRuntime(rt, tres.Graph, 2)
+	final, _ := r.measureRuntime(rt, tres.Graph, name, 2)
 	tasoCurve = append(tasoCurve, CurvePoint{At: tres.TotalTime, Speedup: cost.SpeedupPercent(orig, final)})
 
 	// TENSAT: increasing budgets.
@@ -111,7 +111,7 @@ func (r *Runs) Figure6() (tensatCurve, tasoCurve []CurvePoint, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		mean, _ := r.measureRuntime(rt, res.Graph, 3)
+		mean, _ := r.measureRuntime(rt, res.Graph, name, 3)
 		elapsed += res.ExploreTime + res.ExtractTime
 		tensatCurve = append(tensatCurve, CurvePoint{At: elapsed, Speedup: cost.SpeedupPercent(orig, mean)})
 	}
@@ -150,7 +150,7 @@ func (r *Runs) Figure7() ([]Figure7Row, error) {
 	var rows []Figure7Row
 	for _, m := range models.Benchmarks() {
 		g := m.Build(r.Scale)
-		orig, _ := r.measureRuntime(rt, g, 0)
+		orig, _ := r.measureRuntime(rt, g, m.Name, 0)
 		for k := 0; k <= 3; k++ {
 			run := r.run(m.Name, k)
 			run.nodes, run.ilp, run.explore = min(run.nodes, 10000), min(run.ilp, 30*time.Second), time.Minute
@@ -158,7 +158,7 @@ func (r *Runs) Figure7() ([]Figure7Row, error) {
 			if res, err := r.optimized(g, run); err != nil {
 				row.Time = failed(err, run.ilp)
 			} else {
-				mean, _ := r.measureRuntime(rt, res.Graph, uint64(k))
+				mean, _ := r.measureRuntime(rt, res.Graph, m.Name, uint64(k))
 				row.Speedup = cost.SpeedupPercent(orig, mean)
 				row.Time = Timed{Time: res.ExploreTime + res.ExtractTime}
 				row.ENodes = res.ENodes

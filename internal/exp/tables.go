@@ -62,11 +62,11 @@ func (c Config) Table4() ([]Table4Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s ilp: %w", name, err)
 		}
-		// One shared measurement salt: identical graphs must measure
-		// identically for the greedy-vs-ILP comparison to be meaningful.
-		orig, _ := c.measureRuntime(rt, g, 0)
-		gm, _ := c.measureRuntime(rt, greedy.Graph, 0)
-		im, _ := c.measureRuntime(rt, ilpRes.Graph, 0)
+		// One seed per row: identical graphs must measure identically
+		// for the greedy-vs-ILP comparison to be meaningful.
+		orig, _ := c.measureRuntime(rt, g, name, 0)
+		gm, _ := c.measureRuntime(rt, greedy.Graph, name, 0)
+		im, _ := c.measureRuntime(rt, ilpRes.Graph, name, 0)
 		rows = append(rows, Table4Row{Model: name, Original: orig, Greedy: gm, ILP: im})
 	}
 	return rows, nil

@@ -55,8 +55,9 @@ func nodeCost(g *egraph.EGraph, m cost.Model, n *egraph.Node) float64 {
 
 // Greedy performs the greedy extraction of §5.1: per class, pick the
 // e-node minimizing the cost of the subtree rooted at it. That is the
-// model's tree-cost selection (ilp.Problem.TreeCosts), the same one that
-// warm-starts the ILP, and Problem.Check judges it like any ILP answer.
+// model's tree-cost selection (ilp.Problem.TreeCosts), which the builtin
+// ILP solver also starts from over its presolved model, and
+// Problem.Check judges it like any ILP answer.
 // As the paper notes, it ignores subgraph sharing and can miss (or
 // mis-rank) graphs whose benefit comes from reuse — see Table 4.
 func Greedy(ex *rewrite.Explored, model cost.Model) (*Result, error) {
@@ -120,7 +121,7 @@ type ILPOptions struct {
 	// live anytime progress.
 	OnIncumbent func(cost float64)
 	// Trace, when non-nil, receives phase spans: an "ilp" span with
-	// "model" (problem build + warm starts) and "solve" children, the
+	// "model" (problem build), "presolve" and "solve" children, the
 	// latter carrying an "incumbent" event per improvement.
 	Trace *obs.Trace
 }
@@ -216,10 +217,10 @@ func buildModel(ex *rewrite.Explored, model cost.Model) (*ilp.Problem, *ProblemI
 
 // BuildProblem formulates the extraction ILP of §5.1 for an explored
 // e-graph — costs from the model, one binary per e-node, filtered
-// nodes forbidden, warm starts from the greedy extraction and the
-// original input graph — without solving it. Exposed so callers can
-// dump the model (lpfile), benchmark solvers against real instances,
-// or hand it to an external process.
+// nodes forbidden, the input graph's selection as Problem.Start —
+// without solving it. Exposed so callers can dump the model (lpfile),
+// benchmark solvers against real instances, or hand it to an external
+// process.
 //
 //lint:ctxflow-exempt bounded passes over the in-memory e-graph; no solving, no I/O
 func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp.Problem, *ProblemIndex, error) {
@@ -232,14 +233,10 @@ func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp
 	p.Timeout = opts.Timeout
 	p.StallLimit = DefaultStallLimit
 
-	// Warm-start with (a) the greedy extraction and (b) the original
-	// input graph, so the ILP result is never worse than either, however
-	// early the search is cut off.
-	_, greedy := p.TreeCosts(nil)
-	p.WarmStarts = append(p.WarmStarts, greedy)
-	if orig != nil {
-		p.WarmStarts = append(p.WarmStarts, orig)
-	}
+	// Start from the input graph, so the ILP result is never worse than
+	// it however early the search is cut off. The solver adds the
+	// greedy extraction itself.
+	p.Start = orig
 	return p, ix, nil
 }
 

@@ -102,10 +102,10 @@ type goldenRow struct {
 }
 
 // TestZooGolden pins the default solver's answer on every zoo model —
-// cost and the SHA-256 of the extracted graph's text — to the file
-// recorded at the commit before internal/ilp was collapsed onto one
-// evaluator and one driver: a refactor of the extraction stack must
-// not move a single output byte.
+// cost and the SHA-256 of the extracted graph's text: a refactor of the
+// extraction stack must not move a single output byte. The digests of
+// Inception-v3 and NasNet-A were re-recorded, at unchanged costs, when
+// the solver took one tie rule.
 func TestZooGolden(t *testing.T) {
 	const path = "testdata/zoo_golden.json"
 	got := make(map[string]goldenRow)
@@ -173,8 +173,8 @@ type treeRow struct {
 // model, with one worker and with two: a change to the search core's
 // data layout must choose the same class at every expansion, try the
 // same candidates in the same order and prune and stall at the same
-// points, so every count below repeats exactly. The file was recorded
-// at the commit before the core went flat.
+// points, so every count below repeats exactly. The file was last
+// re-recorded when the solver took one tie rule and one greedy start.
 func TestZooTreeGolden(t *testing.T) {
 	const path = "testdata/zoo_tree_golden.json"
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -304,4 +305,54 @@ func TestUnreplayablePrefixPanics(t *testing.T) {
 		}
 	}()
 	searchUnits(pool, []unit{{steps: []step{{class: 2, node: p.Classes[2][0]}}}, {}})
+}
+
+// TestTiesGoToTheLowerVariable: a class of 40 equal-cost nodes, listed
+// in descending variable order, comes back from prepare in ascending
+// variable order, from candidates by key and then variable, and
+// collectUnits hands out one unit per node in candidates' order. Node
+// i's child costs 1 or 2 as i is even or odd, so the keys tie in two
+// groups, and no child is required, so no choice is forced.
+func TestTiesGoToTheLowerVariable(t *testing.T) {
+	const n = 40
+	p := &Problem{Root: 0, Classes: make([][]int, 4)}
+	add := func(c int, cost float64, children ...int) {
+		p.Classes[c] = append(p.Classes[c], len(p.Costs))
+		p.Costs = append(p.Costs, cost)
+		p.ClassOf = append(p.ClassOf, c)
+		p.Children = append(p.Children, children)
+	}
+	add(0, 1, 1)
+	for i := 1; i <= n; i++ {
+		add(1, 1, 2+i%2)
+	}
+	slices.Reverse(p.Classes[1])
+	add(2, 1)
+	add(3, 2)
+	s, _ := testSolver(t, p)
+	if !slices.IsSorted(s.allowed[1]) {
+		t.Fatalf("prepare: allowed %v, want ascending", s.allowed[1])
+	}
+	var want []int
+	for _, parity := range []int{0, 1} {
+		for i := 1; i <= n; i++ {
+			if i%2 == parity {
+				want = append(want, i)
+			}
+		}
+	}
+	var got []int
+	for _, cd := range s.candidates(0, 1) {
+		got = append(got, cd.node)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("candidates %v, want %v", got, want)
+	}
+	got = got[:0]
+	for _, u := range s.collectUnits(2 * n) {
+		got = append(got, u.steps[1].node)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("collectUnits frontier %v, want %v", got, want)
+	}
 }

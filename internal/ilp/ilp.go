@@ -27,6 +27,17 @@
 // one worker claiming the empty prefix, so every worker count accepts
 // incumbents by the same rule and returns the same selection.
 //
+// One tie rule decides between equals: among equal costs or keys, the
+// lower variable index wins. prepare sorts each class's allowed nodes
+// by (cost, index), and every scan that takes the first cheapest node
+// reads that list: forced choices, free picks, the local search's
+// completions and switches. candidates orders a branch by (key, index),
+// and the units collectUnits hands out follow that order, so an
+// equal-cost incumbent goes to the earlier candidate at every worker
+// count. No choice depends on the order a class lists its members in.
+// The one selection made elsewhere is the greedy start, TreeCosts'
+// pick, which keeps the first node to reach a class's least tree cost.
+//
 // A worker owns everything an expansion writes: per class the chosen
 // node and the count of chosen nodes requiring it, per search depth a
 // frame holding the pending list handed to the depth below and the
@@ -49,12 +60,12 @@
 package ilp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -101,14 +112,14 @@ type Problem struct {
 	// heavily merged e-graphs needs LP-strength bounds (what SCIP has
 	// and this branch-and-bound does not).
 	StallLimit int64
-	// WarmStarts provides initial selections (node per class, -1 for
-	// unselected classes). Each valid one (complete and acyclic from
-	// the root) is refined by the local-search improver; the best
-	// becomes the starting incumbent, so the solution is never worse
-	// than any warm start.
-	WarmStarts [][]int
+	// Start is an initial selection (node per class, -1 for unselected
+	// classes), nil for none. If it is complete and acyclic from the
+	// root, the builtin solver refines it like its own greedy start and
+	// starts from the better of the two, so the solution is never worse
+	// than Start. The external backends do not read it.
+	Start []int
 	// OnIncumbent, when non-nil, is called each time the incumbent
-	// improves: once after warm-start seeding and again on every
+	// improves: once after seeding and again on every
 	// improvement branch-and-bound finds. It receives the incumbent
 	// cost and the expansions done so far, and must return quickly (it
 	// runs on the search's hot path). Calls are serialized under the
@@ -144,8 +155,9 @@ type Solution struct {
 	// workers.
 	Explored int64
 	Time     time.Duration
-	// SeedCost is the greedy warm-start cost; ImproveCommits counts
-	// hub moves the sharing-aware local search applied before
+	// SeedCost is the lesser cost of the greedy start and
+	// Problem.Start, before refinement; ImproveCommits counts the
+	// moves the sharing-aware local search applied to them before
 	// branch-and-bound (diagnostics).
 	SeedCost       float64
 	ImproveCommits int
@@ -203,6 +215,7 @@ type tables struct {
 	atMin    []int     // per class: how many of them, a prefix, cost the class minimum
 	minCost  []float64 // per class: cheapest allowed node cost
 	greedy   []float64 // per class: tree cost, for branch ordering and completions
+	treePick []int     // per class: the node that reached greedy, the seed's first start
 	freePick []int     // per class: node with a zero-cost acyclic derivation, or -1
 	// watch[c] is a 64-bit Bloom set of the children of c's at-minimum
 	// nodes: c gains a forced choice only when one becomes required.
@@ -286,8 +299,11 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 				s.allowed[c] = append(s.allowed[c], i)
 			}
 		}
-		sort.Slice(s.allowed[c], func(a, b int) bool {
-			return p.Costs[s.allowed[c][a]] < p.Costs[s.allowed[c][b]]
+		slices.SortFunc(s.allowed[c], func(a, b int) int {
+			if d := cmp.Compare(p.Costs[a], p.Costs[b]); d != 0 {
+				return d
+			}
+			return a - b
 		})
 		s.minCost[c] = math.Inf(1)
 		if len(s.allowed[c]) > 0 {
@@ -304,7 +320,7 @@ func prepare(ctx context.Context, p *Problem, start time.Time) (*solver, error) 
 		}
 	}
 	s.computeFree()
-	s.greedy, _ = p.TreeCosts(nil)
+	s.greedy, s.treePick = p.TreeCosts(nil)
 	s.atRest()
 	s.best = math.Inf(1)
 	return s, nil
@@ -327,22 +343,24 @@ func (s *solver) atRest() {
 	}
 }
 
-// seed installs the best of the internal greedy and the caller warm
-// starts (each refined by the sharing-aware local search) as the
-// master's incumbent, trimmed to its root closure, and returns the
-// best unrefined warm-start cost. A warm start only has to be complete
-// and acyclic: it may name a node presolve has since dropped, which is
+// seed installs the better of two starts, each refined by the
+// sharing-aware local search, as the master's incumbent, trimmed to its
+// root closure, and returns the better unrefined start cost. The first
+// start is the greedy extraction, TreeCosts' pick trimmed to its root
+// closure: it keeps the answer from being worse than greedy however
+// early the search is cut off, and sharpens pruning from the first
+// branch. The second is Problem.Start. It only has to be complete and
+// acyclic: it may name a node presolve has since dropped, which is
 // still a sound choice in the model as built, and rejecting it would
 // throw away the caller's floor on the answer.
 func (s *solver) seed() (seedCost float64) {
-	var starts [][]int
-	if g := s.greedyStart(); g != nil {
-		starts = append(starts, g)
+	greedy := slices.Clone(s.treePick)
+	if _, ok := s.ev.cost(greedy); ok {
+		s.ev.trim(greedy)
 	}
-	for _, ws := range s.p.WarmStarts {
-		if len(ws) == len(s.p.Classes) {
-			starts = append(starts, ws)
-		}
+	starts := [][]int{greedy}
+	if len(s.p.Start) == len(s.p.Classes) {
+		starts = append(starts, s.p.Start)
 	}
 	seedCost = math.Inf(1)
 	for _, st := range starts {
@@ -356,29 +374,6 @@ func (s *solver) seed() (seedCost float64) {
 		}
 	}
 	return seedCost
-}
-
-// greedyStart returns the greedy extraction — per class the node of
-// least tree cost — trimmed to its root closure, or nil when that
-// selection is incomplete or cyclic. Seeding with it guarantees the
-// ILP result is never worse than greedy even when the search stalls or
-// times out, and sharpens pruning from the first branch.
-func (s *solver) greedyStart() []int {
-	pick := make([]int, len(s.p.Classes))
-	for c := range pick {
-		pick[c] = -1
-		best := math.Inf(1)
-		for _, i := range s.allowed[c] {
-			if t := s.nodeHeuristic(i); t < best {
-				best, pick[c] = t, i
-			}
-		}
-	}
-	if _, ok := s.ev.cost(pick); !ok {
-		return nil
-	}
-	s.ev.trim(pick)
-	return pick
 }
 
 // computeFree finds, per class, a node with an entirely zero-cost
@@ -561,23 +556,15 @@ func (s *solver) dropInto(depth int, pending []int, idx int, early bool) {
 	}
 }
 
-// keyed returns class c's allowed nodes, each with its greedy-heuristic
-// key computed once, in frames[depth]'s buffer.
-func (s *solver) keyed(depth, c int) []cand {
+// candidates returns class c's allowed nodes in branching order, in
+// frames[depth]'s buffer: by the greedy heuristic, each key computed
+// once, equal keys by variable index.
+func (s *solver) candidates(depth, c int) []cand {
 	cands := s.frames[depth].cands[:0]
 	for _, i := range s.allowed[c] {
 		cands = append(cands, cand{s.nodeHeuristic(i), i})
 	}
 	s.frames[depth].cands = cands
-	return cands
-}
-
-// candidates returns class c's allowed nodes in branching order, by
-// the greedy heuristic. The sort is not stable but it is
-// deterministic, and the order it gives equal keys is part of the
-// search trees testdata/zoo_tree_golden.json records.
-func (s *solver) candidates(depth, c int) []cand {
-	cands := s.keyed(depth, c)
 	slices.SortFunc(cands, func(a, b cand) int { // no key is NaN, and cmp.Compare's tests for it cost BERT's search 8 %
 		if a.key < b.key {
 			return -1
@@ -585,7 +572,7 @@ func (s *solver) candidates(depth, c int) []cand {
 		if a.key > b.key {
 			return 1
 		}
-		return 0
+		return a.node - b.node
 	})
 	return cands
 }

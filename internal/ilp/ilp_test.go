@@ -3,7 +3,9 @@ package ilp
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -320,4 +322,50 @@ func bruteForce(p *Problem) float64 {
 	}
 	rec(0)
 	return best
+}
+
+// reversed returns p with every class's member list in reverse order:
+// the same model, listed the other way round.
+func reversed(p *Problem) *Problem {
+	q := p.Clone()
+	q.Classes = make([][]int, len(p.Classes))
+	for c, members := range p.Classes {
+		q.Classes[c] = slices.Clone(members)
+		slices.Reverse(q.Classes[c])
+	}
+	return q
+}
+
+// FuzzSolve holds the solver to brute force and to its tie rule on
+// random DAGs: one and two workers return the same selection, a proved
+// answer costs what brute force finds, and the order a class lists its
+// members in changes nothing.
+func FuzzSolve(f *testing.F) {
+	for _, seed := range [][]byte{nil, {0, 1, 2, 3, 4, 5, 6, 7}, {5, 1, 4, 13, 2, 0, 9, 7, 3, 3, 8, 1}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed []byte) {
+		p := randomDAG(seed)
+		one, err1 := SolveParallelContext(context.Background(), p, 1)
+		two, err2 := SolveParallelContext(context.Background(), p, 2)
+		if err1 != nil || err2 != nil {
+			if !errors.Is(err1, ErrInfeasible) || !errors.Is(err2, ErrInfeasible) {
+				t.Fatalf("one worker: %v, two: %v", err1, err2)
+			}
+			return
+		}
+		if one.Cost != two.Cost || !maps.Equal(one.NodeOf, two.NodeOf) {
+			t.Fatalf("one worker: %v %v, two: %v %v", one.Cost, one.NodeOf, two.Cost, two.NodeOf)
+		}
+		if want := bruteForce(p); one.Optimal && one.Cost != want {
+			t.Fatalf("proved optimal at %v, brute force finds %v", one.Cost, want)
+		}
+		rev, err := SolveParallelContext(context.Background(), reversed(p), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rev.Cost != one.Cost || !maps.Equal(rev.NodeOf, one.NodeOf) {
+			t.Fatalf("members reversed: %v %v, as listed: %v %v", rev.Cost, rev.NodeOf, one.Cost, one.NodeOf)
+		}
+	})
 }

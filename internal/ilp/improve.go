@@ -2,7 +2,7 @@ package ilp
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 type addEntry struct {
@@ -134,10 +134,10 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 			}
 			type switchMove struct {
 				class, node int
+				gain        float64
 				adds        []addEntry
 			}
 			bestByClass := make(map[int]switchMove)
-			gainByClass := make(map[int]float64)
 			seenAlt := make(map[int]bool)
 			for _, idx := range candIdx {
 				if seenAlt[idx] {
@@ -163,18 +163,21 @@ func (s *solver) improveFrom(start []int) ([]int, float64) {
 				if !feasible {
 					continue
 				}
-				if gain := ai.cur - marginal; gain > gainByClass[ai.class]+boundAdjust {
-					gainByClass[ai.class] = gain
-					bestByClass[ai.class] = switchMove{class: ai.class, node: ai.node, adds: adds}
+				if gain := ai.cur - marginal; gain > bestByClass[ai.class].gain+boundAdjust {
+					bestByClass[ai.class] = switchMove{class: ai.class, node: ai.node, gain: gain, adds: adds}
 				}
 			}
+			// Sum in class order: a float sum in map order could differ
+			// from run to run.
 			var moves []switchMove
-			savings := 0.0
-			for c, mv := range bestByClass {
-				savings += gainByClass[c]
+			for _, mv := range bestByClass {
 				moves = append(moves, mv)
 			}
-			sort.Slice(moves, func(a, b int) bool { return moves[a].class < moves[b].class })
+			slices.SortFunc(moves, func(a, b switchMove) int { return a.class - b.class })
+			savings := 0.0
+			for _, mv := range moves {
+				savings += mv.gain
+			}
 			if savings <= addCost+boundAdjust || len(moves) == 0 {
 				continue
 			}

@@ -36,20 +36,21 @@ func newSolverForTest(t *testing.T, p *Problem) *solver {
 	return s
 }
 
+// TestSeedIncumbentIsGreedy: the seed starts from the greedy pick
+// (16.8) and refines it to the joint switch.
 func TestSeedIncumbentIsGreedy(t *testing.T) {
 	s := newSolverForTest(t, figure2Problem())
-	pick := s.greedyStart()
-	if pick == nil {
-		t.Fatal("no incumbent")
+	if seedCost := s.seed(); seedCost != 16.8 {
+		t.Fatalf("greedy seed cost %v, want 16.8", seedCost)
 	}
-	if cost, ok := s.ev.cost(pick); !ok || cost != 16.8 {
-		t.Fatalf("greedy seed cost %v (valid %v), want 16.8", cost, ok)
+	if math.Abs(s.best-8.8) > 1e-9 {
+		t.Fatalf("seed incumbent %v, want 8.8", s.best)
 	}
 }
 
 func TestImproveIncumbentFindsJointSwitch(t *testing.T) {
 	s := newSolverForTest(t, figure2Problem())
-	_, cost := s.improveFrom(s.greedyStart())
+	_, cost := s.improveFrom(s.treePick)
 	if math.Abs(cost-8.8) > 1e-9 {
 		t.Fatalf("improved cost %v, want 8.8 (joint switch to shared merged matmul)", cost)
 	}

@@ -140,18 +140,7 @@ func (s *solver) collectUnits(target int) []unit {
 			expand(forced, depth) // no branching happened: same depth
 			return
 		}
-		// The frontier's sibling order is this exchange sort's, which
-		// differs from candidates' on equal keys: it decides which subtree
-		// is which unit, and zoo_tree_golden.json pins that.
-		cands := s.keyed(at+1, c)
-		for k := range cands {
-			for k2 := k + 1; k2 < len(cands); k2++ {
-				if cands[k2].key < cands[k].key {
-					cands[k], cands[k2] = cands[k2], cands[k]
-				}
-			}
-		}
-		for _, cd := range cands {
+		for _, cd := range s.candidates(at+1, c) {
 			if len(units) >= target && depth > 0 {
 				// Enough parallelism below this level: emit remaining
 				// siblings as whole-subtree units without expanding.

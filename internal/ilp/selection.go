@@ -17,12 +17,15 @@ func (p *Problem) Allowed(i int) bool {
 // TreeCosts returns, per class, the least tree cost over the alive
 // nodes (nil: every Allowed node) — the greedy extractor's objective,
 // which pays a shared subgraph once per use — and the node that reached
-// it (-1 where it is infinite): the greedy extraction itself. Sweeps
-// visit nodes in variable order and only a strictly lower cost replaces
-// a pick, so of two nodes reaching the same cost in one sweep the
-// earlier variable keeps the class. The cost is an upper bound on the
-// DAG cost of adding the class's closure to any selection, and infinite
-// when the class has no finite acyclic derivation.
+// it (-1 where it is infinite): the greedy extraction itself, and the
+// builtin solver's first start. Sweeps visit nodes in variable order
+// and only a strictly lower cost replaces a pick, so of two nodes
+// reaching the same cost in one sweep the lower variable keeps the
+// class, and one that reaches it in a later sweep never takes it: a
+// later equal pick could close a zero-cost cycle, the first one cannot.
+// The cost is an upper bound on the DAG cost of adding the class's
+// closure to any selection, and infinite when the class has no finite
+// acyclic derivation.
 //
 //lint:ctxflow-exempt least fixpoint over in-memory arrays, costs only decrease; callers check ctx between calls
 func (p *Problem) TreeCosts(alive []bool) (tree []float64, pick []int) {

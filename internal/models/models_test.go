@@ -1,6 +1,7 @@
 package models
 
 import (
+	"bytes"
 	"testing"
 
 	"tensat/internal/cost"
@@ -23,7 +24,9 @@ func TestAllBenchmarksBuildAndValidate(t *testing.T) {
 
 func TestBenchmarksAreDeterministic(t *testing.T) {
 	for _, m := range Benchmarks() {
-		if m.Build(ScaleTest).Hash() != m.Build(ScaleTest).Hash() {
+		a, errA := m.Build(ScaleTest).MarshalText()
+		b, errB := m.Build(ScaleTest).MarshalText()
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
 			t.Errorf("%s: nondeterministic build", m.Name)
 		}
 	}

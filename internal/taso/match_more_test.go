@@ -77,7 +77,7 @@ func TestFindMatchesCap(t *testing.T) {
 }
 
 func TestSearchDeduplicatesGraphs(t *testing.T) {
-	// Commutativity generates each graph twice; hashing must dedupe so
+	// Commutativity generates each graph twice; fingerprints must dedupe so
 	// candidates stay bounded.
 	b := tensor.NewBuilder()
 	x := b.Input("x", 4, 4)

@@ -1,10 +1,12 @@
 package taso
 
 import (
+	"bytes"
 	"container/heap"
 	"time"
 
 	"tensat/internal/cost"
+	"tensat/internal/fingerprint"
 	"tensat/internal/rewrite"
 	"tensat/internal/tensor"
 )
@@ -51,16 +53,28 @@ type TracePoint struct {
 	Cost float64
 }
 
-// queueItem is a candidate graph in the priority queue.
+// queueItem is a candidate graph in the priority queue, with its
+// fingerprint: the queue's tie-break and the search's identity.
 type queueItem struct {
-	g *tensor.Graph
-	c float64
+	g  *tensor.Graph
+	c  float64
+	fp fingerprint.Fingerprint
+}
+
+// less orders candidates totally, by cost and then fingerprint, so
+// neither the order rules are listed in nor the heap's insertion order
+// decides which of two equal-cost graphs comes first.
+func (a queueItem) less(b queueItem) bool {
+	if a.c != b.c {
+		return a.c < b.c
+	}
+	return bytes.Compare(a.fp[:], b.fp[:]) < 0
 }
 
 type priorityQueue []queueItem
 
 func (q priorityQueue) Len() int           { return len(q) }
-func (q priorityQueue) Less(i, j int) bool { return q[i].c < q[j].c }
+func (q priorityQueue) Less(i, j int) bool { return q[i].less(q[j]) }
 func (q priorityQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *priorityQueue) Push(x any)        { *q = append(*q, x.(queueItem)) }
 func (q *priorityQueue) Pop() any {
@@ -72,7 +86,11 @@ func (q *priorityQueue) Pop() any {
 }
 
 // Search runs TASO's cost-ordered backtracking search over graph
-// substitutions (Algorithm 2 of Jia et al. 2019a).
+// substitutions (Algorithm 2 of Jia et al. 2019a). Graphs are known by
+// their fingerprint, so two that differ only in tensor names are one
+// candidate. Each pop is order-free: it collects every new candidate
+// first, then takes the least as the best if it improves, and queues
+// those under Alpha times the best cost from before the pop.
 func Search(g *tensor.Graph, ruleset []*rewrite.Rule, model cost.Model, opts Options) (*Result, error) {
 	start := time.Now()
 	if opts.N == 0 {
@@ -86,26 +104,20 @@ func Search(g *tensor.Graph, ruleset []*rewrite.Rule, model cost.Model, opts Opt
 	}
 	deadline := start.Add(opts.Timeout)
 
-	best := g
-	bestCost := cost.GraphCost(model, g)
-	bestAt := time.Duration(0)
-
-	pq := &priorityQueue{{g: g, c: bestCost}}
-	heap.Init(pq)
-	seen := map[uint64]bool{g.Hash(): true}
-
-	res := &Result{Trace: []TracePoint{{At: 0, Cost: bestCost}}}
-	improve := func(ng *tensor.Graph, nc float64) {
-		best, bestCost = ng, nc
-		bestAt = time.Since(start)
-		res.Trace = append(res.Trace, TracePoint{At: bestAt, Cost: nc})
+	fp, err := fingerprint.Graph(g)
+	if err != nil {
+		return nil, err
 	}
+	best := queueItem{g: g, c: cost.GraphCost(model, g), fp: fp}
+	bestAt := time.Duration(0)
+	pq := &priorityQueue{best}
+	seen := map[fingerprint.Fingerprint]bool{fp: true}
+
+	res := &Result{Trace: []TracePoint{{At: 0, Cost: best.c}}}
 	for pq.Len() > 0 && res.Iterations < opts.N && time.Now().Before(deadline) {
 		item := heap.Pop(pq).(queueItem)
 		res.Iterations++
-		if item.c < bestCost {
-			improve(item.g, item.c)
-		}
+		var found []queueItem
 		for _, rule := range ruleset {
 			for _, m := range FindMatches(item.g, rule, opts.MaxMatchesPerRule) {
 				ng, err := Apply(item.g, m)
@@ -113,26 +125,33 @@ func Search(g *tensor.Graph, ruleset []*rewrite.Rule, model cost.Model, opts Opt
 					continue
 				}
 				res.Candidates++
-				h := ng.Hash()
-				if seen[h] {
+				fp, err := fingerprint.Graph(ng)
+				if err != nil || seen[fp] {
 					continue
 				}
-				seen[h] = true
-				nc := cost.GraphCost(model, ng)
-				if nc < bestCost {
-					improve(ng, nc)
-				}
-				if nc < opts.Alpha*bestCost {
-					heap.Push(pq, queueItem{g: ng, c: nc})
-				}
+				seen[fp] = true
+				found = append(found, queueItem{g: ng, c: cost.GraphCost(model, ng), fp: fp})
 			}
 			if time.Now().After(deadline) {
 				break
 			}
 		}
+		before := best
+		for _, it := range found {
+			if it.c < before.c && it.less(best) {
+				best = it
+			}
+			if it.c < opts.Alpha*before.c {
+				heap.Push(pq, it)
+			}
+		}
+		if best.c < before.c {
+			bestAt = time.Since(start)
+			res.Trace = append(res.Trace, TracePoint{At: bestAt, Cost: best.c})
+		}
 	}
-	res.Graph = best
-	res.Cost = bestCost
+	res.Graph = best.g
+	res.Cost = best.c
 	res.TotalTime = time.Since(start)
 	res.BestTime = bestAt
 	return res, nil

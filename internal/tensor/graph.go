@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,31 +21,6 @@ type Node struct {
 
 // IsParam reports whether the node is an N- or S-typed parameter.
 func (n *Node) IsParam() bool { return n.Op == OpInt || n.Op == OpStr }
-
-// treeHash computes a structural hash, memoized per node pointer.
-func (n *Node) treeHash(memo map[*Node]uint64) uint64 {
-	if h, ok := memo[n]; ok {
-		return h
-	}
-	f := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		f.Write(buf[:])
-	}
-	put(uint64(n.Op))
-	put(uint64(n.Int))
-	f.Write([]byte(n.Str))
-	put(uint64(len(n.Inputs)))
-	for _, in := range n.Inputs {
-		put(in.treeHash(memo))
-	}
-	h := f.Sum64()
-	memo[n] = h
-	return h
-}
 
 // head is the node's operator as the text forms write it: a split
 // carries its boundary, as split#N.
@@ -90,12 +64,6 @@ func (n *Node) write(b *strings.Builder) {
 type Graph struct {
 	Root    *Node
 	Outputs []*Node
-}
-
-// Hash returns a structural hash of the graph, used to deduplicate
-// equivalent candidates in the sequential backtracking search.
-func (g *Graph) Hash() uint64 {
-	return g.Root.treeHash(make(map[*Node]uint64))
 }
 
 // Nodes returns all distinct nodes reachable from the root in

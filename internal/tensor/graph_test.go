@@ -96,7 +96,7 @@ func TestGraphNodesTopological(t *testing.T) {
 	}
 }
 
-func TestGraphHashInsensitiveToBuildOrder(t *testing.T) {
+func TestGraphTextInsensitiveToBuildOrder(t *testing.T) {
 	build := func(swap bool) *Graph {
 		b := NewBuilder()
 		x := b.Input("x", 8, 32)
@@ -112,12 +112,12 @@ func TestGraphHashInsensitiveToBuildOrder(t *testing.T) {
 		}
 		return b.MustFinish(b.Ewadd(h1, h2))
 	}
-	if build(false).Hash() != build(true).Hash() {
-		t.Fatal("hash depends on construction order")
+	if text(t, build(false)) != text(t, build(true)) {
+		t.Fatal("text depends on construction order")
 	}
 }
 
-func TestGraphHashDistinguishesGraphs(t *testing.T) {
+func TestGraphTextDistinguishesGraphs(t *testing.T) {
 	g1 := smallGraph(t)
 	b := NewBuilder()
 	x := b.Input("x", 8, 32)
@@ -126,8 +126,8 @@ func TestGraphHashDistinguishesGraphs(t *testing.T) {
 	h := b.Matmul(ActNone, x, b.Concat(1, w1, w2))
 	s0, s1 := b.Split(1, 16, h)
 	g2 := b.MustFinish(b.Ewadd(s0, s1))
-	if g1.Hash() == g2.Hash() {
-		t.Fatal("distinct graphs share a hash")
+	if text(t, g1) == text(t, g2) {
+		t.Fatal("distinct graphs share a text")
 	}
 }
 
