@@ -6,96 +6,26 @@ import (
 	"tensat/internal/tensor"
 )
 
-// Argument kinds, per Table 2's type letters.
-const (
-	kindT = 'T' // tensor
-	kindN = 'N' // integer parameter
-	kindS = 'S' // string parameter
-	kindP = 'P' // tensor tuple (TT)
-)
-
-// childKinds gives the expected kind of each child of an operator,
-// mirroring the signatures tensor.Infer enforces. Leaf ops (int, str,
-// input, weight) have no children and are absent.
-var childKinds = map[tensor.Op]string{
-	tensor.OpEwadd:     "TT",
-	tensor.OpEwmul:     "TT",
-	tensor.OpMatmul:    "NTT",
-	tensor.OpConv:      "NNNNTT",
-	tensor.OpRelu:      "T",
-	tensor.OpTanh:      "T",
-	tensor.OpSigmoid:   "T",
-	tensor.OpPoolMax:   "TNNNNNN",
-	tensor.OpPoolAvg:   "TNNNNNN",
-	tensor.OpTranspose: "TS",
-	tensor.OpEnlarge:   "TT",
-	tensor.OpConcat2:   "NTT",
-	tensor.OpConcat3:   "NTTT",
-	tensor.OpConcat4:   "NTTTT",
-	tensor.OpConcat5:   "NTTTTT",
-	tensor.OpSplit:     "NT",
-	tensor.OpSplit0:    "P",
-	tensor.OpSplit1:    "P",
-	tensor.OpMerge:     "TN",
-	tensor.OpReshape:   "TS",
-	tensor.OpNoop:      "TT",
+// intCands gives each integer role of tensor's signatures (see
+// tensor.Op.Signature) its witness values, all in the range
+// tensor.Infer accepts: a stride of 0 would make every witness
+// ill-typed and drown real findings in no-witness noise.
+var intCands = map[byte][]int64{
+	'a': {tensor.ActNone, tensor.ActSigmoid, tensor.ActRelu, tensor.ActTanh},
+	'p': {tensor.PadSame, tensor.PadValid},
+	's': {1, 2},
+	'k': {1, 3},
+	'x': {0, 1},
+	'c': {2},
 }
 
-// intRole captures what an integer slot means, so candidates stay in
-// the range tensor.Infer accepts (a stride of 0 would make every
-// witness ill-typed and drown real findings in no-witness noise).
-var (
-	actCands    = []int64{tensor.ActNone, tensor.ActSigmoid, tensor.ActRelu, tensor.ActTanh}
-	strideCands = []int64{1, 2}
-	padCands    = []int64{tensor.PadSame, tensor.PadValid}
-	kernelCands = []int64{1, 3}
-	axisCands   = []int64{0, 1}
-	countCands  = []int64{2}
-	anyIntCands = []int64{0, 1, 2, 3}
-)
-
-// intCands returns admissible integer values for child idx of op.
-func intCands(op tensor.Op, idx int) []int64 {
-	switch op {
-	case tensor.OpMatmul:
-		return actCands
-	case tensor.OpConv:
-		switch idx {
-		case 0, 1:
-			return strideCands
-		case 2:
-			return padCands
-		default:
-			return actCands
-		}
-	case tensor.OpPoolMax, tensor.OpPoolAvg:
-		switch idx {
-		case 1, 2:
-			return kernelCands
-		case 3, 4:
-			return strideCands
-		case 5:
-			return padCands
-		default:
-			return actCands
-		}
-	case tensor.OpConcat2, tensor.OpConcat3, tensor.OpConcat4, tensor.OpConcat5, tensor.OpSplit:
-		return axisCands
-	case tensor.OpMerge:
-		return countCands
-	}
-	return anyIntCands
-}
-
-// strCands returns admissible string values for child idx of op.
-func strCands(op tensor.Op, idx int) []string {
-	switch op {
-	case tensor.OpTranspose:
+// strCands returns the string witnesses for op's string argument: a
+// permutation for transpose, a shape for reshape.
+func strCands(op tensor.Op) []string {
+	if op == tensor.OpTranspose {
 		return []string{"1 0", "0 1"}
-	case tensor.OpReshape:
-		return []string{"6", "3 2", "9"}
 	}
-	return []string{"1 0", "6"}
+	return []string{"6", "3 2", "9"}
 }
 
 // tensorCatalog is the fixed set of tensor witnesses. Dimensions are
@@ -181,10 +111,10 @@ func candidates(r *rewrite.Rule) ([]string, [][]*tensor.Meta) {
 			merge(p.Var, nil) // unconstrained root occurrence
 			return
 		}
-		kinds := childKinds[p.Op]
+		sig := p.Op.Signature()
 		for i, c := range p.Children {
 			if c.IsVar() {
-				merge(c.Var, kindCands(p.Op, i, kinds))
+				merge(c.Var, argCands(p.Op, sig[i]))
 			} else {
 				walk(c)
 			}
@@ -208,31 +138,26 @@ func candidates(r *rewrite.Rule) ([]string, [][]*tensor.Meta) {
 	return vars, cands
 }
 
-// kindCands returns the witness list for one occurrence: child idx of
-// op, whose expected kind comes from childKinds.
-func kindCands(op tensor.Op, idx int, kinds string) []*tensor.Meta {
-	k := byte(kindT)
-	if idx < len(kinds) {
-		k = kinds[idx]
-	}
-	switch k {
-	case kindN:
-		vals := intCands(op, idx)
+// argCands returns the witness list for an argument of op whose
+// signature letter is letter.
+func argCands(op tensor.Op, letter byte) []*tensor.Meta {
+	switch tensor.ArgKind(letter) {
+	case tensor.KindInt:
+		vals := intCands[letter]
 		out := make([]*tensor.Meta, len(vals))
 		for i, v := range vals {
 			out[i] = tensor.IntMeta(v)
 		}
 		return out
-	case kindS:
-		vals := strCands(op, idx)
+	case tensor.KindStr:
+		vals := strCands(op)
 		out := make([]*tensor.Meta, len(vals))
 		for i, v := range vals {
 			out[i] = tensor.StrMeta(v)
 		}
 		return out
-	case kindP:
+	case tensor.KindTuple:
 		return tupleCatalog()
-	default:
-		return tensorCatalog()
 	}
+	return tensorCatalog()
 }

@@ -227,6 +227,14 @@ func TestHTTPBadRequests(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("shape mismatch: status %d, want 400 (%s)", status, raw)
 	}
+	// So are graphs with a tensor of more than 2^53 elements, whose
+	// volume would overflow and price the graph below zero.
+	status, _, raw = postOptimize(t, ts.URL, OptimizeRequest{
+		Graph: `(output (relu (ewadd (input "x@3037000500 3037000500") (input "y@3037000500 3037000500"))))`,
+	})
+	if status != http.StatusBadRequest || !strings.Contains(raw, "bad graph") {
+		t.Errorf("overflowing shape: status %d, want 400 bad graph (%s)", status, raw)
+	}
 	// Malformed JSON body.
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {

@@ -9,15 +9,38 @@ import "fmt"
 // checking to verify if the tensor shapes in the target pattern are
 // compatible."). ival/sval are the payloads of literal ops, ival is
 // split's boundary, and both are ignored for the rest.
+//
+// Argument kinds and integer ranges are checked here once, against the
+// operator's signature (the signatures table is their one owner); each
+// operator's case below computes only its output shape.
 func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
-	if want := op.Arity(); want >= 0 && len(args) != want {
-		return nil, fmt.Errorf("tensor: %v expects %d arguments, got %d", op, want, len(args))
+	if op >= NumOps {
+		return nil, fmt.Errorf("tensor: unknown operator %v", op)
 	}
+	sig := signatures[op]
+	if len(args) != len(sig) {
+		return nil, fmt.Errorf("tensor: %v expects %d arguments, got %d", op, len(sig), len(args))
+	}
+	fold := true
 	for i, a := range args {
 		if a == nil {
 			return nil, fmt.Errorf("tensor: %v argument %d is nil", op, i)
 		}
+		if want := ArgKind(sig[i]); a.Kind != want {
+			return nil, fmt.Errorf("tensor: %v argument %d must be %v, got %v", op, i, want, a)
+		}
+		switch sig[i] {
+		case 'T', 'P':
+			fold = fold && a.Foldable
+		case 'R', 'S':
+		default:
+			if lo, hi := intRange(sig[i]); a.IVal < lo || a.IVal > hi {
+				return nil, fmt.Errorf("tensor: %v argument %d = %d out of range [%d,%d]", op, i, a.IVal, lo, hi)
+			}
+		}
 	}
+	var s1, s2 Shape
+	var err error
 	switch op {
 	case OpInt:
 		return IntMeta(ival), nil
@@ -32,166 +55,84 @@ func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
 		m.Foldable = op == OpWeight
 		return m, nil
 	case OpEwadd, OpEwmul:
-		a, err := tensorArg(op, args, 0)
-		if err != nil {
-			return nil, err
+		a, b := args[0].Shape, args[1].Shape
+		if !a.Equal(b) {
+			return nil, fmt.Errorf("tensor: %v shape mismatch %v vs %v", op, a, b)
 		}
-		b, err := tensorArg(op, args, 1)
-		if err != nil {
-			return nil, err
-		}
-		if !a.Shape.Equal(b.Shape) {
-			return nil, fmt.Errorf("tensor: %v shape mismatch %v vs %v", op, a.Shape, b.Shape)
-		}
-		m := TensorMeta(a.Shape.Clone())
-		m.Foldable = a.Foldable && b.Foldable
-		return m, nil
+		s1 = a.Clone()
 	case OpMatmul:
-		if err := intArgIn(op, args, 0, "activation", ActNone, ActTanh); err != nil {
-			return nil, err
-		}
-		a, err := tensorArg(op, args, 1)
-		if err != nil {
-			return nil, err
-		}
-		b, err := tensorArg(op, args, 2)
-		if err != nil {
-			return nil, err
-		}
-		return inferMatmul(a, b)
+		s1, err = matmulShape(args[1].Shape, args[2].Shape)
 	case OpConv:
-		return inferConv(args)
+		s1, err = convShape(args)
 	case OpRelu, OpTanh, OpSigmoid:
-		a, err := tensorArg(op, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		m := TensorMeta(a.Shape.Clone())
-		m.Foldable = a.Foldable
-		return m, nil
+		s1 = args[0].Shape.Clone()
 	case OpPoolMax, OpPoolAvg:
-		return inferPool(op, args)
+		s1, err = poolShape(op, args)
 	case OpTranspose:
-		return inferTranspose(args)
+		s1, err = transposeShape(args[0].Shape, args[1].SVal)
 	case OpEnlarge:
-		return inferEnlarge(args)
+		s1, err = enlargeShape(args[0].Shape, args[1].Shape)
 	case OpConcat2, OpConcat3, OpConcat4, OpConcat5:
-		return inferConcat(op, args)
+		s1, err = concatShape(args)
 	case OpSplit:
-		return inferSplit(ival, args)
-	case OpSplit0, OpSplit1:
-		a := args[0]
-		if a.Kind != KindTuple {
-			return nil, fmt.Errorf("tensor: %v wants a tensor tuple, got %v", op, a)
-		}
-		shape := a.Shape
-		if op == OpSplit1 {
-			shape = a.Shape2
-		}
-		m := TensorMeta(shape.Clone())
-		m.Foldable = a.Foldable
-		return m, nil
+		s1, s2, err = splitShapes(ival, args[0].IVal, args[1].Shape)
+	case OpSplit0:
+		s1 = args[0].Shape.Clone()
+	case OpSplit1:
+		s1 = args[0].Shape2.Clone()
 	case OpMerge:
-		return inferMerge(args)
+		s1, err = mergeShape(args[0].Shape, args[1].IVal)
 	case OpReshape:
-		return inferReshape(args)
+		s1, err = reshapeShape(args[0].Shape, args[1].SVal)
 	case OpNoop:
-		a, err := tensorArg(op, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := tensorArg(op, args, 1)
-		if err != nil {
-			return nil, err
-		}
-		m := TensorMeta(nil)
-		m.Foldable = a.Foldable && b.Foldable
-		return m, nil
-	default:
-		return nil, fmt.Errorf("tensor: unknown operator %v", op)
 	}
-}
-
-func tensorArg(op Op, args []*Meta, i int) (*Meta, error) {
-	if args[i].Kind != KindTensor {
-		return nil, fmt.Errorf("tensor: %v argument %d must be a tensor, got %v", op, i, args[i])
-	}
-	return args[i], nil
-}
-
-func intArg(op Op, args []*Meta, i int, what string) (int64, error) {
-	if args[i].Kind != KindInt {
-		return 0, fmt.Errorf("tensor: %v argument %d (%s) must be an integer, got %v", op, i, what, args[i])
-	}
-	return args[i].IVal, nil
-}
-
-func intArgIn(op Op, args []*Meta, i int, what string, lo, hi int64) error {
-	v, err := intArg(op, args, i, what)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if v < lo || v > hi {
-		return fmt.Errorf("tensor: %v %s = %d out of range [%d,%d]", op, what, v, lo, hi)
-	}
-	return nil
+	return computed(s1, s2, fold)
 }
 
-func inferMatmul(a, b *Meta) (*Meta, error) {
-	if len(a.Shape) < 2 || len(b.Shape) < 2 || len(a.Shape) != len(b.Shape) {
-		return nil, fmt.Errorf("tensor: matmul rank mismatch %v x %v", a.Shape, b.Shape)
+// computed builds the meta of a computed value: a tensor of shape s1,
+// or the tuple (s1, s2) when s2 is set, foldable when every argument
+// whose value it reads is. It refuses a tensor of more than maxVolume
+// elements.
+func computed(s1, s2 Shape, fold bool) (*Meta, error) {
+	if !s1.bounded() || !s2.bounded() {
+		return nil, fmt.Errorf("tensor: result shape %v %v exceeds %d elements", s1, s2, maxVolume)
 	}
-	n := len(a.Shape)
-	for i := 0; i < n-2; i++ {
-		if a.Shape[i] != b.Shape[i] {
-			return nil, fmt.Errorf("tensor: matmul batch dims differ: %v x %v", a.Shape, b.Shape)
-		}
+	m := &Meta{Kind: KindTensor, Shape: s1, Foldable: fold}
+	if s2 != nil {
+		m.Kind, m.Shape2 = KindTuple, s2
 	}
-	if a.Shape[n-1] != b.Shape[n-2] {
-		return nil, fmt.Errorf("tensor: matmul inner dims differ: %v x %v", a.Shape, b.Shape)
-	}
-	out := a.Shape.Clone()
-	out[n-1] = b.Shape[n-1]
-	m := TensorMeta(out)
-	m.Foldable = a.Foldable && b.Foldable
 	return m, nil
 }
 
-func inferConv(args []*Meta) (*Meta, error) {
-	sh, err := intArg(OpConv, args, 0, "strideH")
-	if err != nil {
-		return nil, err
+func matmulShape(a, b Shape) (Shape, error) {
+	if len(a) < 2 || len(b) < 2 || len(a) != len(b) {
+		return nil, fmt.Errorf("tensor: matmul rank mismatch %v x %v", a, b)
 	}
-	sw, err := intArg(OpConv, args, 1, "strideW")
-	if err != nil {
-		return nil, err
+	n := len(a)
+	for i := 0; i < n-2; i++ {
+		if a[i] != b[i] {
+			return nil, fmt.Errorf("tensor: matmul batch dims differ: %v x %v", a, b)
+		}
 	}
-	if sh < 1 || sw < 1 {
-		return nil, fmt.Errorf("tensor: conv strides must be >= 1, got %d,%d", sh, sw)
+	if a[n-1] != b[n-2] {
+		return nil, fmt.Errorf("tensor: matmul inner dims differ: %v x %v", a, b)
 	}
-	pad, err := intArg(OpConv, args, 2, "padding")
-	if err != nil {
-		return nil, err
+	out := a.Clone()
+	out[n-1] = b[n-1]
+	return out, nil
+}
+
+func convShape(args []*Meta) (Shape, error) {
+	sh, sw, pad := args[0].IVal, args[1].IVal, args[2].IVal
+	x, w := args[4].Shape, args[5].Shape
+	if len(x) != 4 || len(w) != 4 {
+		return nil, fmt.Errorf("tensor: conv wants NCHW input and OIHW weight, got %v, %v", x, w)
 	}
-	if pad != PadSame && pad != PadValid {
-		return nil, fmt.Errorf("tensor: conv padding mode %d invalid", pad)
-	}
-	if err := intArgIn(OpConv, args, 3, "activation", ActNone, ActTanh); err != nil {
-		return nil, err
-	}
-	x, err := tensorArg(OpConv, args, 4)
-	if err != nil {
-		return nil, err
-	}
-	w, err := tensorArg(OpConv, args, 5)
-	if err != nil {
-		return nil, err
-	}
-	if len(x.Shape) != 4 || len(w.Shape) != 4 {
-		return nil, fmt.Errorf("tensor: conv wants NCHW input and OIHW weight, got %v, %v", x.Shape, w.Shape)
-	}
-	n, c, h, wid := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cout, cinPG, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
+	n, c, h, wid := x[0], x[1], x[2], x[3]
+	cout, cinPG, kh, kw := w[0], w[1], w[2], w[3]
 	if cinPG == 0 || c%cinPG != 0 {
 		return nil, fmt.Errorf("tensor: conv channels %d not divisible by weight in-channels %d", c, cinPG)
 	}
@@ -203,9 +144,7 @@ func inferConv(args []*Meta) (*Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := TensorMeta(Shape{n, cout, oh, ow})
-	m.Foldable = x.Foldable && w.Foldable
-	return m, nil
+	return Shape{n, cout, oh, ow}, nil
 }
 
 func spatialOut(h, w, kh, kw, sh, sw int, pad int64) (int, int, error) {
@@ -221,156 +160,79 @@ func spatialOut(h, w, kh, kw, sh, sw int, pad int64) (int, int, error) {
 	return (h-kh)/sh + 1, (w-kw)/sw + 1, nil
 }
 
-func inferPool(op Op, args []*Meta) (*Meta, error) {
-	x, err := tensorArg(op, args, 0)
+func poolShape(op Op, args []*Meta) (Shape, error) {
+	x := args[0].Shape
+	if len(x) != 4 {
+		return nil, fmt.Errorf("tensor: %v wants NCHW input, got %v", op, x)
+	}
+	kh, kw, sh, sw := args[1].IVal, args[2].IVal, args[3].IVal, args[4].IVal
+	oh, ow, err := spatialOut(x[2], x[3], int(kh), int(kw), int(sh), int(sw), args[5].IVal)
 	if err != nil {
 		return nil, err
 	}
-	if len(x.Shape) != 4 {
-		return nil, fmt.Errorf("tensor: %v wants NCHW input, got %v", op, x.Shape)
-	}
-	kh, err := intArg(op, args, 1, "kernelH")
-	if err != nil {
-		return nil, err
-	}
-	kw, err := intArg(op, args, 2, "kernelW")
-	if err != nil {
-		return nil, err
-	}
-	sh, err := intArg(op, args, 3, "strideH")
-	if err != nil {
-		return nil, err
-	}
-	sw, err := intArg(op, args, 4, "strideW")
-	if err != nil {
-		return nil, err
-	}
-	pad, err := intArg(op, args, 5, "padding")
-	if err != nil {
-		return nil, err
-	}
-	if pad != PadSame && pad != PadValid {
-		return nil, fmt.Errorf("tensor: %v padding mode %d invalid", op, pad)
-	}
-	if err := intArgIn(op, args, 6, "activation", ActNone, ActTanh); err != nil {
-		return nil, err
-	}
-	if kh < 1 || kw < 1 || sh < 1 || sw < 1 {
-		return nil, fmt.Errorf("tensor: %v kernel/stride must be >= 1", op)
-	}
-	oh, ow, err := spatialOut(x.Shape[2], x.Shape[3], int(kh), int(kw), int(sh), int(sw), pad)
-	if err != nil {
-		return nil, err
-	}
-	m := TensorMeta(Shape{x.Shape[0], x.Shape[1], oh, ow})
-	m.Foldable = x.Foldable
-	return m, nil
+	return Shape{x[0], x[1], oh, ow}, nil
 }
 
-func inferTranspose(args []*Meta) (*Meta, error) {
-	x, err := tensorArg(OpTranspose, args, 0)
+func transposeShape(x Shape, permText string) (Shape, error) {
+	perm, err := ParsePerm(permText)
 	if err != nil {
 		return nil, err
 	}
-	if args[1].Kind != KindStr {
-		return nil, fmt.Errorf("tensor: transpose permutation must be a string, got %v", args[1])
-	}
-	perm, err := ParsePerm(args[1].SVal)
-	if err != nil {
-		return nil, err
-	}
-	if len(perm) != len(x.Shape) {
-		return nil, fmt.Errorf("tensor: transpose permutation rank %d != tensor rank %d", len(perm), len(x.Shape))
+	if len(perm) != len(x) {
+		return nil, fmt.Errorf("tensor: transpose permutation rank %d != tensor rank %d", len(perm), len(x))
 	}
 	out := make(Shape, len(perm))
 	for i, a := range perm {
-		out[i] = x.Shape[a]
+		out[i] = x[a]
 	}
-	m := TensorMeta(out)
-	m.Foldable = x.Foldable
-	return m, nil
+	return out, nil
 }
 
-func inferEnlarge(args []*Meta) (*Meta, error) {
-	k, err := tensorArg(OpEnlarge, args, 0)
-	if err != nil {
-		return nil, err
+func enlargeShape(k, ref Shape) (Shape, error) {
+	if len(k) != 4 || len(ref) != 4 {
+		return nil, fmt.Errorf("tensor: enlarge wants OIHW kernels, got %v, %v", k, ref)
 	}
-	ref, err := tensorArg(OpEnlarge, args, 1)
-	if err != nil {
-		return nil, err
+	if k[2] > ref[2] || k[3] > ref[3] {
+		return nil, fmt.Errorf("tensor: enlarge kernel %v larger than reference %v", k, ref)
 	}
-	if len(k.Shape) != 4 || len(ref.Shape) != 4 {
-		return nil, fmt.Errorf("tensor: enlarge wants OIHW kernels, got %v, %v", k.Shape, ref.Shape)
-	}
-	if k.Shape[2] > ref.Shape[2] || k.Shape[3] > ref.Shape[3] {
-		return nil, fmt.Errorf("tensor: enlarge kernel %v larger than reference %v", k.Shape, ref.Shape)
-	}
-	m := TensorMeta(Shape{k.Shape[0], k.Shape[1], ref.Shape[2], ref.Shape[3]})
-	m.Foldable = k.Foldable
-	return m, nil
+	return Shape{k[0], k[1], ref[2], ref[3]}, nil
 }
 
-func inferConcat(op Op, args []*Meta) (*Meta, error) {
-	axis, err := intArg(op, args, 0, "axis")
-	if err != nil {
-		return nil, err
-	}
-	first, err := tensorArg(op, args, 1)
-	if err != nil {
-		return nil, err
-	}
-	rank := len(first.Shape)
-	if axis < 0 || int(axis) >= rank {
+func concatShape(args []*Meta) (Shape, error) {
+	axis := args[0].IVal
+	first := args[1].Shape
+	rank := len(first)
+	if axis >= int64(rank) {
 		return nil, fmt.Errorf("tensor: concat axis %d out of range for rank %d", axis, rank)
 	}
-	out := first.Shape.Clone()
-	foldable := first.Foldable
-	for i := 2; i < len(args); i++ {
-		t, err := tensorArg(op, args, i)
-		if err != nil {
-			return nil, err
-		}
-		if len(t.Shape) != rank {
-			return nil, fmt.Errorf("tensor: concat rank mismatch %v vs %v", first.Shape, t.Shape)
+	out := first.Clone()
+	for _, a := range args[2:] {
+		t := a.Shape
+		if len(t) != rank {
+			return nil, fmt.Errorf("tensor: concat rank mismatch %v vs %v", first, t)
 		}
 		for d := 0; d < rank; d++ {
-			if d == int(axis) {
-				continue
-			}
-			if t.Shape[d] != out[d] {
-				return nil, fmt.Errorf("tensor: concat dim %d mismatch: %v vs %v", d, out, t.Shape)
+			if d != int(axis) && t[d] != out[d] {
+				return nil, fmt.Errorf("tensor: concat dim %d mismatch: %v vs %v", d, out, t)
 			}
 		}
-		out[axis] += t.Shape[axis]
-		foldable = foldable && t.Foldable
+		out[axis] += t[axis]
 	}
-	m := TensorMeta(out)
-	m.Foldable = foldable
-	return m, nil
+	return out, nil
 }
 
-func inferSplit(at int64, args []*Meta) (*Meta, error) {
-	axis, err := intArg(OpSplit, args, 0, "axis")
-	if err != nil {
-		return nil, err
+func splitShapes(at, axis int64, x Shape) (Shape, Shape, error) {
+	if axis >= int64(len(x)) {
+		return nil, nil, fmt.Errorf("tensor: split axis %d out of range for rank %d", axis, len(x))
 	}
-	x, err := tensorArg(OpSplit, args, 1)
-	if err != nil {
-		return nil, err
+	if at <= 0 || at >= int64(x[axis]) {
+		return nil, nil, fmt.Errorf("tensor: split position %d out of range for dim %d", at, x[axis])
 	}
-	if axis < 0 || int(axis) >= len(x.Shape) {
-		return nil, fmt.Errorf("tensor: split axis %d out of range for rank %d", axis, len(x.Shape))
-	}
-	if at <= 0 || at >= int64(x.Shape[axis]) {
-		return nil, fmt.Errorf("tensor: split position %d out of range for dim %d", at, x.Shape[axis])
-	}
-	s1 := x.Shape.Clone()
+	s1 := x.Clone()
 	s1[axis] = int(at)
-	s2 := x.Shape.Clone()
-	s2[axis] = x.Shape[axis] - int(at)
-	m := &Meta{Kind: KindTuple, Shape: s1, Shape2: s2, Foldable: x.Foldable}
-	return m, nil
+	s2 := x.Clone()
+	s2[axis] = x[axis] - int(at)
+	return s1, s2, nil
 }
 
 // SplitBoundary is where a split on axis of body must cut for its proj
@@ -390,27 +252,16 @@ func SplitBoundary(proj Op, axis, body, out *Meta) int64 {
 	return int64(out.Shape[axis.IVal])
 }
 
-func inferMerge(args []*Meta) (*Meta, error) {
-	w, err := tensorArg(OpMerge, args, 0)
-	if err != nil {
-		return nil, err
-	}
-	count, err := intArg(OpMerge, args, 1, "count")
-	if err != nil {
-		return nil, err
-	}
-	if len(w.Shape) != 4 {
-		return nil, fmt.Errorf("tensor: merge wants an OIHW weight, got %v", w.Shape)
-	}
-	if count < 2 {
-		return nil, fmt.Errorf("tensor: merge count %d must be >= 2", count)
+func mergeShape(w Shape, count int64) (Shape, error) {
+	if len(w) != 4 {
+		return nil, fmt.Errorf("tensor: merge wants an OIHW weight, got %v", w)
 	}
 	// merge's zero-pad band layout is defined by the original group
 	// structure, recoverable from the weight alone only when the conv
 	// has as many output channels as input channels (cout == C, so
 	// groups = cout/cinPG) — the ResNeXt/depthwise case TASO's
 	// merge_gconv targets. The rewrite's condition enforces cout == C.
-	cout, cinPG := w.Shape[0], w.Shape[1]
+	cout, cinPG := w[0], w[1]
 	if cout%cinPG != 0 {
 		return nil, fmt.Errorf("tensor: merge needs cinPG %d dividing out-channels %d", cinPG, cout)
 	}
@@ -418,27 +269,16 @@ func inferMerge(args []*Meta) (*Meta, error) {
 	if groups%int(count) != 0 {
 		return nil, fmt.Errorf("tensor: merge count %d does not divide groups %d", count, groups)
 	}
-	m := TensorMeta(Shape{w.Shape[0], w.Shape[1] * int(count), w.Shape[2], w.Shape[3]})
-	m.Foldable = w.Foldable
-	return m, nil
+	return Shape{w[0], w[1] * int(count), w[2], w[3]}, nil
 }
 
-func inferReshape(args []*Meta) (*Meta, error) {
-	x, err := tensorArg(OpReshape, args, 0)
+func reshapeShape(x Shape, target string) (Shape, error) {
+	shape, err := ParseShape(target)
 	if err != nil {
 		return nil, err
 	}
-	if args[1].Kind != KindStr {
-		return nil, fmt.Errorf("tensor: reshape target must be a string, got %v", args[1])
+	if shape.Volume() != x.Volume() {
+		return nil, fmt.Errorf("tensor: reshape %v -> %v changes volume", x, shape)
 	}
-	shape, err := ParseShape(args[1].SVal)
-	if err != nil {
-		return nil, err
-	}
-	if shape.Volume() != x.Shape.Volume() {
-		return nil, fmt.Errorf("tensor: reshape %v -> %v changes volume", x.Shape, shape)
-	}
-	m := TensorMeta(shape)
-	m.Foldable = x.Foldable
-	return m, nil
+	return shape, nil
 }

@@ -228,6 +228,28 @@ func TestInferArityChecks(t *testing.T) {
 	wantErr(t, OpConv, 0, "", IntMeta(1))
 }
 
+// TestVolumeBound: no tensor, parsed or computed, has more than 2^53
+// elements, so no volume overflows into a negative cost.
+func TestVolumeBound(t *testing.T) {
+	if _, err := ParseShape("9007199254740992"); err != nil {
+		t.Errorf("2^53 elements refused: %v", err)
+	}
+	for _, s := range []string{"9007199254740993", "3037000500 3037000500", "4294967296 4294967296 4294967296"} {
+		if _, err := ParseShape(s); err == nil {
+			t.Errorf("ParseShape(%q) accepted", s)
+		}
+	}
+	if _, err := UnmarshalGraph([]byte(`(output (relu (ewadd (input "x@3037000500 3037000500") (input "y@3037000500 3037000500"))))`)); err == nil {
+		t.Error("graph over 3037000500x3037000500 inputs parsed")
+	}
+	x, w := TensorMeta(Shape{3037000500, 1}), TensorMeta(Shape{1, 3037000500})
+	wantErr(t, OpMatmul, 0, "", IntMeta(ActNone), x, w)
+	half := TensorMeta(Shape{1 << 52})
+	mustInfer(t, OpConcat2, 0, "", IntMeta(0), half, half)
+	over := TensorMeta(Shape{1<<52 + 1})
+	wantErr(t, OpConcat2, 0, "", IntMeta(0), half, over)
+}
+
 func TestParseHelpers(t *testing.T) {
 	s, err := ParseShape("2 3 4")
 	if err != nil || !s.Equal(Shape{2, 3, 4}) {

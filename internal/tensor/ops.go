@@ -5,7 +5,10 @@
 // modifications (single root via noop, explicit split0/split1).
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Op enumerates the operators of Table 2 plus the two literal node
 // kinds (integer and string parameters are themselves graph nodes,
@@ -136,32 +139,90 @@ var OpByName = func() map[string]Op {
 	return m
 }()
 
-// Arity returns the number of children each operator takes, or -1 for
-// the literal leaves (OpInt, OpStr, OpInput, OpWeight) which take none
-// but carry payloads.
+// signatures is Table 2 (§3.1): one letter per argument, in order. It
+// is the one owner of each operator's arity, argument kinds and integer
+// ranges: Infer checks every argument list against it, Arity is its
+// length, and the rule verifier draws witnesses by its letters.
+//
+//	T  a tensor whose values the op reads
+//	R  a tensor whose shape only is read (enlarge's reference kernel)
+//	P  a tensor tuple (TT)
+//	S  a string
+//
+// Any other letter is an integer, named for the role that bounds it:
+// see intRange.
+var signatures = [NumOps]string{
+	OpEwadd:     "TT",
+	OpEwmul:     "TT",
+	OpMatmul:    "aTT",
+	OpConv:      "sspaTT",
+	OpRelu:      "T",
+	OpTanh:      "T",
+	OpSigmoid:   "T",
+	OpPoolMax:   "Tkksspa",
+	OpPoolAvg:   "Tkksspa",
+	OpTranspose: "TS",
+	OpEnlarge:   "TR",
+	OpConcat2:   "xTT",
+	OpConcat3:   "xTTT",
+	OpConcat4:   "xTTTT",
+	OpConcat5:   "xTTTTT",
+	OpSplit:     "xT",
+	OpSplit0:    "P",
+	OpSplit1:    "P",
+	OpMerge:     "Tc",
+	OpReshape:   "TS",
+	OpNoop:      "TT",
+}
+
+// Signature returns the operator's argument letters (see signatures):
+// empty for the literal leaves, which take payloads instead.
+func (o Op) Signature() string {
+	if o >= NumOps {
+		return ""
+	}
+	return signatures[o]
+}
+
+// Arity returns the number of children each operator takes: 0 for the
+// literal leaves (OpInt, OpStr, OpInput, OpWeight), which carry
+// payloads instead, and -1 for an unknown operator.
 func (o Op) Arity() int {
-	switch o {
-	case OpInt, OpStr, OpInput, OpWeight:
-		return 0
-	case OpRelu, OpTanh, OpSigmoid, OpSplit0, OpSplit1:
-		return 1
-	case OpEwadd, OpEwmul, OpTranspose, OpEnlarge, OpSplit, OpMerge, OpReshape, OpNoop:
-		return 2
-	case OpMatmul, OpConcat2:
-		return 3
-	case OpConcat3:
-		return 4
-	case OpConcat4:
-		return 5
-	case OpConcat5:
-		return 6
-	case OpPoolMax, OpPoolAvg:
-		return 7
-	case OpConv:
-		return 6
-	default:
+	if o >= NumOps {
 		return -1
 	}
+	return len(signatures[o])
+}
+
+// ArgKind is the kind of argument a signature letter asks for.
+func ArgKind(letter byte) Kind {
+	switch letter {
+	case 'T', 'R':
+		return KindTensor
+	case 'P':
+		return KindTuple
+	case 'S':
+		return KindStr
+	}
+	return KindInt
+}
+
+// intRange bounds the integers of one role: a activation, p padding,
+// s stride, k kernel extent, x axis, c merge count.
+func intRange(role byte) (lo, hi int64) {
+	switch role {
+	case 'a':
+		return ActNone, ActTanh
+	case 'p':
+		return PadSame, PadValid
+	case 's', 'k':
+		return 1, math.MaxInt64
+	case 'x':
+		return 0, math.MaxInt64
+	case 'c':
+		return 2, math.MaxInt64
+	}
+	return math.MinInt64, math.MaxInt64
 }
 
 // ConcatOp returns the concat operator for n inputs (2 <= n <= 5).

@@ -20,6 +20,25 @@ func (s Shape) Volume() int {
 	return v
 }
 
+// maxVolume bounds every tensor's element count. Costs are float64 and
+// scale with volume: beyond 2^53 elements neither they nor the int
+// products behind them stay exact, and an overflowed volume would price
+// a graph below zero.
+const maxVolume = 1 << 53
+
+// bounded reports whether every dimension is positive and the volume
+// at most maxVolume, without overflowing on the way.
+func (s Shape) bounded() bool {
+	v := 1
+	for _, d := range s {
+		if d < 1 || v > maxVolume/d {
+			return false
+		}
+		v *= d
+	}
+	return true
+}
+
 // Clone returns a copy of s.
 func (s Shape) Clone() Shape { return append(Shape(nil), s...) }
 
@@ -46,7 +65,8 @@ func (s Shape) String() string {
 }
 
 // ParseShape parses "d1 d2 ..." (the format used in reshape payloads
-// and input/weight identifiers).
+// and input/weight identifiers). It refuses a shape of more than
+// maxVolume elements.
 func ParseShape(s string) (Shape, error) {
 	fields := strings.Fields(s)
 	if len(fields) == 0 {
@@ -59,6 +79,9 @@ func ParseShape(s string) (Shape, error) {
 			return nil, fmt.Errorf("tensor: bad dimension %q in shape %q", f, s)
 		}
 		out[i] = d
+	}
+	if !out.bounded() {
+		return nil, fmt.Errorf("tensor: shape %q exceeds %d elements", s, maxVolume)
 	}
 	return out, nil
 }
