@@ -63,6 +63,19 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
+// Bounds on a spec's parameters. Every tensor has at most 2^53
+// elements (tensor.ParseShape and tensor.Infer refuse larger), so
+// within these bounds no sum or product in Device.NodeCost or
+// scaledModel leaves the finite floats: +Inf stays the price of an
+// ill-typed node alone.
+const (
+	maxMicros       = 1e6 // launch_us, fused_act_us: one second
+	minRate         = 1e-3
+	maxRate         = 1e9 // peak_gflops, mem_bw_gbps: an exaflop
+	maxGroupPenalty = 1e3
+	maxOpScale      = 1e6
+)
+
 // Validate checks the spec describes a physically meaningful device.
 // The name's identifier alphabet is owned by the registry layer
 // (tensat.Registry rejects names that would corrupt stats labels or
@@ -71,30 +84,26 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("cost: device spec missing name")
 	}
-	if !(s.PeakGFLOPS > 0) {
-		return fmt.Errorf("cost: device %s: peak_gflops must be positive (got %v)", s.Name, s.PeakGFLOPS)
-	}
-	if !(s.MemBWGBps > 0) {
-		return fmt.Errorf("cost: device %s: mem_bw_gbps must be positive (got %v)", s.Name, s.MemBWGBps)
-	}
 	for _, f := range []struct {
-		name string
-		v    float64
+		name      string
+		v, lo, hi float64
 	}{
-		{"launch_us", s.LaunchUS},
-		{"fused_act_us", s.FusedActUS},
-		{"group_penalty", s.GroupPenalty},
+		{"launch_us", s.LaunchUS, 0, maxMicros},
+		{"peak_gflops", s.PeakGFLOPS, minRate, maxRate},
+		{"mem_bw_gbps", s.MemBWGBps, minRate, maxRate},
+		{"fused_act_us", s.FusedActUS, 0, maxMicros},
+		{"group_penalty", s.GroupPenalty, 0, maxGroupPenalty},
 	} {
-		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("cost: device %s: %s must be a finite non-negative number (got %v)", s.Name, f.name, f.v)
+		if !(f.v >= f.lo && f.v <= f.hi) {
+			return fmt.Errorf("cost: device %s: %s must be in [%g, %g] (got %v)", s.Name, f.name, f.lo, f.hi, f.v)
 		}
 	}
 	for op, scale := range s.OpScale {
 		if _, ok := tensor.OpByName[op]; !ok {
 			return fmt.Errorf("cost: device %s: op_scale names unknown operator %q", s.Name, op)
 		}
-		if !(scale > 0) || math.IsInf(scale, 0) {
-			return fmt.Errorf("cost: device %s: op_scale[%q] must be a finite positive multiplier (got %v)", s.Name, op, scale)
+		if !(scale > 0 && scale <= maxOpScale) {
+			return fmt.Errorf("cost: device %s: op_scale[%q] must be a positive multiplier at most %g (got %v)", s.Name, op, scale, maxOpScale)
 		}
 	}
 	return nil

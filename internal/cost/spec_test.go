@@ -40,6 +40,10 @@ func TestParseSpecErrors(t *testing.T) {
 		{"neg-launch", `{"name":"x","peak_gflops":1,"mem_bw_gbps":1,"launch_us":-1}`, "launch_us"},
 		{"bad-op", `{"name":"x","peak_gflops":1,"mem_bw_gbps":1,"op_scale":{"matmull":2}}`, "unknown operator"},
 		{"bad-scale", `{"name":"x","peak_gflops":1,"mem_bw_gbps":1,"op_scale":{"matmul":0}}`, "positive multiplier"},
+		// Finite but large enough that a well-typed node would cost +Inf.
+		{"huge-launch", `{"name":"x","launch_us":1e308,"peak_gflops":1,"mem_bw_gbps":1,"fused_act_us":1e308}`, "launch_us"},
+		{"huge-scale", `{"name":"x","peak_gflops":1,"mem_bw_gbps":1,"op_scale":{"matmul":1e308}}`, "op_scale"},
+		{"tiny-bw", `{"name":"x","peak_gflops":1,"mem_bw_gbps":1e-300}`, "mem_bw_gbps"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
