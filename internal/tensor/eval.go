@@ -116,11 +116,30 @@ func (e *Evaluator) eval(n *Node) (any, error) {
 		return v, nil
 	}
 	v, err := e.compute(n)
+	if err == nil {
+		err = checkMeta(n.Meta, v)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", n.Op, err)
 	}
 	e.memo[n] = v
 	return v, nil
+}
+
+// checkMeta holds a computed value to its node's meta. Every value
+// test runs through it, so they all check Infer against execution too.
+func checkMeta(m *Meta, v any) error {
+	switch v := v.(type) {
+	case *Tensor:
+		if m == nil || m.Kind != KindTensor || !v.Shape.Equal(m.Shape) {
+			return fmt.Errorf("tensor: computed shape [%v], node meta %v", v.Shape, m)
+		}
+	case tuple:
+		if m == nil || m.Kind != KindTuple || !v.a.Shape.Equal(m.Shape) || !v.b.Shape.Equal(m.Shape2) {
+			return fmt.Errorf("tensor: computed tuple ([%v],[%v]), node meta %v", v.a.Shape, v.b.Shape, m)
+		}
+	}
+	return nil
 }
 
 func (e *Evaluator) evalT(n *Node) (*Tensor, error) {

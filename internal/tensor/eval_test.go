@@ -29,6 +29,21 @@ func maxAbsDiff(t, o *Tensor) float64 {
 	return worst
 }
 
+// TestEvalChecksMeta: a node whose meta is not the shape its value
+// computes to is an error, so every value test checks Infer as well.
+func TestEvalChecksMeta(t *testing.T) {
+	b := NewBuilder()
+	x := b.Input("x", 2, 3)
+	bad := &Node{Op: OpTranspose, Inputs: []*Node{x, b.StrParam("1 0")}, Meta: x.Meta}
+	if _, err := NewEvaluator().EvalOutputs(&Graph{Root: bad, Outputs: []*Node{bad}}); err == nil {
+		t.Fatal("transpose carrying its input's meta evaluated without error")
+	}
+	good := b.Transpose(x, 1, 0)
+	if _, err := NewEvaluator().EvalOutputs(&Graph{Root: good, Outputs: []*Node{good}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEvalDeterministicLeaves(t *testing.T) {
 	b := NewBuilder()
 	x := b.Input("x", 4, 4)
