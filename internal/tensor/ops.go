@@ -3,6 +3,10 @@
 // tensor shapes, a shape-inference engine, and single-rooted DAGs with
 // a builder API. It mirrors TASO's representation with the paper's
 // modifications (single root via noop, explicit split0/split1).
+//
+// Each operator's signature (its argument kinds and integer ranges) is
+// written once, in the signatures table: Infer, Op.Arity and the rule
+// verifier's witnesses all read it.
 package tensor
 
 import (
