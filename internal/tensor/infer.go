@@ -84,7 +84,7 @@ func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
 		s1, err = mergeShape(args[0].Shape, args[1].IVal)
 	case OpReshape:
 		s1, err = reshapeShape(args[0].Shape, args[1].SVal)
-	case OpNoop:
+	case OpNoop: // joins two outputs: a tensor with no shape
 	}
 	if err != nil {
 		return nil, err
@@ -98,7 +98,7 @@ func Infer(op Op, ival int64, sval string, args []*Meta) (*Meta, error) {
 // elements.
 func computed(s1, s2 Shape, fold bool) (*Meta, error) {
 	if !s1.bounded() || !s2.bounded() {
-		return nil, fmt.Errorf("tensor: result shape %v %v exceeds %d elements", s1, s2, maxVolume)
+		return nil, fmt.Errorf("tensor: result shape [%v] [%v] has a dimension below 1 or over %d elements", s1, s2, maxVolume)
 	}
 	m := &Meta{Kind: KindTensor, Shape: s1, Foldable: fold}
 	if s2 != nil {
@@ -152,7 +152,7 @@ func spatialOut(h, w, kh, kw, sh, sw int, pad int64) (int, int, error) {
 		return 0, 0, fmt.Errorf("tensor: kernel %dx%d invalid", kh, kw)
 	}
 	if pad == PadSame {
-		return (h + sh - 1) / sh, (w + sw - 1) / sw, nil
+		return (h-1)/sh + 1, (w-1)/sw + 1, nil
 	}
 	if h < kh || w < kw {
 		return 0, 0, fmt.Errorf("tensor: valid padding with kernel %dx%d larger than input %dx%d", kh, kw, h, w)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,12 @@ func TestInferConv(t *testing.T) {
 	// Kernel larger than input under valid padding.
 	tiny := TensorMeta(Shape{1, 64, 2, 2})
 	wantErr(t, OpConv, 0, "", IntMeta(1), IntMeta(1), IntMeta(PadValid), IntMeta(ActNone), tiny, w)
+	// A stride past the input leaves one output row under same padding,
+	// however large: the output extent must not overflow to 0.
+	args = []*Meta{IntMeta(math.MaxInt64), IntMeta(1), IntMeta(PadSame), IntMeta(ActNone), x, w}
+	if m := mustInfer(t, OpConv, 0, "", args...); !m.Shape.Equal(Shape{1, 128, 1, 28}) {
+		t.Fatalf("conv with stride 2^63-1 shape = %v", m.Shape)
+	}
 }
 
 func TestInferPool(t *testing.T) {
