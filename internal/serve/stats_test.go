@@ -23,7 +23,7 @@ import (
 	"tensat/internal/tenant"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json and testdata/key_golden.json from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json, key_golden.json and profile_golden.json from this build")
 
 // statsSeries maps every counter and gauge key of GET /v1/stats to the
 // /metrics series it is a read of. A map-valued key ("profiles") names
