@@ -92,19 +92,129 @@ type CostModelInfo struct {
 	Source string
 }
 
-type ruleSetEntry struct {
-	rules []*Rule
-	// compiled is the e-matching form of rules — canonical patterns
-	// compiled to pattern programs (rewrite.CompileRules) — built once
-	// at registration so every job resolving this set shares the same
-	// immutable programs instead of recompiling per run.
-	compiled *rewrite.CompiledRules
-	info     RuleSetInfo
+// shelf holds one kind of profile: each name's value and the row that
+// lists it. The Registry's lock guards every shelf.
+type shelf[V, I any] map[string]shelved[V, I]
+
+type shelved[V, I any] struct {
+	value V
+	info  I
 }
 
-type costModelEntry struct {
-	model CostModel
-	info  CostModelInfo
+// names lists the shelf's names, sorted.
+func (s shelf[V, I]) names() []string {
+	names := make([]string, 0, len(s))
+	for name := range s {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// rows lists the shelf's rows, sorted by name.
+func (s shelf[V, I]) rows() []I {
+	names := s.names()
+	rows := make([]I, len(names))
+	for i, name := range names {
+		rows[i] = s[name].info
+	}
+	return rows
+}
+
+// unknown is the error for a name no entry of s answers to; kind says
+// which kind of profile s holds.
+func (s shelf[V, I]) unknown(kind, name string) error {
+	return fmt.Errorf("%w: %s %q (known: %s)", ErrUnknownProfile, kind, name, strings.Join(s.names(), ", "))
+}
+
+// get reads name's entry of s under r's read lock.
+func get[V, I any](r *Registry, s shelf[V, I], name string) (shelved[V, I], bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := s[name]
+	return e, ok
+}
+
+// list reads the rows of s under r's read lock.
+func list[V, I any](r *Registry, s shelf[V, I]) []I {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return s.rows()
+}
+
+// load parses every file in paths, then registers them all in s under
+// one write lock, replacing any entry of the same name, and returns
+// their rows in path order. On any parse error, or when two of the
+// files name the same profile, the registry is unchanged.
+func load[V, I any](r *Registry, s shelf[V, I], paths []string, parse func(path string) (string, shelved[V, I], error)) ([]I, error) {
+	names := make([]string, len(paths))
+	entries := make([]shelved[V, I], len(paths))
+	from := make(map[string]string, len(paths))
+	for i, path := range paths {
+		name, e, err := parse(path)
+		if err != nil {
+			return nil, err
+		}
+		if prev, ok := from[name]; ok {
+			return nil, fmt.Errorf("tensat: %s and %s both name profile %q", prev, path, name)
+		}
+		from[name] = path
+		names[i], entries[i] = name, e
+	}
+	rows := make([]I, len(paths))
+	r.mu.Lock()
+	for i, name := range names {
+		s[name] = entries[i]
+		rows[i] = entries[i].info
+	}
+	r.mu.Unlock()
+	return rows, nil
+}
+
+// first is the one row of a single-file load.
+func first[I any](rows []I, err error) (I, error) {
+	if err != nil {
+		var zero I
+		return zero, err
+	}
+	return rows[0], nil
+}
+
+// ruleSet is a registered rule set's value. compiled is the e-matching
+// form of rules — canonical patterns compiled to pattern programs
+// (rewrite.CompileRules) — built once at registration so every job
+// resolving this set shares the same immutable programs instead of
+// recompiling per run.
+type ruleSet struct {
+	rules    []*Rule
+	compiled *rewrite.CompiledRules
+}
+
+func rulesEntry(name string, rs []*Rule, source string, vetWarnings []string) shelved[ruleSet, RuleSetInfo] {
+	multi := 0
+	for _, rule := range rs {
+		if rule.IsMulti() {
+			multi++
+		}
+	}
+	return shelved[ruleSet, RuleSetInfo]{
+		value: ruleSet{rules: rs, compiled: rewrite.CompileRules(rs)},
+		info: RuleSetInfo{
+			Name:        name,
+			Hash:        rules.Hash(rs),
+			Rules:       len(rs),
+			MultiRules:  multi,
+			Source:      source,
+			VetWarnings: vetWarnings,
+		},
+	}
+}
+
+func deviceEntry(spec *DeviceSpec, source string) shelved[CostModel, CostModelInfo] {
+	return shelved[CostModel, CostModelInfo]{
+		value: spec.Model(),
+		info:  CostModelInfo{Name: spec.Name, Hash: spec.Hash(), Params: spec.Params(), Source: source},
+	}
 }
 
 // Registry resolves optimization profiles — named rewrite rule sets
@@ -121,8 +231,8 @@ type costModelEntry struct {
 // content is unchanged.
 type Registry struct {
 	mu         sync.RWMutex
-	ruleSets   map[string]*ruleSetEntry
-	costModels map[string]*costModelEntry
+	ruleSets   shelf[ruleSet, RuleSetInfo]
+	costModels shelf[CostModel, CostModelInfo]
 	vetMode    RuleVetMode
 }
 
@@ -131,16 +241,16 @@ type Registry struct {
 // taso-single set and the taso-default set that extends it.
 func NewRegistry() *Registry {
 	r := &Registry{
-		ruleSets:   make(map[string]*ruleSetEntry),
-		costModels: make(map[string]*costModelEntry),
+		ruleSets:   make(shelf[ruleSet, RuleSetInfo]),
+		costModels: make(shelf[CostModel, CostModelInfo]),
 	}
 	single := rules.Single()
 	multi := rules.Multi()
 	def := append(append(make([]*Rule, 0, len(single)+len(multi)), single...), multi...)
-	r.putRuleSet(DefaultRuleSetName, def, "builtin", nil)
-	r.putRuleSet(SingleRuleSetName, single, "builtin", nil)
+	r.ruleSets[DefaultRuleSetName] = rulesEntry(DefaultRuleSetName, def, "builtin", nil)
+	r.ruleSets[SingleRuleSetName] = rulesEntry(SingleRuleSetName, single, "builtin", nil)
 	for _, spec := range []*DeviceSpec{cost.T4Spec(), cost.A100Spec(), cost.CPUSpec()} {
-		r.putCostModel(spec, "builtin")
+		r.costModels[spec.Name] = deviceEntry(spec, "builtin")
 	}
 	return r
 }
@@ -155,29 +265,6 @@ var defaultRegistry = sync.OnceValue(NewRegistry)
 // serve.Config.Registry).
 func DefaultRegistry() *Registry { return defaultRegistry() }
 
-func (r *Registry) putRuleSet(name string, rs []*Rule, source string, vetWarnings []string) {
-	multi := 0
-	for _, rule := range rs {
-		if rule.IsMulti() {
-			multi++
-		}
-	}
-	r.mu.Lock()
-	r.ruleSets[name] = &ruleSetEntry{
-		rules:    rs,
-		compiled: rewrite.CompileRules(rs),
-		info: RuleSetInfo{
-			Name:        name,
-			Hash:        rules.Hash(rs),
-			Rules:       len(rs),
-			MultiRules:  multi,
-			Source:      source,
-			VetWarnings: vetWarnings,
-		},
-	}
-	r.mu.Unlock()
-}
-
 // SetRuleVetMode selects how subsequent LoadRuleFile/LoadRulesDir
 // calls treat static-verifier findings. Safe for concurrent use.
 func (r *Registry) SetRuleVetMode(m RuleVetMode) {
@@ -186,44 +273,48 @@ func (r *Registry) SetRuleVetMode(m RuleVetMode) {
 	r.mu.Unlock()
 }
 
-// vetRuleFile runs the static rule verifier over a parsed rule file,
-// pricing targets against the default cost model. It returns the
-// warning strings to record, or an error when the findings must fail
-// the load (any error-severity finding; under RuleVetStrict, any
-// finding at all).
-func (r *Registry) vetRuleFile(path string, rs []*Rule) ([]string, error) {
-	r.mu.RLock()
-	mode := r.vetMode
-	r.mu.RUnlock()
-	def, err := r.Resolve(Options{})
+// parseRuleFile loads a .rules file, runs the static rule verifier
+// over it — pricing targets against the registry's default cost
+// model — and compiles it, without registering it. Non-fatal findings
+// land in the row's VetWarnings; any error-severity finding (under
+// RuleVetStrict, any finding at all) fails the parse.
+func (r *Registry) parseRuleFile(path string) (string, shelved[ruleSet, RuleSetInfo], error) {
+	var zero shelved[ruleSet, RuleSetInfo]
+	name, rs, err := rules.LoadFile(path)
 	if err != nil {
-		return nil, err
+		return "", zero, fmt.Errorf("tensat: %w", err)
 	}
-	findings := rulecheck.CheckRules(path, rs, def.CostModel)
-	if len(findings) == 0 {
-		return nil, nil
-	}
+	r.mu.RLock()
+	mode, model := r.vetMode, r.costModels[DefaultCostModelName].value
+	r.mu.RUnlock()
 	var warns []string
 	fatal := false
-	for _, f := range findings {
-		if f.Severity == rulecheck.SevError || mode == RuleVetStrict {
-			fatal = true
-		}
+	for _, f := range rulecheck.CheckRules(path, rs, model) {
+		fatal = fatal || f.Severity == rulecheck.SevError || mode == RuleVetStrict
 		warns = append(warns, f.String())
 	}
 	if fatal {
-		return nil, fmt.Errorf("tensat: rule vet failed for %s:\n  %s", path, strings.Join(warns, "\n  "))
+		return "", zero, fmt.Errorf("tensat: rule vet failed for %s:\n  %s", path, strings.Join(warns, "\n  "))
 	}
-	return warns, nil
+	return name, rulesEntry(name, rs, path, warns), nil
 }
 
-func (r *Registry) putCostModel(spec *DeviceSpec, source string) {
-	r.mu.Lock()
-	r.costModels[spec.Name] = &costModelEntry{
-		model: spec.Model(),
-		info:  CostModelInfo{Name: spec.Name, Hash: spec.Hash(), Params: spec.Params(), Source: source},
+// parseDeviceFile decodes and validates one JSON device spec without
+// registering it.
+func parseDeviceFile(path string) (string, shelved[CostModel, CostModelInfo], error) {
+	var zero shelved[CostModel, CostModelInfo]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", zero, fmt.Errorf("tensat: %w", err)
 	}
-	r.mu.Unlock()
+	spec, err := cost.ParseSpec(data)
+	if err != nil {
+		return "", zero, fmt.Errorf("tensat: %s: %w", path, err)
+	}
+	if err := rules.CheckProfileName(spec.Name); err != nil {
+		return "", zero, fmt.Errorf("tensat: %w (in %s)", err, path)
+	}
+	return spec.Name, deviceEntry(spec, path), nil
 }
 
 // LoadRuleFile loads a .rules file and registers it under the file's
@@ -232,17 +323,7 @@ func (r *Registry) putCostModel(spec *DeviceSpec, source string) {
 // is registered: on any error the registry is unchanged. Non-fatal
 // verifier findings land in the returned RuleSetInfo.VetWarnings.
 func (r *Registry) LoadRuleFile(path string) (RuleSetInfo, error) {
-	name, rs, err := rules.LoadFile(path)
-	if err != nil {
-		return RuleSetInfo{}, fmt.Errorf("tensat: %w", err)
-	}
-	warns, err := r.vetRuleFile(path, rs)
-	if err != nil {
-		return RuleSetInfo{}, err
-	}
-	r.putRuleSet(name, rs, path, warns)
-	info, _ := r.RuleSetInfo(name)
-	return info, nil
+	return first(load(r, r.ruleSets, []string{path}, r.parseRuleFile))
 }
 
 // LoadRulesDir loads every *.rules file in dir (sorted by name).
@@ -254,89 +335,26 @@ func (r *Registry) LoadRulesDir(dir string) ([]RuleSetInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	type staged struct {
-		name, path string
-		rs         []*Rule
-		warns      []string
-	}
-	stage := make([]staged, 0, len(paths))
-	for _, p := range paths {
-		name, rs, err := rules.LoadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("tensat: %w", err)
-		}
-		warns, err := r.vetRuleFile(p, rs)
-		if err != nil {
-			return nil, err
-		}
-		stage = append(stage, staged{name: name, path: p, rs: rs, warns: warns})
-	}
-	infos := make([]RuleSetInfo, 0, len(stage))
-	for _, s := range stage {
-		r.putRuleSet(s.name, s.rs, s.path, s.warns)
-		info, _ := r.RuleSetInfo(s.name)
-		infos = append(infos, info)
-	}
-	return infos, nil
-}
-
-// parseDeviceFile decodes and validates one JSON device spec without
-// touching the registry.
-func parseDeviceFile(path string) (*DeviceSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tensat: %w", err)
-	}
-	spec, err := cost.ParseSpec(data)
-	if err != nil {
-		return nil, fmt.Errorf("tensat: %s: %w", path, err)
-	}
-	if err := rules.CheckProfileName(spec.Name); err != nil {
-		return nil, fmt.Errorf("tensat: %w (in %s)", err, path)
-	}
-	return spec, nil
+	return load(r, r.ruleSets, paths, r.parseRuleFile)
 }
 
 // LoadDeviceFile loads a JSON device spec and registers its cost model
 // under the spec's "name" field; on any error the registry is
 // unchanged.
 func (r *Registry) LoadDeviceFile(path string) (CostModelInfo, error) {
-	spec, err := parseDeviceFile(path)
-	if err != nil {
-		return CostModelInfo{}, err
-	}
-	r.putCostModel(spec, path)
-	info, _ := r.CostModelInfo(spec.Name)
-	return info, nil
+	return first(load(r, r.costModels, []string{path}, parseDeviceFile))
 }
 
 // LoadDevicesDir loads every *.json device spec in dir (sorted by
-// name), atomically across the directory: one invalid file fails the
-// whole call with the registry unchanged.
+// name), atomically across the directory: one invalid file, or two
+// files naming the same device, fails the whole call with the registry
+// unchanged.
 func (r *Registry) LoadDevicesDir(dir string) ([]CostModelInfo, error) {
 	paths, err := dirFiles(dir, ".json")
 	if err != nil {
 		return nil, err
 	}
-	type staged struct {
-		spec *DeviceSpec
-		path string
-	}
-	stage := make([]staged, 0, len(paths))
-	for _, p := range paths {
-		spec, err := parseDeviceFile(p)
-		if err != nil {
-			return nil, err
-		}
-		stage = append(stage, staged{spec: spec, path: p})
-	}
-	infos := make([]CostModelInfo, 0, len(stage))
-	for _, s := range stage {
-		r.putCostModel(s.spec, s.path)
-		info, _ := r.CostModelInfo(s.spec.Name)
-		infos = append(infos, info)
-	}
-	return infos, nil
+	return load(r, r.costModels, paths, parseDeviceFile)
 }
 
 func dirFiles(dir, ext string) ([]string, error) {
@@ -356,13 +374,8 @@ func dirFiles(dir, ext string) ([]string, error) {
 
 // RuleSet resolves a named rule set to its compiled rules.
 func (r *Registry) RuleSet(name string) ([]*Rule, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.ruleSets[name]
-	if !ok {
-		return nil, false
-	}
-	return e.rules, true
+	e, ok := get(r, r.ruleSets, name)
+	return e.value.rules, ok
 }
 
 // Profile is what one run optimizes with: the rule set and cost model
@@ -393,109 +406,47 @@ type Profile struct {
 // is an error wrapping ErrUnknownProfile that lists the known names.
 func (r *Registry) Resolve(opt Options) (Profile, error) {
 	p := Profile{Rules: opt.Rules, CostModel: opt.CostModel, RuleSet: customProfile, CostModelName: customProfile}
-	var rs *ruleSetEntry
-	var cm *costModelEntry
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if p.Rules == nil {
 		p.RuleSet = cmp.Or(opt.RuleSet, DefaultRuleSetName)
-		rs = r.ruleSets[p.RuleSet]
+		e, ok := r.ruleSets[p.RuleSet]
+		if !ok {
+			return Profile{}, r.ruleSets.unknown("rule set", p.RuleSet)
+		}
+		p.Rules, p.compiled, p.RuleSetHash = e.value.rules, e.value.compiled, e.info.Hash
 	}
 	if p.CostModel == nil {
 		p.CostModelName = cmp.Or(opt.CostModelName, DefaultCostModelName)
-		cm = r.costModels[p.CostModelName]
-	}
-	r.mu.RUnlock()
-	if p.Rules == nil {
-		if rs == nil {
-			return Profile{}, fmt.Errorf("%w: rule set %q (known: %s)",
-				ErrUnknownProfile, p.RuleSet, strings.Join(r.RuleSetNames(), ", "))
+		e, ok := r.costModels[p.CostModelName]
+		if !ok {
+			return Profile{}, r.costModels.unknown("cost model", p.CostModelName)
 		}
-		p.Rules, p.compiled, p.RuleSetHash = rs.rules, rs.compiled, rs.info.Hash
-	}
-	if p.CostModel == nil {
-		if cm == nil {
-			return Profile{}, fmt.Errorf("%w: cost model %q (known: %s)",
-				ErrUnknownProfile, p.CostModelName, strings.Join(r.CostModelNames(), ", "))
-		}
-		p.CostModel, p.CostModelHash = cm.model, cm.info.Hash
+		p.CostModel, p.CostModelHash = e.value, e.info.Hash
 	}
 	return p, nil
 }
 
 // RuleSetInfo reports a named rule set's metadata.
 func (r *Registry) RuleSetInfo(name string) (RuleSetInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.ruleSets[name]
-	if !ok {
-		return RuleSetInfo{}, false
-	}
-	return e.info, true
+	e, ok := get(r, r.ruleSets, name)
+	return e.info, ok
 }
 
 // CostModel resolves a named cost model.
 func (r *Registry) CostModel(name string) (CostModel, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.costModels[name]
-	if !ok {
-		return nil, false
-	}
-	return e.model, true
+	e, ok := get(r, r.costModels, name)
+	return e.value, ok
 }
 
 // CostModelInfo reports a named cost model's metadata.
 func (r *Registry) CostModelInfo(name string) (CostModelInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.costModels[name]
-	if !ok {
-		return CostModelInfo{}, false
-	}
-	return e.info, true
+	e, ok := get(r, r.costModels, name)
+	return e.info, ok
 }
 
 // RuleSets lists all registered rule sets, sorted by name.
-func (r *Registry) RuleSets() []RuleSetInfo {
-	r.mu.RLock()
-	out := make([]RuleSetInfo, 0, len(r.ruleSets))
-	for _, e := range r.ruleSets {
-		out = append(out, e.info)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func (r *Registry) RuleSets() []RuleSetInfo { return list(r, r.ruleSets) }
 
 // CostModels lists all registered cost models, sorted by name.
-func (r *Registry) CostModels() []CostModelInfo {
-	r.mu.RLock()
-	out := make([]CostModelInfo, 0, len(r.costModels))
-	for _, e := range r.costModels {
-		out = append(out, e.info)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// RuleSetNames lists registered rule set names, sorted — the "known
-// names" of an ErrUnknownProfile message.
-func (r *Registry) RuleSetNames() []string {
-	infos := r.RuleSets()
-	names := make([]string, len(infos))
-	for i, info := range infos {
-		names[i] = info.Name
-	}
-	return names
-}
-
-// CostModelNames lists registered cost model names, sorted.
-func (r *Registry) CostModelNames() []string {
-	infos := r.CostModels()
-	names := make([]string, len(infos))
-	for i, info := range infos {
-		names[i] = info.Name
-	}
-	return names
-}
+func (r *Registry) CostModels() []CostModelInfo { return list(r, r.costModels) }

@@ -126,6 +126,50 @@ func TestRegistryLoadErrors(t *testing.T) {
 	if _, err := r.LoadDeviceFile(badDev); err == nil {
 		t.Fatal("loading an invalid device spec succeeded")
 	}
+	goodDev := filepath.Join(dir, "aaa.json")
+	if err := os.WriteFile(goodDev, []byte(`{"name":"aaa","peak_gflops":100,"mem_bw_gbps":10}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.LoadDevicesDir(dir); err == nil {
+		t.Fatal("loading a device directory with an invalid spec succeeded")
+	}
+	if _, ok := r.CostModel("aaa"); ok {
+		t.Error("failed device directory load registered the earlier valid file (not atomic)")
+	}
+}
+
+// TestRegistryDirRefusesDuplicateNames: two files of one directory
+// that name the same device fail the load, naming both files, and
+// register neither; a later call loading the name again replaces the
+// entry, as any reload does.
+func TestRegistryDirRefusesDuplicateNames(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	for path, launch := range map[string]int{a: 1, b: 2} {
+		spec := fmt.Sprintf(`{"name":"edge","launch_us":%d,"peak_gflops":100,"mem_bw_gbps":10}`, launch)
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRegistry()
+	infos, err := r.LoadDevicesDir(dir)
+	if err == nil || !strings.Contains(err.Error(), a) || !strings.Contains(err.Error(), b) {
+		t.Fatalf("LoadDevicesDir = %+v, %v; want an error naming %s and %s", infos, err, a, b)
+	}
+	if _, ok := r.CostModel("edge"); ok {
+		t.Error("a refused directory registered one of its duplicates")
+	}
+	first, err := r.LoadDeviceFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := r.LoadDeviceFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.CostModelInfo("edge"); got != second || got == first {
+		t.Errorf("after reloading edge from %s the registry holds %+v (first load %+v)", b, got, first)
+	}
 }
 
 // TestRegistryRejectsBadProfileNames: names with characters outside
