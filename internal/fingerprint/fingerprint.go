@@ -38,9 +38,16 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
 // Graph computes the canonical fingerprint of g.
 func Graph(g *tensor.Graph) (Fingerprint, error) {
-	var zero Fingerprint
+	f, _, err := Canonical(g)
+	return f, err
+}
+
+// Canonical walks g once in canonical order and returns both its
+// fingerprint (Graph) and its input/weight names (Tensors).
+func Canonical(g *tensor.Graph) (Fingerprint, []string, error) {
+	var f Fingerprint
 	if g == nil || g.Root == nil {
-		return zero, fmt.Errorf("fingerprint: nil graph")
+		return f, nil, fmt.Errorf("fingerprint: nil graph")
 	}
 	c := &canonicalizer{
 		h:       sha256.New(),
@@ -56,11 +63,10 @@ func Graph(g *tensor.Graph) (Fingerprint, error) {
 		c.num(c.visit(out))
 	}
 	if c.err != nil {
-		return zero, c.err
+		return f, nil, c.err
 	}
-	var f Fingerprint
 	c.h.Sum(f[:0])
-	return f, nil
+	return f, c.names, nil
 }
 
 // GraphHex is Graph rendered as a hex string.
@@ -99,25 +105,8 @@ func Key(parts ...string) string {
 // name lists to translate tensor identifiers between graphs that hash
 // alike, e.g. to return a cached result in the requester's vocabulary.
 func Tensors(g *tensor.Graph) ([]string, error) {
-	if g == nil || g.Root == nil {
-		return nil, fmt.Errorf("fingerprint: nil graph")
-	}
-	c := &canonicalizer{
-		h:       sha256.New(), // hash output discarded; the walk drives naming
-		ids:     make(map[*tensor.Node]int),
-		tensors: make(map[string]int),
-	}
-	for _, out := range g.Outputs {
-		c.visit(out)
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	names := make([]string, len(c.tensors))
-	for name, i := range c.tensors {
-		names[i] = name
-	}
-	return names, nil
+	_, names, err := Canonical(g)
+	return names, err
 }
 
 type canonicalizer struct {
@@ -129,6 +118,7 @@ type canonicalizer struct {
 	// by hand may alias two nodes to one name; indexing by name keeps
 	// those equivalent.
 	tensors map[string]int
+	names   []string // the keys of tensors, by index
 	err     error
 }
 
@@ -176,8 +166,9 @@ func (c *canonicalizer) visit(n *tensor.Node) int {
 		}
 		idx, ok := c.tensors[name]
 		if !ok {
-			idx = len(c.tensors)
+			idx = len(c.names)
 			c.tensors[name] = idx
+			c.names = append(c.names, name)
 		}
 		c.num(idx)
 		c.num(len(shape))

@@ -497,12 +497,11 @@ func (s *Service) prepare(g *tensat.Graph, ro RequestOptions) (request, error) {
 	if q.prof, err = s.cfg.Registry.Resolve(q.opts); err != nil {
 		return q, fmt.Errorf("%w: %w", ErrBadOptions, err)
 	}
-	if q.fp, err = fingerprint.GraphHex(g); err != nil {
+	fp, names, err := fingerprint.Canonical(g)
+	if err != nil {
 		return q, err
 	}
-	if q.names, err = fingerprint.Tensors(g); err != nil {
-		return q, err
-	}
+	q.fp, q.names = fp.String(), names
 	q.key = keyFromParts(q.keyParts())
 	return q, nil
 }
