@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"tensat"
 	"tensat/internal/cachestore"
 	"tensat/internal/cluster"
+	"tensat/internal/models"
 	"tensat/internal/tenant"
 )
 
@@ -1005,5 +1007,84 @@ func TestLRUByteBound(t *testing.T) {
 	u.add("b", r, 1<<40)
 	if u.len() != 2 {
 		t.Fatalf("unbounded cache evicted by bytes: len = %d", u.len())
+	}
+}
+
+// TestRealResultRoundTripsEveryTier runs a zoo model through the real
+// optimizer with ILP extraction and compares four /result bodies: the
+// cold run, a memory hit, a disk hit after a restart and a peer hit
+// from the second node. With "cached" and "cache_tier" blanked they
+// must be byte-identical, so a field the store codec loses (the
+// ILP-optimal flag, the extraction time) shows as a differing body.
+func TestRealResultRoundTripsEveryTier(t *testing.T) {
+	g := models.SqueezeNet(models.ScaleTest)
+	req := OptimizeRequest{Graph: graphText(t, g), Options: RequestOptions{Extractor: "ilp", NodeLimit: 500}}
+	q, err := New(Config{Workers: 1}).prepare(g, req.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The node that owns the key computes and stores the result; the
+	// other one can answer only by fetching it from the owner.
+	baseURL := map[string]string{}
+	owner, _ := clusterClient(t, "a", baseURL).Owner(q.key)
+	other := map[string]string{"a": "b", "b": "a"}[owner]
+	dir := t.TempDir()
+	boot := func() (*cachestore.FileStore, *httptest.Server) {
+		st, err := cachestore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewHandler(New(Config{Workers: 1, Store: st, Cluster: clusterClient(t, owner, baseURL)})))
+		baseURL[owner] = ts.URL
+		return st, ts
+	}
+	blanked := regexp.MustCompile(`"cached":(true|false),|,"cache_tier":"[a-z]*"`)
+	fetch := func(url, wantTier string) string {
+		t.Helper()
+		resp, raw := runJobHTTP(t, url, req, nil)
+		var reply OptimizeReply
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &reply) != nil {
+			t.Fatalf("result %d: %s", resp.StatusCode, raw)
+		}
+		if reply.CacheTier != wantTier || reply.Cached != (wantTier != "") {
+			t.Fatalf("cached=%v tier=%q, want tier %q", reply.Cached, reply.CacheTier, wantTier)
+		}
+		if !reply.ILPOptimal || reply.ExtractMS == 0 {
+			t.Fatalf("%q answer lacks the ILP-optimal flag or the extraction time: %s", wantTier, raw)
+		}
+		return blanked.ReplaceAllString(string(raw), "")
+	}
+
+	st, ts := boot()
+	cold := fetch(ts.URL, "")
+	for _, hit := range []struct{ name, body string }{
+		{"memory", fetch(ts.URL, TierMemory)},
+		{"disk", func() string {
+			ts.Close()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, ts = boot()
+			return fetch(ts.URL, TierDisk)
+		}()},
+		{"peer", func() string {
+			s := New(Config{Workers: 1, Cluster: clusterClient(t, other, baseURL)})
+			s.optimize = func(context.Context, *tensat.Graph, tensat.Options) (*tensat.Result, error) {
+				t.Error("the node that does not own the key recomputed it")
+				return nil, context.Canceled
+			}
+			peer := httptest.NewServer(NewHandler(s))
+			defer peer.Close()
+			baseURL[other] = peer.URL
+			return fetch(peer.URL, TierPeer)
+		}()},
+	} {
+		if hit.body != cold {
+			t.Errorf("%s hit differs from the cold run:\n got %s\nwant %s", hit.name, hit.body, cold)
+		}
+	}
+	ts.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
