@@ -1056,35 +1056,28 @@ func TestRealResultRoundTripsEveryTier(t *testing.T) {
 	}
 
 	st, ts := boot()
-	cold := fetch(ts.URL, "")
-	for _, hit := range []struct{ name, body string }{
-		{"memory", fetch(ts.URL, TierMemory)},
-		{"disk", func() string {
-			ts.Close()
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			st, ts = boot()
-			return fetch(ts.URL, TierDisk)
-		}()},
-		{"peer", func() string {
-			s := New(Config{Workers: 1, Cluster: clusterClient(t, other, baseURL)})
-			s.optimize = func(context.Context, *tensat.Graph, tensat.Options) (*tensat.Result, error) {
-				t.Error("the node that does not own the key recomputed it")
-				return nil, context.Canceled
-			}
-			peer := httptest.NewServer(NewHandler(s))
-			defer peer.Close()
-			baseURL[other] = peer.URL
-			return fetch(peer.URL, TierPeer)
-		}()},
-	} {
-		if hit.body != cold {
-			t.Errorf("%s hit differs from the cold run:\n got %s\nwant %s", hit.name, hit.body, cold)
-		}
-	}
+	bodies := map[string]string{"cold": fetch(ts.URL, "")}
+	bodies[TierMemory] = fetch(ts.URL, TierMemory)
 	ts.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+	st, ts = boot()
+	defer st.Close()
+	defer ts.Close()
+	bodies[TierDisk] = fetch(ts.URL, TierDisk)
+	s := New(Config{Workers: 1, Cluster: clusterClient(t, other, baseURL)})
+	s.optimize = func(context.Context, *tensat.Graph, tensat.Options) (*tensat.Result, error) {
+		t.Error("the node that does not own the key recomputed it")
+		return nil, context.Canceled
+	}
+	peer := httptest.NewServer(NewHandler(s))
+	defer peer.Close()
+	baseURL[other] = peer.URL
+	bodies[TierPeer] = fetch(peer.URL, TierPeer)
+	for _, tier := range []string{TierMemory, TierDisk, TierPeer} {
+		if bodies[tier] != bodies["cold"] {
+			t.Errorf("%s hit differs from the cold run:\n got %s\nwant %s", tier, bodies[tier], bodies["cold"])
+		}
 	}
 }

@@ -190,6 +190,7 @@ type ruleSet struct {
 	compiled *rewrite.CompiledRules
 }
 
+// rulesEntry compiles rs and builds its shelf entry.
 func rulesEntry(name string, rs []*Rule, source string, vetWarnings []string) shelved[ruleSet, RuleSetInfo] {
 	multi := 0
 	for _, rule := range rs {
@@ -210,6 +211,7 @@ func rulesEntry(name string, rs []*Rule, source string, vetWarnings []string) sh
 	}
 }
 
+// deviceEntry builds the shelf entry of spec's cost model.
 func deviceEntry(spec *DeviceSpec, source string) shelved[CostModel, CostModelInfo] {
 	return shelved[CostModel, CostModelInfo]{
 		value: spec.Model(),
