@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"tensat"
 	"tensat/internal/cachestore"
+	"tensat/internal/models"
 	"tensat/internal/obs"
 )
 
@@ -193,4 +195,50 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("result fields %s came back as %s", a, b)
 		}
 	})
+}
+
+// TestZooHitServesColdBody runs every zoo model through the real
+// optimizer (greedy extraction, 2,000 nodes, to keep it short) and
+// checks that the /result body a disk or peer hit serves equals the
+// cold run's byte for byte: the record is encoded, then decoded and
+// verified under its key as the byte tiers do, then spelled in the
+// requester's tensor names. Both replies carry the same cached and
+// tier flags, so a result field the record loses shows as a differing
+// body.
+func TestZooHitServesColdBody(t *testing.T) {
+	s := New(Config{Workers: 1})
+	for _, m := range append(models.Benchmarks(), models.Extras()...) {
+		g := m.Build(models.ScaleTest)
+		q, err := s.prepare(g, RequestOptions{Extractor: "greedy", NodeLimit: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.optimize(context.Background(), g, q.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		cold, err := encodeReply(&Response{Result: res, Fingerprint: q.fp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := cachestore.Encode(res, q.names, q.keyParts())
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		entry, err := decodeRecord(q.key, payload)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		hitRes, err := entry.inVocabulary(q.names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, err := encodeReply(&Response{Result: hitRes, Fingerprint: q.fp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hit, cold) {
+			t.Errorf("%s: a hit serves\n%s\nthe cold run served\n%s", m.Name, hit, cold)
+		}
+	}
 }
