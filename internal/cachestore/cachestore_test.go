@@ -95,11 +95,18 @@ func TestCodecRoundTrip(t *testing.T) {
 	if fmt.Sprint(gotTensors) != fmt.Sprint(tensors) {
 		t.Fatalf("tensors = %v, want %v", gotTensors, tensors)
 	}
-	// Compare everything except the graph pointer by zeroing it.
-	a, b := *res, *got
-	a.Graph, b.Graph = nil, nil
-	if a != b {
-		t.Fatalf("result round trip:\n got %+v\nwant %+v", b, a)
+	// The record keeps exactly the fields a hit serves; the counters
+	// that describe the run come back zero.
+	want := tensat.Result{
+		OrigCost: res.OrigCost, OptCost: res.OptCost, SpeedupPercent: res.SpeedupPercent,
+		ExploreTime: res.ExploreTime, ExtractTime: res.ExtractTime,
+		ENodes: res.ENodes, EClasses: res.EClasses, Iterations: res.Iterations,
+		Saturated: res.Saturated, Truncated: res.Truncated, ILPOptimal: res.ILPOptimal,
+	}
+	b := *got
+	b.Graph = nil
+	if b != want {
+		t.Fatalf("result round trip:\n got %+v\nwant %+v", b, want)
 	}
 }
 
@@ -109,15 +116,19 @@ func TestDecodeRejectsOtherSchemas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	future := append([]byte(nil), payload...)
-	binary.LittleEndian.PutUint16(future[:2], CodecVersion+1)
+	// A later version's header is ErrSchema whatever else it holds.
+	future := bytes.Replace(payload, fmt.Appendf(nil, `{"version":%d,`, CodecVersion),
+		fmt.Appendf(nil, `{"version":%d,"tensors":{},`, CodecVersion+1), 1)
 	if _, _, _, err := Decode(future); !errors.Is(err, ErrSchema) {
 		t.Fatalf("future schema: err = %v, want ErrSchema", err)
 	}
-	// v1 records (pre key-parts) must also decode as ErrSchema — the
-	// serve layer treats them as cache misses and overwrites them.
-	old := append([]byte(nil), payload...)
-	binary.LittleEndian.PutUint16(old[:2], CodecVersion-1)
+	// Binary records of v1–v3 must also decode as ErrSchema — the serve
+	// layer treats them as cache misses and overwrites them. The file is
+	// this test's result as the v3 encoder wrote it.
+	old, err := os.ReadFile("testdata/v3.record")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, _, err := Decode(old); !errors.Is(err, ErrSchema) {
 		t.Fatalf("previous schema: err = %v, want ErrSchema", err)
 	}
@@ -128,6 +139,35 @@ func TestDecodeRejectsOtherSchemas(t *testing.T) {
 	}
 	if _, _, _, err := Decode(append(append([]byte(nil), payload...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing bytes: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeCorruptAtEveryCut cuts a two-output record at every byte,
+// a cut between the two (output …) lines included, and appends every
+// byte value to it: each is ErrCorrupt, never a smaller graph.
+func TestDecodeCorruptAtEveryCut(t *testing.T) {
+	b := tensat.NewBuilder()
+	x := b.Input("x", 8, 16)
+	g, err := b.Finish(b.Relu(x), b.Tanh(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := Encode(&tensat.Result{Graph: g}, []string{"x"}, testParts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Decode(payload); err != nil {
+		t.Fatal(err)
+	}
+	for cut := range payload {
+		if _, _, _, err := Decode(payload[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncated at %d: err = %v, want ErrCorrupt", cut, err)
+		}
+	}
+	for c := 0; c < 256; c++ {
+		if _, _, _, err := Decode(append(append([]byte(nil), payload...), byte(c))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("trailing %#x: err = %v, want ErrCorrupt", c, err)
+		}
 	}
 }
 

@@ -1,18 +1,20 @@
 package cachestore
 
 import (
-	"encoding/binary"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"tensat"
 	"tensat/internal/tensor"
 )
 
-// CodecVersion is the current result-encoding schema. It is stamped at
-// the front of every payload; Decode refuses payloads from other
+// CodecVersion is the current result-encoding schema. It is the first
+// field of every record's header; Decode refuses records from other
 // schema generations with ErrSchema so callers treat them as misses
 // instead of misreading fields.
 //
@@ -20,8 +22,10 @@ import (
 // KeyParts block so receivers of a record (the peer PUT surface in
 // particular) can re-derive the cache key and verify it matches the
 // key the record claims to answer; v3 writes a split's boundary in the
-// result graph's text (split#N), which v2 text lacks.
-const CodecVersion = 3
+// result graph's text (split#N), which v2 text lacks. v1–v3 were
+// length-prefixed binary. v4 is a JSON header line holding only what a
+// hit serves, then the graph text.
+const CodecVersion = 4
 
 // KeyParts are the components the cache key is derived from: the
 // request graph's canonical fingerprint, the canonical encoding of the
@@ -45,231 +49,157 @@ var ErrSchema = errors.New("cachestore: unknown result encoding version")
 // version (truncated, or an embedded graph that no longer decodes).
 var ErrCorrupt = errors.New("cachestore: corrupt result payload")
 
-// Result flag bits (the flags byte of the version-1 payload).
-const (
-	flagSaturated  = 1 << 0
-	flagTruncated  = 1 << 1
-	flagILPOptimal = 1 << 2
-)
+// header is a record's first line. Version is declared first, so it
+// is written first: Decode reads it before anything else.
+type header struct {
+	Version       int      `json:"version"`
+	Fingerprint   string   `json:"fingerprint"`
+	Options       string   `json:"options"`
+	RuleSetHash   string   `json:"ruleset_hash"`
+	CostModelHash string   `json:"cost_model_hash"`
+	Tensors       []string `json:"tensors"`
+	// GraphBytes is the length of the graph text after the header, so
+	// a record cut between two (output …) lines is corrupt rather than
+	// a smaller graph.
+	GraphBytes int `json:"graph_bytes"`
+
+	OrigCost       float64       `json:"orig_cost"`
+	OptCost        float64       `json:"opt_cost"`
+	SpeedupPercent float64       `json:"speedup_percent"`
+	ExploreNS      time.Duration `json:"explore_ns"`
+	ExtractNS      time.Duration `json:"extract_ns"`
+	ENodes         int           `json:"enodes"`
+	EClasses       int           `json:"eclasses"`
+	Iterations     int           `json:"iterations"`
+	Saturated      bool          `json:"saturated"`
+	Truncated      bool          `json:"truncated"`
+	ILPOptimal     bool          `json:"ilp_optimal"`
+}
+
+// versionPrefix opens every JSON header.
+const versionPrefix = `{"version":`
 
 // Encode serializes one finished optimization result, the tensor
 // vocabulary of the graph that produced it (serve's cachedResult
-// pair), and the cache-key derivation components into the versioned
-// binary payload the store persists. The trace span tree is
-// deliberately dropped: traces are in-memory observability and would
-// dominate the record size.
+// pair), and the cache-key derivation components into a record: one
+// JSON header line, then the graph's text. Only the result fields a
+// hit serves are kept; the search and ILP counters, the apply and
+// rebuild times and the trace describe the run that made the result,
+// not the result. A tensor name that is not valid UTF-8, which JSON
+// would rewrite, and a non-finite cost, which JSON cannot spell, are
+// refused: such a result stays in memory.
 func Encode(res *tensat.Result, tensors []string, parts KeyParts) ([]byte, error) {
 	if res == nil || res.Graph == nil {
 		return nil, fmt.Errorf("cachestore: cannot encode nil result/graph")
+	}
+	for _, name := range tensors {
+		if !utf8.ValidString(name) {
+			return nil, fmt.Errorf("cachestore: tensor name %q is not valid UTF-8", name)
+		}
 	}
 	graphText, err := res.Graph.MarshalText()
 	if err != nil {
 		return nil, fmt.Errorf("cachestore: encoding graph: %w", err)
 	}
-	buf := make([]byte, 0, 256+len(graphText))
-	buf = binary.LittleEndian.AppendUint16(buf, CodecVersion)
-	for _, part := range []string{parts.Fingerprint, parts.Options, parts.RuleSetHash, parts.CostModelHash} {
-		if len(part) > math.MaxUint16 {
-			return nil, fmt.Errorf("cachestore: key component %d bytes exceeds encoding limit", len(part))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(part)))
-		buf = append(buf, part...)
+	buf, err := json.Marshal(header{
+		Version:        CodecVersion,
+		Fingerprint:    parts.Fingerprint,
+		Options:        parts.Options,
+		RuleSetHash:    parts.RuleSetHash,
+		CostModelHash:  parts.CostModelHash,
+		Tensors:        tensors,
+		GraphBytes:     len(graphText),
+		OrigCost:       res.OrigCost,
+		OptCost:        res.OptCost,
+		SpeedupPercent: res.SpeedupPercent,
+		ExploreNS:      res.ExploreTime,
+		ExtractNS:      res.ExtractTime,
+		ENodes:         res.ENodes,
+		EClasses:       res.EClasses,
+		Iterations:     res.Iterations,
+		Saturated:      res.Saturated,
+		Truncated:      res.Truncated,
+		ILPOptimal:     res.ILPOptimal,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cachestore: encoding header: %w", err)
 	}
-	buf = appendBytes32(buf, graphText)
-	if len(tensors) > math.MaxUint16 {
-		return nil, fmt.Errorf("cachestore: %d tensor names exceed encoding limit", len(tensors))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(tensors)))
-	for _, name := range tensors {
-		if len(name) > math.MaxUint16 {
-			return nil, fmt.Errorf("cachestore: tensor name %d bytes exceeds encoding limit", len(name))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-		buf = append(buf, name...)
-	}
-	for _, f := range []float64{res.OrigCost, res.OptCost, res.SpeedupPercent} {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	for _, d := range []time.Duration{res.ExploreTime, res.ExtractTime, res.ApplyTime, res.RebuildTime} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
-	}
-	for _, n := range []int{res.ENodes, res.EClasses, res.Iterations, res.FilteredNodes} {
-		buf = appendCount(buf, n)
-	}
-	var flags byte
-	if res.Saturated {
-		flags |= flagSaturated
-	}
-	if res.Truncated {
-		flags |= flagTruncated
-	}
-	if res.ILPOptimal {
-		flags |= flagILPOptimal
-	}
-	buf = append(buf, flags)
-
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(res.Search.Time))
-	for _, n := range []int{res.Search.Scanned, res.Search.Pruned,
-		res.Search.Dirty, res.Search.Clean, res.Search.Matches} {
-		buf = appendCount(buf, n)
-	}
-
-	if len(res.ILP.Solver) > math.MaxUint16 {
-		return nil, fmt.Errorf("cachestore: ILP solver name too long")
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(res.ILP.Solver)))
-	buf = append(buf, res.ILP.Solver...)
-	buf = appendCount(buf, res.ILP.Workers)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(res.ILP.Explored))
-	for _, n := range []int{res.ILP.Incumbents, res.ILP.PresolveFixed,
-		res.ILP.PresolveDropped, res.ILP.PresolveRemoved} {
-		buf = appendCount(buf, n)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(res.ILP.PresolveRatio))
-	return buf, nil
+	buf = append(buf, '\n')
+	return append(buf, graphText...), nil
 }
 
 // Decode parses a payload written by Encode back into the result, its
-// tensor vocabulary, and the cache-key components. Payloads from other
-// codec versions return ErrSchema; malformed payloads return
-// ErrCorrupt.
+// tensor vocabulary, and the cache-key components. A payload from
+// another codec version returns ErrSchema: a v1–v3 binary record
+// (which does not open with '{') or a header naming another version,
+// whatever its other fields. A malformed payload returns ErrCorrupt.
 func Decode(payload []byte) (*tensat.Result, []string, KeyParts, error) {
 	var parts KeyParts
-	r := reader{buf: payload}
-	if v := r.uint16(); v != CodecVersion {
-		if r.err != nil {
-			return nil, nil, parts, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
-		}
-		return nil, nil, parts, fmt.Errorf("%w: got %d, want %d", ErrSchema, v, CodecVersion)
+	if err := checkVersion(payload); err != nil {
+		return nil, nil, parts, err
 	}
-	parts.Fingerprint = string(r.bytes16())
-	parts.Options = string(r.bytes16())
-	parts.RuleSetHash = string(r.bytes16())
-	parts.CostModelHash = string(r.bytes16())
-	graphText := r.bytes32()
-	nTensors := int(r.uint16())
-	tensors := make([]string, 0, nTensors)
-	for i := 0; i < nTensors && r.err == nil; i++ {
-		tensors = append(tensors, string(r.bytes16()))
+	line, graphText, ok := bytes.Cut(payload, []byte{'\n'})
+	if !ok {
+		return nil, nil, parts, fmt.Errorf("%w: no header line", ErrCorrupt)
 	}
-	res := &tensat.Result{}
-	res.OrigCost = r.float64()
-	res.OptCost = r.float64()
-	res.SpeedupPercent = r.float64()
-	res.ExploreTime = time.Duration(r.uint64())
-	res.ExtractTime = time.Duration(r.uint64())
-	res.ApplyTime = time.Duration(r.uint64())
-	res.RebuildTime = time.Duration(r.uint64())
-	res.ENodes = r.count()
-	res.EClasses = r.count()
-	res.Iterations = r.count()
-	res.FilteredNodes = r.count()
-	flags := r.byte()
-	res.Saturated = flags&flagSaturated != 0
-	res.Truncated = flags&flagTruncated != 0
-	res.ILPOptimal = flags&flagILPOptimal != 0
-
-	res.Search.Time = time.Duration(r.uint64())
-	res.Search.Scanned = r.count()
-	res.Search.Pruned = r.count()
-	res.Search.Dirty = r.count()
-	res.Search.Clean = r.count()
-	res.Search.Matches = r.count()
-
-	res.ILP.Solver = string(r.bytes16())
-	res.ILP.Workers = r.count()
-	res.ILP.Explored = int64(r.uint64())
-	res.ILP.Incumbents = r.count()
-	res.ILP.PresolveFixed = r.count()
-	res.ILP.PresolveDropped = r.count()
-	res.ILP.PresolveRemoved = r.count()
-	res.ILP.PresolveRatio = r.float64()
-	if r.err != nil {
-		return nil, nil, parts, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
+	var h header
+	if err := json.Unmarshal(line, &h); err != nil {
+		return nil, nil, parts, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
-	if len(r.buf) != r.off {
-		return nil, nil, parts, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf)-r.off)
+	if h.Version != CodecVersion {
+		return nil, nil, parts, fmt.Errorf("%w: header names version %d after %d", ErrCorrupt, h.Version, CodecVersion)
+	}
+	if h.GraphBytes != len(graphText) {
+		return nil, nil, parts, fmt.Errorf("%w: %d graph bytes, header says %d", ErrCorrupt, len(graphText), h.GraphBytes)
 	}
 	g, err := tensor.UnmarshalGraph(graphText)
 	if err != nil {
 		return nil, nil, parts, fmt.Errorf("%w: embedded graph: %v", ErrCorrupt, err)
 	}
-	res.Graph = g
-	return res, tensors, parts, nil
+	parts = KeyParts{h.Fingerprint, h.Options, h.RuleSetHash, h.CostModelHash}
+	return &tensat.Result{
+		Graph:          g,
+		OrigCost:       h.OrigCost,
+		OptCost:        h.OptCost,
+		SpeedupPercent: h.SpeedupPercent,
+		ExploreTime:    h.ExploreNS,
+		ExtractTime:    h.ExtractNS,
+		ENodes:         h.ENodes,
+		EClasses:       h.EClasses,
+		Iterations:     h.Iterations,
+		Saturated:      h.Saturated,
+		Truncated:      h.Truncated,
+		ILPOptimal:     h.ILPOptimal,
+	}, h.Tensors, parts, nil
 }
 
-func appendBytes32(buf, b []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-// appendCount encodes a non-negative int as u32 (clamped at 0; result
-// counters are never negative).
-func appendCount(buf []byte, n int) []byte {
-	if n < 0 {
-		n = 0
+// checkVersion reads the version a payload declares, before any other
+// field: nil for CodecVersion, ErrSchema for any other version and
+// ErrCorrupt when the payload ends before the version does.
+func checkVersion(payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("%w: empty payload", ErrCorrupt)
 	}
-	return binary.LittleEndian.AppendUint32(buf, uint32(n))
-}
-
-// reader is a bounds-checked little-endian cursor: the first overrun
-// latches err and every later read returns zero values, so Decode can
-// parse straight through and check once.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
+	if payload[0] != '{' {
+		return fmt.Errorf("%w: binary record, want version %d", ErrSchema, CodecVersion)
 	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("truncated at offset %d (need %d bytes)", r.off, n)
-		return nil
+	rest, ok := bytes.CutPrefix(payload, []byte(versionPrefix))
+	if !ok {
+		return fmt.Errorf("%w: header does not open with its version", ErrCorrupt)
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) byte() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
+	end := 0
+	for end < len(rest) && rest[end] >= '0' && rest[end] <= '9' {
+		end++
 	}
-	return b[0]
-}
-
-func (r *reader) uint16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+	if end == len(rest) || (rest[end] != ',' && rest[end] != '}') {
+		return fmt.Errorf("%w: unreadable version", ErrCorrupt)
 	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) uint32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+	v, err := strconv.Atoi(string(rest[:end]))
+	if err != nil {
+		return fmt.Errorf("%w: version: %v", ErrCorrupt, err)
 	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) uint64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+	if v != CodecVersion {
+		return fmt.Errorf("%w: got %d, want %d", ErrSchema, v, CodecVersion)
 	}
-	return binary.LittleEndian.Uint64(b)
+	return nil
 }
-
-func (r *reader) float64() float64 { return math.Float64frombits(r.uint64()) }
-
-func (r *reader) count() int { return int(r.uint32()) }
-
-func (r *reader) bytes16() []byte { return r.take(int(r.uint16())) }
-
-func (r *reader) bytes32() []byte { return r.take(int(r.uint32())) }

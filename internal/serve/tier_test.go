@@ -137,8 +137,10 @@ func key1(t *testing.T, s *Service) string {
 // record it accepts must survive a round trip: encoded again, it
 // decodes under the same key to the same graph text, tensor names and
 // result fields. The seeds are a stub result encoded under its own
-// key, a truncated copy, and the same bytes under another request's
-// key.
+// key, a truncated copy, the same bytes under another request's key
+// and the same record with a later version's header; the corpus file
+// testdata/fuzz/FuzzDecodeRecord/v3-binary-record adds the stub as the
+// v3 binary encoder wrote it.
 func FuzzDecodeRecord(f *testing.F) {
 	record := func(g *tensat.Graph) (string, []byte) {
 		q, err := New(Config{}).prepare(g, RequestOptions{})
@@ -156,6 +158,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(key, payload)
 	f.Add(key, payload[:len(payload)/2])
 	f.Add(other, payload)
+	f.Add(key, bytes.Replace(payload, fmt.Appendf(nil, `{"version":%d,`, cachestore.CodecVersion),
+		fmt.Appendf(nil, `{"version":%d,`, cachestore.CodecVersion+1), 1))
 
 	// fields prints every result field but the graph and the trace,
 	// which the codec does not carry.
