@@ -190,6 +190,47 @@ func TestRestartToleratesStaleSchemaAndCorruptTail(t *testing.T) {
 	}
 }
 
+// TestCustomRulesStayInMemory: a result computed under a custom rule
+// set (a Config.Base.Rules object, which has no content hash) is never
+// written to the store. A service restarted onto the same store with
+// other custom rules must run cold, not serve the old rules' answer
+// from disk.
+func TestCustomRulesStayInMemory(t *testing.T) {
+	dir := t.TempDir()
+	serveOnce := func(rules []*tensat.Rule) (*OptimizeReply, int64) {
+		t.Helper()
+		st, err := cachestore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		base := tensat.DefaultOptions()
+		base.Rules = rules
+		s := New(Config{Workers: 1, Store: st, Base: base})
+		var calls atomic.Int64
+		s.optimize = func(context.Context, *tensat.Graph, tensat.Options) (*tensat.Result, error) {
+			calls.Add(1)
+			return stubResult(t), nil
+		}
+		reply, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() != 0 {
+			t.Errorf("store holds %d records of a custom rule set, want 0", st.Len())
+		}
+		return reply, calls.Load()
+	}
+	all := tensat.DefaultRules()
+	if _, calls := serveOnce(all); calls != 1 {
+		t.Fatalf("first service: %d optimizer runs, want 1", calls)
+	}
+	reply, calls := serveOnce(all[:1])
+	if reply.Cached || calls != 1 {
+		t.Fatalf("other custom rules: cached=%v tier=%q, %d runs; want a cold run", reply.Cached, reply.CacheTier, calls)
+	}
+}
+
 // testClusterSecret is the shared peer-auth secret every in-process
 // fleet member presents (and requires) in these tests.
 const testClusterSecret = "fleet-test-secret-0123456789"
@@ -457,7 +498,7 @@ func TestPeerPutValidatesOwnershipAndKey(t *testing.T) {
 	}
 	payloadFor := func(q request) []byte {
 		t.Helper()
-		p, err := cachestore.Encode(res, q.names, q.keyParts())
+		p, err := cachestore.Encode(res, q.names, q.parts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func TestCacheKeyGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, row{Options: ro, OptionsKey: optionsKey(q.opts), Key: keyFromParts(q.keyParts())})
+		rows = append(rows, row{Options: ro, OptionsKey: optionsKey(q.opts), Key: keyFromParts(q.parts)})
 	}
 	got, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {

@@ -51,7 +51,7 @@ func TestTierLoopAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := cachestore.Encode(res, q.names, q.keyParts())
+		payload, err := cachestore.Encode(res, q.names, q.parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestTierLoopAccounting(t *testing.T) {
 				t.Errorf("write-through reached the tier %d times, want 1", f.puts)
 			}
 			// Whatever the tier did, the answer is now in memory.
-			if _, tier, ok := s.lookup(context.Background(), key1(t, s)); !ok || tier != TierMemory {
+			if _, tier, ok := s.lookup(context.Background(), request1(t, s)); !ok || tier != TierMemory {
 				t.Errorf("second lookup: ok=%v tier=%q, want a memory hit", ok, tier)
 			}
 			if st := s.Stats(); st.Errors != 0 {
@@ -121,14 +121,14 @@ func TestTierLoopAccounting(t *testing.T) {
 	}
 }
 
-// key1 is graph 1's cache key on s.
-func key1(t *testing.T, s *Service) string {
+// request1 is graph 1's prepared request on s.
+func request1(t *testing.T, s *Service) request {
 	t.Helper()
 	q, err := s.prepare(testGraph(t, 1), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q.key
+	return q
 }
 
 // FuzzDecodeRecord feeds arbitrary bytes under an arbitrary key to
@@ -147,7 +147,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload, err := cachestore.Encode(stubResult(f), q.names, q.keyParts())
+		payload, err := cachestore.Encode(stubResult(f), q.names, q.parts)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestZooHitServesColdBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := cachestore.Encode(res, q.names, q.keyParts())
+		payload, err := cachestore.Encode(res, q.names, q.parts)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
