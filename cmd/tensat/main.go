@@ -71,7 +71,7 @@ func main() {
 		nodeLimit = flag.Int("nodelimit", 20000, "e-graph node limit (N_max)")
 		iters     = flag.Int("iters", 15, "exploration iteration limit (k_max)")
 		ilpTime   = flag.Duration("ilptimeout", 2*time.Minute, "ILP solver timeout")
-		ilpSolver = flag.String("ilp-solver", "", "ILP backend: builtin (parallel branch-and-bound), builtin-seq, cbc or highs (external binaries on PATH)")
+		ilpSolver = flag.String("ilp-solver", "", "ILP backend: builtin (parallel branch-and-bound), cbc or highs (external binaries on PATH)")
 		ilpMPS    = flag.String("ilp-mps", "", "explore, then write the extraction ILP (as built, before presolve) as a free-format MPS file and exit without solving")
 		progress  = flag.Bool("progress", false, "print live progress lines (iterations, e-graph growth, ILP incumbents) to stderr")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto or chrome://tracing)")

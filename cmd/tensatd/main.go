@@ -104,7 +104,7 @@ func main() {
 		iters        = flag.Int("iters", 15, "default exploration iteration limit (k_max)")
 		kmulti       = flag.Int("kmulti", 1, "default multi-pattern iterations (k_multi)")
 		ilpTime      = flag.Duration("ilptimeout", 2*time.Minute, "default ILP solver timeout")
-		ilpSolver    = flag.String("ilp-solver", "", "default ILP backend: builtin (parallel branch-and-bound), builtin-seq, cbc or highs (external binaries on PATH); requests override per-job with ilp_solver")
+		ilpSolver    = flag.String("ilp-solver", "", "default ILP backend: builtin (parallel branch-and-bound), cbc or highs (external binaries on PATH); requests override per-job with ilp_solver")
 		rulesDir     = flag.String("rules-dir", "", "load every *.rules file in this directory as a named rule set profile")
 		deviceDir    = flag.String("device-dir", "", "load every *.json device spec in this directory as a named cost model profile")
 		strictRules  = flag.Bool("strict-rules", false, "fail startup on any static rule-verifier finding in -rules-dir, warnings included (shape-unsound rules always fail)")

@@ -34,7 +34,7 @@ type Result struct {
 	// ILP carries solver details for ILP extraction (nil for greedy).
 	ILP *ilp.Solution
 	// Solver names the ILP backend that produced the solution
-	// ("builtin", "builtin-seq", "cbc", "highs"; empty for greedy).
+	// ("builtin", "cbc", "highs"; empty for greedy).
 	Solver string
 	// Reduction reports what the presolve pass removed from the ILP
 	// model before solving (nil for greedy).
@@ -112,8 +112,7 @@ type ILPOptions struct {
 	Timeout time.Duration
 	// Solver selects the ILP backend by name: "" or "builtin" for the
 	// in-process branch-and-bound with ilp.DefaultWorkers goroutines,
-	// "builtin-seq" for the same search with one (it returns the same
-	// graph), "cbc"/"highs" for an external MPS solver on PATH.
+	// "cbc"/"highs" for an external MPS solver on PATH.
 	Solver string
 	// OnIncumbent, when non-nil, receives every improvement of the
 	// solver's incumbent — the cost of the best extraction found so

@@ -136,21 +136,21 @@ func checkGoldenRows(t *testing.T, path string, got map[string]goldenRow) {
 }
 
 // TestBackendsAgreeOnZoo: the builtin solver returns byte-identical
-// graphs whatever its worker count, and "builtin-seq" is its
-// one-worker case. "builtin" sizes itself from GOMAXPROCS, so the test
-// sets that.
+// graphs whatever its worker count. It sizes itself from GOMAXPROCS, so
+// the test sets that.
 func TestBackendsAgreeOnZoo(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, ex := range zooExplore(t) {
-		_, want := zooILP(t, name, ex, "builtin-seq")
-		for _, workers := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(1)
+		_, want := zooILP(t, name, ex, "builtin")
+		for _, workers := range []int{2, 4} {
 			runtime.GOMAXPROCS(workers)
 			res, got := zooILP(t, name, ex, "builtin")
 			if res.ILP.Workers > workers {
 				t.Fatalf("%s: %d workers ran under GOMAXPROCS %d", name, res.ILP.Workers, workers)
 			}
 			if got != want {
-				t.Errorf("%s: builtin at %d workers and builtin-seq return different graphs", name, workers)
+				t.Errorf("%s: builtin at %d workers and at 1 return different graphs", name, workers)
 			}
 		}
 	}
@@ -175,6 +175,8 @@ type treeRow struct {
 // same candidates in the same order and prune and stall at the same
 // points, so every count below repeats exactly. The file was last
 // re-recorded when the solver took one tie rule and one greedy start.
+// The one-worker row keeps the label "builtin-seq", the retired name
+// that once asked for it.
 func TestZooTreeGolden(t *testing.T) {
 	const path = "testdata/zoo_tree_golden.json"
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -182,11 +184,11 @@ func TestZooTreeGolden(t *testing.T) {
 	for name, ex := range zooExplore(t) {
 		got[name] = make(map[string]treeRow)
 		for _, cfg := range []struct {
-			key, solver string
-			procs       int
-		}{{"builtin-seq", "builtin-seq", 1}, {"builtin@2", "builtin", 2}} {
+			key   string
+			procs int
+		}{{"builtin-seq", 1}, {"builtin@2", 2}} {
 			runtime.GOMAXPROCS(cfg.procs)
-			res, _ := zooILP(t, name, ex, cfg.solver)
+			res, _ := zooILP(t, name, ex, "builtin")
 			s := res.ILP
 			got[name][cfg.key] = treeRow{s.Explored, s.Optimal, s.Stalled, s.Incumbents, s.SeedCost, s.Cost, s.ImproveCommits}
 		}

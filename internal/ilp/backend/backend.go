@@ -45,24 +45,17 @@ var ErrUnavailable = errors.New("backend: solver unavailable")
 // ErrUnknown reports a solver name Select does not recognize.
 var ErrUnknown = errors.New("backend: unknown solver name")
 
-// Builtin runs the in-process branch-and-bound.
-type Builtin struct {
-	// Workers is how many goroutines search (0 = ilp.DefaultWorkers).
-	Workers int
-}
+// Builtin runs the in-process branch-and-bound with
+// ilp.DefaultWorkers goroutines, a count that follows GOMAXPROCS. Every
+// worker count returns the same graph.
+type Builtin struct{}
 
-// Name implements Solver: asking for exactly one worker is what the
-// name "builtin-seq" means.
-func (b Builtin) Name() string {
-	if b.Workers == 1 {
-		return "builtin-seq"
-	}
-	return "builtin"
-}
+// Name implements Solver.
+func (Builtin) Name() string { return "builtin" }
 
 // Solve implements Solver.
-func (b Builtin) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, error) {
-	return ilp.SolveParallelContext(ctx, p, b.Workers)
+func (Builtin) Solve(ctx context.Context, p *ilp.Problem) (*ilp.Solution, error) {
+	return ilp.SolveParallelContext(ctx, p, 0)
 }
 
 // External shells out to an MPS-speaking MIP solver.
@@ -192,7 +185,7 @@ func truncate(out []byte) []byte {
 // Names lists the selectable solver names, for flag help and request
 // validation ("" selects the default builtin).
 func Names() []string {
-	return []string{"builtin", "builtin-seq", "cbc", "highs"}
+	return []string{"builtin", "cbc", "highs"}
 }
 
 // Valid reports whether name selects a known backend ("" included).
@@ -209,13 +202,11 @@ func Valid(name string) bool {
 }
 
 // Select resolves a solver name to a backend. The empty name means the
-// default: the builtin solver with ilp.DefaultWorkers goroutines.
+// default: the builtin solver.
 func Select(name string) (Solver, error) {
 	switch name {
 	case "", "builtin":
 		return Builtin{}, nil
-	case "builtin-seq":
-		return Builtin{Workers: 1}, nil
 	case "cbc", "highs":
 		return External{Binary: name}, nil
 	default:

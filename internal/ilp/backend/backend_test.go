@@ -74,21 +74,26 @@ func TestSelect(t *testing.T) {
 	if _, err := Select("scip"); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("unknown solver accepted: %v", err)
 	}
-	if Valid("scip") || !Valid("") || !Valid("cbc") || !Valid("builtin-seq") {
+	if Valid("scip") || !Valid("") || !Valid("cbc") || Valid("builtin-seq") {
 		t.Fatal("Valid misclassifies names")
 	}
 }
 
+// TestBuiltinSolvesZoo: the builtin solver sizes itself from
+// GOMAXPROCS, so the test sets that.
 func TestBuiltinSolvesZoo(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	// chain: the cheapest derivation takes the class-0 leaf (cost 4)
 	// over walking the whole 10-link chain (cost 10).
 	want := map[string]float64{"diamond": 121, "cyclic-real": 11, "cyclic-int": 11, "chain": 4}
 	for name, p := range modelZoo() {
-		seq, err := (Builtin{Workers: 1}).Solve(context.Background(), p)
+		runtime.GOMAXPROCS(1)
+		seq, err := (Builtin{}).Solve(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		par, err := (Builtin{Workers: 4}).Solve(context.Background(), p)
+		runtime.GOMAXPROCS(4)
+		par, err := (Builtin{}).Solve(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -174,7 +179,7 @@ func TestExternalDifferentialZoo(t *testing.T) {
 				t.Skipf("%s not on PATH", binary)
 			}
 			for name, p := range modelZoo() {
-				want, err := (Builtin{Workers: 1}).Solve(context.Background(), p)
+				want, err := (Builtin{}).Solve(context.Background(), p)
 				if err != nil {
 					t.Fatalf("%s: builtin: %v", name, err)
 				}

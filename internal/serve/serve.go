@@ -262,10 +262,10 @@ type RequestOptions struct {
 	ExploreTimeoutMS int64 `json:"explore_timeout_ms,omitempty"`
 	ILPTimeoutMS     int64 `json:"ilp_timeout_ms,omitempty"`
 	// ILPSolver selects the ILP extraction backend: "builtin" (parallel
-	// branch-and-bound), "builtin-seq", or an external MIP solver on the
-	// server's PATH ("cbc", "highs"). "" inherits; unknown names are
-	// 400s. Distinct backends are distinct cache entries: under a time
-	// budget their anytime answers legitimately differ.
+	// branch-and-bound) or an external MIP solver on the server's PATH
+	// ("cbc", "highs"). "" inherits; unknown names are 400s. Distinct
+	// backends are distinct cache entries: under a time budget their
+	// anytime answers legitimately differ.
 	ILPSolver string `json:"ilp_solver,omitempty"`
 }
 
@@ -373,9 +373,12 @@ func optionsKey(o tensat.Options) string {
 	b.WriteString(strconv.FormatInt(int64(o.ILPTimeout), 10))
 	// The ILP backend joins the key: all backends agree on the optimal
 	// cost, but under a time budget their anytime incumbents (and the
-	// particular optimum among cost ties) legitimately differ.
+	// particular optimum among cost ties) legitimately differ. "builtin"
+	// is written as the default "" it selects.
 	b.WriteByte('|')
-	b.WriteString(o.ILPSolver)
+	if o.ILPSolver != "builtin" {
+		b.WriteString(o.ILPSolver)
+	}
 	return b.String()
 }
 

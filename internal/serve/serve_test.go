@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,21 +149,31 @@ func TestEquivalentOptionsShareCacheEntry(t *testing.T) {
 func TestILPSolverRequestOption(t *testing.T) {
 	s := New(Config{Workers: 2})
 	g := testGraph(t, 1)
-	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: "scip"}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("unknown ilp_solver: err = %v, want ErrBadOptions", err)
+	for _, name := range []string{"scip", "builtin-seq"} {
+		_, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: name})
+		if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), "(known: builtin, cbc, highs)") {
+			t.Fatalf("ilp_solver %q: err = %v, want ErrBadOptions listing the known names", name, err)
+		}
 	}
 
-	// Distinct backends are distinct cache keys: under a budget their
-	// anytime answers differ, so they must not share entries.
+	// The default and "builtin" select the same solver, so they share
+	// one entry. Distinct backends are distinct cache keys: under a
+	// budget their anytime answers differ, so they must not share
+	// entries.
 	var calls atomic.Int64
 	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
 		calls.Add(1)
 		return stubResult(t), nil
 	}
-	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: "builtin"}); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"", "builtin"} {
+		if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: name}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: "builtin-seq"}); err != nil {
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("optimize ran %d times, want 1 (\"\" and \"builtin\" are one backend)", n)
+	}
+	if _, err := submitAndWait(context.Background(), s, g, RequestOptions{ILPSolver: "cbc"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls.Load(); n != 2 {

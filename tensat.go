@@ -220,9 +220,9 @@ type Options struct {
 	// ILPTimeout bounds the ILP solver (paper: 1 hour).
 	ILPTimeout time.Duration
 	// ILPSolver selects the ILP backend: "" or "builtin" for the
-	// parallel in-process branch-and-bound, "builtin-seq" for the
-	// single-threaded search, "cbc" or "highs" to shell out to an
-	// external MIP solver on PATH via MPS files. Unknown names fail
+	// parallel in-process branch-and-bound (its worker count follows
+	// GOMAXPROCS), "cbc" or "highs" to shell out to an external MIP
+	// solver on PATH via MPS files. Unknown names fail
 	// Submit; external names are accepted even when the binary is
 	// absent (the job then fails with backend.ErrUnavailable).
 	ILPSolver string
@@ -288,7 +288,7 @@ type SearchStats struct {
 // search went. Zero-valued for greedy extraction.
 type ILPStats struct {
 	// Solver is the backend that produced the solution ("builtin",
-	// "builtin-seq", "cbc", "highs").
+	// "cbc", "highs").
 	Solver string
 	// Workers is the number of search goroutines the builtin parallel
 	// solver used (1 for sequential and external backends).
