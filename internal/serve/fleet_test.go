@@ -498,7 +498,7 @@ func TestPeerPutValidatesOwnershipAndKey(t *testing.T) {
 	}
 	payloadFor := func(q request) []byte {
 		t.Helper()
-		p, err := cachestore.Encode(res, q.names, q.parts)
+		p, err := cachestore.Encode(res, q.names, q.keyParts())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func TestCacheKeyGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, row{Options: ro, OptionsKey: optionsKey(q.opts), Key: keyFromParts(q.parts)})
+		rows = append(rows, row{Options: ro, OptionsKey: optionsKey(q.opts), Key: keyFromParts(q.keyParts())})
 	}
 	got, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {

@@ -469,17 +469,24 @@ type Response struct {
 // requests share cache entries exactly when their profiles hash alike
 // — whatever the names say — so a reloaded-but-unchanged profile keeps
 // its entries and renamed-identical devices share them.
-//
-// parts is the request's cache identity broken into the components
-// keyFromParts folds into key; encoded records embed them so any
-// receiver can re-derive and verify the key.
 type request struct {
 	opts  tensat.Options
 	prof  tensat.Profile
 	fp    string
 	names []string
-	parts cachestore.KeyParts
 	key   string
+}
+
+// keyParts is the request's cache identity broken into the components
+// keyFromParts folds together; encoded records embed them so any
+// receiver can re-derive and verify the key.
+func (q request) keyParts() cachestore.KeyParts {
+	return cachestore.KeyParts{
+		Fingerprint:   q.fp,
+		Options:       optionsKey(q.opts),
+		RuleSetHash:   q.prof.RuleSetHash,
+		CostModelHash: q.prof.CostModelHash,
+	}
 }
 
 // prepare validates ro against the service configuration and computes
@@ -498,13 +505,7 @@ func (s *Service) prepare(g *tensat.Graph, ro RequestOptions) (request, error) {
 		return q, err
 	}
 	q.fp, q.names = fp.String(), names
-	q.parts = cachestore.KeyParts{
-		Fingerprint:   q.fp,
-		Options:       optionsKey(q.opts),
-		RuleSetHash:   q.prof.RuleSetHash,
-		CostModelHash: q.prof.CostModelHash,
-	}
-	q.key = keyFromParts(q.parts)
+	q.key = keyFromParts(q.keyParts())
 	return q, nil
 }
 
@@ -586,7 +587,7 @@ func (s *Service) answer(ctx context.Context, g *tensat.Graph, q request, adm ad
 	c, leader := s.flight.join(runKey)
 	if leader {
 		c.tensors = q.names // published to followers by close(c.done)
-		go s.run(runKey, q.parts, c, g, runOpts, adm.prio, adm.degraded)
+		go s.run(runKey, q.keyParts(), c, g, runOpts, adm.prio, adm.degraded)
 	} else {
 		s.metrics.cacheDedup.Inc()
 	}

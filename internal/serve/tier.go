@@ -204,7 +204,7 @@ func (s *Service) lookup(ctx context.Context, q request) (*cachedResult, string,
 		s.metrics.cacheHits.Inc()
 		return entry, TierMemory, true
 	}
-	for _, t := range byteTiers(q.parts, s.tiers) {
+	for _, t := range byteTiers(q.keyParts(), s.tiers) {
 		payload, err := t.get(ctx, key)
 		var entry *cachedResult
 		if err == nil {

@@ -51,7 +51,7 @@ func TestTierLoopAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := cachestore.Encode(res, q.names, q.parts)
+		payload, err := cachestore.Encode(res, q.names, q.keyParts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload, err := cachestore.Encode(stubResult(f), q.names, q.parts)
+		payload, err := cachestore.Encode(stubResult(f), q.names, q.keyParts())
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestZooHitServesColdBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := cachestore.Encode(res, q.names, q.parts)
+		payload, err := cachestore.Encode(res, q.names, q.keyParts())
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
