@@ -108,6 +108,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	if b != want {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", b, want)
 	}
+	// JSON would rewrite a name that is not UTF-8, so Encode refuses it.
+	if _, err := Encode(res, []string{"x", "w\xff"}, testParts); err == nil {
+		t.Fatal("a tensor name that is not UTF-8 encoded")
+	}
 }
 
 func TestDecodeRejectsOtherSchemas(t *testing.T) {
