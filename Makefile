@@ -22,7 +22,7 @@ test:
 	$(GO) vet -C bench . && $(GO) test -C bench .
 
 race:
-	$(GO) test -race ./internal/serve/... ./internal/fingerprint/... ./internal/obs/... ./internal/fault/... ./internal/breaker/... ./internal/cluster/... ./internal/cachestore/... ./internal/egraph/... ./internal/pattern/... ./internal/rewrite/... ./internal/ilp/... ./internal/extract/... .
+	$(GO) test -race ./internal/serve/... ./internal/fingerprint/... ./internal/obs/... ./internal/fault/... ./internal/breaker/... ./internal/cluster/... ./internal/cachestore/... ./internal/tenant/... ./internal/egraph/... ./internal/pattern/... ./internal/rewrite/... ./internal/ilp/... ./internal/extract/... .
 
 # loc prints non-test Go lines outside bench/, per package and in
 # total: the figure CHANGES.md reports for every PR.

@@ -80,7 +80,14 @@ func main() {
 		rulesDir  = flag.String("rules-dir", "", "load every *.rules file in this directory before resolving -ruleset")
 		deviceDir = flag.String("device-dir", "", "load every *.json device spec in this directory before resolving -costmodel")
 	)
-	extractor, filter, scale := choiceFlags(flag.CommandLine)
+	var (
+		extractor tensat.Extractor
+		filter    tensat.CycleFilter
+		scale     models.Scale
+	)
+	flag.TextVar(&extractor, "extractor", tensat.ExtractILP, "extraction algorithm: ilp or greedy")
+	flag.TextVar(&filter, "filter", tensat.FilterEfficient, "cycle filtering: efficient, vanilla or none")
+	flag.TextVar(&scale, "scale", models.ScaleTest, "model scale: test or full")
 	flag.Parse()
 
 	registry := tensat.DefaultRegistry()
@@ -112,7 +119,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g = m.Build(models.Scale(scale.i))
+		g = m.Build(scale)
 	}
 
 	opt := tensat.DefaultOptions()
@@ -123,8 +130,8 @@ func main() {
 	opt.ILPSolver = *ilpSolver
 	opt.RuleSet = *ruleset
 	opt.CostModelName = *costmodel
-	opt.Extractor = tensat.Extractor(extractor.i)
-	opt.CycleFilter = tensat.CycleFilter(filter.i)
+	opt.Extractor = extractor
+	opt.CycleFilter = filter
 
 	if *progress {
 		opt.Progress = printProgress
@@ -155,7 +162,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("model:            %s (scale=%s)\n", name, scale)
+	fmt.Printf("model:            %s (scale=%s)\n", name, flag.Lookup("scale").Value)
 	fmt.Printf("original cost:    %.1f us   ops: %s\n", res.OrigCost, tensor.HistogramString(g.OpHistogram()))
 	fmt.Printf("optimized cost:   %.1f us   ops: %s\n", res.OptCost, tensor.HistogramString(res.Graph.OpHistogram()))
 	fmt.Printf("speedup:          %.1f%%\n", res.SpeedupPercent)

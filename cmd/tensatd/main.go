@@ -58,10 +58,9 @@
 // options. A malformed or shape-unsound file refuses to boot the
 // daemon — better a loud start-up failure than a silently missing
 // profile — and every loaded file passes through the static rule
-// verifier (internal/rulecheck): warnings are logged, and
-// -strict-rules turns them into startup failures. To gate a deploy
-// pipeline on profile health without starting a daemon, run
-// `tensat vet-rules -strict <dir>`.
+// verifier (internal/rulecheck): error findings refuse boot and
+// warnings are logged. To gate a deploy pipeline on warnings too,
+// without starting a daemon, run `tensat vet-rules -strict <dir>`.
 //
 // Observability: the daemon logs structured records via log/slog
 // (-log-format json for machine ingestion), exposes Prometheus metrics
@@ -107,7 +106,6 @@ func main() {
 		ilpSolver    = flag.String("ilp-solver", "", "default ILP backend: builtin (parallel branch-and-bound), cbc or highs (external binaries on PATH); requests override per-job with ilp_solver")
 		rulesDir     = flag.String("rules-dir", "", "load every *.rules file in this directory as a named rule set profile")
 		deviceDir    = flag.String("device-dir", "", "load every *.json device spec in this directory as a named cost model profile")
-		strictRules  = flag.Bool("strict-rules", false, "fail startup on any static rule-verifier finding in -rules-dir, warnings included (shape-unsound rules always fail)")
 		cacheBytes   = flag.Int64("cache-max-bytes", 0, "result cache byte bound (encoded size; 0 = unbounded, entry-count bound still applies)")
 		storeDir     = flag.String("store-dir", "", "persist optimization results to this directory so restarts keep their warm set (empty = memory only)")
 		peers        = flag.String("peers", "", "comma-separated host:port fleet membership for the peer cache tier (requires -self)")
@@ -166,9 +164,6 @@ func main() {
 	}
 
 	registry := tensat.DefaultRegistry()
-	if *strictRules {
-		registry.SetRuleVetMode(tensat.RuleVetStrict)
-	}
 	if *rulesDir != "" {
 		infos, err := registry.LoadRulesDir(*rulesDir)
 		if err != nil {

@@ -39,8 +39,9 @@ import (
 
 // Store is the persistence interface serve's second cache tier talks
 // to. Implementations must be safe for concurrent use. Payloads are
-// opaque to the store itself; serve encodes results with Encode (the
-// versioned binary codec in this package) before putting them.
+// opaque to the store itself; serve encodes results with Encode (a
+// record in this package's format: a JSON header line, CodecVersion
+// first, then the graph text) before putting them.
 type Store interface {
 	// Get returns the payload stored under key, or ok=false on a miss.
 	Get(key string) (payload []byte, ok bool, err error)

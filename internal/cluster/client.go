@@ -132,7 +132,7 @@ type Config struct {
 type Observer struct {
 	// BreakerChange fires on every breaker transition with the new
 	// state (the `tensat_peer_breaker_state{peer}` gauge value).
-	BreakerChange func(peer string, state BreakerState)
+	BreakerChange func(peer string, state breaker.State)
 	// PushDone fires when an async push finishes (err nil on success).
 	PushDone func(err error)
 	// FetchRetry fires before each fetch retry attempt.
@@ -247,7 +247,7 @@ func New(cfg Config) (*Client, error) {
 			continue
 		}
 		peer := n
-		c.breakers[peer] = breaker.New(threshold, cooldown, func(_, to BreakerState) {
+		c.breakers[peer] = breaker.New(threshold, cooldown, func(_, to breaker.State) {
 			c.notifyBreaker(peer, to)
 		})
 	}
@@ -272,7 +272,7 @@ func (c *Client) observer() Observer {
 	return c.obs
 }
 
-func (c *Client) notifyBreaker(peer string, st BreakerState) {
+func (c *Client) notifyBreaker(peer string, st breaker.State) {
 	if f := c.observer().BreakerChange; f != nil {
 		f(peer, st)
 	}
@@ -330,8 +330,8 @@ func (c *Client) MayOwn(key string) bool {
 // peer name. For readiness reporting.
 //
 //lint:ctxflow-exempt bounded snapshot of the static per-peer breaker map; no I/O
-func (c *Client) BreakerStates() map[string]BreakerState {
-	out := make(map[string]BreakerState, len(c.breakers))
+func (c *Client) BreakerStates() map[string]breaker.State {
+	out := make(map[string]breaker.State, len(c.breakers))
 	for peer, b := range c.breakers {
 		out[peer] = b.State()
 	}

@@ -18,12 +18,12 @@ import (
 // transitions records breaker state changes for assertions.
 type transitions struct {
 	mu     sync.Mutex
-	states []BreakerState
+	states []breaker.State
 }
 
 func (tr *transitions) observer() Observer {
 	return Observer{
-		BreakerChange: func(peer string, st BreakerState) {
+		BreakerChange: func(peer string, st breaker.State) {
 			tr.mu.Lock()
 			tr.states = append(tr.states, st)
 			tr.mu.Unlock()
@@ -31,10 +31,10 @@ func (tr *transitions) observer() Observer {
 	}
 }
 
-func (tr *transitions) snapshot() []BreakerState {
+func (tr *transitions) snapshot() []breaker.State {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return append([]BreakerState(nil), tr.states...)
+	return append([]breaker.State(nil), tr.states...)
 }
 
 func TestRingSuccessors(t *testing.T) {
@@ -124,10 +124,10 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	if err != nil || string(got) != "record" {
 		t.Fatalf("probe fetch = %q, %v", got, err)
 	}
-	if st := c.BreakerStates()["peer"]; st != BreakerClosed {
+	if st := c.BreakerStates()["peer"]; st != breaker.Closed {
 		t.Fatalf("breaker after successful probe = %v, want closed", st)
 	}
-	want := []BreakerState{breaker.Open, breaker.HalfOpen, BreakerClosed}
+	want := []breaker.State{breaker.Open, breaker.HalfOpen, breaker.Closed}
 	if got := tr.snapshot(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("breaker transitions = %v, want %v", got, want)
 	}
@@ -232,7 +232,7 @@ func TestFetchDoesNotRetryCleanMiss(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("clean miss was retried: %d requests", calls.Load())
 	}
-	if st := c.BreakerStates()["peer"]; st != BreakerClosed {
+	if st := c.BreakerStates()["peer"]; st != breaker.Closed {
 		t.Fatalf("clean miss moved the breaker to %v", st)
 	}
 }
@@ -501,7 +501,7 @@ func TestPushRejectionIsNotRetried(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("peer saw %d push attempts, want 1", n)
 	}
-	if st := c.BreakerStates()["peer"]; st != BreakerClosed {
+	if st := c.BreakerStates()["peer"]; st != breaker.Closed {
 		t.Fatalf("breaker %v after a rejected push, want closed", st)
 	}
 }

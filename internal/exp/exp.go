@@ -15,6 +15,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -326,12 +327,12 @@ func (c Config) explore(g *tensor.Graph, kmulti int, filter rewrite.FilterMode, 
 		KMulti:   kmulti,
 		Timeout:  timeout,
 	}
-	return r.Run(g)
+	return r.RunContext(context.Background(), g)
 }
 
 // ilpExtract runs ILP extraction with explicit cycle handling.
 func (c Config) ilpExtract(ex *rewrite.Explored, cycles bool, topo ilp.TopoMode) (*extract.Result, error) {
-	return extract.ILP(ex, cost.NewT4(), extract.ILPOptions{
+	return extract.ILPContext(context.Background(), ex, cost.NewT4(), extract.ILPOptions{
 		CycleConstraints: cycles,
 		TopoMode:         topo,
 		Timeout:          c.ILPTimeout,

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -54,7 +55,7 @@ func (c Config) Table4() ([]Table4Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		greedy, err := extract.Greedy(ex, cost.NewT4())
+		greedy, err := extract.GreedyContext(context.Background(), ex, cost.NewT4())
 		if err != nil {
 			return nil, fmt.Errorf("%s greedy: %w", name, err)
 		}

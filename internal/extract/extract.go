@@ -53,20 +53,15 @@ func nodeCost(g *egraph.EGraph, m cost.Model, n *egraph.Node) float64 {
 	return m.NodeCost(tensor.Op(n.Op), n.Int, n.Str, args)
 }
 
-// Greedy performs the greedy extraction of §5.1: per class, pick the
-// e-node minimizing the cost of the subtree rooted at it. That is the
-// model's tree-cost selection (ilp.Problem.TreeCosts), which the builtin
-// ILP solver also starts from over its presolved model, and
+// GreedyContext performs the greedy extraction of §5.1: per class, pick
+// the e-node minimizing the cost of the subtree rooted at it. That is
+// the model's tree-cost selection (ilp.Problem.TreeCosts), which the
+// builtin ILP solver also starts from over its presolved model, and
 // Problem.Check judges it like any ILP answer.
 // As the paper notes, it ignores subgraph sharing and can miss (or
 // mis-rank) graphs whose benefit comes from reuse — see Table 4.
-func Greedy(ex *rewrite.Explored, model cost.Model) (*Result, error) {
-	return GreedyContext(context.Background(), ex, model)
-}
-
-// GreedyContext is Greedy with cancellation: ctx is checked before and
-// after the tree-cost fixpoint, which runs over the in-memory model, and
-// a dead request aborts with ctx.Err().
+// ctx is checked before and after the tree-cost fixpoint, which runs
+// over the in-memory model, and a dead request aborts with ctx.Err().
 func GreedyContext(ctx context.Context, ex *rewrite.Explored, model cost.Model) (*Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -131,13 +126,6 @@ type ILPOptions struct {
 // SCIP's LP relaxation does, so extraction returns the best incumbent
 // after this many fruitless expansions.
 const DefaultStallLimit = 2_000_000
-
-// ILP performs ILP extraction. When the exploration used cycle
-// filtering the cycle constraints can be dropped, which is the paper's
-// key scalability lever (Table 5); filtered nodes become x_i = 0.
-func ILP(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*Result, error) {
-	return ILPContext(context.Background(), ex, model, opts)
-}
 
 // ProblemIndex ties an exported ilp.Problem back to the e-graph it
 // was built from: problem class ci is ClassIDs[ci], and problem node
@@ -239,10 +227,12 @@ func BuildProblem(ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*ilp
 	return p, ix, nil
 }
 
-// ILPContext is ILP with cancellation: the branch-and-bound treats a
-// done context like an expired deadline (best incumbent with
-// Optimal=false); a cancellation that lands before any incumbent
-// exists surfaces as the context's own error.
+// ILPContext performs ILP extraction. When the exploration used cycle
+// filtering the cycle constraints can be dropped, which is the paper's
+// key scalability lever (Table 5); filtered nodes become x_i = 0.
+// The branch-and-bound treats a done ctx like an expired deadline
+// (best incumbent with Optimal=false); a cancellation that lands
+// before any incumbent exists surfaces as the context's own error.
 func ILPContext(ctx context.Context, ex *rewrite.Explored, model cost.Model, opts ILPOptions) (*Result, error) {
 	start := time.Now()
 	tr := opts.Trace

@@ -40,7 +40,7 @@ func figure2Setup(t *testing.T, filter rewrite.FilterMode) (*rewrite.Explored, *
 	r.Filter = filter
 	r.Limits.KMulti = 1
 	r.Limits.MaxIters = 2
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func figure2Setup(t *testing.T, filter rewrite.FilterMode) (*rewrite.Explored, *
 
 func TestGreedyExtractsOriginalWhenNoSharingAwareness(t *testing.T) {
 	ex, g, model := figure2Setup(t, rewrite.FilterEfficient)
-	res, err := Greedy(ex, model)
+	res, err := GreedyContext(context.Background(), ex, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestGreedyExtractsOriginalWhenNoSharingAwareness(t *testing.T) {
 
 func TestILPExploitsSharing(t *testing.T) {
 	ex, g, model := figure2Setup(t, rewrite.FilterEfficient)
-	res, err := ILP(ex, model, ILPOptions{Timeout: time.Minute})
+	res, err := ILPContext(context.Background(), ex, model, ILPOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestILPExploitsSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ILP beats greedy (Table 4's point).
-	gres, err := Greedy(ex, model)
+	gres, err := GreedyContext(context.Background(), ex, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestILPWithCycleConstraintsOnUnfilteredEGraph(t *testing.T) {
 	ex, g, model := figure2Setup(t, rewrite.FilterNone)
 	// Without cycle filtering, cycle-free extraction must be requested
 	// via the constrained formulation.
-	if _, err := ILP(ex, model, ILPOptions{}); err == nil && !rewrite.IsAcyclic(ex.G, &ex.Filtered) {
+	if _, err := ILPContext(context.Background(), ex, model, ILPOptions{}); err == nil && !rewrite.IsAcyclic(ex.G, &ex.Filtered) {
 		t.Fatal("unconstrained ILP accepted a cyclic e-graph")
 	}
 	for _, mode := range []ilp.TopoMode{ilp.TopoReal, ilp.TopoInt} {
-		res, err := ILP(ex, model, ILPOptions{CycleConstraints: true, TopoMode: mode, Timeout: time.Minute})
+		res, err := ILPContext(context.Background(), ex, model, ILPOptions{CycleConstraints: true, TopoMode: mode, Timeout: time.Minute})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -123,11 +123,11 @@ func TestCycleFilteredAndConstrainedAgree(t *testing.T) {
 	// The two routes to acyclic extraction must find the same optimum.
 	exF, _, model := figure2Setup(t, rewrite.FilterEfficient)
 	exN, _, _ := figure2Setup(t, rewrite.FilterNone)
-	a, err := ILP(exF, model, ILPOptions{Timeout: time.Minute})
+	a, err := ILPContext(context.Background(), exF, model, ILPOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ILP(exN, model, ILPOptions{CycleConstraints: true, Timeout: time.Minute})
+	b, err := ILPContext(context.Background(), exN, model, ILPOptions{CycleConstraints: true, Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +141,16 @@ func TestExtractionOnTrivialGraph(t *testing.T) {
 	x := b.Input("x", 8, 8)
 	g := b.MustFinish(b.Relu(x))
 	r := rewrite.NewRunner(nil)
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := cost.NewT4()
-	gr, err := Greedy(ex, model)
+	gr, err := GreedyContext(context.Background(), ex, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := ILP(ex, model, ILPOptions{Timeout: time.Minute})
+	ir, err := ILPContext(context.Background(), ex, model, ILPOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestExtractionOnTrivialGraph(t *testing.T) {
 
 func TestExtractedGraphPreservesOutputs(t *testing.T) {
 	ex, g, model := figure2Setup(t, rewrite.FilterEfficient)
-	res, err := ILP(ex, model, ILPOptions{Timeout: time.Minute})
+	res, err := ILPContext(context.Background(), ex, model, ILPOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestILPRefusesForbiddenNodeFromBackend(t *testing.T) {
 	}
 	t.Setenv("PATH", dir+string(os.PathListSeparator)+os.Getenv("PATH"))
 
-	res, err := ILP(ex, model, ILPOptions{Solver: "cbc", Timeout: time.Minute})
+	res, err := ILPContext(context.Background(), ex, model, ILPOptions{Solver: "cbc", Timeout: time.Minute})
 	if err != nil {
 		t.Fatalf("sound answer refused: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestILPRefusesForbiddenNodeFromBackend(t *testing.T) {
 	}
 	// Presolve also drops every node that needs the now-empty class, so
 	// the first forbidden node the check meets need not be this one.
-	_, err = ILP(ex, model, ILPOptions{Solver: "cbc", Timeout: time.Minute})
+	_, err = ILPContext(context.Background(), ex, model, ILPOptions{Solver: "cbc", Timeout: time.Minute})
 	if err == nil || !strings.Contains(err.Error(), "solution rejected") || !strings.Contains(err.Error(), "forbidden node") {
 		t.Fatalf("err = %v, want the selection refused for a forbidden node", err)
 	}

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -23,7 +24,7 @@ func TestGreedyGolden(t *testing.T) {
 	const path = "testdata/greedy_golden.json"
 	got := make(map[string]goldenRow)
 	for name, ex := range zooExplore(t) {
-		res, err := Greedy(ex, cost.NewT4())
+		res, err := GreedyContext(context.Background(), ex, cost.NewT4())
 		if err != nil {
 			t.Fatalf("%s: greedy: %v", name, err)
 		}
@@ -64,7 +65,7 @@ func TestZooClassesAreShapeConsistent(t *testing.T) {
 		r := rewrite.NewRunner(rules.Default())
 		r.Filter = tc.filter
 		r.Limits = rewrite.Limits{MaxNodes: tc.nodes, MaxIters: 15, KMulti: 2}
-		ex, err := r.Run(m.Build(models.ScaleTest))
+		ex, err := r.RunContext(context.Background(), m.Build(models.ScaleTest))
 		if err != nil {
 			t.Fatalf("%s: explore: %v", tc.model, err)
 		}

@@ -42,7 +42,7 @@ func zooExplore(t *testing.T) map[string]*rewrite.Explored {
 			if n, ok := limit[m.Name]; ok {
 				r.Limits.MaxNodes = n
 			}
-			ex, err := r.Run(m.Build(models.ScaleTest))
+			ex, err := r.RunContext(context.Background(), m.Build(models.ScaleTest))
 			if err != nil {
 				zoo.err = fmt.Errorf("%s: explore: %w", m.Name, err)
 				return

@@ -23,7 +23,7 @@ import (
 func benchmarkBranch(b *testing.B, build func(models.Scale) *tensor.Graph, maxNodes int) {
 	r := rewrite.NewRunner(rules.Default())
 	r.Limits = rewrite.Limits{MaxNodes: maxNodes, MaxIters: 15, KMulti: 1}
-	ex, err := r.Run(build(models.ScaleTest))
+	ex, err := r.RunContext(context.Background(), build(models.ScaleTest))
 	if err != nil {
 		b.Fatal(err)
 	}

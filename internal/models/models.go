@@ -12,6 +12,8 @@ package models
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"tensat/internal/tensor"
 )
@@ -26,6 +28,28 @@ const (
 	// ScaleFull approximates the paper's model sizes.
 	ScaleFull
 )
+
+// scaleNames spells each Scale: the CLI's -scale values.
+var scaleNames = []string{ScaleTest: "test", ScaleFull: "full"}
+
+// MarshalText spells s: "test" or "full".
+func (s Scale) MarshalText() ([]byte, error) {
+	if s < 0 || int(s) >= len(scaleNames) {
+		return nil, fmt.Errorf("models: scale %d has no name", int(s))
+	}
+	return []byte(scaleNames[s]), nil
+}
+
+// UnmarshalText sets s to the scale text spells. An unknown name leaves
+// s as it was and is an error listing the known names.
+func (s *Scale) UnmarshalText(text []byte) error {
+	i := slices.Index(scaleNames, string(text))
+	if i < 0 {
+		return fmt.Errorf("models: unknown scale %q (known: %s)", text, strings.Join(scaleNames, ", "))
+	}
+	*s = Scale(i)
+	return nil
+}
 
 // Model names a benchmark and how to build it.
 type Model struct {

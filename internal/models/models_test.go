@@ -2,6 +2,7 @@ package models
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"tensat/internal/cost"
@@ -111,5 +112,27 @@ func TestResNet50BuildsAndIsNearOptimal(t *testing.T) {
 	h := g.OpHistogram()
 	if h[tensor.OpConv] < 6 {
 		t.Fatalf("too few convs: %v", tensor.HistogramString(h))
+	}
+}
+
+// Every scale survives MarshalText → UnmarshalText; an unknown name
+// leaves the value alone and lists the known ones.
+func TestScaleTextRoundTrip(t *testing.T) {
+	for _, want := range []Scale{ScaleTest, ScaleFull} {
+		text, err := want.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Scale = -1
+		if err := got.UnmarshalText(text); err != nil || got != want {
+			t.Errorf("%q: UnmarshalText = %v, %v; want %v", text, got, err, want)
+		}
+	}
+	got := ScaleFull
+	if err := got.UnmarshalText([]byte("paper")); err == nil || !strings.HasSuffix(err.Error(), `"paper" (known: test, full)`) || got != ScaleFull {
+		t.Errorf("unknown name: %v, value %v", err, got)
+	}
+	if _, err := Scale(2).MarshalText(); err == nil {
+		t.Error("a scale with no name marshaled")
 	}
 }

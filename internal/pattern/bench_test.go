@@ -1,6 +1,7 @@
 package pattern_test
 
 import (
+	"context"
 	"testing"
 
 	"tensat/internal/models"
@@ -18,7 +19,7 @@ func BenchmarkAppendMatches(b *testing.B) {
 	def := rules.Default()
 	r := rewrite.NewRunner(def)
 	r.Limits = rewrite.Limits{MaxNodes: 2000, MaxIters: 15, KMulti: 1}
-	ex, err := r.Run(models.NasRNN(models.ScaleTest))
+	ex, err := r.RunContext(context.Background(), models.NasRNN(models.ScaleTest))
 	if err != nil {
 		b.Fatal(err)
 	}

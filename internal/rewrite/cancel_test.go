@@ -114,7 +114,7 @@ func TestTimedOutRunNeverSaturated(t *testing.T) {
 
 	r := NewRunner([]*Rule{rule})
 	r.Limits.Timeout = 10 * time.Millisecond
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

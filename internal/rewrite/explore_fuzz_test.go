@@ -1,6 +1,7 @@
 package rewrite_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
@@ -56,7 +57,7 @@ func FuzzExplore(f *testing.F) {
 
 		r := rewrite.NewRunner(rs)
 		r.Filter, r.Limits = mode, lim
-		got, err := r.Run(input)
+		got, err := r.RunContext(context.Background(), input)
 		if err != nil {
 			t.Fatal(err)
 		}

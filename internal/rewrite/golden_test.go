@@ -1,6 +1,7 @@
 package rewrite_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -94,7 +95,7 @@ func (row exploreRow) explore(t testing.TB, g *tensor.Graph, filter rewrite.Filt
 	r := rewrite.NewRunner(row.rules)
 	r.Filter = filter
 	r.Limits = rewrite.Limits{MaxNodes: row.nodes, MaxIters: 15, KMulti: max(row.kmulti, 1)}
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatalf("%s: %v", row.name, err)
 	}

@@ -2,7 +2,9 @@ package rewrite
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"tensat/internal/egraph"
@@ -29,16 +31,36 @@ const (
 	FilterNone
 )
 
+// filterNames spells each FilterMode: the CLI's -filter values and the
+// serving layer's "cycle_filter" option.
+var filterNames = []string{FilterEfficient: "efficient", FilterVanilla: "vanilla", FilterNone: "none"}
+
 // String names the mode.
 func (m FilterMode) String() string {
-	switch m {
-	case FilterEfficient:
-		return "efficient"
-	case FilterVanilla:
-		return "vanilla"
-	default:
-		return "none"
+	text, err := m.MarshalText()
+	if err != nil {
+		return fmt.Sprintf("FilterMode(%d)", int(m))
 	}
+	return string(text)
+}
+
+// MarshalText spells m: "efficient", "vanilla" or "none".
+func (m FilterMode) MarshalText() ([]byte, error) {
+	if m < 0 || int(m) >= len(filterNames) {
+		return nil, fmt.Errorf("rewrite: filter mode %d has no name", int(m))
+	}
+	return []byte(filterNames[m]), nil
+}
+
+// UnmarshalText sets m to the mode text spells. An unknown name leaves
+// m as it was and is an error listing the known names.
+func (m *FilterMode) UnmarshalText(text []byte) error {
+	i := slices.Index(filterNames, string(text))
+	if i < 0 {
+		return fmt.Errorf("rewrite: unknown cycle filter %q (known: %s)", text, strings.Join(filterNames, ", "))
+	}
+	*m = FilterMode(i)
+	return nil
 }
 
 // Limits bound the exploration phase (§6.1: N_max = 50000, k_max = 15,
@@ -174,15 +196,10 @@ func NewRunner(rules []*Rule) *Runner {
 	return &Runner{Rules: rules, Filter: FilterEfficient, Limits: DefaultLimits()}
 }
 
-// Run explores the e-graph of t until saturation or limits.
-func (r *Runner) Run(t *tensor.Graph) (*Explored, error) {
-	return r.RunContext(context.Background(), t)
-}
-
-// RunContext is Run with cancellation: when ctx is done, exploration
-// stops at the next check point exactly as if Limits.Timeout had
-// expired (Stats.Stop is StopCanceled), and the partial e-graph is
-// returned.
+// RunContext explores the e-graph of t until saturation or limits.
+// When ctx is done, exploration stops at the next check point exactly
+// as if Limits.Timeout had expired (Stats.Stop is StopCanceled), and
+// the partial e-graph is returned.
 // Deciding whether a canceled request should still be extracted is the
 // caller's business (tensat.OptimizeContext aborts; an anytime caller
 // may extract what it has).

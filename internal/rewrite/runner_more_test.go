@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestExploreTimeout(t *testing.T) {
 		"(split0 (split 1 (matmul ?a ?x (concat2 1 ?y ?z)))) (split1 (split 1 (matmul ?a ?x (concat2 1 ?y ?z))))")
 	r := NewRunner([]*Rule{rule})
 	r.Limits = Limits{MaxNodes: 1 << 30, MaxIters: 1 << 20, KMulti: 1 << 20, Timeout: 30 * time.Millisecond}
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestSaturationSmallAlgebra(t *testing.T) {
 	rules := []*Rule{MustRule("comm", "(ewadd ?x ?y)", "(ewadd ?y ?x)")}
 	rules = append(rules, Bidirectional("assoc", "(ewadd ?x (ewadd ?y ?z))", "(ewadd (ewadd ?x ?y) ?z)")...)
 	r := NewRunner(rules)
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRunnerPreservesAnalysisMetas(t *testing.T) {
 	w1 := b.Weight("w1", 6, 4)
 	g := b.MustFinish(b.Matmul(tensor.ActNone, x, w1))
 	r := NewRunner([]*Rule{MustRule("fuse", "(relu (matmul 0 ?x ?y))", "(matmul 2 ?x ?y)")})
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestMultiPatternTripleSourceRule(t *testing.T) {
 	g := b.MustFinish(b.Relu(x), b.Tanh(x), b.Sigmoid(x))
 	r := NewRunner([]*Rule{rule})
 	r.Limits.KMulti = 1
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

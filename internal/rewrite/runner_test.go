@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"tensat/internal/egraph"
@@ -61,7 +63,7 @@ func TestSingleRuleSaturates(t *testing.T) {
 	y := b.Input("y", 4, 4)
 	g := b.MustFinish(b.Ewadd(x, y))
 	r := NewRunner([]*Rule{MustRule("ewadd-comm", "(ewadd ?x ?y)", "(ewadd ?y ?x)")})
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestShapeCheckBlocksBadRewrite(t *testing.T) {
 			Sources: []*pattern.Pat{pattern.MustParse("(relu ?x)")},
 			Targets: []*pattern.Pat{pattern.MustParse("(ewadd ?x ?y)")}}},
 	} {
-		ex, err := NewRunner([]*Rule{tc.rule}).Run(tc.g)
+		ex, err := NewRunner([]*Rule{tc.rule}).RunContext(context.Background(), tc.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +121,7 @@ func TestConditionBlocksRewrite(t *testing.T) {
 		return false
 	}
 	r := NewRunner([]*Rule{rule})
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestMultiPatternFigure2(t *testing.T) {
 	g := twoMatmulGraph(t)
 	r := NewRunner([]*Rule{figure2Rule(t)})
 	r.Limits.KMulti = 1
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestMultiPatternNeedsSharedInput(t *testing.T) {
 	w2 := b.Weight("w2", 32, 16)
 	g := b.MustFinish(b.Matmul(tensor.ActNone, x1, w1), b.Matmul(tensor.ActNone, x2, w2))
 	r := NewRunner([]*Rule{figure2Rule(t)})
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestKMultiZeroDisablesMultiRules(t *testing.T) {
 	g := twoMatmulGraph(t)
 	r := NewRunner([]*Rule{figure2Rule(t)})
 	r.Limits.KMulti = 0
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestCycleFilteringKeepsEGraphAcyclic(t *testing.T) {
 		r.Filter = mode
 		r.Limits.MaxIters = 4
 		r.Limits.KMulti = 2
-		ex, err := r.Run(g)
+		ex, err := r.RunContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +225,7 @@ func TestPreFilterRejectsCycle(t *testing.T) {
 		r := NewRunner([]*Rule{rule})
 		r.Filter = mode
 		r.Limits.MaxIters = 1
-		ex, err := r.Run(g)
+		ex, err := r.RunContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +251,7 @@ func TestFilterNoneMayLeaveCycles(t *testing.T) {
 	r.Filter = FilterNone
 	r.Limits.MaxIters = 4
 	r.Limits.KMulti = 2
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +270,7 @@ func TestNodeLimitStopsExploration(t *testing.T) {
 	r.Limits.MaxNodes = 12 // graph itself is about this size
 	r.Limits.KMulti = 3
 	r.Limits.MaxIters = 10
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestIterLimit(t *testing.T) {
 	// MaxIters=0 to check the limit path.
 	r := NewRunner([]*Rule{MustRule("ewadd-comm", "(ewadd ?x ?y)", "(ewadd ?y ?x)")})
 	r.Limits.MaxIters = 0
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +307,7 @@ func TestVanillaAndEfficientAgree(t *testing.T) {
 		r := NewRunner([]*Rule{figure2Rule(t)})
 		r.Filter = mode
 		r.Limits.KMulti = 1
-		ex, err := r.Run(g)
+		ex, err := r.RunContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,5 +364,28 @@ func TestBidirectional(t *testing.T) {
 	rules := Bidirectional("comm", "(ewadd ?x ?y)", "(ewadd ?y ?x)")
 	if len(rules) != 2 || rules[1].Name != "comm-rev" {
 		t.Fatalf("Bidirectional = %v", rules)
+	}
+}
+
+// Every filter mode survives MarshalText → UnmarshalText and String
+// reads the same name; an unknown name leaves the value alone and lists
+// the known ones.
+func TestFilterModeTextRoundTrip(t *testing.T) {
+	for _, want := range []FilterMode{FilterEfficient, FilterVanilla, FilterNone} {
+		text, err := want.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got FilterMode = -1
+		if err := got.UnmarshalText(text); err != nil || got != want || want.String() != string(text) {
+			t.Errorf("%q: UnmarshalText = %v, %v; want %v", text, got, err, want)
+		}
+	}
+	got := FilterNone
+	if err := got.UnmarshalText([]byte("vanila")); err == nil || !strings.HasSuffix(err.Error(), `"vanila" (known: efficient, vanilla, none)`) || got != FilterNone {
+		t.Errorf("unknown name: %v, value %v", err, got)
+	}
+	if _, err := FilterMode(3).MarshalText(); err == nil {
+		t.Error("a filter mode with no name marshaled")
 	}
 }

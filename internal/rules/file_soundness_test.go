@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,11 +55,11 @@ func TestShippedRuleFilesAreSound(t *testing.T) {
 				r := rewrite.NewRunner(rs)
 				r.Limits.MaxIters = 6
 				r.Limits.MaxNodes = 5000
-				ex, err := r.Run(g)
+				ex, err := r.RunContext(context.Background(), g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := extract.Greedy(ex, cost.NewT4())
+				res, err := extract.GreedyContext(context.Background(), ex, cost.NewT4())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,11 +17,11 @@ func optimize(t *testing.T, g *tensor.Graph, kmulti, iters int) *extract.Result 
 	r.Limits.KMulti = kmulti
 	r.Limits.MaxIters = iters
 	r.Limits.MaxNodes = 20000
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := extract.ILP(ex, cost.NewT4(), extract.ILPOptions{Timeout: time.Minute})
+	res, err := extract.ILPContext(context.Background(), ex, cost.NewT4(), extract.ILPOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

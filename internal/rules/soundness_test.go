@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -54,11 +55,11 @@ func TestOptimizedGraphsComputeSameValues(t *testing.T) {
 			r.Limits.KMulti = tc.kmulti
 			r.Limits.MaxIters = tc.iters
 			r.Limits.MaxNodes = tc.nodes
-			ex, err := r.Run(g)
+			ex, err := r.RunContext(context.Background(), g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := extract.ILP(ex, cost.NewT4(), extract.ILPOptions{
+			res, err := extract.ILPContext(context.Background(), ex, cost.NewT4(), extract.ILPOptions{
 				CycleConstraints: tc.filter == rewrite.FilterNone, Timeout: time.Minute,
 			})
 			if err != nil {
@@ -82,11 +83,11 @@ func TestGreedyExtractionIsSound(t *testing.T) {
 		r.Limits.KMulti = 1
 		r.Limits.MaxIters = 6
 		r.Limits.MaxNodes = 6000
-		ex, err := r.Run(g)
+		ex, err := r.RunContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := extract.Greedy(ex, cost.NewT4())
+		res, err := extract.GreedyContext(context.Background(), ex, cost.NewT4())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +108,11 @@ func TestCycleConstrainedExtractionIsSound(t *testing.T) {
 	r.Limits.KMulti = 1
 	r.Limits.MaxIters = 4
 	r.Limits.MaxNodes = 2000
-	ex, err := r.Run(g)
+	ex, err := r.RunContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := extract.ILP(ex, cost.NewT4(), extract.ILPOptions{
+	res, err := extract.ILPContext(context.Background(), ex, cost.NewT4(), extract.ILPOptions{
 		CycleConstraints: true, Timeout: time.Minute,
 	})
 	if err != nil {

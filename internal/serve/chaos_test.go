@@ -357,7 +357,7 @@ func TestPeerOutageDegradesToLocalCompute(t *testing.T) {
 	if !recovered.Cached || recovered.CacheTier != TierPeer {
 		t.Fatalf("cached=%v tier=%q, want peer hit after recovery", recovered.Cached, recovered.CacheTier)
 	}
-	if st := sA.cfg.Cluster.BreakerStates()["b"]; st != cluster.BreakerClosed {
+	if st := sA.cfg.Cluster.BreakerStates()["b"]; st != breaker.Closed {
 		t.Fatalf("breaker for b = %v, want closed after recovery", st)
 	}
 }

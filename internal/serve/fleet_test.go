@@ -699,8 +699,9 @@ func TestLoadSheddingDegradesBeforeRejecting(t *testing.T) {
 	}
 }
 
-// TestHighPriorityNeverDegraded: a saturated tenant at or above
-// noShedPriority gets an explicit 429, never a silently weaker answer.
+// TestHighPriorityNeverDegraded: a saturated tenant at or above the
+// no-shed floor (priority 100, decided by tenant.Registry.Acquire) gets
+// an explicit 429, never a silently weaker answer.
 func TestHighPriorityNeverDegraded(t *testing.T) {
 	reg, err := tenant.Parse([]byte(shedTenants))
 	if err != nil {
@@ -725,8 +726,8 @@ func TestHighPriorityNeverDegraded(t *testing.T) {
 	_, err = submitAndWaitAs(context.Background(), s, testGraph(t, 2), RequestOptions{}, &tn)
 	var rle *RateLimitError
 	if !errors.As(err, &rle) {
-		t.Fatalf("err = %v, want *RateLimitError (no degradation for priority >= %d)",
-			err, noShedPriority)
+		t.Fatalf("err = %v, want *RateLimitError (no degradation for priority %d)",
+			err, tn.Priority)
 	}
 	if got := s.Stats(); got.ShedTotal != 0 {
 		t.Fatalf("shed = %d, want 0 for a high-priority tenant", got.ShedTotal)

@@ -83,6 +83,8 @@ func writeServiceError(w http.ResponseWriter, err error) {
 //	GET    /v1/readyz           — readiness probe (503 while draining;
 //	                              also at /readyz, both auth-exempt)
 //	GET    /metrics             — Prometheus text exposition
+//	GET/PUT /v1/peer/cache/{key} — node-to-node cache surface (the
+//	                              cluster secret, not tenant auth)
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, h func(*Service, http.ResponseWriter, *http.Request)) {

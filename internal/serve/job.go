@@ -172,7 +172,7 @@ func (j *Job) snapshot() (JobStatus, tensat.Progress, error) {
 		p.Elapsed = time.Since(j.created)
 		return JobRunning, p, nil
 	}
-	return terminalStatus(j.err), p, j.err
+	return JobStatus(p.Phase), p, j.err // finish's entry ends the log
 }
 
 // Outcome returns what the job keeps and its error, zero until Done.
@@ -200,35 +200,17 @@ func (j *Job) ProgressSince(from int) ([]tensat.Progress, int, <-chan struct{}) 
 	return j.log.since(from)
 }
 
-// terminalStatus classifies a job outcome.
-func terminalStatus(err error) JobStatus {
-	switch {
-	case err == nil:
-		return JobDone
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return JobCanceled
-	default:
-		return JobFailed
-	}
-}
-
-// finish publishes the terminal progress entry and the outcome together,
-// then closes Done. resp is read, not kept; reply is its /result body.
-func (j *Job) finish(resp *Response, reply []byte, err error) {
-	want := tensat.Phase(terminalStatus(err)) // spelled alike
+// finish publishes end, the job's terminal snapshot, and the outcome
+// together, then closes Done. resp is read, not kept; reply is its
+// /result body.
+func (j *Job) finish(end tensat.Progress, resp *Response, reply []byte, err error) {
 	// Guarantee a terminal entry in the log: runs pumped from a flight
 	// already carry one for done/failed, but canceled followers and
 	// cache hits do not.
 	j.log.mu.Lock()
-	if p := j.log.latestLocked(); p.Phase != want {
-		p.Phase = want
-		if resp != nil && resp.Result != nil {
-			p.Iteration = resp.Result.Iterations
-			p.ENodes, p.EClasses = resp.Result.ENodes, resp.Result.EClasses
-			p.BestCost = resp.Result.OptCost
-		}
-		p.Elapsed = time.Since(j.created)
-		j.log.appendLocked(p)
+	if j.log.latestLocked().Phase != end.Phase {
+		end.Elapsed = time.Since(j.created)
+		j.log.appendLocked(end)
 	}
 	// No entry follows the terminal one: Done is the log's last signal.
 	// Dropping cancel frees the job's context for the TTL.
@@ -445,13 +427,21 @@ func (s *Service) Jobs() []*Job { return s.jobs.list() }
 // the job finished reads counters that include it, can resubmit into
 // the freed slot, and can count on the job being evictable.
 func (s *Service) finishJob(job *Job, resp *Response, err error) {
-	var reply []byte
+	var (
+		reply []byte
+		res   *tensat.Result
+	)
 	if err == nil {
 		if reply = resp.reply; reply == nil {
 			reply, err = encodeReply(resp)
 		}
+		res = resp.Result
 	}
-	status := terminalStatus(err)
+	// Only this job's own goroutine appends to its log, so the latest
+	// entry cannot move before finish publishes end.
+	end := tensat.Terminal(job.log.latest(), res, err)
+	status := JobStatus(end.Phase) // spelled alike
+
 	attrs := []any{
 		"job", job.id,
 		"status", string(status),
@@ -471,7 +461,7 @@ func (s *Service) finishJob(job *Job, resp *Response, err error) {
 	}
 	s.release(job.adm)
 	s.jobs.retire(job)
-	job.finish(resp, reply, err)
+	job.finish(end, resp, reply, err)
 	s.log.Info("job finished", attrs...)
 }
 

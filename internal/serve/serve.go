@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"tensat"
+	"tensat/internal/breaker"
 	"tensat/internal/cachestore"
 	"tensat/internal/cluster"
 	"tensat/internal/fingerprint"
@@ -62,7 +64,8 @@ type Config struct {
 	// log) stays queryable; 0 means 15 minutes.
 	JobTTL time.Duration
 	// Base is the option template requests refine. Its zero value
-	// means tensat.DefaultOptions. A programmatic Rules/CostModel here
+	// (every field zero, the deprecated Workers included) means
+	// tensat.DefaultOptions. A programmatic Rules/CostModel here
 	// is service-wide ("custom" in stats and job listings); requests
 	// override it by naming a registered profile.
 	Base tensat.Options
@@ -103,11 +106,6 @@ type Config struct {
 	// this package's tests change it.
 	storeReprobe time.Duration
 }
-
-// noShedPriority is the tenant priority at or above which requests are
-// never quality-degraded: a saturated high-priority tenant gets an
-// explicit 429 instead of a silently weaker answer.
-const noShedPriority = 100
 
 // Service is a concurrent graph-optimization service.
 type Service struct {
@@ -157,7 +155,7 @@ func New(cfg Config) *Service {
 	if cfg.JobTTL <= 0 {
 		cfg.JobTTL = 15 * time.Minute
 	}
-	if isZeroOptions(cfg.Base) {
+	if reflect.ValueOf(cfg.Base).IsZero() {
 		cfg.Base = tensat.DefaultOptions()
 	}
 	if cfg.Registry == nil {
@@ -195,11 +193,11 @@ func New(cfg Config) *Service {
 		self := cl.Self()
 		for _, peer := range cl.Nodes() {
 			if peer != self {
-				s.metrics.peerBreaker.With(peer).Set(float64(cluster.BreakerClosed))
+				s.metrics.peerBreaker.With(peer).Set(float64(breaker.Closed))
 			}
 		}
 		cl.SetObserver(cluster.Observer{
-			BreakerChange: func(peer string, state cluster.BreakerState) {
+			BreakerChange: func(peer string, state breaker.State) {
 				s.metrics.peerBreaker.With(peer).Set(float64(state))
 				s.log.Warn("peer breaker transition", "peer", peer, "state", state.String())
 			},
@@ -220,15 +218,6 @@ func New(cfg Config) *Service {
 // Metrics returns the service's Prometheus registry (the GET /metrics
 // exposition source). Embedders may mount it on their own mux.
 func (s *Service) Metrics() *obs.Registry { return s.metrics.reg }
-
-func isZeroOptions(o tensat.Options) bool {
-	return o.Rules == nil && o.CostModel == nil &&
-		o.RuleSet == "" && o.CostModelName == "" && o.NodeLimit == 0 &&
-		o.IterLimit == 0 && o.KMulti == 0 && o.ExploreTimeout == 0 &&
-		o.ILPTimeout == 0 && o.Extractor == tensat.ExtractILP &&
-		o.CycleFilter == tensat.FilterEfficient && !o.TopoInt &&
-		o.ILPSolver == "" && o.Progress == nil && !o.Trace
-}
 
 // RequestOptions are the per-request optimization knobs. The zero
 // value inherits every setting from the service's Config.Base. Field
@@ -297,24 +286,12 @@ func (ro RequestOptions) apply(base tensat.Options) (tensat.Options, error) {
 	if ro.KMulti > 0 {
 		o.KMulti = ro.KMulti
 	}
-	switch ro.Extractor {
-	case "":
-	case "ilp":
-		o.Extractor = tensat.ExtractILP
-	case "greedy":
-		o.Extractor = tensat.ExtractGreedy
-	default:
+	// The names are the option types' own; the errors keep this
+	// package's wording (outcome_golden.json pins it).
+	if ro.Extractor != "" && o.Extractor.UnmarshalText([]byte(ro.Extractor)) != nil {
 		return o, fmt.Errorf("%w: unknown extractor %q", ErrBadOptions, ro.Extractor)
 	}
-	switch ro.CycleFilter {
-	case "":
-	case "efficient":
-		o.CycleFilter = tensat.FilterEfficient
-	case "vanilla":
-		o.CycleFilter = tensat.FilterVanilla
-	case "none":
-		o.CycleFilter = tensat.FilterNone
-	default:
+	if ro.CycleFilter != "" && o.CycleFilter.UnmarshalText([]byte(ro.CycleFilter)) != nil {
 		return o, fmt.Errorf("%w: unknown cycle filter %q", ErrBadOptions, ro.CycleFilter)
 	}
 	if ro.TopoInt {
@@ -532,13 +509,6 @@ func (s *Service) admit(tn *tenant.Tenant) (admission, error) {
 	case tenant.Admit:
 		return admission{tenant: tn.Name, prio: tn.Priority}, nil
 	case tenant.Degrade:
-		if tn.Priority >= noShedPriority {
-			// High-priority work is never silently weakened; surface the
-			// saturation instead.
-			s.cfg.Tenants.Release(tn.Name, true)
-			s.metrics.tenantRejected.With(tn.Name).Inc()
-			return admission{}, &RateLimitError{Tenant: tn.Name, RetryAfter: time.Second}
-		}
 		return admission{tenant: tn.Name, prio: tn.Priority, degraded: true}, nil
 	default:
 		s.metrics.tenantRejected.With(tn.Name).Inc()

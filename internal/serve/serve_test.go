@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -459,6 +460,45 @@ func TestRequestOptionsValidation(t *testing.T) {
 	}
 	if _, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{CycleFilter: "perhaps"}); err == nil {
 		t.Fatal("unknown cycle filter accepted")
+	}
+}
+
+// TestBaseOptionsKeptWhenAnyFieldSet: a Config.Base that sets any one
+// field of tensat.Options, whatever it is, is the service's template;
+// only the all-zero Base is swapped for tensat.DefaultOptions.
+func TestBaseOptionsKeptWhenAnyFieldSet(t *testing.T) {
+	if got := New(Config{Workers: 1}).cfg.Base; !reflect.DeepEqual(got, tensat.DefaultOptions()) {
+		t.Fatalf("zero Base became %+v, want DefaultOptions", got)
+	}
+	typ := reflect.TypeOf(tensat.Options{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		t.Run(f.Name, func(t *testing.T) {
+			var base tensat.Options
+			v := reflect.ValueOf(&base).Elem().Field(i)
+			switch f.Type.Kind() {
+			case reflect.Int, reflect.Int64:
+				v.SetInt(7)
+			case reflect.String:
+				v.SetString("x")
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.Slice:
+				v.Set(reflect.MakeSlice(f.Type, 1, 1))
+			case reflect.Func:
+				v.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value { return nil }))
+			case reflect.Interface:
+				v.Set(reflect.ValueOf(tensat.DefaultCostModel()))
+			default:
+				t.Fatalf("field %s has kind %s: give it a non-zero value here", f.Name, f.Type.Kind())
+			}
+			got := reflect.ValueOf(New(Config{Workers: 1, Base: base}).cfg.Base)
+			for j := range typ.NumField() {
+				if want := j == i; !got.Field(j).IsZero() != want {
+					t.Errorf("Base with only %s set: field %s zero = %v", f.Name, typ.Field(j).Name, !want)
+				}
+			}
+		})
 	}
 }
 

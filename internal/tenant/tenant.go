@@ -11,7 +11,9 @@
 // is free. Only when even that is exhausted is the request rejected,
 // with a Retry-After computed from the bucket's refill rate. Load thus
 // sheds quality before it sheds availability: a saturated tenant keeps
-// getting fast greedy answers instead of 429s.
+// getting fast greedy answers instead of 429s. A tenant at or above
+// the no-shed priority floor is never degraded: where it would be, it
+// is rejected instead.
 package tenant
 
 import (
@@ -34,9 +36,10 @@ type Tenant struct {
 	// "X-API-Key: <key>". Keys must be unique across the file.
 	Key string `json:"key"`
 	// Priority orders the fleet's job queue: higher runs first. It also
-	// selects shedding behavior — tenants below the service's no-shed
-	// threshold degrade to greedy-only under pressure, tenants at or
-	// above it are never degraded (they get explicit 429s instead).
+	// selects shedding behavior, decided by Acquire: tenants below this
+	// package's no-shed floor (100) degrade to greedy-only under
+	// pressure, tenants at or above it are never degraded (they get
+	// explicit 429s instead).
 	Priority int `json:"priority"`
 	// RateRPS is the sustained full-quality request rate (token-bucket
 	// refill). 0 disables rate limiting for this tenant.
@@ -47,6 +50,11 @@ type Tenant struct {
 	// full-quality jobs. 0 = unlimited.
 	MaxConcurrent int `json:"max_concurrent"`
 }
+
+// noShedPriority is the tenant priority at or above which requests are
+// never quality-degraded: a saturated high-priority tenant gets an
+// explicit 429 instead of a silently weaker answer.
+const noShedPriority = 100
 
 // shedSlots is the tenant's degraded-run headroom: how many degraded
 // jobs may run at once while the full-quality quota is saturated.
@@ -216,7 +224,10 @@ func (r *Registry) Names() []string {
 // named name, accounting the request (a token and a concurrency or
 // shed slot) when the decision is Admit or Degrade. Every Admit or
 // Degrade must be paired with exactly one Release. RetryAfter is
-// meaningful only for Reject.
+// meaningful only for Reject. A tenant at or above the no-shed floor
+// is rejected where it would be degraded, and told to retry in a
+// second: its shed slot was free, so the quota is the bound, not the
+// bucket.
 func (r *Registry) Acquire(name string) (d Decision, retryAfter time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -237,6 +248,9 @@ func (r *Registry) Acquire(name string) (d Decision, retryAfter time.Duration) {
 		return Admit, 0
 	}
 	if st.shed < st.t.shedSlots() {
+		if st.t.Priority >= noShedPriority {
+			return Reject, time.Second
+		}
 		st.shed++
 		return Degrade, 0
 	}

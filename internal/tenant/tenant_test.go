@@ -1,7 +1,9 @@
 package tenant
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -185,5 +187,61 @@ func TestReleaseNeverGoesNegative(t *testing.T) {
 func TestDecisionString(t *testing.T) {
 	if Admit.String() != "admit" || Degrade.String() != "degrade" || Reject.String() != "reject" {
 		t.Fatal("Decision.String")
+	}
+}
+
+// TestNoShedFloor: over quota, a tenant below the no-shed floor is
+// degraded and one at or above it is rejected in its place, told to
+// retry in a second, holding no shed slot.
+func TestNoShedFloor(t *testing.T) {
+	for _, tc := range []struct {
+		priority int
+		want     Decision
+	}{
+		{0, Degrade}, {noShedPriority - 1, Degrade}, {noShedPriority, Reject}, {noShedPriority + 1, Reject},
+	} {
+		r := mustParse(t, fmt.Sprintf(`{"tenants": [{"name": "t", "key": "tenant-key",
+			"priority": %d, "rate_rps": 0.001, "max_concurrent": 1}]}`, tc.priority))
+		newFakeClock(r)
+		if d, _ := r.Acquire("t"); d != Admit {
+			t.Fatalf("priority %d: first acquire = %v", tc.priority, d)
+		}
+		d, retry := r.Acquire("t")
+		if d != tc.want {
+			t.Errorf("priority %d: over-quota acquire = %v, want %v", tc.priority, d, tc.want)
+		}
+		if _, shed := running(r, "t"); d == Reject && (retry != time.Second || shed != 0) {
+			t.Errorf("priority %d: rejected with retry %v holding %d shed slots, want 1s and none", tc.priority, retry, shed)
+		}
+	}
+}
+
+// TestAcquireReleaseConcurrent: concurrent Acquire/Release pairs never
+// hold more slots than the quota allows, and leave none behind.
+func TestAcquireReleaseConcurrent(t *testing.T) {
+	r := mustParse(t, `{"tenants": [
+		{"name": "low", "key": "low-key-1", "priority": 1, "max_concurrent": 2},
+		{"name": "high", "key": "high-key-1", "priority": 100, "max_concurrent": 2}]}`)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				d, _ := r.Acquire(name)
+				if run, shed := running(r, name); run > 2 || shed > 2 || name == "high" && shed > 0 {
+					t.Errorf("%s: %d running, %d shed", name, run, shed)
+				}
+				if d != Reject {
+					r.Release(name, d == Degrade)
+				}
+			}
+		}([]string{"low", "high"}[g%2])
+	}
+	wg.Wait()
+	for _, name := range []string{"low", "high"} {
+		if run, shed := running(r, name); run != 0 || shed != 0 {
+			t.Errorf("%s: %d running, %d shed after every release", name, run, shed)
+		}
 	}
 }

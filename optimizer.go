@@ -121,10 +121,14 @@ func (j *Job) Result() (*Result, error) {
 	return j.res, j.err
 }
 
-// terminal is the job's last snapshot: the phase its outcome names,
-// carrying the last iteration and e-graph sizes the run reported (the
-// result's own on success).
-func terminal(last Progress, res *Result, err error) Progress {
+// Terminal is a run's last snapshot, given the last one it reported
+// and its outcome: PhaseDone with the result's iteration, e-graph sizes
+// and cost when err is nil; PhaseCanceled when err is a context's
+// cancellation or deadline; PhaseFailed otherwise, both keeping last's
+// figures. Elapsed is last's. It is the one classification of an
+// outcome: Submit's terminal snapshot and the serving layer's job
+// status both come from it.
+func Terminal(last Progress, res *Result, err error) Progress {
 	p := last
 	switch {
 	case err == nil:
@@ -178,7 +182,7 @@ func (o *Optimizer) Submit(ctx context.Context, g *Graph, opts Options) (*Job, e
 			}
 		}
 		res, err := runRecover(ctx, g, opts, prof, push)
-		push(terminal(last, res, err))
+		push(Terminal(last, res, err))
 		j.res, j.err = res, err
 		close(j.done)
 	}()

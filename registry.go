@@ -41,22 +41,6 @@ const customProfile = "custom"
 // entry answers to; transports classify it as a client error.
 var ErrUnknownProfile = errors.New("tensat: unknown profile")
 
-// RuleVetMode selects what rule-set loading does with findings from
-// the static rule verifier (internal/rulecheck). Error-severity
-// findings (shape-unsound rewrites) always fail the load, because
-// applying such a rule silently corrupts tensor shapes; the mode only
-// decides the fate of warnings.
-type RuleVetMode int
-
-const (
-	// RuleVetWarn (the default) records warning-severity findings in
-	// RuleSetInfo.VetWarnings for the caller to surface, and loads the
-	// set anyway.
-	RuleVetWarn RuleVetMode = iota
-	// RuleVetStrict fails the load on any finding, warnings included.
-	RuleVetStrict
-)
-
 // RuleSetInfo describes one registered rule set.
 type RuleSetInfo struct {
 	// Name is the registry key, selectable as Options.RuleSet.
@@ -74,8 +58,9 @@ type RuleSetInfo struct {
 	// verifier (internal/rulecheck) recorded when the set was loaded
 	// from a file: rules that can never fire, dead targets, or target
 	// operators the default cost model prices at +Inf (so extraction
-	// could never choose them). Empty for builtin sets; under
-	// RuleVetStrict warnings fail the load instead of landing here.
+	// could never choose them). Empty for builtin sets. Error findings
+	// fail the load instead of landing here; `tensat vet-rules -strict`
+	// is the gate that fails on warnings too.
 	VetWarnings []string
 }
 
@@ -235,7 +220,6 @@ type Registry struct {
 	mu         sync.RWMutex
 	ruleSets   shelf[ruleSet, RuleSetInfo]
 	costModels shelf[CostModel, CostModelInfo]
-	vetMode    RuleVetMode
 }
 
 // NewRegistry returns a registry holding the built-in profiles. The
@@ -267,19 +251,11 @@ var defaultRegistry = sync.OnceValue(NewRegistry)
 // serve.Config.Registry).
 func DefaultRegistry() *Registry { return defaultRegistry() }
 
-// SetRuleVetMode selects how subsequent LoadRuleFile/LoadRulesDir
-// calls treat static-verifier findings. Safe for concurrent use.
-func (r *Registry) SetRuleVetMode(m RuleVetMode) {
-	r.mu.Lock()
-	r.vetMode = m
-	r.mu.Unlock()
-}
-
 // parseRuleFile loads a .rules file, runs the static rule verifier
 // over it — pricing targets against the registry's default cost
 // model — and compiles it, without registering it. Non-fatal findings
-// land in the row's VetWarnings; any error-severity finding (under
-// RuleVetStrict, any finding at all) fails the parse.
+// land in the row's VetWarnings; any error-severity finding fails the
+// parse.
 func (r *Registry) parseRuleFile(path string) (string, shelved[ruleSet, RuleSetInfo], error) {
 	var zero shelved[ruleSet, RuleSetInfo]
 	name, rs, err := rules.LoadFile(path)
@@ -287,12 +263,12 @@ func (r *Registry) parseRuleFile(path string) (string, shelved[ruleSet, RuleSetI
 		return "", zero, fmt.Errorf("tensat: %w", err)
 	}
 	r.mu.RLock()
-	mode, model := r.vetMode, r.costModels[DefaultCostModelName].value
+	model := r.costModels[DefaultCostModelName].value
 	r.mu.RUnlock()
 	var warns []string
 	fatal := false
 	for _, f := range rulecheck.CheckRules(path, rs, model) {
-		fatal = fatal || f.Severity == rulecheck.SevError || mode == RuleVetStrict
+		fatal = fatal || f.Severity == rulecheck.SevError
 		warns = append(warns, f.String())
 	}
 	if fatal {
@@ -321,9 +297,10 @@ func parseDeviceFile(path string) (string, shelved[CostModel, CostModelInfo], er
 
 // LoadRuleFile loads a .rules file and registers it under the file's
 // base name (merge.rules -> "merge"). The whole file is compiled,
-// validated and statically vetted (see RuleVetMode) before anything
-// is registered: on any error the registry is unchanged. Non-fatal
-// verifier findings land in the returned RuleSetInfo.VetWarnings.
+// validated and statically vetted before anything is registered: on
+// any error, an error-severity verifier finding included, the registry
+// is unchanged. Warning findings land in the returned
+// RuleSetInfo.VetWarnings.
 func (r *Registry) LoadRuleFile(path string) (RuleSetInfo, error) {
 	return first(load(r, r.ruleSets, []string{path}, r.parseRuleFile))
 }

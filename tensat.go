@@ -69,19 +69,7 @@
 // fingerprint+options, singleflight deduplication of in-flight
 // identical requests, a bounded worker pool, a TTL-bounded job store,
 // and latency/hit-rate statistics; and cmd/tensatd exposes it over
-// HTTP+JSON:
-//
-//	POST   /v1/jobs             — submit a job (202 + id)
-//	GET    /v1/jobs             — list tracked jobs (status, age, profile)
-//	GET    /v1/jobs/{id}        — status + live progress
-//	GET    /v1/jobs/{id}/result — the result once done
-//	DELETE /v1/jobs/{id}        — cancel
-//	GET    /v1/jobs/{id}/events — progress as server-sent events
-//	GET    /v1/rulesets         — named rule sets + content hashes
-//	GET    /v1/costmodels       — named cost models + content hashes
-//	GET    /v1/version          — build/runtime identification
-//	GET    /v1/stats            — cache, latency, job and profile counters
-//	GET    /v1/healthz          — liveness
+// HTTP+JSON. serve.NewHandler documents the routes.
 //
 // Graphs travel in the textual wire format of Graph.MarshalText
 // (S-expressions with let-bindings for shared subgraphs; see
@@ -92,7 +80,10 @@ package tensat
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"tensat/internal/cost"
@@ -155,6 +146,29 @@ const (
 	// ExtractGreedy uses per-class greedy selection.
 	ExtractGreedy
 )
+
+// extractorNames spells each Extractor: the CLI's -extractor values and
+// the serving layer's "extractor" option.
+var extractorNames = []string{ExtractILP: "ilp", ExtractGreedy: "greedy"}
+
+// MarshalText spells e: "ilp" or "greedy".
+func (e Extractor) MarshalText() ([]byte, error) {
+	if e < 0 || int(e) >= len(extractorNames) {
+		return nil, fmt.Errorf("tensat: extractor %d has no name", int(e))
+	}
+	return []byte(extractorNames[e]), nil
+}
+
+// UnmarshalText sets e to the extractor text spells. An unknown name
+// leaves e as it was and is an error listing the known names.
+func (e *Extractor) UnmarshalText(text []byte) error {
+	i := slices.Index(extractorNames, string(text))
+	if i < 0 {
+		return fmt.Errorf("tensat: unknown extractor %q (known: %s)", text, strings.Join(extractorNames, ", "))
+	}
+	*e = Extractor(i)
+	return nil
+}
 
 // CycleFilter selects the cycle handling strategy (§5.2): the
 // exploration phase's own filter mode.

@@ -165,3 +165,25 @@ func TestResultStringOutput(t *testing.T) {
 		t.Fatalf("unexpected graph rendering:\n%s", s)
 	}
 }
+
+// Every extractor survives MarshalText → UnmarshalText; an unknown
+// name leaves the value alone and lists the known ones.
+func TestExtractorTextRoundTrip(t *testing.T) {
+	for _, want := range []tensat.Extractor{tensat.ExtractILP, tensat.ExtractGreedy} {
+		text, err := want.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got tensat.Extractor = -1
+		if err := got.UnmarshalText(text); err != nil || got != want {
+			t.Errorf("%q: UnmarshalText = %v, %v; want %v", text, got, err, want)
+		}
+	}
+	got := tensat.ExtractGreedy
+	if err := got.UnmarshalText([]byte("gredy")); err == nil || !strings.HasSuffix(err.Error(), `"gredy" (known: ilp, greedy)`) || got != tensat.ExtractGreedy {
+		t.Errorf("unknown name: %v, value %v", err, got)
+	}
+	if _, err := tensat.Extractor(2).MarshalText(); err == nil {
+		t.Error("an extractor with no name marshaled")
+	}
+}
