@@ -1,23 +1,8 @@
 // Command tensatd serves TENSAT graph optimization over HTTP+JSON.
 //
 // The versioned surface is asynchronous — optimizations are jobs that
-// are submitted, observed, and harvested:
-//
-//	POST   /v1/jobs             — submit a graph; answers 202 + job id
-//	GET    /v1/jobs             — list tracked jobs (status, age, profile)
-//	GET    /v1/jobs/{id}        — status + live progress snapshot
-//	GET    /v1/jobs/{id}/result — the optimized graph once done
-//	DELETE /v1/jobs/{id}        — cancel a running job
-//	GET    /v1/jobs/{id}/events — progress as server-sent events
-//	GET    /v1/jobs/{id}/trace  — per-phase trace (add ?format=chrome for Perfetto)
-//	GET    /v1/rulesets         — named rule sets with content hashes
-//	GET    /v1/costmodels       — named device cost models with hashes
-//	GET    /v1/version          — build/runtime identification
-//	GET    /v1/stats            — the /metrics registry as JSON, plus latency quantiles
-//	GET    /v1/healthz          — liveness probe
-//	GET    /v1/readyz           — readiness probe (503 while draining)
-//	GET    /metrics             — Prometheus text exposition
-//	GET/PUT /v1/peer/cache/{key} — internal node-to-node cache surface
+// are submitted, observed, and harvested under /v1/jobs.
+// serve.NewHandler documents the routes.
 //
 // Fleet operation: -store-dir persists results on disk so a restarted
 // node keeps its warm set; -peers/-self form a static fleet that

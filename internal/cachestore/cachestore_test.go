@@ -40,8 +40,7 @@ func testResult(t testing.TB) (*tensat.Result, []string) {
 		ILPOptimal:     true,
 		FilteredNodes:  4,
 		Search: tensat.SearchStats{
-			Time: 9 * time.Millisecond, Scanned: 1000, Pruned: 9000,
-			Dirty: 50, Clean: 450, Matches: 77,
+			Time: 9 * time.Millisecond, Scanned: 1000, Pruned: 9000, Matches: 77,
 		},
 		ILP: tensat.ILPStats{
 			Solver: "builtin", Workers: 4, Explored: 12345, Incumbents: 3,

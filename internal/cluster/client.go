@@ -53,8 +53,9 @@ var ErrLoop = errors.New("cluster: peer request looped back to origin")
 var ErrNotFound = errors.New("cluster: peer cache miss")
 
 // ErrPeerDown reports that no live peer was available for the key:
-// every candidate's circuit breaker refused the request. Callers treat
-// it exactly like a miss — compute locally.
+// every candidate's circuit breaker refused the request before the
+// walk ran out or reached this node. No request left the node, so
+// callers count it as no peer outcome at all, and compute locally.
 var ErrPeerDown = errors.New("cluster: no live peer for key")
 
 // DefaultTimeout bounds one peer cache round trip. Peer hits must be
@@ -340,14 +341,16 @@ func (c *Client) BreakerStates() map[string]breaker.State {
 
 // route picks the node a request for key should go to, walking the
 // key's successor list and skipping peers whose breaker refuses the
-// request. local=true means the walk reached this node first — serve
-// its local tiers. A nil breaker with ok=true never happens: every
-// granted remote route has acquired its peer's breaker and the caller
-// must settle it with Success or Failure.
+// request. local=true means this node owns the key — serve its local
+// tiers. A walk that skips a peer and then reaches this node found no
+// live peer, as one that runs out of successors did: local and ok are
+// both false. A nil breaker with ok=true never happens: every granted
+// remote route has acquired its peer's breaker and the caller must
+// settle it with Success or Failure.
 func (c *Client) route(key string) (node string, local bool, br *breaker.Breaker, ok bool) {
-	for _, n := range c.ring.Successors(key, FalloverDepth) {
+	for i, n := range c.ring.Successors(key, FalloverDepth) {
 		if n == c.self {
-			return "", true, nil, false
+			return "", i == 0, nil, false
 		}
 		b := c.breakers[n]
 		if b != nil && b.TryAcquire() {
@@ -384,12 +387,13 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 
 // Fetch asks key's owner (or, when the owner's breaker is open, its
 // live successor) for its cached record. It returns ErrNotFound on a
-// clean miss, ErrPeerDown when no live peer exists, and other errors
-// on transport failures — all of which callers treat as "compute
-// locally". Transport failures and 5xx answers are retried (fetches
-// are idempotent) and feed the peer's circuit breaker; see retry.
-// Fetch on a locally-owned key returns ErrNotFound immediately (the
-// local tiers were already consulted).
+// clean miss, ErrPeerDown when no live peer comes before this node in
+// the key's successor list, and other errors on transport failures —
+// all of which callers treat as "compute locally". Transport failures
+// and 5xx answers are retried (fetches are idempotent) and feed the
+// peer's circuit breaker; see retry. Fetch on a locally-owned key
+// returns ErrNotFound immediately (the local tiers were already
+// consulted).
 func (c *Client) Fetch(ctx context.Context, key string) ([]byte, error) {
 	node, local, br, ok := c.route(key)
 	if local {

@@ -105,12 +105,12 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 	if st := c.BreakerStates()["peer"]; st != breaker.Open {
 		t.Fatalf("breaker after 3 failures = %v, want open", st)
 	}
-	// While open, the key falls over to the next successor — self, on a
-	// two-node ring — so Fetch reports a clean local miss without
-	// touching the network.
+	// While open, the walk falls over to the next successor — self, on
+	// a two-node ring — so Fetch reports that no live peer exists,
+	// without touching the network. It is not a miss: no peer answered.
 	before := hits.Load()
-	if _, err := c.Fetch(context.Background(), key); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("fetch with open breaker: err = %v, want ErrNotFound fallover", err)
+	if _, err := c.Fetch(context.Background(), key); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("fetch with open breaker: err = %v, want ErrPeerDown", err)
 	}
 	if hits.Load() != before {
 		t.Fatal("open breaker still let a request through")

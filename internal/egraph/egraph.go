@@ -22,12 +22,6 @@ type Class struct {
 	// parents lists the e-nodes with a child in this class, by node id
 	// (see EGraph.nodes), in the order Add and Union put them there.
 	parents []ClassID
-	// touched is the e-graph mutation version at which this class last
-	// changed shape: when it was created, or when a union merged nodes
-	// into it. View.DirtySince uses it (with an upward closure through
-	// parents) to find the classes whose match sets may have changed
-	// since an earlier freeze.
-	touched uint64
 }
 
 // EGraph is a mutable e-graph. The zero value is not usable; call New.
@@ -77,8 +71,6 @@ type EGraph struct {
 	children []ClassID // canonical children of the node in hand
 	arena    []ClassID // chunk new nodes' children are carved from
 	flags    []uint8   // per id: flagRepaired, flagEmitted
-
-	version uint64 // mutation counter; Views freeze against it
 
 	opNames []string
 }
@@ -202,12 +194,11 @@ func (g *EGraph) add(n Node, data any, supplied bool) ClassID {
 		cn.Children = g.arena[len(g.arena)-k : len(g.arena) : len(g.arena)]
 	}
 	id := g.uf.makeSet()
-	g.version++
 	g.nodes = append(g.nodes, cn)
 	g.stamps = append(g.stamps, g.Stamp())
 	g.memoNext = append(g.memoNext, 0)
 	g.flags = append(g.flags, 0)
-	cls := &Class{ID: id, Nodes: []ClassID{id}, Data: data, touched: g.version}
+	cls := &Class{ID: id, Nodes: []ClassID{id}, Data: data}
 	if !supplied {
 		cls.Data = g.analysis.Make(g, cn)
 	}
@@ -230,7 +221,6 @@ func (g *EGraph) Union(a, b ClassID) (ClassID, bool) {
 	if ra == rb {
 		return ra, false
 	}
-	g.version++
 	root := g.uf.union(ra, rb)
 	other := ra
 	if other == root {
@@ -239,7 +229,6 @@ func (g *EGraph) Union(a, b ClassID) (ClassID, bool) {
 	keep, lose := g.classes[root], g.classes[other]
 	keep.Nodes = append(keep.Nodes, lose.Nodes...)
 	keep.parents = append(keep.parents, lose.parents...)
-	keep.touched = g.version
 	merged, changed := g.analysis.Merge(keep.Data, lose.Data)
 	keep.Data = merged
 	g.classes[other] = nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -85,9 +84,6 @@ type refDriver struct {
 	// stamps[k] is the stamp Add issued for term k, 0 when the term was
 	// already present and Add issued none.
 	stamps []int64
-
-	prevVersion uint64             // version of the previous freeze
-	prevRegion  map[ClassID]string // each class's downward region at that freeze
 }
 
 func nodeText(g *EGraph, n Node) string {
@@ -185,9 +181,7 @@ func (d *refDriver) check() {
 }
 
 // checkView freezes and compares the view with the e-graph just
-// checked: Find, Nodes, the op index, and DirtySince against its
-// definition — a class is dirty exactly when something at or below it
-// differs from the previous freeze.
+// checked: Find, Nodes and the op index.
 func (d *refDriver) checkView() {
 	t, g := d.t, d.g
 	v := g.Freeze()
@@ -198,48 +192,6 @@ func (d *refDriver) checkView() {
 		}
 	}
 	assertOpIndex(t, v)
-
-	own := make(map[ClassID]string)
-	for _, cls := range v.Classes() {
-		var texts []string
-		for _, n := range cls.Nodes {
-			texts = append(texts, nodeText(g, *v.Node(n)))
-		}
-		sort.Strings(texts)
-		own[cls.ID] = fmt.Sprintf("e%d{%s}", cls.ID, strings.Join(texts, ";"))
-	}
-	region := make(map[ClassID]string)
-	for _, cls := range v.Classes() {
-		seen := map[ClassID]bool{}
-		var walk func(id ClassID)
-		walk = func(id ClassID) {
-			if seen[id] {
-				return
-			}
-			seen[id] = true
-			for _, n := range v.Nodes(id) {
-				for _, c := range v.Node(n).Children {
-					walk(c)
-				}
-			}
-		}
-		walk(cls.ID)
-		var parts []string
-		for id := range seen {
-			parts = append(parts, own[id])
-		}
-		sort.Strings(parts)
-		region[cls.ID] = strings.Join(parts, "\n")
-	}
-	if d.prevRegion != nil {
-		dirty := v.DirtySince(d.prevVersion)
-		for _, cls := range v.Classes() {
-			if changed := d.prevRegion[cls.ID] != region[cls.ID]; dirty[cls.ID] != changed {
-				t.Fatalf("DirtySince says e%d dirty=%v, its region changed=%v", cls.ID, dirty[cls.ID], changed)
-			}
-		}
-	}
-	d.prevVersion, d.prevRegion = v.Version(), region
 }
 
 // add gives term to the e-graph and to the reference, and returns its

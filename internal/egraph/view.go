@@ -14,9 +14,7 @@ package egraph
 // walks the classes once for the search accelerators: an operator
 // index (ByOp: root Op -> the classes containing a node with that op
 // in ascending id order, so a pattern rooted at matmul only visits
-// matmul-bearing classes) and, on demand, the dirty-class query
-// DirtySince, which reports the classes whose match sets may have
-// changed since an earlier freeze (the basis of incremental re-search).
+// matmul-bearing classes).
 //
 // Contract: Find, Nodes, Node, Classes and ByOp answer as the e-graph
 // stood at the Freeze call until the next Rebuild, whatever Add and
@@ -32,9 +30,7 @@ package egraph
 //
 //lint:frozen
 type View struct {
-	g       *EGraph
-	version uint64
-	find    []ClassID // id -> canonical representative
+	find []ClassID // id -> canonical representative
 	// classNodes is each canonical class's node-id list as of the
 	// freeze, by class id: nil at ids that are not canonical.
 	//
@@ -54,8 +50,6 @@ func (g *EGraph) Freeze() *View {
 		g.Rebuild()
 	}
 	v := &View{
-		g:          g,
-		version:    g.version,
 		find:       make([]ClassID, g.uf.size()),
 		classNodes: make([][]ClassID, len(g.classes)),
 		nodes:      g.nodes,
@@ -122,47 +116,3 @@ func (v *View) ByOp(op Op) []*Class {
 
 // ClassCount returns the number of e-classes in the snapshot.
 func (v *View) ClassCount() int { return len(v.classes) }
-
-// Version returns the e-graph mutation version this view was frozen
-// at. Feed it to a later view's DirtySince to enumerate the classes
-// touched in between.
-func (v *View) Version() uint64 { return v.version }
-
-// DirtySince reports the canonical classes whose match sets may have
-// changed since the freeze at version since: every class created or
-// merged into after that version, closed upward through parent edges.
-// The result is indexed by ClassID, one entry per id the e-graph had
-// issued at the freeze. since may be any earlier freeze's version, not
-// only the latest. The upward closure is what makes incremental
-// re-search sound — a pattern rooted at an untouched class C can still gain or lose
-// matches when a descendant class (reached through C's nodes) gains
-// nodes, and every such C is an ancestor of a touched class.
-//
-// Conversely, a class not in the returned set has its entire downward
-// reachable region unchanged, so matches rooted at it are exactly what
-// they were at version since (with all bound class ids still
-// canonical). DirtySince reads the e-graph's live classes, so the
-// e-graph must not have changed since the freeze: call it before
-// mutating the e-graph.
-func (v *View) DirtySince(since uint64) []bool {
-	dirty := make([]bool, len(v.find))
-	var queue []*Class
-	for _, cls := range v.classes {
-		if cls.touched > since {
-			dirty[cls.ID] = true
-			queue = append(queue, cls)
-		}
-	}
-	for len(queue) > 0 {
-		cls := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, p := range cls.parents {
-			pid := v.find[p]
-			if !dirty[pid] {
-				dirty[pid] = true
-				queue = append(queue, v.g.classes[pid])
-			}
-		}
-	}
-	return dirty
-}

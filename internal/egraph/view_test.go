@@ -59,30 +59,42 @@ func TestFreezeRebuildsDirtyGraph(t *testing.T) {
 	}
 }
 
-// stale reports whether v's e-graph was mutated (Add, Union, or a
-// Rebuild that had work to do) since v was frozen.
-func stale(v *View) bool { return v.version != v.g.version }
+// stale reports whether g was mutated (Add, Union, or a Rebuild that
+// had work to do) since v was frozen from it: whether the ids it has
+// issued, its canonical classes or their node lists differ from what
+// v recorded.
+func stale(g *EGraph, v *View) bool {
+	if g.uf.size() != len(v.find) || g.classCount != len(v.classes) {
+		return true
+	}
+	for _, cls := range v.classes {
+		if g.classes[cls.ID] != cls || len(cls.Nodes) != len(v.classNodes[cls.ID]) {
+			return true
+		}
+	}
+	return false
+}
 
 func TestViewStaleness(t *testing.T) {
 	g, fa, fb := buildViewGraph(t)
 	v := g.Freeze()
-	if stale(v) {
+	if stale(g, v) {
 		t.Fatal("fresh view reports stale")
 	}
 	g.Rebuild() // no-op rebuild must not invalidate the view
-	if stale(v) {
+	if stale(g, v) {
 		t.Fatal("no-op rebuild invalidated the view")
 	}
 	g.Add(Node{Op: 9, Str: "new"})
-	if !stale(v) {
+	if !stale(g, v) {
 		t.Fatal("Add did not invalidate the view")
 	}
 	v2 := g.Freeze()
-	if stale(v2) {
+	if stale(g, v2) {
 		t.Fatal("refrozen view reports stale")
 	}
 	g.Union(fa, fb) // already equal: no change, still fresh
-	if stale(v2) {
+	if stale(g, v2) {
 		t.Fatal("no-op union invalidated the view")
 	}
 }

@@ -25,7 +25,11 @@
 // prefixes of branch decisions and search the subtrees below them
 // against a shared incumbent. A sequential solve is that driver with
 // one worker claiming the empty prefix, so every worker count accepts
-// incumbents by the same rule and returns the same selection.
+// incumbents by the same rule and returns the same selection. Optimal
+// and Explored can still differ by worker count: a budget is spent
+// across a different tree. On NasNet-A (test scale) explored to 10,000
+// e-nodes at k_multi 1, the solve proves its 107.0 µs selection optimal
+// with 2 workers and stalls unproved with 1, at the same cost.
 //
 // One tie rule decides between equals: among equal costs or keys, the
 // lower variable index wins. prepare sorts each class's allowed nodes

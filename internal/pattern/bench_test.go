@@ -12,8 +12,8 @@ import (
 
 // BenchmarkAppendMatches times one search pass of the default rule set's
 // canonical patterns over NasRNN explored to 2,000 e-nodes: every
-// program scans its op-index candidates of one frozen view, the way an
-// iteration's first, non-incremental search does on one worker. The
+// program scans its op-index candidates of one frozen view, the way
+// every iteration's search does on one worker. The
 // match lists are reused, so a pass allocates nothing.
 func BenchmarkAppendMatches(b *testing.B) {
 	def := rules.Default()

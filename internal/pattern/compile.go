@@ -141,17 +141,6 @@ func (ms *Matches) Bind(i int) []egraph.ClassID {
 // Reset empties the list, keeping its storage.
 func (ms *Matches) Reset() { ms.Roots, ms.binds = ms.Roots[:0], ms.binds[:0] }
 
-// AppendRange appends matches lo..hi of src, a list of the same program.
-func (ms *Matches) AppendRange(src *Matches, lo, hi int) {
-	if lo == hi {
-		return // a list nothing was scanned into yet has no stride to take
-	}
-	ms.vars = src.vars
-	ms.grow(hi - lo)
-	ms.Roots = append(ms.Roots, src.Roots[lo:hi]...)
-	ms.binds = append(ms.binds, src.binds[lo*src.vars:hi*src.vars]...)
-}
-
 // grow makes room for n more matches, at least doubling the storage. A
 // run's lists grow with its e-graph, iteration after iteration, and
 // append's own 1.25x steps would reallocate them five times over.

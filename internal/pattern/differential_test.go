@@ -250,17 +250,3 @@ func TestAppendMatchesAllocatesNothing(t *testing.T) {
 		t.Fatalf("AppendMatches into a sized list: %v allocations per run, want 0", n)
 	}
 }
-
-// TestAppendRangeOfUnscannedList: merging in the empty range of a list
-// no scan ever wrote to must not take that list's zero stride.
-func TestAppendRangeOfUnscannedList(t *testing.T) {
-	v := randomEGraph(rand.New(rand.NewSource(3)), 200).Freeze()
-	prog := Compile(MustParse("(ewadd ?a (relu ?b))"))
-	var scanned, merged, unscanned Matches
-	prog.AppendMatches(&scanned, v, v.Classes())
-	merged.AppendRange(&scanned, 0, scanned.Len())
-	merged.AppendRange(&unscanned, 0, 0)
-	if merged.Len() == 0 || len(merged.Bind(0)) != 2 {
-		t.Fatalf("%d merged matches, %d bindings in the first, want some and 2", merged.Len(), len(merged.Bind(0)))
-	}
-}

@@ -76,6 +76,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 	}
 
 	view := g.Freeze()
+	before := g.Dump()
 	classes := view.Classes()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -105,8 +106,8 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if g.Freeze().Version() != view.Version() {
-		t.Fatal("searching marked the view stale: something mutated the e-graph")
+	if g.Dump() != before {
+		t.Fatal("searching the view mutated the e-graph")
 	}
 }
 

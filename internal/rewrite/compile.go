@@ -127,72 +127,19 @@ func (cr *CompiledRules) compiledFor(rules []*Rule) bool {
 	return true
 }
 
-// searchState carries one exploration run's match lists from iteration
-// to iteration, one per canonical pattern, and the iteration's frozen
-// view. A list is complete as of the view version it was computed at.
-// A pattern that no reached rule read keeps an older list, so lists can
-// be several freezes apart: bringing one up to date re-searches only
-// the candidates dirty since its own version (see View.DirtySince for
-// why that is sound). The scratch fields serve every search, so an
-// iteration whose lists fit the previous storage allocates nothing for
-// its matches.
+// searchState holds one exploration run's match lists, one per
+// canonical pattern, and the iteration's frozen view. A list is current
+// only for the view it was scanned on: each iteration scans every
+// pattern a reached rule reads afresh, into the storage of its previous
+// list.
 type searchState struct {
-	pats []patState // per compiledPat
-
-	view  *egraph.View      // this iteration's
-	dirty map[uint64][]bool // version some list is complete at -> the classes dirty since, on view
-
-	scan  []*egraph.Class // scratch: the dirty candidates of the pattern in hand
-	found pattern.Matches // scratch: what scanning them found
+	pats []patState   // per compiledPat
+	view *egraph.View // this iteration's
 }
 
-// patState is one canonical pattern's match list.
+// patState is one canonical pattern's match list and the view it was
+// scanned on (nil until one scan completes).
 type patState struct {
-	matches pattern.Matches // complete as of the view at version
-	spare   pattern.Matches // the previous list: storage for the next
-	version uint64
-	valid   bool // false until one search completes
-}
-
-// matchRun is matches lo..hi of a list: what one scan appended to it.
-type matchRun struct {
-	list   *pattern.Matches
-	lo, hi int
-}
-
-// mergeMatches builds a pattern's current match list in out by walking
-// the candidate classes in ascending ID order, taking fresh results for
-// dirty classes and memoized results for clean ones. fresh is the scan
-// of exactly the dirty candidates, in this order, cut into runs; memo is
-// ascending by root class. So the output is identical to a full rescan
-// of the candidate list.
-func mergeMatches(out *pattern.Matches, cands []*egraph.Class, dirty []bool,
-	memo *pattern.Matches, fresh []matchRun) {
-
-	mi := 0
-	for _, cls := range cands {
-		id := cls.ID
-		if !dirty[id] {
-			for mi < memo.Len() && memo.Roots[mi] < id {
-				mi++
-			}
-			lo := mi
-			for mi < memo.Len() && memo.Roots[mi] == id {
-				mi++
-			}
-			out.AppendRange(memo, lo, mi)
-			continue
-		}
-		for len(fresh) > 0 && fresh[0].lo == fresh[0].hi {
-			fresh = fresh[1:]
-		}
-		if len(fresh) > 0 {
-			run := &fresh[0]
-			lo := run.lo
-			for run.lo < run.hi && run.list.Roots[run.lo] == id {
-				run.lo++
-			}
-			out.AppendRange(run.list, lo, run.lo)
-		}
-	}
+	matches pattern.Matches
+	view    *egraph.View
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestTargetWalkAgreesWithApply is the differential test of the walk the
-// rule loop runs on every match, on random e-graphs (incremental_test.go's
+// rule loop runs on every match, on random e-graphs (search_test.go's
 // generator over inputs and weights) that carry ShapeAnalysis, with
 // unions still pending. A walk finds the target's root present exactly
 // when applying its plan then adds nothing (Stamp unchanged), and both
@@ -22,7 +22,7 @@ import (
 // from one existing node's class and children, so a fair share of the
 // walks hit.
 func TestTargetWalkAgreesWithApply(t *testing.T) {
-	cr := CompileRules(incrementalRules())
+	cr := CompileRules(mixedRules())
 	hits, misses, foldable := 0, 0, 0
 	var plan pattern.Plan
 	for seed := int64(0); seed < 20; seed++ {

@@ -116,31 +116,29 @@ type Stats struct {
 	ApplyTime   time.Duration
 	RebuildTime time.Duration
 	// SearchTime is the part of ExploreTime spent in e-matching search,
-	// summed over iterations: freezing the view and computing the dirty
-	// sets, then the pattern scans the rule loop runs on demand before
-	// a rule's first use.
+	// summed over iterations: freezing the view, then the pattern scans
+	// the rule loop runs on demand before a rule's first use.
 	SearchTime time.Duration
 	// Search work accounting, summed over iterations and the canonical
 	// patterns each iteration searched: a pattern that no rule the
 	// iteration reached reads is not searched. For each (pattern,
 	// iteration) pair searched, the candidate classes (those containing
-	// the pattern's root operator) split into scanned vs. answered from
-	// the pattern's previous list, while every class without the root
-	// op is pruned without a visit:
+	// the pattern's root operator) are scanned, while every class
+	// without the root op is pruned without a visit:
 	//
 	//	SearchScanned  — classes the pattern VM actually visited
 	//	SearchPruned   — classes skipped by the op index
-	//	SearchClean    — candidate classes answered from the pattern's
-	//	                 previous match list
-	//	SearchDirty    — candidate classes re-searched because they were
-	//	                 touched since that list was computed (subset of
-	//	                 SearchScanned)
 	//	SearchMatches  — matches in the lists searched
 	SearchScanned int
 	SearchPruned  int
-	SearchClean   int
-	SearchDirty   int
 	SearchMatches int
+	// SearchClean and SearchDirty are not written: every search scans
+	// all of its candidates.
+	//
+	// Deprecated: they always read 0. They remain only because the
+	// benchmark's pipeline (bench/pipeline.go) still reads them; they go
+	// when that file next changes.
+	SearchClean, SearchDirty int
 }
 
 // Explored is the result of the exploration phase: the saturated (or
@@ -181,10 +179,10 @@ type Runner struct {
 	Progress func(iteration, enodes, eclasses int)
 	// Trace, when non-nil, receives phase spans: an "explore" span
 	// containing one "iteration" span per iteration — each with
-	// "search" (the freeze and dirty sets), "apply" (the rule loop,
-	// one target walk per match, with the classes its on-demand scans
-	// visited, the matches they listed, and how many matches it
-	// considered, found redundant and applied) and "rebuild" children,
+	// "search" (the freeze), "apply" (the rule loop, one target walk
+	// per match, with the classes its on-demand scans visited, the
+	// matches they listed, and how many matches it considered, found
+	// redundant and applied) and "rebuild" children,
 	// annotated with e-node / e-class deltas — and a closing "filter"
 	// span for the final cycle pass. A nil Trace records nothing and
 	// costs a nil check per phase boundary.
@@ -269,9 +267,8 @@ func (r *Runner) explore(ex *Explored, done <-chan struct{}) {
 }
 
 // exploration is one run of the exploration phase: the e-graph and the
-// Explored it fills, the compiled rules, the match lists carried from
-// iteration to iteration, the cycle filter's scratch, and the budget
-// the run stops on.
+// Explored it fills, the compiled rules, the iteration's match lists,
+// the cycle filter's scratch, and the budget the run stops on.
 type exploration struct {
 	r        *Runner
 	ex       *Explored
@@ -313,7 +310,7 @@ func (r *Runner) newExploration(ex *Explored, start time.Time, done <-chan struc
 	if !cr.compiledFor(r.Rules) {
 		cr = CompileRules(r.Rules)
 	}
-	st := searchState{pats: make([]patState, len(cr.pats)), dirty: make(map[uint64][]bool)}
+	st := searchState{pats: make([]patState, len(cr.pats))}
 	e := &exploration{r: r, ex: ex, g: ex.G, cr: cr, st: st,
 		lim: lim, deadline: start.Add(lim.Timeout), done: done}
 	e.meta = e.bindingMeta
@@ -391,7 +388,7 @@ func (e *exploration) iterate(useMulti bool) (changed bool) {
 	// reached rule reads is not scanned this iteration.
 	r.Trace.Begin("search")
 	searchStart := time.Now()
-	st.freeze(g)
+	st.view = g.Freeze()
 	ex.Stats.SearchTime += time.Since(searchStart)
 	r.Trace.End()
 
@@ -507,21 +504,6 @@ func (e *exploration) apply(rule *Rule) {
 // gone.
 const searchShardSize = 1024
 
-// freeze starts an iteration's search: it freezes g and computes the
-// classes dirty since each version a match list is complete at, once
-// per distinct version. It runs before any rule applies, because
-// DirtySince reads the live classes that Add and Union change.
-func (st *searchState) freeze(g *egraph.EGraph) {
-	st.view = g.Freeze()
-	clear(st.dirty)
-	for i := range st.pats {
-		p := &st.pats[i]
-		if p.valid && p.version != st.view.Version() && st.dirty[p.version] == nil {
-			st.dirty[p.version] = st.view.DirtySince(p.version)
-		}
-	}
-}
-
 // search brings the match lists of c's sources up to date with the
 // iteration's view, adding the time it takes to Stats.SearchTime.
 func (e *exploration) search(c *compiledRule) {
@@ -533,26 +515,17 @@ func (e *exploration) search(c *compiledRule) {
 }
 
 // update brings canonical pattern i's match list up to date with the
-// iteration's view. Two accelerations apply, neither of which changes
-// the list:
-//
-//  1. Op-index pruning: a pattern rooted at op only visits
-//     view.ByOp(op), the classes containing at least one node with
-//     that op (Stats.SearchPruned counts the skipped rest).
-//  2. Incremental re-search: once the pattern has a list, only the
-//     candidates dirty since the list's version are scanned, and clean
-//     candidates answer from the list. This is sound because
-//     DirtySince is upward-closed — a clean class's entire
-//     downward-reachable region is unchanged, so its matches (bindings
-//     included) are exactly what they were.
-//
-// The list is therefore the one a full scan of the view produces, in
-// the same order. When the stop check fires between shards, update
-// leaves the list complete as of its older version.
+// iteration's view: a full scan of the candidates, which op-index
+// pruning narrows to view.ByOp(op) for a pattern rooted at op, the
+// classes containing at least one node with that op (Stats.SearchPruned
+// counts the skipped rest). The list is therefore the one a scan of
+// every class produces, in the same order. The scan runs in chunks of
+// searchShardSize classes with the stop check between them; when it
+// fires, the list is left unfinished and not current.
 func (e *exploration) update(i int) {
 	st, stats := &e.st, &e.ex.Stats
 	p, view := &st.pats[i], st.view
-	if p.valid && p.version == view.Version() {
+	if p.view == view {
 		return
 	}
 	prog := e.cr.pats[i].prog
@@ -560,39 +533,16 @@ func (e *exploration) update(i int) {
 	if op, ok := prog.RootOp(); ok {
 		cands = view.ByOp(op)
 	}
-	scan, dirty := cands, st.dirty[p.version]
-	if p.valid {
-		st.scan = st.scan[:0]
-		for _, cls := range cands {
-			if dirty[cls.ID] {
-				st.scan = append(st.scan, cls)
-			}
-		}
-		scan = st.scan
-	}
-	// Scan in bounded chunks, running the stop check between them;
-	// chunk results concatenate in scan order.
-	st.found.Reset()
-	for lo := 0; lo < len(scan); lo += searchShardSize {
+	p.matches.Reset()
+	for lo := 0; lo < len(cands); lo += searchShardSize {
 		if e.stop(true, false) {
 			return
 		}
-		prog.AppendMatches(&st.found, view, scan[lo:min(lo+searchShardSize, len(scan))])
+		prog.AppendMatches(&p.matches, view, cands[lo:min(lo+searchShardSize, len(cands))])
 	}
-	// Build the new list beside the old one, which the merge reads.
-	next := &p.spare
-	next.Reset()
-	if p.valid {
-		mergeMatches(next, cands, dirty, &p.matches, []matchRun{{&st.found, 0, st.found.Len()}})
-		stats.SearchDirty += len(scan)
-		stats.SearchClean += len(cands) - len(scan)
-	} else {
-		next.AppendRange(&st.found, 0, st.found.Len())
-	}
-	p.matches, p.spare = p.spare, p.matches
-	p.version, p.valid = view.Version(), true
+	p.view = view
 	stats.SearchPruned += view.ClassCount() - len(cands)
-	stats.SearchScanned += len(scan)
+	stats.SearchScanned += len(cands)
 	stats.SearchMatches += p.matches.Len()
 }
 

@@ -362,6 +362,57 @@ func TestPeerOutageDegradesToLocalCompute(t *testing.T) {
 	}
 }
 
+// TestOpenBreakerMovesNoPeerCounter: with B's breaker open in a
+// two-node fleet, the walk for a B-owned key falls over to A itself. A
+// request then reaches no peer, so it must count no peer hit, miss,
+// error or put: only the fetch that tripped the breaker is an error.
+func TestOpenBreakerMovesNoPeerCounter(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // B's address refuses connections
+	cl, err := cluster.New(cluster.Config{
+		Self:             "a",
+		Peers:            []string{"a", "b"},
+		Timeout:          2 * time.Second,
+		BaseURL:          func(string) string { return dead.URL },
+		Secret:           testClusterSecret,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+		RetryAttempts:    -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	s := New(Config{Workers: 2, Cluster: cl})
+	res := stubResult(t)
+	s.optimize = func(context.Context, *tensat.Graph, tensat.Options) (*tensat.Result, error) { return res, nil }
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+
+	seed := 1
+	for i, g := range graphsOwnedBy(t, s, "b", &seed, 4) {
+		if _, err := submitAndWait(context.Background(), s, g, RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if st := cl.BreakerStates()["b"]; i == 0 && st != breaker.Open {
+			t.Fatalf("breaker for b = %v after a failed fetch, want open", st)
+		}
+	}
+	cl.Close() // wait for the queued pushes to finish
+
+	fams := scrapeMetrics(t, ts.URL)
+	for name, want := range map[string]float64{
+		"tensat_peer_hits_total":   0,
+		"tensat_peer_misses_total": 0,
+		"tensat_peer_errors_total": 1, // the fetch that tripped the breaker
+		"tensat_peer_puts_total":   0,
+	} {
+		if got := fams[name].samples[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
 // TestDrainLifecycle: BeginDrain refuses new work with ErrDraining,
 // Drain waits for running jobs (honoring its context deadline), and a
 // tracked job finishing releases the wait.

@@ -43,8 +43,6 @@ type metrics struct {
 
 	searchScanned *obs.Counter
 	searchPruned  *obs.Counter
-	searchDirty   *obs.Counter
-	searchClean   *obs.Counter
 	searchMatches *obs.Counter
 
 	ilpPresolveFixed   *obs.Counter
@@ -103,8 +101,6 @@ func newMetrics(s *Service) *metrics {
 
 		searchScanned: r.Counter("tensat_search_classes_scanned_total", "E-classes visited by the e-matching pattern programs."),
 		searchPruned:  r.Counter("tensat_search_classes_pruned_total", "E-classes skipped by the operator index."),
-		searchDirty:   r.Counter("tensat_search_dirty_researched_total", "Dirty candidate classes re-searched incrementally."),
-		searchClean:   r.Counter("tensat_search_clean_reused_total", "Clean candidate classes answered from the match memo."),
 		searchMatches: r.Counter("tensat_search_matches_total", "Matches produced by the e-matching search phase."),
 
 		ilpPresolveFixed:   r.Counter("tensat_ilp_presolve_fixed_total", "ILP variables fixed into the solution by presolve."),
@@ -204,8 +200,6 @@ func (m *metrics) endWork(d time.Duration, err error) {
 func (m *metrics) observeRun(res *tensat.Result, opts tensat.Options) {
 	m.searchScanned.Add(uint64(res.Search.Scanned))
 	m.searchPruned.Add(uint64(res.Search.Pruned))
-	m.searchDirty.Add(uint64(res.Search.Dirty))
-	m.searchClean.Add(uint64(res.Search.Clean))
 	m.searchMatches.Add(uint64(res.Search.Matches))
 	if st := res.ILP; st.Solver != "" {
 		outcome := "feasible"

@@ -40,8 +40,6 @@ func (s *Service) Stats() StatsReply {
 
 		SearchClassesScanned: m.searchScanned.Value(),
 		SearchClassesPruned:  m.searchPruned.Value(),
-		SearchDirtySearched:  m.searchDirty.Value(),
-		SearchCleanReused:    m.searchClean.Value(),
 		SearchMatches:        m.searchMatches.Value(),
 
 		ILPPresolveFixed:   m.ilpPresolveFixed.Value(),

@@ -52,8 +52,6 @@ var statsSeries = map[string]string{
 
 	"search_classes_scanned": "tensat_search_classes_scanned_total",
 	"search_classes_pruned":  "tensat_search_classes_pruned_total",
-	"search_dirty_searched":  "tensat_search_dirty_researched_total",
-	"search_clean_reused":    "tensat_search_clean_reused_total",
 	"search_matches":         "tensat_search_matches_total",
 
 	"ilp_presolve_fixed":   "tensat_ilp_presolve_fixed_total",
@@ -342,7 +340,9 @@ func TestStatsWireGolden(t *testing.T) {
 	for i, c := range []*obs.Counter{
 		m.cacheHits, m.cacheMisses, m.cacheDedup, m.canceled,
 		m.jobsSubmitted, m.jobsDone, m.jobsCanceled, m.jobsFailed,
-		m.searchScanned, m.searchPruned, m.searchDirty, m.searchClean, m.searchMatches,
+		// nil holds the numbers of two retired search counters, so
+		// every other key keeps the value the golden file pins.
+		m.searchScanned, m.searchPruned, nil, nil, m.searchMatches,
 		m.ilpPresolveFixed, m.ilpPresolveDropped, m.ilpPresolveRemoved, m.ilpIncumbents,
 		m.store.hits, m.store.misses, m.store.errors, m.store.puts,
 		m.peer.hits, m.peer.misses, m.peer.errors, m.peer.puts,
@@ -353,7 +353,9 @@ func TestStatsWireGolden(t *testing.T) {
 		m.tenantRequests.With("batch"), m.tenantRequests.With("prod"),
 		m.tenantRejected.With("batch"), m.tenantRejected.With("prod"),
 	} {
-		c.Add(uint64(101 + i))
+		if c != nil {
+			c.Add(uint64(101 + i))
+		}
 	}
 
 	ts := httptest.NewServer(NewHandler(s))

@@ -184,13 +184,16 @@ func (t *peerTier) put(key string, payload []byte) error {
 }
 
 // pushDone is the cluster.Observer hook that accounts for one finished
-// async push.
+// async push. A push that found no live peer never left this node and
+// counts as neither a put nor an error; the breaker gauge carries that
+// signal.
 func (t *peerTier) pushDone(err error) {
-	if err != nil {
+	switch {
+	case err == nil:
+		t.m.puts.Inc()
+	case !errors.Is(err, cluster.ErrPeerDown):
 		t.m.errors.Inc()
 		t.log.Warn("peer push failed", "error", err)
-	} else {
-		t.m.puts.Inc()
 	}
 }
 

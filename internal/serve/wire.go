@@ -198,12 +198,9 @@ type StatsReply struct {
 	Profiles map[string]uint64 `json:"profiles,omitempty"`
 	// Search-phase counters summed over completed (uncached) runs:
 	// classes the e-matching programs scanned vs. skipped by the
-	// operator index, dirty candidates re-searched vs. clean candidates
-	// answered from the per-iteration memo, and matches found.
+	// operator index, and matches found.
 	SearchClassesScanned uint64 `json:"search_classes_scanned"`
 	SearchClassesPruned  uint64 `json:"search_classes_pruned"`
-	SearchDirtySearched  uint64 `json:"search_dirty_searched"`
-	SearchCleanReused    uint64 `json:"search_clean_reused"`
 	SearchMatches        uint64 `json:"search_matches"`
 	// ILP-extraction counters summed over the same runs: what presolve
 	// removed before solving, incumbent improvements, and completed

@@ -289,8 +289,9 @@ func (r *Registry) refillLocked(st *state) {
 }
 
 // retryAfterLocked estimates when the tenant will next hold a full
-// token: the Retry-After a 429 carries. At least one second — clients
-// that retry sub-second defeat the point.
+// token: the Retry-After a 429 carries, rounded up to whole seconds so
+// the header and the error text carry one number. At least one second
+// — clients that retry sub-second defeat the point.
 func (r *Registry) retryAfterLocked(st *state) time.Duration {
 	if st.t.RateRPS <= 0 {
 		// Purely concurrency-limited: no refill schedule to promise.
@@ -300,9 +301,5 @@ func (r *Registry) retryAfterLocked(st *state) time.Duration {
 	if missing <= 0 {
 		return time.Second
 	}
-	d := time.Duration(missing / st.t.RateRPS * float64(time.Second))
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
+	return max(time.Duration(math.Ceil(missing/st.t.RateRPS))*time.Second, time.Second)
 }

@@ -338,8 +338,6 @@ func run(ctx context.Context, g *Graph, opt Options, prof Profile, sink func(Pro
 			Time:    ex.Stats.SearchTime,
 			Scanned: ex.Stats.SearchScanned,
 			Pruned:  ex.Stats.SearchPruned,
-			Dirty:   ex.Stats.SearchDirty,
-			Clean:   ex.Stats.SearchClean,
 			Matches: ex.Stats.SearchMatches,
 		},
 	}

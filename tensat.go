@@ -278,21 +278,15 @@ func DefaultOptions() Options {
 // summed over iterations and the canonical patterns each iteration
 // searched (a pattern that no reached rule reads is not searched).
 // Scanned vs. Pruned shows the op-index win (classes visited vs.
-// skipped because they lack a pattern's root operator); Dirty vs.
-// Clean shows the incremental-search win (candidates re-searched
-// because they changed since the pattern's previous list vs. answered
-// from that list).
+// skipped because they lack a pattern's root operator).
 type SearchStats struct {
 	// Time is the part of ExploreTime spent searching: freezing the
-	// view, the dirty sets and the on-demand pattern scans.
+	// view and the on-demand pattern scans.
 	Time time.Duration
 	// Scanned counts e-classes the pattern programs actually visited.
 	Scanned int
 	// Pruned counts e-classes skipped by the operator index.
 	Pruned int
-	// Dirty counts candidate classes re-searched incrementally; Clean
-	// counts candidates answered from the previous iteration's matches.
-	Dirty, Clean int
 	// Matches counts the matches the search phase produced.
 	Matches int
 }
@@ -362,7 +356,7 @@ type Result struct {
 	// search counters); zero-valued for greedy extraction.
 	ILP ILPStats
 	// Search breaks down the e-matching search phase (op-index pruning,
-	// incremental re-search, match counts).
+	// match counts).
 	Search SearchStats
 	// Trace is the run's phase-span tree when Options.Trace was set
 	// (nil otherwise). It is immutable once returned and safe to share;
