@@ -113,14 +113,10 @@ func CheckName(name string) error {
 }
 
 // CheckProfileName gates every profile name, a rule file's or a device
-// spec's: CheckName's alphabet, and never "custom", the label a
-// registry gives a rule set or cost model passed as an object.
+// spec's, to CheckName's alphabet.
 func CheckProfileName(name string) error {
 	if err := CheckName(name); err != nil {
 		return fmt.Errorf("profile %v", err)
-	}
-	if name == "custom" {
-		return fmt.Errorf("profile name %q is reserved", name)
 	}
 	return nil
 }

@@ -190,44 +190,49 @@ func TestRestartToleratesStaleSchemaAndCorruptTail(t *testing.T) {
 	}
 }
 
-// TestCustomRulesStayInMemory: a result computed under a custom rule
-// set (a Config.Base.Rules object, which has no content hash) is never
-// written to the store. A service restarted onto the same store with
-// other custom rules must run cold, not serve the old rules' answer
-// from disk.
-func TestCustomRulesStayInMemory(t *testing.T) {
-	dir := t.TempDir()
-	serveOnce := func(rules []*tensat.Rule) (*OptimizeReply, int64) {
+// TestRestartKeysFollowProfileContent: a stored result is keyed
+// by its profile's content, not its name. A service restarted onto the
+// same store with the same rule file answers from disk without running;
+// restarted with other rules under the same name "mine", it runs cold.
+func TestRestartKeysFollowProfileContent(t *testing.T) {
+	dir, rulesDir := t.TempDir(), t.TempDir()
+	ruleFile := filepath.Join(rulesDir, "mine.rules")
+	serveOnce := func(ruleText string) (*OptimizeReply, int64) {
 		t.Helper()
+		if err := os.WriteFile(ruleFile, []byte(ruleText), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := tensat.NewRegistry()
+		if _, err := reg.LoadRuleFile(ruleFile); err != nil {
+			t.Fatal(err)
+		}
 		st, err := cachestore.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		base := tensat.DefaultOptions()
-		base.Rules = rules
-		s := New(Config{Workers: 1, Store: st, Base: base})
+		s := New(Config{Workers: 1, Store: st, Registry: reg})
 		var calls atomic.Int64
 		s.optimize = func(context.Context, *tensat.Graph, tensat.Options) (*tensat.Result, error) {
 			calls.Add(1)
 			return stubResult(t), nil
 		}
-		reply, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{})
+		reply, err := submitAndWait(context.Background(), s, testGraph(t, 1), RequestOptions{RuleSet: "mine"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Len() != 0 {
-			t.Errorf("store holds %d records of a custom rule set, want 0", st.Len())
-		}
 		return reply, calls.Load()
 	}
-	all := tensat.DefaultRules()
-	if _, calls := serveOnce(all); calls != 1 {
-		t.Fatalf("first service: %d optimizer runs, want 1", calls)
+	idem := "relu-idem: (relu (relu ?x)) => (relu ?x)\n"
+	if reply, calls := serveOnce(idem); reply.Cached || calls != 1 {
+		t.Fatalf("first service: cached=%v, %d runs; want a cold run", reply.Cached, calls)
 	}
-	reply, calls := serveOnce(all[:1])
-	if reply.Cached || calls != 1 {
-		t.Fatalf("other custom rules: cached=%v tier=%q, %d runs; want a cold run", reply.Cached, reply.CacheTier, calls)
+	if reply, calls := serveOnce(idem); !reply.Cached || reply.CacheTier != TierDisk || calls != 0 {
+		t.Fatalf("same rules: cached=%v tier=%q, %d runs; want a disk hit and no run", reply.Cached, reply.CacheTier, calls)
+	}
+	other := idem + "ewadd-comm: (ewadd ?x ?y) => (ewadd ?y ?x)\n"
+	if reply, calls := serveOnce(other); reply.Cached || calls != 1 {
+		t.Fatalf("other rules named mine: cached=%v tier=%q, %d runs; want a cold run", reply.Cached, reply.CacheTier, calls)
 	}
 }
 

@@ -295,7 +295,7 @@ func handlePeerPut(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_payload", "undecodable record: "+err.Error(), 0)
 		return
 	}
-	s.publish(key, entry, payload, byteTiers(entry.parts, s.local))
+	s.publish(key, entry, payload, s.local)
 	w.WriteHeader(http.StatusNoContent)
 }
 

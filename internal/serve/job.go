@@ -486,6 +486,14 @@ func (s *Service) runJob(ctx context.Context, job *Job, q request, g *tensat.Gra
 			}
 		}
 	}()
-	resp, err := s.answer(ctx, g, q, job.adm, job.log.publish)
+	// Entries pumped from a shared run carry the run's clock, which
+	// starts once a worker slot frees up (a follower's is the leader's).
+	// The job stamps each with its own age, the clock its polls read,
+	// so its elapsed time never runs backwards.
+	publish := func(p tensat.Progress) {
+		p.Elapsed = time.Since(job.created)
+		job.log.publish(p)
+	}
+	resp, err := s.answer(ctx, g, q, job.adm, publish)
 	s.finishJob(job, resp, err)
 }

@@ -65,9 +65,8 @@ type Config struct {
 	JobTTL time.Duration
 	// Base is the option template requests refine. Its zero value
 	// (every field zero, the deprecated Workers included) means
-	// tensat.DefaultOptions. A programmatic Rules/CostModel here
-	// is service-wide ("custom" in stats and job listings); requests
-	// override it by naming a registered profile.
+	// tensat.DefaultOptions. Its RuleSet and CostModelName are the
+	// service-wide profile; requests override them by name.
 	Base tensat.Options
 	// Registry resolves the "ruleset" and "cost_model" names requests
 	// select; nil means tensat.DefaultRegistry() (the built-ins plus
@@ -268,14 +267,10 @@ var ErrBadOptions = errors.New("serve: bad request options")
 func (ro RequestOptions) apply(base tensat.Options) (tensat.Options, error) {
 	o := base
 	if ro.RuleSet != "" {
-		// A named profile replaces the service-wide rule set entirely —
-		// including a programmatic Config.Base.Rules override.
 		o.RuleSet = ro.RuleSet
-		o.Rules = nil
 	}
 	if ro.CostModel != "" {
 		o.CostModelName = ro.CostModel
-		o.CostModel = nil
 	}
 	if ro.NodeLimit > 0 {
 		o.NodeLimit = ro.NodeLimit

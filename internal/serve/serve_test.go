@@ -483,12 +483,8 @@ func TestBaseOptionsKeptWhenAnyFieldSet(t *testing.T) {
 				v.SetString("x")
 			case reflect.Bool:
 				v.SetBool(true)
-			case reflect.Slice:
-				v.Set(reflect.MakeSlice(f.Type, 1, 1))
 			case reflect.Func:
 				v.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value { return nil }))
-			case reflect.Interface:
-				v.Set(reflect.ValueOf(tensat.DefaultCostModel()))
 			default:
 				t.Fatalf("field %s has kind %s: give it a non-zero value here", f.Name, f.Type.Kind())
 			}

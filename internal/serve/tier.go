@@ -66,20 +66,6 @@ func decodeRecord(key string, payload []byte) (*cachedResult, error) {
 	return &cachedResult{res: res, tensors: tensors, parts: parts}, nil
 }
 
-// byteTiers returns tiers when parts names both profiles by content
-// hash, and none otherwise. Registry.Resolve gives a custom Rules or
-// CostModel object (a programmatic Config.Base, say) an empty hash, so
-// such a key stays the same when the custom profile changes: a process
-// restarted onto the same store, or a peer, with other custom rules
-// would answer it with the old rules' result. Such a result lives only
-// in the memory of the process that made it.
-func byteTiers(parts cachestore.KeyParts, tiers []tier) []tier {
-	if parts.RuleSetHash == "" || parts.CostModelHash == "" {
-		return nil
-	}
-	return tiers
-}
-
 // defaultStoreReprobe is how often a degraded store lets one operation
 // through to test whether the fault (a full disk, a flaky volume) has
 // cleared.
@@ -198,16 +184,16 @@ func (t *peerTier) pushDone(err error) {
 }
 
 // lookup consults the cache tiers in cost order: the in-memory LRU,
-// then each byte tier the request's key may use (the persistent store,
-// then the key's owning peer), promoting a hit to memory. Tier misses,
-// skips and faults are never request errors.
+// then each byte tier (the persistent store, then the key's owning
+// peer), promoting a hit to memory. Tier misses, skips and faults are
+// never request errors.
 func (s *Service) lookup(ctx context.Context, q request) (*cachedResult, string, bool) {
 	key := q.key
 	if entry, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Inc()
 		return entry, TierMemory, true
 	}
-	for _, t := range byteTiers(q.keyParts(), s.tiers) {
+	for _, t := range s.tiers {
 		payload, err := t.get(ctx, key)
 		var entry *cachedResult
 		if err == nil {
@@ -251,11 +237,10 @@ func (s *Service) publish(key string, entry *cachedResult, payload []byte, tiers
 	}
 }
 
-// cacheResult publishes a completed full-quality run to every tier its
-// key may use.
+// cacheResult publishes a completed full-quality run to every tier.
 func (s *Service) cacheResult(key string, entry *cachedResult) {
 	var payload []byte
-	tiers := byteTiers(entry.parts, s.tiers)
+	tiers := s.tiers
 	if len(tiers) > 0 || s.cfg.CacheMaxBytes > 0 {
 		var err error
 		if payload, err = cachestore.Encode(entry.res, entry.tensors, entry.parts); err != nil {

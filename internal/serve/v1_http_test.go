@@ -10,7 +10,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tensat"
 )
@@ -408,6 +411,87 @@ func TestV1JobEndToEndRealPipeline(t *testing.T) {
 	}
 	if st.Completed != 1 {
 		t.Fatalf("completed = %d, want 1 (cache hits must not rerun the search)", st.Completed)
+	}
+}
+
+// TestV1JobElapsedIsTheJobsOwnClock: a job that queues behind another
+// reads one clock from its submission on. With the one worker slot
+// held for at least 100 ms by a first run, a second job's SSE stream
+// never runs backwards, no entry after the queued one reads less than
+// a poll taken while it queued, and its /trace wall_ms covers its
+// queue wait.
+func TestV1JobElapsedIsTheJobsOwnClock(t *testing.T) {
+	s := New(Config{Workers: 1, Base: fastOptions()})
+	optimize := s.optimize
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseSlot := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseSlot)
+	var first atomic.Bool
+	s.optimize = func(ctx context.Context, g *tensat.Graph, o tensat.Options) (*tensat.Result, error) {
+		if first.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+		return optimize(ctx, g, o)
+	}
+	ts := httptest.NewServer(NewHandler(s))
+	t.Cleanup(ts.Close)
+
+	if status, _, raw := postJob(t, ts.URL, OptimizeRequest{Graph: figure2Wire}); status != http.StatusAccepted {
+		t.Fatalf("first submit status %d: %s", status, raw)
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first job never reached the optimizer")
+	}
+	const queuedWire = `
+(let shared (input "x@32 128"))
+(output (matmul 0 shared (weight "wa@128 128")))
+(output (matmul 0 shared (weight "wb@128 128")))
+`
+	status, job, raw := postJob(t, ts.URL, OptimizeRequest{Graph: queuedWire})
+	submitted := time.Now()
+	if status != http.StatusAccepted {
+		t.Fatalf("second submit status %d: %s", status, raw)
+	}
+	time.Sleep(100 * time.Millisecond)
+	_, polled := getJob(t, ts.URL, job.ID)
+	if polled.Status != string(JobRunning) || polled.Progress.Phase != string(tensat.PhaseQueued) {
+		t.Fatalf("second job is %s/%s, want running/queued behind the held slot", polled.Status, polled.Progress.Phase)
+	}
+	queueWait := time.Since(submitted)
+	releaseSlot()
+
+	last := 0.0
+	for _, e := range readSSE(t, ts.URL, job.ID) {
+		if e.event != "progress" {
+			continue
+		}
+		var p ProgressReply
+		if err := json.Unmarshal([]byte(e.data), &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.ElapsedMS < last {
+			t.Errorf("%s entry reads %.3f ms after %.3f ms: the stream ran backwards", p.Phase, p.ElapsedMS, last)
+		}
+		if p.Phase != string(tensat.PhaseQueued) && p.ElapsedMS < polled.Progress.ElapsedMS {
+			t.Errorf("%s entry reads %.3f ms, less than the %.3f ms a poll read while queued",
+				p.Phase, p.ElapsedMS, polled.Progress.ElapsedMS)
+		}
+		last = p.ElapsedMS
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tr TraceReply
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace status %d: %v", resp.StatusCode, err)
+	}
+	if wait := float64(queueWait) / float64(time.Millisecond); tr.WallMS < wait {
+		t.Fatalf("trace wall_ms = %.3f, less than the job's %.3f ms queue wait", tr.WallMS, wait)
 	}
 }
 

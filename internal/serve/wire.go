@@ -86,7 +86,7 @@ type JobReply struct {
 	ID     string `json:"id"`
 	Status string `json:"status"`
 	// RuleSet and CostModel are the job's resolved optimization
-	// profile ("custom" when the service runs a programmatic override).
+	// profile.
 	RuleSet   string `json:"ruleset"`
 	CostModel string `json:"cost_model"`
 	// Progress is the latest snapshot (phase, iteration, e-graph

@@ -146,8 +146,10 @@ func Terminal(last Progress, res *Result, err error) Progress {
 
 // Submit starts an asynchronous optimization of g and returns its Job
 // handle immediately. The job runs until completion or cancellation of
-// ctx. opts follows the same zero-means-default rules as Optimize; its
-// profile is resolved against the optimizer's registry now, so an
+// ctx. A zero NodeLimit, IterLimit or ILPTimeout in opts takes the
+// paper's default, but a zero KMulti stays zero: Figure 7's k_multi = 0
+// baseline, where no multi-pattern rule fires (DefaultOptions sets 1).
+// The profile is resolved against the optimizer's registry now, so an
 // unknown name fails the submission with ErrUnknownProfile instead of
 // a dead job. opts.Progress, when set, receives every snapshot of the
 // run, ending with a terminal one.

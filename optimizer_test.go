@@ -134,8 +134,8 @@ func TestOptimizerSubmitLiveProgress(t *testing.T) {
 }
 
 // TestOptimizerReusedAcrossJobs submits two different graphs through
-// one Optimizer (the rules compile once) and a third with per-job
-// custom rules, checking isolation between jobs.
+// one Optimizer (the rules compile once), checking isolation between
+// jobs.
 func TestOptimizerReusedAcrossJobs(t *testing.T) {
 	o := tensat.NewOptimizer()
 	opts := tensat.DefaultOptions()

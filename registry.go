@@ -32,11 +32,6 @@ const (
 	DefaultCostModelName = "t4"
 )
 
-// customProfile labels a rule set or cost model given as an object on
-// Options rather than by name; no registry entry may take it
-// (rules.CheckProfileName reserves it).
-const customProfile = "custom"
-
 // ErrUnknownProfile marks a RuleSet or CostModelName that no registry
 // entry answers to; transports classify it as a client error.
 var ErrUnknownProfile = errors.New("tensat: unknown profile")
@@ -364,45 +359,39 @@ type Profile struct {
 	// Rules and CostModel are what the run explores and extracts with.
 	Rules     []*Rule
 	CostModel CostModel
-	// RuleSet and CostModelName are the registry keys they came from,
-	// or "custom" for an object given on the Options.
+	// RuleSet and CostModelName are the registry keys they came from.
 	RuleSet, CostModelName string
 	// RuleSetHash and CostModelHash are the registry entries' content
-	// hashes; "" for a custom object.
+	// hashes.
 	RuleSetHash, CostModelHash string
 
-	// compiled is the registration-time pattern compilation of a
-	// registered rule set; nil for custom rules, which the runner
-	// compiles per run.
+	// compiled is the rule set's registration-time pattern compilation.
 	compiled *rewrite.CompiledRules
 }
 
-// Resolve returns the profile opt selects, half by half: an object on
-// opt (Rules, CostModel) wins, then a registry name (RuleSet,
-// CostModelName), then whatever the registry holds under
-// DefaultRuleSetName and DefaultCostModelName at the time of the call
-// — a file loaded under one of those names included. An unknown name
-// is an error wrapping ErrUnknownProfile that lists the known names.
+// Resolve returns the registry entries opt names (RuleSet,
+// CostModelName), an empty name meaning whatever the registry holds
+// under DefaultRuleSetName or DefaultCostModelName at the time of the
+// call — a file loaded under one of those names included. An unknown
+// name is an error wrapping ErrUnknownProfile that lists the known
+// names.
 func (r *Registry) Resolve(opt Options) (Profile, error) {
-	p := Profile{Rules: opt.Rules, CostModel: opt.CostModel, RuleSet: customProfile, CostModelName: customProfile}
+	p := Profile{
+		RuleSet:       cmp.Or(opt.RuleSet, DefaultRuleSetName),
+		CostModelName: cmp.Or(opt.CostModelName, DefaultCostModelName),
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if p.Rules == nil {
-		p.RuleSet = cmp.Or(opt.RuleSet, DefaultRuleSetName)
-		e, ok := r.ruleSets[p.RuleSet]
-		if !ok {
-			return Profile{}, r.ruleSets.unknown("rule set", p.RuleSet)
-		}
-		p.Rules, p.compiled, p.RuleSetHash = e.value.rules, e.value.compiled, e.info.Hash
+	rs, ok := r.ruleSets[p.RuleSet]
+	if !ok {
+		return Profile{}, r.ruleSets.unknown("rule set", p.RuleSet)
 	}
-	if p.CostModel == nil {
-		p.CostModelName = cmp.Or(opt.CostModelName, DefaultCostModelName)
-		e, ok := r.costModels[p.CostModelName]
-		if !ok {
-			return Profile{}, r.costModels.unknown("cost model", p.CostModelName)
-		}
-		p.CostModel, p.CostModelHash = e.value, e.info.Hash
+	cm, ok := r.costModels[p.CostModelName]
+	if !ok {
+		return Profile{}, r.costModels.unknown("cost model", p.CostModelName)
 	}
+	p.Rules, p.compiled, p.RuleSetHash = rs.value.rules, rs.value.compiled, rs.info.Hash
+	p.CostModel, p.CostModelHash = cm.value, cm.info.Hash
 	return p, nil
 }
 

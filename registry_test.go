@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"tensat/internal/tensor"
 )
 
 func TestRegistryBuiltins(t *testing.T) {
@@ -174,13 +172,12 @@ func TestRegistryDirRefusesDuplicateNames(t *testing.T) {
 
 // TestRegistryRejectsBadProfileNames: names with characters outside
 // the identifier alphabet would corrupt the "<ruleset>/<costmodel>"
-// stats labels, and "custom" is the reserved programmatic-override
-// label. Rule set names come from file names, cost model names from
-// the spec's "name" field; both loaders must refuse them.
+// stats labels. Rule set names come from file names, cost model names
+// from the spec's "name" field; both loaders must refuse them.
 func TestRegistryRejectsBadProfileNames(t *testing.T) {
 	r := NewRegistry()
 	dir := t.TempDir()
-	for _, name := range []string{"a:b", "has space", "custom", ""} {
+	for _, name := range []string{"a:b", "has space", ""} {
 		ruleFile := filepath.Join(dir, name+".rules")
 		if err := os.WriteFile(ruleFile, []byte("ok: (relu ?x) => (relu ?x)\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -192,7 +189,7 @@ func TestRegistryRejectsBadProfileNames(t *testing.T) {
 			t.Errorf("rule set %q registered", name)
 		}
 	}
-	for _, name := range []string{"a/b", "has space", "custom", ""} {
+	for _, name := range []string{"a/b", "has space", ""} {
 		devFile := filepath.Join(dir, "dev.json")
 		spec := fmt.Sprintf(`{"name":%q,"peak_gflops":1,"mem_bw_gbps":1}`, name)
 		if err := os.WriteFile(devFile, []byte(spec), 0o644); err != nil {
@@ -259,37 +256,6 @@ func TestOptimizerResolvesNamedProfiles(t *testing.T) {
 			t.Errorf("unknown-profile error %q lacks the known-name listing", err)
 		}
 	}
-}
-
-// TestOptionsObjectBeatsName: an explicit Rules/CostModel object on
-// the same Options wins over a profile name.
-func TestOptionsObjectBeatsName(t *testing.T) {
-	g := buildProfileTestGraph(t)
-	counted := &countingModel{base: DefaultCostModel()}
-	opt := DefaultOptions()
-	opt.CostModel = counted
-	opt.CostModelName = "a100" // ignored: the object wins
-	opt.Rules = nil
-	opt.RuleSet = SingleRuleSetName
-	opt.IterLimit = 2
-	opt.NodeLimit = 500
-	opt.Extractor = ExtractGreedy
-	if _, err := Optimize(g, opt); err != nil {
-		t.Fatal(err)
-	}
-	if counted.calls == 0 {
-		t.Error("explicit CostModel object was not used")
-	}
-}
-
-type countingModel struct {
-	base  CostModel
-	calls int
-}
-
-func (m *countingModel) NodeCost(op tensor.Op, ival int64, sval string, args []*tensor.Meta) float64 {
-	m.calls++
-	return m.base.NodeCost(op, ival, sval, args)
 }
 
 // writeProfile writes one profile file into a fresh directory and
@@ -404,28 +370,28 @@ func TestRegistryReloadDuringJobs(t *testing.T) {
 }
 
 // TestRegistryResolve pins the resolver's answers: the registry's
-// entries for names and defaults, "custom" with no hash for objects,
-// and one ErrUnknownProfile error per unknown name.
+// entries for names and defaults, each with its content hash and
+// compiled rules, and one ErrUnknownProfile error per unknown name.
 func TestRegistryResolve(t *testing.T) {
 	r := NewRegistry()
-	p, err := r.Resolve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsInfo, _ := r.RuleSetInfo(DefaultRuleSetName)
-	cmInfo, _ := r.CostModelInfo(DefaultCostModelName)
-	if p.RuleSet != DefaultRuleSetName || p.CostModelName != DefaultCostModelName ||
-		p.RuleSetHash != rsInfo.Hash || p.CostModelHash != cmInfo.Hash || p.compiled == nil {
-		t.Errorf("default profile = %s/%s %s/%s, want the registry's %s/%s entries",
-			p.RuleSet, p.CostModelName, p.RuleSetHash, p.CostModelHash, DefaultRuleSetName, DefaultCostModelName)
-	}
-	custom, err := r.Resolve(Options{Rules: DefaultRules(), CostModel: DefaultCostModel(), RuleSet: "nope", CostModelName: "nope"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.RuleSet != "custom" || custom.CostModelName != "custom" ||
-		custom.RuleSetHash != "" || custom.CostModelHash != "" || custom.compiled != nil {
-		t.Errorf("object profile = %+v, want custom/custom with no hashes", custom)
+	for _, c := range []struct {
+		opt    Options
+		rs, cm string
+	}{
+		{Options{}, DefaultRuleSetName, DefaultCostModelName},
+		{Options{RuleSet: SingleRuleSetName, CostModelName: "a100"}, SingleRuleSetName, "a100"},
+	} {
+		p, err := r.Resolve(c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsInfo, _ := r.RuleSetInfo(c.rs)
+		cmInfo, _ := r.CostModelInfo(c.cm)
+		if p.RuleSet != c.rs || p.CostModelName != c.cm || p.RuleSetHash == "" || p.CostModelHash == "" ||
+			p.RuleSetHash != rsInfo.Hash || p.CostModelHash != cmInfo.Hash || p.compiled == nil {
+			t.Errorf("Resolve(%+v) = %s/%s %s/%s, want the registry's %s/%s entries",
+				c.opt, p.RuleSet, p.CostModelName, p.RuleSetHash, p.CostModelHash, c.rs, c.cm)
+		}
 	}
 	for _, c := range []struct {
 		opt  Options

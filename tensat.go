@@ -89,7 +89,6 @@ import (
 	"tensat/internal/cost"
 	"tensat/internal/obs"
 	"tensat/internal/rewrite"
-	"tensat/internal/rules"
 	"tensat/internal/tensor"
 )
 
@@ -125,17 +124,6 @@ func NewBuilder() *Builder { return tensor.NewBuilder() }
 // DefaultCostModel returns the built-in simulated T4 device model, the
 // one a NewRegistry holds under DefaultCostModelName.
 func DefaultCostModel() CostModel { return cost.NewT4() }
-
-// DefaultRules returns the full TASO-style rule set (single- and
-// multi-pattern), the one a NewRegistry holds under
-// DefaultRuleSetName.
-func DefaultRules() []*Rule { return rules.Default() }
-
-// NewRule builds a single-pattern rewrite rule from S-expression
-// patterns, e.g. NewRule("fuse", "(relu (matmul 0 ?x ?y))", "(matmul 2 ?x ?y)").
-func NewRule(name, source, target string) (*Rule, error) {
-	return rewrite.NewRule(name, source, target)
-}
 
 // Extractor selects the extraction algorithm (§5.1).
 type Extractor int
@@ -185,7 +173,9 @@ const (
 	FilterNone = rewrite.FilterNone
 )
 
-// Options configure Optimize. Zero values take the paper's defaults.
+// Options configure Optimize. A zero NodeLimit, IterLimit or
+// ILPTimeout takes the paper's default; every other field means what
+// its zero value says (DefaultOptions sets the paper's setup in full).
 //
 // Every exported field participates in serving-cache identity — it
 // must be read by one of the key functions named below — unless it is
@@ -194,27 +184,23 @@ const (
 //
 //lint:cachekey keyfunc=tensat/internal/serve.optionsKey keyfunc=tensat.Registry.Resolve
 type Options struct {
-	// Rules is the rewrite rule set; nil means the one RuleSet names.
-	Rules []*Rule
-	// CostModel prices operators; nil means the one CostModelName
-	// names.
-	CostModel CostModel
 	// RuleSet selects a named rule set from the optimizer's Registry
-	// (e.g. "taso-default", "taso-single", or a loaded .rules profile).
-	// It applies only when Rules is nil; "" means the registry's
-	// taso-default entry. An unknown name fails Submit with
-	// ErrUnknownProfile.
+	// (e.g. "taso-default", "taso-single", or a loaded .rules profile);
+	// "" means the registry's taso-default entry. An unknown name fails
+	// Submit with ErrUnknownProfile.
 	RuleSet string
 	// CostModelName selects a named cost model from the Registry (e.g.
-	// "t4", "a100", "cpu", or a loaded device spec). It applies only
-	// when CostModel is nil; "" means the registry's t4 entry.
+	// "t4", "a100", "cpu", or a loaded device spec); "" means the
+	// registry's t4 entry.
 	CostModelName string
 	// NodeLimit bounds the e-graph size (paper: 50000).
 	NodeLimit int
 	// IterLimit bounds exploration iterations (paper: 15).
 	IterLimit int
 	// KMulti is the number of iterations multi-pattern rules fire
-	// (paper: 1; 2 for Inception-v3).
+	// (paper: 1; 2 for Inception-v3). Zero is not defaulted: it is
+	// Figure 7's k_multi = 0 baseline, where no multi-pattern rule
+	// fires.
 	KMulti int
 	// ExploreTimeout bounds the exploration phase.
 	ExploreTimeout time.Duration

@@ -3,6 +3,8 @@ package tensat_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +84,19 @@ func TestOptimizeFilterModes(t *testing.T) {
 	}
 }
 
+// writeProfileFile writes one profile file into a fresh directory and
+// returns its path.
+func writeProfileFile(t *testing.T, name, text string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOptimizeCustomRulesAndModel: a file-loaded rule set and device
+// spec, selected by name, are what the run rewrites and prices with.
 func TestOptimizeCustomRulesAndModel(t *testing.T) {
 	b := tensat.NewBuilder()
 	x := b.Input("x", 8, 8)
@@ -89,18 +104,32 @@ func TestOptimizeCustomRulesAndModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rule, err := tensat.NewRule("relu-idem", "(relu (relu ?x))", "(relu ?x)")
+	r := tensat.NewRegistry()
+	rs, err := r.LoadRuleFile(writeProfileFile(t, "idem.rules", "relu-idem: (relu (relu ?x)) => (relu ?x)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := r.LoadDeviceFile(writeProfileFile(t, "slow.json",
+		`{"name": "slow", "launch_us": 100, "peak_gflops": 1, "mem_bw_gbps": 1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := tensat.DefaultOptions()
-	opt.Rules = []*tensat.Rule{rule}
-	res, err := tensat.Optimize(g, opt)
+	opt.RuleSet, opt.CostModelName = rs.Name, cm.Name
+	job, err := tensat.NewOptimizer(tensat.WithRegistry(r)).Submit(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h := res.Graph.OpHistogram(); h[tensor.OpRelu] != 1 {
 		t.Fatalf("idempotence not applied: %v", tensor.HistogramString(h))
+	}
+	slow, _ := r.CostModel(cm.Name)
+	if want := tensat.GraphCost(slow, g); res.OrigCost != want || want == tensat.GraphCost(tensat.DefaultCostModel(), g) {
+		t.Fatalf("OrigCost = %v, want the slow device's %v", res.OrigCost, want)
 	}
 }
 
@@ -141,16 +170,22 @@ func TestOptimizeNilGraph(t *testing.T) {
 	}
 }
 
+// TestNewRuleRejectsMalformedPattern: a rule file holding a pattern
+// that does not parse fails to load and registers nothing.
 func TestNewRuleRejectsMalformedPattern(t *testing.T) {
-	if _, err := tensat.NewRule("bad", "(relu ?x", "?x"); err == nil {
+	r := tensat.NewRegistry()
+	if _, err := r.LoadRuleFile(writeProfileFile(t, "bad.rules", "bad: (relu ?x => ?x\n")); err == nil {
 		t.Fatal("malformed pattern accepted")
+	}
+	if _, ok := r.RuleSet("bad"); ok {
+		t.Fatal("malformed rule set registered")
 	}
 }
 
 func TestDefaultRulesNonEmpty(t *testing.T) {
-	rs := tensat.DefaultRules()
-	if len(rs) < 40 {
-		t.Fatalf("only %d default rules", len(rs))
+	info, ok := tensat.DefaultRegistry().RuleSetInfo(tensat.DefaultRuleSetName)
+	if !ok || info.Rules < 40 {
+		t.Fatalf("only %d default rules", info.Rules)
 	}
 }
 
