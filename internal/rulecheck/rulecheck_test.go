@@ -218,8 +218,11 @@ func renderFindings(fs []Finding) string {
 // shipped and with a condition that always holds. The condition is
 // evaluated on every witness, so the shipped rules are clean and
 // transpose-inverse without its condition is caught by shapes alone.
-// merge-gconv without its condition stays shape-sound: its fault (a
-// merge where cout differs from C) shows only by execution.
+// The other three stay shape-sound without their conditions, since
+// their faults show only by execution or by counting: merge-gconv
+// merges where cout differs from C, merge-convs-shared-input regroups
+// grouped weights, and enlarge-conv-kernel mints a copy of a kernel
+// "enlarged" to its own size.
 func TestConditionalRulesAreChecked(t *testing.T) {
 	byName := make(map[string]*rewrite.Rule)
 	for _, r := range rules.Default() {
@@ -231,6 +234,8 @@ func TestConditionalRulesAreChecked(t *testing.T) {
 	}{
 		{"transpose-inverse", `?p=S("0 1") ?q=S("1 0") ?x=T[2 3]`},
 		{"merge-gconv", ""},
+		{"merge-convs-shared-input", ""},
+		{"enlarge-conv-kernel", ""},
 	} {
 		r := byName[tc.rule]
 		if r == nil || r.Cond == nil {

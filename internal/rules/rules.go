@@ -8,11 +8,19 @@
 // checking before application, so rules that need preconditions beyond
 // syntax (where a split cuts, divisibility of channels, matching
 // spatial dims) are stated in full generality here and pruned at match
-// time. Two rules need more than shapes: merge-gconv and
-// transpose-inverse carry a condition (Rule.Cond) over the metas of
-// their bindings, which the e-graph runner, the TASO baseline and the
-// static verifier (internal/rulecheck) each evaluate before a rewrite
-// counts.
+// time. Four rules need more than shapes, and carry a condition
+// (Rule.Cond) over the metas of their bindings, which the e-graph
+// runner, the TASO baseline and the static verifier
+// (internal/rulecheck) each evaluate before a rewrite counts:
+//
+//   - merge-gconv: the weight is grouped and cout equals the input's
+//     C, the geometry merge's zero-pad layout is defined for;
+//   - transpose-inverse: the two permutations compose to the identity;
+//   - merge-convs-shared-input: neither weight is grouped, since
+//     concatenating grouped weights regroups them (a wrong value of
+//     the right shape);
+//   - enlarge-conv-kernel: the first kernel really grows, so the rule
+//     never mints a copy of a weight under a class of its own.
 package rules
 
 import (
@@ -111,7 +119,7 @@ func mergeGconv() *rewrite.Rule {
 		"(conv ?sh ?sw 0 ?act ?x ?w)", "(conv ?sh ?sw 0 ?act ?x (merge ?w 2))")
 	r.Cond = func(meta func(string) *tensor.Meta) bool {
 		xm, wm := meta("?x"), meta("?w")
-		if xm == nil || wm == nil || len(xm.Shape) != 4 || len(wm.Shape) != 4 {
+		if !rank4(xm) || !rank4(wm) {
 			return false
 		}
 		// cout == C, and actually grouped (cinPG < C).
@@ -139,10 +147,7 @@ func Multi() []*rewrite.Rule {
 
 	// Figure 9: two convolutions sharing the input; weights concatenate
 	// on output channels, result splits on the channel axis.
-	multi("merge-convs-shared-input",
-		"(conv ?sh ?sw ?p ?act ?x ?w1) (conv ?sh ?sw ?p ?act ?x ?w2)",
-		"(split0 (split 1 (conv ?sh ?sw ?p ?act ?x (concat2 0 ?w1 ?w2)))) "+
-			"(split1 (split 1 (conv ?sh ?sw ?p ?act ?x (concat2 0 ?w1 ?w2))))")
+	rs = append(rs, mergeConvsSharedInput())
 
 	// Parallel element-wise operators batch into one kernel over
 	// concatenated operands (with the halves recovered by split) — the
@@ -167,14 +172,58 @@ func Multi() []*rewrite.Rule {
 		"(split0 (split 1 (ewadd (concat2 1 ?a ?c) (concat2 1 ?b ?d)))) "+
 			"(split1 (split 1 (ewadd (concat2 1 ?a ?c) (concat2 1 ?b ?d))))")
 
-	// Kernel enlargement (TASO): under SAME padding and stride 1, a
-	// kernel zero-padded to another conv's spatial size computes the
-	// same function, enabling the Figure 9 merge across kernel sizes.
-	multi("enlarge-conv-kernel",
-		"(conv 1 1 0 ?act ?x ?w1) (conv 1 1 0 ?act ?x ?w2)",
-		"(conv 1 1 0 ?act ?x (enlarge ?w1 ?w2)) (conv 1 1 0 ?act ?x ?w2)")
+	rs = append(rs, enlargeConvKernel())
 
 	return rs
+}
+
+// mergeConvsSharedInput builds the conditional Figure 9 merge. The
+// condition keeps it to ungrouped convs: concatenating two grouped
+// weights on output channels regroups them, so neither half of the
+// split would compute its conv. Both weights are checked, since either
+// may be the grouped one.
+func mergeConvsSharedInput() *rewrite.Rule {
+	r := rewrite.MustMultiRule("merge-convs-shared-input",
+		"(conv ?sh ?sw ?p ?act ?x ?w1) (conv ?sh ?sw ?p ?act ?x ?w2)",
+		"(split0 (split 1 (conv ?sh ?sw ?p ?act ?x (concat2 0 ?w1 ?w2)))) "+
+			"(split1 (split 1 (conv ?sh ?sw ?p ?act ?x (concat2 0 ?w1 ?w2))))")
+	r.Cond = func(meta func(string) *tensor.Meta) bool {
+		xm, w1, w2 := meta("?x"), meta("?w1"), meta("?w2")
+		if !rank4(xm) || !rank4(w1) || !rank4(w2) {
+			return false
+		}
+		return w1.Shape[1] == xm.Shape[1] && w2.Shape[1] == xm.Shape[1]
+	}
+	return r
+}
+
+// enlargeConvKernel builds the conditional kernel enlargement (TASO):
+// under SAME padding and stride 1, a kernel zero-padded to another
+// conv's spatial size computes the same function, enabling the Figure
+// 9 merge across kernel sizes. The condition lets it fire only where
+// ?w1's kernel grows: no larger than ?w2's in either spatial dimension
+// (OIHW dims 2 and 3), and smaller in at least one. A kernel enlarged
+// to its own size is ?w1 by value, yet it would get a class of its
+// own, and the merges would build every concatenation of every copy.
+func enlargeConvKernel() *rewrite.Rule {
+	r := rewrite.MustMultiRule("enlarge-conv-kernel",
+		"(conv 1 1 0 ?act ?x ?w1) (conv 1 1 0 ?act ?x ?w2)",
+		"(conv 1 1 0 ?act ?x (enlarge ?w1 ?w2)) (conv 1 1 0 ?act ?x ?w2)")
+	r.Cond = func(meta func(string) *tensor.Meta) bool {
+		w1, w2 := meta("?w1"), meta("?w2")
+		if !rank4(w1) || !rank4(w2) {
+			return false
+		}
+		h1, k1, h2, k2 := w1.Shape[2], w1.Shape[3], w2.Shape[2], w2.Shape[3]
+		return h1 <= h2 && k1 <= k2 && (h1 < h2 || k1 < k2)
+	}
+	return r
+}
+
+// rank4 reports whether m is a rank-4 tensor (NCHW data or an OIHW
+// kernel).
+func rank4(m *tensor.Meta) bool {
+	return m != nil && m.Kind == tensor.KindTensor && len(m.Shape) == 4
 }
 
 // transposeInverse builds the conditional rule

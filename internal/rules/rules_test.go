@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"tensat/internal/cost"
+	"tensat/internal/egraph"
 	"tensat/internal/extract"
+	"tensat/internal/models"
 	"tensat/internal/rewrite"
 	"tensat/internal/tensor"
 )
@@ -224,5 +226,123 @@ func TestOptimizationIsIdempotentOnOptimal(t *testing.T) {
 	orig := cost.GraphCost(cost.NewT4(), g)
 	if res.Cost > orig+1e-9 {
 		t.Fatalf("optimizer regressed an optimal graph: %v > %v", res.Cost, orig)
+	}
+}
+
+// TestConvConditions pins where the two conv conditions hold: kernel
+// enlargement only where the first kernel grows, and the Figure 9
+// merge only on ungrouped weights. A condition that always holds
+// fails every false row.
+func TestConvConditions(t *testing.T) {
+	byName := make(map[string]*rewrite.Rule)
+	for _, r := range Multi() {
+		byName[r.Name] = r
+	}
+	ts := func(dims ...int) *tensor.Meta { return &tensor.Meta{Kind: tensor.KindTensor, Shape: dims} }
+	x := ts(1, 8, 6, 6)
+	for _, tc := range []struct {
+		rule, name string
+		bind       map[string]*tensor.Meta
+		want       bool
+	}{
+		{"enlarge-conv-kernel", "1x1 vs 3x3", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 8, 1, 1), "?w2": ts(4, 8, 3, 3)}, true},
+		{"enlarge-conv-kernel", "1x3 vs 3x3", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 8, 1, 3), "?w2": ts(4, 8, 3, 3)}, true},
+		{"enlarge-conv-kernel", "3x3 vs 3x3", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 8, 3, 3), "?w2": ts(6, 8, 3, 3)}, false},
+		{"enlarge-conv-kernel", "3x1 vs 1x3", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 8, 3, 1), "?w2": ts(4, 8, 1, 3)}, false},
+		{"enlarge-conv-kernel", "3x3 vs 1x1", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 8, 3, 3), "?w2": ts(4, 8, 1, 1)}, false},
+		{"merge-convs-shared-input", "ungrouped", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 8, 3, 3), "?w2": ts(6, 8, 1, 1)}, true},
+		{"merge-convs-shared-input", "first grouped", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 2, 3, 3), "?w2": ts(6, 8, 3, 3)}, false},
+		{"merge-convs-shared-input", "second grouped", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 8, 3, 3), "?w2": ts(4, 2, 3, 3)}, false},
+		{"merge-convs-shared-input", "both grouped", map[string]*tensor.Meta{"?x": x, "?w1": ts(4, 2, 3, 3), "?w2": ts(4, 2, 3, 3)}, false},
+	} {
+		r := byName[tc.rule]
+		if r == nil || r.Cond == nil {
+			t.Fatalf("%s: not a conditional builtin", tc.rule)
+		}
+		if got := r.Cond(func(v string) *tensor.Meta { return tc.bind[v] }); got != tc.want {
+			t.Errorf("%s, %s: Cond = %v, want %v", tc.rule, tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMergeConvsSkipsGroupedWeights: concatenating two grouped weights
+// on output channels regroups them, so a merge of grouped convs would
+// union a conv with a split that computes another value. x is
+// 1x8x6x6 and w 4x2x3x3 (four groups).
+func TestMergeConvsSkipsGroupedWeights(t *testing.T) {
+	b := tensor.NewBuilder()
+	x := b.Input("x", 1, 8, 6, 6)
+	w := b.Weight("w", 4, 2, 3, 3)
+	one := b.MustFinish(b.Conv(1, 1, tensor.PadSame, tensor.ActNone, x, w))
+	r := rewrite.NewRunner(Default())
+	r.Limits.KMulti = 1
+	ex, err := r.RunContext(context.Background(), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ex.G.Class(ex.Root).Nodes {
+		if n := ex.G.Node(id); n.Op == egraph.Op(tensor.OpSplit0) {
+			t.Errorf("root class holds %s: a grouped conv merged with itself", ex.G.NodeString(*n))
+		}
+	}
+
+	b = tensor.NewBuilder()
+	x = b.Input("x", 1, 8, 6, 6)
+	w1 := b.Weight("w1", 4, 2, 3, 3)
+	w2 := b.Weight("w2", 4, 2, 3, 3)
+	two := b.MustFinish(
+		b.Conv(1, 1, tensor.PadSame, tensor.ActNone, x, w1),
+		b.Conv(1, 1, tensor.PadSame, tensor.ActNone, x, w2))
+	ex, err = r.RunContext(context.Background(), two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy, err := extract.GreedyContext(context.Background(), ex, cost.NewT4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareOutputs(t, two, greedy.Graph)
+	ilp, err := extract.ILPContext(context.Background(), ex, cost.NewT4(), extract.ILPOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareOutputs(t, two, ilp.Graph)
+}
+
+// TestNoEnlargeCopiesAWeight guards the class of bug the
+// enlarge-conv-kernel condition fixes: a kernel "enlarged" to its own
+// size is a copy of the weight under a class of its own, and the conv
+// merges then build every concatenation of every copy. No enlarge
+// e-node in any conv model's e-graph may hold the shape of the kernel
+// it enlarges.
+func TestNoEnlargeCopiesAWeight(t *testing.T) {
+	for _, m := range append(models.Benchmarks(), models.Extras()...) {
+		g := m.Build(models.ScaleTest)
+		if g.OpHistogram()[tensor.OpConv] == 0 {
+			continue
+		}
+		for _, kmulti := range []int{1, 2} {
+			r := rewrite.NewRunner(Default())
+			r.Limits.KMulti = kmulti
+			r.Limits.MaxIters = 15
+			r.Limits.MaxNodes = 10000
+			ex, err := r.RunContext(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copies := 0
+			ex.G.Classes(func(c *egraph.Class) {
+				for _, id := range c.Nodes {
+					n := ex.G.Node(id)
+					if n.Op == egraph.Op(tensor.OpEnlarge) &&
+						rewrite.ClassMeta(ex.G, c.ID).Shape.Equal(rewrite.ClassMeta(ex.G, n.Children[0]).Shape) {
+						copies++
+					}
+				}
+			})
+			if copies > 0 {
+				t.Errorf("%s at k_multi %d: %d enlarge e-nodes keep their kernel's shape", m.Name, kmulti, copies)
+			}
+		}
 	}
 }
